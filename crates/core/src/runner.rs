@@ -785,15 +785,9 @@ impl ExperimentRunner {
                 worker_util_sum += (admitted * model.preprocess_time(f_cpu)
                     / self.scenario.workers_per_pipeline.max(1) as f64)
                     .clamp(0.0, 1.0);
-                for lat in &sstats.request_latencies {
-                    self.slo_tracker.record(i, *lat);
-                }
-                for t in &sstats.ttft_s {
-                    self.ttft_tracker.record(i, *t);
-                }
-                for t in &sstats.inter_token_s {
-                    self.itl_tracker.record(i, *t);
-                }
+                self.slo_tracker.record_all(i, &sstats.request_latencies);
+                self.ttft_tracker.record_all(i, &sstats.ttft_s);
+                self.itl_tracker.record_all(i, &sstats.inter_token_s);
                 self.second_stats[i].images += sstats.completions;
                 self.second_stats[i].batches += sstats.batches;
                 self.second_stats[i].latency_sum += sstats.request_latencies.iter().sum::<f64>();
@@ -848,9 +842,7 @@ impl ExperimentRunner {
                 worker_util_sum += (admitted * model.preprocess_time(f_cpu)
                     / self.scenario.workers_per_pipeline.max(1) as f64)
                     .clamp(0.0, 1.0);
-                for lat in &sstats.request_latencies {
-                    self.slo_tracker.record(i, *lat);
-                }
+                self.slo_tracker.record_all(i, &sstats.request_latencies);
                 self.second_stats[i].images += sstats.completions;
                 self.second_stats[i].batches += sstats.batches;
                 self.second_stats[i].latency_sum += sstats.request_latencies.iter().sum::<f64>();
@@ -885,9 +877,7 @@ impl ExperimentRunner {
                 // Latency and throughput bookkeeping at 1 s granularity is
                 // aggregated per period by the caller via pipeline stats;
                 // record SLO hits here so no batch is lost.
-                for lat in &stats.batch_latencies {
-                    self.slo_tracker.record(i, *lat);
-                }
+                self.slo_tracker.record_all(i, &stats.batch_latencies);
                 self.second_stats[i].images += stats.images_completed;
                 self.second_stats[i].batches += stats.batch_latencies.len();
                 self.second_stats[i].latency_sum += stats.batch_latencies.iter().sum::<f64>();
@@ -1080,10 +1070,7 @@ impl ExperimentRunner {
                 .iter_mut()
                 .for_each(|s| *s = PhasePeriodStats::default());
             let misses_before: Vec<usize> = (0..self.pipelines.len())
-                .map(|i| {
-                    (self.slo_tracker.miss_rate(i) * self.slo_tracker.latencies(i).len() as f64)
-                        .round() as usize
-                })
+                .map(|i| self.slo_tracker.misses(i))
                 .collect();
 
             // One control period: T seconds of actuation. CapGPU resolves
@@ -1439,12 +1426,7 @@ impl ExperimentRunner {
             }
 
             let slo_misses: Vec<usize> = (0..self.pipelines.len())
-                .map(|i| {
-                    let total = (self.slo_tracker.miss_rate(i)
-                        * self.slo_tracker.latencies(i).len() as f64)
-                        .round() as usize;
-                    total.saturating_sub(misses_before[i])
-                })
+                .map(|i| self.slo_tracker.misses(i) - misses_before[i])
                 .collect();
 
             records.push(PeriodRecord {
@@ -1511,27 +1493,23 @@ impl ExperimentRunner {
                 }
             }
         }
-        let miss_rates = (0..self.pipelines.len())
-            .map(|i| self.slo_tracker.miss_rate(i))
-            .collect();
-        let p99_latency_s: Vec<f64> = (0..self.pipelines.len())
-            .map(|i| capgpu_linalg::stats::percentile(self.slo_tracker.latencies(i), 99.0))
-            .collect();
+        // Tail quantiles are exact order statistics selected in the
+        // trackers' own buffers: linear in the samples recorded, no copy.
         let n_tasks = self.pipelines.len();
+        let p99 = |tracker: &mut SloTracker| -> Vec<f64> {
+            (0..n_tasks).map(|i| tracker.percentile(i, 99.0)).collect()
+        };
+        let miss_rates_of = |tracker: &SloTracker| -> Vec<f64> {
+            (0..n_tasks).map(|i| tracker.miss_rate(i)).collect()
+        };
+        let miss_rates = miss_rates_of(&self.slo_tracker);
+        let p99_latency_s = p99(&mut self.slo_tracker);
         let (ttft_p99_s, itl_p99_s, ttft_miss_rates, itl_miss_rates) = if llm_on {
             (
-                (0..n_tasks)
-                    .map(|i| capgpu_linalg::stats::percentile(self.ttft_tracker.latencies(i), 99.0))
-                    .collect(),
-                (0..n_tasks)
-                    .map(|i| capgpu_linalg::stats::percentile(self.itl_tracker.latencies(i), 99.0))
-                    .collect(),
-                (0..n_tasks)
-                    .map(|i| self.ttft_tracker.miss_rate(i))
-                    .collect(),
-                (0..n_tasks)
-                    .map(|i| self.itl_tracker.miss_rate(i))
-                    .collect(),
+                p99(&mut self.ttft_tracker),
+                p99(&mut self.itl_tracker),
+                miss_rates_of(&self.ttft_tracker),
+                miss_rates_of(&self.itl_tracker),
             )
         } else {
             (Vec::new(), Vec::new(), Vec::new(), Vec::new())
@@ -1694,4 +1672,115 @@ pub struct FixedRunStats {
     pub mean_queue_delay_s: Vec<f64>,
     /// Per-task CPU preprocessing time (s/image) at the applied CPU clock.
     pub preprocess_s_per_image: Vec<f64>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Copy, full sort, linear interpolation: the percentile the runner
+    /// reported before its tails became selections.
+    fn percentile_by_sort(xs: &[f64], q: f64) -> f64 {
+        if xs.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("trackers store finite samples"));
+        let pos = q / 100.0 * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        let frac = pos - lo as f64;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    fn run_for(scenario: Scenario, periods: usize) -> (ExperimentRunner, RunTrace) {
+        let mut runner = ExperimentRunner::new(scenario, 900.0).expect("runner");
+        let controller = runner.build_capgpu_controller().expect("controller");
+        let trace = runner.run(controller, periods).expect("run");
+        (runner, trace)
+    }
+
+    /// Samples of each task above its SLO, counted from the multiset.
+    fn above_slo(tracker: &SloTracker) -> Vec<usize> {
+        (0..tracker.num_tasks())
+            .map(|i| {
+                let slo = tracker.slo(i);
+                tracker.latencies(i).iter().filter(|l| **l > slo).count()
+            })
+            .collect()
+    }
+
+    fn p99_by_sort(tracker: &SloTracker) -> Vec<f64> {
+        (0..tracker.num_tasks())
+            .map(|i| percentile_by_sort(tracker.latencies(i), 99.0))
+            .collect()
+    }
+
+    fn miss_rates_by_count(tracker: &SloTracker) -> Vec<f64> {
+        above_slo(tracker)
+            .iter()
+            .enumerate()
+            .map(|(i, &m)| match tracker.latencies(i).len() {
+                0 => 0.0,
+                n => m as f64 / n as f64,
+            })
+            .collect()
+    }
+
+    /// Everything `run` reports about tails and misses, recomputed from
+    /// the samples the trackers hold after it. Per-period misses come
+    /// from prefix runs: the run is deterministic, so a fresh `k`-period
+    /// run holds exactly the samples of the first `k` periods.
+    fn assert_tails_match_sort_oracle(make: fn(u64) -> Scenario) {
+        const PERIODS: usize = 40;
+        let (runner, trace) = run_for(make(42), PERIODS);
+        assert_eq!(trace.p99_latency_s, p99_by_sort(&runner.slo_tracker));
+        assert_eq!(trace.miss_rates, miss_rates_by_count(&runner.slo_tracker));
+        if runner.llm_engines.is_empty() {
+            assert!(trace.ttft_p99_s.is_empty() && trace.itl_p99_s.is_empty());
+        } else {
+            assert_eq!(trace.ttft_p99_s, p99_by_sort(&runner.ttft_tracker));
+            assert_eq!(trace.itl_p99_s, p99_by_sort(&runner.itl_tracker));
+            assert_eq!(
+                trace.ttft_miss_rates,
+                miss_rates_by_count(&runner.ttft_tracker)
+            );
+            assert_eq!(
+                trace.itl_miss_rates,
+                miss_rates_by_count(&runner.itl_tracker)
+            );
+        }
+        let mut before = vec![0; runner.slo_tracker.num_tasks()];
+        for k in 1..=PERIODS {
+            let (prefix_runner, prefix) = run_for(make(42), k);
+            assert_eq!(prefix.records[..], trace.records[..k]);
+            let after = above_slo(&prefix_runner.slo_tracker);
+            let in_period: Vec<usize> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            assert_eq!(trace.records[k - 1].slo_misses, in_period, "period {k}");
+            before = after;
+        }
+        assert!(
+            before.iter().sum::<usize>() > 0,
+            "no miss in {PERIODS} periods: the per-period check compared zeros"
+        );
+    }
+
+    #[test]
+    fn llm_tails_and_misses_equal_the_sort_oracle() {
+        // The LLM testbed leaves the per-request SLO off; switch one on
+        // so that the records' `slo_misses` are not all zero.
+        assert_tails_match_sort_oracle(|seed| {
+            let mut s = Scenario::llm_testbed(seed);
+            s.slos = vec![Some(4.0); s.gpu_models.len()];
+            s
+        });
+    }
+
+    #[test]
+    fn serving_tails_and_misses_equal_the_sort_oracle() {
+        assert_tails_match_sort_oracle(Scenario::serving_testbed);
+    }
 }

@@ -6,6 +6,8 @@
 //! for model fits (Fig. 2). These helpers implement exactly those
 //! computations.
 
+use std::cmp::Ordering;
+
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -40,30 +42,53 @@ pub fn sample_std_dev(xs: &[f64]) -> f64 {
 /// Linear-interpolation percentile, `q ∈ [0, 100]`.
 ///
 /// Matches the common "linear" method: `p50` of `[1, 2, 3, 4]` is 2.5.
-/// Returns 0.0 for an empty slice.
+/// Returns 0.0 for an empty slice. Copies the input once; callers that
+/// own their buffer use [`percentile_in_place`].
+///
+/// # Panics
+/// Panics with "NaN in percentile input" when two or more samples are
+/// given and one is NaN.
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
+    percentile_in_place(&mut xs.to_vec(), q)
+}
+
+/// [`percentile`] on the caller's own buffer: an exact order statistic
+/// by selection, O(n) comparisons and no allocation. The value is the
+/// one a full sort would give; the buffer is left in an unspecified
+/// order (a permutation of its input).
+///
+/// # Panics
+/// As [`percentile`].
+pub fn percentile_in_place(xs: &mut [f64], q: f64) -> f64 {
+    select_percentile(xs, q, |a, b| {
+        a.partial_cmp(b).expect("NaN in percentile input")
+    })
+}
+
+/// The selection behind [`percentile_in_place`], generic over the
+/// comparator so a test can count its calls. Only the two order
+/// statistics the interpolation reads are placed: `lo` by quickselect,
+/// `hi = lo + 1` as the minimum of everything the selection left to the
+/// right of `lo`.
+fn select_percentile(xs: &mut [f64], q: f64, mut cmp: impl FnMut(&f64, &f64) -> Ordering) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
     let q = q.clamp(0.0, 100.0);
-    let pos = q / 100.0 * (sorted.len() - 1) as f64;
+    let pos = q / 100.0 * (xs.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let (_, &mut at_lo, above) = xs.select_nth_unstable_by(lo, &mut cmp);
     if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        return at_lo;
     }
-}
-
-/// The "`q`% tail latency" as the paper uses it: the latency threshold such
-/// that `q`% of requests are *slower* — i.e. the `(100 − q)`-th percentile.
-/// A 30% tail latency is a tight SLO, an 80% tail latency is loose.
-pub fn tail_latency(xs: &[f64], tail_pct: f64) -> f64 {
-    percentile(xs, 100.0 - tail_pct)
+    let at_hi = above
+        .iter()
+        .copied()
+        .min_by(&mut cmp)
+        .expect("hi <= len - 1, so something lies above lo");
+    let frac = pos - lo as f64;
+    at_lo * (1.0 - frac) + at_hi * frac
 }
 
 /// Coefficient of determination given observed targets and a residual sum
@@ -157,6 +182,9 @@ pub fn mae_to_setpoint(xs: &[f64], setpoint: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn mean_variance_std() {
@@ -186,15 +214,126 @@ mod tests {
         assert_eq!(percentile(&xs, 50.0), 2.5);
     }
 
+    /// The copy-and-full-sort percentile this module shipped before the
+    /// selection, kept as the reference the selection is pinned to.
+    fn percentile_by_sort(xs: &[f64], q: f64) -> f64 {
+        if xs.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+        let q = q.clamp(0.0, 100.0);
+        let pos = q / 100.0 * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = pos - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    /// Equal under `==` and, when non-zero, bit for bit. A sample mixing
+    /// +0.0 and −0.0 is the only input where a stable sort and a
+    /// selection may legitimately disagree, and then only in the sign
+    /// bit of a zero: the two compare equal, so which of them lands on
+    /// rank `lo` is the algorithm's choice.
+    fn assert_matches_oracle(xs: &[f64], q: f64) -> Result<(), TestCaseError> {
+        let want = percentile_by_sort(xs, q);
+        let got = percentile(xs, q);
+        prop_assert!(got == want, "n={} q={q}: {got} vs {want}", xs.len());
+        prop_assert!(
+            want == 0.0 || got.to_bits() == want.to_bits(),
+            "n={} q={q}: {got:e} vs {want:e} differ in bits",
+            xs.len()
+        );
+        let mut own = xs.to_vec();
+        prop_assert_eq!(percentile_in_place(&mut own, q).to_bits(), got.to_bits());
+        // In place means a permutation: nothing lost, nothing invented.
+        let key = |v: &f64| v.to_bits();
+        let (mut a, mut b) = (xs.to_vec(), own);
+        a.sort_by_key(key);
+        b.sort_by_key(key);
+        prop_assert!(a == b, "buffer is no longer a permutation of its input");
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn selection_matches_sort_oracle(
+            xs in prop::collection::vec(-1.0e3..1.0e3f64, 1..2001),
+            q in -10.0..110.0f64,
+        ) {
+            assert_matches_oracle(&xs, q)?;
+        }
+
+        /// Seven distinct values (both zeros among them) over up to 2000
+        /// slots: nearly every comparison is a tie.
+        #[test]
+        fn selection_matches_sort_oracle_under_heavy_ties(
+            picks in prop::collection::vec(0usize..7, 1..2001),
+            q in -10.0..110.0f64,
+        ) {
+            const LEVELS: [f64; 7] = [-2.5, -1.0, -0.0, 0.0, 0.125, 1.0, 7.0];
+            let xs: Vec<f64> = picks.iter().map(|&i| LEVELS[i]).collect();
+            assert_matches_oracle(&xs, q)?;
+        }
+
+        #[test]
+        fn selection_matches_sort_oracle_on_one_and_two_samples(
+            xs in prop::collection::vec(-1.0..1.0f64, 1..3),
+            q in -10.0..110.0f64,
+        ) {
+            assert_matches_oracle(&xs, q)?;
+            for edge in [0.0, 50.0, 100.0] {
+                assert_matches_oracle(&xs, edge)?;
+            }
+        }
+    }
+
     #[test]
-    fn tail_latency_semantics() {
-        // 30% tail = 70th percentile: tighter than 80% tail = 20th pct.
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let tight = tail_latency(&xs, 30.0);
-        let loose = tail_latency(&xs, 80.0);
-        assert!(tight > loose);
-        assert!((tight - 70.3).abs() < 0.5);
-        assert!((loose - 20.8).abs() < 0.5);
+    fn nan_input_still_panics() {
+        for n in [2usize, 3, 50, 1000] {
+            for at in [0, n / 2, n - 1] {
+                for q in [0.0, 50.0, 99.0, 100.0] {
+                    let mut xs: Vec<f64> = (0..n).map(|i| (i * 7919 % n) as f64).collect();
+                    xs[at] = f64::NAN;
+                    let err = std::panic::catch_unwind(|| percentile(&xs, q))
+                        .expect_err("NaN must not pass through a percentile");
+                    let msg = err
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| err.downcast_ref::<&str>().copied())
+                        .unwrap_or_default();
+                    assert!(
+                        msg.contains("NaN in percentile input"),
+                        "n={n} at={at} q={q}: {msg:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Host-independent complexity guard: the selection may look at each
+    /// sample only a bounded number of times. A full sort of 100 000
+    /// samples needs about 17·n comparisons; going back to one fails
+    /// here on any machine, with no clock involved.
+    #[test]
+    fn selection_is_linear_in_comparisons() {
+        let n = 100_000usize;
+        let mut rng = StdRng::seed_from_u64(12);
+        let sample: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
+        for q in [50.0, 99.0, 99.95] {
+            let mut xs = sample.clone();
+            let mut calls = 0usize;
+            let got = select_percentile(&mut xs, q, |a, b| {
+                calls += 1;
+                a.partial_cmp(b).expect("no NaN generated")
+            });
+            assert_eq!(got.to_bits(), percentile_by_sort(&sample, q).to_bits());
+            assert!(calls < 10 * n, "q={q}: {calls} comparisons for n={n}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use capgpu_linalg::stats;
 /// empty (or all-non-finite) sample yields `f64::INFINITY` — an SLO
 /// derived from no data constrains nothing.
 pub fn slo_from_tail(latencies: &[f64], tail_pct: f64) -> f64 {
-    let finite: Vec<f64> = latencies
+    let mut finite: Vec<f64> = latencies
         .iter()
         .copied()
         .filter(|l| l.is_finite())
@@ -27,7 +27,7 @@ pub fn slo_from_tail(latencies: &[f64], tail_pct: f64) -> f64 {
     if finite.is_empty() {
         return f64::INFINITY;
     }
-    stats::tail_latency(&finite, tail_pct.clamp(0.0, 100.0))
+    stats::percentile_in_place(&mut finite, 100.0 - tail_pct.clamp(0.0, 100.0))
 }
 
 /// Per-task SLO tracking over a run.
@@ -35,7 +35,8 @@ pub fn slo_from_tail(latencies: &[f64], tail_pct: f64) -> f64 {
 pub struct SloTracker {
     /// Current SLO threshold (seconds) per task.
     slos: Vec<f64>,
-    /// Per-task recorded latencies (whole run).
+    /// Per-task recorded latencies (whole run), in no particular order:
+    /// a quantile query permutes a task's buffer.
     latencies: Vec<Vec<f64>>,
     /// Per-task miss counters.
     misses: Vec<usize>,
@@ -100,6 +101,24 @@ impl SloTracker {
         }
     }
 
+    /// Records a batch of latencies for a task: [`SloTracker::record`]
+    /// on each in turn, with the buffer grown once.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range task index.
+    pub fn record_all(&mut self, task: usize, latencies_s: &[f64]) {
+        self.latencies[task].reserve(latencies_s.len());
+        for &latency_s in latencies_s {
+            self.record(task, latency_s);
+        }
+    }
+
+    /// Deadline misses counted for a task so far, non-finite latencies
+    /// included.
+    pub fn misses(&self, task: usize) -> usize {
+        self.misses[task]
+    }
+
     /// Deadline-miss rate of a task in `[0, 1]` (0 when nothing recorded).
     pub fn miss_rate(&self, task: usize) -> f64 {
         if self.totals[task] == 0 {
@@ -109,9 +128,23 @@ impl SloTracker {
         }
     }
 
-    /// All recorded latencies of a task.
+    /// All recorded (finite) latencies of a task. Their order is
+    /// unspecified once [`SloTracker::percentile`] or
+    /// [`SloTracker::meets_all`] has been called.
     pub fn latencies(&self, task: usize) -> &[f64] {
         &self.latencies[task]
+    }
+
+    /// The `q`-th percentile (`q ∈ [0, 100]`, clamped) of a task's
+    /// recorded latencies; 0.0 when none is recorded. An exact order
+    /// statistic selected in the tracker's own buffer — O(samples), no
+    /// copy — which is why it takes `&mut self`: the buffer is permuted,
+    /// the counters behind [`SloTracker::miss_rate`] are not touched.
+    ///
+    /// # Panics
+    /// Panics on an out-of-range task index.
+    pub fn percentile(&mut self, task: usize, q: f64) -> f64 {
+        stats::percentile_in_place(&mut self.latencies[task], q)
     }
 
     /// Overall miss rate across all tasks.
@@ -139,14 +172,9 @@ impl SloTracker {
     /// percentile (e.g. `99.0` = "99% of batches within SLO"). An
     /// out-of-range percentile is clamped to `[0, 100]`; tasks with no
     /// recorded latency trivially pass.
-    pub fn meets_all(&self, percentile: f64) -> bool {
-        let percentile = percentile.clamp(0.0, 100.0);
-        (0..self.num_tasks()).all(|t| {
-            if self.latencies[t].is_empty() {
-                return true;
-            }
-            stats::percentile(&self.latencies[t], percentile) <= self.slos[t]
-        })
+    pub fn meets_all(&mut self, percentile: f64) -> bool {
+        (0..self.num_tasks())
+            .all(|t| self.latencies[t].is_empty() || self.percentile(t, percentile) <= self.slos[t])
     }
 }
 
@@ -156,10 +184,13 @@ mod tests {
 
     #[test]
     fn tail_semantics() {
+        // 30% tail = 70th percentile: tighter than 80% tail = 20th pct.
         let lats: Vec<f64> = (1..=100).map(|i| i as f64 / 100.0).collect();
-        let tight = slo_from_tail(&lats, 30.0); // 70th pct ≈ 0.70
-        let loose = slo_from_tail(&lats, 80.0); // 20th pct ≈ 0.21
+        let tight = slo_from_tail(&lats, 30.0);
+        let loose = slo_from_tail(&lats, 80.0);
         assert!(tight > loose);
+        assert!((tight - 0.703).abs() < 0.005);
+        assert!((loose - 0.208).abs() < 0.005);
     }
 
     #[test]
@@ -197,9 +228,11 @@ mod tests {
 
     #[test]
     fn empty_tracker_is_healthy() {
-        let t = SloTracker::new(vec![0.1]);
+        let mut t = SloTracker::new(vec![0.1]);
         assert_eq!(t.miss_rate(0), 0.0);
         assert_eq!(t.overall_miss_rate(), 0.0);
+        assert_eq!(t.misses(0), 0);
+        assert_eq!(t.percentile(0, 99.0), 0.0);
         assert!(t.meets_all(99.0));
     }
 
@@ -244,6 +277,73 @@ mod tests {
         t.record(0, 0.08);
         assert!(t.meets_all(99.0));
         assert_eq!(t.miss_rate(0), 0.0);
+    }
+
+    #[test]
+    fn misses_is_the_exact_count_with_non_finite_samples() {
+        // Two hits, two non-finite: the tracker counted 2 misses. The
+        // runner used to rebuild the count as `miss_rate × stored
+        // samples`, and non-finite samples are counted but not stored,
+        // so that product said 1.
+        let mut t = SloTracker::new(vec![0.1]);
+        for l in [0.05, 0.06, f64::NAN, f64::NAN] {
+            t.record(0, l);
+        }
+        assert_eq!(t.misses(0), 2);
+        assert_eq!(t.miss_rate(0), 0.5);
+        let rebuilt = (t.miss_rate(0) * t.latencies(0).len() as f64).round() as usize;
+        assert_eq!(rebuilt, 1);
+    }
+
+    #[test]
+    fn record_all_equals_repeated_record() {
+        let batches: [&[f64]; 4] = [
+            &[0.05, 0.15, f64::NAN, 0.1],
+            &[],
+            &[f64::INFINITY, f64::NEG_INFINITY],
+            &[0.3, 0.02, 0.100_000_1],
+        ];
+        let mut one_by_one = SloTracker::new(vec![0.1, 0.2]);
+        let mut bulk = SloTracker::new(vec![0.1, 0.2]);
+        for (k, batch) in batches.iter().enumerate() {
+            let task = k % 2;
+            for &l in *batch {
+                one_by_one.record(task, l);
+            }
+            bulk.record_all(task, batch);
+            for t in 0..2 {
+                assert_eq!(bulk.latencies(t), one_by_one.latencies(t));
+                assert_eq!(bulk.misses(t), one_by_one.misses(t));
+                assert_eq!(bulk.miss_rate(t), one_by_one.miss_rate(t));
+            }
+            assert_eq!(bulk.overall_miss_rate(), one_by_one.overall_miss_rate());
+        }
+        assert_eq!(bulk.misses(0), 4); // 0.15, NaN, +inf, -inf
+        assert_eq!(bulk.misses(1), 1); // 0.3
+    }
+
+    #[test]
+    fn percentile_query_leaves_the_counters_alone() {
+        let mut t = SloTracker::new(vec![0.5]);
+        let samples: Vec<f64> = (0..101).map(|i| ((i * 37) % 101) as f64 / 100.0).collect();
+        t.record_all(0, &samples);
+        t.record(0, f64::NAN);
+        let (misses, rate, overall) = (t.misses(0), t.miss_rate(0), t.overall_miss_rate());
+        assert_eq!(misses, 51); // 0.51..=1.00 and the NaN
+        assert_eq!(t.percentile(0, 99.0), 0.99);
+        assert_eq!(t.percentile(0, 50.0), 0.5);
+        assert_eq!(t.percentile(0, 250.0), 1.0);
+        assert!(!t.meets_all(99.0));
+        assert_eq!(
+            (t.misses(0), t.miss_rate(0), t.overall_miss_rate()),
+            (misses, rate, overall)
+        );
+        // The buffer may have been permuted, never resized or altered.
+        let mut after = t.latencies(0).to_vec();
+        after.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut before = samples;
+        before.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert_eq!(after, before);
     }
 
     #[test]
