@@ -11,7 +11,7 @@ use capgpu_fleet::prelude::*;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-fn fleet(threads_hint: usize) -> FleetSim {
+fn fleet() -> FleetSim {
     let topo = FleetTopology::datacenter(4, 6, |rack, slot| ServerSpec {
         class: slot % 3,
         streams: if slot < rack % 5 { 5 } else { 4 },
@@ -20,7 +20,6 @@ fn fleet(threads_hint: usize) -> FleetSim {
     let cfg = FleetConfig {
         epochs: 4,
         epoch_periods: 6,
-        reorder_window: Some(2 * threads_hint + 16),
         ..FleetConfig::new(1700.0 * 24.0)
     };
     FleetSim::new(topo, &mixed_generation_classes(41), cfg).expect("fleet")
@@ -31,13 +30,13 @@ fn bench_fleet_sim(c: &mut Criterion) {
 
     group.bench_function("serial_24_servers", |b| {
         b.iter(|| {
-            let mut sim = fleet(1);
+            let mut sim = fleet();
             black_box(sim.run(1).unwrap())
         })
     });
     group.bench_function("parallel_24_servers", |b| {
         b.iter(|| {
-            let mut sim = fleet(4);
+            let mut sim = fleet();
             black_box(sim.run(4).unwrap())
         })
     });

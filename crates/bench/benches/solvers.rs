@@ -1,14 +1,12 @@
 //! Numerical-kernel benchmarks: QP solvers, eigenvalues, least squares.
 //!
 //! These quantify the from-scratch numerics: the active-set QP against the
-//! projected-gradient cross-check, the SLSQP-style SQP on the non-reduced
-//! latency constraint, the Francis-QR eigenvalue solver used by the
-//! stability analysis, and the QR least-squares behind identification.
+//! projected-gradient cross-check, the Francis-QR eigenvalue solver used by
+//! the stability analysis, and the QR least-squares behind identification.
 
 use capgpu_linalg::{eig, lstsq, Matrix};
 use capgpu_optim::projgrad::{self, Box as PgBox};
 use capgpu_optim::qp::{ActiveSetQp, LinearConstraint, QpProblem};
-use capgpu_optim::sqp::{NlpProblem, SqpSolver};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -54,43 +52,6 @@ fn bench_projected_gradient(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 projgrad::solve_box_qp(&qp.hessian, &qp.gradient, &bounds, &x0, 1e-8, 100_000)
-                    .unwrap(),
-            )
-        })
-    });
-}
-
-struct LatencyNlp;
-
-impl NlpProblem for LatencyNlp {
-    fn dim(&self) -> usize {
-        3
-    }
-    fn num_constraints(&self) -> usize {
-        3
-    }
-    fn objective(&self, x: &[f64]) -> f64 {
-        x.iter().sum()
-    }
-    fn constraints(&self, x: &[f64]) -> Vec<f64> {
-        x.iter()
-            .map(|&f| 0.055 * (1350.0 / f).powf(0.91) - 0.09)
-            .collect()
-    }
-    fn lower_bounds(&self) -> Vec<f64> {
-        vec![435.0; 3]
-    }
-    fn upper_bounds(&self) -> Vec<f64> {
-        vec![1350.0; 3]
-    }
-}
-
-fn bench_sqp(c: &mut Criterion) {
-    c.bench_function("sqp_latency_constrained_3gpu", |b| {
-        b.iter(|| {
-            black_box(
-                SqpSolver::default()
-                    .solve(&LatencyNlp, &[1350.0, 1350.0, 1350.0])
                     .unwrap(),
             )
         })
@@ -143,7 +104,6 @@ criterion_group!(
     benches,
     bench_qp,
     bench_projected_gradient,
-    bench_sqp,
     bench_eigenvalues,
     bench_lstsq
 );

@@ -9,9 +9,7 @@
 //!   f ≥ f_max · (e_min / SLO)^(1/γ)
 //! ```
 //!
-//! which is how the MPC enforces SLOs as linear constraints. The SQP path
-//! in `capgpu-optim` handles the raw nonlinear form; tests in that crate
-//! verify both agree.
+//! which is how the MPC enforces SLOs as linear constraints.
 
 use capgpu_linalg::lstsq;
 

@@ -13,7 +13,10 @@
 //! * [`mpc`] — the condensed **MIMO model-predictive controller** with
 //!   prediction horizon `P`, control horizon `M`, tracking weights `Q`,
 //!   per-device control penalties `R` and hard frequency constraints
-//!   (Eq. 9 + 10a–10c), solved by the active-set QP from `capgpu-optim`.
+//!   (Eq. 9 + 10a–10c), solved by the active-set QP from `capgpu-optim`;
+//!   with `MpcConfig::fast_solver`, by the box QP behind the explicit /
+//!   multi-parametric region table §4.3 sketches (one cached affine law
+//!   per active set, KKT-checked, exact solve on a miss).
 //! * [`pid`] — pole-placed proportional controllers (the GPU-Only and
 //!   CPU-Only baselines of §6.1 follow OptimML / IBM server-level control).
 //! * [`modulator`] — the first-order **delta-sigma modulator** that
@@ -21,15 +24,11 @@
 //!   (§5, "Frequency Modulators").
 //! * [`stability`] — closed-loop pole analysis under multiplicative model
 //!   error `A'ᵢ = gᵢ·Aᵢ` (§4.4), computing the stable gain interval.
-//! * [`empc`] — the explicit / multi-parametric MPC fast path §4.3
-//!   sketches: a critical-region cache answering repeat queries with one
-//!   affine evaluation, falling back to the exact QP on KKT violation.
 //! * [`metrics`] — settling time, overshoot and steady-state-error metrics
 //!   used throughout the evaluation.
 
 #![warn(missing_docs)]
 
-pub mod empc;
 pub mod latency;
 pub mod metrics;
 pub mod model;

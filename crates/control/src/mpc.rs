@@ -1425,6 +1425,84 @@ mod tests {
         assert_eq!(cold_hits, 0, "reset before every step should never hit");
     }
 
+    /// Steps `c` through a few settled periods so the region table holds
+    /// (and has served) the steady-state active set.
+    fn warm_region_table(c: &MpcController, weights: &[f64], floors: &[f64]) {
+        let f = [1600.0, 900.0, 900.0];
+        for k in 0..4 {
+            c.step(850.0 + k as f64, 900.0, &f, weights, floors)
+                .unwrap();
+        }
+        assert!(c.fast_solver_stats().0 >= 1, "steady state never hit");
+    }
+
+    #[test]
+    fn fast_weight_change_rebuilds_the_region_table() {
+        // The Hessian bakes in the weights, so the cached laws are stale
+        // after a weight change: that period must miss, and still agree
+        // with the generic solver.
+        let fast = fast_controller();
+        let floors = [1000.0, 435.0, 435.0];
+        warm_region_table(&fast, &[1.0, 1.0, 1.0], &floors);
+        let (hits, misses) = fast.fast_solver_stats();
+        let f = [1600.0, 900.0, 900.0];
+        let wgt = [0.5, 1.5, 1.0];
+        let q = fast.step(854.0, 900.0, &f, &wgt, &floors).unwrap();
+        assert_eq!(fast.fast_solver_stats(), (hits, misses + 1));
+        let s = controller().step(854.0, 900.0, &f, &wgt, &floors).unwrap();
+        for j in 0..3 {
+            assert!((q.target_freqs[j] - s.target_freqs[j]).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn fast_floor_change_is_not_served_from_a_stale_region() {
+        // A raised floor moves the box under the cached active set; the
+        // KKT check must reject the stale law rather than reuse it.
+        let fast = fast_controller();
+        let wgt = [1.0, 1.0, 1.0];
+        warm_region_table(&fast, &wgt, &[1000.0, 435.0, 435.0]);
+        let f = [1600.0, 900.0, 900.0];
+        let raised = [1000.0, 1100.0, 435.0];
+        let q = fast.step(854.0, 900.0, &f, &wgt, &raised).unwrap();
+        let s = controller().step(854.0, 900.0, &f, &wgt, &raised).unwrap();
+        for j in 0..3 {
+            assert!((q.target_freqs[j] - s.target_freqs[j]).abs() < 1e-6);
+        }
+        assert!(q.target_freqs[1] >= 1100.0 - 1e-6);
+    }
+
+    #[test]
+    fn fast_set_model_flushes_the_region_table() {
+        let mut fast = fast_controller();
+        let wgt = [1.0, 1.0, 1.0];
+        let floors = [1000.0, 435.0, 435.0];
+        warm_region_table(&fast, &wgt, &floors);
+
+        // Re-identified model: different gains, so cached laws are stale.
+        let new_model = LinearPowerModel::new(vec![0.08, 0.22, 0.22], 310.0).unwrap();
+        fast.set_model(new_model.clone()).unwrap();
+        assert_eq!(fast.fast_solver_stats(), (0, 0), "fast-path state survived");
+        let f = [1600.0, 900.0, 900.0];
+        let q = fast.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
+        assert_eq!(fast.fast_solver_stats(), (0, 1), "first step must miss");
+        let generic = MpcController::new(controller().config().clone(), new_model).unwrap();
+        let s = generic.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
+        for j in 0..3 {
+            assert!(
+                (q.first_move[j] - s.first_move[j]).abs() < 1e-5,
+                "device {j}: fast {} vs generic {}",
+                q.first_move[j],
+                s.first_move[j]
+            );
+        }
+
+        // Wrong device count is rejected and leaves the controller usable.
+        let bad = LinearPowerModel::new(vec![0.08], 310.0).unwrap();
+        assert!(fast.set_model(bad).is_err());
+        assert!(fast.step(850.0, 900.0, &f, &wgt, &floors).is_ok());
+    }
+
     #[test]
     fn fast_slew_infeasible_fallback_matches_generic() {
         // Floor raised beyond what the slew limit allows in one move: the

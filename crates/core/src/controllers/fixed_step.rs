@@ -29,6 +29,13 @@ pub const CPU_STEP_UNIT_MHZ: f64 = 100.0;
 /// GPU step unit in MHz (§6.2).
 pub const GPU_STEP_UNIT_MHZ: f64 = 90.0;
 
+fn step_unit_mhz(kind: DeviceKind) -> f64 {
+    match kind {
+        DeviceKind::Cpu => CPU_STEP_UNIT_MHZ,
+        DeviceKind::Gpu => GPU_STEP_UNIT_MHZ,
+    }
+}
+
 /// The Fixed-step heuristic controller.
 #[derive(Debug, Clone)]
 pub struct FixedStepController {
@@ -53,11 +60,7 @@ impl FixedStepController {
     }
 
     fn step_mhz(&self, kind: DeviceKind) -> f64 {
-        let unit = match kind {
-            DeviceKind::Cpu => CPU_STEP_UNIT_MHZ,
-            DeviceKind::Gpu => GPU_STEP_UNIT_MHZ,
-        };
-        unit * self.step_multiplier as f64
+        step_unit_mhz(kind) * self.step_multiplier as f64
     }
 
     /// Picks the device to adjust: extreme normalized utilization wins,
@@ -147,6 +150,25 @@ impl SafeFixedStepController {
             margin_watts: margin_watts.max(0.0),
             name,
         }
+    }
+
+    /// Creates the controller with the margin an identified model implies:
+    /// the worst-case power impact of one step on any device (`gains` are
+    /// the model's W/MHz, in device order) plus two standard deviations
+    /// of meter noise as headroom.
+    pub fn with_model_margin(
+        layout: DeviceLayout,
+        gains: &[f64],
+        step_multiplier: usize,
+        meter_noise_std: f64,
+    ) -> Self {
+        let worst = layout
+            .kinds
+            .iter()
+            .zip(gains)
+            .map(|(&kind, g)| (g * step_unit_mhz(kind) * step_multiplier as f64).abs())
+            .fold(0.0_f64, f64::max);
+        Self::new(layout, step_multiplier, worst + 2.0 * meter_noise_std)
     }
 
     /// The configured margin in watts.

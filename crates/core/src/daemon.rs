@@ -48,14 +48,10 @@ use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
 use crate::controllers::{
     CapGpuController, ControlInput, DeviceLayout, PowerController, SafeFixedStepController,
 };
+use crate::runner::SCALE_PUSH_DEADBAND;
 use crate::supervisor::{HealthSample, Supervisor, SupervisorConfig, SupervisorTier};
 use crate::weights::WeightAssigner;
 use crate::{CapGpuError, Result};
-
-/// Relative deadband on the tracked gain scale below which a refit is
-/// not pushed to the controller (mirrors the runner's deadband — see
-/// DESIGN.md §10).
-const SCALE_PUSH_DEADBAND: f64 = 0.05;
 
 // ---------------------------------------------------------------------
 // Minimal TOML subset parser
@@ -857,30 +853,13 @@ impl Daemon {
         Ok(())
     }
 
-    /// Safe fixed-step fallback sized like the runner's: margin = one
-    /// worst-case step plus meter-noise headroom.
+    /// Safe fixed-step fallback (x1) with the margin `model` implies.
     fn build_fallback(&self, model: &LinearPowerModel) -> SafeFixedStepController {
-        let worst = self
-            .layout
-            .kinds
-            .iter()
-            .zip(model.gains().iter())
-            .map(|(k, g)| {
-                let unit = match k {
-                    capgpu_sim::DeviceKind::Cpu => {
-                        crate::controllers::fixed_step::CPU_STEP_UNIT_MHZ
-                    }
-                    capgpu_sim::DeviceKind::Gpu => {
-                        crate::controllers::fixed_step::GPU_STEP_UNIT_MHZ
-                    }
-                };
-                (g * unit).abs()
-            })
-            .fold(0.0_f64, f64::max);
-        SafeFixedStepController::new(
+        SafeFixedStepController::with_model_margin(
             self.layout.clone(),
+            model.gains(),
             1,
-            worst + 2.0 * self.backend.meter_noise_std(),
+            self.backend.meter_noise_std(),
         )
     }
 

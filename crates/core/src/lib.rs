@@ -52,7 +52,7 @@ pub mod config;
 pub mod controllers;
 pub mod daemon;
 pub mod export;
-pub mod rack;
+pub mod ordered;
 pub mod runner;
 pub mod summary;
 pub mod supervisor;

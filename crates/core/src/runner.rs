@@ -683,28 +683,11 @@ impl ExperimentRunner {
         step_multiplier: usize,
     ) -> Result<SafeFixedStepController> {
         let model = self.identified_model()?;
-        let worst = self
-            .layout
-            .kinds
-            .iter()
-            .zip(model.gains().iter())
-            .map(|(k, g)| {
-                let unit = match k {
-                    capgpu_sim::DeviceKind::Cpu => {
-                        crate::controllers::fixed_step::CPU_STEP_UNIT_MHZ
-                    }
-                    capgpu_sim::DeviceKind::Gpu => {
-                        crate::controllers::fixed_step::GPU_STEP_UNIT_MHZ
-                    }
-                };
-                (g * unit * step_multiplier as f64).abs()
-            })
-            .fold(0.0_f64, f64::max);
-        Ok(SafeFixedStepController::new(
+        Ok(SafeFixedStepController::with_model_margin(
             self.layout.clone(),
+            model.gains(),
             step_multiplier,
-            // Margin: one worst-case step plus meter noise headroom.
-            worst + 2.0 * self.backend.meter_noise_std(),
+            self.backend.meter_noise_std(),
         ))
     }
 
@@ -765,15 +748,7 @@ impl ExperimentRunner {
                 if self.backend.is_ejected(dev) {
                     continue;
                 }
-                // An engaged memory throttle slows inference: model it as
-                // an effective core-clock derating in the latency law.
-                let f_eff = match (
-                    self.backend.server().device(dev)?.mem_throttle,
-                    self.backend.server().memory_throttled(dev)?,
-                ) {
-                    (Some(mt), true) => applied[dev] / mt.latency_penalty,
-                    _ => applied[dev],
-                };
+                let f_eff = throttled_clock_mhz(&self.backend, dev, applied[dev])?;
                 self.llm_engines[i].advance_into(1.0, f_eff, sstats);
                 utils[dev] = (sstats.prefill_busy_s * util_prefill
                     + sstats.decode_busy_s * util_decode)
@@ -824,15 +799,7 @@ impl ExperimentRunner {
                 if self.backend.is_ejected(dev) {
                     continue;
                 }
-                // An engaged memory throttle slows inference: model it as
-                // an effective core-clock derating in the latency law.
-                let f_eff = match (
-                    self.backend.server().device(dev)?.mem_throttle,
-                    self.backend.server().memory_throttled(dev)?,
-                ) {
-                    (Some(mt), true) => applied[dev] / mt.latency_penalty,
-                    _ => applied[dev],
-                };
+                let f_eff = throttled_clock_mhz(&self.backend, dev, applied[dev])?;
                 self.serve_engines[i].advance_into(1.0, f_eff, sstats);
                 let model = &self.scenario.gpu_models[i];
                 utils[dev] = (sstats.busy_fraction * model.gpu_util_busy).clamp(0.0, 1.0);
@@ -862,15 +829,7 @@ impl ExperimentRunner {
                 if self.backend.is_ejected(dev) {
                     continue;
                 }
-                // An engaged memory throttle slows inference: model it as
-                // an effective core-clock derating in the latency law.
-                let f_eff = match (
-                    self.backend.server().device(dev)?.mem_throttle,
-                    self.backend.server().memory_throttled(dev)?,
-                ) {
-                    (Some(mt), true) => applied[dev] / mt.latency_penalty,
-                    _ => applied[dev],
-                };
+                let f_eff = throttled_clock_mhz(&self.backend, dev, applied[dev])?;
                 pipe.advance_into(1.0, f_cpu, f_eff, stats);
                 utils[dev] = stats.gpu_util;
                 worker_util_sum += stats.cpu_worker_util;
@@ -1611,13 +1570,28 @@ impl ExperimentRunner {
     }
 }
 
+/// The core clock the latency law sees on device `dev`: an engaged memory
+/// throttle slows inference, modelled as a derating of the applied clock.
+fn throttled_clock_mhz(backend: &SimBackend, dev: usize, applied_mhz: f64) -> Result<f64> {
+    let server = backend.server();
+    Ok(
+        match (
+            server.device(dev)?.mem_throttle,
+            server.memory_throttled(dev)?,
+        ) {
+            (Some(mt), true) => applied_mhz / mt.latency_penalty,
+            _ => applied_mhz,
+        },
+    )
+}
+
 /// Relative deadband on the tracked gain scale below which a refreshed
 /// model is *not* pushed to the controller. The streaming estimate
 /// wiggles by a few percent under meter noise even on a stationary
 /// plant; pushing every wiggle makes the MPC retune constantly and
 /// costs more cap-tracking error than the stale-by-ε model does. Real
 /// drift (tens of percent) clears the band within a few periods.
-const SCALE_PUSH_DEADBAND: f64 = 0.05;
+pub(crate) const SCALE_PUSH_DEADBAND: f64 = 0.05;
 
 /// Deterministic ±1 persistent-excitation sign for one (period, device)
 /// pair: a splitmix64-style hash of the scenario seed and the pair's

@@ -4,17 +4,16 @@
 //! independent closed-loop experiments: controllers × set points × seeds
 //! × scenario variants. This module factors that grid into an explicit
 //! [`SweepSpec`], expands it into [`SweepCell`]s, and executes the cells
-//! either serially or across OS threads (`std::thread::scope` with an
-//! atomic work index, the same work-stealing idiom as the feature
-//! selection workload's `run_parallel`).
+//! either serially or across OS threads ([`crate::ordered::ordered_fold`]).
 //!
 //! ## Determinism
 //!
 //! Each cell builds its state from nothing but `(scenario, seed,
 //! set point, controller)`: its runner's RNGs are seeded from the
 //! scenario, no state is shared mutably between cells, and results are
-//! written into per-cell slots. The report is therefore **bit-identical**
-//! for any thread count, and identical to [`SweepSpec::run_serial`].
+//! collected or folded in grid order. The report is therefore
+//! **bit-identical** for any thread count, and identical to
+//! [`SweepSpec::run_serial`].
 //!
 //! ## Identification sharing
 //!
@@ -34,14 +33,13 @@
 //! [`SweepSpec::run`] uses the `CAPGPU_SWEEP_THREADS` environment
 //! variable when set, otherwise [`std::thread::available_parallelism`].
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use capgpu_telemetry::registry::Snapshot;
 
 use crate::config::Scenario;
 use crate::controllers::PowerController;
+use crate::ordered::{default_reorder_window, ordered_fold};
 use crate::runner::{ExperimentRunner, FixedRunStats, RunTrace};
 use crate::{CapGpuError, Result};
 
@@ -61,6 +59,11 @@ pub fn threads_from_env() -> usize {
                 .unwrap_or(1)
         })
 }
+
+/// A class's post-identification runner, which cells clone. The runner is
+/// `Send` but not `Sync` (its telemetry registry counts in `Cell`s), so
+/// workers take the clone under a lock.
+type IdentifiedRunner = Mutex<ExperimentRunner>;
 
 /// A user-supplied controller factory for [`ControllerSpec::Custom`].
 pub type ControllerBuilder =
@@ -519,9 +522,8 @@ pub struct StreamReport {
     /// telemetry.
     pub telemetry: Option<Snapshot>,
     /// Peak size of the out-of-order pending buffer (0 for serial runs).
-    /// Bounded by the reorder window (configurable via
-    /// [`SweepSpec::reorder_window`], default `2·threads + 16`);
-    /// excluded from `PartialEq`.
+    /// Bounded by the reorder window
+    /// ([`default_reorder_window`]`(threads)`); excluded from `PartialEq`.
     pub peak_pending: usize,
     n_controllers: usize,
 }
@@ -549,17 +551,6 @@ impl StreamReport {
     }
 }
 
-/// Shared fold state of the parallel streaming executor.
-struct FoldState {
-    /// Next cell index to fold (the fold frontier).
-    next: usize,
-    /// Finished cells waiting for the frontier, keyed by cell index.
-    pending: BTreeMap<usize, CellSummary>,
-    groups: Vec<GroupSummary>,
-    telemetry: Option<Snapshot>,
-    peak_pending: usize,
-}
-
 /// Declarative description of an experiment sweep.
 ///
 /// ```
@@ -582,16 +573,6 @@ pub struct SweepSpec {
     setpoints: Vec<f64>,
     controllers: Vec<ControllerSpec>,
     periods: usize,
-    reorder_window: Option<usize>,
-}
-
-/// The streaming executor's default bounded reorder window for a given
-/// thread count: `2·threads + 16`. Shared by [`SweepSpec::streaming`]
-/// and the fleet simulator's shard folding (`capgpu-fleet`), so one
-/// knob ([`SweepSpec::reorder_window`] / `FleetConfig::reorder_window`)
-/// tunes the same memory/throughput trade everywhere.
-pub fn default_reorder_window(threads: usize) -> usize {
-    2 * threads.max(1) + 16
 }
 
 impl SweepSpec {
@@ -603,7 +584,6 @@ impl SweepSpec {
             setpoints: Vec::new(),
             controllers: Vec::new(),
             periods: 100,
-            reorder_window: None,
         }
     }
 
@@ -721,7 +701,6 @@ impl SweepSpec {
             setpoints: Vec::new(),
             controllers: Vec::new(),
             periods: 100,
-            reorder_window: None,
         }
     }
 
@@ -767,27 +746,6 @@ impl SweepSpec {
     pub fn periods(mut self, periods: usize) -> Self {
         self.periods = periods;
         self
-    }
-
-    /// Sets the streaming executor's bounded reorder window (finished
-    /// cells that may be parked out of fold order before admission
-    /// control blocks further claims). Default: [`default_reorder_window`]
-    /// = `2·threads + 16`, which existing goldens were produced with.
-    /// Values below 1 are clamped to 1 (pure in-order folding). Only
-    /// [`SweepSpec::streaming`]/[`SweepSpec::streaming_with_threads`]
-    /// read it; the full-trace paths retain every cell regardless.
-    #[must_use]
-    pub fn reorder_window(mut self, window: usize) -> Self {
-        self.reorder_window = Some(window.max(1));
-        self
-    }
-
-    /// The reorder window the streaming executor will use at the given
-    /// thread count: the configured override, else
-    /// [`default_reorder_window`].
-    pub fn effective_reorder_window(&self, threads: usize) -> usize {
-        self.reorder_window
-            .unwrap_or_else(|| default_reorder_window(threads))
     }
 
     fn n_seeds(&self) -> usize {
@@ -864,18 +822,19 @@ impl SweepSpec {
         Ok(runner)
     }
 
-    /// Executes one cell, cloning the class's identified runner when the
+    /// Executes one cell, cloning its class's identified runner (out of
+    /// [`SweepSpec::identify_classes`]' per-class table) when the
     /// controller wants it and building a fresh one otherwise.
     fn run_cell(
         &self,
         cell: &SweepCell,
-        identified: Option<&ExperimentRunner>,
+        identified: &[Option<IdentifiedRunner>],
     ) -> Result<(CellOutput, Option<Snapshot>)> {
         let spec = &self.controllers[cell.controller_index];
         let class_index = cell.scenario_index * self.n_seeds() + cell.seed_index;
-        let mut runner = match identified {
+        let mut runner = match &identified[class_index] {
             Some(base) if spec.needs_identification() => {
-                let mut r = base.clone();
+                let mut r = base.lock().expect("a cell panicked mid-clone").clone();
                 r.set_setpoint(cell.setpoint);
                 r
             }
@@ -907,6 +866,41 @@ impl SweepSpec {
         }
     }
 
+    /// One identified runner per `(scenario, seed)` class — `None`s when
+    /// no controller needs one — identified across `threads` OS threads,
+    /// or by a plain loop when `threads` is `None` (the serial references).
+    fn identify_classes(&self, threads: Option<usize>) -> Result<Vec<Option<IdentifiedRunner>>> {
+        let n_classes = self.scenarios.len() * self.n_seeds();
+        if !self
+            .controllers
+            .iter()
+            .any(ControllerSpec::needs_identification)
+        {
+            return Ok((0..n_classes).map(|_| None).collect());
+        }
+        let mut identified = Vec::with_capacity(n_classes);
+        match threads {
+            None => {
+                for class in 0..n_classes {
+                    identified.push(Some(Mutex::new(self.identify_class(class)?)));
+                }
+            }
+            Some(threads) => {
+                ordered_fold(
+                    n_classes,
+                    threads,
+                    n_classes,
+                    |class| self.identify_class(class),
+                    |_, runner| {
+                        identified.push(Some(Mutex::new(runner)));
+                        Ok(())
+                    },
+                )?;
+            }
+        }
+        Ok(identified)
+    }
+
     /// Runs the sweep with the thread count from [`threads_from_env`].
     ///
     /// # Errors
@@ -923,23 +917,10 @@ impl SweepSpec {
     pub fn run_serial(&self) -> Result<SweepReport> {
         self.validate()?;
         let cells = self.expand();
-        let n_classes = self.scenarios.len() * self.n_seeds();
-        let any_ident = self
-            .controllers
-            .iter()
-            .any(ControllerSpec::needs_identification);
-        let mut identified: Vec<Option<ExperimentRunner>> = Vec::with_capacity(n_classes);
-        for class in 0..n_classes {
-            identified.push(if any_ident {
-                Some(self.identify_class(class)?)
-            } else {
-                None
-            });
-        }
+        let identified = self.identify_classes(None)?;
         let mut results = Vec::with_capacity(cells.len());
         for cell in cells {
-            let class = cell.scenario_index * self.n_seeds() + cell.seed_index;
-            let (output, telemetry) = self.run_cell(&cell, identified[class].as_ref())?;
+            let (output, telemetry) = self.run_cell(&cell, &identified)?;
             results.push(SweepCellResult {
                 cell,
                 output,
@@ -949,104 +930,49 @@ impl SweepSpec {
         Ok(self.report(results))
     }
 
-    /// Runs the sweep across `threads` OS threads. Cells are distributed
-    /// by an atomic work index; each writes its own result slot, so the
-    /// report is bit-identical to [`SweepSpec::run_serial`] regardless of
-    /// the thread count or scheduling order.
+    /// Runs the sweep across `threads` OS threads. Every cell's result is
+    /// retained, so the fold is a push in grid order with a window as
+    /// wide as the grid (admission never blocks); the report is
+    /// bit-identical to [`SweepSpec::run_serial`] regardless of the
+    /// thread count or scheduling order.
     ///
     /// # Errors
     /// Propagates the first cell or identification error (remaining work
     /// is abandoned).
     pub fn run_with_threads(&self, threads: usize) -> Result<SweepReport> {
         self.validate()?;
-        let threads = threads.max(1);
         let cells = self.expand();
-        let n_classes = self.scenarios.len() * self.n_seeds();
-        let any_ident = self
-            .controllers
-            .iter()
-            .any(ControllerSpec::needs_identification);
-
-        let first_error: Mutex<Option<CapGpuError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let record_error = |e: CapGpuError| {
-            abort.store(true, Ordering::Relaxed);
-            first_error.lock().expect("error lock").get_or_insert(e);
-        };
-
-        // Phase 1: one identification per (scenario, seed) class.
-        let identified: Vec<Mutex<Option<ExperimentRunner>>> =
-            (0..n_classes).map(|_| Mutex::new(None)).collect();
-        if any_ident {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(n_classes) {
-                    scope.spawn(|| loop {
-                        let class = next.fetch_add(1, Ordering::Relaxed);
-                        if class >= n_classes || abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match self.identify_class(class) {
-                            Ok(runner) => {
-                                *identified[class].lock().expect("class lock") = Some(runner);
-                            }
-                            Err(e) => record_error(e),
-                        }
-                    });
-                }
-            });
-        }
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-
-        // Phase 2: the cells, work-stolen by index into private slots.
-        let slots: Vec<Mutex<Option<SweepCellResult>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() || abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let cell = &cells[i];
-                    let class = cell.scenario_index * self.n_seeds() + cell.seed_index;
-                    let base = identified[class]
-                        .lock()
-                        .expect("class lock")
-                        .as_ref()
-                        .cloned();
-                    match self.run_cell(cell, base.as_ref()) {
-                        Ok((output, telemetry)) => {
-                            *slots[i].lock().expect("slot lock") = Some(SweepCellResult {
-                                cell: cell.clone(),
-                                output,
-                                telemetry,
-                            });
-                        }
-                        Err(e) => record_error(e),
-                    }
+        let identified = self.identify_classes(Some(threads))?;
+        let mut results = Vec::with_capacity(cells.len());
+        ordered_fold(
+            cells.len(),
+            threads,
+            cells.len(),
+            |i| self.run_cell(&cells[i], &identified),
+            |i, (output, telemetry)| {
+                results.push(SweepCellResult {
+                    cell: cells[i].clone(),
+                    output,
+                    telemetry,
                 });
-            }
-        });
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("slot lock")
-                    .expect("cell completed without error")
-            })
-            .collect();
+                Ok(())
+            },
+        )?;
         Ok(self.report(results))
     }
 
     // ---- Streaming summary-reduction mode ------------------------------
+
+    /// Runs one cell and keeps only its summary: the trace dies here, which
+    /// is what keeps the streaming executors' memory flat.
+    fn run_and_summarize(
+        &self,
+        cell: &SweepCell,
+        identified: &[Option<IdentifiedRunner>],
+    ) -> Result<CellSummary> {
+        let (output, telemetry) = self.run_cell(cell, identified)?;
+        Ok(self.summarize_cell(cell, &output, telemetry))
+    }
 
     /// Reduces one finished cell to its scalar summary; the cell's trace
     /// is dropped by the caller immediately afterwards. Fixed-frequency
@@ -1168,26 +1094,11 @@ impl SweepSpec {
     pub fn streaming_serial(&self) -> Result<StreamReport> {
         self.validate()?;
         let cells = self.expand();
-        let n_classes = self.scenarios.len() * self.n_seeds();
-        let any_ident = self
-            .controllers
-            .iter()
-            .any(ControllerSpec::needs_identification);
-        let mut identified: Vec<Option<ExperimentRunner>> = Vec::with_capacity(n_classes);
-        for class in 0..n_classes {
-            identified.push(if any_ident {
-                Some(self.identify_class(class)?)
-            } else {
-                None
-            });
-        }
+        let identified = self.identify_classes(None)?;
         let mut groups = self.make_groups();
         let mut telemetry = None;
         for cell in &cells {
-            let class = cell.scenario_index * self.n_seeds() + cell.seed_index;
-            let (output, telem) = self.run_cell(cell, identified[class].as_ref())?;
-            let s = self.summarize_cell(cell, &output, telem);
-            drop(output); // the trace dies here — flat memory
+            let s = self.run_and_summarize(cell, &identified)?;
             Self::fold_summary(&mut groups, &mut telemetry, s)?;
         }
         Ok(StreamReport {
@@ -1199,143 +1110,33 @@ impl SweepSpec {
         })
     }
 
-    /// Runs the streaming sweep across `threads` OS threads.
-    ///
-    /// Cells are claimed by an atomic work index, but folding happens
-    /// strictly at the fold frontier (cell `next` folds before `next+1`),
-    /// with finished out-of-order cells parked in a pending buffer. A
-    /// worker may only *claim* a cell while it is within the reorder
-    /// window ([`SweepSpec::reorder_window`] if configured, else
-    /// `2·threads + 16`) of the frontier, which bounds the buffer:
-    /// the worker holding the lowest unfolded cell is never blocked, so
-    /// the frontier always advances (no deadlock) and
-    /// [`StreamReport::peak_pending`] never exceeds the window.
+    /// Runs the streaming sweep across `threads` OS threads: cell
+    /// summaries are folded strictly in grid order with at most
+    /// [`default_reorder_window`]`(threads)` of them parked ahead of the
+    /// fold frontier, so [`StreamReport::peak_pending`] never exceeds
+    /// that window however large the grid is.
     ///
     /// # Errors
     /// Propagates the first cell or identification error (remaining work
     /// is abandoned).
     pub fn streaming_with_threads(&self, threads: usize) -> Result<StreamReport> {
         self.validate()?;
-        let threads = threads.max(1);
         let cells = self.expand();
-        let n_classes = self.scenarios.len() * self.n_seeds();
-        let any_ident = self
-            .controllers
-            .iter()
-            .any(ControllerSpec::needs_identification);
-
-        let first_error: Mutex<Option<CapGpuError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
-        let record_error = |e: CapGpuError| {
-            abort.store(true, Ordering::Relaxed);
-            first_error.lock().expect("error lock").get_or_insert(e);
-        };
-
-        // Phase 1: one identification per (scenario, seed) class — the
-        // same shared-identification scheme as `run_with_threads`.
-        let identified: Vec<Mutex<Option<ExperimentRunner>>> =
-            (0..n_classes).map(|_| Mutex::new(None)).collect();
-        if any_ident {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(n_classes) {
-                    scope.spawn(|| loop {
-                        let class = next.fetch_add(1, Ordering::Relaxed);
-                        if class >= n_classes || abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match self.identify_class(class) {
-                            Ok(runner) => {
-                                *identified[class].lock().expect("class lock") = Some(runner);
-                            }
-                            Err(e) => record_error(e),
-                        }
-                    });
-                }
-            });
-        }
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-
-        // Phase 2: run cells and fold them at the frontier.
-        let window = self.effective_reorder_window(threads);
-        let fold = Mutex::new(FoldState {
-            next: 0,
-            pending: BTreeMap::new(),
-            groups: self.make_groups(),
-            telemetry: None,
-            peak_pending: 0,
-        });
-        let gate = Condvar::new();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= cells.len() || abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    // Admission control: stay within the reorder window of
-                    // the fold frontier.
-                    {
-                        let mut st = fold.lock().expect("fold lock");
-                        while st.next + window <= i && !abort.load(Ordering::Relaxed) {
-                            st = gate.wait(st).expect("fold lock");
-                        }
-                    }
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let cell = &cells[i];
-                    let class = cell.scenario_index * self.n_seeds() + cell.seed_index;
-                    let base = identified[class]
-                        .lock()
-                        .expect("class lock")
-                        .as_ref()
-                        .cloned();
-                    match self.run_cell(cell, base.as_ref()) {
-                        Ok((output, telem)) => {
-                            let s = self.summarize_cell(cell, &output, telem);
-                            drop(output); // the trace dies here — flat memory
-                            let mut st = fold.lock().expect("fold lock");
-                            st.pending.insert(i, s);
-                            st.peak_pending = st.peak_pending.max(st.pending.len());
-                            while let Some(ready) = {
-                                let key = st.next;
-                                st.pending.remove(&key)
-                            } {
-                                let FoldState {
-                                    groups, telemetry, ..
-                                } = &mut *st;
-                                if let Err(e) = Self::fold_summary(groups, telemetry, ready) {
-                                    record_error(e);
-                                    break;
-                                }
-                                st.next += 1;
-                            }
-                            gate.notify_all();
-                        }
-                        Err(e) => {
-                            record_error(e);
-                            gate.notify_all();
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return Err(e);
-        }
-
-        let st = fold.into_inner().expect("fold lock");
-        debug_assert_eq!(st.next, cells.len(), "all cells folded");
-        debug_assert!(st.pending.is_empty(), "no cell left pending");
+        let identified = self.identify_classes(Some(threads))?;
+        let mut groups = self.make_groups();
+        let mut telemetry = None;
+        let stats = ordered_fold(
+            cells.len(),
+            threads,
+            default_reorder_window(threads),
+            |i| self.run_and_summarize(&cells[i], &identified),
+            |_, s| Self::fold_summary(&mut groups, &mut telemetry, s),
+        )?;
         Ok(StreamReport {
-            groups: st.groups,
+            groups,
             cells: cells.len(),
-            telemetry: st.telemetry,
-            peak_pending: st.peak_pending,
+            telemetry,
+            peak_pending: stats.peak_pending,
             n_controllers: self.controllers.len(),
         })
     }
@@ -1635,35 +1436,6 @@ mod tests {
         assert_eq!(streamed.get(0, 0).cells, 2500);
         // And the parked-summary shortcut changes nothing.
         assert_eq!(streamed, spec.streaming_serial().expect("serial"));
-    }
-
-    #[test]
-    fn reorder_window_is_configurable_and_result_invariant() {
-        // The knob only changes *scheduling admission*, never the folded
-        // result: a window of 1 (pure in-order) and a huge window both
-        // reproduce the default bit-for-bit, and peak_pending respects
-        // the configured bound.
-        let spec = small_spec();
-        let reference = spec.streaming_serial().expect("serial");
-        assert_eq!(spec.effective_reorder_window(4), 2 * 4 + 16);
-        assert_eq!(
-            spec.clone().reorder_window(0).effective_reorder_window(4),
-            1
-        );
-        for window in [1usize, 3, 64] {
-            let tight = spec.clone().reorder_window(window);
-            assert_eq!(tight.effective_reorder_window(8), window.max(1));
-            let streamed = tight.streaming_with_threads(4).expect("streaming");
-            assert_eq!(
-                streamed, reference,
-                "window {window} changed the folded result"
-            );
-            assert!(
-                streamed.peak_pending <= window.max(1),
-                "window {window}: peak_pending {}",
-                streamed.peak_pending
-            );
-        }
     }
 
     #[test]

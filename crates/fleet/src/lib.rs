@@ -5,15 +5,15 @@
 //! stack:
 //!
 //! - [`topology`]: an arbitrary-depth budget tree (datacenter → row →
-//!   rack → server) with hierarchical max–min water-filling, generalizing
-//!   `capgpu::rack` — Σ child budgets ≤ parent budget at every level, by
-//!   construction.
+//!   rack → server) with hierarchical max–min water-filling —
+//!   Σ child budgets ≤ parent budget at every level, by construction. A
+//!   one-rack tree is the flat rack coordinator.
 //! - [`balancer`]: a power-aware request-stream migration policy — when a
 //!   server's budget binds and SLOs slip, a stream moves to the server
 //!   with the most spare power capacity.
 //! - [`sim`]: a sharded, memory-bounded fleet simulator — servers step
-//!   in parallel between allocator epochs, summaries fold through a
-//!   bounded reorder window in server index order, and reports are
+//!   in parallel between allocator epochs, summaries fold in server
+//!   index order (`capgpu::ordered::ordered_fold`), and reports are
 //!   bit-identical across thread counts with O(servers) resident state.
 //! - [`health`]: the `capgpu-obs` control-loop health detectors run per
 //!   rack over a finished report — budget-burn, oscillating

@@ -11,17 +11,17 @@
 //! # Sharding and determinism
 //!
 //! Within an epoch, servers are independent: each steps against its own
-//! set point with no shared state, so workers claim server indices from
-//! an atomic counter exactly like `SweepSpec::streaming_with_threads`
-//! claims sweep cells. Determinism across thread counts follows from two
-//! facts: (1) each server's epoch is a pure function of its carried state
-//! and its epoch inputs, and (2) everything cross-server — rack
-//! accumulation, demand updates, allocator input, migration planning —
-//! happens in server index order at the fold frontier, gated by the same
-//! bounded reorder window the streaming sweep uses (and sharing its
-//! [`capgpu::sweep::default_reorder_window`] default). The epoch boundary
-//! is a hard barrier: the allocator only ever sees a completely folded
-//! epoch, so 1, 2, 4 and 8 worker threads produce bit-identical reports.
+//! set point with no shared state, so an epoch is one
+//! [`capgpu::ordered::ordered_fold`] over the server indices — the same
+//! executor, with the same [`default_reorder_window`], as
+//! `SweepSpec::streaming_with_threads`. Determinism across thread counts
+//! follows from two facts: (1) each server's epoch is a pure function of
+//! its carried state and its epoch inputs, and (2) everything
+//! cross-server — rack accumulation, demand updates, allocator input,
+//! migration planning — happens in server index order at the fold
+//! frontier. The epoch boundary is a hard barrier: the allocator only
+//! ever sees a completely folded epoch, so 1, 2, 4 and 8 worker threads
+//! produce bit-identical reports.
 //!
 //! # Memory
 //!
@@ -34,21 +34,20 @@
 //! `peak_live_traces` so callers can *assert* the bound rather than
 //! trust it.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use capgpu::controllers::CapGpuController;
+use capgpu::ordered::{default_reorder_window, ordered_fold};
 use capgpu::prelude::*;
-use capgpu::sweep::default_reorder_window;
 use capgpu::{CapGpuError, Result};
 
 use crate::balancer::{self, Migration, MigrationConfig};
 use crate::topology::FleetTopology;
 
-/// Demand-update noise band (W), matching `capgpu::rack`.
+/// Demand-update noise band (W).
 const NOISE_BAND_WATTS: f64 = 8.0;
-/// Demand-update probe increment (W), matching `capgpu::rack`.
+/// Demand-update probe increment (W).
 const RELEASE_MARGIN_WATTS: f64 = 15.0;
 /// "Budget binds" band (W) for per-rack binding-server counts.
 const BINDING_BAND_WATTS: f64 = 10.0;
@@ -94,10 +93,6 @@ pub struct FleetConfig {
     pub allocator: AllocatorMode,
     /// Stream migration policy; `None` disables migration.
     pub migration: Option<MigrationConfig>,
-    /// Reorder-window override for shard folding; `None` uses
-    /// [`capgpu::sweep::default_reorder_window`] — the same knob as the
-    /// streaming sweep.
-    pub reorder_window: Option<usize>,
     /// Extra per-server floor (W) on top of each server's identified
     /// feasible minimum.
     pub min_share_watts: f64,
@@ -113,7 +108,6 @@ impl FleetConfig {
             epoch_periods: 8,
             allocator: AllocatorMode::Hierarchical,
             migration: Some(MigrationConfig::default()),
-            reorder_window: None,
             min_share_watts: 0.0,
         }
     }
@@ -282,8 +276,8 @@ impl FleetReport {
 }
 
 /// Carried per-server simulation state (runner + controller), stored in
-/// per-server slots and checked out by whichever worker claims the
-/// server each epoch.
+/// per-server slots and locked for the epoch by whichever worker claims
+/// the server.
 struct ServerState {
     runner: ExperimentRunner,
     controller: CapGpuController,
@@ -307,19 +301,11 @@ struct ServerSummary {
     worst_p99_s: f64,
 }
 
-struct FoldState {
-    next: usize,
-    pending: BTreeMap<usize, ServerSummary>,
-    stats: Vec<ServerStat>,
-    racks: Vec<RackEpoch>,
-    peak_pending: usize,
-}
-
 /// The fleet simulator.
 pub struct FleetSim {
     topology: FleetTopology,
     config: FleetConfig,
-    states: Vec<Mutex<Option<ServerState>>>,
+    states: Vec<Mutex<ServerState>>,
     stats: Vec<ServerStat>,
     /// Per-server nominal stream count (from the server's class).
     nominals: Vec<u32>,
@@ -390,11 +376,11 @@ impl FleetSim {
             let mut runner = class_runners[spec.class].clone();
             let controller = runner.build_capgpu_controller()?;
             let (lo, hi) = class_range[spec.class];
-            states.push(Mutex::new(Some(ServerState {
+            states.push(Mutex::new(ServerState {
                 runner,
                 controller,
                 applied_streams: classes[spec.class].nominal_streams,
-            })));
+            }));
             stats.push(ServerStat {
                 rack: topology.rack_of()[i],
                 class: spec.class,
@@ -455,13 +441,8 @@ impl FleetSim {
     /// Propagates the first server error; the simulator must be rebuilt
     /// after an error.
     pub fn run(&mut self, threads: usize) -> Result<FleetReport> {
-        let threads = threads.max(1);
         let n = self.len();
-        let window = self
-            .config
-            .reorder_window
-            .unwrap_or_else(|| default_reorder_window(threads))
-            .max(1);
+        let window = default_reorder_window(threads);
         let racks = self.topology.num_racks();
         let rack_of = self.topology.rack_of().to_vec();
         let equal_division = self.topology.divide_equal(self.config.budget_watts);
@@ -504,101 +485,34 @@ impl FleetSim {
 
             // 3. Parallel phase: step every server one epoch, folding
             //    summaries at the frontier in server index order.
-            let first_error: Mutex<Option<CapGpuError>> = Mutex::new(None);
-            let abort = AtomicBool::new(false);
-            let record_error = |e: CapGpuError| {
-                abort.store(true, Ordering::Relaxed);
-                first_error.lock().expect("error lock").get_or_insert(e);
-            };
-            let fold = Mutex::new(FoldState {
-                next: 0,
-                pending: BTreeMap::new(),
-                stats: std::mem::take(&mut self.stats),
-                racks: vec![RackEpoch::zero(); racks],
-                peak_pending: 0,
-            });
-            let gate = Condvar::new();
-            let next = AtomicUsize::new(0);
             let live = AtomicUsize::new(0);
             let peak_live = AtomicUsize::new(0);
             let states = &self.states;
+            let stats = &mut self.stats;
             let epoch_periods = self.config.epoch_periods;
-
-            std::thread::scope(|scope| {
-                for _ in 0..threads.min(n) {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n || abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Admission control: stay within the reorder
-                        // window of the fold frontier.
-                        {
-                            let mut st = fold.lock().expect("fold lock");
-                            while st.next + window <= i && !abort.load(Ordering::Relaxed) {
-                                st = gate.wait(st).expect("fold lock");
-                            }
-                        }
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let mut state = states[i]
-                            .lock()
-                            .expect("state lock")
-                            .take()
-                            .expect("server state present");
-                        let inp = &inputs[i];
-                        if state.applied_streams != inp.streams {
-                            match state.runner.set_serving_intensity_scale(inp.scale) {
-                                Ok(()) => state.applied_streams = inp.streams,
-                                Err(e) => {
-                                    *states[i].lock().expect("state lock") = Some(state);
-                                    record_error(e);
-                                    gate.notify_all();
-                                    break;
-                                }
-                            }
-                        }
-                        state.runner.set_setpoint(inp.setpoint);
-                        let now_live = live.fetch_add(1, Ordering::Relaxed) + 1;
-                        peak_live.fetch_max(now_live, Ordering::Relaxed);
-                        let result = state.runner.run(&mut state.controller, epoch_periods);
-                        live.fetch_sub(1, Ordering::Relaxed);
-                        *states[i].lock().expect("state lock") = Some(state);
-                        match result {
-                            Ok(trace) => {
-                                let summary = summarize(&trace);
-                                drop(trace); // the trace dies here — flat memory
-                                let mut st = fold.lock().expect("fold lock");
-                                st.pending.insert(i, summary);
-                                st.peak_pending = st.peak_pending.max(st.pending.len());
-                                while let Some(ready) = {
-                                    let key = st.next;
-                                    st.pending.remove(&key)
-                                } {
-                                    let j = st.next;
-                                    fold_server(&mut st, j, &rack_of, ready);
-                                    st.next += 1;
-                                }
-                                gate.notify_all();
-                            }
-                            Err(e) => {
-                                record_error(e);
-                                gate.notify_all();
-                            }
-                        }
-                    });
+            let mut rack_epochs = vec![RackEpoch::zero(); racks];
+            let step_server = |i: usize| {
+                let mut slot = states[i].lock().expect("a server's epoch panicked");
+                let state = &mut *slot;
+                let inp = &inputs[i];
+                if state.applied_streams != inp.streams {
+                    state.runner.set_serving_intensity_scale(inp.scale)?;
+                    state.applied_streams = inp.streams;
                 }
-            });
-
-            let st = fold.into_inner().expect("fold lock");
-            self.stats = st.stats;
-            if let Some(e) = first_error.lock().expect("error lock").take() {
-                return Err(e);
-            }
-            debug_assert_eq!(st.next, n, "all servers folded");
-            debug_assert!(st.pending.is_empty(), "no server left pending");
-            peak_pending_all = peak_pending_all.max(st.peak_pending);
+                state.runner.set_setpoint(inp.setpoint);
+                // Relaxed: these two count traces for the report only.
+                let now_live = live.fetch_add(1, Ordering::Relaxed) + 1;
+                peak_live.fetch_max(now_live, Ordering::Relaxed);
+                let result = state.runner.run(&mut state.controller, epoch_periods);
+                live.fetch_sub(1, Ordering::Relaxed);
+                // Only the summary leaves: the trace dies here.
+                Ok(summarize(&result?))
+            };
+            let fold_stats = ordered_fold(n, threads, window, step_server, |j, summary| {
+                fold_server(&mut stats[j], &mut rack_epochs[rack_of[j]], summary);
+                Ok(())
+            })?;
+            peak_pending_all = peak_pending_all.max(fold_stats.peak_pending);
             peak_live_all = peak_live_all.max(peak_live.load(Ordering::Relaxed));
 
             // 4. Plan migrations on the folded epoch; apply for next.
@@ -611,7 +525,7 @@ impl FleetSim {
                 self.stats[m.to].streams += 1;
             }
             epochs.push(EpochReport {
-                racks: st.racks,
+                racks: rack_epochs,
                 migrations,
             });
         }
@@ -649,11 +563,11 @@ fn summarize(trace: &RunTrace) -> ServerSummary {
     }
 }
 
-/// Folds server `j`'s summary into the epoch state: rack accumulation
-/// plus the rack-style demand update. Runs in server index order at the
-/// frontier, so every float accumulation is order-deterministic.
-fn fold_server(st: &mut FoldState, j: usize, rack_of: &[usize], s: ServerSummary) {
-    let stat = &mut st.stats[j];
+/// Folds one server's summary into its stat (measurements, learned floor,
+/// next demand estimate) and its rack's accumulator. Runs in server index
+/// order at the frontier, so every float accumulation is
+/// order-deterministic.
+fn fold_server(stat: &mut ServerStat, rack: &mut RackEpoch, s: ServerSummary) {
     stat.measured = s.measured;
     stat.misses = s.misses;
     stat.completed = s.completed;
@@ -667,13 +581,12 @@ fn fold_server(st: &mut FoldState, j: usize, rack_of: &[usize], s: ServerSummary
         stat.min_watts = stat.min_watts.max(s.measured);
     }
     // Pinned at the cap → hungry, probe up; below the cap → satisfied,
-    // release slack (the flat rack's estimator, per server).
+    // release slack.
     stat.demand = if s.measured >= stat.assigned - NOISE_BAND_WATTS {
         (stat.assigned * 1.15).min(stat.max_watts)
     } else {
         (s.measured + RELEASE_MARGIN_WATTS).clamp(stat.min_watts, stat.max_watts)
     };
-    let rack = &mut st.racks[rack_of[j]];
     rack.assigned += stat.assigned;
     rack.measured += s.measured;
     rack.misses += s.misses;

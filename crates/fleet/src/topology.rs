@@ -1,16 +1,17 @@
 //! Fleet topology: an arbitrary-depth budget tree over CapGPU servers.
 //!
-//! `capgpu::rack` divides one budget across a flat list of servers. A
-//! datacenter divides hierarchically — datacenter → row → rack → server —
-//! and every interior node has its own breaker/PDU rating that the sum of
-//! its children's set points must respect. This module generalizes the
-//! rack's max–min water-fill to a tree: at each node the parent budget is
-//! water-filled over the children's aggregate demands (with per-child
-//! floors equal to the sum of their subtree floors), then each child's
-//! share recurses downward. Conservation at every level means
-//! Σ child shares ≤ parent share by construction, so no breaker in the
-//! tree is ever oversubscribed by the *set points* — the same "safe
-//! capping" invariant the flat rack provides, now at every depth.
+//! A single rack divides one budget across a flat list of servers by
+//! max–min water-filling ([`water_fill_floors`]). A datacenter divides
+//! hierarchically — datacenter → row → rack → server — and every interior
+//! node has its own breaker/PDU rating that the sum of its children's set
+//! points must respect. This module applies the water-fill to a tree: at
+//! each node the parent budget is water-filled over the children's
+//! aggregate demands (with per-child floors equal to the sum of their
+//! subtree floors), then each child's share recurses downward.
+//! Conservation at every level means Σ child shares ≤ parent share by
+//! construction, so no breaker in the tree is ever oversubscribed by the
+//! *set points* — the "safe capping" invariant of a flat rack, at every
+//! depth.
 
 use capgpu::{CapGpuError, Result};
 
@@ -73,13 +74,11 @@ pub struct Division {
     pub node_shares: Vec<(usize, f64)>,
 }
 
-/// Max–min water-filling with **per-member floors**: the generalization
-/// of [`capgpu::rack::water_fill`] needed at interior tree nodes, where
-/// each child's floor is the sum of its subtree's per-server floors (and
-/// therefore differs per child).
+/// Max–min water-filling with **per-member floors** — per member because
+/// at interior tree nodes each child's floor is the sum of its subtree's
+/// per-server floors (and therefore differs per child).
 ///
-/// Semantics match the flat rack exactly when all floors are equal:
-/// floors are granted first (scaled proportionally if the budget cannot
+/// Floors are granted first (scaled proportionally if the budget cannot
 /// cover them), the remainder iteratively satisfies the smallest unmet
 /// demand, and any surplus is spread evenly. Σ alloc == budget whenever
 /// `budget ≥ 0` (conservation).
@@ -454,13 +453,25 @@ mod tests {
     }
 
     #[test]
-    fn water_fill_floors_matches_uniform_floor_water_fill() {
-        let demands = [500.0, 800.0, 1200.0];
-        let flat = capgpu::rack::water_fill(&demands, 2000.0, 100.0);
-        let tree = water_fill_floors(&demands, &[100.0; 3], 2000.0);
-        for (a, b) in flat.iter().zip(tree.iter()) {
-            assert!((a - b).abs() < 1e-9, "flat {a} vs floors {b}");
-        }
+    fn water_fill_floors_conserves_budget() {
+        let alloc = water_fill_floors(&[500.0, 800.0, 1200.0], &[100.0; 3], 2000.0);
+        assert!((alloc.iter().sum::<f64>() - 2000.0).abs() < 1e-9);
+        // Nobody exceeds demand while others are unmet.
+        assert!(alloc[0] <= 500.0 + 1e-9 || alloc.iter().all(|&a| a >= 500.0));
+    }
+
+    #[test]
+    fn water_fill_floors_satisfies_small_demands_first() {
+        let alloc = water_fill_floors(&[300.0, 900.0], &[0.0; 2], 1000.0);
+        assert!((alloc[0] - 300.0).abs() < 1e-9);
+        assert!((alloc[1] - 700.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn water_fill_floors_grants_the_floor_to_a_member_with_no_demand() {
+        let alloc = water_fill_floors(&[0.0, 1000.0], &[200.0; 2], 900.0);
+        assert!(alloc[0] >= 200.0 - 1e-9);
+        assert!((alloc.iter().sum::<f64>() - 900.0).abs() < 1e-9);
     }
 
     #[test]
@@ -474,8 +485,13 @@ mod tests {
     fn water_fill_floors_edge_cases() {
         assert!(water_fill_floors(&[], &[], 100.0).is_empty());
         assert_eq!(water_fill_floors(&[500.0], &[0.0], -5.0), vec![0.0]);
+        // Surplus beyond every demand is spread evenly — all of it to a
+        // lone member.
         let alloc = water_fill_floors(&[100.0, 100.0], &[0.0, 0.0], 1000.0);
         assert!((alloc[0] - 500.0).abs() < 1e-9);
+        assert!((alloc[1] - 500.0).abs() < 1e-9);
+        let single = water_fill_floors(&[50.0], &[0.0], 100.0);
+        assert!((single[0] - 100.0).abs() < 1e-9);
     }
 
     #[test]

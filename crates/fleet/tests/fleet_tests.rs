@@ -46,17 +46,6 @@ fn fleet_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn reorder_window_override_preserves_results() {
-    let reference = run_fleet(small_config(7000.0), 9, 2);
-    let mut tight = small_config(7000.0);
-    tight.reorder_window = Some(1);
-    let narrow = run_fleet(tight, 9, 2);
-    assert_eq!(reference, narrow, "window must not change results");
-    assert_eq!(narrow.reorder_window, 1);
-    assert!(narrow.peak_pending <= 1);
-}
-
-#[test]
 fn assigned_budgets_respect_the_tree_everywhere() {
     let report = run_fleet(small_config(7000.0), 23, 2);
     assert_eq!(report.server_periods, 6 * 3 * 5);
@@ -112,6 +101,64 @@ fn binding_budget_triggers_migration_off_the_hot_server() {
             assert!(m.from < report.stats.len() && m.to < report.stats.len());
         }
     }
+}
+
+/// The smallest tree — one rack of two servers, one heavy (3 V100 busy),
+/// one light (its pipelines run a light model, so its GPUs mostly idle) —
+/// under a shared budget below the sum of their maxima. The allocator
+/// must (a) never assign more than the budget, (b) shift watts toward
+/// the heavy server.
+#[test]
+fn single_rack_shifts_budget_toward_demand() {
+    use capgpu::config::Scenario;
+
+    let heavy = Scenario::paper_testbed(51);
+    let mut light = Scenario::paper_testbed(52);
+    // Tiny batch latency ⇒ low utilization ⇒ low power demand.
+    for m in &mut light.gpu_models {
+        *m = capgpu_workload::models::resnet50();
+        m.e_min_s = 0.005;
+    }
+    let classes = [heavy, light].map(|scenario| ServerClass {
+        label: "member".into(),
+        scenario,
+        nominal_streams: 1,
+    });
+    let rack = FleetTopology::new(Node::Group {
+        label: "rack".into(),
+        children: (0..2)
+            .map(|class| Node::Server(ServerSpec { class, streams: 1 }))
+            .collect(),
+    })
+    .expect("rack");
+    let config = FleetConfig {
+        epochs: 6,
+        epoch_periods: 8,
+        min_share_watts: 700.0,
+        migration: None,
+        ..FleetConfig::new(1900.0)
+    };
+    let report = FleetSim::new(rack, &classes, config)
+        .expect("sim")
+        .run(2)
+        .expect("run");
+
+    for (e, epoch) in report.epochs.iter().enumerate() {
+        assert!(
+            epoch.assigned_watts() <= 1900.0 + 1e-6,
+            "epoch {e} over-assigned: {}",
+            epoch.assigned_watts()
+        );
+    }
+    let (heavy, light) = (&report.stats[0], &report.stats[1]);
+    assert!(
+        heavy.assigned > light.assigned + 50.0,
+        "heavy server should hold the bigger share: {heavy:?} vs {light:?}"
+    );
+    assert!(
+        (heavy.measured - heavy.assigned).abs() < 20.0,
+        "heavy server off its cap: {heavy:?}"
+    );
 }
 
 #[test]
@@ -181,8 +228,11 @@ fn construction_rejects_bad_configs() {
     })
     .expect("topology");
     assert!(FleetSim::new(topo, &bare, small_config(7000.0)).is_err());
-    // Zero epochs.
+    // Zero epochs, zero periods per epoch.
     let mut cfg = small_config(7000.0);
     cfg.epochs = 0;
+    assert!(FleetSim::new(small_topology(), &classes, cfg).is_err());
+    let mut cfg = small_config(7000.0);
+    cfg.epoch_periods = 0;
     assert!(FleetSim::new(small_topology(), &classes, cfg).is_err());
 }

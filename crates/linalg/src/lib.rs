@@ -42,7 +42,6 @@ pub mod eig;
 pub mod lstsq;
 pub mod lu;
 pub mod matrix;
-pub mod poly;
 pub mod qr;
 pub mod rls;
 pub mod stats;
@@ -54,7 +53,6 @@ pub use eig::{eigenvalues, spectral_radius, Complex};
 pub use lstsq::{solve as lstsq_solve, LstsqFit};
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use poly::Polynomial;
 pub use qr::Qr;
 pub use rls::RlsFactor;
 pub use svd::{condition_number, singular_values};

@@ -1,6 +1,6 @@
 //! First-order optimality (KKT) condition checking.
 //!
-//! Shared by the QP and SQP test suites: a solution is accepted only when
+//! Shared by the QP solvers' test suites: a solution is accepted only when
 //! stationarity, primal feasibility, dual feasibility, and complementary
 //! slackness all hold within tolerance. The controller's own regression
 //! tests lean on this to prove the MPC solve is a true optimum, not just a

@@ -1,7 +1,8 @@
 //! Constrained optimization solvers for the CapGPU controller.
 //!
 //! The paper implements its model-predictive controller "with SLSQP in
-//! Python" (§4.3). This crate provides the equivalent machinery natively:
+//! Python" (§4.3). With the latency constraint reduced analytically to a
+//! per-GPU frequency floor the problem is a convex QP, solved natively:
 //!
 //! * [`qp`] — a primal **active-set solver** for strictly convex quadratic
 //!   programs with general linear inequality constraints. The condensed MPC
@@ -14,13 +15,8 @@
 //!   Cholesky update instead of a dense KKT re-factorization. This is the
 //!   fast path of the controller (opt-in via `MpcConfig::fast_solver`).
 //! * [`projgrad`] — **projected gradient descent** for box-constrained QPs.
-//!   Slower but simple; used as an independent cross-check of the active-set
-//!   solver in tests and as a fallback if the active set cycles.
-//! * [`sqp`] — an **SLSQP-style sequential quadratic programming** loop
-//!   (damped-BFGS Hessian, L1 merit line search) for smooth nonlinear
-//!   problems. This mirrors the paper's solver choice and handles the
-//!   *non-reduced* latency constraint `e_min·(f_max/f)^γ ≤ SLO` directly;
-//!   tests verify it agrees with the analytic reduction used by the QP path.
+//!   Slower but simple; no controller calls it — it is the independent
+//!   oracle the active-set solvers' tests and proptests compare against.
 //! * [`kkt`] — first-order optimality (KKT) condition checking shared by the
 //!   test suites of all solvers.
 
@@ -30,11 +26,9 @@ pub mod boxqp;
 pub mod kkt;
 pub mod projgrad;
 pub mod qp;
-pub mod sqp;
 
 pub use boxqp::{BoxFactor, BoxQp, BoxQpProblem, BoxQpSolution, VarState};
 pub use qp::{ActiveSetQp, QpProblem, QpSolution};
-pub use sqp::{NlpProblem, SqpOptions, SqpResult, SqpSolver};
 
 /// Errors produced by the optimization solvers.
 #[derive(Debug, Clone, PartialEq)]
