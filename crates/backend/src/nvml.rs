@@ -9,7 +9,7 @@
 //! The ffi layer is an in-tree shim so the workspace never grows a
 //! crates.io dependency and always compiles offline:
 //!
-//! - with `--features nvml`, the [`ffi`] module declares the handful of
+//! - with `--features nvml`, the `ffi` module declares the handful of
 //!   `libnvidia-ml` entry points we use and links against the driver
 //!   stack;
 //! - without it (the default, and what CI builds), [`NvmlBackend::probe`]

@@ -9,18 +9,12 @@
 //! `cargo run --release -p capgpu-bench --bin perf_snapshot`
 //!
 //! With `--check`, re-measures and compares against the committed
-//! `BENCH_sweep.json` instead of overwriting it, exiting nonzero when
-//! `engine_serial_ms`, the identification phase, the fast-MPC solve
-//! (`mpc_solve_ns`), the streaming sweep's `sweep_cells_per_sec`, or
-//! the fleet simulator's `fleet_server_periods_per_sec` regresses by
-//! more than 30% (tolerance overridable with
-//! `CAPGPU_PERF_TOLERANCE`), when the fast MPC path stops halving the
-//! generic solve or its explicit-region hit falls below 3x the cold
-//! solve, when the serving engine's event throughput or the LLM
-//! continuous batcher's token throughput (`llm_tokens_per_sec`) drops
-//! more than 30% below the committed rate, or when a telemetry record
-//! or traced span pair exceeds its absolute ns budget — the CI
-//! perf-regression gate.
+//! `BENCH_sweep.json` instead of overwriting it — the CI
+//! perf-regression gate. It exits nonzero when any [`Gate`] in the table
+//! at the end of `main` regresses by more than 30% (tolerance
+//! overridable with `CAPGPU_PERF_TOLERANCE`) or exceeds its absolute
+//! ceiling, or when one of the four structural floors listed after it
+//! does not hold.
 
 use capgpu::prelude::*;
 use capgpu_control::model::LinearPowerModel;
@@ -63,6 +57,56 @@ const SPAN_PAIR_BUDGET_NS: f64 = 500.0;
 /// telemetry metrics: at ~2 ns/record, 30% headroom is fractions of a
 /// ns — host jitter alone would fail the build without this floor.
 const NS_GATE_NOISE_FLOOR: f64 = 25.0;
+
+/// One `--check` gate of a measured metric against the committed
+/// snapshot's value for `key`.
+struct Gate {
+    key: &'static str,
+    measured: f64,
+    unit: &'static str,
+    /// Wall times regress upward; throughput rates regress downward, so
+    /// their gate inverts (fail below committed / factor).
+    lower_is_better: bool,
+    /// Additive widening of the limit, in `unit`s.
+    noise_floor: f64,
+    /// Absolute limit that holds whatever the snapshot says, and stands
+    /// in for it when the snapshot lacks the key.
+    ceiling: Option<f64>,
+}
+
+impl Gate {
+    /// Prints the verdict against the committed value (`None` = the
+    /// snapshot lacks the key) and returns whether the gate failed. The
+    /// limit is the tighter of the relative one and the ceiling,
+    /// whichever exist; with neither there is nothing to check.
+    fn fails(&self, committed: Option<f64>, factor: f64) -> bool {
+        let (key, measured, unit) = (self.key, self.measured, self.unit);
+        let relative = committed.map(|old| match self.lower_is_better {
+            true => old * factor + self.noise_floor,
+            false => old / factor,
+        });
+        let limits = [relative, self.ceiling];
+        let Some(limit) = limits.into_iter().flatten().reduce(f64::min) else {
+            println!("perf check: key \"{key}\" missing from committed snapshot, skipping");
+            return false;
+        };
+        let failed = match self.lower_is_better {
+            true => measured > limit,
+            false => measured < limit,
+        };
+        let digits = match unit {
+            "ms" => 3,
+            "ns" => 1,
+            _ => 0,
+        };
+        let committed = committed.map_or("none".into(), |old| format!("{old:.digits$} {unit}"));
+        println!(
+            "perf check {key}: committed {committed}, measured {measured:.digits$} {unit}, limit {limit:.digits$} {unit} [{}]",
+            if failed { "FAIL" } else { "ok" }
+        );
+        failed
+    }
+}
 
 /// Pulls the number following `"key":` out of the committed snapshot.
 /// The snapshot is written by this binary with one scalar per line, so
@@ -727,69 +771,12 @@ fn main() {
     // plant tick it wraps (budget: 5% of the direct tick).
     let (backend_dyn_ns, backend_raw_ns) = backend_step_ns();
     let backend_overhead_pct = 100.0 * (backend_dyn_ns - backend_raw_ns) / backend_raw_ns;
-    let backend_budget_ok = backend_dyn_ns <= backend_raw_ns * 1.05 + NS_GATE_NOISE_FLOOR;
+    let backend_ceiling_ns = backend_raw_ns * 1.05 + NS_GATE_NOISE_FLOOR;
+    let backend_budget_ok = backend_dyn_ns <= backend_ceiling_ns;
     println!(
         "backend seam step: raw tick {backend_raw_ns:.0} ns, dyn-dispatch {backend_dyn_ns:.0} ns ({backend_overhead_pct:+.1}% overhead) [{}]",
         if backend_budget_ok { "ok" } else { "OVER BUDGET" }
     );
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"sweep_engine_reference\",");
-    let _ = writeln!(
-        json,
-        "  \"regenerate\": \"cargo run --release -p capgpu-bench --bin perf_snapshot\","
-    );
-    let _ = writeln!(json, "  \"available_parallelism\": {cores},");
-    let _ = writeln!(
-        json,
-        "  \"reference_sweep\": {{\"scenario\": \"paper_testbed(42)\", \"controllers\": 5, \"setpoints\": {NUM_SETPOINTS}, \"seeds\": 1, \"periods\": {PERIODS}, \"cells\": {cells}}},"
-    );
-    let _ = writeln!(json, "  \"per_cell_serial_ms\": {per_cell_ms:.3},");
-    let _ = writeln!(json, "  \"engine_serial_ms\": {engine_serial_ms:.3},");
-    let _ = writeln!(
-        json,
-        "  \"engine_parallel_ms\": {{\"1\": {:.3}, \"2\": {:.3}, \"4\": {:.3}, \"8\": {:.3}}},",
-        parallel_ms[0], parallel_ms[1], parallel_ms[2], parallel_ms[3]
-    );
-    let _ = writeln!(json, "  \"best_parallel_ms\": {best_parallel_ms:.3},");
-    let _ = writeln!(json, "  \"speedup_vs_per_cell_serial\": {speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"bit_identical\": {{\"parallel_vs_serial\": {parallel_identical}, \"engine_vs_per_cell\": {engine_matches_per_cell}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"cell_phase_ms\": {{\"runner_new\": {new_ms:.3}, \"identify\": {identify_ms:.3}, \"run_100_periods\": {run100_ms:.3}, \"mpc_100_calls\": {mpc100_ms:.3}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"repeated_refit_ms\": {{\"batch\": {identify_refit_batch_ms:.3}, \"identify_rls_ms\": {identify_rls_ms:.3}, \"rls_speedup\": {rls_speedup:.3}}},"
-    );
-    let _ = writeln!(json, "  \"supervisor_overhead_ns\": {sup_ns:.1},");
-    let _ = writeln!(
-        json,
-        "  \"mpc_solve\": {{\"generic_ns\": {:.1}, \"cold_ns\": {:.1}, \"warm_speedup_vs_generic\": {mpc_vs_generic:.2}, \"warm_speedup_vs_cold\": {mpc_vs_cold:.2}}},",
-        mpc.generic, mpc.cold
-    );
-    let _ = writeln!(json, "  \"mpc_solve_ns\": {:.1},", mpc.warm);
-    let _ = writeln!(json, "  \"sweep_cells_per_sec\": {sweep_cps:.0},");
-    let _ = writeln!(json, "  \"fleet_server_periods_per_sec\": {fleet_sps:.0},");
-    let _ = writeln!(json, "  \"serve_events_per_sec\": {serve_eps:.0},");
-    let _ = writeln!(json, "  \"llm_tokens_per_sec\": {llm_tps:.0},");
-    let _ = writeln!(json, "  \"telemetry_record_ns\": {record_ns:.1},");
-    let _ = writeln!(json, "  \"span_enter_exit_ns\": {span_ns:.1},");
-    let _ = writeln!(json, "  \"obs_replay_ms\": {replay_ms:.3},");
-    let _ = writeln!(
-        json,
-        "  \"backend_step\": {{\"raw_tick_ns\": {backend_raw_ns:.1}, \"dyn_step_ns\": {backend_dyn_ns:.1}, \"overhead_pct\": {backend_overhead_pct:.2}}},"
-    );
-    let _ = writeln!(json, "  \"backend_step_ns\": {backend_dyn_ns:.1},");
-    let _ = writeln!(
-        json,
-        "  \"note\": \"speedup on single-core hosts comes from sharing one identification pass per (scenario, seed) class across all cells; on multi-core hosts the cell phase additionally scales with the thread count\""
-    );
-    let _ = writeln!(json, "}}");
 
     if std::env::args().any(|a| a == "--check") {
         let committed = std::fs::read_to_string("BENCH_sweep.json")
@@ -798,189 +785,113 @@ fn main() {
         if (factor - REGRESSION_FACTOR).abs() > f64::EPSILON {
             println!("perf check: {TOLERANCE_ENV} overrides tolerance to {factor}x");
         }
+        let gate = |key, measured, unit, lower_is_better| Gate {
+            key,
+            measured,
+            unit,
+            lower_is_better,
+            noise_floor: 0.0,
+            ceiling: None,
+        };
+        // Nanosecond-scale gates get the additive noise floor; the two
+        // telemetry ones also an absolute ceiling, because
+        // instrumentation that shows up in the solve's profile defeats
+        // its purpose. Replay time is restart downtime, so it is a
+        // wall-time gate, not an inverted throughput gate.
+        let ns_gate = |key, measured, ceiling| Gate {
+            noise_floor: NS_GATE_NOISE_FLOOR,
+            ceiling,
+            ..gate(key, measured, "ns", true)
+        };
+        let gates = [
+            gate("engine_serial_ms", engine_serial_ms, "ms", true),
+            gate("identify", identify_ms, "ms", true),
+            ns_gate("mpc_solve_ns", mpc.warm, None),
+            gate("sweep_cells_per_sec", sweep_cps, "/s", false),
+            gate("fleet_server_periods_per_sec", fleet_sps, "/s", false),
+            gate("supervisor_overhead_ns", sup_ns, "ns", true),
+            gate("serve_events_per_sec", serve_eps, "/s", false),
+            gate("llm_tokens_per_sec", llm_tps, "/s", false),
+            ns_gate(
+                "telemetry_record_ns",
+                record_ns,
+                Some(TELEMETRY_RECORD_BUDGET_NS),
+            ),
+            ns_gate("span_enter_exit_ns", span_ns, Some(SPAN_PAIR_BUDGET_NS)),
+            gate("obs_replay_ms", replay_ms, "ms", true),
+            ns_gate("backend_step_ns", backend_dyn_ns, None),
+        ];
         let mut failed = false;
-        for (key, new_value) in [
-            ("engine_serial_ms", engine_serial_ms),
-            ("identify", identify_ms),
-        ] {
-            let Some(old_value) = extract_number(&committed, key) else {
-                println!("perf check: key \"{key}\" missing from committed snapshot, skipping");
-                continue;
-            };
-            let limit = old_value * factor;
-            let verdict = if new_value > limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check {key}: committed {old_value:.3} ms, measured {new_value:.3} ms, limit {limit:.3} ms [{verdict}]"
-            );
-            failed |= new_value > limit;
+        for g in &gates {
+            failed |= g.fails(extract_number(&committed, g.key), factor);
         }
-        // Fast-MPC solve: relative gate on the steady-state (hit) path,
-        // plus two structural floors that do not depend on the committed
-        // snapshot — the fast path must halve the generic solve and the
-        // explicit-region hit must stay well below the cold solve. The
-        // floors are looser than the ratios the committed snapshot
-        // records (≥5x) so host jitter cannot flake the build.
-        if let Some(old_value) = extract_number(&committed, "mpc_solve_ns") {
-            let limit = old_value * factor + NS_GATE_NOISE_FLOOR;
-            let verdict = if mpc.warm > limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check mpc_solve_ns: committed {old_value:.0} ns, measured {:.0} ns, limit {limit:.0} ns [{verdict}]",
-                mpc.warm
-            );
-            failed |= mpc.warm > limit;
-        } else {
-            println!("perf check: key \"mpc_solve_ns\" missing from committed snapshot, skipping");
+        // Structural floors: ceilings that do not depend on the committed
+        // snapshot, looser than the ratios it records (≥5x) so host
+        // jitter cannot flake the build. The fast MPC path must halve
+        // the generic solve and its explicit-region hit stay under a
+        // third of the cold solve; the supervisor and the backend trait
+        // hop must stay invisible next to the MPC step and the plant
+        // tick they wrap.
+        let floor = |key, measured, ceiling| Gate {
+            ceiling: Some(ceiling),
+            ..gate(key, measured, "ns", true)
+        };
+        let floors = [
+            floor("mpc fast path vs generic / 2", mpc.warm, mpc.generic / 2.0),
+            floor("mpc region hit vs cold / 3", mpc.warm, mpc.cold / 3.0),
+            floor("supervisor vs 5% of MPC step", sup_ns, 0.05 * mpc_step_ns),
+            floor(
+                "backend dyn vs raw tick * 1.05 + 25",
+                backend_dyn_ns,
+                backend_ceiling_ns,
+            ),
+        ];
+        for g in &floors {
+            failed |= g.fails(None, factor);
         }
-        let halves_generic = mpc.warm <= mpc.generic / 2.0;
-        println!(
-            "perf check mpc fast-vs-generic: {mpc_vs_generic:.1}x (floor 2.0x) [{}]",
-            if halves_generic { "ok" } else { "FAIL" }
-        );
-        failed |= !halves_generic;
-        let hit_beats_cold = mpc_vs_cold >= 3.0;
-        println!(
-            "perf check mpc hit-vs-cold: {mpc_vs_cold:.1}x (floor 3.0x) [{}]",
-            if hit_beats_cold { "ok" } else { "FAIL" }
-        );
-        failed |= !hit_beats_cold;
-        // Streaming sweep throughput: larger is better — inverted gate.
-        if let Some(old_value) = extract_number(&committed, "sweep_cells_per_sec") {
-            let limit = old_value / factor;
-            let verdict = if sweep_cps < limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check sweep_cells_per_sec: committed {old_value:.0}/s, measured {sweep_cps:.0}/s, limit {limit:.0}/s [{verdict}]"
-            );
-            failed |= sweep_cps < limit;
-        } else {
-            println!(
-                "perf check: key \"sweep_cells_per_sec\" missing from committed snapshot, skipping"
-            );
-        }
-        // Fleet-simulator throughput: larger is better — inverted gate.
-        if let Some(old_value) = extract_number(&committed, "fleet_server_periods_per_sec") {
-            let limit = old_value / factor;
-            let verdict = if fleet_sps < limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check fleet_server_periods_per_sec: committed {old_value:.0}/s, measured {fleet_sps:.0}/s, limit {limit:.0}/s [{verdict}]"
-            );
-            failed |= fleet_sps < limit;
-        } else {
-            println!(
-                "perf check: key \"fleet_server_periods_per_sec\" missing from committed snapshot, skipping"
-            );
-        }
-        // Supervisor hot path: gated both relatively (vs the committed
-        // snapshot) and absolutely (5% of an MPC control step) — a slow
-        // supervisor taxes every control period of every run.
-        if let Some(old_value) = extract_number(&committed, "supervisor_overhead_ns") {
-            let limit = old_value * factor;
-            let verdict = if sup_ns > limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check supervisor_overhead_ns: committed {old_value:.0} ns, measured {sup_ns:.0} ns, limit {limit:.0} ns [{verdict}]"
-            );
-            failed |= sup_ns > limit;
-        } else {
-            println!(
-                "perf check: key \"supervisor_overhead_ns\" missing from committed snapshot, skipping"
-            );
-        }
-        let verdict = if sup_budget_ok { "ok" } else { "FAIL" };
-        println!(
-            "perf check supervisor budget: {sup_ns:.0} ns vs 5% of MPC step ({:.0} ns) [{verdict}]",
-            0.05 * mpc_step_ns
-        );
-        failed |= !sup_budget_ok;
-        // Throughput metric: larger is better, so this gate inverts —
-        // fail when the measured rate drops below committed / factor.
-        if let Some(old_value) = extract_number(&committed, "serve_events_per_sec") {
-            let limit = old_value / factor;
-            let verdict = if serve_eps < limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check serve_events_per_sec: committed {old_value:.0}/s, measured {serve_eps:.0}/s, limit {limit:.0}/s [{verdict}]"
-            );
-            failed |= serve_eps < limit;
-        } else {
-            println!("perf check: key \"serve_events_per_sec\" missing from committed snapshot, skipping");
-        }
-        // LLM-batcher token throughput: larger is better — inverted gate.
-        if let Some(old_value) = extract_number(&committed, "llm_tokens_per_sec") {
-            let limit = old_value / factor;
-            let verdict = if llm_tps < limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check llm_tokens_per_sec: committed {old_value:.0}/s, measured {llm_tps:.0}/s, limit {limit:.0}/s [{verdict}]"
-            );
-            failed |= llm_tps < limit;
-        } else {
-            println!(
-                "perf check: key \"llm_tokens_per_sec\" missing from committed snapshot, skipping"
-            );
-        }
-        // Telemetry hot paths: relative gates like the supervisor's,
-        // widened by an additive noise floor — a single record measures
-        // in single-digit ns, where 30% headroom is fractions of a ns
-        // and pure host jitter would trip the gate — plus absolute
-        // ceilings, because instrumentation that shows up in the solve's
-        // profile defeats its purpose.
-        for (key, new_ns, ceiling) in [
-            ("telemetry_record_ns", record_ns, TELEMETRY_RECORD_BUDGET_NS),
-            ("span_enter_exit_ns", span_ns, SPAN_PAIR_BUDGET_NS),
-        ] {
-            let limit = match extract_number(&committed, key) {
-                Some(old_value) => (old_value * factor + NS_GATE_NOISE_FLOOR).min(ceiling),
-                None => {
-                    println!(
-                        "perf check: key \"{key}\" missing from committed snapshot, using absolute ceiling"
-                    );
-                    ceiling
-                }
-            };
-            let verdict = if new_ns > limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check {key}: measured {new_ns:.1} ns, limit {limit:.1} ns (ceiling {ceiling:.0} ns) [{verdict}]"
-            );
-            failed |= new_ns > limit;
-        }
-        // Journal replay: restart downtime, so slower fails — this is a
-        // wall-time gate like engine_serial_ms, not an inverted
-        // throughput gate.
-        if let Some(old_value) = extract_number(&committed, "obs_replay_ms") {
-            let limit = old_value * factor;
-            let verdict = if replay_ms > limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check obs_replay_ms: committed {old_value:.3} ms, measured {replay_ms:.3} ms, limit {limit:.3} ms [{verdict}]"
-            );
-            failed |= replay_ms > limit;
-        } else {
-            println!("perf check: key \"obs_replay_ms\" missing from committed snapshot, skipping");
-        }
-        // Backend seam: relative gate against the committed snapshot
-        // (tolerance honored), plus the structural dispatch budget —
-        // the trait hop must cost ≤5% over the direct plant tick, with
-        // the additive noise floor keeping sub-µs jitter from flaking
-        // the build.
-        if let Some(old_value) = extract_number(&committed, "backend_step_ns") {
-            let limit = old_value * factor + NS_GATE_NOISE_FLOOR;
-            let verdict = if backend_dyn_ns > limit { "FAIL" } else { "ok" };
-            println!(
-                "perf check backend_step_ns: committed {old_value:.0} ns, measured {backend_dyn_ns:.0} ns, limit {limit:.0} ns [{verdict}]"
-            );
-            failed |= backend_dyn_ns > limit;
-        } else {
-            println!(
-                "perf check: key \"backend_step_ns\" missing from committed snapshot, skipping"
-            );
-        }
-        let verdict = if backend_budget_ok { "ok" } else { "FAIL" };
-        println!(
-            "perf check backend dispatch budget: dyn {backend_dyn_ns:.0} ns vs raw {backend_raw_ns:.0} ns * 1.05 + {NS_GATE_NOISE_FLOOR:.0} ns [{verdict}]"
-        );
-        failed |= !backend_budget_ok;
         if failed {
             println!("perf check FAILED: regression above {factor}x committed baseline");
             std::process::exit(1);
         }
         println!("perf check passed (snapshot left untouched)");
     } else {
+        let json = format!(
+            r#"{{
+  "bench": "sweep_engine_reference",
+  "regenerate": "cargo run --release -p capgpu-bench --bin perf_snapshot",
+  "available_parallelism": {cores},
+  "reference_sweep": {{"scenario": "paper_testbed(42)", "controllers": 5, "setpoints": {NUM_SETPOINTS}, "seeds": 1, "periods": {PERIODS}, "cells": {cells}}},
+  "per_cell_serial_ms": {per_cell_ms:.3},
+  "engine_serial_ms": {engine_serial_ms:.3},
+  "engine_parallel_ms": {{"1": {:.3}, "2": {:.3}, "4": {:.3}, "8": {:.3}}},
+  "best_parallel_ms": {best_parallel_ms:.3},
+  "speedup_vs_per_cell_serial": {speedup:.3},
+  "bit_identical": {{"parallel_vs_serial": {parallel_identical}, "engine_vs_per_cell": {engine_matches_per_cell}}},
+  "cell_phase_ms": {{"runner_new": {new_ms:.3}, "identify": {identify_ms:.3}, "run_100_periods": {run100_ms:.3}, "mpc_100_calls": {mpc100_ms:.3}}},
+  "repeated_refit_ms": {{"batch": {identify_refit_batch_ms:.3}, "identify_rls_ms": {identify_rls_ms:.3}, "rls_speedup": {rls_speedup:.3}}},
+  "supervisor_overhead_ns": {sup_ns:.1},
+  "mpc_solve": {{"generic_ns": {:.1}, "cold_ns": {:.1}, "warm_speedup_vs_generic": {mpc_vs_generic:.2}, "warm_speedup_vs_cold": {mpc_vs_cold:.2}}},
+  "mpc_solve_ns": {:.1},
+  "sweep_cells_per_sec": {sweep_cps:.0},
+  "fleet_server_periods_per_sec": {fleet_sps:.0},
+  "serve_events_per_sec": {serve_eps:.0},
+  "llm_tokens_per_sec": {llm_tps:.0},
+  "telemetry_record_ns": {record_ns:.1},
+  "span_enter_exit_ns": {span_ns:.1},
+  "obs_replay_ms": {replay_ms:.3},
+  "backend_step": {{"raw_tick_ns": {backend_raw_ns:.1}, "dyn_step_ns": {backend_dyn_ns:.1}, "overhead_pct": {backend_overhead_pct:.2}}},
+  "backend_step_ns": {backend_dyn_ns:.1},
+  "note": "speedup on single-core hosts comes from sharing one identification pass per (scenario, seed) class across all cells; on multi-core hosts the cell phase additionally scales with the thread count"
+}}
+"#,
+            parallel_ms[0],
+            parallel_ms[1],
+            parallel_ms[2],
+            parallel_ms[3],
+            mpc.generic,
+            mpc.cold,
+            mpc.warm
+        );
         std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
         println!("wrote BENCH_sweep.json");
     }

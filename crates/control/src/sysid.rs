@@ -9,7 +9,9 @@
 //! [`ExcitationPlan`] generates exactly that schedule; [`SystemIdentifier`]
 //! accumulates `(F, p)` samples from any source and produces a
 //! [`LinearPowerModel`] with its R² (the paper reports R² = 0.96 on the
-//! V100 testbed, Fig. 2a).
+//! V100 testbed, Fig. 2a). [`identify_sweep`] drives the two over any
+//! plant: the experiment runner and the daemon each supply only how to
+//! dwell one control period at a point.
 
 use capgpu_linalg::lstsq::LstsqFit;
 use capgpu_linalg::rls::RlsFactor;
@@ -230,6 +232,60 @@ impl SystemIdentifier {
             design_condition,
         })
     }
+}
+
+/// What [`identify_sweep`] measured and fitted.
+#[derive(Debug, Clone)]
+pub struct SweepFit {
+    /// The least-squares fit over the points that answered.
+    pub fitted: IdentifiedModel,
+    /// `(applied frequencies, mean power)` of every point that answered,
+    /// in plan order — the samples a [`ScaledModelTracker`] is seeded
+    /// with.
+    pub rows: Vec<(Vec<f64>, f64)>,
+    /// Points in the excitation plan, answered or not.
+    pub points: usize,
+}
+
+/// The paper's identification procedure (§4.2) over any plant: sweep each
+/// device from `f_min` to `f_max` in `steps_per_device` points with the
+/// others held at `hold_fraction` of their range, `dwell` one control
+/// period at each point, and fit `p = A·F + C` to what came back.
+///
+/// `dwell` commands the point and returns the frequencies the plant
+/// actually ran at with the mean power it measured there, or `None` when
+/// the meter stayed silent for the whole dwell (the point is skipped).
+///
+/// # Errors
+/// [`ControlError::BadConfig`] for an invalid plan, whatever `dwell`
+/// fails with, and [`SystemIdentifier::fit`]'s errors — notably
+/// [`ControlError::InsufficientData`] when too few points answered.
+pub fn identify_sweep<E: From<ControlError>>(
+    f_min: &[f64],
+    f_max: &[f64],
+    hold_fraction: f64,
+    steps_per_device: usize,
+    mut dwell: impl FnMut(&[f64]) -> std::result::Result<Option<(Vec<f64>, f64)>, E>,
+) -> std::result::Result<SweepFit, E> {
+    let hold = f_min
+        .iter()
+        .zip(f_max)
+        .map(|(lo, hi)| lo + hold_fraction * (hi - lo))
+        .collect();
+    let plan = ExcitationPlan::new(f_min.to_vec(), f_max.to_vec(), hold, steps_per_device)?;
+    let mut ident = SystemIdentifier::new(plan.num_devices());
+    let mut rows = Vec::with_capacity(plan.len());
+    for point in plan.points() {
+        if let Some((applied, p_mean)) = dwell(&point)? {
+            ident.record(&applied, p_mean);
+            rows.push((applied, p_mean));
+        }
+    }
+    Ok(SweepFit {
+        fitted: ident.fit()?,
+        rows,
+        points: plan.len(),
+    })
 }
 
 /// Streaming recursive-least-squares identifier (paper §6.4 online
@@ -459,6 +515,25 @@ impl ScaledModelTracker {
             pairs_accepted: 0,
             pairs_rejected: 0,
         })
+    }
+
+    /// [`ScaledModelTracker::new`] with the identification sweep's
+    /// `(frequencies, mean power)` rows replayed into it, so the first
+    /// closed-loop refits do not overweight a handful of
+    /// near-steady-state samples.
+    ///
+    /// # Errors
+    /// [`ControlError::BadConfig`] for `λ` outside `(0, 1]`.
+    pub fn seeded(
+        model: LinearPowerModel,
+        forgetting: f64,
+        rows: &[(Vec<f64>, f64)],
+    ) -> Result<Self> {
+        let mut tracker = Self::new(model, forgetting)?;
+        for (freqs, p_mean) in rows {
+            tracker.record(freqs, *p_mean);
+        }
+        Ok(tracker)
     }
 
     /// The anchor model whose gain ratios are preserved.
@@ -775,6 +850,83 @@ mod tests {
             "tracked GPU gain {}",
             fitted.model.gains()[1]
         );
+    }
+
+    /// A noiseless two-device plant for the sweep helper's tests.
+    fn truth() -> LinearPowerModel {
+        LinearPowerModel::new(vec![0.06, 0.18], 250.0).unwrap()
+    }
+
+    #[test]
+    fn sweep_skips_silent_points_and_reports_the_plan_size() {
+        let truth = truth();
+        // The meter stays silent at these five of the sixteen points.
+        let silent = [2, 5, 8, 11, 14];
+        let mut asked = 0usize;
+        let fit = identify_sweep(&[1000.0, 435.0], &[2400.0, 1350.0], 0.5, 8, |point| {
+            let answer = (!silent.contains(&asked)).then(|| (point.to_vec(), truth.predict(point)));
+            asked += 1;
+            Ok::<_, ControlError>(answer)
+        })
+        .unwrap();
+        assert_eq!(asked, 16);
+        assert_eq!(fit.points, 16);
+        assert_eq!(fit.rows.len(), 11);
+        assert_eq!(fit.fitted.n_samples, 11);
+        assert!((fit.fitted.model.gains()[1] - 0.18).abs() < 1e-9);
+        // Non-swept devices are held at the requested fraction of range.
+        assert_eq!(fit.rows[0].0, vec![1000.0, 892.5]);
+    }
+
+    #[test]
+    fn sweep_with_no_answers_is_insufficient_data() {
+        let err = identify_sweep(&[1000.0, 435.0], &[2400.0, 1350.0], 0.5, 4, |_| {
+            Ok::<_, ControlError>(None)
+        })
+        .unwrap_err();
+        assert!(matches!(err, ControlError::InsufficientData(_)));
+    }
+
+    #[test]
+    fn sweep_propagates_plan_and_dwell_errors() {
+        let bad_plan = identify_sweep(&[1000.0], &[2400.0], 0.5, 1, |_| {
+            Ok::<_, ControlError>(None)
+        });
+        assert!(matches!(bad_plan.unwrap_err(), ControlError::BadConfig(_)));
+        let dwell_fails = identify_sweep(&[1000.0], &[2400.0], 0.5, 4, |_| {
+            Err(ControlError::BadConfig("plant gone"))
+        });
+        assert!(matches!(
+            dwell_fails.unwrap_err(),
+            ControlError::BadConfig("plant gone")
+        ));
+    }
+
+    #[test]
+    fn seeded_tracker_equals_new_plus_record_loop() {
+        let truth = truth();
+        let rows: Vec<(Vec<f64>, f64)> = plan2()
+            .points()
+            .enumerate()
+            .map(|(i, f)| {
+                let p = truth.predict(&f) + 4.0 * (i as f64 * 2.399).sin();
+                (f, p)
+            })
+            .collect();
+        let seeded = ScaledModelTracker::seeded(truth.clone(), 0.98, &rows).unwrap();
+        let mut looped = ScaledModelTracker::new(truth, 0.98).unwrap();
+        for (f, p) in &rows {
+            looped.record(f, *p);
+        }
+        assert_eq!(seeded.scale().to_bits(), looped.scale().to_bits());
+        assert_eq!(seeded.offset().to_bits(), looped.offset().to_bits());
+        assert_eq!(seeded.r_squared().to_bits(), looped.r_squared().to_bits());
+        assert_eq!(seeded.stats(), looped.stats());
+        let (a, sa) = seeded.fit().unwrap();
+        let (b, sb) = looped.fit().unwrap();
+        assert_eq!(a, b);
+        assert_eq!(sa.to_bits(), sb.to_bits());
+        assert!(ScaledModelTracker::seeded(a, 0.0, &rows).is_err());
     }
 
     #[test]

@@ -1,0 +1,348 @@
+//! Operator-facing daemon configuration: the TOML keys, their defaults
+//! and ranges, and the built-in backends they can name.
+
+use std::path::{Path, PathBuf};
+
+use capgpu_backend::{MockBackend, PowerBackend, SimBackend};
+use capgpu_obs::rotate::RotationConfig;
+use capgpu_sim::{presets, ServerBuilder};
+
+use super::bad;
+use super::toml::TomlDoc;
+use crate::supervisor::SupervisorConfig;
+use crate::Result;
+
+/// Operator-facing daemon configuration.
+///
+/// Parsed from a TOML subset (see [`DaemonConfig::from_toml_str`]);
+/// every field has a sensible default, so an empty config is valid.
+/// Only `setpoint_watts` is hot-reloadable at runtime (via
+/// [`Daemon::apply_reload`](super::Daemon::apply_reload)) — everything else requires a restart.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DaemonConfig {
+    /// Which backend to drive: `"sim"` or `"mock"` (live backends are
+    /// constructed by the operator and passed to [`Daemon::new`](super::Daemon::new)).
+    pub backend: String,
+    /// Server power set-point (W).
+    pub setpoint_watts: f64,
+    /// Control period (s) — sense/actuate cadence, the paper's `T`.
+    pub control_period_s: u64,
+    /// TCP port for the Prometheus listener (`0` = ephemeral); `None`
+    /// disables the listener.
+    pub metrics_port: Option<u16>,
+    /// Where to write the JSONL journal on exit; `None` = stdout only.
+    pub journal_path: Option<PathBuf>,
+    /// Directory for the rotating durable journal (crash-recovery
+    /// replay source); `None` disables durable journaling.
+    pub journal_dir: Option<PathBuf>,
+    /// Rotating-journal segment size bound (KiB).
+    pub journal_max_segment_kib: u64,
+    /// Rotating-journal segment age bound on the record clock (s).
+    pub journal_max_segment_age_s: f64,
+    /// Rotating-journal retention bound (segments).
+    pub journal_retain_segments: usize,
+    /// Excitation steps per device during identification.
+    pub sysid_steps_per_device: usize,
+    /// Hold point for non-excited devices, as a fraction of each
+    /// device's frequency range.
+    pub sysid_hold_fraction: f64,
+    /// RLS forgetting factor for streaming refits; `None` disables
+    /// continuous tracking.
+    pub rls_forgetting: Option<f64>,
+    /// Simulated-testbed seed (sim backend only).
+    pub sim_seed: u64,
+    /// GPU count for the built-in sim/mock testbeds.
+    pub sim_gpus: usize,
+    /// Constant per-device utilization staged into the sim plant.
+    pub sim_utilization: f64,
+    /// Supervisor failover thresholds.
+    pub supervisor: SupervisorConfig,
+}
+
+/// Every key the config parser accepts; anything else is a typo and is
+/// rejected loudly rather than silently ignored.
+const KNOWN_KEYS: &[&str] = &[
+    "daemon.backend",
+    "daemon.setpoint_watts",
+    "daemon.control_period_s",
+    "daemon.metrics_port",
+    "daemon.journal_path",
+    "journal.dir",
+    "journal.max_segment_kib",
+    "journal.max_segment_age_s",
+    "journal.retain_segments",
+    "identify.steps_per_device",
+    "identify.hold_fraction",
+    "identify.rls",
+    "identify.rls_forgetting",
+    "sim.seed",
+    "sim.gpus",
+    "sim.utilization",
+    "supervisor.stale_fallback_periods",
+    "supervisor.stale_park_periods",
+    "supervisor.authority_window",
+    "supervisor.authority_min_ratio",
+    "supervisor.authority_min_excitation_w",
+    "supervisor.recovery_periods",
+    "supervisor.psu_margin_watts",
+];
+
+impl Default for DaemonConfig {
+    fn default() -> Self {
+        DaemonConfig::default_sim()
+    }
+}
+
+impl DaemonConfig {
+    /// Defaults matching the paper's testbed: a 2-GPU sim server at a
+    /// 900 W set-point with a 4 s control period and RLS tracking on.
+    pub fn default_sim() -> Self {
+        DaemonConfig {
+            backend: "sim".to_string(),
+            setpoint_watts: 900.0,
+            control_period_s: 4,
+            metrics_port: None,
+            journal_path: None,
+            journal_dir: None,
+            journal_max_segment_kib: 64,
+            journal_max_segment_age_s: 3600.0,
+            journal_retain_segments: 8,
+            sysid_steps_per_device: 6,
+            sysid_hold_fraction: 0.5,
+            rls_forgetting: Some(0.98),
+            sim_seed: 42,
+            sim_gpus: 2,
+            sim_utilization: 0.85,
+            supervisor: SupervisorConfig::default(),
+        }
+    }
+
+    /// Parses a config from TOML text, starting from
+    /// [`DaemonConfig::default_sim`] and overriding per key.
+    ///
+    /// # Errors
+    /// [`crate::CapGpuError::BadConfig`] on syntax errors, unknown keys, type
+    /// mismatches, or out-of-range values.
+    pub fn from_toml_str(src: &str) -> Result<Self> {
+        let doc = TomlDoc::parse(src).map_err(|e| bad(format!("config: {e}")))?;
+        for key in doc.keys() {
+            if !KNOWN_KEYS.contains(&key) {
+                return Err(bad(format!("config: unknown key `{key}`")));
+            }
+        }
+        let mut cfg = DaemonConfig::default_sim();
+        let e = |m: String| bad(format!("config: {m}"));
+        if let Some(v) = doc.str_opt("daemon.backend").map_err(e)? {
+            cfg.backend = v;
+        }
+        if let Some(v) = doc.f64_opt("daemon.setpoint_watts").map_err(e)? {
+            cfg.setpoint_watts = v;
+        }
+        if let Some(v) = doc.u64_opt("daemon.control_period_s").map_err(e)? {
+            cfg.control_period_s = v;
+        }
+        if let Some(v) = doc.u64_opt("daemon.metrics_port").map_err(e)? {
+            if v > u16::MAX as u64 {
+                return Err(bad(format!("config: daemon.metrics_port {v} out of range")));
+            }
+            cfg.metrics_port = Some(v as u16);
+        }
+        if let Some(v) = doc.str_opt("daemon.journal_path").map_err(e)? {
+            cfg.journal_path = Some(PathBuf::from(v));
+        }
+        if let Some(v) = doc.str_opt("journal.dir").map_err(e)? {
+            cfg.journal_dir = Some(PathBuf::from(v));
+        }
+        if let Some(v) = doc.u64_opt("journal.max_segment_kib").map_err(e)? {
+            cfg.journal_max_segment_kib = v;
+        }
+        if let Some(v) = doc.f64_opt("journal.max_segment_age_s").map_err(e)? {
+            cfg.journal_max_segment_age_s = v;
+        }
+        if let Some(v) = doc.u64_opt("journal.retain_segments").map_err(e)? {
+            cfg.journal_retain_segments = v as usize;
+        }
+        if let Some(v) = doc.u64_opt("identify.steps_per_device").map_err(e)? {
+            cfg.sysid_steps_per_device = v as usize;
+        }
+        if let Some(v) = doc.f64_opt("identify.hold_fraction").map_err(e)? {
+            cfg.sysid_hold_fraction = v;
+        }
+        if let Some(v) = doc.f64_opt("identify.rls_forgetting").map_err(e)? {
+            cfg.rls_forgetting = Some(v);
+        }
+        if let Some(false) = doc.bool_opt("identify.rls").map_err(e)? {
+            cfg.rls_forgetting = None;
+        }
+        if let Some(v) = doc.u64_opt("sim.seed").map_err(e)? {
+            cfg.sim_seed = v;
+        }
+        if let Some(v) = doc.u64_opt("sim.gpus").map_err(e)? {
+            cfg.sim_gpus = v as usize;
+        }
+        if let Some(v) = doc.f64_opt("sim.utilization").map_err(e)? {
+            cfg.sim_utilization = v;
+        }
+        let sup = &mut cfg.supervisor;
+        if let Some(v) = doc
+            .u64_opt("supervisor.stale_fallback_periods")
+            .map_err(e)?
+        {
+            sup.stale_fallback_periods = v as usize;
+        }
+        if let Some(v) = doc.u64_opt("supervisor.stale_park_periods").map_err(e)? {
+            sup.stale_park_periods = v as usize;
+        }
+        if let Some(v) = doc.u64_opt("supervisor.authority_window").map_err(e)? {
+            sup.authority_window = v as usize;
+        }
+        if let Some(v) = doc.f64_opt("supervisor.authority_min_ratio").map_err(e)? {
+            sup.authority_min_ratio = v;
+        }
+        if let Some(v) = doc
+            .f64_opt("supervisor.authority_min_excitation_w")
+            .map_err(e)?
+        {
+            sup.authority_min_excitation_w = v;
+        }
+        if let Some(v) = doc.u64_opt("supervisor.recovery_periods").map_err(e)? {
+            sup.recovery_periods = v as usize;
+        }
+        if let Some(v) = doc.f64_opt("supervisor.psu_margin_watts").map_err(e)? {
+            sup.psu_margin_watts = v;
+        }
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
+    /// Reads and parses a config file.
+    ///
+    /// # Errors
+    /// [`crate::CapGpuError::BadConfig`] on I/O or parse failure.
+    pub fn load(path: &Path) -> Result<Self> {
+        let src = std::fs::read_to_string(path)
+            .map_err(|e| bad(format!("config {}: {e}", path.display())))?;
+        Self::from_toml_str(&src)
+    }
+
+    /// Validates field ranges.
+    ///
+    /// # Errors
+    /// [`crate::CapGpuError::BadConfig`] with a description.
+    pub fn validate(&self) -> Result<()> {
+        if !matches!(self.backend.as_str(), "sim" | "mock") {
+            return Err(bad(format!(
+                "daemon.backend must be \"sim\" or \"mock\", got \"{}\"",
+                self.backend
+            )));
+        }
+        if !(self.setpoint_watts.is_finite() && self.setpoint_watts > 0.0) {
+            return Err(bad("daemon.setpoint_watts must be finite and > 0".into()));
+        }
+        if self.control_period_s == 0 {
+            return Err(bad("daemon.control_period_s must be >= 1".into()));
+        }
+        if self.sysid_steps_per_device < 2 {
+            return Err(bad("identify.steps_per_device must be >= 2".into()));
+        }
+        if !(self.sysid_hold_fraction > 0.0 && self.sysid_hold_fraction < 1.0) {
+            return Err(bad("identify.hold_fraction must be in (0, 1)".into()));
+        }
+        if let Some(f) = self.rls_forgetting {
+            if !(f > 0.0 && f <= 1.0) {
+                return Err(bad("identify.rls_forgetting must be in (0, 1]".into()));
+            }
+        }
+        if self.sim_gpus == 0 {
+            return Err(bad("sim.gpus must be >= 1".into()));
+        }
+        if !(0.0..=1.0).contains(&self.sim_utilization) {
+            return Err(bad("sim.utilization must be in [0, 1]".into()));
+        }
+        self.rotation_config()
+            .validate()
+            .map_err(|e| bad(format!("config: {e}")))?;
+        self.supervisor.validate()
+    }
+
+    /// The rotating-journal policy these settings describe.
+    pub fn rotation_config(&self) -> RotationConfig {
+        RotationConfig {
+            max_segment_bytes: self.journal_max_segment_kib.saturating_mul(1024),
+            max_segment_age_s: self.journal_max_segment_age_s,
+            retain_segments: self.journal_retain_segments,
+        }
+    }
+
+    /// Builds the configured built-in backend (`"sim"` or `"mock"`).
+    /// Live backends (NVML, cpufreq) are probed by the operator and
+    /// passed to [`Daemon::new`](super::Daemon::new) directly.
+    ///
+    /// # Errors
+    /// [`crate::CapGpuError::BadConfig`] on an unknown backend name; backend
+    /// construction errors otherwise.
+    pub fn build_backend(&self) -> Result<Box<dyn PowerBackend>> {
+        match self.backend.as_str() {
+            "sim" => {
+                let mut builder =
+                    ServerBuilder::new(self.sim_seed).add_device(presets::xeon_gold_5215());
+                for _ in 0..self.sim_gpus {
+                    builder = builder.add_device(presets::tesla_v100());
+                }
+                let server = builder.build()?;
+                let mut backend = SimBackend::new(server);
+                // The simulated plant needs a load; a live plant brings
+                // its own. Staged once — utilizations persist across
+                // `advance` calls.
+                let utils = vec![self.sim_utilization; backend.num_devices()];
+                backend.stage_utilizations(&utils)?;
+                Ok(Box::new(backend))
+            }
+            "mock" => Ok(Box::new(MockBackend::testbed(self.sim_gpus)?)),
+            other => Err(bad(format!("no built-in backend named \"{other}\""))),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn config_round_trips_and_rejects_unknown_keys() {
+        let cfg = DaemonConfig::from_toml_str(
+            r#"
+[daemon]
+backend = "mock"
+setpoint_watts = 850
+control_period_s = 2
+metrics_port = 0
+[identify]
+steps_per_device = 4
+rls = false
+[sim]
+gpus = 3
+[supervisor]
+stale_fallback_periods = 1
+stale_park_periods = 3
+"#,
+        )
+        .unwrap();
+        assert_eq!(cfg.backend, "mock");
+        assert_eq!(cfg.setpoint_watts, 850.0);
+        assert_eq!(cfg.control_period_s, 2);
+        assert_eq!(cfg.metrics_port, Some(0));
+        assert_eq!(cfg.sysid_steps_per_device, 4);
+        assert_eq!(cfg.rls_forgetting, None);
+        assert_eq!(cfg.sim_gpus, 3);
+        assert_eq!(cfg.supervisor.stale_fallback_periods, 1);
+        assert_eq!(cfg.supervisor.stale_park_periods, 3);
+        // Unknown keys are typos, not extensions.
+        let err = DaemonConfig::from_toml_str("[daemon]\nsetpoint = 900\n").unwrap_err();
+        assert!(err.to_string().contains("unknown key"), "{err}");
+        // Range validation bites.
+        assert!(DaemonConfig::from_toml_str("[daemon]\nsetpoint_watts = -5\n").is_err());
+        assert!(DaemonConfig::from_toml_str("[daemon]\nbackend = \"nvml\"\n").is_err());
+        assert!(DaemonConfig::from_toml_str("[identify]\nsteps_per_device = 1\n").is_err());
+    }
+}

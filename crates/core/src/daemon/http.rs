@@ -1,0 +1,160 @@
+//! The daemon's HTTP listener: Prometheus text on `GET /metrics`, the
+//! health verdicts on `GET /healthz`.
+
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+
+use super::bad;
+use crate::Result;
+
+/// A dependency-free Prometheus exposition endpoint: a background
+/// thread serving the most recently [`published`](MetricsServer::publish)
+/// text on `GET /metrics` (and `/`), plus the most recent
+/// [`publish_health`](MetricsServer::publish_health) JSON on
+/// `GET /healthz`. Dropping the server stops the thread.
+#[derive(Debug)]
+pub struct MetricsServer {
+    addr: SocketAddr,
+    body: Arc<Mutex<String>>,
+    health: Arc<Mutex<String>>,
+    stop: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl MetricsServer {
+    /// Binds `127.0.0.1:port` (`port` 0 picks an ephemeral port) and
+    /// starts the accept loop.
+    ///
+    /// # Errors
+    /// [`crate::CapGpuError::BadConfig`] when the bind fails.
+    pub fn bind(port: u16) -> Result<Self> {
+        let listener = TcpListener::bind(("127.0.0.1", port))
+            .map_err(|e| bad(format!("metrics listener bind: {e}")))?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| bad(format!("metrics listener: {e}")))?;
+        let addr = listener
+            .local_addr()
+            .map_err(|e| bad(format!("metrics listener: {e}")))?;
+        let body = Arc::new(Mutex::new(String::new()));
+        let health = Arc::new(Mutex::new(String::from("{}")));
+        let stop = Arc::new(AtomicBool::new(false));
+        let handle = {
+            let body = Arc::clone(&body);
+            let health = Arc::clone(&health);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || serve_loop(&listener, &body, &health, &stop))
+        };
+        Ok(MetricsServer {
+            addr,
+            body,
+            health,
+            stop,
+            handle: Some(handle),
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Replaces the text served on the next scrape.
+    pub fn publish(&self, text: &str) {
+        if let Ok(mut b) = self.body.lock() {
+            b.clear();
+            b.push_str(text);
+        }
+    }
+
+    /// Replaces the JSON served on the next `GET /healthz` (see
+    /// [`Daemon::health_json`](super::Daemon::health_json)).
+    pub fn publish_health(&self, json: &str) {
+        if let Ok(mut h) = self.health.lock() {
+            h.clear();
+            h.push_str(json);
+        }
+    }
+}
+
+impl Drop for MetricsServer {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+fn serve_loop(
+    listener: &TcpListener,
+    body: &Arc<Mutex<String>>,
+    health: &Arc<Mutex<String>>,
+    stop: &Arc<AtomicBool>,
+) {
+    use std::io::{Read as _, Write as _};
+    const METRICS_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
+    while !stop.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((mut stream, _)) => {
+                let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
+                let mut req = [0u8; 1024];
+                let n = stream.read(&mut req).unwrap_or(0);
+                let head = String::from_utf8_lossy(&req[..n]);
+                let path = head.split_whitespace().nth(1).unwrap_or("/");
+                let (status, content_type, text) = if path == "/metrics" || path == "/" {
+                    let text = body.lock().map(|b| b.clone()).unwrap_or_default();
+                    ("200 OK", METRICS_TYPE, text)
+                } else if path == "/healthz" {
+                    let text = health.lock().map(|h| h.clone()).unwrap_or_default();
+                    ("200 OK", "application/json", text)
+                } else {
+                    ("404 Not Found", METRICS_TYPE, String::from("not found\n"))
+                };
+                let response = format!(
+                    "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
+                     Connection: close\r\n\r\n{text}",
+                    text.len()
+                );
+                let _ = stream.write_all(response.as_bytes());
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+            Err(_) => std::thread::sleep(std::time::Duration::from_millis(5)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn metrics_server_serves_published_text() {
+        use std::io::{Read as _, Write as _};
+        let server = MetricsServer::bind(0).unwrap();
+        server.publish("capgpud_power_watts{backend=\"sim\"} 899.5\n");
+        let addr = server.local_addr();
+        let fetch = |path: &str| {
+            let mut s = std::net::TcpStream::connect(addr).unwrap();
+            s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            write!(s, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+            let mut out = String::new();
+            let _ = s.read_to_string(&mut out);
+            out
+        };
+        let ok = fetch("/metrics");
+        assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
+        assert!(ok.contains("text/plain; version=0.0.4"));
+        assert!(ok.contains("capgpud_power_watts{backend=\"sim\"} 899.5"));
+        let missing = fetch("/nope");
+        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        drop(server);
+        // Port is released after drop (bind again succeeds).
+        let again = std::net::TcpListener::bind(addr);
+        assert!(again.is_ok());
+    }
+}

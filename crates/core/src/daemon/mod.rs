@@ -1,0 +1,980 @@
+//! `capgpud` — the live-serving power-capping control daemon.
+//!
+//! This module lifts the experiment runner's control loop out of the
+//! experiment harness and onto the [`PowerBackend`] seam, so the same
+//! identify → MPC → supervisor ladder that reproduces the paper's
+//! figures can regulate a *live* server: the daemon senses and actuates
+//! exclusively through a boxed backend, never through the simulator
+//! directly. Against [`SimBackend`](capgpu_backend::SimBackend) every
+//! run is byte-deterministic (the dry-run golden in
+//! `results/capgpud.txt` pins this); against
+//! [`NvmlBackend`](capgpu_backend::NvmlBackend) /
+//! [`CpufreqBackend`](capgpu_backend::CpufreqBackend) the identical
+//! loop drives real clocks.
+//!
+//! Pieces, one submodule each:
+//!
+//! * [`Daemon`] (here) — the control loop: excitation-plan
+//!   identification ([`identify_sweep`]), per-period MPC with throughput
+//!   weights, streaming RLS warm-start refits, and the failover
+//!   [`Ladder`] (primary → safe fixed-step → park-at-floors) — the
+//!   sweep and the ladder being the experiment runner's own.
+//! * [`DaemonConfig`] (`config`) — operator-facing TOML configuration
+//!   (`toml` is the dependency-free subset parser behind it),
+//!   hot-reloadable set-point.
+//! * [`MetricsServer`] (`http`) — a dependency-free HTTP listener
+//!   exposing Prometheus text over `GET /metrics`.
+//! * [`ReloadSignal`] / [`ConfigWatcher`] (`reload`) — SIGHUP and
+//!   config-mtime triggers for set-point hot reload.
+//!
+//! Every journal event is stamped with the backend's wall clock when it
+//! offers one ([`PowerBackend::wall_clock_unix_ms`]); deterministic
+//! backends return `None`, which keeps sim-mode JSONL byte-identical
+//! across reruns and safe to golden-check in CI.
+
+mod config;
+mod http;
+mod reload;
+mod toml;
+
+pub use config::DaemonConfig;
+pub use http::MetricsServer;
+pub use reload::{ConfigWatcher, ReloadSignal};
+
+use capgpu_backend::PowerBackend;
+use capgpu_control::model::LinearPowerModel;
+use capgpu_control::sysid::{identify_sweep, ScaledModelTracker};
+use capgpu_obs::analyzer::{AnalyzerConfig, HealthAnalyzer, PeriodSample, DETECTORS};
+use capgpu_obs::replay::{format_targets, ReplayState};
+use capgpu_obs::rotate::JournalWriter;
+use capgpu_telemetry::journal::{Event, Journal};
+use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
+use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
+
+use crate::controllers::{CapGpuController, ControlInput, DeviceLayout, PowerController};
+use crate::runner::SCALE_PUSH_DEADBAND;
+use crate::supervisor::{HealthSample, Ladder, SupervisorTier};
+use crate::weights::WeightAssigner;
+use crate::{CapGpuError, Result};
+
+fn bad(m: String) -> CapGpuError {
+    CapGpuError::BadConfig(m)
+}
+
+/// One control period's outcome, for logs and the dry-run transcript.
+#[derive(Debug, Clone)]
+pub struct PeriodReport {
+    /// Period index (0-based, counted from the end of identification).
+    pub period: u64,
+    /// Supervisor ladder tier that acted.
+    pub tier: SupervisorTier,
+    /// Average server power the controller acted on (W).
+    pub avg_power_watts: f64,
+    /// Set-point after any PSU-derate clamp (W).
+    pub effective_setpoint: f64,
+    /// Consecutive meter-silent periods at this decision.
+    pub stale_periods: usize,
+    /// Commanded per-device targets (MHz).
+    pub targets_mhz: Vec<f64>,
+}
+
+/// Metric handles registered once at construction.
+#[derive(Debug)]
+struct Metrics {
+    power: GaugeId,
+    setpoint: GaugeId,
+    tier: GaugeId,
+    stale: GaugeId,
+    periods: CounterId,
+    refits: CounterId,
+    tier_changes: CounterId,
+    journal_errors: CounterId,
+    /// Per-detector analyzer verdicts, in `DETECTORS` order.
+    health: Vec<GaugeId>,
+    health_overall: GaugeId,
+}
+
+/// Everything a fitted power model determines, built in one piece by
+/// [`Daemon::identify`] and again by [`Daemon::recover`].
+#[derive(Debug)]
+struct ControlStack {
+    primary: CapGpuController,
+    ladder: Ladder,
+    /// Streaming refits, when `identify.rls` is on.
+    tracker: Option<ScaledModelTracker>,
+    /// Gain scale last pushed to the primary controller, relative to the
+    /// model the stack was built from.
+    pushed_scale: f64,
+}
+
+impl ControlStack {
+    /// MPC primary, failover ladder and — when `daemon` is configured
+    /// for it — the RLS tracker warm-started with `seed_rows`, all
+    /// anchored at `model`.
+    fn from_model(
+        daemon: &Daemon,
+        model: LinearPowerModel,
+        seed_rows: &[(Vec<f64>, f64)],
+    ) -> Result<Box<Self>> {
+        let (layout, cfg) = (&daemon.layout, &daemon.cfg);
+        let noise = daemon.backend.meter_noise_std();
+        Ok(Box::new(ControlStack {
+            primary: CapGpuController::new(layout, model.clone(), WeightAssigner::default())?,
+            ladder: Ladder::new(cfg.supervisor, layout, &model, noise)?,
+            tracker: match cfg.rls_forgetting {
+                Some(forgetting) => Some(ScaledModelTracker::seeded(model, forgetting, seed_rows)?),
+                None => None,
+            },
+            pushed_scale: 1.0,
+        }))
+    }
+}
+
+/// The live-serving control daemon: the paper's control loop over a
+/// boxed [`PowerBackend`].
+///
+/// Lifecycle: [`Daemon::new`] → [`Daemon::identify`] →
+/// [`Daemon::step_period`] (or [`Daemon::run_periods`]) in a timer
+/// loop, with [`Daemon::apply_reload`] on SIGHUP/config change and
+/// [`Daemon::prometheus_text`] published to the metrics listener.
+pub struct Daemon {
+    cfg: DaemonConfig,
+    backend: Box<dyn PowerBackend>,
+    layout: DeviceLayout,
+    /// `None` until [`Daemon::identify`] or [`Daemon::recover`]. Boxed
+    /// so [`Daemon::step_period`] can lend it out by moving a pointer.
+    stack: Option<Box<ControlStack>>,
+    monitors: Vec<ThroughputMonitor>,
+    journal: Journal,
+    /// Rotating durable journal (crash-recovery replay source), when
+    /// `journal_dir` is configured.
+    writer: Option<JournalWriter>,
+    /// Streaming control-loop health detectors.
+    analyzer: HealthAnalyzer,
+    /// Last published quarantine flags (for edge-triggered journaling).
+    prev_quarantined: Vec<bool>,
+    registry: Registry,
+    metrics: Metrics,
+    period: u64,
+    sim_time_s: f64,
+    /// Targets currently in force (MHz).
+    targets: Vec<f64>,
+    /// Effective frequencies after the last actuation (MHz).
+    applied: Vec<f64>,
+    last_avg_watts: f64,
+    last_tier: SupervisorTier,
+    setpoint_watts: f64,
+    // Scratch buffers (the period loop is allocation-light).
+    throughput_buf: Vec<f64>,
+    device_power_buf: Vec<f64>,
+    ejected_buf: Vec<bool>,
+}
+
+impl std::fmt::Debug for Daemon {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Daemon")
+            .field("backend", &self.backend.name())
+            .field("period", &self.period)
+            .field("setpoint_watts", &self.setpoint_watts)
+            .field("tier", &self.last_tier)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Daemon {
+    /// Wraps a backend with the configured control stack. The backend
+    /// must be able to actuate frequencies and sense server power.
+    ///
+    /// # Errors
+    /// [`CapGpuError::BadConfig`] on a capability or layout mismatch.
+    pub fn new(cfg: DaemonConfig, backend: Box<dyn PowerBackend>) -> Result<Self> {
+        cfg.validate()?;
+        let caps = backend.capabilities();
+        if !caps.set_frequency || !caps.server_power {
+            return Err(bad(format!(
+                "backend \"{}\" cannot close the loop: needs set_frequency + server_power",
+                backend.name()
+            )));
+        }
+        let devices = backend.devices();
+        if devices.is_empty() {
+            return Err(bad(format!(
+                "backend \"{}\" has no devices",
+                backend.name()
+            )));
+        }
+        let kinds = devices.iter().map(|d| d.kind).collect();
+        let f_min = devices.iter().map(|d| d.f_min_mhz).collect();
+        let f_max: Vec<f64> = devices.iter().map(|d| d.f_max_mhz).collect();
+        let layout = DeviceLayout::new(kinds, f_min, f_max)?;
+        let n = layout.len();
+        let mut registry = Registry::new();
+        let labels: &[(&str, &str)] = &[("backend", backend.name())];
+        let metrics = Metrics {
+            power: registry.gauge("capgpud_power_watts", labels),
+            setpoint: registry.gauge("capgpud_setpoint_watts", labels),
+            tier: registry.gauge("capgpud_tier", labels),
+            stale: registry.gauge("capgpud_stale_periods", labels),
+            periods: registry.counter("capgpud_periods_total", labels),
+            refits: registry.counter("capgpud_refits_total", labels),
+            tier_changes: registry.counter("capgpud_tier_changes_total", labels),
+            journal_errors: registry.counter("capgpud_journal_errors_total", labels),
+            health: DETECTORS
+                .iter()
+                .map(|det| {
+                    registry.gauge(
+                        "capgpud_health",
+                        &[("backend", backend.name()), ("detector", det)],
+                    )
+                })
+                .collect(),
+            health_overall: registry.gauge("capgpud_health_overall", labels),
+        };
+        registry.set_help(
+            "capgpud_power_watts",
+            "Average server power over the last control period.",
+        );
+        registry.set_help("capgpud_setpoint_watts", "Effective power set-point.");
+        registry.set_help(
+            "capgpud_tier",
+            "Supervisor ladder tier (0 primary, 1 safe fallback, 2 park).",
+        );
+        registry.set_help(
+            "capgpud_stale_periods",
+            "Consecutive control periods with a silent power meter.",
+        );
+        registry.set_help("capgpud_periods_total", "Control periods executed.");
+        registry.set_help(
+            "capgpud_refits_total",
+            "RLS model refits pushed to the primary controller.",
+        );
+        registry.set_help(
+            "capgpud_tier_changes_total",
+            "Supervisor failover-ladder transitions.",
+        );
+        registry.set_help(
+            "capgpud_journal_errors_total",
+            "Durable-journal append failures (journaling is non-fatal).",
+        );
+        registry.set_help(
+            "capgpud_health",
+            "Analyzer verdict per detector (0 ok, 1 warn, 2 critical).",
+        );
+        registry.set_help(
+            "capgpud_health_overall",
+            "Worst analyzer verdict across detectors (0 ok, 1 warn, 2 critical).",
+        );
+        let targets = layout.f_max.clone();
+        let setpoint_watts = cfg.setpoint_watts;
+        let writer = match &cfg.journal_dir {
+            Some(dir) => Some(
+                JournalWriter::create(dir.clone(), cfg.rotation_config())
+                    .map_err(|e| bad(format!("journal: {e}")))?,
+            ),
+            None => None,
+        };
+        let analyzer = HealthAnalyzer::new(AnalyzerConfig::default())
+            .map_err(|e| bad(format!("analyzer: {e}")))?;
+        Ok(Daemon {
+            cfg,
+            backend,
+            layout,
+            stack: None,
+            monitors: (0..n).map(|_| ThroughputMonitor::new(0.5)).collect(),
+            journal: Journal::new(),
+            writer,
+            analyzer,
+            prev_quarantined: vec![false; n],
+            registry,
+            metrics,
+            period: 0,
+            sim_time_s: 0.0,
+            targets,
+            applied: Vec::with_capacity(n),
+            last_avg_watts: 0.0,
+            last_tier: SupervisorTier::Primary,
+            setpoint_watts,
+            throughput_buf: Vec::with_capacity(n),
+            device_power_buf: vec![0.0; n],
+            ejected_buf: vec![false; n],
+        })
+    }
+
+    /// A journal event at the current period and plant time, stamped
+    /// with the backend's wall clock when it has one.
+    fn event(&self, kind: &'static str) -> Event {
+        Event::new(self.period, self.sim_time_s, kind).wall_ms(self.backend.wall_clock_unix_ms())
+    }
+
+    /// Journals an event: always in memory, and appended (flushed) to
+    /// the rotating durable journal when one is configured. Disk
+    /// failures are counted, not fatal — losing a journal line must
+    /// never stop actuation.
+    fn record(&mut self, event: Event) {
+        if let Some(w) = self.writer.as_mut() {
+            if w.append(&event.to_json(), event.sim_time_s).is_err() {
+                self.registry.inc(self.metrics.journal_errors, 1);
+            }
+        }
+        self.journal.push(event);
+    }
+
+    /// Runs the excitation-plan identification sweep through the
+    /// backend, fits the linear power model, and builds the control
+    /// stack (MPC primary, safe fixed-step fallback, supervisor, and —
+    /// when configured — the streaming RLS tracker warm-started with
+    /// the sweep's samples).
+    ///
+    /// # Errors
+    /// Propagates excitation, backend, and fitting errors.
+    pub fn identify(&mut self) -> Result<()> {
+        let sweep = identify_sweep(
+            &self.layout.f_min,
+            &self.layout.f_max,
+            self.cfg.sysid_hold_fraction,
+            self.cfg.sysid_steps_per_device,
+            |point| {
+                self.backend.set_frequencies(point)?;
+                self.backend.effective_frequencies_into(&mut self.applied)?;
+                let mut power_sum = 0.0;
+                let mut samples = 0u32;
+                for _ in 0..self.cfg.control_period_s {
+                    self.sim_time_s += 1.0;
+                    if let Some(p) = self.backend.advance(1.0)? {
+                        power_sum += p;
+                        samples += 1;
+                    }
+                }
+                Ok::<_, CapGpuError>(
+                    (samples > 0).then(|| (self.applied.clone(), power_sum / f64::from(samples))),
+                )
+            },
+        )?;
+        let model = sweep.fitted.model;
+        self.stack = Some(ControlStack::from_model(self, model.clone(), &sweep.rows)?);
+        self.targets = self.applied.clone();
+        // Per-device base gains, journaled individually so
+        // crash-recovery replay can rebuild the exact model (field keys
+        // are static; per-device data gets per-device events).
+        for d in 0..self.layout.len() {
+            self.record(
+                self.event("model_gain")
+                    .u64("device", d as u64)
+                    .f64("w_per_mhz", model.gains()[d]),
+            );
+        }
+        self.record(
+            self.event("identified")
+                .u64("points", sweep.points as u64)
+                .f64("offset_w", model.offset())
+                .f64("r_squared", sweep.fitted.r_squared),
+        );
+        Ok(())
+    }
+
+    /// Executes one control period: advance the plant, sense, consult
+    /// the supervisor, run the acting controller, actuate.
+    ///
+    /// # Errors
+    /// [`CapGpuError::BadConfig`] before [`Daemon::identify`];
+    /// backend/controller errors propagate.
+    pub fn step_period(&mut self) -> Result<PeriodReport> {
+        let Some(mut stack) = self.stack.take() else {
+            return Err(bad("daemon: step_period before identify".into()));
+        };
+        let report = self.step_with(&mut stack);
+        self.stack = Some(stack);
+        report
+    }
+
+    /// [`Daemon::step_period`] with the control stack lent out of `self`,
+    /// so the journal can be written while the stack is in use.
+    fn step_with(&mut self, stack: &mut ControlStack) -> Result<PeriodReport> {
+        // -- sense: advance one period, one second at a time ----------
+        let mut fresh = 0usize;
+        for _ in 0..self.cfg.control_period_s {
+            self.sim_time_s += 1.0;
+            if self.backend.advance(1.0)?.is_some() {
+                fresh += 1;
+            }
+        }
+        let avg = self
+            .backend
+            .average_power(self.cfg.control_period_s as usize)
+            .unwrap_or(self.last_avg_watts);
+        self.last_avg_watts = avg;
+        if fresh > 0 {
+            if let Some(tracker) = stack.tracker.as_mut() {
+                tracker.record(&self.applied, avg);
+            }
+        }
+        // -- observe throughput and per-device power ------------------
+        let caps = self.backend.capabilities();
+        let normalized: Vec<f64> = if caps.throughput {
+            self.backend.throughput_into(&mut self.throughput_buf)?;
+            for (m, t) in self.monitors.iter_mut().zip(self.throughput_buf.iter()) {
+                m.record(*t);
+            }
+            normalized_throughputs(&self.monitors)
+        } else {
+            // No throughput signal: neutral weights, every device is
+            // equally expensive to slow down.
+            vec![1.0; self.layout.len()]
+        };
+        if caps.per_device_power {
+            self.backend
+                .per_device_power_into(&mut self.device_power_buf)?;
+        } else {
+            self.device_power_buf.iter_mut().for_each(|p| *p = 0.0);
+        }
+        // -- supervise + control --------------------------------------
+        for (i, e) in self.ejected_buf.iter_mut().enumerate() {
+            *e = self.backend.is_ejected(i);
+        }
+        let health = HealthSample {
+            fresh_samples: fresh,
+            meter_age_s: self.backend.seconds_since_sample(),
+            avg_power: avg,
+            setpoint: self.setpoint_watts,
+            psu_limit: self.backend.psu_limit(),
+            applied_mean: &self.applied,
+            ejected: &self.ejected_buf,
+        };
+        let input = ControlInput {
+            measured_power: avg,
+            setpoint: self.setpoint_watts,
+            current_targets: &self.targets,
+            normalized_throughput: &normalized,
+            device_power: &self.device_power_buf,
+            floors: &self.layout.f_min,
+            phase_mix: None,
+        };
+        let decision = stack.ladder.decide(&mut stack.primary, &health, &input)?;
+        let (targets, directive) = (decision.targets, decision.directive);
+        if directive.tier != self.last_tier {
+            let reason = if directive.stale_periods > 0 {
+                "stale_meter"
+            } else if directive.authority_lost {
+                "authority_lost"
+            } else {
+                "recovered"
+            };
+            self.record(
+                self.event("tier_change")
+                    .u64("from", self.last_tier.as_u8() as u64)
+                    .u64("to", directive.tier.as_u8() as u64)
+                    .str("reason", reason),
+            );
+            self.registry.inc(self.metrics.tier_changes, 1);
+            self.last_tier = directive.tier;
+        }
+        // Quarantine edges (enter/leave), journaled so replay can
+        // re-derive the quarantine set.
+        for (d, &on) in stack.ladder.supervisor().quarantined().iter().enumerate() {
+            if on != self.prev_quarantined[d] {
+                self.prev_quarantined[d] = on;
+                self.record(
+                    self.event("quarantine")
+                        .u64("device", d as u64)
+                        .bool("on", on),
+                );
+            }
+        }
+        // Summed commanded move and bound saturation, for the journal
+        // and the oscillation/saturation detectors.
+        let delta_f_mhz: f64 = targets
+            .iter()
+            .zip(self.targets.iter())
+            .map(|(n, o)| n - o)
+            .sum();
+        let saturated = targets
+            .iter()
+            .zip(self.layout.f_min.iter().zip(self.layout.f_max.iter()))
+            .any(|(t, (lo, hi))| (t - lo).abs() < 1e-9 || (t - hi).abs() < 1e-9);
+        self.backend.set_frequencies(&targets)?;
+        self.backend.effective_frequencies_into(&mut self.applied)?;
+        self.targets = targets;
+        // -- streaming refit (primary only: the fallback and park are
+        //    model-free by design) ------------------------------------
+        if fresh > 0 && directive.tier == SupervisorTier::Primary {
+            if let Some(Ok((model, scale))) = stack.tracker.as_ref().map(ScaledModelTracker::fit) {
+                if (scale - stack.pushed_scale).abs() > SCALE_PUSH_DEADBAND * stack.pushed_scale {
+                    stack.primary.set_power_model(&model)?;
+                    stack.pushed_scale = scale;
+                    self.registry.inc(self.metrics.refits, 1);
+                    // scale + offset pin the pushed model exactly
+                    // (gains = journaled base gains × scale), which
+                    // is what makes crash-recovery replay bit-exact.
+                    let ev = self
+                        .event("refit")
+                        .f64("scale", scale)
+                        .f64("offset_w", model.offset());
+                    self.record(ev);
+                }
+            }
+        }
+        // -- journal + metrics ----------------------------------------
+        let targets_str = format_targets(&self.targets);
+        self.record(
+            self.event("period")
+                .u64("tier", directive.tier.as_u8() as u64)
+                .f64("watts", avg)
+                .f64("setpoint", directive.effective_setpoint)
+                .u64("stale", directive.stale_periods as u64)
+                .f64("delta_f_mhz", delta_f_mhz)
+                .bool("saturated", saturated)
+                .str("targets", &targets_str),
+        );
+        // -- online health analyzer -----------------------------------
+        let sample = PeriodSample {
+            power_w: avg,
+            cap_w: directive.effective_setpoint,
+            delta_f_mhz,
+            meter_stale: fresh == 0,
+            saturated,
+            slo_miss_frac: 0.0,
+        };
+        let edges = self.analyzer.observe(&sample);
+        for e in &edges {
+            self.record(
+                self.event("health")
+                    .str("detector", e.detector)
+                    .str("from", e.from.label())
+                    .str("to", e.to.label()),
+            );
+        }
+        for (i, (_, v)) in self.analyzer.verdicts().iter().enumerate() {
+            self.registry.set(self.metrics.health[i], v.gauge());
+        }
+        self.registry
+            .set(self.metrics.health_overall, self.analyzer.overall().gauge());
+        self.registry.set(self.metrics.power, avg);
+        self.registry
+            .set(self.metrics.setpoint, directive.effective_setpoint);
+        self.registry
+            .set(self.metrics.tier, f64::from(directive.tier.as_u8()));
+        self.registry
+            .set(self.metrics.stale, directive.stale_periods as f64);
+        self.registry.inc(self.metrics.periods, 1);
+        let report = PeriodReport {
+            period: self.period,
+            tier: directive.tier,
+            avg_power_watts: avg,
+            effective_setpoint: directive.effective_setpoint,
+            stale_periods: directive.stale_periods,
+            targets_mhz: self.targets.clone(),
+        };
+        self.period += 1;
+        Ok(report)
+    }
+
+    /// Runs `n` control periods, collecting the reports.
+    ///
+    /// # Errors
+    /// Propagates the first period failure.
+    pub fn run_periods(&mut self, n: u64) -> Result<Vec<PeriodReport>> {
+        let mut out = Vec::with_capacity(n as usize);
+        for _ in 0..n {
+            out.push(self.step_period()?);
+        }
+        Ok(out)
+    }
+
+    /// Applies a hot reload: only the set-point changes at runtime;
+    /// every other difference is reported as requiring a restart.
+    ///
+    /// Returns `true` when anything was applied.
+    pub fn apply_reload(&mut self, new_cfg: &DaemonConfig) -> bool {
+        if (new_cfg.setpoint_watts - self.setpoint_watts).abs() > f64::EPSILON {
+            self.set_setpoint(new_cfg.setpoint_watts);
+            return true;
+        }
+        false
+    }
+
+    /// Changes the operator set-point, journaling the step.
+    pub fn set_setpoint(&mut self, watts: f64) {
+        let old = self.setpoint_watts;
+        self.setpoint_watts = watts;
+        self.record(
+            self.event("setpoint_change")
+                .f64("from_w", old)
+                .f64("to_w", watts),
+        );
+    }
+
+    /// Current operator set-point (W).
+    pub fn setpoint_watts(&self) -> f64 {
+        self.setpoint_watts
+    }
+
+    /// The configuration the daemon was built with.
+    pub fn config(&self) -> &DaemonConfig {
+        &self.cfg
+    }
+
+    /// The event journal (JSONL-renderable; byte-stable against
+    /// deterministic backends).
+    pub fn journal(&self) -> &Journal {
+        &self.journal
+    }
+
+    /// A snapshot of the metric registry.
+    pub fn metrics_snapshot(&self) -> Snapshot {
+        self.registry.snapshot()
+    }
+
+    /// Prometheus text-format exposition of the current metrics.
+    pub fn prometheus_text(&self) -> String {
+        self.registry.snapshot().to_prometheus_text()
+    }
+
+    /// The wrapped backend.
+    pub fn backend(&self) -> &dyn PowerBackend {
+        self.backend.as_ref()
+    }
+
+    /// Mutable backend access — the concrete-type escape hatch for
+    /// plant-side hooks (fault injection in tests and smoke runs).
+    pub fn backend_mut(&mut self) -> &mut dyn PowerBackend {
+        self.backend.as_mut()
+    }
+
+    /// Current supervisor tier.
+    pub fn tier(&self) -> SupervisorTier {
+        self.last_tier
+    }
+
+    /// JSON body for the `/healthz` endpoint: supervisor tier, worst
+    /// analyzer verdict, periods observed, and per-detector verdicts.
+    pub fn health_json(&self) -> String {
+        let mut out = format!(
+            "{{\"tier\":{},\"overall\":\"{}\",\"periods\":{},\"detectors\":{{",
+            self.last_tier.as_u8(),
+            self.analyzer.overall().label(),
+            self.analyzer.periods()
+        );
+        for (i, (name, v)) in self.analyzer.verdicts().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{name}\":\"{}\"", v.label()));
+        }
+        out.push_str("}}");
+        out
+    }
+
+    /// Resumes from a crash-recovery [`ReplayState`] instead of
+    /// re-running identification: rebuilds the control stack from the
+    /// journaled model (base gains × last refit scale, bit-exact),
+    /// restores supervisor tier and quarantine flags, re-asserts the
+    /// dead daemon's last commanded targets, and continues its
+    /// period/clock sequence so the journal stays monotone.
+    ///
+    /// The config-file set-point stays authoritative unless the journal
+    /// recorded a runtime `setpoint_change`.
+    ///
+    /// # Errors
+    /// [`CapGpuError::BadConfig`] when the journal carries no
+    /// identified model or its device count mismatches the backend.
+    pub fn recover(&mut self, state: &ReplayState) -> Result<()> {
+        let (gains, offset) = state
+            .model()
+            .ok_or_else(|| bad("recover: journal has no identified model".into()))?;
+        if gains.len() != self.layout.len() {
+            return Err(bad(format!(
+                "recover: journal has {} devices, backend has {}",
+                gains.len(),
+                self.layout.len()
+            )));
+        }
+        let model = LinearPowerModel::new(gains, offset)?;
+        // The tracker is re-anchored at the recovered model, so its scale
+        // (and the push deadband) restart from 1 with nothing to replay.
+        let mut stack = ControlStack::from_model(self, model, &[])?;
+        let tier = SupervisorTier::from_u8(state.tier_or_primary() as u8);
+        stack.ladder.restore(tier, &state.quarantined);
+        self.prev_quarantined
+            .copy_from_slice(stack.ladder.supervisor().quarantined());
+        self.stack = Some(stack);
+        self.last_tier = tier;
+        if let Some(cap) = state.cap_w {
+            self.setpoint_watts = cap;
+        }
+        if state.last_targets_mhz.len() == self.layout.len() {
+            self.backend.set_frequencies(&state.last_targets_mhz)?;
+            self.backend.effective_frequencies_into(&mut self.applied)?;
+            self.targets = state.last_targets_mhz.clone();
+        }
+        self.period = state.last_period.map_or(0, |p| p + 1);
+        self.sim_time_s = state.last_t_s.unwrap_or(0.0);
+        let replayed: u64 = state.kind_counts.iter().map(|(_, n)| n).sum();
+        self.record(
+            self.event("recovered")
+                .u64("tier", u64::from(tier.as_u8()))
+                .u64("records", replayed),
+        );
+        Ok(())
+    }
+
+    /// Seals the durable journal's active segment (count + CRC footer)
+    /// — the graceful-shutdown path. A crash skips this, leaving the
+    /// torn tail the reader tolerates.
+    ///
+    /// # Errors
+    /// [`CapGpuError::BadConfig`] wrapping the journal I/O failure.
+    pub fn seal_journal(&mut self) -> Result<()> {
+        if let Some(w) = self.writer.as_mut() {
+            w.seal().map_err(|e| bad(format!("journal: {e}")))?;
+        }
+        Ok(())
+    }
+
+    /// Tears down the daemon and hands back the backend — the "kill"
+    /// half of a kill-and-restart scenario. The durable journal is
+    /// deliberately NOT sealed: the plant survives with exactly the
+    /// on-disk state a crashed daemon would leave behind.
+    #[must_use]
+    pub fn into_backend(self) -> Box<dyn PowerBackend> {
+        self.backend
+    }
+
+    /// Rotating-journal statistics `(appended, sealed, reaped)`; zeros
+    /// when no `journal_dir` is configured.
+    pub fn journal_stats(&self) -> (u64, u64, u64) {
+        self.writer
+            .as_ref()
+            .map_or((0, 0, 0), capgpu_obs::rotate::JournalWriter::stats)
+    }
+
+    /// The online control-loop health analyzer.
+    pub fn analyzer(&self) -> &HealthAnalyzer {
+        &self.analyzer
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use capgpu_backend::MockBackend;
+    use capgpu_faults::FaultKind;
+
+    // -- daemon over the sim backend ----------------------------------
+
+    fn sim_daemon(setpoint: f64) -> Daemon {
+        let mut cfg = DaemonConfig::default_sim();
+        cfg.setpoint_watts = setpoint;
+        cfg.sysid_steps_per_device = 4;
+        let backend = cfg.build_backend().unwrap();
+        Daemon::new(cfg, backend).unwrap()
+    }
+
+    #[test]
+    fn sim_daemon_regulates_toward_the_setpoint() {
+        let mut d = sim_daemon(900.0);
+        d.identify().unwrap();
+        let reports = d.run_periods(20).unwrap();
+        assert_eq!(reports.len(), 20);
+        // Steady state: the last five periods hold near the set-point.
+        let tail: Vec<f64> = reports[15..].iter().map(|r| r.avg_power_watts).collect();
+        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
+        assert!(
+            (mean - 900.0).abs() < 40.0,
+            "steady-state mean {mean} too far from 900"
+        );
+        assert!(reports.iter().all(|r| r.tier == SupervisorTier::Primary));
+        // The journal recorded identification and every period.
+        assert_eq!(d.journal().of_kind("identified").count(), 1);
+        assert_eq!(d.journal().of_kind("period").count(), 20);
+        // Sim journals carry no wall clock.
+        assert!(d
+            .journal()
+            .events()
+            .iter()
+            .all(|e| e.wall_unix_ms.is_none()));
+    }
+
+    #[test]
+    fn sim_daemon_is_deterministic() {
+        let run = |setpoint: f64| {
+            let mut d = sim_daemon(setpoint);
+            d.identify().unwrap();
+            d.run_periods(12).unwrap();
+            (d.journal().to_jsonl(), d.prometheus_text())
+        };
+        let (j1, m1) = run(900.0);
+        let (j2, m2) = run(900.0);
+        assert_eq!(j1, j2, "journal must be byte-identical across reruns");
+        assert_eq!(m1, m2, "metrics must be byte-identical across reruns");
+    }
+
+    #[test]
+    fn prometheus_text_carries_daemon_metrics_and_help() {
+        let mut d = sim_daemon(900.0);
+        d.identify().unwrap();
+        d.run_periods(3).unwrap();
+        let text = d.prometheus_text();
+        assert!(text.contains("# HELP capgpud_power_watts Average server power"));
+        assert!(text.contains("# TYPE capgpud_power_watts gauge"));
+        assert!(text.contains("capgpud_periods_total{backend=\"sim\"} 3"));
+        assert!(text.contains("capgpud_tier{backend=\"sim\"} 0"));
+    }
+
+    #[test]
+    fn setpoint_hot_reload_is_journaled_and_applied() {
+        let mut d = sim_daemon(900.0);
+        d.identify().unwrap();
+        d.run_periods(6).unwrap();
+        let mut new_cfg = d.config().clone();
+        new_cfg.setpoint_watts = 800.0;
+        assert!(d.apply_reload(&new_cfg));
+        assert!(!d.apply_reload(&new_cfg), "second reload is a no-op");
+        assert_eq!(d.setpoint_watts(), 800.0);
+        assert_eq!(d.journal().of_kind("setpoint_change").count(), 1);
+        let reports = d.run_periods(12).unwrap();
+        let tail: Vec<f64> = reports[8..].iter().map(|r| r.avg_power_watts).collect();
+        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
+        assert!(
+            (mean - 800.0).abs() < 40.0,
+            "post-reload steady state {mean} should track 800"
+        );
+    }
+
+    #[test]
+    fn step_before_identify_is_refused() {
+        let mut d = sim_daemon(900.0);
+        let err = d.step_period().unwrap_err();
+        assert!(err.to_string().contains("identify"), "{err}");
+    }
+
+    // -- the staleness-watchdog satellite: backend meter silence must
+    //    propagate through the trait into supervisor escalation -------
+
+    #[test]
+    fn mock_meter_dropout_escalates_the_supervisor_ladder() {
+        let mut cfg = DaemonConfig::default_sim();
+        cfg.backend = "mock".to_string();
+        cfg.sim_gpus = 2;
+        cfg.sysid_steps_per_device = 4;
+        cfg.control_period_s = 2;
+        let backend = cfg.build_backend().unwrap();
+        let mut d = Daemon::new(cfg, backend).unwrap();
+        d.identify().unwrap();
+        let healthy = d.run_periods(3).unwrap();
+        assert!(healthy.iter().all(|r| r.tier == SupervisorTier::Primary));
+        // Silence the meter through the plant-side escape hatch.
+        d.backend_mut()
+            .as_any_mut()
+            .downcast_mut::<MockBackend>()
+            .expect("mock backend")
+            .apply_fault(&FaultKind::MeterDropout)
+            .unwrap();
+        let stale = d.run_periods(6).unwrap();
+        let tiers: Vec<SupervisorTier> = stale.iter().map(|r| r.tier).collect();
+        assert!(
+            tiers.contains(&SupervisorTier::SafeFallback),
+            "expected fallback rung in {tiers:?}"
+        );
+        assert_eq!(
+            *tiers.last().unwrap(),
+            SupervisorTier::Park,
+            "sustained dropout must park the loop"
+        );
+        // Park actuates the floors.
+        let last = stale.last().unwrap();
+        for (t, lo) in last.targets_mhz.iter().zip(d.backend().devices()) {
+            assert!(
+                (t - lo.f_min_mhz).abs() < 1e-9,
+                "park target {t} != floor {}",
+                lo.f_min_mhz
+            );
+        }
+        // Clearing the fault lets the ladder recover to primary.
+        d.backend_mut()
+            .as_any_mut()
+            .downcast_mut::<MockBackend>()
+            .unwrap()
+            .clear_fault(&FaultKind::MeterDropout)
+            .unwrap();
+        let recovered = d.run_periods(14).unwrap();
+        assert_eq!(
+            recovered.last().unwrap().tier,
+            SupervisorTier::Primary,
+            "ladder must climb back after the meter returns"
+        );
+        // The escalation and recovery are journaled as tier changes.
+        assert!(d.journal().of_kind("tier_change").count() >= 3);
+    }
+
+    #[test]
+    fn readmitted_device_is_held_at_its_floor_while_quarantined() {
+        let mut cfg = DaemonConfig::default_sim();
+        cfg.backend = "mock".to_string();
+        cfg.sim_gpus = 2;
+        cfg.sysid_steps_per_device = 4;
+        cfg.control_period_s = 2;
+        // Far above what the mock can draw: every clock wants f_max.
+        cfg.setpoint_watts = 2000.0;
+        let recovery = cfg.supervisor.recovery_periods;
+        let backend = cfg.build_backend().unwrap();
+        let mut d = Daemon::new(cfg, backend).unwrap();
+        d.identify().unwrap();
+        d.run_periods(3).unwrap();
+        let fault = FaultKind::Ejected { device: 1 };
+        fn mock(d: &mut Daemon) -> &mut MockBackend {
+            d.backend_mut()
+                .as_any_mut()
+                .downcast_mut::<MockBackend>()
+                .expect("mock backend")
+        }
+        mock(&mut d).apply_fault(&fault).unwrap();
+        d.run_periods(2).unwrap();
+        mock(&mut d).clear_fault(&fault).unwrap();
+        let (f_min, f_max) = {
+            let dev = &d.backend().devices()[1];
+            (dev.f_min_mhz, dev.f_max_mhz)
+        };
+        // Re-admitted: pinned until it has been healthy for the whole
+        // recovery window, then handed back to the controller.
+        let after = d.run_periods(recovery as u64 + 1).unwrap();
+        for r in &after[..recovery - 1] {
+            assert_eq!(r.targets_mhz[1], f_min, "period {}", r.period);
+            assert_eq!(r.targets_mhz[2], f_max, "the healthy GPU is not pinned");
+        }
+        assert_eq!(after[recovery].targets_mhz[1], f_max);
+        let edges: Vec<String> = d
+            .journal()
+            .of_kind("quarantine")
+            .map(|e| e.to_json())
+            .collect();
+        assert_eq!(edges.len(), 2, "{edges:?}");
+        assert!(edges[0].contains("\"device\":1,\"on\":true"), "{edges:?}");
+        assert!(edges[1].contains("\"device\":1,\"on\":false"), "{edges:?}");
+    }
+
+    #[test]
+    fn mock_journal_is_wall_clock_stamped_when_enabled() {
+        let mut cfg = DaemonConfig::default_sim();
+        cfg.backend = "mock".to_string();
+        cfg.sysid_steps_per_device = 4;
+        cfg.control_period_s = 2;
+        let mut backend = MockBackend::testbed(cfg.sim_gpus).unwrap();
+        backend.set_wall_clock_base(1_754_000_000_000);
+        let mut d = Daemon::new(cfg, Box::new(backend)).unwrap();
+        d.identify().unwrap();
+        d.run_periods(2).unwrap();
+        let stamps: Vec<Option<u64>> = d
+            .journal()
+            .events()
+            .iter()
+            .map(|e| e.wall_unix_ms)
+            .collect();
+        assert!(stamps.iter().all(Option::is_some));
+        // Stamps advance with the plant clock.
+        let v: Vec<u64> = stamps.into_iter().flatten().collect();
+        assert!(v.windows(2).all(|w| w[0] <= w[1]));
+        assert!(*v.last().unwrap() > 1_754_000_000_000);
+        // ...and render into the JSONL.
+        assert!(d.journal().to_jsonl().contains("\"wall_ms\":"));
+    }
+}

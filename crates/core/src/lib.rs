@@ -73,7 +73,7 @@ pub mod prelude {
     pub use crate::runner::{ExperimentRunner, FixedRunStats, PeriodRecord, RunTrace};
     pub use crate::summary::RunSummary;
     pub use crate::supervisor::{
-        Directive, HealthSample, Supervisor, SupervisorConfig, SupervisorTier,
+        Decision, Directive, HealthSample, Ladder, Supervisor, SupervisorConfig, SupervisorTier,
     };
     pub use crate::sweep::{ControllerSpec, SweepCellResult, SweepReport, SweepSpec};
     pub use crate::telemetry::{RunTelemetry, TelemetryReport};

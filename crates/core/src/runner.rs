@@ -11,14 +11,12 @@ use capgpu_backend::{PowerBackend, SimBackend};
 use capgpu_control::latency::LatencyModel;
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::modulator::DeltaSigmaModulator;
-use capgpu_control::sysid::{
-    ExcitationPlan, IdentifiedModel, ScaledModelTracker, SystemIdentifier,
-};
+use capgpu_control::sysid::{identify_sweep, IdentifiedModel, ScaledModelTracker};
 use capgpu_llm::LlmEngine;
 use capgpu_serve::{ArrivalGen, ServeEngine, ServeWindowStats, ServiceModel};
 use capgpu_sim::{Server, ServerBuilder};
 use capgpu_workload::featsel::FeatselRateModel;
-use capgpu_workload::monitor::ThroughputMonitor;
+use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
 use capgpu_workload::pipeline::{ArrivalMode, PipelineConfig, PipelineSim, WindowStats};
 use capgpu_workload::slo::SloTracker;
 use rand::rngs::StdRng;
@@ -29,7 +27,7 @@ use crate::controllers::{
     CapGpuController, ControlInput, CpuGpuSplitController, CpuOnlyController, DeviceLayout,
     FixedStepController, GpuOnlyController, PowerController, SafeFixedStepController,
 };
-use crate::supervisor::{HealthSample, Supervisor, SupervisorTier};
+use crate::supervisor::{check_arity, HealthSample, Ladder, SupervisorTier};
 use crate::telemetry::{PeriodObservation, Phase, RunTelemetry, TelemetryReport};
 use crate::weights::{PhaseMix, WeightAssigner};
 use crate::{CapGpuError, Result};
@@ -489,59 +487,41 @@ impl ExperimentRunner {
     }
 
     fn identify_inner(&mut self) -> Result<IdentifiedModel> {
-        let frac = self.scenario.sysid_hold_fraction;
-        let hold: Vec<f64> = self
-            .layout
-            .f_min
-            .iter()
-            .zip(self.layout.f_max.iter())
-            .map(|(lo, hi)| lo + frac * (hi - lo))
-            .collect();
-        let plan = ExcitationPlan::new(
-            self.layout.f_min.clone(),
-            self.layout.f_max.clone(),
-            hold,
-            self.scenario.sysid_steps_per_device,
-        )?;
-        let mut ident = SystemIdentifier::new(self.layout.len());
-        // Continuous tracking is seeded with the sweep's samples (replayed
-        // into the tracker once the anchor model exists below), so the
-        // first closed-loop refits do not overweight a handful of
-        // near-steady-state samples.
-        let mut track_rows: Option<Vec<(Vec<f64>, f64)>> =
-            self.scenario.rls_tracking.map(|_| Vec::new());
+        let (f_min, f_max) = (self.layout.f_min.clone(), self.layout.f_max.clone());
         let mut applied = Vec::with_capacity(self.layout.len());
-        for point in plan.points() {
-            self.backend.set_frequencies(&point)?;
-            // Effective = applied clamped by any active thermal throttle.
-            self.backend.effective_frequencies_into(&mut applied)?;
-            // Dwell one control period; workloads run at these clocks.
-            let mut power_sum = 0.0;
-            let mut samples = 0;
-            for _ in 0..self.scenario.control_period_s {
-                if let Some(p) = self.advance_one_second(&applied)? {
-                    power_sum += p;
-                    samples += 1;
+        let sweep = identify_sweep(
+            &f_min,
+            &f_max,
+            self.scenario.sysid_hold_fraction,
+            self.scenario.sysid_steps_per_device,
+            |point| {
+                self.backend.set_frequencies(point)?;
+                // Effective = applied clamped by any active thermal throttle.
+                self.backend.effective_frequencies_into(&mut applied)?;
+                // Dwell one control period; workloads run at these clocks.
+                let mut power_sum = 0.0;
+                let mut samples = 0;
+                for _ in 0..self.scenario.control_period_s {
+                    if let Some(p) = self.advance_one_second(&applied)? {
+                        power_sum += p;
+                        samples += 1;
+                    }
                 }
-            }
-            if samples > 0 {
-                let p_mean = power_sum / samples as f64;
-                ident.record(&applied, p_mean);
-                if let Some(rows) = track_rows.as_mut() {
-                    rows.push((applied.clone(), p_mean));
-                }
-            }
-        }
-        let fitted = ident.fit()?;
+                Ok::<_, CapGpuError>(
+                    (samples > 0).then(|| (applied.clone(), power_sum / samples as f64)),
+                )
+            },
+        )?;
         if let Some(cfg) = self.scenario.rls_tracking {
-            let mut tracker = ScaledModelTracker::new(fitted.model.clone(), cfg.forgetting)?;
-            for (row, p_mean) in track_rows.iter().flatten() {
-                tracker.record(row, *p_mean);
-            }
-            self.tracker = Some(tracker);
+            let anchor = sweep.fitted.model.clone();
+            self.tracker = Some(ScaledModelTracker::seeded(
+                anchor,
+                cfg.forgetting,
+                &sweep.rows,
+            )?);
         }
-        self.identified = Some(fitted.clone());
-        Ok(fitted)
+        self.identified = Some(sweep.fitted.clone());
+        Ok(sweep.fitted)
     }
 
     /// The cached identified model, identifying first if needed.
@@ -885,17 +865,16 @@ impl ExperimentRunner {
             .unwrap_or_default();
         // Supervisory failover layer: wraps the controller with the
         // staleness watchdog, authority detector, quarantine, and the
-        // CapGPU → safe fixed-step → park ladder. Needs the identified
-        // gains (for predicted Δp) and a ready fallback controller.
-        let mut supervision: Option<(Supervisor, SafeFixedStepController)> =
-            match self.scenario.supervisor {
-                Some(cfg) => {
-                    let model = self.identified_model()?;
-                    let fallback = self.build_safe_fixed_step(1)?;
-                    Some((Supervisor::new(cfg, model.gains().to_vec(), n)?, fallback))
-                }
-                None => None,
-            };
+        // CapGPU → safe fixed-step → park ladder, all sized from the
+        // identified model.
+        let mut ladder = match self.scenario.supervisor {
+            Some(cfg) => {
+                let model = self.identified_model()?;
+                let noise = self.backend.meter_noise_std();
+                Some(Ladder::new(cfg, &self.layout, &model, noise)?)
+            }
+            None => None,
+        };
         let mut ejected_flags = vec![false; n];
         // Latencies recorded during calibration (identification) must not
         // count against the measured run's SLO statistics.
@@ -1254,35 +1233,7 @@ impl ExperimentRunner {
             // second (the staged utilizations equal `last_utils` here).
             self.backend.per_device_power_into(&mut device_power)?;
 
-            let normalized: Vec<f64> = self
-                .monitors
-                .iter()
-                .map(ThroughputMonitor::normalized)
-                .collect();
-
-            // Supervisory health check: ingest this period's evidence
-            // before the control decision so demotions take effect in
-            // the same period the fault is observed.
-            let mut effective_setpoint = self.setpoint;
-            let mut tier = SupervisorTier::Primary;
-            let mut sup_stale_periods = 0usize;
-            if let Some((sup, _)) = supervision.as_mut() {
-                for (d, flag) in ejected_flags.iter_mut().enumerate() {
-                    *flag = self.backend.is_ejected(d);
-                }
-                let directive = sup.step(&HealthSample {
-                    fresh_samples: fresh_meter_samples,
-                    meter_age_s: self.backend.seconds_since_sample(),
-                    avg_power,
-                    setpoint: self.setpoint,
-                    psu_limit: self.backend.psu_limit(),
-                    applied_mean: &applied_mean,
-                    ejected: &ejected_flags,
-                });
-                effective_setpoint = directive.effective_setpoint;
-                tier = directive.tier;
-                sup_stale_periods = directive.stale_periods;
-            }
+            let normalized = normalized_throughputs(&self.monitors);
 
             // Phase-mix signal for the controller (LLM mode): busy-time
             // prefill share, end-of-period KV occupancy, and token rate,
@@ -1305,41 +1256,42 @@ impl ExperimentRunner {
             }
             let input = ControlInput {
                 measured_power: avg_power,
-                setpoint: effective_setpoint,
+                setpoint: self.setpoint,
                 current_targets: &self.targets,
                 normalized_throughput: &normalized,
                 device_power: &device_power,
                 floors: &floors,
                 phase_mix: if llm_on { Some(&phase_mix) } else { None },
             };
-            let new_targets = match supervision.as_mut() {
-                None => controller.control(&input)?,
-                Some((_, fallback)) => match tier {
-                    SupervisorTier::Primary => controller.control(&input)?,
-                    SupervisorTier::SafeFallback => fallback.control(&input)?,
-                    // No trustworthy feedback at all: park at the floors
-                    // (SLO floors where set, else the hardware minima).
-                    SupervisorTier::Park => floors.clone(),
-                },
-            };
-            if new_targets.len() != n {
-                return Err(CapGpuError::BadConfig(format!(
-                    "controller returned {} targets for {n} devices",
-                    new_targets.len()
-                )));
-            }
-            self.targets = new_targets;
-            // Quarantine: a device that was ejected is pinned at its
-            // hardware floor after re-admission until it stays healthy
-            // for the recovery window, so a flapping GPU cannot whipsaw
-            // the budget redistribution.
-            if let Some((sup, _)) = supervision.as_ref() {
-                for (d, q) in sup.quarantined().iter().enumerate() {
-                    if *q {
-                        self.targets[d] = self.layout.f_min[d];
+            // The supervised path ingests this period's health evidence
+            // before the control decision, so demotions take effect in
+            // the same period the fault is observed.
+            let (new_targets, tier, effective_setpoint, sup_stale_periods) = match ladder.as_mut() {
+                None => (
+                    check_arity(controller.control(&input)?, n)?,
+                    SupervisorTier::Primary,
+                    self.setpoint,
+                    0,
+                ),
+                Some(ladder) => {
+                    for (d, flag) in ejected_flags.iter_mut().enumerate() {
+                        *flag = self.backend.is_ejected(d);
                     }
+                    let health = HealthSample {
+                        fresh_samples: fresh_meter_samples,
+                        meter_age_s: self.backend.seconds_since_sample(),
+                        avg_power,
+                        setpoint: self.setpoint,
+                        psu_limit: self.backend.psu_limit(),
+                        applied_mean: &applied_mean,
+                        ejected: &ejected_flags,
+                    };
+                    let d = ladder.decide(&mut controller, &health, &input)?;
+                    let v = d.directive;
+                    (d.targets, v.tier, v.effective_setpoint, v.stale_periods)
                 }
-            }
+            };
+            self.targets = new_targets;
             let solve_ns = match self.telemetry.as_mut() {
                 Some(tm) => tm.span_exit(),
                 None => 0,
@@ -1417,7 +1369,7 @@ impl ExperimentRunner {
                     SupervisorTier::Primary => controller.diagnostics(),
                     _ => None,
                 };
-                let quarantined = supervision.as_ref().map(|(sup, _)| sup.quarantined());
+                let quarantined = ladder.as_ref().map(|l| l.supervisor().quarantined());
                 let rec = records.last().expect("just pushed");
                 let obs = PeriodObservation {
                     period,

@@ -5,7 +5,9 @@
 //! nothing about a meter that stops reporting, a clock that stops
 //! responding, or a PSU that derates the budget mid-run. The
 //! [`Supervisor`] wraps *any* primary controller with the structural
-//! defenses a production capping loop needs:
+//! defenses a production capping loop needs, and the [`Ladder`] is that
+//! wrapping made literal — supervisor, safe fixed-step fallback and the
+//! tier dispatch in one place for the experiment runner and the daemon:
 //!
 //! * **Staleness watchdog** — counts control periods in which the meter
 //!   produced no fresh sample. Short outages demote the loop to the safe
@@ -33,8 +35,10 @@
 
 use std::collections::VecDeque;
 
+use capgpu_control::model::LinearPowerModel;
 use serde::{Deserialize, Serialize};
 
+use crate::controllers::{ControlInput, DeviceLayout, PowerController, SafeFixedStepController};
 use crate::{CapGpuError, Result};
 
 /// Failover ladder position, ordered from most to least capable.
@@ -165,8 +169,8 @@ impl SupervisorConfig {
     }
 }
 
-/// One control period's health evidence, gathered by the runner after
-/// measurement and before the control decision.
+/// One control period's health evidence, gathered by the control loop
+/// after measurement and before the control decision.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthSample<'a> {
     /// Fresh meter samples obtained this period (0 = meter silent).
@@ -202,9 +206,10 @@ pub struct Directive {
     pub stale_periods: usize,
 }
 
-/// Supervisory failover state machine. Wraps a primary controller
-/// conceptually — the runner dispatches to primary / fallback / park
-/// based on the [`Directive`] tier.
+/// Supervisory failover state machine: turns each period's
+/// [`HealthSample`] into a [`Directive`]. It only decides; [`Ladder`]
+/// owns it together with the fallback controller and acts on the
+/// directive.
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     cfg: SupervisorConfig,
@@ -419,6 +424,116 @@ impl Supervisor {
     }
 }
 
+/// A controller's targets, if there is one per device.
+pub(crate) fn check_arity(targets: Vec<f64>, n: usize) -> Result<Vec<f64>> {
+    if targets.len() != n {
+        return Err(CapGpuError::BadConfig(format!(
+            "controller returned {} targets for {n} devices",
+            targets.len()
+        )));
+    }
+    Ok(targets)
+}
+
+/// What [`Ladder::decide`] commands for one control period, and why.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decision {
+    /// Per-device frequency targets (MHz), quarantine pins applied.
+    pub targets: Vec<f64>,
+    /// The supervisor's verdict `targets` were computed under.
+    pub directive: Directive,
+}
+
+/// The failover ladder around a primary controller: the [`Supervisor`]
+/// that picks the rung, the safe fixed-step controller that is the
+/// middle rung, and the dispatch between them. The primary stays with
+/// the caller and is lent to [`Ladder::decide`] each period.
+#[derive(Debug, Clone)]
+pub struct Ladder {
+    supervisor: Supervisor,
+    fallback: SafeFixedStepController,
+    /// Hardware floors (MHz), where quarantined devices are pinned.
+    f_min: Vec<f64>,
+}
+
+impl Ladder {
+    /// Builds the ladder for an identified `model`: the supervisor's
+    /// authority detector predicts Δp from the model's gains, and the
+    /// fallback (step ×1) takes the safety margin those gains and the
+    /// meter's noise imply.
+    ///
+    /// # Errors
+    /// [`CapGpuError::BadConfig`] on invalid thresholds or a model whose
+    /// device count differs from the layout's.
+    pub fn new(
+        cfg: SupervisorConfig,
+        layout: &DeviceLayout,
+        model: &LinearPowerModel,
+        meter_noise_std: f64,
+    ) -> Result<Self> {
+        Ok(Ladder {
+            supervisor: Supervisor::new(cfg, model.gains().to_vec(), layout.len())?,
+            fallback: SafeFixedStepController::with_model_margin(
+                layout.clone(),
+                model.gains(),
+                1,
+                meter_noise_std,
+            ),
+            f_min: layout.f_min.clone(),
+        })
+    }
+
+    /// The supervisor's state (tier, quarantine flags).
+    pub fn supervisor(&self) -> &Supervisor {
+        &self.supervisor
+    }
+
+    /// See [`Supervisor::restore`].
+    pub fn restore(&mut self, tier: SupervisorTier, quarantined: &[usize]) {
+        self.supervisor.restore(tier, quarantined);
+    }
+
+    /// One period's decision: ingest `health`, then let the rung the
+    /// supervisor chose compute the targets — `primary`, the fallback,
+    /// or (parked) `input.floors`, the SLO floors where set and the
+    /// hardware minima otherwise. The acting controller regulates to the
+    /// directive's effective set-point, not `input.setpoint`, and
+    /// quarantined devices are pinned at their hardware floor whichever
+    /// rung acted.
+    ///
+    /// # Errors
+    /// The acting controller's error, or [`CapGpuError::BadConfig`] when
+    /// it returns the wrong number of targets.
+    pub fn decide(
+        &mut self,
+        primary: &mut dyn PowerController,
+        health: &HealthSample<'_>,
+        input: &ControlInput<'_>,
+    ) -> Result<Decision> {
+        let directive = self.supervisor.step(health);
+        let input = ControlInput {
+            setpoint: directive.effective_setpoint,
+            ..input.clone()
+        };
+        let targets = match directive.tier {
+            SupervisorTier::Primary => primary.control(&input)?,
+            SupervisorTier::SafeFallback => self.fallback.control(&input)?,
+            SupervisorTier::Park => input.floors.to_vec(),
+        };
+        let mut targets = check_arity(targets, self.f_min.len())?;
+        for ((t, lo), q) in targets
+            .iter_mut()
+            .zip(&self.f_min)
+            .zip(self.supervisor.quarantined())
+        {
+            if *q {
+                *t = *lo;
+            }
+        }
+        Ok(Decision { targets, directive })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,6 +688,175 @@ mod tests {
         let d = s.step(&healthy(&lo, &flags, power - 250.0));
         assert!(!d.authority_lost);
         assert_eq!(d.tier, SupervisorTier::Primary);
+    }
+
+    // -- Ladder ---------------------------------------------------------
+
+    const F_MIN: [f64; 4] = [1000.0, 435.0, 435.0, 435.0];
+    /// SLO floors: above the hardware minimum on devices 2 and 3.
+    const FLOORS: [f64; 4] = [1000.0, 435.0, 600.0, 700.0];
+    const CURRENT: [f64; 4] = [2000.0, 900.0, 900.0, 900.0];
+
+    /// A primary whose targets cannot be mistaken for the fallback's one
+    /// step from `CURRENT` or for any floor.
+    struct Stub {
+        out: Vec<f64>,
+        calls: usize,
+        seen_setpoint: f64,
+    }
+
+    impl Stub {
+        fn returning(out: &[f64]) -> Self {
+            Stub {
+                out: out.to_vec(),
+                calls: 0,
+                seen_setpoint: f64::NAN,
+            }
+        }
+    }
+
+    impl PowerController for Stub {
+        fn name(&self) -> &str {
+            "stub"
+        }
+
+        fn control(&mut self, input: &ControlInput<'_>) -> Result<Vec<f64>> {
+            self.calls += 1;
+            self.seen_setpoint = input.setpoint;
+            Ok(self.out.clone())
+        }
+    }
+
+    fn ladder() -> Ladder {
+        use capgpu_sim::DeviceKind::{Cpu, Gpu};
+        let layout = DeviceLayout::new(
+            vec![Cpu, Gpu, Gpu, Gpu],
+            F_MIN.to_vec(),
+            vec![2400.0, 1350.0, 1350.0, 1350.0],
+        )
+        .unwrap();
+        let model = LinearPowerModel::new(vec![0.1, 0.3, 0.3, 0.3], 300.0).unwrap();
+        Ladder::new(SupervisorConfig::default(), &layout, &model, 2.0).unwrap()
+    }
+
+    fn input(measured_power: f64) -> ControlInput<'static> {
+        ControlInput {
+            measured_power,
+            setpoint: 900.0,
+            current_targets: &CURRENT,
+            normalized_throughput: &[0.5, 0.9, 0.6, 0.3],
+            device_power: &[],
+            floors: &FLOORS,
+            phase_mix: None,
+        }
+    }
+
+    /// Devices whose target differs from `CURRENT`.
+    fn moved(targets: &[f64]) -> Vec<usize> {
+        (0..4).filter(|&d| targets[d] != CURRENT[d]).collect()
+    }
+
+    #[test]
+    fn each_tier_takes_its_targets_from_exactly_one_source() {
+        let mut l = ladder();
+        let mut primary = Stub::returning(&[1111.0, 1112.0, 1113.0, 1114.0]);
+        let ejected = [false; 4];
+        let ok = healthy(&CURRENT, &ejected, 900.0);
+        let d = l.decide(&mut primary, &ok, &input(900.0)).unwrap();
+        assert_eq!(d.directive.tier, SupervisorTier::Primary);
+        assert_eq!(d.targets, primary.out);
+        assert_eq!(primary.calls, 1);
+
+        let mut stale = ok;
+        stale.fresh_samples = 0;
+        l.decide(&mut primary, &stale, &input(900.0)).unwrap();
+        assert_eq!(primary.calls, 2, "one silent period is still primary");
+        let d = l.decide(&mut primary, &stale, &input(900.0)).unwrap();
+        assert_eq!(d.directive.tier, SupervisorTier::SafeFallback);
+        assert_eq!(d.directive.stale_periods, 2);
+        assert_eq!(moved(&d.targets).len(), 1, "fixed-step moves one device");
+        assert_eq!(primary.calls, 2, "the primary sat the fallback period out");
+
+        for _ in 0..2 {
+            l.decide(&mut primary, &stale, &input(900.0)).unwrap();
+        }
+        let d = l.decide(&mut primary, &stale, &input(900.0)).unwrap();
+        assert_eq!(d.directive.tier, SupervisorTier::Park);
+        assert_eq!(d.targets, FLOORS, "park holds the SLO floors, not f_min");
+        assert_eq!(primary.calls, 2);
+    }
+
+    #[test]
+    fn acting_controller_regulates_to_the_clamped_setpoint() {
+        let mut l = ladder();
+        let mut primary = Stub::returning(&CURRENT);
+        let ejected = [false; 4];
+        let mut derated = healthy(&CURRENT, &ejected, 800.0);
+        derated.psu_limit = Some(700.0);
+        let d = l.decide(&mut primary, &derated, &input(800.0)).unwrap();
+        assert_eq!(d.directive.effective_setpoint, 690.0);
+        assert_eq!(primary.seen_setpoint, 690.0);
+
+        // 800 W is under the operator's 900 W but over the clamped 690 W:
+        // the direction of the fallback's one step shows which it saw.
+        l.restore(SupervisorTier::SafeFallback, &[]);
+        let d = l.decide(&mut primary, &derated, &input(800.0)).unwrap();
+        assert_eq!(d.directive.tier, SupervisorTier::SafeFallback);
+        let dev = moved(&d.targets)[0];
+        assert!(d.targets[dev] < CURRENT[dev], "fallback stepped up: {d:?}");
+        derated.psu_limit = None;
+        let d = l.decide(&mut primary, &derated, &input(800.0)).unwrap();
+        let dev = moved(&d.targets)[0];
+        assert!(
+            d.targets[dev] > CURRENT[dev],
+            "fallback stepped down: {d:?}"
+        );
+    }
+
+    #[test]
+    fn quarantined_device_is_pinned_at_its_hardware_floor_in_every_tier() {
+        let mut primary = Stub::returning(&[1111.0, 1112.0, 1113.0, 1114.0]);
+        let ejected = [false; 4];
+        let ok = healthy(&CURRENT, &ejected, 900.0);
+        for tier in [
+            SupervisorTier::Primary,
+            SupervisorTier::SafeFallback,
+            SupervisorTier::Park,
+        ] {
+            let mut l = ladder();
+            l.restore(tier, &[2]);
+            let d = l.decide(&mut primary, &ok, &input(900.0)).unwrap();
+            assert_eq!(d.directive.tier, tier);
+            assert_eq!(d.targets[2], F_MIN[2], "{tier:?}: SLO floor is 600");
+            assert_ne!(d.targets[3], F_MIN[3], "{tier:?}: device 3 is not pinned");
+        }
+        // The pin lifts with the quarantine.
+        let mut l = ladder();
+        l.restore(SupervisorTier::Primary, &[2]);
+        for _ in 0..4 {
+            let d = l.decide(&mut primary, &ok, &input(900.0)).unwrap();
+            assert_eq!(d.targets[2], F_MIN[2]);
+        }
+        let d = l.decide(&mut primary, &ok, &input(900.0)).unwrap();
+        assert_eq!(d.targets[2], 1113.0);
+    }
+
+    #[test]
+    fn wrong_arity_targets_are_a_config_error() {
+        let mut l = ladder();
+        let mut primary = Stub::returning(&[1111.0, 1112.0, 1113.0]);
+        let ejected = [false; 4];
+        let err = l
+            .decide(
+                &mut primary,
+                &healthy(&CURRENT, &ejected, 900.0),
+                &input(900.0),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, CapGpuError::BadConfig(m) if m == "controller returned 3 targets for 4 devices"),
+            "{err}"
+        );
     }
 
     #[test]

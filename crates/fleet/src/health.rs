@@ -1,6 +1,6 @@
 //! Fleet health: the `capgpu-obs` control-loop analyzer lifted to fleet
 //! scope — one streaming detector bank per rack, fed from the epoch
-//! fold a [`FleetReport`](crate::sim::FleetReport) already carries, so
+//! fold a [`FleetReport`] already carries, so
 //! a completed fleet run can be triaged without re-simulating.
 //!
 //! Signal mapping (rack epoch → [`PeriodSample`]):

@@ -8,8 +8,8 @@
 //! (`tier_change`), device quarantine edges (`quarantine`), setpoint
 //! changes (`setpoint_change`), and per-period commanded targets
 //! (`period`, as a comma-joined shortest-roundtrip float string).
-//! Floats round-trip exactly through the JSONL rendering (see
-//! [`crate::json`]), so the recovered model equals the pushed one
+//! Floats round-trip exactly through the JSONL rendering (see the
+//! crate's `json` module), so the recovered model equals the pushed one
 //! bit-for-bit.
 
 use crate::reader::Record;

@@ -358,3 +358,25 @@ fn capgpu_rides_through_thermal_throttling() {
     assert!((mean - 1000.0).abs() < 15.0, "mean {mean}");
     assert!(std < 20.0, "std {std}");
 }
+
+/// The daemon's control path against its committed dry-run golden: the
+/// journal and the metrics of a default sim daemon after identification
+/// and 12 periods are sections of `results/capgpud.txt`, byte for byte.
+#[test]
+fn daemon_reproduces_its_committed_golden() {
+    use capgpu::daemon::{Daemon, DaemonConfig};
+    let cfg = DaemonConfig::default_sim();
+    let backend = cfg.build_backend().unwrap();
+    let mut daemon = Daemon::new(cfg, backend).unwrap();
+    daemon.identify().unwrap();
+    daemon.run_periods(12).unwrap();
+    let golden = include_str!("../results/capgpud.txt");
+    assert!(
+        golden.contains(&daemon.journal().to_jsonl()),
+        "journal drifted from results/capgpud.txt"
+    );
+    assert!(
+        golden.contains(&daemon.prometheus_text()),
+        "metrics drifted from results/capgpud.txt"
+    );
+}
