@@ -149,6 +149,8 @@ pub struct Daemon {
     /// Rotating durable journal (crash-recovery replay source), when
     /// `journal_dir` is configured.
     writer: Option<JournalWriter>,
+    /// The line `record` renders each event into for `writer`.
+    line_buf: String,
     /// Streaming control-loop health detectors.
     analyzer: HealthAnalyzer,
     /// Last published quarantine flags (for edge-triggered journaling).
@@ -283,6 +285,7 @@ impl Daemon {
             monitors: (0..n).map(|_| ThroughputMonitor::new(0.5)).collect(),
             journal: Journal::new(),
             writer,
+            line_buf: String::new(),
             analyzer,
             prev_quarantined: vec![false; n],
             registry,
@@ -312,7 +315,9 @@ impl Daemon {
     /// never stop actuation.
     fn record(&mut self, event: Event) {
         if let Some(w) = self.writer.as_mut() {
-            if w.append(&event.to_json(), event.sim_time_s).is_err() {
+            self.line_buf.clear();
+            event.write_json(&mut self.line_buf);
+            if w.append(&self.line_buf, event.sim_time_s).is_err() {
                 self.registry.inc(self.metrics.journal_errors, 1);
             }
         }

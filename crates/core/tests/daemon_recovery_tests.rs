@@ -98,7 +98,7 @@ fn kill_and_restart_resumes_within_one_control_period() {
     // "recovered" marker is on disk.
     let scan = read_dir(&dir).unwrap();
     assert!(scan.segments.len() >= 2, "restart must open a new segment");
-    assert!(scan.records.iter().any(|r| r.kind == "recovered"));
+    assert!(scan.records.iter().any(|r| r.kind() == "recovered"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -12,6 +12,8 @@
 //! crate's `json` module), so the recovered model equals the pushed one
 //! bit-for-bit.
 
+use std::fmt::Write as _;
+
 use crate::reader::Record;
 
 /// Control state re-derived from a journal.
@@ -64,11 +66,12 @@ impl ReplayState {
     pub fn apply(&mut self, r: &Record) {
         self.last_period = Some(r.period);
         self.last_t_s = Some(r.t_s);
-        match self.kind_counts.iter_mut().find(|(k, _)| *k == r.kind) {
+        let kind = r.kind();
+        match self.kind_counts.iter_mut().find(|(k, _)| k == kind) {
             Some((_, n)) => *n += 1,
-            None => self.kind_counts.push((r.kind.clone(), 1)),
+            None => self.kind_counts.push((kind.to_string(), 1)),
         }
-        match r.kind.as_str() {
+        match kind {
             "model_gain" => {
                 if let (Some(device), Some(gain)) = (r.u64("device"), r.f64("w_per_mhz")) {
                     let device = device as usize;
@@ -116,8 +119,11 @@ impl ReplayState {
             }
             "period" => {
                 if let Some(targets) = r.str("targets") {
-                    if let Some(parsed) = parse_targets(targets) {
-                        self.last_targets_mhz = parsed;
+                    // Parsed behind the targets in force, which are
+                    // dropped only once every element parsed.
+                    let stale = self.last_targets_mhz.len();
+                    if push_targets(&targets, &mut self.last_targets_mhz) {
+                        self.last_targets_mhz.drain(..stale);
                     }
                 }
                 if let Some(eff) = r.f64("setpoint") {
@@ -157,10 +163,27 @@ impl ReplayState {
 /// Returns `None` on any unparseable element, leaving prior state
 /// untouched — a half-applied target vector is worse than a stale one.
 pub fn parse_targets(s: &str) -> Option<Vec<f64>> {
+    let mut out = Vec::new();
+    push_targets(s, &mut out).then_some(out)
+}
+
+/// Appends the elements of a comma-joined float list to `out`; on any
+/// unparseable element `out` is left as it was and `false` returned.
+fn push_targets(s: &str, out: &mut Vec<f64>) -> bool {
+    let before = out.len();
     if s.is_empty() {
-        return Some(Vec::new());
+        return true;
     }
-    s.split(',').map(|t| t.parse::<f64>().ok()).collect()
+    for t in s.split(',') {
+        match t.parse::<f64>() {
+            Ok(x) => out.push(x),
+            Err(_) => {
+                out.truncate(before);
+                return false;
+            }
+        }
+    }
+    true
 }
 
 /// Renders targets in the journal's comma-joined format (shortest
@@ -171,11 +194,11 @@ pub fn format_targets(targets: &[f64]) -> String {
         if i > 0 {
             out.push(',');
         }
-        if t.fract() == 0.0 && t.abs() < 1e15 {
-            out.push_str(&format!("{}", *t as i64));
+        let _ = if t.fract() == 0.0 && t.abs() < 1e15 {
+            write!(out, "{}", *t as i64)
         } else {
-            out.push_str(&format!("{t}"));
-        }
+            write!(out, "{t}")
+        };
     }
     out
 }
@@ -221,6 +244,29 @@ mod tests {
             "{\"v\":1,\"period\":3,\"t_s\":12,\"kind\":\"quarantine\",\"device\":2,\"on\":false}\n",
         ));
         assert_eq!(s.quarantined, vec![0]);
+    }
+
+    #[test]
+    fn a_bad_target_list_leaves_the_targets_in_force() {
+        let period = |targets: &str| {
+            format!("{{\"v\":1,\"period\":1,\"t_s\":4,\"kind\":\"period\",\"targets\":\"{targets}\"}}\n")
+        };
+        let good = period("1350,1425.5");
+        assert_eq!(replay_text(&good).last_targets_mhz, vec![1350.0, 1425.5]);
+        // Unparseable anywhere in the list: nothing of it is applied.
+        for bad in ["x,900", "900,x", "900,,875", "900,"] {
+            let s = replay_text(&format!("{good}{}", period(bad)));
+            assert_eq!(s.last_targets_mhz, vec![1350.0, 1425.5], "{bad}");
+        }
+        // A shorter, a longer and an empty list each replace it whole.
+        for (next, want) in [
+            ("990", vec![990.0]),
+            ("1,2,3", vec![1.0, 2.0, 3.0]),
+            ("", vec![]),
+        ] {
+            let s = replay_text(&format!("{good}{}", period(next)));
+            assert_eq!(s.last_targets_mhz, want, "{next:?}");
+        }
     }
 
     #[test]

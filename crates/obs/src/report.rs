@@ -148,10 +148,11 @@ pub fn render(scan: &JournalScan, cfg: &AnalyzerConfig) -> Result<PostMortem> {
     // --- tier timeline ---
     let _ = writeln!(out, "tier timeline");
     let mut any = false;
-    for r in scan.records.iter().filter(|r| r.kind == "tier_change") {
+    for r in scan.records.iter().filter(|r| r.kind() == "tier_change") {
         any = true;
         let from = r.u64("from").unwrap_or(0);
         let to = r.u64("to").unwrap_or(0);
+        let reason = r.str("reason");
         let _ = writeln!(
             out,
             "  period={} t_s={} {} -> {} ({})",
@@ -159,7 +160,7 @@ pub fn render(scan: &JournalScan, cfg: &AnalyzerConfig) -> Result<PostMortem> {
             r.t_s,
             tier_name(from),
             tier_name(to),
-            r.str("reason").unwrap_or("?")
+            reason.as_deref().unwrap_or("?")
         );
     }
     if !any {
@@ -175,7 +176,7 @@ pub fn render(scan: &JournalScan, cfg: &AnalyzerConfig) -> Result<PostMortem> {
     let mut sum_over = 0.0f64;
     let mut sum_slo = 0.0f64;
     let mut fired = false;
-    for r in scan.records.iter().filter(|r| r.kind == "period") {
+    for r in scan.records.iter().filter(|r| r.kind() == "period") {
         let s = period_sample(r);
         n_periods += 1;
         let over = (s.power_w - s.cap_w).max(0.0);

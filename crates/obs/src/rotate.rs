@@ -119,10 +119,12 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 
 /// Rotating JSONL journal writer.
 ///
-/// Appends pre-rendered record lines (`Event::to_json` output) to the
-/// active segment, sealing and rolling per [`RotationConfig`]. Each
-/// append is flushed so a crash loses at most the record being written
-/// — the torn-tail case the reader explicitly tolerates.
+/// Appends pre-rendered record lines (`Event::write_json` output) to
+/// the active segment, sealing and rolling per [`RotationConfig`]. Each
+/// append hands its record to the OS — line and newline in one
+/// `write`, nothing held back for the next record — so a crash loses at
+/// most the record being written: the torn-tail case the reader
+/// explicitly tolerates.
 #[derive(Debug)]
 pub struct JournalWriter {
     dir: PathBuf,
@@ -141,6 +143,9 @@ pub struct JournalWriter {
     sealed: u64,
     /// Segments deleted by the reaper over the writer's lifetime.
     reaped: u64,
+    /// Staging for one record (`line + '\n'`), so that it reaches the
+    /// file in a single write. Never holds a record across appends.
+    buf: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -170,6 +175,7 @@ impl JournalWriter {
             appended: 0,
             sealed: 0,
             reaped: 0,
+            buf: Vec::new(),
         })
     }
 
@@ -209,12 +215,13 @@ impl JournalWriter {
             self.seg_first_t_s = None;
         }
         let file = self.file.as_mut().expect("opened above");
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")?;
+        self.buf.clear();
+        self.buf.extend_from_slice(line.as_bytes());
+        self.buf.push(b'\n');
+        file.write_all(&self.buf)?;
         file.flush()?;
-        self.seg_crc = crc32_update(self.seg_crc, line.as_bytes());
-        self.seg_crc = crc32_update(self.seg_crc, b"\n");
-        self.seg_bytes += line.len() as u64 + 1;
+        self.seg_crc = crc32_update(self.seg_crc, &self.buf);
+        self.seg_bytes += self.buf.len() as u64;
         self.seg_records += 1;
         self.seg_first_t_s.get_or_insert(t_s);
         self.appended += 1;

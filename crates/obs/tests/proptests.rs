@@ -3,14 +3,21 @@
 //! a crash mid-flush — must still parse every complete record cleanly
 //! and replay a state identical to folding those records directly.
 
-use capgpu_obs::reader::parse_jsonl;
+use capgpu_obs::reader::{parse_jsonl, parse_segment};
 use capgpu_obs::replay::{format_targets, parse_targets, ReplayState};
 use proptest::prelude::*;
 
 /// Renders a deterministic journal with `n` records drawn from the
 /// daemon's event vocabulary, parameterized by small integers so the
-/// proptest shrinker has something meaningful to shrink.
+/// proptest shrinker has something meaningful to shrink. Odd salts
+/// spell the tier-change reasons with two-, three- and four-byte
+/// characters, so that a byte-level cut can land inside one.
 fn journal_text(n: usize, salt: u64) -> String {
+    let reason = if salt % 2 == 1 {
+        "mètre_电源_😀_"
+    } else {
+        "r"
+    };
     let mut out = String::new();
     for i in 0..n as u64 {
         let t_s = 4 * i;
@@ -30,7 +37,7 @@ fn journal_text(n: usize, salt: u64) -> String {
                 i % 10
             ),
             3 => format!(
-                "{{\"v\":1,\"period\":{i},\"t_s\":{t_s},\"kind\":\"tier_change\",\"from\":{},\"to\":{},\"reason\":\"r{}\"}}",
+                "{{\"v\":1,\"period\":{i},\"t_s\":{t_s},\"kind\":\"tier_change\",\"from\":{},\"to\":{},\"reason\":\"{reason}{}\"}}",
                 i % 3,
                 (i + 1) % 3,
                 i % 5
@@ -70,27 +77,25 @@ proptest! {
         frac in 0.0f64..1.0,
     ) {
         let full = journal_text(n, salt);
-        let cut = ((full.len() as f64) * frac) as usize;
-        // Truncation is byte-level; keep the cut on a UTF-8 boundary
-        // (journal bytes are ASCII here, but don't rely on it).
-        let mut cut = cut.min(full.len());
-        while !full.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        let truncated = &full[..cut];
+        // Truncation is byte-level: the cut may land inside a
+        // multi-byte character, as a crash can.
+        let cut = (((full.len() as f64) * frac) as usize).min(full.len());
+        let truncated = &full.as_bytes()[..cut];
 
         let (all, none_torn) = parse_jsonl(&full, true).unwrap();
         prop_assert_eq!(all.len(), n);
         prop_assert!(none_torn.is_none());
 
-        let (records, torn) = parse_jsonl(truncated, true).unwrap();
+        let mut records = Vec::new();
+        let seg = parse_segment(truncated, "<memory>", true, &mut records).unwrap();
         // Complete records are exactly the whole lines before the cut.
-        let complete = truncated.bytes().filter(|&b| b == b'\n').count();
+        let complete = truncated.iter().filter(|&&b| b == b'\n').count();
+        prop_assert_eq!(seg.records, complete);
         prop_assert_eq!(records.len(), complete);
         prop_assert_eq!(&all[..complete], &records[..]);
         // A torn tail exists iff the cut landed mid-line.
-        let mid_line = cut > 0 && !truncated.ends_with('\n');
-        prop_assert_eq!(torn.is_some(), mid_line);
+        let mid_line = cut > 0 && !truncated.ends_with(b"\n");
+        prop_assert_eq!(seg.torn_tail.is_some(), mid_line);
 
         // Replay over the truncated journal equals replay over the
         // prefix of fully written records — the crash loses at most the

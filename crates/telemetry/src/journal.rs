@@ -103,16 +103,29 @@ impl Event {
     }
 
     /// Render this event as one JSON object (no trailing newline).
+    ///
+    /// Keys and the kind are written as they are (they are `'static`
+    /// identifiers); string values are JSON-escaped; floats use Rust's
+    /// shortest-roundtrip formatting (integral ones without a fraction,
+    /// non-finite ones as `null`), so a reader that parses numbers
+    /// correctly rounded gets every finite float back bit for bit.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends what [`Event::to_json`] returns to `out`, allocating
+    /// nothing beyond `out`'s own growth: a caller that renders many
+    /// events reuses one buffer.
+    pub fn write_json(&self, out: &mut String) {
         let _ = write!(
             out,
-            "{{\"v\":{},\"period\":{},\"t_s\":{},\"kind\":\"{}\"",
-            SCHEMA_VERSION,
-            self.period,
-            fmt_json_f64(self.sim_time_s),
-            self.kind
+            "{{\"v\":{},\"period\":{},\"t_s\":",
+            SCHEMA_VERSION, self.period
         );
+        push_json_f64(out, self.sim_time_s);
+        let _ = write!(out, ",\"kind\":\"{}\"", self.kind);
         if let Some(ms) = self.wall_unix_ms {
             let _ = write!(out, ",\"wall_ms\":{ms}");
         }
@@ -125,19 +138,18 @@ impl Event {
                 Value::I64(x) => {
                     let _ = write!(out, "{x}");
                 }
-                Value::F64(x) => {
-                    let _ = write!(out, "{}", fmt_json_f64(*x));
-                }
+                Value::F64(x) => push_json_f64(out, *x),
                 Value::Bool(x) => {
                     let _ = write!(out, "{x}");
                 }
                 Value::Str(s) => {
-                    let _ = write!(out, "\"{}\"", escape_json(s));
+                    out.push('"');
+                    push_json_escaped(out, s);
+                    out.push('"');
                 }
             }
         }
         out.push('}');
-        out
     }
 }
 
@@ -184,7 +196,7 @@ impl Journal {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.to_json());
+            e.write_json(&mut out);
             out.push('\n');
         }
         out
@@ -200,18 +212,23 @@ impl Journal {
 /// (JSON has no distinct int type, so `48` parses fine as a number),
 /// non-finite values — which valid events never carry — degrade to
 /// `null`.
-fn fmt_json_f64(v: f64) -> String {
+fn push_json_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
-        "null".to_string()
+        out.push_str("null");
     } else if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
+        let _ = write!(out, "{}", v as i64);
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` with `"`, `\` and control characters escaped. Most
+/// journal strings need none of that and are copied whole.
+fn push_json_escaped(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -225,7 +242,6 @@ fn escape_json(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -285,5 +301,40 @@ mod tests {
             e.to_json(),
             "{\"v\":1,\"period\":0,\"t_s\":0.5,\"kind\":\"note\",\"msg\":\"a\\\"b\\\\c\\nd\"}"
         );
+    }
+
+    /// The renderer's bytes, pinned: every `Value` arm, the float
+    /// spellings, every escape, `wall_ms`. `capgpu-obs` reads these
+    /// back; a drift here is a journal format change.
+    #[test]
+    fn rendering_is_pinned_byte_for_byte() {
+        let e = Event::new(u64::MAX, 0.1 + 0.2, "period")
+            .wall_ms(Some(0))
+            .u64("u", 9_007_199_254_740_993)
+            .i64("i", i64::MIN)
+            .f64("int", 48.0)
+            .f64("neg_zero", -0.0)
+            .f64("big", 1e15)
+            .f64("tiny", -1.5e-7)
+            .f64("nan", f64::NAN)
+            .f64("inf", f64::NEG_INFINITY)
+            .bool("b", false)
+            .str("plain", "café/电源")
+            .str("esc", "\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}\u{7f}")
+            .str("u", "");
+        let want = concat!(
+            "{\"v\":1,\"period\":18446744073709551615,\"t_s\":0.30000000000000004,",
+            "\"kind\":\"period\",\"wall_ms\":0,\"u\":9007199254740993,",
+            "\"i\":-9223372036854775808,\"int\":48,\"neg_zero\":0,",
+            "\"big\":1000000000000000,\"tiny\":-0.00000015,",
+            "\"nan\":null,\"inf\":null,\"b\":false,\"plain\":\"café/电源\",",
+            "\"esc\":\"\\\"\\\\\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\",\"u\":\"\"}",
+        );
+        assert_eq!(e.to_json(), want);
+        // `write_json` appends exactly that, keeping what was there.
+        let mut buf = String::from("x");
+        e.write_json(&mut buf);
+        e.write_json(&mut buf);
+        assert_eq!(buf, format!("x{want}{want}"));
     }
 }
