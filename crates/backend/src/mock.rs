@@ -123,7 +123,6 @@ pub struct MockBackend {
     last_good_sample: Option<f64>,
     elapsed_s: u64,
     last_sample_at_s: Option<u64>,
-    throughput: Vec<f64>,
     psu_limit: Option<f64>,
     wall_base_unix_ms: Option<u64>,
 }
@@ -184,7 +183,6 @@ impl MockBackend {
             last_good_sample: None,
             elapsed_s: 0,
             last_sample_at_s: None,
-            throughput: vec![0.0; n],
             psu_limit: None,
             wall_base_unix_ms: None,
         })
@@ -225,22 +223,6 @@ impl MockBackend {
     /// Total synthetic latency attributed so far (ns).
     pub fn injected_latency_ns(&self) -> u64 {
         self.injected_latency_ns
-    }
-
-    /// Scripts per-device throughput readings (enables the
-    /// [`Capabilities::throughput`] surface).
-    ///
-    /// # Errors
-    /// [`BackendError::WrongArity`] on length mismatch.
-    pub fn set_throughput(&mut self, per_device: &[f64]) -> BackendResult<()> {
-        if per_device.len() != self.spec.len() {
-            return Err(BackendError::WrongArity {
-                expected: self.spec.len(),
-                got: per_device.len(),
-            });
-        }
-        self.throughput.copy_from_slice(per_device);
-        Ok(())
     }
 
     /// Makes the backend report wall-clock-stamped readings starting at
@@ -531,7 +513,7 @@ impl PowerBackend for MockBackend {
     fn throughput_into(&mut self, out: &mut Vec<f64>) -> BackendResult<()> {
         self.charge(MockOp::Throughput)?;
         out.clear();
-        out.extend_from_slice(&self.throughput);
+        out.resize(self.spec.len(), 0.0);
         Ok(())
     }
 

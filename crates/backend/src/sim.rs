@@ -84,11 +84,6 @@ impl SimBackend {
         self.utils.copy_from_slice(utils);
         Ok(())
     }
-
-    /// The most recently staged utilizations.
-    pub fn staged_utilizations(&self) -> &[f64] {
-        &self.utils
-    }
 }
 
 impl PowerBackend for SimBackend {

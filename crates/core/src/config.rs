@@ -486,14 +486,6 @@ impl Scenario {
         self
     }
 
-    /// Enables the two-phase LLM serving layer, returning `self` for
-    /// chaining.
-    #[must_use]
-    pub fn with_llm(mut self, llm: LlmConfig) -> Self {
-        self.llm = Some(llm);
-        self
-    }
-
     /// Enables telemetry recording, returning `self` for chaining.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: capgpu_telemetry::TelemetryConfig) -> Self {

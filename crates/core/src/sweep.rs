@@ -481,12 +481,6 @@ impl GroupSummary {
         self.miss_rate_sum / (self.cells.max(1) as f64)
     }
 
-    /// Mean settling period over the cells that settled (`None` when none
-    /// did).
-    pub fn mean_settling(&self) -> Option<f64> {
-        (self.settled_cells > 0).then(|| self.settling_sum as f64 / self.settled_cells as f64)
-    }
-
     /// One-line report row for the group.
     pub fn row(&self) -> String {
         format!(
@@ -1246,19 +1240,35 @@ mod tests {
 
     #[test]
     fn shared_identification_matches_bin_style_run() {
-        // A cell must reproduce exactly what the hand-rolled pattern in
-        // the figure bins produces: fresh runner, lazy identification
-        // inside the builder, then run.
+        // Every cell must reproduce exactly what the hand-rolled pattern
+        // in the figure bins produces: fresh runner, lazy identification
+        // inside the builder, then run — for each controller kind that
+        // identifies, not only CapGPU.
         let report = SweepSpec::new(Scenario::paper_testbed(7))
-            .setpoint(950.0)
+            .setpoints(&[900.0, 950.0])
             .periods(5)
+            .controller(ControllerSpec::SafeFixedStep { multiplier: 1 })
+            .controller(ControllerSpec::GpuOnly)
+            .controller(ControllerSpec::Split { gpu_share: 0.4 })
+            .controller(ControllerSpec::Split { gpu_share: 0.6 })
             .controller(ControllerSpec::CapGpu)
             .run_serial()
             .expect("sweep");
-        let mut runner = ExperimentRunner::new(Scenario::paper_testbed(7), 950.0).expect("runner");
-        let controller = runner.build_capgpu_controller().expect("controller");
-        let trace = runner.run(controller, 5).expect("run");
-        assert_eq!(report.cells[0].trace(), &trace);
+        assert_eq!(report.cells.len(), 10);
+        for result in &report.cells {
+            let cell = &result.cell;
+            let mut r =
+                ExperimentRunner::new(Scenario::paper_testbed(7), cell.setpoint).expect("runner");
+            let c: Box<dyn PowerController> = match cell.controller_index {
+                0 => Box::new(r.build_safe_fixed_step(1).expect("sfs")),
+                1 => Box::new(r.build_gpu_only().expect("gpu-only")),
+                2 => Box::new(r.build_split(0.4).expect("split40")),
+                3 => Box::new(r.build_split(0.6).expect("split60")),
+                _ => Box::new(r.build_capgpu_controller().expect("capgpu")),
+            };
+            let trace = r.run(c, 5).expect("run");
+            assert_eq!(result.trace(), &trace, "{}", cell.controller_label);
+        }
     }
 
     #[test]

@@ -258,17 +258,6 @@ impl FleetReport {
         }
     }
 
-    /// Worst rack overshoot: max over epochs and racks of
-    /// measured − assigned (W). ≤ 0 means every rack budget held in
-    /// every epoch.
-    pub fn max_rack_overshoot_watts(&self) -> f64 {
-        self.epochs
-            .iter()
-            .flat_map(|e| e.racks.iter())
-            .map(|r| r.measured - r.assigned)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Total migrations planned across all epochs.
     pub fn total_migrations(&self) -> usize {
         self.epochs.iter().map(|e| e.migrations.len()).sum()

@@ -229,11 +229,6 @@ impl LlmEngine {
         self.queue.len()
     }
 
-    /// Requests resident in the continuous batch.
-    pub fn running_len(&self) -> usize {
-        self.running.len()
-    }
-
     /// KV tokens currently reserved.
     pub fn kv_used_tokens(&self) -> usize {
         self.kv_used

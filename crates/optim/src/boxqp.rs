@@ -323,11 +323,6 @@ impl BoxFactor {
         Ok(Self { free, chol })
     }
 
-    /// Number of free variables in this region.
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
     /// Evaluates the affine control law of this active set: bound variables
     /// sit exactly on their bound, free variables solve the reduced system
     /// `H_FF·x_F = −g_F − H_FB·x_B`.

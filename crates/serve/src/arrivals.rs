@@ -204,11 +204,6 @@ impl ArrivalGen {
         Ok(gen)
     }
 
-    /// Current intensity scale.
-    pub fn intensity_scale(&self) -> f64 {
-        self.scale
-    }
-
     /// Scales the instantaneous arrival intensity (a scheduled burst or
     /// ebb). Affects only draws made after the call.
     ///

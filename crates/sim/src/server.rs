@@ -266,14 +266,6 @@ impl Server {
         self.states.iter().map(|s| s.applied_mhz).collect()
     }
 
-    /// Writes all applied frequencies into `out` (resized to the device
-    /// count). Allocation-free variant of [`Server::applied_frequencies`]
-    /// for the per-second control loop.
-    pub fn applied_frequencies_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.states.iter().map(|s| s.applied_mhz));
-    }
-
     /// Sets a device's target frequency; returns the applied (quantized)
     /// value. Mirrors `nvidia-smi -ac` / `cpupower frequency-set`.
     ///

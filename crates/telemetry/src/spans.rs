@@ -4,8 +4,8 @@
 //! period in a `period` span containing `sense`/`identify`/`solve`/
 //! `actuate`/`serve-drain` children — and accumulates per-phase totals.
 //! Phases are pre-registered to a [`SpanId`] so `enter`/`exit` on the
-//! hot path is an index push/pop plus one `Instant` read (gated in
-//! `perf_snapshot` as `span_enter_exit_ns`).
+//! hot path is an index push/pop plus one `Instant` read (the pair is
+//! held under 500 ns by the `perf_snapshot` bin).
 //!
 //! Wall-clock nanoseconds are inherently non-deterministic: span data
 //! must never feed a published number or a bit-identity-compared

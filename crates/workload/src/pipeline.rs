@@ -228,11 +228,6 @@ impl PipelineSim {
         Ok(())
     }
 
-    /// Requests waiting for a free worker (open-loop mode).
-    pub fn ingress_len(&self) -> usize {
-        self.ingress.len()
-    }
-
     /// Draws the next Poisson arrival time after `t`.
     fn draw_arrival(&mut self, t: f64) -> f64 {
         match self.arrival_rate {
