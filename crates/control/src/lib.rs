@@ -43,7 +43,7 @@ pub use model::LinearPowerModel;
 pub use modulator::DeltaSigmaModulator;
 pub use mpc::{MpcConfig, MpcController, MpcStep};
 pub use pid::ProportionalController;
-pub use sysid::{ExcitationPlan, RlsIdentifier, SystemIdentifier};
+pub use sysid::{ExcitationPlan, SystemIdentifier};
 
 /// Errors produced by the control layer.
 #[derive(Debug, Clone, PartialEq)]

@@ -395,8 +395,8 @@ impl MpcController {
     /// Builds the per-period cache: tracking rows, the tracking (Q) part
     /// of the Hessian, and the QP skeleton whose gradient and bound RHS
     /// are rewritten in place each period. Accumulation order matches
-    /// [`MpcController::step_uncached`] exactly so the cached path is
-    /// arithmetically identical.
+    /// the `#[cfg(test)]` reference `step_uncached` exactly so the cached
+    /// path is arithmetically identical.
     #[allow(clippy::needless_range_loop)]
     fn build_cache(&self, r_diag: &[f64]) -> Result<StepCache> {
         let n = self.num_devices;
@@ -481,8 +481,8 @@ impl MpcController {
     /// geometry are cached across periods (they depend only on the config
     /// and model, not on measured power), the control-penalty diagonal is
     /// re-baked only when `r_weights` change, and the QP is warm-started
-    /// from the previous period's active set.
-    /// [`MpcController::step_uncached`] is the cache-free reference.
+    /// from the previous period's active set. The `#[cfg(test)]`
+    /// `step_uncached` is the cache-free reference.
     ///
     /// # Errors
     /// * [`ControlError::BadConfig`] on input length mismatches.
@@ -841,13 +841,13 @@ impl MpcController {
     /// Cache-free reference implementation of [`MpcController::step`]:
     /// rebuilds the full QP from scratch and cold-starts the solver every
     /// call. Kept verbatim as the ground truth the cached hot path is
-    /// regression-tested against; also useful when stepping a controller
-    /// with adversarially varying inputs where caching cannot help.
+    /// regression-tested against.
     ///
     /// # Errors
     /// Same as [`MpcController::step`].
+    #[cfg(test)]
     #[allow(clippy::needless_range_loop)]
-    pub fn step_uncached(
+    fn step_uncached(
         &self,
         p_measured: f64,
         setpoint: f64,

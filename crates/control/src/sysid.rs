@@ -288,149 +288,6 @@ pub fn identify_sweep<E: From<ControlError>>(
     })
 }
 
-/// Streaming recursive-least-squares identifier (paper §6.4 online
-/// re-identification).
-///
-/// Produces the same [`IdentifiedModel`] as [`SystemIdentifier::fit`] —
-/// on well-conditioned data the coefficients agree to better than 1e-9 —
-/// but each [`RlsIdentifier::record`] costs `O(n²)` and `fit` costs
-/// `O(n³)` *independent of the number of samples seen*, versus the batch
-/// path's `O(m·n²)` design rebuild per refit. That makes a refit every
-/// control period affordable, which is what lets the runner track
-/// platform and workload drift continuously instead of identifying once
-/// at startup.
-///
-/// With `forgetting < 1` old samples decay exponentially; directions of
-/// the frequency space that stop being excited simply retain their last
-/// identified gains (the factor scales uniformly, leaving the solution
-/// unchanged there) rather than blowing up.
-#[derive(Debug, Clone)]
-pub struct RlsIdentifier {
-    num_devices: usize,
-    factor: RlsFactor,
-    /// Scratch row `[F | 1]` so `record` never allocates.
-    row: Vec<f64>,
-}
-
-impl RlsIdentifier {
-    /// Creates a streaming identifier with no forgetting (`λ = 1`):
-    /// numerically equivalent to batch least squares over all samples.
-    ///
-    /// # Errors
-    /// [`ControlError::BadConfig`] for zero devices.
-    pub fn new(num_devices: usize) -> Result<Self> {
-        Self::with_forgetting(num_devices, 1.0)
-    }
-
-    /// Creates a streaming identifier with exponential forgetting
-    /// `λ ∈ (0, 1]`; a sample's weight after `k` further samples is `λᵏ`.
-    ///
-    /// # Errors
-    /// [`ControlError::BadConfig`] for zero devices or `λ` outside `(0, 1]`.
-    pub fn with_forgetting(num_devices: usize, forgetting: f64) -> Result<Self> {
-        if num_devices == 0 {
-            return Err(ControlError::BadConfig("RLS identifier needs >= 1 device"));
-        }
-        let factor = RlsFactor::new(num_devices + 1, forgetting)
-            .map_err(|_| ControlError::BadConfig("RLS forgetting factor must be in (0, 1]"))?;
-        Ok(RlsIdentifier {
-            num_devices,
-            factor,
-            row: vec![0.0; num_devices + 1],
-        })
-    }
-
-    /// Number of devices the model covers.
-    pub fn num_devices(&self) -> usize {
-        self.num_devices
-    }
-
-    /// The forgetting factor `λ`.
-    pub fn forgetting(&self) -> f64 {
-        self.factor.forgetting()
-    }
-
-    /// Folds in one sample: the frequency vector applied during a control
-    /// period and the average power measured over it. `O(n²)`,
-    /// allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `freqs.len()` differs from the configured device count.
-    pub fn record(&mut self, freqs: &[f64], power_watts: f64) {
-        assert_eq!(freqs.len(), self.num_devices, "sample frequency length");
-        self.row[..self.num_devices].copy_from_slice(freqs);
-        self.row[self.num_devices] = 1.0;
-        self.factor.update(&self.row, power_watts);
-    }
-
-    /// Applies one period of exponential forgetting without folding in a
-    /// sample — for control periods whose observation was unusable (meter
-    /// dropout, transient gating). Forgetting tracks plant variation over
-    /// *time*: skipping it across observation gaps would leave stale data
-    /// at full weight no matter how long ago it was collected.
-    pub fn decay(&mut self) {
-        self.factor.decay();
-    }
-
-    /// Number of samples folded in since construction or the last clear.
-    pub fn len(&self) -> usize {
-        self.factor.len()
-    }
-
-    /// True before the first sample.
-    pub fn is_empty(&self) -> bool {
-        self.factor.is_empty()
-    }
-
-    /// Discards all accumulated information.
-    pub fn clear(&mut self) {
-        self.factor.reset();
-    }
-
-    /// Condition number of the (weighted) excitation design — computed
-    /// from the maintained triangular factor in `O(n³)`, no design-matrix
-    /// rebuild. Infinite while the excitation is rank deficient.
-    pub fn design_condition(&self) -> f64 {
-        self.factor.condition()
-    }
-
-    /// Solves for the current model. `O(n³)` worst case, independent of
-    /// how many samples have been folded in.
-    ///
-    /// # Errors
-    /// * [`ControlError::InsufficientData`] with fewer samples than
-    ///   `num_devices + 1`.
-    /// * [`ControlError::Linalg`] if even the ridge fallback fails.
-    pub fn fit(&self) -> Result<IdentifiedModel> {
-        let n = self.num_devices;
-        if self.len() < n + 1 {
-            return Err(ControlError::InsufficientData(
-                "need at least num_devices + 1 samples",
-            ));
-        }
-        let coefficients = match self.factor.solve() {
-            Ok(c) => c,
-            // Same ridge fallback (and penalty) as the batch path, solved
-            // from the factor: (RᵀR + λI)β = Rᵀd is exactly the batch
-            // ridge normal system because RᵀR = XᵀWX and Rᵀd = XᵀWy.
-            Err(LinalgError::Singular) => self
-                .factor
-                .solve_ridge(RIDGE_FALLBACK_LAMBDA)
-                .map_err(ControlError::Linalg)?,
-            Err(e) => return Err(ControlError::Linalg(e)),
-        };
-        let gains = coefficients[..n].to_vec();
-        let offset = coefficients[n];
-        Ok(IdentifiedModel {
-            model: LinearPowerModel::new(gains, offset)?,
-            r_squared: self.factor.r_squared(),
-            rmse_watts: self.factor.rmse(),
-            n_samples: self.len(),
-            design_condition: self.factor.condition(),
-        })
-    }
-}
-
 /// Streaming *restricted* re-identification: one common gain scale plus
 /// the power offset, anchored to a previously identified model.
 ///
@@ -578,9 +435,12 @@ impl ScaledModelTracker {
     }
 
     /// One period of forgetting without a sample (meter dropout or
-    /// transient gating) — see [`RlsIdentifier::decay`]. The difference
-    /// chain is left intact: the next usable sample pairs with the last
-    /// usable one across the gap.
+    /// transient gating) — [`RlsFactor::decay`] on the slope estimator.
+    /// Forgetting tracks plant variation over *time*: skipping it across
+    /// observation gaps would leave stale data at full weight no matter
+    /// how long ago it was collected. The difference chain is left
+    /// intact: the next usable sample pairs with the last usable one
+    /// across the gap.
     pub fn decay(&mut self) {
         self.slope.decay();
     }
@@ -764,94 +624,6 @@ mod tests {
         assert!(ident.is_empty());
     }
 
-    #[test]
-    fn rls_matches_batch_on_excitation_sweep() {
-        // The tentpole invariant: streaming fit == batch fit to ≤ 1e-9 on
-        // well-conditioned data, including all diagnostics.
-        let plan = plan2();
-        let truth = LinearPowerModel::new(vec![0.06, 0.18], 250.0).unwrap();
-        let mut batch = SystemIdentifier::new(2);
-        let mut rls = RlsIdentifier::new(2).unwrap();
-        for (i, f) in plan.points().enumerate() {
-            let noise = 4.0 * ((i as f64 * 2.399).sin());
-            let p = truth.predict(&f) + noise;
-            batch.record(&f, p);
-            rls.record(&f, p);
-        }
-        let b = batch.fit().unwrap();
-        let s = rls.fit().unwrap();
-        for (bg, sg) in b.model.gains().iter().zip(s.model.gains()) {
-            assert!((bg - sg).abs() < 1e-9, "gain {bg} vs {sg}");
-        }
-        assert!((b.model.offset() - s.model.offset()).abs() < 1e-7);
-        assert!((b.r_squared - s.r_squared).abs() < 1e-9);
-        assert!((b.rmse_watts - s.rmse_watts).abs() < 1e-9);
-        assert_eq!(b.n_samples, s.n_samples);
-        let rel = (b.design_condition - s.design_condition).abs() / b.design_condition;
-        assert!(
-            rel < 1e-9,
-            "{} vs {}",
-            b.design_condition,
-            s.design_condition
-        );
-    }
-
-    #[test]
-    fn rls_insufficient_data_rejected() {
-        let mut rls = RlsIdentifier::new(2).unwrap();
-        rls.record(&[1400.0, 495.0], 300.0);
-        rls.record(&[1600.0, 495.0], 310.0);
-        assert!(matches!(
-            rls.fit().unwrap_err(),
-            ControlError::InsufficientData(_)
-        ));
-    }
-
-    #[test]
-    fn rls_collinear_excitation_falls_back_to_ridge() {
-        // Mirror of the batch ridge-fallback test: the streaming path must
-        // also survive a stuck actuator, with the same bounded gains.
-        let mut batch = SystemIdentifier::new(2);
-        let mut rls = RlsIdentifier::new(2).unwrap();
-        for i in 0..10 {
-            let f = [1000.0 + 100.0 * i as f64, 495.0];
-            let p = 250.0 + 0.06 * f[0] + 0.18 * 495.0;
-            batch.record(&f, p);
-            rls.record(&f, p);
-        }
-        assert!(rls.design_condition().is_infinite());
-        let b = batch.fit().unwrap();
-        let s = rls.fit().unwrap();
-        assert!((s.model.gains()[0] - 0.06).abs() < 1e-3);
-        assert!((b.model.gains()[0] - s.model.gains()[0]).abs() < 1e-6);
-        assert!((b.model.gains()[1] - s.model.gains()[1]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn rls_forgetting_tracks_gain_drift() {
-        // A gain change (e.g. utilization shift scaling effective W/MHz)
-        // is tracked by the forgetting identifier but averaged away by the
-        // no-forgetting one.
-        let plan = plan2();
-        let before = LinearPowerModel::new(vec![0.06, 0.18], 250.0).unwrap();
-        let after = LinearPowerModel::new(vec![0.09, 0.30], 250.0).unwrap();
-        let mut rls = RlsIdentifier::with_forgetting(2, 0.9).unwrap();
-        for f in plan.points() {
-            rls.record(&f, before.predict(&f));
-        }
-        for _ in 0..4 {
-            for f in plan.points() {
-                rls.record(&f, after.predict(&f));
-            }
-        }
-        let fitted = rls.fit().unwrap();
-        assert!(
-            (fitted.model.gains()[1] - 0.30).abs() < 0.01,
-            "tracked GPU gain {}",
-            fitted.model.gains()[1]
-        );
-    }
-
     /// A noiseless two-device plant for the sweep helper's tests.
     fn truth() -> LinearPowerModel {
         LinearPowerModel::new(vec![0.06, 0.18], 250.0).unwrap()
@@ -927,17 +699,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(sa.to_bits(), sb.to_bits());
         assert!(ScaledModelTracker::seeded(a, 0.0, &rows).is_err());
-    }
-
-    #[test]
-    fn rls_validation_and_clear() {
-        assert!(RlsIdentifier::new(0).is_err());
-        assert!(RlsIdentifier::with_forgetting(2, 0.0).is_err());
-        assert!(RlsIdentifier::with_forgetting(2, 1.1).is_err());
-        let mut rls = RlsIdentifier::new(1).unwrap();
-        rls.record(&[1.0], 2.0);
-        assert_eq!(rls.len(), 1);
-        rls.clear();
-        assert!(rls.is_empty());
     }
 }

@@ -1,10 +1,9 @@
-//! Property tests for the streaming RLS identification path: the
-//! incremental QR factor must agree with a one-shot batch least-squares
-//! solve on the same samples whenever no forgetting is applied, because
-//! with `forgetting = 1.0` both minimize the identical sum of squared
-//! residuals.
+//! Property test for the streaming RLS factor behind
+//! `ScaledModelTracker`: the incremental QR factor must agree with a
+//! one-shot batch least-squares solve on the same samples whenever no
+//! forgetting is applied, because with `forgetting = 1.0` both minimize
+//! the identical sum of squared residuals.
 
-use capgpu_control::sysid::{RlsIdentifier, SystemIdentifier};
 use capgpu_linalg::rls::RlsFactor;
 use capgpu_linalg::{lstsq, Matrix};
 use proptest::prelude::*;
@@ -82,76 +81,5 @@ proptest! {
         prop_assert!((factor.weighted_rss() - batch.rss).abs() < 1e-9,
             "rss {} vs {}", factor.weighted_rss(), batch.rss);
         prop_assert!((factor.r_squared() - batch.r_squared).abs() < 1e-9);
-    }
-
-    /// The streaming identifier agrees with the batch identifier on the
-    /// same recorded samples: same gains, offset, R², RMSE, and the same
-    /// design condition number (both report σ_max/σ_min of `[F | 1]`).
-    #[test]
-    fn rls_identifier_matches_batch_identifier(
-        n in 2usize..5,
-        flat in prop::collection::vec(435.0..2400.0f64, 30 * MAX_DEVICES),
-        gains in prop::collection::vec(0.02..0.3f64, MAX_DEVICES),
-        offset in 100.0..400.0f64,
-        noise in prop::collection::vec(-3.0..3.0f64, 30),
-    ) {
-        let (freqs, powers) = make_stream(n, 30, &flat, &gains, offset, &noise);
-        let mut batch = SystemIdentifier::new(n);
-        let mut rls = RlsIdentifier::new(n).unwrap();
-        for (f, p) in freqs.iter().zip(powers.iter()) {
-            batch.record(f, *p);
-            rls.record(f, *p);
-        }
-        let a = batch.fit().unwrap();
-        let b = rls.fit().unwrap();
-        for (ga, gb) in a.model.gains().iter().zip(b.model.gains().iter()) {
-            prop_assert!((ga - gb).abs() < 1e-9, "gain {ga} vs {gb}");
-        }
-        prop_assert!((a.model.offset() - b.model.offset()).abs() < 1e-7,
-            "offset {} vs {}", a.model.offset(), b.model.offset());
-        prop_assert!((a.r_squared - b.r_squared).abs() < 1e-9);
-        prop_assert!((a.rmse_watts - b.rmse_watts).abs() < 1e-9);
-        prop_assert!(
-            (a.design_condition - b.design_condition).abs()
-                <= 1e-6 * a.design_condition,
-            "condition {} vs {}", a.design_condition, b.design_condition
-        );
-    }
-
-    /// A forgetting round-trip: running with `forgetting = 1.0` through
-    /// `clear()` and a second stream still matches the batch solve on the
-    /// second stream alone — no state leaks across the reset.
-    #[test]
-    fn forgetting_one_round_trips_through_clear(
-        flat1 in prop::collection::vec(435.0..2400.0f64, 16 * MAX_DEVICES),
-        noise1 in prop::collection::vec(-3.0..3.0f64, 16),
-        flat2 in prop::collection::vec(435.0..2400.0f64, 20 * MAX_DEVICES),
-        noise2 in prop::collection::vec(-3.0..3.0f64, 20),
-        gains in prop::collection::vec(0.02..0.3f64, MAX_DEVICES),
-        offset in 100.0..400.0f64,
-    ) {
-        let (first, p_first) = make_stream(3, 16, &flat1, &gains, offset, &noise1);
-        let (second, p_second) = make_stream(3, 20, &flat2, &gains, offset, &noise2);
-        let mut rls = RlsIdentifier::with_forgetting(3, 1.0).unwrap();
-        for (f, p) in first.iter().zip(p_first.iter()) {
-            rls.record(f, *p);
-        }
-        rls.fit().unwrap();
-        rls.clear();
-        prop_assert!(rls.is_empty());
-        for (f, p) in second.iter().zip(p_second.iter()) {
-            rls.record(f, *p);
-        }
-        let fit = rls.fit().unwrap();
-        let batch = lstsq::solve(&design(&second), &p_second).unwrap();
-        let coeffs = fit
-            .model
-            .gains()
-            .iter()
-            .copied()
-            .chain(std::iter::once(fit.model.offset()));
-        for (a, b) in coeffs.zip(batch.coefficients.iter()) {
-            prop_assert!((a - b).abs() < 1e-9, "coeff {a} vs {b}");
-        }
     }
 }

@@ -520,6 +520,11 @@ impl Scenario {
         if n_gpus == 0 {
             return Err(CapGpuError::BadConfig("scenario needs >= 1 GPU".into()));
         }
+        if n_gpus == self.devices.len() {
+            return Err(CapGpuError::BadConfig(
+                "scenario needs a CPU device (it hosts preprocessing and feature selection)".into(),
+            ));
+        }
         if self.gpu_models.len() != n_gpus {
             return Err(CapGpuError::BadConfig(format!(
                 "{} GPU models for {} GPUs",
@@ -532,6 +537,19 @@ impl Scenario {
                 "{} SLO entries for {} GPUs",
                 self.slos.len(),
                 n_gpus
+            )));
+        }
+        if self.workers_per_pipeline == 0 {
+            return Err(CapGpuError::BadConfig(
+                "workers_per_pipeline must be >= 1".into(),
+            ));
+        }
+        if let Some(m) = (self.gpu_models.iter())
+            .find(|m| m.batch_size == 0 || self.queue_capacity < m.batch_size)
+        {
+            return Err(CapGpuError::BadConfig(format!(
+                "queue_capacity {} cannot hold one {} batch of {} (batches must be non-empty)",
+                self.queue_capacity, m.name, m.batch_size
             )));
         }
         if self.control_period_s == 0 {
@@ -573,6 +591,24 @@ impl Scenario {
                     "rls_tracking.settle_gate_mhz must be > 0".into(),
                 ));
             }
+        }
+        // Open-loop pipeline arrivals have nothing to act on once a
+        // request-level plant replaces the pipeline model.
+        let scheduled_rate =
+            (self.changes.iter()).any(|c| matches!(c, ScheduledChange::ArrivalRate { .. }));
+        let request_plant = match (&self.serving, &self.llm) {
+            (Some(_), _) => Some("serving"),
+            (None, Some(_)) => Some("llm"),
+            (None, None) => None,
+        };
+        if let Some(plant) =
+            request_plant.filter(|_| self.arrival_rates.is_some() || scheduled_rate)
+        {
+            return Err(CapGpuError::BadConfig(format!(
+                "arrival_rates and arrival-rate changes drive the pipeline plant, but this \
+                 scenario runs the {plant} plant (its arrival processes and serving bursts \
+                 set the load)"
+            )));
         }
         if let Some(rates) = &self.arrival_rates {
             if rates.len() != n_gpus {
@@ -789,9 +825,46 @@ mod tests {
         });
         assert!(s.validate().is_err());
 
+        // No CPU device: nothing hosts preprocessing or feature selection.
+        let mut s = Scenario::paper_testbed(1);
+        s.devices.remove(0);
+        let msg = format!("{}", s.validate().unwrap_err());
+        assert!(msg.contains("CPU device"), "{msg}");
+
+        // The pipeline's own construction checks, for every plant kind.
+        for make in [
+            Scenario::paper_testbed,
+            Scenario::serving_testbed,
+            Scenario::llm_testbed,
+        ] {
+            let mut s = make(1);
+            s.workers_per_pipeline = 0;
+            assert!(s.validate().is_err());
+            let mut s = make(1);
+            s.queue_capacity = 5; // < batch 20
+            assert!(s.validate().is_err());
+        }
+
         let mut s = Scenario::paper_testbed(1);
         s.rls_tracking = Some(RlsTracking::default());
         s.validate().unwrap();
+    }
+
+    /// Open-loop pipeline arrivals on a request-level scenario: rejected
+    /// with a message that names the plant actually running.
+    fn assert_rejects_pipeline_arrivals(base: Scenario, plant: &str) {
+        let mut s = base.clone();
+        s.arrival_rates = Some(vec![50.0; s.gpu_models.len()]);
+        let msg = format!("{}", s.validate().unwrap_err());
+        assert!(msg.contains(&format!("the {plant} plant")), "{msg}");
+
+        let s = base.with_change(ScheduledChange::ArrivalRate {
+            at_period: 5,
+            task: 0,
+            rate_img_s: 80.0,
+        });
+        let msg = format!("{}", s.validate().unwrap_err());
+        assert!(msg.contains(&format!("the {plant} plant")), "{msg}");
     }
 
     #[test]
@@ -852,6 +925,8 @@ mod tests {
             factor: 2.0,
         });
         s.validate().unwrap();
+
+        assert_rejects_pipeline_arrivals(Scenario::serving_testbed(1), "serving");
     }
 
     #[test]
@@ -901,6 +976,8 @@ mod tests {
             factor: 2.0,
         });
         s.validate().unwrap();
+
+        assert_rejects_pipeline_arrivals(Scenario::llm_testbed(1), "llm");
     }
 
     #[test]

@@ -8,16 +8,14 @@
 //! modulators.
 
 mod capgpu_ctrl;
-mod cpu_gpu_split;
-mod cpu_only;
 pub mod fixed_step;
-mod gpu_only;
+mod proportional;
 
 pub use capgpu_ctrl::CapGpuController;
-pub use cpu_gpu_split::CpuGpuSplitController;
-pub use cpu_only::CpuOnlyController;
 pub use fixed_step::{FixedStepController, SafeFixedStepController};
-pub use gpu_only::GpuOnlyController;
+pub use proportional::{
+    CpuGpuSplitController, CpuOnlyController, GpuOnlyController, SingleKnobController,
+};
 
 use capgpu_control::model::LinearPowerModel;
 use capgpu_sim::DeviceKind;

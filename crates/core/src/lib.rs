@@ -11,13 +11,19 @@
 //! ```text
 //!  ┌──────────────────────────── ExperimentRunner ───────────────────────────┐
 //!  │  every second:   delta-sigma modulators → Server.set_all_frequencies    │
-//!  │                  PipelineSim × N_gpu  → per-device utilization          │
+//!  │                  Plant: engine × N_gpu → per-device utilization         │
 //!  │                  Server.tick_second   → 1 Hz power-meter sample         │
 //!  │  every period T: meter.average_last(T) ┐                                │
 //!  │                  throughput monitors   ├→ PowerController.control()     │
 //!  │                  SLO frequency floors  ┘        (CapGPU or baseline)    │
 //!  └──────────────────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! The runner does not know which workload it drives: the GPU tasks'
+//! engines — the paper's pipeline model, the request-level serving
+//! engines or the two-phase LLM engines — sit behind the crate-private
+//! `plant` module, which reports the same per-second and per-period
+//! quantities for every kind.
 //!
 //! ## Controllers
 //!
@@ -53,6 +59,7 @@ pub mod controllers;
 pub mod daemon;
 pub mod export;
 pub mod ordered;
+mod plant;
 pub mod runner;
 pub mod summary;
 pub mod supervisor;

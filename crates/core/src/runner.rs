@@ -6,30 +6,28 @@
 //! the last 4 samples. Within each second the per-device delta-sigma
 //! modulators resolve the controller's fractional frequency targets into
 //! discrete supported clocks (§5 "Frequency Modulators").
+//!
+//! The loop only observes power and throughput and only actuates clocks,
+//! so it names no workload engine: everything workload-side sits behind
+//! the crate-private `plant` module.
 
 use capgpu_backend::{PowerBackend, SimBackend};
 use capgpu_control::latency::LatencyModel;
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::modulator::DeltaSigmaModulator;
 use capgpu_control::sysid::{identify_sweep, IdentifiedModel, ScaledModelTracker};
-use capgpu_llm::LlmEngine;
-use capgpu_serve::{ArrivalGen, ServeEngine, ServeWindowStats, ServiceModel};
-use capgpu_sim::{Server, ServerBuilder};
-use capgpu_workload::featsel::FeatselRateModel;
+use capgpu_sim::{DeviceKind, Server, ServerBuilder};
 use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
-use capgpu_workload::pipeline::{ArrivalMode, PipelineConfig, PipelineSim, WindowStats};
-use capgpu_workload::slo::SloTracker;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::config::{Scenario, ScheduledChange};
 use crate::controllers::{
     CapGpuController, ControlInput, CpuGpuSplitController, CpuOnlyController, DeviceLayout,
     FixedStepController, GpuOnlyController, PowerController, SafeFixedStepController,
 };
+use crate::plant::Plant;
 use crate::supervisor::{check_arity, HealthSample, Ladder, SupervisorTier};
 use crate::telemetry::{PeriodObservation, Phase, RunTelemetry, TelemetryReport};
-use crate::weights::{PhaseMix, WeightAssigner};
+use crate::weights::WeightAssigner;
 use crate::{CapGpuError, Result};
 
 /// One control period's worth of observations.
@@ -182,8 +180,8 @@ impl RunTrace {
 
 /// The runner.
 ///
-/// `Clone` snapshots the complete closed-loop state — server, pipelines,
-/// monitors, RNGs and the cached identified model. Because every
+/// `Clone` snapshots the complete closed-loop state — server, workload
+/// plant, monitors, RNGs and the cached identified model. Because every
 /// stochastic component is seeded, a clone replays the exact same
 /// trajectory as its original: the sweep engine identifies once per
 /// (scenario, seed) class and clones the post-identification runner for
@@ -198,53 +196,27 @@ pub struct ExperimentRunner {
     /// [`SimBackend::server`] / [`SimBackend::server_mut`].
     backend: SimBackend,
     layout: DeviceLayout,
-    pipelines: Vec<PipelineSim>,
+    /// Everything workload-side: the GPU tasks' engines (whichever kind
+    /// the scenario configures), their latency trackers and per-period
+    /// aggregates, and the CPU-side feature-selection job.
+    plant: Plant,
     gpu_device_indices: Vec<usize>,
-    featsel: FeatselRateModel,
     monitors: Vec<ThroughputMonitor>,
-    slo_tracker: SloTracker,
     latency_models: Vec<LatencyModel>,
     modulators: Vec<DeltaSigmaModulator>,
     setpoint: f64,
     slos: Vec<Option<f64>>,
     targets: Vec<f64>,
-    rng: StdRng,
     identified: Option<IdentifiedModel>,
     /// Streaming restricted re-identifier (gain scale + offset) for
     /// continuous model tracking; populated only when the scenario
     /// enables `rls_tracking` (anchored to the startup identification by
     /// [`ExperimentRunner::identify`]).
     tracker: Option<ScaledModelTracker>,
-    /// Per-task aggregates for the period currently being simulated.
-    second_stats: Vec<TaskPeriodStats>,
-    /// Utilizations of the most recent simulated second.
-    last_utils: Vec<f64>,
     /// Whether the §4.4 memory-throttle escape is currently engaged.
     mem_escape_active: bool,
     /// Index of the (single) CPU package device.
     cpu_device_index: usize,
-    /// Recycled per-window pipeline statistics (hot-path scratch).
-    scratch_stats: WindowStats,
-    /// Request-level serving engines, one per GPU task; empty when the
-    /// scenario's serving layer is disabled. When present they replace
-    /// the pipeline model as the GPU-side plant: busy fraction drives
-    /// utilization, per-request completions drive the SLO tracker.
-    serve_engines: Vec<ServeEngine>,
-    /// Two-phase LLM serving engines, one per GPU task; empty when the
-    /// scenario's LLM layer is disabled. When present they replace the
-    /// pipeline model as the GPU-side plant, and additionally feed the
-    /// controller a per-device [`PhaseMix`] signal each period.
-    llm_engines: Vec<LlmEngine>,
-    /// Recycled per-window serving statistics (hot-path scratch, shared
-    /// by the one-shot and LLM serving plants).
-    serve_scratch: ServeWindowStats,
-    /// Measured time-to-first-token tracker (LLM mode only; empty
-    /// task list otherwise).
-    ttft_tracker: SloTracker,
-    /// Measured inter-token-latency tracker (LLM mode only).
-    itl_tracker: SloTracker,
-    /// Per-task phase aggregates for the period being simulated.
-    phase_stats: Vec<PhasePeriodStats>,
     /// Run telemetry (registry + journal + spans); `None` — recording
     /// nothing and touching nothing — unless the scenario opts in.
     telemetry: Option<RunTelemetry>,
@@ -268,35 +240,11 @@ impl ExperimentRunner {
             server.f_max().to_vec(),
         )?;
         let gpu_device_indices = server.gpu_indices().to_vec();
-        let mut pipelines = Vec::new();
-        for (i, model) in scenario.gpu_models.iter().enumerate() {
-            let dev = gpu_device_indices[i];
-            pipelines.push(PipelineSim::new(PipelineConfig {
-                model: model.clone(),
-                num_workers: scenario.workers_per_pipeline,
-                queue_capacity: scenario.queue_capacity,
-                seed: scenario.seed.wrapping_add(1000 + i as u64),
-                f_gpu_max_mhz: scenario.devices[dev].freq_table.max(),
-                arrivals: match &scenario.arrival_rates {
-                    Some(rates) => ArrivalMode::Open {
-                        rate_img_s: rates[i],
-                    },
-                    None => ArrivalMode::Closed,
-                },
-            })?);
-        }
-        let featsel =
-            FeatselRateModel::new(scenario.featsel_ref_rate, scenario.featsel_ref_mhz, 0.05)?;
+        let cpu_device_index = server.cpu_indices()[0];
+        let plant = Plant::new(&scenario, &gpu_device_indices, cpu_device_index)?;
         let monitors = (0..layout.len())
             .map(|_| ThroughputMonitor::new(0.5))
             .collect();
-        // SLO tracker: a placeholder huge SLO where None.
-        let initial: Vec<f64> = scenario
-            .slos
-            .iter()
-            .map(|s| s.unwrap_or(f64::MAX / 2.0))
-            .collect();
-        let slo_tracker = SloTracker::new(initial);
         let latency_models = scenario
             .gpu_models
             .iter()
@@ -316,89 +264,26 @@ impl ExperimentRunner {
             .map(|d| DeltaSigmaModulator::new(d.freq_table.levels().to_vec()))
             .collect::<std::result::Result<Vec<_>, _>>()?;
         let targets = server.f_min().to_vec();
-        let rng = StdRng::seed_from_u64(scenario.seed.wrapping_mul(0x9E37_79B9));
         let slos = scenario.slos.clone();
-        let n_tasks = pipelines.len();
-        let n_devices = layout.len();
-        let cpu_device_index = server.cpu_indices()[0];
-        let mut serve_engines = Vec::new();
-        if let Some(cfg) = &scenario.serving {
-            for (i, m) in scenario.gpu_models.iter().enumerate() {
-                let dev = gpu_device_indices[i];
-                let service = ServiceModel {
-                    e_min_s: m.e_min_s,
-                    // The plant serves at the model's *true* γ; the
-                    // controller still plans with the fitted one.
-                    gamma: m.gamma_true,
-                    f_max_mhz: scenario.devices[dev].freq_table.max(),
-                    max_batch: m.batch_size,
-                    batch_overhead: cfg.batch_overhead,
-                };
-                let arrivals = ArrivalGen::new(
-                    cfg.arrivals[i].clone(),
-                    scenario.seed.wrapping_add(2000 + i as u64),
-                )?;
-                serve_engines.push(ServeEngine::new(
-                    service,
-                    cfg.batch_timeout_s,
-                    cfg.queue_capacity,
-                    arrivals,
-                )?);
-            }
-        }
-        let mut llm_engines = Vec::new();
-        if let Some(cfg) = &scenario.llm {
-            for (i, task) in cfg.tasks.iter().enumerate() {
-                llm_engines.push(LlmEngine::new(
-                    cfg.model,
-                    task.clone(),
-                    cfg.queue_capacity,
-                    scenario.seed.wrapping_add(3000 + i as u64),
-                )?);
-            }
-        }
-        // TTFT / inter-token trackers carry real SLOs only in LLM mode;
-        // otherwise a one-task placeholder (the tracker requires >= 1
-        // task) that is never recorded into.
-        let (ttft_slos, itl_slos): (Vec<f64>, Vec<f64>) = match &scenario.llm {
-            Some(cfg) => cfg
-                .tasks
-                .iter()
-                .map(|t| (t.ttft_slo_s, t.itl_slo_s))
-                .unzip(),
-            None => (vec![f64::MAX / 2.0], vec![f64::MAX / 2.0]),
-        };
-        let telemetry = scenario
-            .telemetry
-            .map(|cfg| RunTelemetry::new(cfg, &layout.kinds, n_tasks, !llm_engines.is_empty()));
+        let (n_tasks, llm) = (gpu_device_indices.len(), scenario.llm.is_some());
+        let telemetry =
+            (scenario.telemetry).map(|cfg| RunTelemetry::new(cfg, &layout.kinds, n_tasks, llm));
         let backend = SimBackend::new(server);
         Ok(ExperimentRunner {
             telemetry,
-            serve_engines,
-            llm_engines,
-            ttft_tracker: SloTracker::new(ttft_slos),
-            itl_tracker: SloTracker::new(itl_slos),
-            phase_stats: vec![PhasePeriodStats::default(); n_tasks],
-            serve_scratch: ServeWindowStats::default(),
-            second_stats: vec![TaskPeriodStats::default(); n_tasks],
-            last_utils: vec![0.0; n_devices],
             mem_escape_active: false,
             cpu_device_index,
-            scratch_stats: WindowStats::default(),
             scenario,
             backend,
             layout,
-            pipelines,
+            plant,
             gpu_device_indices,
-            featsel,
             monitors,
-            slo_tracker,
             latency_models,
             modulators,
             setpoint: initial_setpoint,
             slos,
             targets,
-            rng,
             identified: None,
             tracker: None,
         })
@@ -442,18 +327,7 @@ impl ExperimentRunner {
     /// [`CapGpuError::BadConfig`] when the scenario has no serving layer
     /// or the scale is not positive and finite.
     pub fn set_serving_intensity_scale(&mut self, scale: f64) -> Result<()> {
-        if self.serve_engines.is_empty() && self.llm_engines.is_empty() {
-            return Err(CapGpuError::BadConfig(
-                "serving intensity scale without the serving layer".into(),
-            ));
-        }
-        for engine in &mut self.serve_engines {
-            engine.set_intensity_scale(scale)?;
-        }
-        for engine in &mut self.llm_engines {
-            engine.set_intensity_scale(scale)?;
-        }
-        Ok(())
+        self.plant.set_intensity_scale(scale)
     }
 
     /// The run's telemetry instruments, when the scenario enables them.
@@ -502,7 +376,7 @@ impl ExperimentRunner {
                 let mut power_sum = 0.0;
                 let mut samples = 0;
                 for _ in 0..self.scenario.control_period_s {
-                    if let Some(p) = self.advance_one_second(&applied)? {
+                    if let Some(p) = self.advance_second(&applied, None)? {
                         power_sum += p;
                         samples += 1;
                     }
@@ -591,19 +465,24 @@ impl ExperimentRunner {
         CapGpuController::with_config(config, model, WeightAssigner::default(), "CapGPU (fast)")
     }
 
+    /// The plant gain one shared knob over every device of `kind` sees:
+    /// the sum of their non-negative identified gains (W/MHz).
+    fn summed_gain(&mut self, kind: DeviceKind) -> Result<f64> {
+        let model = self.identified_model()?;
+        let gain: f64 = (self.layout.kinds.iter().zip(model.gains()))
+            .filter(|(k, _)| **k == kind)
+            .map(|(_, g)| g.max(0.0))
+            .sum();
+        Ok(gain.max(1e-6))
+    }
+
     /// Builds the GPU-Only baseline (pole 0.5) from identified GPU gains.
     ///
     /// # Errors
     /// Propagates identification and construction errors.
     pub fn build_gpu_only(&mut self) -> Result<GpuOnlyController> {
-        let model = self.identified_model()?;
-        let gain: f64 = self
-            .layout
-            .gpu_indices()
-            .iter()
-            .map(|&i| model.gains()[i].max(0.0))
-            .sum();
-        GpuOnlyController::new(self.layout.clone(), gain.max(1e-6), 0.5)
+        let gain = self.summed_gain(DeviceKind::Gpu)?;
+        GpuOnlyController::new(self.layout.clone(), gain, 0.5)
     }
 
     /// Builds the CPU-Only baseline (pole 0.5) from identified CPU gains.
@@ -611,14 +490,8 @@ impl ExperimentRunner {
     /// # Errors
     /// Propagates identification and construction errors.
     pub fn build_cpu_only(&mut self) -> Result<CpuOnlyController> {
-        let model = self.identified_model()?;
-        let gain: f64 = self
-            .layout
-            .cpu_indices()
-            .iter()
-            .map(|&i| model.gains()[i].max(0.0))
-            .sum();
-        CpuOnlyController::new(self.layout.clone(), gain.max(1e-6), 0.5)
+        let gain = self.summed_gain(DeviceKind::Cpu)?;
+        CpuOnlyController::new(self.layout.clone(), gain, 0.5)
     }
 
     /// Builds the CPU+GPU split baseline with the given GPU budget share.
@@ -626,26 +499,9 @@ impl ExperimentRunner {
     /// # Errors
     /// Propagates identification and construction errors.
     pub fn build_split(&mut self, gpu_share: f64) -> Result<CpuGpuSplitController> {
-        let model = self.identified_model()?;
-        let cpu_gain: f64 = self
-            .layout
-            .cpu_indices()
-            .iter()
-            .map(|&i| model.gains()[i].max(0.0))
-            .sum();
-        let gpu_gain: f64 = self
-            .layout
-            .gpu_indices()
-            .iter()
-            .map(|&i| model.gains()[i].max(0.0))
-            .sum();
-        CpuGpuSplitController::new(
-            self.layout.clone(),
-            cpu_gain.max(1e-6),
-            gpu_gain.max(1e-6),
-            gpu_share,
-            0.5,
-        )
+        let cpu_gain = self.summed_gain(DeviceKind::Cpu)?;
+        let gpu_gain = self.summed_gain(DeviceKind::Gpu)?;
+        CpuGpuSplitController::new(self.layout.clone(), cpu_gain, gpu_gain, gpu_share, 0.5)
     }
 
     /// Builds the Fixed-step baseline with the given step multiplier.
@@ -671,171 +527,16 @@ impl ExperimentRunner {
         ))
     }
 
-    /// Advances one simulated second at the given applied frequencies;
-    /// returns the meter sample, if the meter produced one. Internal
-    /// helper shared by identification and the main loop — updates
-    /// pipelines, computes utilizations, ticks the server.
-    fn advance_one_second(&mut self, applied: &[f64]) -> Result<Option<f64>> {
-        self.advance_one_second_collect(applied, None)
-    }
-
-    /// [`ExperimentRunner::advance_one_second`] with an optional per-task
-    /// queue-delay collector (used by fixed-frequency motivation runs;
-    /// the closed-loop path passes `None` and skips the copies).
-    ///
-    /// All per-second state lives in recycled buffers (`last_utils`,
-    /// `scratch_stats`): this function performs no heap allocation.
-    fn advance_one_second_collect(
+    /// One second of plant time at the given applied frequencies: the
+    /// meter sample, if the meter produced one.
+    fn advance_second(
         &mut self,
         applied: &[f64],
-        mut queue_delays: Option<&mut Vec<Vec<f64>>>,
+        queue_delays: Option<&mut [Vec<f64>]>,
     ) -> Result<Option<f64>> {
-        let cpu_dev = self.cpu_device_index;
-        let f_cpu = applied[cpu_dev];
-        let mut utils = std::mem::take(&mut self.last_utils);
-        utils.iter_mut().for_each(|u| *u = 0.0);
-        let mut worker_util_sum = 0.0;
-        if !self.llm_engines.is_empty() {
-            // Two-phase LLM plant: continuous-batching engines replace
-            // the pipeline model. Utilization is attributed per regime —
-            // compute-bound prefill busy-time at `gpu_util_prefill`,
-            // memory-bound decode at `gpu_util_decode` — which is exactly
-            // why capping a decode-bound device recovers so little power.
-            // End-to-end request latencies feed the SLO tracker; token
-            // latencies feed the TTFT / inter-token trackers; busy-time
-            // splits and KV occupancy accumulate into the period's
-            // phase-mix signal.
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_enter(Phase::ServeDrain);
-            }
-            let util_prefill = self
-                .scenario
-                .llm
-                .as_ref()
-                .map(|c| c.model.gpu_util_prefill)
-                .unwrap_or(1.0);
-            let util_decode = self
-                .scenario
-                .llm
-                .as_ref()
-                .map(|c| c.model.gpu_util_decode)
-                .unwrap_or(1.0);
-            let sstats = &mut self.serve_scratch;
-            for i in 0..self.llm_engines.len() {
-                let dev = self.gpu_device_indices[i];
-                // An ejected device does no work and draws no power; its
-                // engine is frozen until re-admission.
-                if self.backend.is_ejected(dev) {
-                    continue;
-                }
-                let f_eff = throttled_clock_mhz(&self.backend, dev, applied[dev])?;
-                self.llm_engines[i].advance_into(1.0, f_eff, sstats);
-                utils[dev] = (sstats.prefill_busy_s * util_prefill
-                    + sstats.decode_busy_s * util_decode)
-                    .clamp(0.0, 1.0);
-                // Tokenization/detokenization tracks the admitted
-                // request stream on the preprocessing workers.
-                let model = &self.scenario.gpu_models[i];
-                let admitted = (sstats.arrivals - sstats.dropped) as f64;
-                worker_util_sum += (admitted * model.preprocess_time(f_cpu)
-                    / self.scenario.workers_per_pipeline.max(1) as f64)
-                    .clamp(0.0, 1.0);
-                self.slo_tracker.record_all(i, &sstats.request_latencies);
-                self.ttft_tracker.record_all(i, &sstats.ttft_s);
-                self.itl_tracker.record_all(i, &sstats.inter_token_s);
-                self.second_stats[i].images += sstats.completions;
-                self.second_stats[i].batches += sstats.batches;
-                self.second_stats[i].latency_sum += sstats.request_latencies.iter().sum::<f64>();
-                let ps = &mut self.phase_stats[i];
-                ps.prefill_busy_s += sstats.prefill_busy_s;
-                ps.decode_busy_s += sstats.decode_busy_s;
-                ps.kv_occupancy_end = sstats.kv_occupancy();
-                ps.tokens += (sstats.prefill_tokens + sstats.decode_tokens) as u64;
-                if let Some(tm) = self.telemetry.as_mut() {
-                    tm.on_serve_second(i, sstats, self.llm_engines[i].queue_len());
-                    tm.on_llm_second(i, sstats);
-                }
-            }
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_exit();
-            }
-        } else if !self.serve_engines.is_empty() {
-            // Request-level serving plant: the discrete-event engines
-            // replace the pipeline model. Busy fraction (scaled by the
-            // model's busy utilization) drives the power simulation,
-            // per-request completions drive the SLO tracker, and the
-            // period's queue drain becomes the throughput signal via
-            // `second_stats`. Per-image queue delays are folded into the
-            // end-to-end request latencies, so the `queue_delays`
-            // collector stays empty in this mode.
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_enter(Phase::ServeDrain);
-            }
-            let sstats = &mut self.serve_scratch;
-            for i in 0..self.serve_engines.len() {
-                let dev = self.gpu_device_indices[i];
-                // An ejected device does no work and draws no power; its
-                // engine is frozen until re-admission.
-                if self.backend.is_ejected(dev) {
-                    continue;
-                }
-                let f_eff = throttled_clock_mhz(&self.backend, dev, applied[dev])?;
-                self.serve_engines[i].advance_into(1.0, f_eff, sstats);
-                let model = &self.scenario.gpu_models[i];
-                utils[dev] = (sstats.busy_fraction * model.gpu_util_busy).clamp(0.0, 1.0);
-                // Preprocessing tracks the admitted request stream: each
-                // admitted image costs one worker `preprocess_time`.
-                let admitted = (sstats.arrivals - sstats.dropped) as f64;
-                worker_util_sum += (admitted * model.preprocess_time(f_cpu)
-                    / self.scenario.workers_per_pipeline.max(1) as f64)
-                    .clamp(0.0, 1.0);
-                self.slo_tracker.record_all(i, &sstats.request_latencies);
-                self.second_stats[i].images += sstats.completions;
-                self.second_stats[i].batches += sstats.batches;
-                self.second_stats[i].latency_sum += sstats.request_latencies.iter().sum::<f64>();
-                if let Some(tm) = self.telemetry.as_mut() {
-                    tm.on_serve_second(i, sstats, self.serve_engines[i].queue_len());
-                }
-            }
-            if let Some(tm) = self.telemetry.as_mut() {
-                tm.span_exit();
-            }
-        } else {
-            let stats = &mut self.scratch_stats;
-            for (i, pipe) in self.pipelines.iter_mut().enumerate() {
-                let dev = self.gpu_device_indices[i];
-                // An ejected device does no work and draws no power; its
-                // pipeline is frozen until re-admission.
-                if self.backend.is_ejected(dev) {
-                    continue;
-                }
-                let f_eff = throttled_clock_mhz(&self.backend, dev, applied[dev])?;
-                pipe.advance_into(1.0, f_cpu, f_eff, stats);
-                utils[dev] = stats.gpu_util;
-                worker_util_sum += stats.cpu_worker_util;
-                // Latency and throughput bookkeeping at 1 s granularity is
-                // aggregated per period by the caller via pipeline stats;
-                // record SLO hits here so no batch is lost.
-                self.slo_tracker.record_all(i, &stats.batch_latencies);
-                self.second_stats[i].images += stats.images_completed;
-                self.second_stats[i].batches += stats.batch_latencies.len();
-                self.second_stats[i].latency_sum += stats.batch_latencies.iter().sum::<f64>();
-                if let Some(qd) = queue_delays.as_deref_mut() {
-                    qd[i].extend_from_slice(&stats.queue_delays);
-                }
-            }
-        }
-        // CPU package utilization: the feature-selection job keeps the
-        // remaining cores busy (~0.85) and preprocessing adds the rest.
-        let worker_share = worker_util_sum / self.pipelines.len().max(1) as f64;
-        utils[cpu_dev] = (0.85 + 0.1 * worker_share).clamp(0.0, 1.0);
-        // One second of plant time through the sense/actuate seam: the
-        // simulator consumes the staged utilizations (real hardware
-        // measures its own load) and hands back the meter sample.
-        self.backend.stage_utilizations(&utils)?;
-        let sample = self.backend.advance(1.0)?;
-        self.last_utils = utils;
-        Ok(sample)
+        let telemetry = self.telemetry.as_mut();
+        self.plant
+            .advance_second(&mut self.backend, applied, telemetry, queue_delays)
     }
 
     /// Runs `num_periods` control periods with the given controller,
@@ -878,13 +579,7 @@ impl ExperimentRunner {
         let mut ejected_flags = vec![false; n];
         // Latencies recorded during calibration (identification) must not
         // count against the measured run's SLO statistics.
-        self.slo_tracker.reset_stats();
-        self.ttft_tracker.reset_stats();
-        self.itl_tracker.reset_stats();
-        let llm_on = !self.llm_engines.is_empty();
-        // Per-device phase mix handed to the controller (LLM mode only);
-        // non-LLM devices stay at the neutral mix.
-        let mut phase_mix = vec![PhaseMix::neutral(); n];
+        self.plant.reset_stats();
         // Per-second scratch, recycled across all periods of the run.
         let mut levels = vec![0.0; n];
         let mut applied = Vec::with_capacity(n);
@@ -950,14 +645,14 @@ impl ExperimentRunner {
                         slo_s,
                     } if *at_period == period => {
                         self.slos[*task] = Some(*slo_s);
-                        self.slo_tracker.set_slo(*task, *slo_s);
+                        self.plant.set_slo(*task, *slo_s);
                     }
                     ScheduledChange::ArrivalRate {
                         at_period,
                         task,
                         rate_img_s,
                     } if *at_period == period => {
-                        self.pipelines[*task].set_arrival_rate(*rate_img_s)?;
+                        self.plant.set_arrival_rate(*task, *rate_img_s)?;
                     }
                     ScheduledChange::MeterFault { at_period, fault } if *at_period == period => {
                         self.backend.server_mut().set_meter_fault(*fault);
@@ -976,40 +671,13 @@ impl ExperimentRunner {
                         task,
                         factor,
                     } if *at_period == period => {
-                        if !self.llm_engines.is_empty() {
-                            self.llm_engines
-                                .get_mut(*task)
-                                .ok_or_else(|| {
-                                    CapGpuError::BadConfig(format!(
-                                        "serving burst targets unknown llm task {task}"
-                                    ))
-                                })?
-                                .set_intensity_scale(*factor)?;
-                        } else {
-                            self.serve_engines
-                                .get_mut(*task)
-                                .ok_or_else(|| {
-                                    CapGpuError::BadConfig(
-                                        "serving burst without the serving layer".into(),
-                                    )
-                                })?
-                                .set_intensity_scale(*factor)?;
-                        }
+                        self.plant.set_task_intensity(*task, *factor)?;
                     }
                     _ => {}
                 }
             }
 
-            // Reset per-period aggregates.
-            self.second_stats
-                .iter_mut()
-                .for_each(|s| *s = TaskPeriodStats::default());
-            self.phase_stats
-                .iter_mut()
-                .for_each(|s| *s = PhasePeriodStats::default());
-            let misses_before: Vec<usize> = (0..self.pipelines.len())
-                .map(|i| self.slo_tracker.misses(i))
-                .collect();
+            self.plant.begin_period();
 
             // One control period: T seconds of actuation. CapGPU resolves
             // fractional targets by delta-sigma modulation (§5); baselines
@@ -1074,7 +742,7 @@ impl ExperimentRunner {
                 for (s, a) in applied_sum.iter_mut().zip(applied.iter()) {
                     *s += a;
                 }
-                if self.advance_one_second(&applied)?.is_some() {
+                if self.advance_second(&applied, None)?.is_some() {
                     fresh_meter_samples += 1;
                 }
             }
@@ -1179,37 +847,10 @@ impl ExperimentRunner {
             }
             // Throughput monitors.
             let cpu_dev = self.cpu_device_index;
-            let cpu_noise: f64 = self.rng.gen_range(-1.0..1.0);
-            let cpu_rate = self.featsel.rate(applied_mean[cpu_dev], cpu_noise);
-            self.monitors[cpu_dev].record(cpu_rate);
-            let mut gpu_throughput = vec![0.0; self.pipelines.len()];
-            let mut gpu_latency = vec![0.0; self.pipelines.len()];
-            let mut batches = vec![0usize; self.pipelines.len()];
-            for i in 0..self.pipelines.len() {
-                let dev = self.gpu_device_indices[i];
-                let st = &self.second_stats[i];
-                // LLM mode: the throughput signal is tokens/s, not
-                // completions/s — decode emits tokens continuously even
-                // when whole-request completions are lumpy.
-                gpu_throughput[i] = if llm_on {
-                    self.phase_stats[i].tokens as f64 / t as f64
-                } else {
-                    st.images as f64 / t as f64
-                };
-                batches[i] = st.batches;
-                // Serving/LLM modes accumulate per-request latencies,
-                // model mode per-batch; divide by the matching count.
-                let denom = if self.serve_engines.is_empty() && !llm_on {
-                    st.batches
-                } else {
-                    st.images
-                };
-                gpu_latency[i] = if denom > 0 {
-                    st.latency_sum / denom as f64
-                } else {
-                    0.0
-                };
-                self.monitors[dev].record(gpu_throughput[i]);
+            let measured = self.plant.end_period(t, applied_mean[cpu_dev]);
+            self.monitors[cpu_dev].record(measured.cpu_rate);
+            for (&dev, &rate) in self.gpu_device_indices.iter().zip(&measured.gpu_throughput) {
+                self.monitors[dev].record(rate);
             }
 
             // SLO frequency floors for the next period.
@@ -1235,25 +876,6 @@ impl ExperimentRunner {
 
             let normalized = normalized_throughputs(&self.monitors);
 
-            // Phase-mix signal for the controller (LLM mode): busy-time
-            // prefill share, end-of-period KV occupancy, and token rate,
-            // per device. Non-LLM devices keep the neutral mix, under
-            // which the phase-aware penalty equals the phase-blind one.
-            if llm_on {
-                for (i, ps) in self.phase_stats.iter().enumerate() {
-                    let dev = self.gpu_device_indices[i];
-                    let busy = ps.prefill_busy_s + ps.decode_busy_s;
-                    phase_mix[dev] = PhaseMix {
-                        prefill_share: if busy > 0.0 {
-                            (ps.prefill_busy_s / busy).clamp(0.0, 1.0)
-                        } else {
-                            1.0
-                        },
-                        kv_occupancy: ps.kv_occupancy_end,
-                        tokens_per_s: ps.tokens as f64 / t as f64,
-                    };
-                }
-            }
             let input = ControlInput {
                 measured_power: avg_power,
                 setpoint: self.setpoint,
@@ -1261,7 +883,7 @@ impl ExperimentRunner {
                 normalized_throughput: &normalized,
                 device_power: &device_power,
                 floors: &floors,
-                phase_mix: if llm_on { Some(&phase_mix) } else { None },
+                phase_mix: self.plant.phase_mix(),
             };
             // The supervised path ingests this period's health evidence
             // before the control decision, so demotions take effect in
@@ -1336,22 +958,18 @@ impl ExperimentRunner {
                 }
             }
 
-            let slo_misses: Vec<usize> = (0..self.pipelines.len())
-                .map(|i| self.slo_tracker.misses(i) - misses_before[i])
-                .collect();
-
             records.push(PeriodRecord {
                 period,
                 setpoint: effective_setpoint,
                 avg_power,
                 targets: self.targets.clone(),
                 applied_mean,
-                gpu_throughput,
-                cpu_throughput: cpu_rate,
-                gpu_mean_latency: gpu_latency,
+                gpu_throughput: measured.gpu_throughput,
+                cpu_throughput: measured.cpu_rate,
+                gpu_mean_latency: measured.gpu_mean_latency,
                 slo: self.slos.clone(),
-                slo_misses,
-                batches,
+                slo_misses: measured.slo_misses,
+                batches: measured.batches,
                 floors,
                 memory_escape_active: self.mem_escape_active,
                 supervisor_tier: tier.as_u8(),
@@ -1388,62 +1006,27 @@ impl ExperimentRunner {
                 };
                 if let Some(tm) = self.telemetry.as_mut() {
                     tm.on_period(&obs);
-                    if llm_on {
-                        for (i, ps) in self.phase_stats.iter().enumerate() {
-                            let dev = self.gpu_device_indices[i];
-                            tm.on_llm_period(
-                                period,
-                                t_end_s,
-                                i,
-                                phase_mix[dev].prefill_share,
-                                ps.kv_occupancy_end,
-                            );
+                    if let Some(mix) = self.plant.phase_mix() {
+                        for (i, &dev) in self.gpu_device_indices.iter().enumerate() {
+                            let m = &mix[dev];
+                            tm.on_llm_period(period, t_end_s, i, m.prefill_share, m.kv_occupancy);
                         }
                     }
                     tm.span_exit();
                 }
             }
         }
-        // Tail quantiles are exact order statistics selected in the
-        // trackers' own buffers: linear in the samples recorded, no copy.
-        let n_tasks = self.pipelines.len();
-        let p99 = |tracker: &mut SloTracker| -> Vec<f64> {
-            (0..n_tasks).map(|i| tracker.percentile(i, 99.0)).collect()
-        };
-        let miss_rates_of = |tracker: &SloTracker| -> Vec<f64> {
-            (0..n_tasks).map(|i| tracker.miss_rate(i)).collect()
-        };
-        let miss_rates = miss_rates_of(&self.slo_tracker);
-        let p99_latency_s = p99(&mut self.slo_tracker);
-        let (ttft_p99_s, itl_p99_s, ttft_miss_rates, itl_miss_rates) = if llm_on {
-            (
-                p99(&mut self.ttft_tracker),
-                p99(&mut self.itl_tracker),
-                miss_rates_of(&self.ttft_tracker),
-                miss_rates_of(&self.itl_tracker),
-            )
-        } else {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
-        };
+        let trace = self.plant.finish(controller.name().to_string(), records);
         let tracker_stats = self.tracker.as_ref().map(|tr| tr.stats());
         if let Some(tm) = self.telemetry.as_mut() {
             tm.end_run(
                 num_periods,
                 (num_periods * t) as f64,
-                &p99_latency_s,
+                &trace.p99_latency_s,
                 tracker_stats,
             );
         }
-        Ok(RunTrace {
-            controller: controller.name().to_string(),
-            records,
-            miss_rates,
-            p99_latency_s,
-            ttft_p99_s,
-            itl_p99_s,
-            ttft_miss_rates,
-            itl_miss_rates,
-        })
+        Ok(trace)
     }
 
     /// Runs with fixed frequencies and no controller for `seconds`,
@@ -1462,79 +1045,39 @@ impl ExperimentRunner {
         self.backend.set_frequencies(freqs)?;
         let mut applied = Vec::with_capacity(self.layout.len());
         self.backend.effective_frequencies_into(&mut applied)?;
-        self.second_stats
-            .iter_mut()
-            .for_each(|s| *s = TaskPeriodStats::default());
         for _ in 0..warmup_seconds {
-            self.advance_one_second(&applied)?;
+            self.advance_second(&applied, None)?;
         }
-        // Reset aggregates after warmup.
-        self.second_stats
-            .iter_mut()
-            .for_each(|s| *s = TaskPeriodStats::default());
+        // Measure from after the warmup.
+        self.plant.begin_period();
         let mut power_sum = 0.0;
         let mut power_n = 0usize;
-        let mut queue_delays: Vec<Vec<f64>> = vec![Vec::new(); self.pipelines.len()];
-        let f_cpu = applied[self.cpu_device_index];
+        let mut queue_delays: Vec<Vec<f64>> = vec![Vec::new(); self.gpu_device_indices.len()];
         for _ in 0..seconds {
-            if let Some(p) = self.advance_one_second_collect(&applied, Some(&mut queue_delays))? {
+            if let Some(p) = self.advance_second(&applied, Some(&mut queue_delays))? {
                 power_sum += p;
                 power_n += 1;
             }
         }
-        let throughput: Vec<f64> = self
-            .second_stats
-            .iter()
-            .map(|s| s.images as f64 / seconds as f64)
-            .collect();
-        let latency: Vec<f64> = self
-            .second_stats
-            .iter()
-            .map(|s| {
-                if s.batches > 0 {
-                    s.latency_sum / s.batches as f64
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let queue_delay: Vec<f64> = queue_delays
-            .iter()
-            .map(|d| capgpu_linalg::stats::mean(d))
-            .collect();
-        let preprocess: Vec<f64> = self
-            .pipelines
-            .iter()
-            .enumerate()
-            .map(|(i, _)| self.scenario.gpu_models[i].preprocess_time(f_cpu))
-            .collect();
+        let f_cpu = applied[self.cpu_device_index];
+        let measured = self.plant.end_period(seconds, f_cpu);
         Ok(FixedRunStats {
             mean_power: if power_n > 0 {
                 power_sum / power_n as f64
             } else {
                 0.0
             },
-            throughput_img_s: throughput,
-            mean_batch_latency_s: latency,
-            mean_queue_delay_s: queue_delay,
-            preprocess_s_per_image: preprocess,
+            throughput_img_s: measured.gpu_throughput,
+            mean_batch_latency_s: measured.gpu_mean_latency,
+            mean_queue_delay_s: queue_delays
+                .iter()
+                .map(|d| capgpu_linalg::stats::mean(d))
+                .collect(),
+            preprocess_s_per_image: (self.scenario.gpu_models.iter())
+                .map(|m| m.preprocess_time(f_cpu))
+                .collect(),
         })
     }
-}
-
-/// The core clock the latency law sees on device `dev`: an engaged memory
-/// throttle slows inference, modelled as a derating of the applied clock.
-fn throttled_clock_mhz(backend: &SimBackend, dev: usize, applied_mhz: f64) -> Result<f64> {
-    let server = backend.server();
-    Ok(
-        match (
-            server.device(dev)?.mem_throttle,
-            server.memory_throttled(dev)?,
-        ) {
-            (Some(mt), true) => applied_mhz / mt.latency_penalty,
-            _ => applied_mhz,
-        },
-    )
 }
 
 /// Relative deadband on the tracked gain scale below which a refreshed
@@ -1565,26 +1108,6 @@ fn probe_sign(seed: u64, period: usize, device: usize) -> f64 {
     }
 }
 
-/// Per-task aggregates accumulated within one control period.
-#[derive(Debug, Clone, Default)]
-struct TaskPeriodStats {
-    images: usize,
-    batches: usize,
-    latency_sum: f64,
-}
-
-/// Per-task phase aggregates accumulated within one control period
-/// (LLM mode): the raw material of the [`PhaseMix`] signal.
-#[derive(Debug, Clone, Default)]
-struct PhasePeriodStats {
-    prefill_busy_s: f64,
-    decode_busy_s: f64,
-    /// KV occupancy at the period's last simulated second (fraction).
-    kv_occupancy_end: f64,
-    /// Prefill + decode tokens processed this period.
-    tokens: u64,
-}
-
 /// Results of a fixed-frequency (controller-less) run — the Table 1 rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedRunStats {
@@ -1603,6 +1126,7 @@ pub struct FixedRunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capgpu_workload::slo::SloTracker;
 
     /// Copy, full sort, linear interpolation: the percentile the runner
     /// reported before its tails became selections.
@@ -1663,27 +1187,23 @@ mod tests {
     fn assert_tails_match_sort_oracle(make: fn(u64) -> Scenario) {
         const PERIODS: usize = 40;
         let (runner, trace) = run_for(make(42), PERIODS);
-        assert_eq!(trace.p99_latency_s, p99_by_sort(&runner.slo_tracker));
-        assert_eq!(trace.miss_rates, miss_rates_by_count(&runner.slo_tracker));
-        if runner.llm_engines.is_empty() {
-            assert!(trace.ttft_p99_s.is_empty() && trace.itl_p99_s.is_empty());
-        } else {
-            assert_eq!(trace.ttft_p99_s, p99_by_sort(&runner.ttft_tracker));
-            assert_eq!(trace.itl_p99_s, p99_by_sort(&runner.itl_tracker));
-            assert_eq!(
-                trace.ttft_miss_rates,
-                miss_rates_by_count(&runner.ttft_tracker)
-            );
-            assert_eq!(
-                trace.itl_miss_rates,
-                miss_rates_by_count(&runner.itl_tracker)
-            );
+        let (slo, token_trackers) = runner.plant.trackers();
+        assert_eq!(trace.p99_latency_s, p99_by_sort(slo));
+        assert_eq!(trace.miss_rates, miss_rates_by_count(slo));
+        match token_trackers {
+            None => assert!(trace.ttft_p99_s.is_empty() && trace.itl_p99_s.is_empty()),
+            Some((ttft, itl)) => {
+                assert_eq!(trace.ttft_p99_s, p99_by_sort(ttft));
+                assert_eq!(trace.itl_p99_s, p99_by_sort(itl));
+                assert_eq!(trace.ttft_miss_rates, miss_rates_by_count(ttft));
+                assert_eq!(trace.itl_miss_rates, miss_rates_by_count(itl));
+            }
         }
-        let mut before = vec![0; runner.slo_tracker.num_tasks()];
+        let mut before = vec![0; slo.num_tasks()];
         for k in 1..=PERIODS {
             let (prefix_runner, prefix) = run_for(make(42), k);
             assert_eq!(prefix.records[..], trace.records[..k]);
-            let after = above_slo(&prefix_runner.slo_tracker);
+            let after = above_slo(prefix_runner.plant.trackers().0);
             let in_period: Vec<usize> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
             assert_eq!(trace.records[k - 1].slo_misses, in_period, "period {k}");
             before = after;

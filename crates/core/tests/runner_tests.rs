@@ -381,3 +381,58 @@ fn journal_captures_scripted_escalation_in_order() {
     );
     assert_eq!(snap.counter_value("capgpu_periods_total", &[]), Some(45));
 }
+
+/// The one per-second loop freezes an ejected GPU's engine whichever of
+/// the three workload kinds the scenario runs: no work, no batches and no
+/// new SLO misses for that task while it is out, the other tasks keep
+/// going, and the task picks up again after re-admission.
+#[test]
+fn ejected_gpu_freezes_its_engine_on_every_plant_kind() {
+    const EJECTED_TASK: usize = 1;
+    const OUT: std::ops::Range<usize> = 5..10;
+    for (kind, mut scenario) in [
+        ("pipeline", Scenario::paper_testbed(42)),
+        ("serving", Scenario::serving_testbed(42)),
+        ("llm", Scenario::llm_testbed(42)),
+    ] {
+        // Tight enough that a running task does miss, so "no new misses
+        // while ejected" is not a comparison of zeros.
+        scenario.slos = (scenario.gpu_models.iter())
+            .map(|m| Some(if kind == "llm" { 2.0 } else { 1.2 * m.e_min_s }))
+            .collect();
+        let scenario = scenario.with_faults(FaultSchedule {
+            specs: vec![FaultSpec {
+                // Device 0 is the CPU, so GPU task `t` is device `t + 1`.
+                kind: FaultKind::Ejected {
+                    device: EJECTED_TASK + 1,
+                },
+                onset_period: OUT.start,
+                duration: Some(OUT.len()),
+                intermittency: None,
+            }],
+        });
+        let mut r = ExperimentRunner::new(scenario, 900.0).unwrap();
+        let c = r.build_capgpu_controller().unwrap();
+        let trace = r.run(c, 16).unwrap();
+        for rec in &trace.records {
+            let out = OUT.contains(&rec.period);
+            for task in 0..3 {
+                let frozen = out && task == EJECTED_TASK;
+                assert_eq!(
+                    rec.gpu_throughput[task] == 0.0 && rec.batches[task] == 0,
+                    frozen,
+                    "{kind}: period {} task {task}: {rec:?}",
+                    rec.period
+                );
+                if frozen {
+                    assert_eq!(rec.slo_misses[task], 0, "{kind}: period {}", rec.period);
+                }
+            }
+        }
+        let misses_while_running: usize = (trace.records.iter())
+            .filter(|rec| !OUT.contains(&rec.period))
+            .map(|rec| rec.slo_misses[EJECTED_TASK])
+            .sum();
+        assert!(misses_while_running > 0, "{kind}: the SLO never bit");
+    }
+}

@@ -26,7 +26,7 @@
 //! (weighted) residual sum of squares of the current fit — R²/RMSE come
 //! for free, without a second pass over the data.
 
-use crate::{cholesky, svd, LinalgError, Matrix, Result};
+use crate::{svd, LinalgError, Matrix, Result};
 
 /// Relative threshold on diagonal entries of `R` for rank detection,
 /// matching [`crate::qr::Qr::rank`].
@@ -42,7 +42,7 @@ pub struct RlsFactor {
     d: Vec<f64>,
     /// Forgetting factor `λ ∈ (0, 1]`.
     forgetting: f64,
-    /// Number of samples folded in since the last [`RlsFactor::reset`].
+    /// Number of samples folded in since construction.
     n_updates: usize,
     /// Exponentially weighted residual sum of squares.
     weighted_rss: f64,
@@ -92,12 +92,7 @@ impl RlsFactor {
         self.d.len()
     }
 
-    /// The forgetting factor `λ`.
-    pub fn forgetting(&self) -> f64 {
-        self.forgetting
-    }
-
-    /// Number of samples folded in since construction or the last reset.
+    /// Number of samples folded in since construction.
     pub fn len(&self) -> usize {
         self.n_updates
     }
@@ -105,28 +100,6 @@ impl RlsFactor {
     /// True before the first update.
     pub fn is_empty(&self) -> bool {
         self.n_updates == 0
-    }
-
-    /// Exponentially weighted effective sample count `Σ λ^k`; equals
-    /// [`RlsFactor::len`] when `λ = 1`.
-    pub fn effective_samples(&self) -> f64 {
-        self.weight_sum
-    }
-
-    /// The upper-triangular factor `R` (for conditioning diagnostics).
-    pub fn r(&self) -> &Matrix {
-        &self.r
-    }
-
-    /// Discards all state, keeping dimensions and forgetting factor.
-    pub fn reset(&mut self) {
-        self.r.as_mut_slice().fill(0.0);
-        self.d.iter_mut().for_each(|v| *v = 0.0);
-        self.n_updates = 0;
-        self.weighted_rss = 0.0;
-        self.weight_sum = 0.0;
-        self.y_sum = 0.0;
-        self.y2_sum = 0.0;
     }
 
     /// Applies one step of exponential forgetting *without* folding in an
@@ -215,8 +188,7 @@ impl RlsFactor {
     /// least-squares solution over all folded-in samples. `O(dim²)`.
     ///
     /// # Errors
-    /// [`LinalgError::Singular`] when `R` is numerically rank deficient
-    /// (use [`RlsFactor::solve_ridge`] then).
+    /// [`LinalgError::Singular`] when `R` is numerically rank deficient.
     pub fn solve(&self) -> Result<Vec<f64>> {
         let n = self.dim();
         if self.rank() < n {
@@ -231,39 +203,6 @@ impl RlsFactor {
             beta[i] = acc / self.r[(i, i)];
         }
         Ok(beta)
-    }
-
-    /// Ridge-regularized solve: `(RᵀR + λᵣ·I)·β = Rᵀd`. Because
-    /// `RᵀR = XᵀWX` and `Rᵀd = XᵀWy`, this is *exactly* the solution of
-    /// the weighted ridge problem `min ‖W^½(X·β − y)‖² + λᵣ‖β‖²` — the
-    /// same normal equations [`crate::lstsq::solve_ridge`] solves for the
-    /// batch (unweighted) case.
-    ///
-    /// # Errors
-    /// Propagates Cholesky failure for non-positive `lambda` on a
-    /// singular factor.
-    pub fn solve_ridge(&self, lambda: f64) -> Result<Vec<f64>> {
-        debug_assert!(lambda >= 0.0, "ridge penalty must be non-negative");
-        let n = self.dim();
-        let mut a = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..n {
-                // (RᵀR)ᵢⱼ = Σₖ Rₖᵢ·Rₖⱼ, k ≤ min(i, j) since R is upper.
-                let mut acc = 0.0;
-                for k in 0..=i.min(j) {
-                    acc += self.r[(k, i)] * self.r[(k, j)];
-                }
-                a[(i, j)] = acc;
-            }
-            a[(i, i)] += lambda;
-        }
-        let mut b = vec![0.0; n];
-        for (j, bj) in b.iter_mut().enumerate() {
-            for k in 0..=j {
-                *bj += self.r[(k, j)] * self.d[k];
-            }
-        }
-        cholesky::solve_spd(&a, &b)
     }
 
     /// 2-norm condition number of `R` — identical to the condition number
@@ -397,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn singular_factor_rejected_and_ridge_recovers() {
+    fn singular_factor_rejected() {
         // Only one direction excited: x[1] = 2·x[0].
         let mut rls = RlsFactor::new(2, 1.0).unwrap();
         for i in 0..8 {
@@ -406,38 +345,6 @@ mod tests {
         }
         assert_eq!(rls.solve().unwrap_err(), LinalgError::Singular);
         assert!(rls.condition() > 1e12);
-        let beta = rls.solve_ridge(1e-6).unwrap();
-        // Prediction on the excited direction is still right.
-        assert!((beta[0] + 2.0 * beta[1] - 3.0).abs() < 1e-3, "{beta:?}");
-    }
-
-    #[test]
-    fn ridge_matches_batch_ridge() {
-        let (rows, ys) = stream(3, 20);
-        let mut rls = RlsFactor::new(3, 1.0).unwrap();
-        for (row, &y) in rows.iter().zip(ys.iter()) {
-            rls.update(row, y);
-        }
-        let lambda = 0.75;
-        let batch = lstsq::solve_ridge(&design(&rows), &ys, lambda).unwrap();
-        let incr = rls.solve_ridge(lambda).unwrap();
-        assert!(
-            approx_eq(&incr, &batch.coefficients, 1e-9),
-            "{incr:?} vs {:?}",
-            batch.coefficients
-        );
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut rls = RlsFactor::new(2, 1.0).unwrap();
-        rls.update(&[1.0, 1.0], 2.0);
-        assert_eq!(rls.len(), 1);
-        rls.reset();
-        assert!(rls.is_empty());
-        assert_eq!(rls.effective_samples(), 0.0);
-        assert_eq!(rls.weighted_rss(), 0.0);
-        assert_eq!(rls.rank(), 0);
     }
 
     #[test]
