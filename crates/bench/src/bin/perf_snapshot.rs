@@ -1,16 +1,15 @@
-//! Performance invariants: six checks on the control loop's hot paths
+//! Performance invariants: five checks on the control loop's hot paths
 //! that need no committed reference, because each compares two timings
 //! taken in the same run or bounds a nanosecond-scale primitive by a
 //! ceiling an order of magnitude above it.
 //!
-//! Four within-run ratio floors — the fast MPC path at most half the
+//! Three within-run ratio floors — the fast MPC path at most half the
 //! generic solve, its explicit-region hit at most a third of the cold
-//! solve, the supervisor at most 5% of one MPC control step, the
-//! `dyn PowerBackend` step within 5% + 25 ns of the raw plant tick — and
-//! two absolute ceilings: 50 ns per telemetry record, 500 ns per traced
-//! span pair. Every verdict is printed and the process exits nonzero iff
-//! one says FAIL. There is one mode, no input file and no environment
-//! knob; arguments are ignored.
+//! solve, the supervisor at most 5% of one MPC control step — and two
+//! absolute ceilings: 50 ns per telemetry record, 500 ns per traced span
+//! pair. Every verdict is printed and the process exits nonzero iff one
+//! says FAIL. There is one mode, no input file and no environment knob;
+//! arguments are ignored.
 //!
 //! Host-time figures (what a solve, a tick or a period costs on this
 //! machine, and whether that moved) are the repo benchmark's job: see
@@ -33,10 +32,6 @@ const TELEMETRY_RECORD_BUDGET_NS: f64 = 50.0;
 /// Absolute ceiling for one traced span enter/exit pair (two
 /// `Instant::now()` reads plus the stack bookkeeping), ns.
 const SPAN_PAIR_BUDGET_NS: f64 = 500.0;
-
-/// Additive slack (ns) on the backend-seam floor: both sides are ~100 ns,
-/// so 5% headroom alone is a few ns — less than host jitter.
-const BACKEND_NOISE_FLOOR_NS: f64 = 25.0;
 
 /// One invariant, `(name, measured_ns, limit_ns)`: the measured time
 /// must not exceed the limit.
@@ -190,42 +185,6 @@ fn supervisor_overhead_ns() -> f64 {
     })
 }
 
-/// Backend-seam dispatch cost: one plant second driven through a boxed
-/// `dyn PowerBackend` (`advance(1.0)` on a `SimBackend` with staged
-/// utilizations) vs the identical second on the raw simulator `Server`
-/// (`tick_second`). Returns `(dyn_ns, raw_ns)` per tick.
-fn backend_step_ns() -> (f64, f64) {
-    use capgpu_backend::{PowerBackend, SimBackend};
-    use capgpu_sim::{presets, Server, ServerBuilder};
-    const TICKS: usize = 100_000;
-    let build = || -> Server {
-        ServerBuilder::new(42)
-            .add_device(presets::xeon_gold_5215())
-            .add_device(presets::tesla_v100())
-            .add_device(presets::tesla_v100())
-            .build()
-            .expect("server")
-    };
-    let utils = [0.85, 0.9, 0.7];
-    let mut raw = build();
-    let raw_ns = best_ns_per_call(3, TICKS, || {
-        for _ in 0..TICKS {
-            std::hint::black_box(raw.tick_second(&utils).expect("tick"));
-        }
-    });
-    let mut boxed: Box<dyn PowerBackend> = {
-        let mut b = SimBackend::new(build());
-        b.stage_utilizations(&utils).expect("stage");
-        Box::new(b)
-    };
-    let dyn_ns = best_ns_per_call(3, TICKS, || {
-        for _ in 0..TICKS {
-            std::hint::black_box(boxed.advance(1.0).expect("advance"));
-        }
-    });
-    (dyn_ns, raw_ns)
-}
-
 /// Telemetry record hot path: one fully labeled metric record (counter
 /// increment + gauge set + histogram observe, averaged over the three).
 fn telemetry_record_ns() -> f64 {
@@ -270,7 +229,6 @@ fn span_enter_exit_ns() -> f64 {
 fn main() -> ExitCode {
     let (mpc_generic, mpc_cold, mpc_warm) = mpc_solve_ns();
     let control_ns = control_step_ns();
-    let (backend_dyn_ns, backend_raw_ns) = backend_step_ns();
     let checks = [
         ("mpc fast path vs generic / 2", mpc_warm, mpc_generic / 2.0),
         ("mpc region hit vs cold / 3", mpc_warm, mpc_cold / 3.0),
@@ -278,11 +236,6 @@ fn main() -> ExitCode {
             "supervisor vs 5% of control step",
             supervisor_overhead_ns(),
             0.05 * control_ns,
-        ),
-        (
-            "backend dyn vs raw tick * 1.05 + 25",
-            backend_dyn_ns,
-            backend_raw_ns * 1.05 + BACKEND_NOISE_FLOOR_NS,
         ),
         (
             "telemetry record",

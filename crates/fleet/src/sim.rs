@@ -565,9 +565,11 @@ fn fold_server(stat: &mut ServerStat, rack: &mut RackEpoch, s: ServerSummary) {
     // are hard MPC bounds that override the cap). Learn the effective
     // minimum so the next division funds at least what the server will
     // draw anyway; this is what restores the safe-capping invariant at
-    // rack level after the first epoch.
+    // rack level after the first epoch. Capped at the identified
+    // maximum: the tail of a one-period epoch is that period's transient
+    // and can read above it.
     if s.measured > stat.assigned + NOISE_BAND_WATTS {
-        stat.min_watts = stat.min_watts.max(s.measured);
+        stat.min_watts = stat.min_watts.max(s.measured).min(stat.max_watts);
     }
     // Pinned at the cap → hungry, probe up; below the cap → satisfied,
     // release slack.

@@ -236,3 +236,34 @@ fn construction_rejects_bad_configs() {
     cfg.epoch_periods = 0;
     assert!(FleetSim::new(small_topology(), &classes, cfg).is_err());
 }
+
+#[test]
+fn one_period_epochs_complete() {
+    // The repo benchmark's 8 × 6 mixed-generation fleet with epochs of a
+    // single control period: the steady-state tail of one period is that
+    // period's transient, which can overshoot a server's identified
+    // maximum. The floor learned from such an overshoot used to land
+    // above `max_watts` and panic the next demand clamp.
+    let topology = FleetTopology::datacenter(8, 6, |rack, slot| ServerSpec {
+        class: slot % 3,
+        streams: if slot < rack % 5 { 5 } else { 4 },
+    })
+    .expect("valid topology");
+    let config = FleetConfig {
+        epochs: 12,
+        epoch_periods: 1,
+        ..FleetConfig::new(1700.0 * 48.0)
+    };
+    let mut sim = FleetSim::new(topology, &mixed_generation_classes(42), config).expect("sim");
+    let report = sim.run(2).expect("run");
+    assert_eq!(report.server_periods, 48 * 12);
+    for (i, s) in report.stats.iter().enumerate() {
+        assert!(
+            s.min_watts <= s.demand && s.demand <= s.max_watts,
+            "server {i}: demand {} outside [{}, {}]",
+            s.demand,
+            s.min_watts,
+            s.max_watts
+        );
+    }
+}

@@ -161,20 +161,47 @@ impl LlmServiceModel {
         Ok(())
     }
 
+    /// The prefill phase's frequency-law factor `(f_max / f)^γ_prefill`
+    /// at effective frequency `f_eff_mhz`. Constant while the clock is:
+    /// the engine evaluates it once per window, not once per step.
+    #[inline]
+    pub fn prefill_freq_factor(&self, f_eff_mhz: f64) -> f64 {
+        debug_assert!(f_eff_mhz > 0.0);
+        (self.f_max_mhz / f_eff_mhz).powf(self.gamma_prefill)
+    }
+
+    /// The decode phase's frequency-law factor `(f_max / f)^γ_decode`;
+    /// see [`LlmServiceModel::prefill_freq_factor`].
+    #[inline]
+    pub fn decode_freq_factor(&self, f_eff_mhz: f64) -> f64 {
+        debug_assert!(f_eff_mhz > 0.0);
+        (self.f_max_mhz / f_eff_mhz).powf(self.gamma_decode)
+    }
+
     /// Prefill time for `tokens` prompt tokens at effective frequency
     /// `f_eff_mhz`.
     pub fn prefill_s(&self, tokens: usize, f_eff_mhz: f64) -> f64 {
-        debug_assert!(f_eff_mhz > 0.0);
-        let freq = (self.f_max_mhz / f_eff_mhz).powf(self.gamma_prefill);
-        tokens as f64 / self.prefill_tok_s * freq
+        self.prefill_s_scaled(tokens, self.prefill_freq_factor(f_eff_mhz))
+    }
+
+    /// [`LlmServiceModel::prefill_s`] given the clock's
+    /// [`LlmServiceModel::prefill_freq_factor`].
+    #[inline]
+    pub(crate) fn prefill_s_scaled(&self, tokens: usize, freq_factor: f64) -> f64 {
+        tokens as f64 / self.prefill_tok_s * freq_factor
     }
 
     /// One decode step emitting a token for each participant, scanning
     /// `kv_read_tokens` of resident context in total.
     pub fn decode_step_s(&self, kv_read_tokens: usize, f_eff_mhz: f64) -> f64 {
-        debug_assert!(f_eff_mhz > 0.0);
-        let freq = (self.f_max_mhz / f_eff_mhz).powf(self.gamma_decode);
-        (self.decode_base_s + kv_read_tokens as f64 * self.decode_kv_coeff_s) * freq
+        self.decode_step_s_scaled(kv_read_tokens, self.decode_freq_factor(f_eff_mhz))
+    }
+
+    /// [`LlmServiceModel::decode_step_s`] given the clock's
+    /// [`LlmServiceModel::decode_freq_factor`].
+    #[inline]
+    pub(crate) fn decode_step_s_scaled(&self, kv_read_tokens: usize, freq_factor: f64) -> f64 {
+        (self.decode_base_s + kv_read_tokens as f64 * self.decode_kv_coeff_s) * freq_factor
     }
 }
 

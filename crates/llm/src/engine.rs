@@ -26,13 +26,25 @@
 //!
 //! ## Events and determinism
 //!
-//! The heap orders only two event kinds — request arrival and step
-//! completion — by `(time, sequence)`; prompt/output lengths come from
-//! a second seeded stream drawn in arrival order. Same seed, same token
-//! trace, bit-identical across runs and thread counts.
+//! Exactly two events can be pending — the next request arrival (always)
+//! and the completion of the step in flight (while there is one) — so
+//! the queue is those two slots, and the earlier by `(time, sequence)`
+//! is next; the sequence number, taken when an event is scheduled, makes
+//! simultaneous events resolve in scheduling order. Prompt/output
+//! lengths come from a second seeded stream drawn in arrival order. Same
+//! seed, same token trace, bit-identical across runs and thread counts.
+//!
+//! The clock is fixed for a window, so the two frequency-law factors are
+//! evaluated once per [`LlmEngine::advance_into`]. Launching a step costs
+//! one pass over the running set — the decode-ready requests, the KV
+//! tokens they will read and the oldest incomplete context, each of which
+//! a preemption adjusts for its victim instead of rescanning. The running
+//! set does not change while a step is in flight, so the step remembers
+//! only *how many* requests decode: completing it finds them again by the
+//! same test, in one more pass.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use capgpu_serve::{ArrivalGen, ServeWindowStats};
 use rand::rngs::StdRng;
@@ -76,7 +88,7 @@ impl Request {
     }
 }
 
-/// Event kinds ordered by the engine's heap.
+/// The two event kinds of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     /// A request arrives.
@@ -85,45 +97,44 @@ enum EventKind {
     StepDone,
 }
 
-/// A heap event: `(time, sequence)` gives a strict total order.
+/// When a scheduled event is due: `(time, sequence)` is a strict total
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Event {
+struct Due {
     at: f64,
     seq: u64,
-    kind: EventKind,
 }
 
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .at
-            .partial_cmp(&self.at)
+impl Due {
+    fn before(self, other: Due) -> bool {
+        self.at
+            .partial_cmp(&other.at)
             .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| self.seq.cmp(&other.seq))
+            == Ordering::Less
     }
 }
 
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The two frequency-law factors at a window's effective clock.
+#[derive(Debug, Clone, Copy)]
+struct FreqFactors {
+    prefill: f64,
+    decode: f64,
 }
 
 /// The scheduler step currently executing on the GPU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Step {
     started_at: f64,
-    done_at: f64,
+    done: Due,
     /// Index into `running` of the request receiving prefill this step
     /// (`None` when the step is pure decode).
     prefill_req: Option<usize>,
     /// Prompt tokens materialized by this step.
     prefill_tokens: usize,
-    /// Indices into `running` of the requests emitting one token each.
-    decoders: Vec<usize>,
+    /// Requests emitting one token each: every decode-ready request of
+    /// `running`, or none (unchunked, behind a pending prefill).
+    decoders: usize,
     /// Fraction of the step's wall time attributed to prefill (busy-time
     /// split for the phase-mix signal).
     prefill_frac: f64,
@@ -139,7 +150,10 @@ pub struct LlmEngine {
     /// Prompt/output length stream, drawn once per arrival.
     len_rng: StdRng,
     now: f64,
-    heap: BinaryHeap<Event>,
+    /// The one pending arrival; the other pending event, if any, is
+    /// `step`'s completion.
+    next_arrival: Due,
+    /// Sequence number of the most recently scheduled event.
     seq: u64,
     /// Waiting requests, FIFO; preempted requests re-queue at the front.
     queue: VecDeque<Request>,
@@ -148,8 +162,6 @@ pub struct LlmEngine {
     step: Option<Step>,
     /// KV tokens reserved by the running set (`Σ context()`).
     kv_used: usize,
-    /// Recycled decoder-index buffer (no per-step allocation).
-    spare: Vec<usize>,
     // Lifetime conservation counters.
     arrivals_total: u64,
     completions_total: u64,
@@ -189,20 +201,19 @@ impl LlmEngine {
         }
         let mut arrivals = ArrivalGen::new(spec.arrival.clone(), seed)?;
         let first = arrivals.next_after(0.0);
-        let mut engine = LlmEngine {
+        Ok(LlmEngine {
             model,
             spec,
             queue_capacity,
             arrivals,
             len_rng: StdRng::seed_from_u64(seed ^ 0x517c_c1b7_2722_0a95),
             now: 0.0,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            next_arrival: Due { at: first, seq: 1 },
+            seq: 1,
             queue: VecDeque::new(),
             running: Vec::new(),
             step: None,
             kv_used: 0,
-            spare: Vec::new(),
             arrivals_total: 0,
             completions_total: 0,
             dropped_total: 0,
@@ -214,9 +225,7 @@ impl LlmEngine {
             emitted_completed_total: 0,
             monotone: true,
             last_event_at: 0.0,
-        };
-        engine.push(first, EventKind::Arrival);
-        Ok(engine)
+        })
     }
 
     /// Simulation clock (s).
@@ -259,7 +268,7 @@ impl LlmEngine {
         self.steps_total
     }
 
-    /// Lifetime heap events processed.
+    /// Lifetime events processed.
     pub fn events_total(&self) -> u64 {
         self.events_total
     }
@@ -320,18 +329,25 @@ impl LlmEngine {
         Ok(())
     }
 
-    fn push(&mut self, at: f64, kind: EventKind) {
+    /// Stamps an event scheduled for `at` with the next sequence number.
+    fn due(&mut self, at: f64) -> Due {
         self.seq += 1;
-        self.heap.push(Event {
-            at,
-            seq: self.seq,
-            kind,
-        });
+        Due { at, seq: self.seq }
+    }
+
+    /// The earlier of the two pending events.
+    fn next_event(&self) -> (f64, EventKind) {
+        match &self.step {
+            Some(step) if step.done.before(self.next_arrival) => {
+                (step.done.at, EventKind::StepDone)
+            }
+            _ => (self.next_arrival.at, EventKind::Arrival),
+        }
     }
 
     /// Admits queued requests, relieves KV pressure, assembles and
     /// launches the next scheduler step. No-op when there is no work.
-    fn schedule_step(&mut self, t: f64, f_eff_mhz: f64, stats: &mut ServeWindowStats) {
+    fn schedule_step(&mut self, t: f64, freq: FreqFactors, stats: &mut ServeWindowStats) {
         debug_assert!(self.step.is_none());
         // Admission: FIFO, blocked head-of-line — a request joins when
         // the batch has a slot and its full context fits the cache.
@@ -350,25 +366,39 @@ impl LlmEngine {
             return;
         }
         let chunked = self.model.chunk_tokens.is_some();
+        // The one pass over the running set: how many requests are
+        // decode-ready, the context they hold (the KV tokens a decode pass
+        // reads), and the oldest request still owed prefill.
+        let (mut ready, mut ready_context, mut first_pending) = (0, 0, None);
+        for (i, r) in self.running.iter().enumerate() {
+            if r.prefill_remaining() == 0 {
+                ready += 1;
+                ready_context += r.context();
+            } else if first_pending.is_none() {
+                first_pending = Some(i);
+            }
+        }
         // Cache-pressure relief: every decode-eligible request grows its
         // context by one this step; preempt the youngest resident until
         // the growth fits (validation guarantees a lone request always
         // does). In unchunked mode a pending prefill stalls all decodes,
         // so there is no growth to make room for.
         loop {
-            let prefill_pending = self.running.iter().any(|r| r.prefill_remaining() > 0);
-            let n_decode = if !chunked && prefill_pending {
+            let n_decode = if !chunked && first_pending.is_some() {
                 0
             } else {
-                self.running
-                    .iter()
-                    .filter(|r| r.prefill_remaining() == 0)
-                    .count()
+                ready
             };
             if self.kv_used + n_decode <= self.model.kv_budget_tokens || self.running.len() <= 1 {
                 break;
             }
             let mut victim = self.running.pop().expect("non-empty");
+            if victim.prefill_remaining() == 0 {
+                ready -= 1;
+                ready_context -= victim.context();
+            } else if first_pending == Some(self.running.len()) {
+                first_pending = None;
+            }
             self.kv_used -= victim.context();
             victim.ctx_done = 0;
             self.queue.push_front(victim);
@@ -378,63 +408,82 @@ impl LlmEngine {
         // Assemble the step: one prompt chunk (the oldest incomplete
         // context) plus a decode token for every context-complete
         // request — or, unchunked, the whole prompt with decode stalled.
-        let mut decoders = std::mem::take(&mut self.spare);
-        decoders.clear();
-        let mut prefill_req = None;
-        let mut prefill_tokens = 0;
-        for (i, r) in self.running.iter().enumerate() {
-            if prefill_req.is_none() && r.prefill_remaining() > 0 {
-                prefill_req = Some(i);
-                prefill_tokens = match self.model.chunk_tokens {
-                    Some(chunk) => chunk.min(r.prefill_remaining()),
-                    None => r.prefill_remaining(),
-                };
-            }
-        }
-        if chunked || prefill_req.is_none() {
-            for (i, r) in self.running.iter().enumerate() {
-                if r.prefill_remaining() == 0 {
-                    decoders.push(i);
-                }
-            }
-        }
-        if prefill_tokens == 0 && decoders.is_empty() {
-            self.spare = decoders;
+        let prefill_tokens = first_pending.map_or(0, |i| {
+            let remaining = self.running[i].prefill_remaining();
+            self.model
+                .chunk_tokens
+                .map_or(remaining, |chunk| chunk.min(remaining))
+        });
+        let decoders = if chunked || first_pending.is_none() {
+            ready
+        } else {
+            0
+        };
+        if prefill_tokens == 0 && decoders == 0 {
             return;
         }
-        let kv_read: usize = decoders.iter().map(|&i| self.running[i].context()).sum();
         let prefill_s = if prefill_tokens > 0 {
-            self.model.prefill_s(prefill_tokens, f_eff_mhz)
+            self.model.prefill_s_scaled(prefill_tokens, freq.prefill)
         } else {
             0.0
         };
-        let decode_s = if decoders.is_empty() {
+        let decode_s = if decoders == 0 {
             0.0
         } else {
-            self.model.decode_step_s(kv_read, f_eff_mhz)
+            self.model.decode_step_s_scaled(ready_context, freq.decode)
         };
         let total = self.model.step_overhead_s + prefill_s + decode_s;
         let prefill_frac = prefill_s / (prefill_s + decode_s);
         self.steps_total += 1;
         self.step = Some(Step {
             started_at: t,
-            done_at: t + total,
-            prefill_req,
+            done: self.due(t + total),
+            prefill_req: first_pending,
             prefill_tokens,
             decoders,
             prefill_frac,
         });
-        self.push(t + total, EventKind::StepDone);
     }
 
     /// Applies a completed step: materialized prefill, emitted tokens,
     /// completions, and the per-phase busy split.
     fn finish_step(&mut self, window_start: f64, stats: &mut ServeWindowStats) {
         let step = self.step.take().expect("step-done event implies a step");
-        let done = step.done_at;
+        let done = step.done.at;
         let dur = done - step.started_at.max(window_start);
         stats.prefill_busy_s += step.prefill_frac * dur;
         stats.decode_busy_s += (1.0 - step.prefill_frac) * dur;
+        // The decoders are the decode-ready requests, as when the step was
+        // assembled: `running` has not changed since, and this step's
+        // prefill lands only below.
+        let mut completed = false;
+        if step.decoders > 0 {
+            let mut decoded = 0;
+            for r in self
+                .running
+                .iter_mut()
+                .filter(|r| r.prefill_remaining() == 0)
+            {
+                // The decode step writes the new token's KV entry as a side
+                // effect of the attention pass: context and materialized
+                // context grow together, so the request stays decode-ready.
+                r.generated += 1;
+                r.ctx_done += 1;
+                if r.ttft_recorded {
+                    stats.inter_token_s.push(done - r.last_token_at);
+                } else {
+                    stats.ttft_s.push(done - r.arrived_at);
+                    r.ttft_recorded = true;
+                }
+                r.last_token_at = done;
+                completed |= r.generated == r.output;
+                decoded += 1;
+            }
+            debug_assert_eq!(decoded, step.decoders);
+            self.kv_used += step.decoders;
+            self.decode_tokens_total += step.decoders as u64;
+            stats.decode_tokens += step.decoders;
+        }
         if let Some(i) = step.prefill_req {
             let r = &mut self.running[i];
             debug_assert!(step.prefill_tokens <= r.prefill_remaining());
@@ -442,30 +491,15 @@ impl LlmEngine {
             self.prefill_tokens_total += step.prefill_tokens as u64;
             stats.prefill_tokens += step.prefill_tokens;
         }
-        for &i in &step.decoders {
-            let r = &mut self.running[i];
-            debug_assert_eq!(r.prefill_remaining(), 0);
-            // The decode step writes the new token's KV entry as a side
-            // effect of the attention pass: context and materialized
-            // context grow together, so the request stays decode-ready.
-            r.generated += 1;
-            r.ctx_done += 1;
-            self.kv_used += 1;
-            self.decode_tokens_total += 1;
-            stats.decode_tokens += 1;
-            if r.ttft_recorded {
-                stats.inter_token_s.push(done - r.last_token_at);
-            } else {
-                stats.ttft_s.push(done - r.arrived_at);
-                r.ttft_recorded = true;
-            }
-            r.last_token_at = done;
-        }
         stats.batches += 1;
         stats
             .batch_sizes
-            .push(step.decoders.len() + usize::from(step.prefill_req.is_some()));
-        self.spare = step.decoders;
+            .push(step.decoders + usize::from(step.prefill_req.is_some()));
+        // Only a request that just decoded can have reached its output
+        // budget.
+        if !completed {
+            return;
+        }
         let mut freed = 0;
         let completions = &mut self.completions_total;
         let emitted = &mut self.emitted_completed_total;
@@ -495,22 +529,27 @@ impl LlmEngine {
         let end = start + window_s;
         stats.clear_for_window(window_s);
 
-        while let Some(&Event { at, .. }) = self.heap.peek() {
+        let freq = FreqFactors {
+            prefill: self.model.prefill_freq_factor(f_eff_mhz),
+            decode: self.model.decode_freq_factor(f_eff_mhz),
+        };
+
+        loop {
+            let (at, kind) = self.next_event();
             if at > end {
                 break;
             }
-            let ev = self.heap.pop().expect("peeked");
             self.events_total += 1;
             stats.events += 1;
-            self.monotone &= ev.at >= self.last_event_at;
-            self.last_event_at = ev.at;
-            self.now = ev.at.max(self.now);
-            match ev.kind {
+            self.monotone &= at >= self.last_event_at;
+            self.last_event_at = at;
+            self.now = at.max(self.now);
+            match kind {
                 EventKind::Arrival => {
                     self.arrivals_total += 1;
                     stats.arrivals += 1;
-                    let next = self.arrivals.next_after(ev.at);
-                    self.push(next, EventKind::Arrival);
+                    let next = self.arrivals.next_after(at);
+                    self.next_arrival = self.due(next);
                     // Lengths are drawn for every arrival, admitted or
                     // shed, so the trace is a pure function of the seed.
                     let prompt = self.spec.prompt.sample(&mut self.len_rng);
@@ -520,29 +559,29 @@ impl LlmEngine {
                         stats.dropped += 1;
                     } else {
                         self.queue.push_back(Request {
-                            arrived_at: ev.at,
+                            arrived_at: at,
                             prompt,
                             output,
                             ctx_done: 0,
                             generated: 0,
                             ttft_recorded: false,
-                            last_token_at: ev.at,
+                            last_token_at: at,
                         });
                         if self.step.is_none() {
-                            self.schedule_step(ev.at, f_eff_mhz, stats);
+                            self.schedule_step(at, freq, stats);
                         }
                     }
                 }
                 EventKind::StepDone => {
                     self.finish_step(start, stats);
-                    self.schedule_step(ev.at, f_eff_mhz, stats);
+                    self.schedule_step(at, freq, stats);
                 }
             }
         }
 
         // Partial busy time of a step still in flight at window end.
         if let Some(s) = &self.step {
-            let dur = end.min(s.done_at) - s.started_at.max(start);
+            let dur = end.min(s.done.at) - s.started_at.max(start);
             stats.prefill_busy_s += s.prefill_frac * dur;
             stats.decode_busy_s += (1.0 - s.prefill_frac) * dur;
         }
@@ -773,6 +812,47 @@ mod tests {
         };
         assert_eq!(run(23), run(23));
         assert_ne!(run(23).0, run(24).0);
+    }
+
+    #[test]
+    fn simultaneous_arrival_and_step_completion_resolve_in_scheduling_order() {
+        // Every time below is exactly representable: at f_eff = f_max
+        // both frequency factors are 1, a 2-token prompt prefills in
+        // 0.25 s, a step costs 0.25 s of overhead and a decode pass 0.5 s.
+        let m = LlmServiceModel {
+            f_max_mhz: 1000.0,
+            prefill_tok_s: 8.0,
+            decode_base_s: 0.5,
+            decode_kv_coeff_s: 0.0,
+            step_overhead_s: 0.25,
+            max_batch: 4,
+            kv_budget_tokens: 100,
+            ..model()
+        };
+        let sp = LlmTaskSpec {
+            arrival: ArrivalProcess::Trace {
+                iats: vec![1.0, 0.5, 1000.0],
+            },
+            prompt: TokenRange::fixed(2),
+            output: TokenRange::fixed(2),
+            ttft_slo_s: 5.0,
+            itl_slo_s: 5.0,
+        };
+        let mut e = LlmEngine::new(m, sp, 8, 1).unwrap();
+        // A arrives at 1.0: handling it schedules B's arrival (1.5) and
+        // *then* launches A's prefill step, done at 1.0 + 0.25 + 0.25 =
+        // 1.5 as well. B's arrival was scheduled first, so it is handled
+        // first and B is queued when the completion launches the next
+        // step: that step prefills B beside A's first decode (1.0 s, done
+        // 2.5), the one after decodes both (0.75 s, done 3.25). Handled the
+        // other way round, A would decode alone and see its first token
+        // at 2.25.
+        let s = e.advance(5.0, 1000.0);
+        assert_eq!(s.ttft_s, vec![2.5 - 1.0, 3.25 - 1.5]);
+        assert_eq!(s.inter_token_s, vec![0.75, 0.75]);
+        assert_eq!(s.request_latencies, vec![3.25 - 1.0, 4.0 - 1.5]);
+        assert_eq!((s.arrivals, s.completions, s.batches), (2, 2, 4));
+        assert!(e.timestamps_monotone());
     }
 
     #[test]

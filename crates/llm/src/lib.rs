@@ -37,7 +37,7 @@
 //! ## Determinism
 //!
 //! Arrival times and prompt/output lengths come from seeded `StdRng`
-//! streams owned by the engine; heap ties are broken by a monotone
+//! streams owned by the engine; simultaneous events are ordered by a monotone
 //! sequence number. The same seed produces bit-identical token streams
 //! across runs and thread counts, the invariant `capgpu::sweep` relies
 //! on.

@@ -82,12 +82,26 @@ impl ServiceModel {
         Ok(())
     }
 
+    /// The γ frequency-law factor `(f_max / f)^γ` at effective frequency
+    /// `f_eff_mhz`. Constant while the clock is: the engine evaluates it
+    /// once per window, not once per batch.
+    #[inline]
+    pub fn freq_factor(&self, f_eff_mhz: f64) -> f64 {
+        debug_assert!(f_eff_mhz > 0.0);
+        (self.f_max_mhz / f_eff_mhz).powf(self.gamma)
+    }
+
     /// Service time of a `batch`-request batch at effective frequency
     /// `f_eff_mhz`.
     pub fn batch_service_s(&self, batch: usize, f_eff_mhz: f64) -> f64 {
+        self.batch_service_s_scaled(batch, self.freq_factor(f_eff_mhz))
+    }
+
+    /// [`ServiceModel::batch_service_s`] given the clock's
+    /// [`ServiceModel::freq_factor`].
+    #[inline]
+    fn batch_service_s_scaled(&self, batch: usize, freq_factor: f64) -> f64 {
         debug_assert!(batch >= 1 && batch <= self.max_batch);
-        debug_assert!(f_eff_mhz > 0.0);
-        let freq_factor = (self.f_max_mhz / f_eff_mhz).powf(self.gamma);
         let efficiency = self.batch_overhead
             + (1.0 - self.batch_overhead) * batch as f64 / self.max_batch as f64;
         self.e_min_s * freq_factor * efficiency
@@ -422,8 +436,9 @@ impl ServeEngine {
         self.push(deadline, EventKind::BatchTimeout { gen });
     }
 
-    /// Dispatches up to `max_batch` queued requests at time `t`.
-    fn dispatch(&mut self, t: f64, f_eff_mhz: f64) {
+    /// Dispatches up to `max_batch` queued requests at time `t`, at the
+    /// window's [`ServiceModel::freq_factor`].
+    fn dispatch(&mut self, t: f64, freq_factor: f64) {
         debug_assert!(self.in_flight.is_none() && !self.queue.is_empty());
         self.timer_armed = false;
         let b = self.queue.len().min(self.model.max_batch);
@@ -433,7 +448,7 @@ impl ServeEngine {
         for _ in 0..b {
             requests.push(self.queue.pop_front().expect("len checked"));
         }
-        let service = self.model.batch_service_s(b, f_eff_mhz);
+        let service = self.model.batch_service_s_scaled(b, freq_factor);
         self.batches_total += 1;
         self.in_flight = Some(InFlight {
             started_at: t,
@@ -459,6 +474,7 @@ impl ServeEngine {
         let start = self.now;
         let end = start + window_s;
         stats.clear_for_window(window_s);
+        let freq_factor = self.model.freq_factor(f_eff_mhz);
         let mut busy = 0.0;
 
         while let Some(&Event { at, .. }) = self.heap.peek() {
@@ -484,7 +500,7 @@ impl ServeEngine {
                         self.queue.push_back(ev.at);
                         if self.in_flight.is_none() {
                             if self.queue.len() >= self.model.max_batch {
-                                self.dispatch(ev.at, f_eff_mhz);
+                                self.dispatch(ev.at, freq_factor);
                             } else if !self.timer_armed {
                                 self.arm_timer(ev.at + self.batch_timeout_s);
                             }
@@ -497,7 +513,7 @@ impl ServeEngine {
                     if self.timer_armed && gen == self.timer_gen {
                         self.timer_armed = false;
                         if self.in_flight.is_none() && !self.queue.is_empty() {
-                            self.dispatch(ev.at, f_eff_mhz);
+                            self.dispatch(ev.at, freq_factor);
                         }
                     }
                 }
@@ -514,14 +530,14 @@ impl ServeEngine {
                     self.spare = batch.requests;
                     if !self.queue.is_empty() {
                         if self.queue.len() >= self.model.max_batch {
-                            self.dispatch(ev.at, f_eff_mhz);
+                            self.dispatch(ev.at, freq_factor);
                         } else {
                             let deadline =
                                 self.queue.front().expect("non-empty") + self.batch_timeout_s;
                             if deadline <= ev.at {
                                 // Oldest request already overdue (it
                                 // waited out a long batch): go now.
-                                self.dispatch(ev.at, f_eff_mhz);
+                                self.dispatch(ev.at, freq_factor);
                             } else {
                                 self.arm_timer(deadline);
                             }

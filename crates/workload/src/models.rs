@@ -45,6 +45,7 @@ impl ModelProfile {
 
     /// Preprocessing time per image at CPU frequency `f` (inverse-linear:
     /// preprocessing is compute-bound on a single pinned core).
+    #[inline]
     pub fn preprocess_time(&self, f_cpu_mhz: f64) -> f64 {
         self.preprocess_s_per_image * self.preprocess_ref_mhz / f_cpu_mhz
     }

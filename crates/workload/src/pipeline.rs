@@ -239,13 +239,14 @@ impl PipelineSim {
         }
     }
 
-    /// Starts a worker on its next image, honoring the arrival mode:
-    /// closed-loop always has work; open-loop takes from the ingress
-    /// backlog or idles. Returns whether the worker went busy.
-    fn start_next_image(&mut self, i: usize, f_cpu_mhz: f64) -> bool {
+    /// Starts a worker on its next image (`preprocess_s` at the window's
+    /// CPU clock, before jitter), honoring the arrival mode: closed-loop
+    /// always has work; open-loop takes from the ingress backlog or
+    /// idles. Returns whether the worker went busy.
+    fn start_next_image(&mut self, i: usize, preprocess_s: f64) -> bool {
         let has_work = self.arrival_rate.is_none() || self.ingress.pop_front().is_some();
         if has_work {
-            let pre = self.cfg.model.preprocess_time(f_cpu_mhz) * self.jitter();
+            let pre = preprocess_s * self.jitter();
             self.workers[i] = Worker::Busy {
                 done_at: self.now + pre,
             };
@@ -294,6 +295,11 @@ impl PipelineSim {
     ) {
         debug_assert!(window_s > 0.0 && f_cpu_mhz > 0.0 && f_gpu_mhz > 0.0);
         let end = self.now + window_s;
+        // Both clocks are fixed for the window, so the two latency laws
+        // are evaluated once, not once per image and per batch.
+        let model = &self.cfg.model;
+        let preprocess_s = model.preprocess_time(f_cpu_mhz);
+        let batch_s = model.true_batch_latency(f_gpu_mhz, self.cfg.f_gpu_max_mhz);
         stats.images_completed = 0;
         stats.batches_completed = 0;
         stats.window_s = window_s;
@@ -328,12 +334,8 @@ impl PipelineSim {
                     batch.push(self.queue.pop_front().expect("len checked"));
                 }
                 // Queue space freed: resume blocked workers.
-                self.unblock_workers(f_cpu_mhz, &mut busy_count);
-                let exec = self
-                    .cfg
-                    .model
-                    .true_batch_latency(f_gpu_mhz, self.cfg.f_gpu_max_mhz)
-                    * self.jitter();
+                self.unblock_workers(preprocess_s, &mut busy_count);
+                let exec = batch_s * self.jitter();
                 self.gpu = Gpu::Busy {
                     done_at: self.now + exec,
                     started_at: self.now,
@@ -410,7 +412,7 @@ impl PipelineSim {
                 let idle = self.workers.iter().position(|w| matches!(w, Worker::Idle));
                 match idle {
                     Some(i) => {
-                        let pre = self.cfg.model.preprocess_time(f_cpu_mhz) * self.jitter();
+                        let pre = preprocess_s * self.jitter();
                         self.workers[i] = Worker::Busy {
                             done_at: self.now + pre,
                         };
@@ -429,7 +431,7 @@ impl PipelineSim {
                         if done_at <= self.now {
                             if self.queue.len() < self.cfg.queue_capacity {
                                 self.queue.push_back(done_at);
-                                if !self.start_next_image(i, f_cpu_mhz) {
+                                if !self.start_next_image(i, preprocess_s) {
                                     busy_count -= 1;
                                 }
                             } else {
@@ -452,14 +454,14 @@ impl PipelineSim {
 
     /// Moves blocked workers' images into freed queue space and restarts
     /// them preprocessing.
-    fn unblock_workers(&mut self, f_cpu_mhz: f64, busy_count: &mut usize) {
+    fn unblock_workers(&mut self, preprocess_s: f64, busy_count: &mut usize) {
         for i in 0..self.workers.len() {
             if self.queue.len() >= self.cfg.queue_capacity {
                 break;
             }
             if let Worker::Blocked { ready_at } = self.workers[i] {
                 self.queue.push_back(ready_at);
-                if self.start_next_image(i, f_cpu_mhz) {
+                if self.start_next_image(i, preprocess_s) {
                     *busy_count += 1;
                 }
             }

@@ -82,35 +82,41 @@ impl SloTracker {
         self.slos[task] = slo_s;
     }
 
-    /// Records one batch latency for a task. A non-finite latency (a
-    /// degenerate measurement) counts as a deadline miss but is not
-    /// stored, so it cannot poison the percentile paths
-    /// ([`SloTracker::meets_all`], p99 reporting) with NaN.
+    /// Records one batch latency for a task: the one-sample form of
+    /// [`SloTracker::record_all`].
     ///
     /// # Panics
     /// Panics on an out-of-range task index.
+    #[inline]
     pub fn record(&mut self, task: usize, latency_s: f64) {
-        self.totals[task] += 1;
-        if !latency_s.is_finite() {
-            self.misses[task] += 1;
-            return;
-        }
-        self.latencies[task].push(latency_s);
-        if latency_s > self.slos[task] {
-            self.misses[task] += 1;
-        }
+        self.record_all(task, std::slice::from_ref(&latency_s));
     }
 
-    /// Records a batch of latencies for a task: [`SloTracker::record`]
-    /// on each in turn, with the buffer grown once.
+    /// Records a batch of latencies for a task, in order, with the buffer
+    /// grown once. A non-finite latency (a degenerate measurement) counts
+    /// as a deadline miss but is not stored, so it cannot poison the
+    /// percentile paths ([`SloTracker::meets_all`], p99 reporting) with
+    /// NaN.
     ///
     /// # Panics
     /// Panics on an out-of-range task index.
+    #[inline]
     pub fn record_all(&mut self, task: usize, latencies_s: &[f64]) {
-        self.latencies[task].reserve(latencies_s.len());
-        for &latency_s in latencies_s {
-            self.record(task, latency_s);
+        let slo = self.slos[task];
+        let buffer = &mut self.latencies[task];
+        buffer.reserve(latencies_s.len());
+        let before = buffer.len();
+        // Counting first makes the all-finite batch, which is every batch
+        // of a healthy run, one block copy.
+        let non_finite = latencies_s.iter().filter(|l| !l.is_finite()).count();
+        if non_finite == 0 {
+            buffer.extend_from_slice(latencies_s);
+        } else {
+            buffer.extend(latencies_s.iter().filter(|l| l.is_finite()));
         }
+        let late = buffer[before..].iter().filter(|&&l| l > slo).count();
+        self.misses[task] += late + non_finite;
+        self.totals[task] += latencies_s.len();
     }
 
     /// Deadline misses counted for a task so far, non-finite latencies

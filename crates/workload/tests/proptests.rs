@@ -78,6 +78,42 @@ proptest! {
     }
 
     #[test]
+    fn record_all_equals_record_in_a_loop(
+        // The bottom of the range maps to the three non-finite values,
+        // which count as misses and are not stored.
+        batches in prop::collection::vec(
+            prop::collection::vec(
+                (-0.3..2.0f64).prop_map(|x| match x {
+                    x if x < -0.2 => f64::NAN,
+                    x if x < -0.1 => f64::INFINITY,
+                    x if x < 0.0 => f64::NEG_INFINITY,
+                    x => x,
+                }),
+                0..60,
+            ),
+            1..8,
+        ),
+        slo_a in 0.01..2.0f64,
+        slo_b in 0.01..2.0f64,
+    ) {
+        let mut one_by_one = SloTracker::new(vec![slo_a, slo_b]);
+        let mut bulk = SloTracker::new(vec![slo_a, slo_b]);
+        for (k, batch) in batches.iter().enumerate() {
+            let task = k % 2;
+            for &l in batch {
+                one_by_one.record(task, l);
+            }
+            bulk.record_all(task, batch);
+            for t in 0..2 {
+                prop_assert_eq!(bulk.latencies(t), one_by_one.latencies(t));
+                prop_assert_eq!(bulk.misses(t), one_by_one.misses(t));
+                prop_assert_eq!(bulk.miss_rate(t), one_by_one.miss_rate(t));
+            }
+            prop_assert_eq!(bulk.overall_miss_rate(), one_by_one.overall_miss_rate());
+        }
+    }
+
+    #[test]
     fn featsel_rate_monotone_in_frequency(
         f1 in 1000.0..2400.0f64,
         f2 in 1000.0..2400.0f64,
