@@ -13,10 +13,11 @@
 //! * [`mpc`] — the condensed **MIMO model-predictive controller** with
 //!   prediction horizon `P`, control horizon `M`, tracking weights `Q`,
 //!   per-device control penalties `R` and hard frequency constraints
-//!   (Eq. 9 + 10a–10c), solved by the active-set QP from `capgpu-optim`;
-//!   with `MpcConfig::fast_solver`, by the box QP behind the explicit /
-//!   multi-parametric region table §4.3 sketches (one cached affine law
-//!   per active set, KKT-checked, exact solve on a miss).
+//!   (Eq. 9 + 10a–10c), solved in cumulative-move coordinates by the box
+//!   QP from `capgpu-optim` behind the explicit / multi-parametric region
+//!   table §4.3 sketches (one cached affine law per active set,
+//!   KKT-checked, exact solve on a miss). That is the only path; the
+//!   generic active-set QP is the oracle `mpc`'s tests hold it against.
 //! * [`pid`] — pole-placed proportional controllers (the GPU-Only and
 //!   CPU-Only baselines of §6.1 follow OptimML / IBM server-level control).
 //! * [`modulator`] — the first-order **delta-sigma modulator** that

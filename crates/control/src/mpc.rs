@@ -20,9 +20,22 @@
 //!
 //! is a strictly convex quadratic. Constraint (10a) bounds every cumulative
 //! frequency; constraints (10b)+(10c) reduce to per-GPU frequency floors
-//! (see [`crate::latency`]). Each control period solves one small QP with
-//! the active-set method and applies only the first move `d₀` (receding
-//! horizon).
+//! (see [`crate::latency`]). Each control period solves one small QP and
+//! applies only the first move `d₀` (receding horizon).
+//!
+//! # How it is solved
+//!
+//! In *cumulative-move* coordinates `cᵢ = Σ_{l≤i} dₗ` every constraint is
+//! a separable per-variable box and the Hessian is block diagonal (see
+//! `MpcController::build_cache` for the transform), so the period's QP
+//! goes to the box-constrained active-set solver [`capgpu_optim::boxqp`]
+//! behind the explicit / multi-parametric table §4.3 sketches: one cached
+//! affine law per active set, KKT-checked against the period's problem,
+//! the iterative solve on a miss. Hits, misses, warm and cold starts that
+//! end on the same active set return bit-identical moves (DESIGN.md §15).
+//! There is no second path: the generic active-set solver
+//! `capgpu_optim::qp` is the oracle this module's tests hold
+//! [`MpcController::step`] against, in the original `d` coordinates.
 //!
 //! # Weight semantics
 //!
@@ -39,7 +52,7 @@ use std::cell::RefCell;
 
 use capgpu_linalg::{vector, Matrix};
 use capgpu_optim::boxqp::{self, BoxFactor, BoxQp, BoxQpProblem, VarState};
-use capgpu_optim::qp::{ActiveSetQp, LinearConstraint, QpProblem};
+use capgpu_optim::OptimError;
 
 use crate::model::LinearPowerModel;
 use crate::{ControlError, Result};
@@ -64,17 +77,6 @@ pub struct MpcConfig {
     pub f_ref: Vec<f64>,
     /// Optional per-device slew limit on a single move `|d₀ⱼ|` (MHz).
     pub max_step: Option<Vec<f64>>,
-    /// Opt-in structure-exploiting fast solver. When set, the condensed QP
-    /// is solved in *cumulative-move* coordinates `cᵢ = Σ_{l≤i} dₗ`, where
-    /// every constraint is a separable per-variable box and the Hessian is
-    /// block diagonal, using [`capgpu_optim::boxqp`] plus an explicit-MPC
-    /// region table (cached affine law per active set, KKT-checked per
-    /// period, iterative fallback on miss). Off by default: the default
-    /// path — and every published trace — uses the generic active-set
-    /// solver. Both paths minimize the same strictly convex QP, so they
-    /// agree to solver tolerance; within the fast path, warm/cold starts
-    /// and table hits/misses are bit-identical (see DESIGN.md §15).
-    pub fast_solver: bool,
 }
 
 impl MpcConfig {
@@ -91,7 +93,6 @@ impl MpcConfig {
             f_max,
             f_ref,
             max_step: None,
-            fast_solver: false,
         }
     }
 
@@ -149,7 +150,9 @@ pub struct MpcStep {
     pub first_move: Vec<f64>,
     /// Power predicted by the model after the first move.
     pub predicted_power: f64,
-    /// Active-set iterations the QP solve took.
+    /// Active-set iterations the QP solve took; 0 ≡ no iteration ran —
+    /// the period was answered by a cached region's law or by the
+    /// best-effort jump of an infeasible slew/floor combination.
     pub qp_iterations: usize,
     /// True when an SLO floor exceeded a device's reachable range and had
     /// to be clamped (best-effort; see module docs).
@@ -163,59 +166,45 @@ pub struct MpcStep {
     pub slo_floor_binding: bool,
 }
 
-/// Cross-period cache of everything in the condensed QP that does not
-/// depend on the measured power: the tracking rows, the tracking part of
-/// the Hessian, the assembled problem (whose gradient and bound RHS are
-/// rewritten in place each period), and the previous period's active set
-/// for warm-starting the solver.
-#[derive(Debug, Clone)]
-struct StepCache {
-    /// Tracking rows `sᵢ = A·Cᵢ` for `i ∈ 1..=P` (index `i − 1`).
-    rows: Vec<Vec<f64>>,
-    /// Tracking (Q) part of the Hessian: `2·Σ Qᵢ·sᵢsᵢᵀ`.
-    h_q: Matrix,
-    /// `r_diag` baked into `qp.hessian`; the Hessian is reassembled from
-    /// `h_q` only when the per-device weights change.
-    r_diag: Vec<f64>,
-    /// Assembled QP. Constraint normals and the Hessian structure are
-    /// static; gradient and constraint RHS are updated per period.
-    qp: QpProblem,
-    /// Active set of the previous period's solution (warm-start hint).
-    warm_active: Option<Vec<usize>>,
-}
-
 /// KKT tolerance (scaled by the gradient magnitude) for accepting a cached
 /// explicit-MPC region without re-running the iterative solver.
-const FAST_KKT_TOL: f64 = 1e-7;
+const REGION_KKT_TOL: f64 = 1e-7;
 /// Maximum cached explicit-MPC regions before round-robin replacement.
-const MAX_FAST_REGIONS: usize = 64;
+const MAX_REGIONS: usize = 64;
 
 /// One explicit-MPC region: the affine control law of a fixed active set,
 /// stored as the frozen free-set factorization. Evaluating it for the
 /// period's `(g, lo, hi)` reproduces the iterative solver's polish step bit
 /// for bit, so a KKT-validated hit equals the full solve exactly.
 #[derive(Debug, Clone)]
-struct FastRegion {
+struct Region {
     /// Active-set signature (per-variable bound state) keying this region.
     states: Vec<VarState>,
-    /// Cached Cholesky factor of `H_FF` over this region's free set.
+    /// Cholesky factor of `H_FF` over this region's free set — the one the
+    /// solve that discovered the region polished with.
     factor: BoxFactor,
 }
 
-/// Cross-period cache of the fast (cumulative-coordinate) solver path.
+/// Cross-period cache of everything in the QP that does not depend on the
+/// measured power: the box problem whose gradient and bounds are rewritten
+/// in place each period, the previous period's active set, and the region
+/// table that is valid for as long as the Hessian is.
 #[derive(Debug, Clone)]
-struct FastCache {
-    /// `r_diag` baked into the box Hessian.
+struct StepCache {
+    /// `r_diag` baked into the Hessian's diagonal.
     r_diag: Vec<f64>,
     /// Aggregated tracking weights `Q̄_b = Σ_{i: min(i,M)−1 = b} Q(i)`.
     qbar: Vec<f64>,
+    /// Tracking part of the Hessian's diagonal, `2·Q̄_b·a_j²` per variable:
+    /// what [`StepCache::rebake`] adds `2·R̂_j` to.
+    track_diag: Vec<f64>,
     /// Box QP in cumulative coordinates; the Hessian is static per
     /// `(model, r_diag)`, gradient and bounds are rewritten each period.
     qp: BoxQpProblem,
     /// Final bound states of the previous period (warm hint + region key).
     warm: Option<Vec<VarState>>,
     /// Explicit-MPC region table.
-    regions: Vec<FastRegion>,
+    regions: Vec<Region>,
     /// Round-robin replacement cursor once the table is full.
     insert_at: usize,
     /// Explicit-table hits (periods solved by a cached law alone).
@@ -224,20 +213,50 @@ struct FastCache {
     misses: u64,
 }
 
+impl StepCache {
+    /// Bakes per-device control penalties into the Hessian. Only its
+    /// diagonal depends on them, so only the diagonal is rewritten — a
+    /// fresh cache is built by this same call, hence a re-baked Hessian is
+    /// bit-identical to a from-scratch one — and the region table, whose
+    /// factors froze the old diagonal, is emptied. The warm hint stays
+    /// (the optimal active set rarely moves with the weights), as do the
+    /// counters.
+    ///
+    /// Weights that change every period (measured throughput) thus cost
+    /// `dim` additions and never a table they cannot use; weights that
+    /// repeat keep theirs.
+    fn rebake(&mut self, r_diag: Vec<f64>) -> Result<()> {
+        let n = r_diag.len();
+        let baked = |v: usize| self.track_diag[v] + 2.0 * r_diag[v % n];
+        // What `BoxQpProblem::new` rejects in a Hessian, checked before
+        // anything is written.
+        if (0..self.track_diag.len()).any(|v| !baked(v).is_finite()) {
+            return Err(OptimError::BadProblem("Hessian must be finite").into());
+        }
+        for v in 0..self.track_diag.len() {
+            self.qp.hessian[(v, v)] = baked(v);
+        }
+        self.r_diag = r_diag;
+        self.clear_regions();
+        Ok(())
+    }
+
+    fn clear_regions(&mut self) {
+        self.regions.clear();
+        self.insert_at = 0;
+    }
+}
+
 /// The receding-horizon MPC controller.
 #[derive(Debug, Clone)]
 pub struct MpcController {
     config: MpcConfig,
     model: LinearPowerModel,
     num_devices: usize,
-    solver: ActiveSetQp,
-    box_solver: BoxQp,
+    solver: BoxQp,
     /// Lazily built per-period cache ([`StepCache`]); interior mutability
     /// keeps `step(&self)` — the controller is logically immutable.
     cache: RefCell<Option<StepCache>>,
-    /// Fast-path cache ([`FastCache`]); only populated when
-    /// [`MpcConfig::fast_solver`] is set.
-    fast: RefCell<Option<FastCache>>,
 }
 
 impl MpcController {
@@ -257,10 +276,8 @@ impl MpcController {
             config,
             model,
             num_devices: n,
-            solver: ActiveSetQp::default(),
-            box_solver: BoxQp::default(),
+            solver: BoxQp::default(),
             cache: RefCell::new(None),
-            fast: RefCell::new(None),
         })
     }
 
@@ -283,32 +300,31 @@ impl MpcController {
             return Err(ControlError::BadConfig("model device count changed"));
         }
         self.model = model;
-        // Tracking rows (and so the cached Hessians) depend on the gains.
+        // The cached Hessian (and so every region's law) depends on the
+        // gains.
         *self.cache.borrow_mut() = None;
-        *self.fast.borrow_mut() = None;
         Ok(())
     }
 
-    /// Explicit-MPC region-table statistics of the fast path:
-    /// `(hits, misses)` — periods solved by a cached affine law alone vs
-    /// periods that ran the iterative box solver. `(0, 0)` until the fast
-    /// path has stepped.
-    pub fn fast_solver_stats(&self) -> (u64, u64) {
-        self.fast
+    /// Explicit-MPC region-table statistics: `(hits, misses)` — periods
+    /// solved by a cached affine law alone vs periods that ran the
+    /// iterative box solver. `(0, 0)` until the first step, and again
+    /// after [`MpcController::set_model`].
+    pub fn region_stats(&self) -> (u64, u64) {
+        self.cache
             .borrow()
             .as_ref()
             .map_or((0, 0), |c| (c.hits, c.misses))
     }
 
-    /// Discards all fast-path state (warm-start hint and explicit region
-    /// table). Diagnostics/ablation hook: forces the next fast solve to be
-    /// fully cold. The deterministic polish makes the cold re-solve
+    /// Discards the solver's cross-period state (warm-start hint and
+    /// region table). Diagnostics/ablation hook: forces the next solve to
+    /// be fully cold. The deterministic polish makes the cold re-solve
     /// bit-identical to the warm one for the same inputs.
-    pub fn reset_fast_path(&self) {
-        if let Some(c) = self.fast.borrow_mut().as_mut() {
+    pub fn reset_solver_state(&self) {
+        if let Some(c) = self.cache.borrow_mut().as_mut() {
             c.warm = None;
-            c.regions.clear();
-            c.insert_at = 0;
+            c.clear_regions();
         }
     }
 
@@ -364,17 +380,6 @@ impl MpcController {
         f_lo.iter().zip(f_min).any(|(lo, fm)| lo > fm)
     }
 
-    /// True when the solution's active set pins a *lower* cumulative
-    /// bound whose floor is SLO-raised (above hardware `f_min`): the
-    /// (10b) latency bound is what shaped this move. Box rows are laid
-    /// out as `2·(i·n + j)` (upper) / `2·(i·n + j) + 1` (lower) for
-    /// `i ∈ 0..m`, `j ∈ 0..n`; slew rows (≥ `2·m·n`) never encode SLOs.
-    fn active_slo_floor(active: &[usize], f_lo: &[f64], f_min: &[f64], n: usize, m: usize) -> bool {
-        active
-            .iter()
-            .any(|&r| r < 2 * m * n && r % 2 == 1 && f_lo[(r / 2) % n] > f_min[(r / 2) % n])
-    }
-
     /// Feasible start: d = 0 unless the floor was raised above (or f_max
     /// dropped below) the current frequency; then the first block jumps to
     /// the nearest feasible frequency (clipped by the slew limit).
@@ -392,227 +397,7 @@ impl MpcController {
         start
     }
 
-    /// Builds the per-period cache: tracking rows, the tracking (Q) part
-    /// of the Hessian, and the QP skeleton whose gradient and bound RHS
-    /// are rewritten in place each period. Accumulation order matches
-    /// the `#[cfg(test)]` reference `step_uncached` exactly so the cached
-    /// path is arithmetically identical.
-    #[allow(clippy::needless_range_loop)]
-    fn build_cache(&self, r_diag: &[f64]) -> Result<StepCache> {
-        let n = self.num_devices;
-        let m = self.config.control_horizon;
-        let p_h = self.config.prediction_horizon;
-        let dim = m * n;
-
-        let rows: Vec<Vec<f64>> = (1..=p_h).map(|i| self.tracking_row(i)).collect();
-        let mut h_q = Matrix::zeros(dim, dim);
-        for i in 1..=p_h {
-            let q = self.config.q_weights[i - 1];
-            if q == 0.0 {
-                continue;
-            }
-            let s = &rows[i - 1];
-            for a in 0..dim {
-                if s[a] == 0.0 {
-                    continue;
-                }
-                for b in 0..dim {
-                    h_q[(a, b)] += 2.0 * q * s[a] * s[b];
-                }
-            }
-        }
-        let hessian = Self::assemble_hessian(&h_q, r_diag, n, m);
-
-        // Constraint normals (static); RHS rewritten each period.
-        let mut cons = Vec::with_capacity(2 * m * n + 2 * n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut row = vec![0.0; dim];
-                for l in 0..=i {
-                    row[l * n + j] = 1.0;
-                }
-                let neg: Vec<f64> = row.iter().map(|v| -v).collect();
-                cons.push(LinearConstraint::new(row, 0.0));
-                cons.push(LinearConstraint::new(neg, 0.0));
-            }
-        }
-        // Optional slew limit on the first move only (hardware ramp rate);
-        // these bounds are constant and never rewritten.
-        if let Some(ms) = &self.config.max_step {
-            for j in 0..n {
-                cons.push(LinearConstraint::upper_bound(dim, j, ms[j]));
-                cons.push(LinearConstraint::lower_bound(dim, j, -ms[j]));
-            }
-        }
-
-        let qp = QpProblem::new(hessian, vec![0.0; dim], cons)?;
-        Ok(StepCache {
-            rows,
-            h_q,
-            r_diag: r_diag.to_vec(),
-            qp,
-            warm_active: None,
-        })
-    }
-
-    /// Adds the control-penalty blocks to a copy of the cached tracking
-    /// Hessian: Tᵢ has identity blocks 0..=i, so
-    /// (TᵢᵀRTᵢ)[(a·N+j),(b·N+j)] = R_j when a ≤ i and b ≤ i.
-    fn assemble_hessian(h_q: &Matrix, r_diag: &[f64], n: usize, m: usize) -> Matrix {
-        let mut h = h_q.clone();
-        for i in 0..m {
-            for a in 0..=i {
-                for b in 0..=i {
-                    for j in 0..n {
-                        h[(a * n + j, b * n + j)] += 2.0 * r_diag[j];
-                    }
-                }
-            }
-        }
-        h
-    }
-
-    /// Computes one control period: given the measured average power, the
-    /// set point, the currently applied frequencies, per-device control
-    /// weights (≥ 0, scaled by `r_base`; pass all-1s for uniform), and
-    /// per-device frequency floors (pass `f_min` when no SLO applies).
-    ///
-    /// The hot path: the Hessian's tracking part and the constraint
-    /// geometry are cached across periods (they depend only on the config
-    /// and model, not on measured power), the control-penalty diagonal is
-    /// re-baked only when `r_weights` change, and the QP is warm-started
-    /// from the previous period's active set. The `#[cfg(test)]`
-    /// `step_uncached` is the cache-free reference.
-    ///
-    /// # Errors
-    /// * [`ControlError::BadConfig`] on input length mismatches.
-    /// * [`ControlError::Optim`] if the QP solver fails.
-    #[allow(clippy::needless_range_loop)]
-    pub fn step(
-        &self,
-        p_measured: f64,
-        setpoint: f64,
-        current_freqs: &[f64],
-        r_weights: &[f64],
-        floors: &[f64],
-    ) -> Result<MpcStep> {
-        if self.config.fast_solver {
-            return self.step_fast(p_measured, setpoint, current_freqs, r_weights, floors);
-        }
-        let n = self.num_devices;
-        let m = self.config.control_horizon;
-        let p_h = self.config.prediction_horizon;
-        let (f_lo, floor_clamped) = self.effective_floors(current_freqs, r_weights, floors)?;
-        let f_now: Vec<f64> = current_freqs.to_vec();
-        let dim = m * n;
-
-        let e0 = p_measured - setpoint;
-        let w: Vec<f64> = vector::sub(&f_now, &self.config.f_ref);
-        let r_diag: Vec<f64> = (0..n)
-            .map(|j| self.config.r_base * r_weights[j].max(1e-9))
-            .collect();
-
-        let mut slot = self.cache.borrow_mut();
-        if slot.is_none() {
-            *slot = Some(self.build_cache(&r_diag)?);
-        }
-        let cache = slot.as_mut().expect("cache built above");
-
-        // Re-bake the control-penalty diagonal only on weight change.
-        if cache.r_diag != r_diag {
-            cache.qp.hessian = Self::assemble_hessian(&cache.h_q, &r_diag, n, m);
-            cache.r_diag = r_diag;
-        }
-
-        // ---- Gradient (depends on e₀ and w; rebuilt every period) ------
-        // g = 2·(e₀·Σ Qᵢ·sᵢ + Σ Tᵢᵀ R w), accumulated in the same order
-        // as the uncached reference so the result is bit-identical.
-        let g = &mut cache.qp.gradient;
-        g.iter_mut().for_each(|v| *v = 0.0);
-        for i in 1..=p_h {
-            let q = self.config.q_weights[i - 1];
-            if q == 0.0 {
-                continue;
-            }
-            let s = &cache.rows[i - 1];
-            for a in 0..dim {
-                if s[a] == 0.0 {
-                    continue;
-                }
-                g[a] += 2.0 * q * e0 * s[a];
-            }
-        }
-        for i in 0..m {
-            for a in 0..=i {
-                for j in 0..n {
-                    g[a * n + j] += 2.0 * cache.r_diag[j] * w[j];
-                }
-            }
-        }
-
-        // ---- Constraint RHS (10a + SLO floors) -------------------------
-        // For every cumulative position i ∈ 0..M and device j:
-        //   f_lo[j] ≤ f_now[j] + (Tᵢ d)ⱼ ≤ f_max[j].
-        let mut k = 0;
-        for _i in 0..m {
-            for j in 0..n {
-                cache.qp.constraints[k].b = self.config.f_max[j] - f_now[j];
-                cache.qp.constraints[k + 1].b = f_now[j] - f_lo[j];
-                k += 2;
-            }
-        }
-
-        let start = self.feasible_start(&f_now, &f_lo);
-        let sol_res = match cache.warm_active.as_deref() {
-            Some(hint) => self.solver.solve_warm(&cache.qp, &start, hint),
-            None => self.solver.solve(&cache.qp, &start),
-        };
-        let sol = match sol_res {
-            Ok(s) => s,
-            // A slew limit tighter than a raised floor makes the QP
-            // infeasible; fall back to the best-effort jump itself.
-            Err(capgpu_optim::OptimError::InfeasibleStart) => {
-                cache.warm_active = None;
-                let first_move = start[..n].to_vec();
-                let target = vector::add(&f_now, &first_move);
-                let predicted = self.model.predict_delta(p_measured, &first_move);
-                return Ok(MpcStep {
-                    target_freqs: target,
-                    first_move,
-                    predicted_power: predicted,
-                    qp_iterations: 0,
-                    floor_clamped: true,
-                    active_constraints: 0,
-                    slo_floor_binding: Self::floor_raised(&f_lo, &self.config.f_min),
-                });
-            }
-            Err(e) => return Err(e.into()),
-        };
-
-        let first_move = sol.x[..n].to_vec();
-        let active_constraints = sol.active_set.len();
-        let slo_floor_binding =
-            Self::active_slo_floor(&sol.active_set, &f_lo, &self.config.f_min, n, m);
-        cache.warm_active = Some(sol.active_set);
-        let target: Vec<f64> = (0..n)
-            .map(|j| {
-                (f_now[j] + first_move[j])
-                    .clamp(f_lo[j].min(self.config.f_max[j]), self.config.f_max[j])
-            })
-            .collect();
-        let predicted = self.model.predict_delta(p_measured, &first_move);
-        Ok(MpcStep {
-            target_freqs: target,
-            first_move,
-            predicted_power: predicted,
-            qp_iterations: sol.iterations,
-            floor_clamped,
-            active_constraints,
-            slo_floor_binding,
-        })
-    }
-
-    /// Builds the fast-path cache: the cumulative-coordinate box Hessian
+    /// Builds the per-period cache: the cumulative-coordinate box Hessian
     /// `H_c = blockdiag_b(2·Q̄_b·aaᵀ + 2·R̂)` and the box-QP skeleton whose
     /// gradient and bounds are rewritten each period.
     ///
@@ -623,7 +408,7 @@ impl MpcController {
     /// block-diagonal outright; and constraint (10a) plus the SLO floors
     /// become the per-variable box `f_lo − f_now ≤ cᵢ ≤ f_max − f_now`
     /// (block 0 additionally intersected with the slew limit `±max_step`).
-    fn build_fast_cache(&self, r_diag: &[f64]) -> Result<FastCache> {
+    fn build_cache(&self, r_diag: Vec<f64>) -> Result<StepCache> {
         let n = self.num_devices;
         let m = self.config.control_horizon;
         let dim = m * n;
@@ -640,29 +425,44 @@ impl MpcController {
                 for k in 0..n {
                     h[(b * n + j, b * n + k)] += 2.0 * qbar[b] * a[j] * a[k];
                 }
-                h[(b * n + j, b * n + j)] += 2.0 * r_diag[j];
             }
         }
+        // The tracking part alone so far; `rebake` adds `2·R̂`.
+        let track_diag: Vec<f64> = (0..dim).map(|v| h[(v, v)]).collect();
         let qp = BoxQpProblem::new(h, vec![0.0; dim], vec![0.0; dim], vec![0.0; dim])?;
-        Ok(FastCache {
-            r_diag: r_diag.to_vec(),
+        let mut cache = StepCache {
+            r_diag: Vec::new(),
             qbar,
+            track_diag,
             qp,
             warm: None,
             regions: Vec::new(),
             insert_at: 0,
             hits: 0,
             misses: 0,
-        })
+        };
+        cache.rebake(r_diag)?;
+        Ok(cache)
     }
 
-    /// Structure-exploiting hot path of [`MpcController::step`] (enabled by
-    /// [`MpcConfig::fast_solver`]): solves the condensed QP in cumulative
-    /// coordinates as a pure box QP, consulting the explicit-MPC region
-    /// table first and falling back to the warm-started iterative
-    /// [`BoxQp`] on a miss. See [`MpcController::build_fast_cache`] for
-    /// the transform.
-    fn step_fast(
+    /// Computes one control period: given the measured average power, the
+    /// set point, the currently applied frequencies, per-device control
+    /// weights (≥ 0, scaled by `r_base`; pass all-1s for uniform), and
+    /// per-device frequency floors (pass `f_min` when no SLO applies).
+    ///
+    /// The condensed QP is solved in cumulative coordinates as a pure box
+    /// QP (see `build_cache` for the transform): the explicit-MPC region
+    /// table is consulted first, keyed by the previous period's active
+    /// set, and the warm-started iterative [`BoxQp`] runs on a miss and
+    /// hands the table the factor it polished with. A change of
+    /// `r_weights` re-bakes the Hessian's diagonal and empties the table
+    /// (`StepCache::rebake`). The `#[cfg(test)]` `step_uncached` is the
+    /// cache-free, generic-solver reference.
+    ///
+    /// # Errors
+    /// * [`ControlError::BadConfig`] on input length mismatches.
+    /// * [`ControlError::Optim`] if the QP solver fails.
+    pub fn step(
         &self,
         p_measured: f64,
         setpoint: f64,
@@ -679,20 +479,16 @@ impl MpcController {
             .map(|j| self.config.r_base * r_weights[j].max(1e-9))
             .collect();
 
-        let mut slot = self.fast.borrow_mut();
-        // The Hessian bakes in r_diag: on a weight change rebuild it and
-        // drop the (now invalid) region table, but keep the warm hint —
-        // the optimal active set rarely moves with the weights.
-        if slot.as_ref().is_none_or(|c| c.r_diag != r_diag) {
-            let warm = slot.as_mut().and_then(|c| c.warm.take());
-            let (hits, misses) = slot.as_ref().map_or((0, 0), |c| (c.hits, c.misses));
-            let mut fresh = self.build_fast_cache(&r_diag)?;
-            fresh.warm = warm;
-            fresh.hits = hits;
-            fresh.misses = misses;
-            *slot = Some(fresh);
-        }
-        let cache = slot.as_mut().expect("fast cache built above");
+        let mut slot = self.cache.borrow_mut();
+        let cache = match slot.as_mut() {
+            Some(cache) => {
+                if cache.r_diag != r_diag {
+                    cache.rebake(r_diag)?;
+                }
+                cache
+            }
+            None => slot.insert(self.build_cache(r_diag)?),
+        };
 
         // ---- Box bounds in cumulative coordinates ----------------------
         let mut feasible = true;
@@ -715,9 +511,8 @@ impl MpcController {
             }
         }
         if !feasible {
-            // A slew limit tighter than a raised floor empties the box —
-            // the same condition that makes the generic path's QP
-            // infeasible; take the identical best-effort jump.
+            // A slew limit tighter than a raised floor empties the box:
+            // take the best-effort jump toward the floor itself.
             cache.warm = None;
             let start = self.feasible_start(f_now, &f_lo);
             let first_move = start[..n].to_vec();
@@ -740,7 +535,7 @@ impl MpcController {
             for j in 0..n {
                 let w_j = f_now[j] - self.config.f_ref[j];
                 cache.qp.gradient[b * n + j] =
-                    2.0 * cache.qbar[b] * e0 * a[j] + 2.0 * r_diag[j] * w_j;
+                    2.0 * cache.qbar[b] * e0 * a[j] + 2.0 * cache.r_diag[j] * w_j;
             }
         }
 
@@ -751,7 +546,7 @@ impl MpcController {
                 .gradient
                 .iter()
                 .fold(0.0f64, |mx, v| mx.max(v.abs()));
-        let tol = FAST_KKT_TOL * g_scale;
+        let tol = REGION_KKT_TOL * g_scale;
         let mut solved: Option<(Vec<f64>, Vec<VarState>, usize)> = None;
         if let Some(sig) = cache.warm.as_ref() {
             if let Some(region) = cache.regions.iter().find(|r| &r.states == sig) {
@@ -788,18 +583,17 @@ impl MpcController {
                     start[i * n..(i + 1) * n].copy_from_slice(&d0[..n]);
                 }
                 let sol = self
-                    .box_solver
+                    .solver
                     .solve_from(&cache.qp, &start, cache.warm.as_deref())?;
                 if !cache.regions.iter().any(|r| r.states == sol.states) {
-                    let factor = BoxFactor::from_states(&cache.qp.hessian, &sol.states)?;
-                    let region = FastRegion {
+                    let region = Region {
                         states: sol.states.clone(),
-                        factor,
+                        factor: sol.factor,
                     };
-                    if cache.regions.len() < MAX_FAST_REGIONS {
+                    if cache.regions.len() < MAX_REGIONS {
                         cache.regions.push(region);
                     } else {
-                        cache.regions[cache.insert_at % MAX_FAST_REGIONS] = region;
+                        cache.regions[cache.insert_at % MAX_REGIONS] = region;
                         cache.insert_at = cache.insert_at.wrapping_add(1);
                     }
                 }
@@ -832,143 +626,6 @@ impl MpcController {
             first_move,
             predicted_power: predicted,
             qp_iterations: iterations,
-            floor_clamped,
-            active_constraints,
-            slo_floor_binding,
-        })
-    }
-
-    /// Cache-free reference implementation of [`MpcController::step`]:
-    /// rebuilds the full QP from scratch and cold-starts the solver every
-    /// call. Kept verbatim as the ground truth the cached hot path is
-    /// regression-tested against.
-    ///
-    /// # Errors
-    /// Same as [`MpcController::step`].
-    #[cfg(test)]
-    #[allow(clippy::needless_range_loop)]
-    fn step_uncached(
-        &self,
-        p_measured: f64,
-        setpoint: f64,
-        current_freqs: &[f64],
-        r_weights: &[f64],
-        floors: &[f64],
-    ) -> Result<MpcStep> {
-        let n = self.num_devices;
-        let m = self.config.control_horizon;
-        let p_h = self.config.prediction_horizon;
-        let (f_lo, floor_clamped) = self.effective_floors(current_freqs, r_weights, floors)?;
-        let f_now: Vec<f64> = current_freqs.to_vec();
-        let dim = m * n;
-
-        // ---- Quadratic cost --------------------------------------------
-        // H = 2·(Σ Qᵢ·sᵢsᵢᵀ + Σ Tᵢᵀ R Tᵢ),
-        // g = 2·(e₀·Σ Qᵢ·sᵢ + Σ Tᵢᵀ R w),  w = f(k) − f_ref.
-        let e0 = p_measured - setpoint;
-        let w: Vec<f64> = vector::sub(&f_now, &self.config.f_ref);
-        let r_diag: Vec<f64> = (0..n)
-            .map(|j| self.config.r_base * r_weights[j].max(1e-9))
-            .collect();
-
-        let mut h = Matrix::zeros(dim, dim);
-        let mut g = vec![0.0; dim];
-        for i in 1..=p_h {
-            let q = self.config.q_weights[i - 1];
-            if q == 0.0 {
-                continue;
-            }
-            let s = self.tracking_row(i);
-            for a in 0..dim {
-                if s[a] == 0.0 {
-                    continue;
-                }
-                g[a] += 2.0 * q * e0 * s[a];
-                for b in 0..dim {
-                    h[(a, b)] += 2.0 * q * s[a] * s[b];
-                }
-            }
-        }
-        // Control-penalty blocks: Tᵢ has identity blocks 0..=i, so
-        // (TᵢᵀRTᵢ)[(a·N+j),(b·N+j)] = R_j when a ≤ i and b ≤ i.
-        for i in 0..m {
-            for a in 0..=i {
-                for b in 0..=i {
-                    for j in 0..n {
-                        h[(a * n + j, b * n + j)] += 2.0 * r_diag[j];
-                    }
-                }
-                for j in 0..n {
-                    g[a * n + j] += 2.0 * r_diag[j] * w[j];
-                }
-            }
-        }
-
-        // ---- Constraints (10a + SLO floors) ----------------------------
-        // For every cumulative position i ∈ 0..M and device j:
-        //   f_lo[j] ≤ f_now[j] + (Tᵢ d)ⱼ ≤ f_max[j].
-        let mut cons = Vec::with_capacity(2 * m * n + 2 * n);
-        for i in 0..m {
-            for j in 0..n {
-                let mut row = vec![0.0; dim];
-                for l in 0..=i {
-                    row[l * n + j] = 1.0;
-                }
-                cons.push(LinearConstraint::new(
-                    row.clone(),
-                    self.config.f_max[j] - f_now[j],
-                ));
-                let neg: Vec<f64> = row.iter().map(|v| -v).collect();
-                cons.push(LinearConstraint::new(neg, f_now[j] - f_lo[j]));
-            }
-        }
-        // Optional slew limit on the first move only (hardware ramp rate).
-        if let Some(ms) = &self.config.max_step {
-            for j in 0..n {
-                cons.push(LinearConstraint::upper_bound(dim, j, ms[j]));
-                cons.push(LinearConstraint::lower_bound(dim, j, -ms[j]));
-            }
-        }
-
-        let start = self.feasible_start(&f_now, &f_lo);
-        let qp = QpProblem::new(h, g, cons)?;
-        let sol = match self.solver.solve(&qp, &start) {
-            Ok(s) => s,
-            // A slew limit tighter than a raised floor makes the QP
-            // infeasible; fall back to the best-effort jump itself.
-            Err(capgpu_optim::OptimError::InfeasibleStart) => {
-                let first_move = start[..n].to_vec();
-                let target = vector::add(&f_now, &first_move);
-                let predicted = self.model.predict_delta(p_measured, &first_move);
-                return Ok(MpcStep {
-                    target_freqs: target,
-                    first_move,
-                    predicted_power: predicted,
-                    qp_iterations: 0,
-                    floor_clamped: true,
-                    active_constraints: 0,
-                    slo_floor_binding: Self::floor_raised(&f_lo, &self.config.f_min),
-                });
-            }
-            Err(e) => return Err(e.into()),
-        };
-
-        let first_move = sol.x[..n].to_vec();
-        let active_constraints = sol.active_set.len();
-        let slo_floor_binding =
-            Self::active_slo_floor(&sol.active_set, &f_lo, &self.config.f_min, n, m);
-        let target: Vec<f64> = (0..n)
-            .map(|j| {
-                (f_now[j] + first_move[j])
-                    .clamp(f_lo[j].min(self.config.f_max[j]), self.config.f_max[j])
-            })
-            .collect();
-        let predicted = self.model.predict_delta(p_measured, &first_move);
-        Ok(MpcStep {
-            target_freqs: target,
-            first_move,
-            predicted_power: predicted,
-            qp_iterations: sol.iterations,
             floor_clamped,
             active_constraints,
             slo_floor_binding,
@@ -1042,6 +699,165 @@ impl MpcController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capgpu_optim::qp::{ActiveSetQp, LinearConstraint, QpProblem};
+    use proptest::prelude::*;
+
+    impl MpcController {
+        /// True when the solution's active set pins a *lower* cumulative
+        /// bound whose floor is SLO-raised (above hardware `f_min`): the
+        /// (10b) latency bound is what shaped this move. Box rows are laid
+        /// out as `2·(i·n + j)` (upper) / `2·(i·n + j) + 1` (lower) for
+        /// `i ∈ 0..m`, `j ∈ 0..n`; slew rows (≥ `2·m·n`) never encode SLOs.
+        fn active_slo_floor(
+            active: &[usize],
+            f_lo: &[f64],
+            f_min: &[f64],
+            n: usize,
+            m: usize,
+        ) -> bool {
+            active
+                .iter()
+                .any(|&r| r < 2 * m * n && r % 2 == 1 && f_lo[(r / 2) % n] > f_min[(r / 2) % n])
+        }
+
+        /// Cache-free reference implementation of [`MpcController::step`]:
+        /// rebuilds the full QP from scratch in the original per-move
+        /// coordinates and cold-starts the generic [`ActiveSetQp`] every
+        /// call. Kept verbatim as the ground truth the production path is
+        /// tested against — it shares no arithmetic with it beyond the input
+        /// validation and the feasible start.
+        ///
+        /// # Errors
+        /// Same as [`MpcController::step`].
+        #[allow(clippy::needless_range_loop)]
+        fn step_uncached(
+            &self,
+            p_measured: f64,
+            setpoint: f64,
+            current_freqs: &[f64],
+            r_weights: &[f64],
+            floors: &[f64],
+        ) -> Result<MpcStep> {
+            let n = self.num_devices;
+            let m = self.config.control_horizon;
+            let p_h = self.config.prediction_horizon;
+            let (f_lo, floor_clamped) = self.effective_floors(current_freqs, r_weights, floors)?;
+            let f_now: Vec<f64> = current_freqs.to_vec();
+            let dim = m * n;
+
+            // ---- Quadratic cost --------------------------------------------
+            // H = 2·(Σ Qᵢ·sᵢsᵢᵀ + Σ Tᵢᵀ R Tᵢ),
+            // g = 2·(e₀·Σ Qᵢ·sᵢ + Σ Tᵢᵀ R w),  w = f(k) − f_ref.
+            let e0 = p_measured - setpoint;
+            let w: Vec<f64> = vector::sub(&f_now, &self.config.f_ref);
+            let r_diag: Vec<f64> = (0..n)
+                .map(|j| self.config.r_base * r_weights[j].max(1e-9))
+                .collect();
+
+            let mut h = Matrix::zeros(dim, dim);
+            let mut g = vec![0.0; dim];
+            for i in 1..=p_h {
+                let q = self.config.q_weights[i - 1];
+                if q == 0.0 {
+                    continue;
+                }
+                let s = self.tracking_row(i);
+                for a in 0..dim {
+                    if s[a] == 0.0 {
+                        continue;
+                    }
+                    g[a] += 2.0 * q * e0 * s[a];
+                    for b in 0..dim {
+                        h[(a, b)] += 2.0 * q * s[a] * s[b];
+                    }
+                }
+            }
+            // Control-penalty blocks: Tᵢ has identity blocks 0..=i, so
+            // (TᵢᵀRTᵢ)[(a·N+j),(b·N+j)] = R_j when a ≤ i and b ≤ i.
+            for i in 0..m {
+                for a in 0..=i {
+                    for b in 0..=i {
+                        for j in 0..n {
+                            h[(a * n + j, b * n + j)] += 2.0 * r_diag[j];
+                        }
+                    }
+                    for j in 0..n {
+                        g[a * n + j] += 2.0 * r_diag[j] * w[j];
+                    }
+                }
+            }
+
+            // ---- Constraints (10a + SLO floors) ----------------------------
+            // For every cumulative position i ∈ 0..M and device j:
+            //   f_lo[j] ≤ f_now[j] + (Tᵢ d)ⱼ ≤ f_max[j].
+            let mut cons = Vec::with_capacity(2 * m * n + 2 * n);
+            for i in 0..m {
+                for j in 0..n {
+                    let mut row = vec![0.0; dim];
+                    for l in 0..=i {
+                        row[l * n + j] = 1.0;
+                    }
+                    cons.push(LinearConstraint::new(
+                        row.clone(),
+                        self.config.f_max[j] - f_now[j],
+                    ));
+                    let neg: Vec<f64> = row.iter().map(|v| -v).collect();
+                    cons.push(LinearConstraint::new(neg, f_now[j] - f_lo[j]));
+                }
+            }
+            // Optional slew limit on the first move only (hardware ramp rate).
+            if let Some(ms) = &self.config.max_step {
+                for j in 0..n {
+                    cons.push(LinearConstraint::upper_bound(dim, j, ms[j]));
+                    cons.push(LinearConstraint::lower_bound(dim, j, -ms[j]));
+                }
+            }
+
+            let start = self.feasible_start(&f_now, &f_lo);
+            let qp = QpProblem::new(h, g, cons)?;
+            let sol = match ActiveSetQp::default().solve(&qp, &start) {
+                Ok(s) => s,
+                // A slew limit tighter than a raised floor makes the QP
+                // infeasible; fall back to the best-effort jump itself.
+                Err(capgpu_optim::OptimError::InfeasibleStart) => {
+                    let first_move = start[..n].to_vec();
+                    let target = vector::add(&f_now, &first_move);
+                    let predicted = self.model.predict_delta(p_measured, &first_move);
+                    return Ok(MpcStep {
+                        target_freqs: target,
+                        first_move,
+                        predicted_power: predicted,
+                        qp_iterations: 0,
+                        floor_clamped: true,
+                        active_constraints: 0,
+                        slo_floor_binding: Self::floor_raised(&f_lo, &self.config.f_min),
+                    });
+                }
+                Err(e) => return Err(e.into()),
+            };
+
+            let first_move = sol.x[..n].to_vec();
+            let active_constraints = sol.active_set.len();
+            let slo_floor_binding =
+                Self::active_slo_floor(&sol.active_set, &f_lo, &self.config.f_min, n, m);
+            let target: Vec<f64> = (0..n)
+                .map(|j| {
+                    (f_now[j] + first_move[j])
+                        .clamp(f_lo[j].min(self.config.f_max[j]), self.config.f_max[j])
+                })
+                .collect();
+            let predicted = self.model.predict_delta(p_measured, &first_move);
+            Ok(MpcStep {
+                target_freqs: target,
+                first_move,
+                predicted_power: predicted,
+                qp_iterations: sol.iterations,
+                floor_clamped,
+                active_constraints,
+                slo_floor_binding,
+            })
+        }
+    }
 
     fn controller() -> MpcController {
         // 1 CPU (1000–2400 MHz) + 2 GPUs (435–1350 MHz) with V100-scale
@@ -1116,6 +932,8 @@ mod tests {
             "floor not enforced: {:?}",
             step.target_freqs
         );
+        assert!(step.slo_floor_binding);
+        assert!(step.active_constraints > 0);
     }
 
     #[test]
@@ -1235,140 +1053,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_step_matches_uncached_first_call() {
-        // With no warm-start state, the cached path assembles the exact
-        // same QP (same accumulation order) and cold-starts the solver:
-        // the very first step must be bit-identical to the reference.
-        let c = controller();
-        let f = [1400.0, 800.0, 800.0];
-        let p = c.model().predict(&f);
-        let reference = c
-            .step_uncached(p, p - 80.0, &f, &[0.7, 1.2, 1.1], &[1000.0, 435.0, 435.0])
-            .unwrap();
-        let fresh = controller();
-        let cached = fresh
-            .step(p, p - 80.0, &f, &[0.7, 1.2, 1.1], &[1000.0, 435.0, 435.0])
-            .unwrap();
-        assert_eq!(cached.first_move, reference.first_move);
-        assert_eq!(cached.target_freqs, reference.target_freqs);
-        assert_eq!(cached.predicted_power, reference.predicted_power);
+    /// First-call agreement with the oracle, MHz. Both sides cold-solve
+    /// the same strictly convex QP — in different coordinates, with
+    /// different factorizations — so they differ by rounding only
+    /// (measured: at most 1.1·10⁻¹⁰ over the set points tested).
+    const FIRST_CALL_TOL_MHZ: f64 = 1e-9;
+    /// Closed-loop agreement with the oracle, MHz: each side feeds its own
+    /// targets back, so rounding differences compound over the run, and a
+    /// period whose minimizer sits on the edge of two active sets is
+    /// resolved to solver tolerance rather than to rounding.
+    const CLOSED_LOOP_TOL_MHZ: f64 = 1e-6;
+
+    /// Largest per-device distance between two moves or target vectors.
+    fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
     }
 
     #[test]
-    fn cached_step_matches_uncached_in_closed_loop() {
-        // Run the same closed loop through both paths. Warm starting may
-        // change the active-set path (and last-ulp rounding) but both must
-        // land on the unique minimizer of each period's strictly convex
-        // QP, so the trajectories agree to solver tolerance.
-        let c = controller();
+    fn step_matches_uncached_on_first_call() {
+        // No warm hint, no region: the production path and the oracle
+        // each cold-solve the period's QP — interior, partly bound and
+        // fully saturated optima.
+        let f = [1400.0, 800.0, 800.0];
         let floors = [1000.0, 435.0, 435.0];
+        let wgt = [0.7, 1.2, 1.1];
+        let p = controller().model().predict(&f);
+        for setpoint in [p - 150.0, p - 80.0, p, p + 100.0, p + 500.0] {
+            let c = controller();
+            let reference = c.step_uncached(p, setpoint, &f, &wgt, &floors).unwrap();
+            let step = c.step(p, setpoint, &f, &wgt, &floors).unwrap();
+            let d_move = max_abs_diff(&step.first_move, &reference.first_move);
+            let d_target = max_abs_diff(&step.target_freqs, &reference.target_freqs);
+            assert!(
+                d_move <= FIRST_CALL_TOL_MHZ && d_target <= FIRST_CALL_TOL_MHZ,
+                "setpoint {setpoint}: move off by {d_move}, target by {d_target}"
+            );
+            assert!((step.predicted_power - reference.predicted_power).abs() <= 1e-9);
+            assert_eq!(step.floor_clamped, reference.floor_clamped);
+            assert_eq!(step.active_constraints, reference.active_constraints);
+        }
+    }
+
+    #[test]
+    fn step_matches_uncached_in_closed_loop() {
+        // The same closed loop through the production path (warm starts,
+        // region table, a weight re-bake four periods out of five) and
+        // through the oracle, with an SLO floor engaging partway: unique
+        // minimizers each period, so the trajectories agree to solver
+        // tolerance and report the same binding floor.
+        let c = controller();
         let setpoint = 780.0;
         let mut f_c = vec![1000.0, 435.0, 435.0];
         let mut f_u = f_c.clone();
-        for k in 0..40 {
-            // Vary the weights to exercise the re-bake path as well.
-            let wgt = [1.0, 1.0 + 0.3 * ((k % 5) as f64), 0.8];
-            let p_c = c.model().predict(&f_c);
-            let p_u = c.model().predict(&f_u);
-            let s_c = c.step(p_c, setpoint, &f_c, &wgt, &floors).unwrap();
-            let s_u = c.step_uncached(p_u, setpoint, &f_u, &wgt, &floors).unwrap();
-            for j in 0..3 {
-                assert!(
-                    (s_c.target_freqs[j] - s_u.target_freqs[j]).abs() < 1e-6,
-                    "period {k} device {j}: cached {} vs uncached {}",
-                    s_c.target_freqs[j],
-                    s_u.target_freqs[j]
-                );
-            }
-            f_c = s_c.target_freqs;
-            f_u = s_u.target_freqs;
-        }
-    }
-
-    #[test]
-    fn cache_invalidated_on_model_change() {
-        let mut c = controller();
-        let f = [1400.0, 800.0, 800.0];
-        let p = c.model().predict(&f);
-        let uniform = [1.0, 1.0, 1.0];
-        let floors = [1000.0, 435.0, 435.0];
-        c.step(p, p - 50.0, &f, &uniform, &floors).unwrap(); // populate cache
-        let new_model = LinearPowerModel::new(vec![0.09, 0.25, 0.25], 240.0).unwrap();
-        c.set_model(new_model).unwrap();
-        let cached = c.step(p, p - 50.0, &f, &uniform, &floors).unwrap();
-        let reference = c.step_uncached(p, p - 50.0, &f, &uniform, &floors).unwrap();
-        for j in 0..3 {
-            assert!(
-                (cached.first_move[j] - reference.first_move[j]).abs() < 1e-9,
-                "stale cache after set_model: {:?} vs {:?}",
-                cached.first_move,
-                reference.first_move
-            );
-        }
-    }
-
-    #[test]
-    fn slew_limit_infeasible_fallback_matches_uncached() {
-        // Floor raised beyond what the slew limit allows in one move: both
-        // paths must take the identical best-effort jump.
-        let model = LinearPowerModel::new(vec![0.18], 250.0).unwrap();
-        let mut config = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
-        config.max_step = Some(vec![50.0]);
-        let c = MpcController::new(config, model).unwrap();
-        let f = [500.0];
-        let p = c.model().predict(&f);
-        let cached = c.step(p, p, &f, &[1.0], &[900.0]).unwrap();
-        let reference = c.step_uncached(p, p, &f, &[1.0], &[900.0]).unwrap();
-        assert!(cached.floor_clamped && reference.floor_clamped);
-        assert_eq!(cached.first_move, reference.first_move);
-        assert_eq!(cached.target_freqs, reference.target_freqs);
-    }
-
-    fn fast_controller() -> MpcController {
-        let model = LinearPowerModel::new(vec![0.06, 0.18, 0.18], 250.0).unwrap();
-        let mut config =
-            MpcConfig::paper_defaults(vec![1000.0, 435.0, 435.0], vec![2400.0, 1350.0, 1350.0]);
-        config.fast_solver = true;
-        MpcController::new(config, model).unwrap()
-    }
-
-    #[test]
-    fn fast_solver_matches_generic_single_step() {
-        let slow = controller();
-        let fast = fast_controller();
-        let f = [1400.0, 800.0, 800.0];
-        let p = slow.model().predict(&f);
-        let floors = [1000.0, 435.0, 435.0];
-        for setpoint in [p - 150.0, p, p + 100.0, p + 500.0] {
-            let s = slow
-                .step(p, setpoint, &f, &[0.7, 1.2, 1.1], &floors)
-                .unwrap();
-            let q = fast
-                .step(p, setpoint, &f, &[0.7, 1.2, 1.1], &floors)
-                .unwrap();
-            for j in 0..3 {
-                assert!(
-                    (s.target_freqs[j] - q.target_freqs[j]).abs() < 1e-6,
-                    "setpoint {setpoint} device {j}: generic {} vs fast {}",
-                    s.target_freqs[j],
-                    q.target_freqs[j]
-                );
-            }
-            assert_eq!(s.floor_clamped, q.floor_clamped);
-        }
-    }
-
-    #[test]
-    fn fast_solver_matches_generic_in_closed_loop() {
-        // Same closed loop through both solvers, with varying weights and
-        // an SLO floor engaging partway: unique minimizers each period, so
-        // the trajectories agree to solver tolerance.
-        let slow = controller();
-        let fast = fast_controller();
-        let setpoint = 780.0;
-        let mut f_s = vec![1000.0, 435.0, 435.0];
-        let mut f_q = f_s.clone();
         for k in 0..60 {
             let wgt = [1.0, 1.0 + 0.3 * ((k % 5) as f64), 0.8];
             let floors = if k >= 30 {
@@ -1376,39 +1116,58 @@ mod tests {
             } else {
                 [1000.0, 435.0, 435.0]
             };
-            let p_s = slow.model().predict(&f_s);
-            let p_q = fast.model().predict(&f_q);
-            let s = slow.step(p_s, setpoint, &f_s, &wgt, &floors).unwrap();
-            let q = fast.step(p_q, setpoint, &f_q, &wgt, &floors).unwrap();
-            for j in 0..3 {
-                assert!(
-                    (s.target_freqs[j] - q.target_freqs[j]).abs() < 1e-6,
-                    "period {k} device {j}: generic {} vs fast {}",
-                    s.target_freqs[j],
-                    q.target_freqs[j]
-                );
-            }
-            assert_eq!(s.slo_floor_binding, q.slo_floor_binding, "period {k}");
-            f_s = s.target_freqs;
-            f_q = q.target_freqs;
+            let p_c = c.model().predict(&f_c);
+            let p_u = c.model().predict(&f_u);
+            let s_c = c.step(p_c, setpoint, &f_c, &wgt, &floors).unwrap();
+            let s_u = c.step_uncached(p_u, setpoint, &f_u, &wgt, &floors).unwrap();
+            let d = max_abs_diff(&s_c.target_freqs, &s_u.target_freqs);
+            assert!(
+                d <= CLOSED_LOOP_TOL_MHZ,
+                "period {k}: {:?} vs oracle {:?}",
+                s_c.target_freqs,
+                s_u.target_freqs
+            );
+            assert_eq!(s_c.slo_floor_binding, s_u.slo_floor_binding, "period {k}");
+            f_c = s_c.target_freqs;
+            f_u = s_u.target_freqs;
         }
     }
 
     #[test]
-    fn fast_explicit_hit_is_bit_identical_to_cold_resolve() {
+    fn slew_limit_infeasible_fallback_matches_uncached() {
+        // Floor raised beyond what the slew limit allows in one move: the
+        // production path's empty box and the oracle's infeasible start
+        // must take the identical best-effort jump.
+        let model = LinearPowerModel::new(vec![0.18], 250.0).unwrap();
+        let mut config = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
+        config.max_step = Some(vec![50.0]);
+        let c = MpcController::new(config, model).unwrap();
+        let f = [500.0];
+        let p = c.model().predict(&f);
+        let step = c.step(p, p, &f, &[1.0], &[900.0]).unwrap();
+        let reference = c.step_uncached(p, p, &f, &[1.0], &[900.0]).unwrap();
+        assert!(step.floor_clamped && reference.floor_clamped);
+        assert_eq!(step.first_move, reference.first_move);
+        assert_eq!(step.target_freqs, reference.target_freqs);
+        assert!(step.slo_floor_binding && reference.slo_floor_binding);
+        assert_eq!(step.qp_iterations, 0, "the fallback runs no iteration");
+    }
+
+    #[test]
+    fn region_hit_is_bit_identical_to_cold_resolve() {
         // One controller keeps its warm state + region table (steady state
         // = explicit hits); the other is forced fully cold before every
         // step. The deterministic polish makes both trajectories bitwise
         // equal, and the warm controller must actually hit the table.
-        let warm = fast_controller();
-        let cold = fast_controller();
+        let warm = controller();
+        let cold = controller();
         let setpoint = 800.0;
         let floors = [1000.0, 435.0, 435.0];
         let wgt = [1.0, 1.0, 1.0];
         let mut f_w = vec![1000.0, 435.0, 435.0];
         let mut f_c = f_w.clone();
         for k in 0..25 {
-            cold.reset_fast_path();
+            cold.reset_solver_state();
             let p_w = warm.model().predict(&f_w);
             let p_c = cold.model().predict(&f_c);
             let s_w = warm.step(p_w, setpoint, &f_w, &wgt, &floors).unwrap();
@@ -1418,11 +1177,49 @@ mod tests {
             f_w = s_w.target_freqs;
             f_c = s_c.target_freqs;
         }
-        let (hits, misses) = warm.fast_solver_stats();
+        let (hits, misses) = warm.region_stats();
         assert!(hits > 0, "steady state should hit the region table");
         assert!(misses >= 1, "first period must miss");
-        let (cold_hits, _) = cold.fast_solver_stats();
+        let (cold_hits, _) = cold.region_stats();
         assert_eq!(cold_hits, 0, "reset before every step should never hit");
+    }
+
+    #[test]
+    fn rebaked_diagonal_is_bit_identical_to_a_fresh_cache() {
+        // Weights alternating A, B, A, … re-bake the Hessian's diagonal in
+        // place every period. The twin's whole cache is thrown away before
+        // every step, so it assembles each Hessian from scratch and solves
+        // cold; output is a pure function of the problem and the final
+        // active set (DESIGN.md §15), so the two must agree bit for bit.
+        let (wgt_a, wgt_b) = ([1.0, 1.0, 1.0], [0.6, 1.7, 0.9]);
+        let floors = [1000.0, 435.0, 435.0];
+        let setpoint = 800.0;
+        let rebaked = controller();
+        let fresh = controller();
+        let steady = controller();
+        let mut f = vec![1000.0, 435.0, 435.0];
+        let mut f_steady = f.clone();
+        for k in 0..60 {
+            let wgt = if k % 2 == 0 { &wgt_a } else { &wgt_b };
+            let p = rebaked.model().predict(&f);
+            *fresh.cache.borrow_mut() = None;
+            let s_r = rebaked.step(p, setpoint, &f, wgt, &floors).unwrap();
+            let s_f = fresh.step(p, setpoint, &f, wgt, &floors).unwrap();
+            assert_eq!(s_r.first_move, s_f.first_move, "period {k}");
+            assert_eq!(s_r.target_freqs, s_f.target_freqs, "period {k}");
+            assert_eq!(s_r.predicted_power, s_f.predicted_power, "period {k}");
+            f = s_r.target_freqs;
+
+            let p = steady.model().predict(&f_steady);
+            f_steady = steady
+                .step(p, setpoint, &f_steady, &wgt_a, &floors)
+                .unwrap()
+                .target_freqs;
+        }
+        // The table pays off exactly when the weights repeat.
+        assert_eq!(rebaked.region_stats(), (0, 60), "per-period weights");
+        let (hits, misses) = steady.region_stats();
+        assert!(hits >= 50 && hits + misses == 60, "steady weights: {hits}");
     }
 
     /// Steps `c` through a few settled periods so the region table holds
@@ -1433,120 +1230,137 @@ mod tests {
             c.step(850.0 + k as f64, 900.0, &f, weights, floors)
                 .unwrap();
         }
-        assert!(c.fast_solver_stats().0 >= 1, "steady state never hit");
+        assert!(c.region_stats().0 >= 1, "steady state never hit");
     }
 
     #[test]
-    fn fast_weight_change_rebuilds_the_region_table() {
-        // The Hessian bakes in the weights, so the cached laws are stale
-        // after a weight change: that period must miss, and still agree
-        // with the generic solver.
-        let fast = fast_controller();
+    fn qp_iterations_is_zero_only_when_no_iteration_ran() {
+        // A cold solve of an interior problem takes one Newton step and
+        // the check that accepts it; a region hit runs no iteration.
+        let c = controller();
+        let f = [1600.0, 900.0, 900.0];
+        let wgt = [1.0, 1.0, 1.0];
         let floors = [1000.0, 435.0, 435.0];
-        warm_region_table(&fast, &[1.0, 1.0, 1.0], &floors);
-        let (hits, misses) = fast.fast_solver_stats();
+        let cold = c.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
+        assert_eq!(cold.active_constraints, 0, "meant to be interior");
+        assert!(cold.qp_iterations >= 1, "a solve that ran reports >= 1");
+        assert_eq!(c.region_stats(), (0, 1));
+        let hit = c.step(851.0, 900.0, &f, &wgt, &floors).unwrap();
+        assert_eq!(c.region_stats(), (1, 1));
+        assert_eq!(hit.qp_iterations, 0);
+    }
+
+    #[test]
+    fn weight_change_clears_the_region_table() {
+        // The Hessian bakes in the weights, so the cached laws are stale
+        // after a weight change: that period must miss, keep the counters,
+        // and still agree with the oracle.
+        let c = controller();
+        let floors = [1000.0, 435.0, 435.0];
+        warm_region_table(&c, &[1.0, 1.0, 1.0], &floors);
+        let (hits, misses) = c.region_stats();
         let f = [1600.0, 900.0, 900.0];
         let wgt = [0.5, 1.5, 1.0];
-        let q = fast.step(854.0, 900.0, &f, &wgt, &floors).unwrap();
-        assert_eq!(fast.fast_solver_stats(), (hits, misses + 1));
-        let s = controller().step(854.0, 900.0, &f, &wgt, &floors).unwrap();
-        for j in 0..3 {
-            assert!((q.target_freqs[j] - s.target_freqs[j]).abs() < 1e-6);
-        }
+        let step = c.step(854.0, 900.0, &f, &wgt, &floors).unwrap();
+        assert_eq!(c.region_stats(), (hits, misses + 1));
+        let reference = c.step_uncached(854.0, 900.0, &f, &wgt, &floors).unwrap();
+        assert!(max_abs_diff(&step.target_freqs, &reference.target_freqs) <= CLOSED_LOOP_TOL_MHZ);
+        // Non-finite weights are rejected as they are on a fresh build,
+        // and leave the controller as it was.
+        let inf = [f64::INFINITY, 1.0, 1.0];
+        assert!(c.step(854.0, 900.0, &f, &inf, &floors).is_err());
+        assert!(controller().step(854.0, 900.0, &f, &inf, &floors).is_err());
+        let again = c.step(854.0, 900.0, &f, &wgt, &floors).unwrap();
+        assert_eq!(again.target_freqs, step.target_freqs);
+        assert_eq!(c.region_stats(), (hits + 1, misses + 1));
     }
 
     #[test]
-    fn fast_floor_change_is_not_served_from_a_stale_region() {
+    fn floor_change_is_not_served_from_a_stale_region() {
         // A raised floor moves the box under the cached active set; the
         // KKT check must reject the stale law rather than reuse it.
-        let fast = fast_controller();
+        let c = controller();
         let wgt = [1.0, 1.0, 1.0];
-        warm_region_table(&fast, &wgt, &[1000.0, 435.0, 435.0]);
+        warm_region_table(&c, &wgt, &[1000.0, 435.0, 435.0]);
         let f = [1600.0, 900.0, 900.0];
         let raised = [1000.0, 1100.0, 435.0];
-        let q = fast.step(854.0, 900.0, &f, &wgt, &raised).unwrap();
-        let s = controller().step(854.0, 900.0, &f, &wgt, &raised).unwrap();
-        for j in 0..3 {
-            assert!((q.target_freqs[j] - s.target_freqs[j]).abs() < 1e-6);
-        }
-        assert!(q.target_freqs[1] >= 1100.0 - 1e-6);
+        let step = c.step(854.0, 900.0, &f, &wgt, &raised).unwrap();
+        let reference = c.step_uncached(854.0, 900.0, &f, &wgt, &raised).unwrap();
+        assert!(max_abs_diff(&step.target_freqs, &reference.target_freqs) <= CLOSED_LOOP_TOL_MHZ);
+        assert!(step.target_freqs[1] >= 1100.0 - 1e-6);
     }
 
     #[test]
-    fn fast_set_model_flushes_the_region_table() {
-        let mut fast = fast_controller();
+    fn set_model_flushes_the_region_table() {
+        let mut c = controller();
         let wgt = [1.0, 1.0, 1.0];
         let floors = [1000.0, 435.0, 435.0];
-        warm_region_table(&fast, &wgt, &floors);
+        warm_region_table(&c, &wgt, &floors);
 
         // Re-identified model: different gains, so cached laws are stale.
         let new_model = LinearPowerModel::new(vec![0.08, 0.22, 0.22], 310.0).unwrap();
-        fast.set_model(new_model.clone()).unwrap();
-        assert_eq!(fast.fast_solver_stats(), (0, 0), "fast-path state survived");
+        c.set_model(new_model).unwrap();
+        assert_eq!(c.region_stats(), (0, 0), "solver state survived");
         let f = [1600.0, 900.0, 900.0];
-        let q = fast.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
-        assert_eq!(fast.fast_solver_stats(), (0, 1), "first step must miss");
-        let generic = MpcController::new(controller().config().clone(), new_model).unwrap();
-        let s = generic.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
-        for j in 0..3 {
-            assert!(
-                (q.first_move[j] - s.first_move[j]).abs() < 1e-5,
-                "device {j}: fast {} vs generic {}",
-                q.first_move[j],
-                s.first_move[j]
-            );
-        }
+        let step = c.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
+        assert_eq!(c.region_stats(), (0, 1), "first step must miss");
+        let reference = c.step_uncached(850.0, 900.0, &f, &wgt, &floors).unwrap();
+        let d = max_abs_diff(&step.first_move, &reference.first_move);
+        assert!(d <= FIRST_CALL_TOL_MHZ, "stale cache after set_model: {d}");
 
         // Wrong device count is rejected and leaves the controller usable.
         let bad = LinearPowerModel::new(vec![0.08], 310.0).unwrap();
-        assert!(fast.set_model(bad).is_err());
-        assert!(fast.step(850.0, 900.0, &f, &wgt, &floors).is_ok());
+        assert!(c.set_model(bad).is_err());
+        assert!(c.step(850.0, 900.0, &f, &wgt, &floors).is_ok());
     }
 
-    #[test]
-    fn fast_slew_infeasible_fallback_matches_generic() {
-        // Floor raised beyond what the slew limit allows in one move: the
-        // fast path's empty box must take the identical best-effort jump.
-        let model = LinearPowerModel::new(vec![0.18], 250.0).unwrap();
-        let mut config = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
-        config.max_step = Some(vec![50.0]);
-        let mut fast_config = config.clone();
-        fast_config.fast_solver = true;
-        let slow = MpcController::new(config, model.clone()).unwrap();
-        let fast = MpcController::new(fast_config, model).unwrap();
-        let f = [500.0];
-        let p = slow.model().predict(&f);
-        let s = slow.step(p, p, &f, &[1.0], &[900.0]).unwrap();
-        let q = fast.step(p, p, &f, &[1.0], &[900.0]).unwrap();
-        assert!(s.floor_clamped && q.floor_clamped);
-        assert_eq!(s.first_move, q.first_move);
-        assert_eq!(s.target_freqs, q.target_freqs);
-        assert!(q.slo_floor_binding);
-    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-    #[test]
-    fn fast_floor_above_fmax_is_clamped_and_flagged() {
-        let c = fast_controller();
-        let f = [1400.0, 800.0, 800.0];
-        let p = c.model().predict(&f);
-        let step = c
-            .step(p, p, &f, &[1.0, 1.0, 1.0], &[1000.0, 2000.0, 435.0])
-            .unwrap();
-        assert!(step.floor_clamped);
-        assert!(step.target_freqs[1] <= 1350.0 + 1e-6);
-    }
-
-    #[test]
-    fn fast_slo_floor_binding_reported() {
-        let c = fast_controller();
-        let f = [1400.0, 500.0, 800.0];
-        let p = c.model().predict(&f);
-        let step = c
-            .step(p, p, &f, &[1.0, 1.0, 1.0], &[1000.0, 900.0, 435.0])
-            .unwrap();
-        assert!(step.target_freqs[1] >= 900.0 - 1e-6);
-        assert!(step.slo_floor_binding);
-        assert!(step.active_constraints > 0);
+        #[test]
+        fn step_matches_oracle_on_random_servers(
+            n in 1usize..10,
+            gains in prop::collection::vec(0.03..0.3f64, 9),
+            floor_frac in prop::collection::vec(-0.5..0.6f64, 9),
+            weights in prop::collection::vec(0.1..3.0f64, 9 * 12),
+            setpoint_frac in prop::collection::vec(0.05..0.95f64, 3),
+            slew in prop::sample::select(vec![None, Some(60.0), Some(250.0)]),
+            redraw_weights in prop::sample::select(vec![false, true]),
+        ) {
+            // 1–9 devices, each period on the production path and on the
+            // oracle from the same inputs: set-point steps every four
+            // periods, floors on roughly half the devices, the slew limit
+            // on or off, weights held or redrawn every period.
+            let (f_min, f_max) = (vec![435.0; n], vec![1350.0; n]);
+            let mut config = MpcConfig::paper_defaults(f_min.clone(), f_max.clone());
+            config.max_step = slew.map(|s| vec![s; n]);
+            let model = LinearPowerModel::new(gains[..n].to_vec(), 250.0).unwrap();
+            let c = MpcController::new(config, model).unwrap();
+            let floors: Vec<f64> = floor_frac[..n]
+                .iter()
+                .map(|x| 435.0 + x.max(0.0) * 915.0)
+                .collect();
+            let (p_lo, p_hi) = (c.model().predict(&f_min), c.model().predict(&f_max));
+            let mut f = vec![900.0; n];
+            for k in 0..12 {
+                let setpoint = p_lo + setpoint_frac[k / 4] * (p_hi - p_lo);
+                let row = if redraw_weights { k } else { 0 };
+                let wgt = &weights[row * 9..row * 9 + n];
+                let p = c.model().predict(&f);
+                let step = c.step(p, setpoint, &f, wgt, &floors).unwrap();
+                let reference = c.step_uncached(p, setpoint, &f, wgt, &floors).unwrap();
+                let d = max_abs_diff(&step.target_freqs, &reference.target_freqs);
+                prop_assert!(d <= CLOSED_LOOP_TOL_MHZ, "period {k}: off by {d} MHz");
+                prop_assert_eq!(step.floor_clamped, reference.floor_clamped);
+                for (t, floor) in step.target_freqs.iter().zip(&floors) {
+                    // The best-effort jump of an infeasible slew/floor pair
+                    // (flagged) is the one answer allowed below its floor.
+                    let lo = if step.floor_clamped { 435.0 } else { *floor };
+                    prop_assert!((lo..=1350.0).contains(t), "{t} outside [{lo}, 1350]");
+                }
+                f = step.target_freqs;
+            }
+        }
     }
 
     #[test]

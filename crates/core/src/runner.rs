@@ -446,25 +446,6 @@ impl ExperimentRunner {
         )
     }
 
-    /// Builds the paper's controller with the structure-exploiting fast
-    /// MPC solver enabled (`MpcConfig::fast_solver`): same model, weights,
-    /// and constraints as [`ExperimentRunner::build_capgpu_controller`],
-    /// but the condensed QP is solved in cumulative coordinates as a box
-    /// QP with an explicit-MPC region table. Agrees with the default
-    /// controller to solver tolerance (see DESIGN.md §15).
-    ///
-    /// # Errors
-    /// Propagates identification and construction errors.
-    pub fn build_capgpu_fast(&mut self) -> Result<CapGpuController> {
-        let model = self.identified_model()?;
-        let mut config = capgpu_control::mpc::MpcConfig::paper_defaults(
-            self.layout.f_min.clone(),
-            self.layout.f_max.clone(),
-        );
-        config.fast_solver = true;
-        CapGpuController::with_config(config, model, WeightAssigner::default(), "CapGPU (fast)")
-    }
-
     /// The plant gain one shared knob over every device of `kind` sees:
     /// the sum of their non-negative identified gains (W/MHz).
     fn summed_gain(&mut self, kind: DeviceKind) -> Result<f64> {

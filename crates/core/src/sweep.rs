@@ -75,12 +75,6 @@ pub type ControllerBuilder =
 pub enum ControllerSpec {
     /// The paper's controller (identified model, default weights).
     CapGpu,
-    /// The paper's controller with the structure-exploiting fast MPC
-    /// solver (`MpcConfig::fast_solver`): box QP in cumulative coordinates
-    /// plus an explicit-MPC region table. Same model, weights, and
-    /// constraints as [`ControllerSpec::CapGpu`]; agrees to solver
-    /// tolerance (see DESIGN.md §15).
-    CapGpuFast,
     /// The paper's controller with a phase-blind weight assigner
     /// ([`crate::weights::WeightAssigner::phase_blind`]): throughput
     /// inversion only, ignoring the LLM layer's per-device phase mix.
@@ -152,7 +146,6 @@ impl ControllerSpec {
     pub fn label(&self) -> String {
         match self {
             ControllerSpec::CapGpu => "CapGPU".into(),
-            ControllerSpec::CapGpuFast => "CapGPU (fast)".into(),
             ControllerSpec::CapGpuPhaseBlind => "CapGPU (phase-blind)".into(),
             ControllerSpec::GpuOnly => "GPU-Only".into(),
             ControllerSpec::CpuOnly => "CPU-Only".into(),
@@ -181,7 +174,6 @@ impl ControllerSpec {
     fn build(&self, r: &mut ExperimentRunner) -> Result<Box<dyn PowerController>> {
         Ok(match self {
             ControllerSpec::CapGpu => Box::new(r.build_capgpu_controller()?),
-            ControllerSpec::CapGpuFast => Box::new(r.build_capgpu_fast()?),
             ControllerSpec::CapGpuPhaseBlind => Box::new(r.build_capgpu_phase_blind()?),
             ControllerSpec::GpuOnly => Box::new(r.build_gpu_only()?),
             ControllerSpec::CpuOnly => Box::new(r.build_cpu_only()?),
@@ -1471,35 +1463,6 @@ mod tests {
             merged_stream.to_prometheus_text(),
             merged_full.to_prometheus_text(),
             "streamed telemetry merge diverged from full-report merge"
-        );
-    }
-
-    #[test]
-    fn fast_capgpu_cell_tracks_like_the_generic_controller() {
-        // The fast-solver controller rides through the sweep engine like
-        // any other spec; its closed-loop tracking quality must match the
-        // generic CapGPU controller on the same scenario.
-        let streamed = SweepSpec::new(Scenario::paper_testbed(7))
-            .setpoint(1000.0)
-            .periods(40)
-            .controller(ControllerSpec::CapGpu)
-            .controller(ControllerSpec::CapGpuFast)
-            .streaming_serial()
-            .expect("sweep");
-        let generic = streamed.get(0, 0);
-        let fast = streamed.get(0, 1);
-        assert_eq!(fast.controller_label, "CapGPU (fast)");
-        assert!(
-            (fast.mean_power() - generic.mean_power()).abs() < 5.0,
-            "fast {} vs generic {} mean power",
-            fast.mean_power(),
-            generic.mean_power()
-        );
-        assert!(
-            fast.mean_tracking_error() < generic.mean_tracking_error() * 1.5 + 1.0,
-            "fast tracking error {} vs generic {}",
-            fast.mean_tracking_error(),
-            generic.mean_tracking_error()
         );
     }
 }

@@ -4,7 +4,7 @@
 //! cumulative-move change of variables (see `capgpu-control::mpc`): every
 //! constraint is a per-variable bound `lo_j ≤ x_j ≤ hi_j`, separable across
 //! devices and horizon blocks. That structure admits a much cheaper
-//! active-set iteration than the generic [`crate::qp::ActiveSetQp`] path:
+//! active-set iteration than the generic [`crate::qp::ActiveSetQp`] oracle:
 //!
 //! * the working set is just a per-variable state (free / at lower bound /
 //!   at upper bound), so "constraint rows" never need to be materialized;
@@ -127,8 +127,16 @@ pub struct BoxQpSolution {
     pub multipliers: Vec<f64>,
     /// Objective value at `x`.
     pub objective: f64,
-    /// Active-set iterations performed.
+    /// Active-set iterations performed, counting the one whose optimality
+    /// check ended the solve: ≥ 1 for every solution this solver returns,
+    /// so a caller can reserve 0 for "no iteration ran" (an answer taken
+    /// from a cached [`BoxFactor`] instead).
     pub iterations: usize,
+    /// The sorted-free-set factorization the final polish solved with:
+    /// exactly `BoxFactor::from_states(hessian, &states)`, handed out so a
+    /// region table can cache this active set's law without factorizing
+    /// `H_FF` a second time.
+    pub factor: BoxFactor,
 }
 
 impl BoxQpSolution {
@@ -549,7 +557,7 @@ impl BoxQp {
                     }
                 }
                 match worst_j {
-                    None => return Ok(self.finish(qp, &states, iteration)),
+                    None => return Ok(self.finish(qp, &states, iteration + 1)),
                     Some(j) => {
                         states[j] = VarState::Free;
                         factor.append(&qp.hessian, j)?;
@@ -602,9 +610,9 @@ impl BoxQp {
     /// fresh sorted-free-set factorization so the output depends only on
     /// the final active set.
     fn finish(&self, qp: &BoxQpProblem, states: &[VarState], iterations: usize) -> BoxQpSolution {
-        let bf = BoxFactor::from_states(&qp.hessian, states)
+        let factor = BoxFactor::from_states(&qp.hessian, states)
             .expect("free-set Hessian stayed SPD through the iteration");
-        let x = bf.polish(&qp.hessian, &qp.gradient, &qp.lo, &qp.hi, states);
+        let x = factor.polish(&qp.hessian, &qp.gradient, &qp.lo, &qp.hi, states);
         let grad = {
             let mut g = qp.hessian.matvec(&x);
             for (gi, gv) in g.iter_mut().zip(qp.gradient.iter()) {
@@ -628,6 +636,7 @@ impl BoxQp {
             multipliers,
             objective,
             iterations,
+            factor,
         }
     }
 }
@@ -699,6 +708,45 @@ mod tests {
         let x = bf.polish(&h, &g, &lo, &hi, &sol.states);
         assert_eq!(x, sol.x, "cached law must be bitwise equal to the solve");
         assert!(kkt_optimal(&h, &g, &lo, &hi, &sol.states, &x, 1e-8));
+    }
+
+    #[test]
+    fn returned_factor_polishes_like_a_fresh_factorization() {
+        // The factor a solution carries is the one a region table caches
+        // in place of `from_states`: on a later period's gradient and
+        // bounds the two must evaluate the active set's law bit for bit.
+        let h = spd3();
+        let lo = vec![-0.5; 3];
+        let hi = vec![0.5; 3];
+        let qp = BoxQpProblem::new(h.clone(), vec![-5.0, 0.5, -0.25], lo, hi).unwrap();
+        let sol = BoxQp::default().solve(&qp).unwrap();
+        assert_eq!(sol.active_count(), 1, "one bound, a 2×2 factor");
+        let fresh = BoxFactor::from_states(&h, &sol.states).unwrap();
+        let (g, lo, hi) = ([-4.75, 1.5, -0.8], [-0.45, -0.5, -0.6], [0.55, 0.5, 0.4]);
+        assert_eq!(
+            sol.factor.polish(&h, &g, &lo, &hi, &sol.states),
+            fresh.polish(&h, &g, &lo, &hi, &sol.states)
+        );
+    }
+
+    #[test]
+    fn every_returned_solution_reports_at_least_one_iteration() {
+        // 0 is reserved for "no iteration ran" (a cached-law answer): a
+        // cold solve that converges at its first optimality check took
+        // one iteration, and one step plus the check that accepts it two.
+        let solver = BoxQp::default();
+        let qp = BoxQpProblem::new(spd3(), vec![0.0; 3], vec![-1.0; 3], vec![1.0; 3]).unwrap();
+        assert_eq!(solver.solve(&qp).unwrap().iterations, 1);
+        let qp = BoxQpProblem::new(
+            spd3(),
+            vec![-1.0, 0.5, -0.25],
+            vec![-10.0; 3],
+            vec![10.0; 3],
+        )
+        .unwrap();
+        let interior = solver.solve(&qp).unwrap();
+        assert_eq!(interior.active_count(), 0);
+        assert_eq!(interior.iterations, 2);
     }
 
     #[test]

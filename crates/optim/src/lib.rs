@@ -4,16 +4,18 @@
 //! Python" (§4.3). With the latency constraint reduced analytically to a
 //! per-GPU frequency floor the problem is a convex QP, solved natively:
 //!
-//! * [`qp`] — a primal **active-set solver** for strictly convex quadratic
-//!   programs with general linear inequality constraints. The condensed MPC
-//!   problem (paper Eq. 9 with constraints 10a–10c reduced to linear form)
-//!   is exactly such a QP, so this is the production path of the controller.
-//! * [`boxqp`] — a **box-constrained specialization** of the active-set
-//!   solver. After the cumulative-move change of variables the condensed MPC
-//!   problem has only per-variable bounds, so the working set is a bound
-//!   state per variable and each active-set change is an `O(f²)` incremental
-//!   Cholesky update instead of a dense KKT re-factorization. This is the
-//!   fast path of the controller (opt-in via `MpcConfig::fast_solver`).
+//! * [`boxqp`] — the controller's solver: a primal **active-set method
+//!   specialized to box constraints**. After the cumulative-move change of
+//!   variables the condensed MPC problem (paper Eq. 9 with constraints
+//!   10a–10c reduced to linear form) has only per-variable bounds, so the
+//!   working set is a bound state per variable, each active-set change is
+//!   an `O(f²)` incremental Cholesky update, and the factor of the final
+//!   active set is what the controller's explicit-MPC region table caches.
+//! * [`qp`] — the same method for strictly convex quadratic programs with
+//!   **general linear inequality constraints**, one dense KKT
+//!   factorization per iteration. No controller calls it — it is the
+//!   independent oracle the controller's step is tested against, in the
+//!   original (per-move) coordinates.
 //! * [`projgrad`] — **projected gradient descent** for box-constrained QPs.
 //!   Slower but simple; no controller calls it — it is the independent
 //!   oracle the active-set solvers' tests and proptests compare against.

@@ -13,6 +13,13 @@
 //! SLO-derived frequency floors of constraints (10b)+(10c) are all linear
 //! in the decision vector.
 //!
+//! No controller calls it. The controller solves the same problem in
+//! cumulative-move coordinates with [`crate::boxqp`]; this solver — general
+//! constraints, a dense KKT factorization per iteration, no structure
+//! assumed — is the independent oracle that path is tested against
+//! (`capgpu-control`'s `mpc::tests` and this crate's proptests), the status
+//! [`crate::projgrad`] has for the box solver itself.
+//!
 //! The implementation is the textbook primal active-set method
 //! (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3): maintain a
 //! working set of constraints treated as equalities, solve the
@@ -137,8 +144,7 @@ pub struct QpSolution {
     /// Active-set iterations used.
     pub iterations: usize,
     /// Constraints in the working set at the solution (indices into the
-    /// problem's constraint list). Feed to [`ActiveSetQp::solve_warm`] to
-    /// warm-start the next solve of a slowly varying problem.
+    /// problem's constraint list).
     pub active_set: Vec<usize>,
 }
 
@@ -168,60 +174,18 @@ impl ActiveSetQp {
     ///   non-degenerate MPC problems CapGPU builds).
     /// * [`OptimError::Numerical`] if a KKT system is singular.
     pub fn solve(&self, qp: &QpProblem, x0: &[f64]) -> Result<QpSolution> {
-        self.check_start(qp, x0)?;
-        // Start with the working set = constraints active at x0.
-        let working: Vec<usize> = (0..qp.constraints.len())
-            .filter(|&i| qp.constraints[i].eval(x0).abs() <= FEAS_TOL)
-            .collect();
-        self.solve_from(qp, x0, working)
-    }
-
-    /// Solves the QP starting from a feasible point `x0` with the initial
-    /// working set seeded from `hint` — typically the
-    /// [`QpSolution::active_set`] of the previous period's solve of a
-    /// slowly varying problem (receding-horizon MPC). Hint entries that
-    /// are out of range, duplicated, or not active at `x0` are dropped,
-    /// so a stale hint degrades to a cold start rather than an error.
-    ///
-    /// The returned minimizer is the same point `solve` finds (the
-    /// problem is strictly convex); only the active-set path — and hence
-    /// the iteration count and last-ulp rounding — may differ.
-    ///
-    /// # Errors
-    /// Same as [`ActiveSetQp::solve`].
-    pub fn solve_warm(&self, qp: &QpProblem, x0: &[f64], hint: &[usize]) -> Result<QpSolution> {
-        self.check_start(qp, x0)?;
-        let m = qp.constraints.len();
-        let mut working: Vec<usize> = Vec::with_capacity(hint.len());
-        for &i in hint {
-            if i < m && qp.constraints[i].eval(x0).abs() <= FEAS_TOL && !working.contains(&i) {
-                working.push(i);
-            }
-        }
-        self.solve_from(qp, x0, working)
-    }
-
-    /// Validates dimensions and feasibility of the start point.
-    fn check_start(&self, qp: &QpProblem, x0: &[f64]) -> Result<()> {
         if x0.len() != qp.dim() {
             return Err(OptimError::BadProblem("x0 length != dim"));
         }
         if qp.max_violation(x0) > FEAS_TOL {
             return Err(OptimError::InfeasibleStart);
         }
-        Ok(())
-    }
-
-    /// The active-set iteration, starting from feasible `x0` with the
-    /// given initial working set (every entry must be active at `x0`).
-    fn solve_from(
-        &self,
-        qp: &QpProblem,
-        x0: &[f64],
-        mut working: Vec<usize>,
-    ) -> Result<QpSolution> {
+        // Start with the working set = constraints active at x0.
         let n = qp.dim();
         let m = qp.constraints.len();
+        let mut working: Vec<usize> = (0..m)
+            .filter(|&i| qp.constraints[i].eval(x0).abs() <= FEAS_TOL)
+            .collect();
         let mut x = x0.to_vec();
         let mut multipliers = vec![0.0; m];
         for iter in 0..self.max_iterations {
@@ -315,12 +279,6 @@ impl ActiveSetQp {
                     }
                 }
             }
-            if std::env::var_os("CAPGPU_QP_TRACE").is_some() {
-                eprintln!(
-                    "iter {iter}: |p|={:.3e} alpha={alpha:.3e} blocking={blocking:?} W={working:?}",
-                    vector::norm_inf(p)
-                );
-            }
             x = vector::axpy(&x, alpha, p);
             if let Some(bi) = blocking {
                 working.push(bi);
@@ -329,50 +287,6 @@ impl ActiveSetQp {
         Err(OptimError::IterationLimit {
             iterations: self.max_iterations,
         })
-    }
-
-    /// Solves the QP, finding a feasible start automatically for problems
-    /// whose constraints are a (possibly partial) box: each constraint
-    /// normal must have exactly one nonzero entry. The start is the box
-    /// midpoint (or clamped zero when a side is unbounded).
-    ///
-    /// # Errors
-    /// * [`OptimError::BadProblem`] if a constraint couples variables or
-    ///   the box is empty.
-    /// * Everything [`ActiveSetQp::solve`] can return.
-    pub fn solve_box_start(&self, qp: &QpProblem) -> Result<QpSolution> {
-        let n = qp.dim();
-        let mut lo = vec![f64::NEG_INFINITY; n];
-        let mut hi = vec![f64::INFINITY; n];
-        for c in &qp.constraints {
-            let nz: Vec<usize> = (0..n).filter(|&i| c.a[i] != 0.0).collect();
-            if nz.len() != 1 {
-                return Err(OptimError::BadProblem(
-                    "solve_box_start requires single-variable constraints",
-                ));
-            }
-            let i = nz[0];
-            let coef = c.a[i];
-            let bound = c.b / coef;
-            if coef > 0.0 {
-                hi[i] = hi[i].min(bound);
-            } else {
-                lo[i] = lo[i].max(bound);
-            }
-        }
-        let mut x0 = vec![0.0; n];
-        for i in 0..n {
-            if lo[i] > hi[i] + FEAS_TOL {
-                return Err(OptimError::BadProblem("empty box"));
-            }
-            x0[i] = match (lo[i].is_finite(), hi[i].is_finite()) {
-                (true, true) => 0.5 * (lo[i] + hi[i]),
-                (true, false) => lo[i].max(0.0),
-                (false, true) => hi[i].min(0.0),
-                (false, false) => 0.0,
-            };
-        }
-        self.solve(qp, &x0)
     }
 }
 
@@ -472,85 +386,6 @@ mod tests {
             vec![LinearConstraint::new(vec![1.0], 0.0)]
         )
         .is_err());
-    }
-
-    #[test]
-    fn box_start_finds_feasible_point() {
-        let mut qp = simple_qp();
-        qp.constraints
-            .push(LinearConstraint::upper_bound(2, 0, 1.0));
-        qp.constraints
-            .push(LinearConstraint::lower_bound(2, 0, -1.0));
-        qp.constraints
-            .push(LinearConstraint::upper_bound(2, 1, 2.0));
-        let sol = ActiveSetQp::default().solve_box_start(&qp).unwrap();
-        assert!((sol.x[0] - 1.0).abs() < 1e-9);
-        assert!((sol.x[1] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn box_start_rejects_coupled_constraints() {
-        let qp = QpProblem::new(
-            Matrix::identity(2),
-            vec![0.0, 0.0],
-            vec![LinearConstraint::new(vec![1.0, 1.0], 1.0)],
-        )
-        .unwrap();
-        assert!(matches!(
-            ActiveSetQp::default().solve_box_start(&qp).unwrap_err(),
-            OptimError::BadProblem(_)
-        ));
-    }
-
-    #[test]
-    fn box_start_rejects_empty_box() {
-        let qp = QpProblem::new(
-            Matrix::identity(1),
-            vec![0.0],
-            vec![
-                LinearConstraint::upper_bound(1, 0, -1.0),
-                LinearConstraint::lower_bound(1, 0, 1.0),
-            ],
-        )
-        .unwrap();
-        assert!(matches!(
-            ActiveSetQp::default().solve_box_start(&qp).unwrap_err(),
-            OptimError::BadProblem(_)
-        ));
-    }
-
-    #[test]
-    fn warm_start_matches_cold_solution() {
-        // Same box-cornered problem: cold solve, then re-solve warm from
-        // the cold active set; both must land on the unique minimizer.
-        let mut qp = simple_qp();
-        qp.constraints
-            .push(LinearConstraint::upper_bound(2, 0, 1.0));
-        qp.constraints
-            .push(LinearConstraint::upper_bound(2, 1, 2.0));
-        let solver = ActiveSetQp::default();
-        let cold = solver.solve(&qp, &[0.0, 0.0]).unwrap();
-        let warm = solver
-            .solve_warm(&qp, &[1.0, 2.0], &cold.active_set)
-            .unwrap();
-        assert!((warm.x[0] - cold.x[0]).abs() < 1e-9);
-        assert!((warm.x[1] - cold.x[1]).abs() < 1e-9);
-        // Seeded at the solution's active set from the solution itself,
-        // the warm solve should terminate immediately.
-        assert_eq!(warm.iterations, 1);
-    }
-
-    #[test]
-    fn warm_start_ignores_stale_hint() {
-        // Hints that are out of range or inactive at x0 must be dropped,
-        // not break the solve.
-        let mut qp = simple_qp();
-        qp.constraints
-            .push(LinearConstraint::upper_bound(2, 0, 1.0));
-        let solver = ActiveSetQp::default();
-        let warm = solver.solve_warm(&qp, &[0.0, 0.0], &[0, 0, 17]).unwrap();
-        assert!((warm.x[0] - 1.0).abs() < 1e-9);
-        assert!((warm.x[1] - 4.0).abs() < 1e-9);
     }
 
     #[test]
