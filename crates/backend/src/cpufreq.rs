@@ -38,7 +38,6 @@ struct RaplDomain {
 /// CPU packages behind the [`PowerBackend`] surface.
 #[derive(Debug, Clone)]
 pub struct CpufreqBackend {
-    root: PathBuf,
     devices: Vec<BackendDevice>,
     policies: Vec<Policy>,
     rapl: Vec<RaplDomain>,
@@ -88,7 +87,6 @@ impl CpufreqBackend {
         }
         let n_rapl = rapl.len();
         Ok(CpufreqBackend {
-            root,
             devices,
             policies,
             rapl,
@@ -104,11 +102,6 @@ impl CpufreqBackend {
     /// for fixture tests, where the "plant" is a directory tree.
     pub fn disable_sleep(&mut self) {
         self.sleep = false;
-    }
-
-    /// The sysfs root this backend reads.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 }
 
@@ -182,11 +175,6 @@ fn read_attr<T: std::str::FromStr>(path: &Path) -> BackendResult<T> {
         .map_err(|_| BackendError::Io(format!("parse {}: `{}`", path.display(), raw.trim())))
 }
 
-fn write_attr(path: &Path, value: u64) -> BackendResult<()> {
-    fs::write(path, format!("{value}\n"))
-        .map_err(|e| BackendError::Io(format!("write {}: {e}", path.display())))
-}
-
 impl PowerBackend for CpufreqBackend {
     fn name(&self) -> &str {
         "cpufreq"
@@ -227,7 +215,14 @@ impl PowerBackend for CpufreqBackend {
                 .copied()
                 .min_by_key(|&l| l.abs_diff(khz))
                 .unwrap_or(khz);
-            write_attr(&self.policies[i].dir.join("scaling_max_freq"), snapped)?;
+            // A rejected write leaves that policy's previous clock in
+            // force and the rest still actuate (the trait contract); the
+            // supervisor's authority detector notices a policy that
+            // does not follow its targets.
+            let _ = fs::write(
+                self.policies[i].dir.join("scaling_max_freq"),
+                format!("{snapped}\n"),
+            );
         }
         Ok(())
     }
@@ -255,7 +250,14 @@ impl PowerBackend for CpufreqBackend {
         let mut total_w = 0.0;
         let mut fresh = true;
         for (i, dom) in self.rapl.iter_mut().enumerate() {
-            let now_uj: u64 = read_attr(&dom.energy_path)?;
+            // An unreadable counter is a silent meter this second, not a
+            // failed period; dropping the baseline makes the next good
+            // read re-baseline instead of differencing across the gap.
+            let Ok(now_uj) = read_attr::<u64>(&dom.energy_path) else {
+                dom.last_uj = None;
+                fresh = false;
+                continue;
+            };
             match dom.last_uj.replace(now_uj) {
                 Some(prev) => {
                     // Monotonic counter with wrap at max_energy_range_uj.
@@ -413,6 +415,35 @@ mod tests {
         let expected0 = (5_000_000u64 + (262_143_328_850 - 1_045_000_000)) as f64 / 1e6;
         assert!((wrapped - (expected0 + 20.0)).abs() < 1e-9);
         assert_eq!(b.average_power(2).unwrap(), (75.0 + wrapped) / 2.0);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn unreadable_counter_and_rejected_write_fail_nothing() {
+        let root = fixture();
+        let mut b = CpufreqBackend::probe(&root).unwrap();
+        b.disable_sleep();
+        assert_eq!(b.advance(1.0).unwrap(), None);
+        let energy = root.join("class/powercap/intel-rapl/intel-rapl:1/energy_uj");
+        fs::remove_file(&energy).unwrap();
+        assert_eq!(b.advance(1.0).unwrap(), None);
+        assert_eq!(b.seconds_since_sample(), None);
+        // Restored: the first read re-baselines, the next one differences.
+        set_energy(&root, 1, 5_000_000);
+        assert_eq!(b.advance(1.0).unwrap(), None);
+        set_energy(&root, 0, 1_010_000_000);
+        set_energy(&root, 1, 5_020_000);
+        let w = b.advance(1.0).unwrap().unwrap();
+        assert!((w - 10.02).abs() < 1e-9, "{w}");
+
+        let max0 = root.join("devices/system/cpu/cpufreq/policy0/scaling_max_freq");
+        fs::remove_file(&max0).unwrap();
+        fs::create_dir(&max0).unwrap();
+        b.set_frequencies(&[1200.0, 1400.0]).unwrap();
+        let written =
+            fs::read_to_string(root.join("devices/system/cpu/cpufreq/policy1/scaling_max_freq"))
+                .unwrap();
+        assert_eq!(written.trim(), "1400000");
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -13,17 +13,14 @@
 //! - [`SimBackend`] — wraps [`capgpu_sim::Server`]; the experiment
 //!   runner's plant. Deterministic: byte-identical to driving the
 //!   server directly (pinned by the conformance suite).
-//! - [`MockBackend`] — a scriptable backend for tests: queued power
-//!   readings, injectable per-operation errors and latencies, and
-//!   replay of the [`capgpu_faults::FaultKind`] taxonomy (meter
-//!   dropout, stuck clocks, ejection, PSU derate) without a simulator.
-//! - [`NvmlBackend`] — NVIDIA GPUs through NVML
-//!   (`nvmlDeviceSetPowerManagementLimit`, power/clock reads). The ffi
-//!   layer is an in-tree shim: without the `nvml` cargo feature it
-//!   compiles everywhere and reports `Unavailable` at probe time.
+//! - [`MockBackend`] — a deterministic linear-law plant for tests that
+//!   replays the [`capgpu_faults::FaultKind`] taxonomy (meter dropout,
+//!   stuck clocks, ejection, PSU derate) without a simulator.
 //! - [`CpufreqBackend`] — CPU packages through the Linux `cpufreq`
 //!   sysfs interface plus RAPL energy counters, rooted at a
 //!   configurable path so it is testable against a fixture tree.
+//!
+//! Every one of them can be named by the daemon's `daemon.backend` key.
 //!
 //! The trait is deliberately *sample-oriented*: `advance(dt)` lets one
 //! second of plant time pass (the simulator ticks; live backends sleep
@@ -35,12 +32,10 @@
 
 pub mod cpufreq;
 pub mod mock;
-pub mod nvml;
 pub mod sim;
 
 pub use cpufreq::CpufreqBackend;
-pub use mock::{MockBackend, MockDevice, MockOp};
-pub use nvml::NvmlBackend;
+pub use mock::{MockBackend, MockDevice};
 pub use sim::SimBackend;
 
 use capgpu_sim::DeviceKind;
@@ -69,8 +64,6 @@ pub enum BackendError {
     Device(String),
     /// I/O failure talking to the sysfs / driver surface.
     Io(String),
-    /// A scripted [`MockBackend`] error, injected by a test.
-    Scripted(String),
 }
 
 impl std::fmt::Display for BackendError {
@@ -85,7 +78,6 @@ impl std::fmt::Display for BackendError {
             BackendError::Unavailable(m) => write!(f, "backend unavailable: {m}"),
             BackendError::Device(m) => write!(f, "device error: {m}"),
             BackendError::Io(m) => write!(f, "backend io error: {m}"),
-            BackendError::Scripted(m) => write!(f, "scripted fault: {m}"),
         }
     }
 }
@@ -118,8 +110,8 @@ pub struct BackendDevice {
     /// empty when the backend only knows the `[min, max]` range.
     pub levels_mhz: Vec<f64>,
     /// Settable board power-limit range `(min, max)` in watts, when the
-    /// device supports power-limit actuation (NVML does; the simulated
-    /// testbed actuates frequency only).
+    /// device supports power-limit actuation (the mock does; the
+    /// simulated testbed and cpufreq actuate frequency only).
     pub power_limit_w: Option<(f64, f64)>,
 }
 
@@ -162,7 +154,7 @@ pub struct Capabilities {
 ///   no meter) — sense code must treat `None` as staleness, which is
 ///   exactly what the supervisor's watchdog keys on.
 pub trait PowerBackend {
-    /// Short backend name (`"sim"`, `"mock"`, `"nvml"`, `"cpufreq"`).
+    /// Short backend name (`"sim"`, `"mock"`, `"cpufreq"`).
     fn name(&self) -> &str;
 
     /// What this backend can do.
@@ -269,7 +261,7 @@ pub trait PowerBackend {
     }
 
     /// Concrete-type escape hatch: plant-side hooks that are *not* part
-    /// of the sense/actuate seam (fault injection, scripted readings)
+    /// of the sense/actuate seam (fault injection)
     /// live on the concrete backend, and callers holding a boxed
     /// `dyn PowerBackend` downcast through here to reach them.
     /// Implementations return `self`.

@@ -1,18 +1,8 @@
-//! [`MockBackend`] — a deterministic, scriptable [`PowerBackend`] for
-//! tests.
+//! [`MockBackend`] — a deterministic [`PowerBackend`] for tests.
 //!
-//! Three scripting surfaces:
-//!
-//! - **Readings**: by default power follows an exact linear law
+//! - **Readings**: power follows an exact linear law
 //!   `platform + Σ (idle_i + gain_i · f_i)` — the model identification
-//!   fits perfectly, which makes closed-loop daemon tests sharp. Tests
-//!   can also queue explicit samples with
-//!   [`MockBackend::push_power_reading`] (including `None` dropouts).
-//! - **Errors / latency**: [`MockBackend::inject_error`] queues a
-//!   one-shot failure for a specific operation;
-//!   [`MockBackend::set_latency_ns`] attributes a synthetic per-call
-//!   latency, accumulated in [`MockBackend::injected_latency_ns`] so
-//!   tests can assert on it without wall-clock sleeps.
+//!   fits perfectly, which makes closed-loop daemon tests sharp.
 //! - **Faults**: [`MockBackend::apply_fault`] /
 //!   [`MockBackend::clear_fault`] replay the [`capgpu_faults::FaultKind`]
 //!   taxonomy — meter dropout/stuck/bias/delay, stuck or rejected
@@ -74,23 +64,6 @@ impl MockDevice {
     }
 }
 
-/// Operations a scripted error or latency can target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MockOp {
-    /// [`PowerBackend::set_frequencies`]
-    SetFrequencies,
-    /// [`PowerBackend::effective_frequencies_into`]
-    EffectiveFrequencies,
-    /// [`PowerBackend::advance`]
-    Advance,
-    /// [`PowerBackend::per_device_power_into`]
-    PerDevicePower,
-    /// [`PowerBackend::set_power_limit`]
-    SetPowerLimit,
-    /// [`PowerBackend::throughput_into`]
-    Throughput,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum MeterMode {
     Healthy,
@@ -99,8 +72,8 @@ enum MeterMode {
     Bias { watts: f64, drift_w_per_s: f64 },
 }
 
-/// The scriptable mock backend. Fully deterministic: every reading is
-/// a pure function of the script and the command history.
+/// The mock backend. Fully deterministic: every reading is a pure
+/// function of the applied faults and the command history.
 #[derive(Debug, Clone)]
 pub struct MockBackend {
     devices: Vec<BackendDevice>,
@@ -111,10 +84,6 @@ pub struct MockBackend {
     ejected: Vec<bool>,
     power_limits_w: Vec<Option<f64>>,
     platform_watts: f64,
-    scripted_power: VecDeque<Option<f64>>,
-    errors: VecDeque<(MockOp, String)>,
-    latency_ns: Vec<(MockOp, u64)>,
-    injected_latency_ns: u64,
     meter: MeterMode,
     meter_fault_age_s: u64,
     meter_delay: VecDeque<f64>,
@@ -171,10 +140,6 @@ impl MockBackend {
             power_limits_w: vec![None; n],
             spec: devices,
             platform_watts,
-            scripted_power: VecDeque::new(),
-            errors: VecDeque::new(),
-            latency_ns: Vec::new(),
-            injected_latency_ns: 0,
             meter: MeterMode::Healthy,
             meter_fault_age_s: 0,
             meter_delay: VecDeque::new(),
@@ -198,31 +163,6 @@ impl MockBackend {
             devices.push(MockDevice::gpu(&format!("mock-v100-{i}")));
         }
         MockBackend::new(devices, 300.0)
-    }
-
-    /// Queues an explicit server-power sample (`None` = dropout) that
-    /// overrides the linear law for one elapsed second, FIFO.
-    pub fn push_power_reading(&mut self, watts: Option<f64>) {
-        self.scripted_power.push_back(watts);
-    }
-
-    /// Queues a one-shot scripted error for the next call of `op`.
-    pub fn inject_error(&mut self, op: MockOp, message: &str) {
-        self.errors.push_back((op, message.to_string()));
-    }
-
-    /// Attributes a synthetic latency (ns) to every future call of
-    /// `op`, accumulated in [`MockBackend::injected_latency_ns`].
-    pub fn set_latency_ns(&mut self, op: MockOp, ns: u64) {
-        self.latency_ns.retain(|(o, _)| *o != op);
-        if ns > 0 {
-            self.latency_ns.push((op, ns));
-        }
-    }
-
-    /// Total synthetic latency attributed so far (ns).
-    pub fn injected_latency_ns(&self) -> u64 {
-        self.injected_latency_ns
     }
 
     /// Makes the backend report wall-clock-stamped readings starting at
@@ -338,17 +278,6 @@ impl MockBackend {
             .sum();
         self.platform_watts + device_power
     }
-
-    fn charge(&mut self, op: MockOp) -> BackendResult<()> {
-        if let Some(&(_, ns)) = self.latency_ns.iter().find(|(o, _)| *o == op) {
-            self.injected_latency_ns += ns;
-        }
-        if let Some(pos) = self.errors.iter().position(|(o, _)| *o == op) {
-            let (_, msg) = self.errors.remove(pos).expect("position just found");
-            return Err(BackendError::Scripted(msg));
-        }
-        Ok(())
-    }
 }
 
 fn levels(d: &MockDevice) -> Vec<f64> {
@@ -394,7 +323,6 @@ impl PowerBackend for MockBackend {
                 got: targets_mhz.len(),
             });
         }
-        self.charge(MockOp::SetFrequencies)?;
         for (i, &t) in targets_mhz.iter().enumerate() {
             if self.clock_stuck[i] || self.ejected[i] {
                 continue;
@@ -405,7 +333,6 @@ impl PowerBackend for MockBackend {
     }
 
     fn effective_frequencies_into(&mut self, out: &mut Vec<f64>) -> BackendResult<()> {
-        self.charge(MockOp::EffectiveFrequencies)?;
         out.clear();
         out.extend_from_slice(&self.applied_mhz);
         Ok(())
@@ -415,7 +342,6 @@ impl PowerBackend for MockBackend {
         if device >= self.spec.len() {
             return Err(BackendError::NoSuchDevice(device));
         }
-        self.charge(MockOp::SetPowerLimit)?;
         let (lo, hi) = self.devices[device]
             .power_limit_w
             .expect("mock devices always advertise a limit range");
@@ -434,26 +360,19 @@ impl PowerBackend for MockBackend {
                 "mock advance requires dt_s == 1.0",
             ));
         }
-        self.charge(MockOp::Advance)?;
         self.elapsed_s += 1;
         if matches!(self.meter, MeterMode::Bias { .. }) {
             self.meter_fault_age_s += 1;
         }
-        let raw = match self.scripted_power.pop_front() {
-            Some(s) => s,
-            None => Some(self.true_power()),
-        };
-        let sample = match (self.meter, raw) {
-            (_, None) | (MeterMode::Dropout, _) => None,
-            (MeterMode::Healthy, Some(p)) => Some(p),
-            (MeterMode::Stuck, Some(_)) => self.last_good_sample,
-            (
-                MeterMode::Bias {
-                    watts,
-                    drift_w_per_s,
-                },
-                Some(p),
-            ) => Some(p + watts + drift_w_per_s * self.meter_fault_age_s as f64),
+        let p = self.true_power();
+        let sample = match self.meter {
+            MeterMode::Dropout => None,
+            MeterMode::Healthy => Some(p),
+            MeterMode::Stuck => self.last_good_sample,
+            MeterMode::Bias {
+                watts,
+                drift_w_per_s,
+            } => Some(p + watts + drift_w_per_s * self.meter_fault_age_s as f64),
         };
         // A reporting delay holds samples back `meter_delay_s` seconds.
         let emitted = match sample {
@@ -492,7 +411,6 @@ impl PowerBackend for MockBackend {
     }
 
     fn per_device_power_into(&mut self, out: &mut Vec<f64>) -> BackendResult<()> {
-        self.charge(MockOp::PerDevicePower)?;
         out.clear();
         out.extend(
             self.spec
@@ -511,7 +429,6 @@ impl PowerBackend for MockBackend {
     }
 
     fn throughput_into(&mut self, out: &mut Vec<f64>) -> BackendResult<()> {
-        self.charge(MockOp::Throughput)?;
         out.clear();
         out.resize(self.spec.len(), 0.0);
         Ok(())
@@ -540,33 +457,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn linear_law_and_scripted_readings() {
+    fn readings_follow_the_linear_law() {
         let mut b = MockBackend::testbed(2).unwrap();
         let p0 = b.advance(1.0).unwrap().unwrap();
         assert_eq!(p0, b.true_power());
         b.set_frequencies(&[2400.0, 1350.0, 1350.0]).unwrap();
         let p1 = b.advance(1.0).unwrap().unwrap();
         assert!(p1 > p0 + 100.0);
-        b.push_power_reading(Some(123.0));
-        b.push_power_reading(None);
-        assert_eq!(b.advance(1.0).unwrap(), Some(123.0));
-        assert_eq!(b.advance(1.0).unwrap(), None);
-        assert_eq!(b.seconds_since_sample(), Some(1));
-    }
-
-    #[test]
-    fn injected_errors_are_one_shot_and_latency_accumulates() {
-        let mut b = MockBackend::testbed(1).unwrap();
-        b.inject_error(MockOp::Advance, "bus reset");
-        assert!(matches!(
-            b.advance(1.0),
-            Err(BackendError::Scripted(m)) if m == "bus reset"
-        ));
-        assert!(b.advance(1.0).unwrap().is_some());
-        b.set_latency_ns(MockOp::SetFrequencies, 250);
-        b.set_frequencies(&[1000.0, 900.0]).unwrap();
-        b.set_frequencies(&[1000.0, 900.0]).unwrap();
-        assert_eq!(b.injected_latency_ns(), 500);
+        assert_eq!(p1, b.true_power());
+        assert_eq!(b.seconds_since_sample(), Some(0));
     }
 
     #[test]

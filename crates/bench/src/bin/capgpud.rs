@@ -22,7 +22,7 @@
 //! Regenerate the golden with:
 //! `cargo run --release -p capgpu-bench --bin capgpud > results/capgpud.txt`
 //!
-//! Usage: `capgpud [--config path.toml] [--backend sim|mock]
+//! Usage: `capgpud [--config path.toml] [--backend sim|mock|cpufreq]
 //! [--setpoint W] [--periods N] [--dry-run | --serve | --smoke]`
 
 use std::fmt::Write as _;
@@ -169,10 +169,6 @@ fn serve(cfg: &DaemonConfig, config_path: Option<&PathBuf>, periods: Option<u64>
                 std::thread::sleep(left);
             }
         }
-    }
-    if let Some(path) = &daemon.config().journal_path {
-        daemon.journal().write_jsonl(path).expect("journal write");
-        eprintln!("capgpud: journal written to {}", path.display());
     }
     // Graceful shutdown seals the rotating journal's active segment;
     // a crash would skip this and leave the torn tail the recovery

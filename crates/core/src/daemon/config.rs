@@ -3,7 +3,7 @@
 
 use std::path::{Path, PathBuf};
 
-use capgpu_backend::{MockBackend, PowerBackend, SimBackend};
+use capgpu_backend::{CpufreqBackend, MockBackend, PowerBackend, SimBackend};
 use capgpu_obs::rotate::RotationConfig;
 use capgpu_sim::{presets, ServerBuilder};
 
@@ -20,8 +20,8 @@ use crate::Result;
 /// [`Daemon::apply_reload`](super::Daemon::apply_reload)) — everything else requires a restart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
-    /// Which backend to drive: `"sim"` or `"mock"` (live backends are
-    /// constructed by the operator and passed to [`Daemon::new`](super::Daemon::new)).
+    /// Which backend [`DaemonConfig::build_backend`] builds: `"sim"`,
+    /// `"mock"` or `"cpufreq"` (the live host's `/sys`).
     pub backend: String,
     /// Server power set-point (W).
     pub setpoint_watts: f64,
@@ -30,8 +30,6 @@ pub struct DaemonConfig {
     /// TCP port for the Prometheus listener (`0` = ephemeral); `None`
     /// disables the listener.
     pub metrics_port: Option<u16>,
-    /// Where to write the JSONL journal on exit; `None` = stdout only.
-    pub journal_path: Option<PathBuf>,
     /// Directory for the rotating durable journal (crash-recovery
     /// replay source); `None` disables durable journaling.
     pub journal_dir: Option<PathBuf>,
@@ -59,6 +57,22 @@ pub struct DaemonConfig {
     pub supervisor: SupervisorConfig,
 }
 
+type BuildBackend = fn(&DaemonConfig) -> Result<Box<dyn PowerBackend>>;
+
+/// Every backend `daemon.backend` can name and how
+/// [`DaemonConfig::build_backend`] builds it; `validate` reads the names
+/// from here too.
+const BACKENDS: [(&str, BuildBackend); 3] = [
+    ("sim", DaemonConfig::sim_backend),
+    ("mock", |cfg| {
+        Ok(Box::new(MockBackend::testbed(cfg.sim_gpus)?))
+    }),
+    ("cpufreq", |_| match CpufreqBackend::probe("/sys") {
+        Ok(b) => Ok(Box::new(b)),
+        Err(e) => Err(bad(format!("cpufreq backend: {e}"))),
+    }),
+];
+
 /// Every key the config parser accepts; anything else is a typo and is
 /// rejected loudly rather than silently ignored.
 const KNOWN_KEYS: &[&str] = &[
@@ -66,7 +80,6 @@ const KNOWN_KEYS: &[&str] = &[
     "daemon.setpoint_watts",
     "daemon.control_period_s",
     "daemon.metrics_port",
-    "daemon.journal_path",
     "journal.dir",
     "journal.max_segment_kib",
     "journal.max_segment_age_s",
@@ -102,7 +115,6 @@ impl DaemonConfig {
             setpoint_watts: 900.0,
             control_period_s: 4,
             metrics_port: None,
-            journal_path: None,
             journal_dir: None,
             journal_max_segment_kib: 64,
             journal_max_segment_age_s: 3600.0,
@@ -146,9 +158,6 @@ impl DaemonConfig {
                 return Err(bad(format!("config: daemon.metrics_port {v} out of range")));
             }
             cfg.metrics_port = Some(v as u16);
-        }
-        if let Some(v) = doc.str_opt("daemon.journal_path").map_err(e)? {
-            cfg.journal_path = Some(PathBuf::from(v));
         }
         if let Some(v) = doc.str_opt("journal.dir").map_err(e)? {
             cfg.journal_dir = Some(PathBuf::from(v));
@@ -230,9 +239,10 @@ impl DaemonConfig {
     /// # Errors
     /// [`crate::CapGpuError::BadConfig`] with a description.
     pub fn validate(&self) -> Result<()> {
-        if !matches!(self.backend.as_str(), "sim" | "mock") {
+        if !BACKENDS.iter().any(|(name, _)| *name == self.backend) {
             return Err(bad(format!(
-                "daemon.backend must be \"sim\" or \"mock\", got \"{}\"",
+                "daemon.backend must be one of {:?}, got \"{}\"",
+                BACKENDS.map(|(name, _)| name),
                 self.backend
             )));
         }
@@ -274,44 +284,42 @@ impl DaemonConfig {
         }
     }
 
-    /// Builds the configured built-in backend (`"sim"` or `"mock"`).
-    /// Live backends (NVML, cpufreq) are probed by the operator and
-    /// passed to [`Daemon::new`](super::Daemon::new) directly.
+    /// Builds the backend `daemon.backend` names: the simulated
+    /// testbed, the mock, or the live host's cpufreq + RAPL surface
+    /// probed under `/sys`. (Tests hand a fixture-rooted
+    /// [`CpufreqBackend`] to [`Daemon::new`](super::Daemon::new).)
     ///
     /// # Errors
-    /// [`crate::CapGpuError::BadConfig`] on an unknown backend name; backend
-    /// construction errors otherwise.
+    /// [`crate::CapGpuError::BadConfig`] on an unknown backend name or a
+    /// host without cpufreq; backend construction errors otherwise.
     pub fn build_backend(&self) -> Result<Box<dyn PowerBackend>> {
-        match self.backend.as_str() {
-            "sim" => {
-                let mut builder =
-                    ServerBuilder::new(self.sim_seed).add_device(presets::xeon_gold_5215());
-                for _ in 0..self.sim_gpus {
-                    builder = builder.add_device(presets::tesla_v100());
-                }
-                let server = builder.build()?;
-                let mut backend = SimBackend::new(server);
-                // The simulated plant needs a load; a live plant brings
-                // its own. Staged once — utilizations persist across
-                // `advance` calls.
-                let utils = vec![self.sim_utilization; backend.num_devices()];
-                backend.stage_utilizations(&utils)?;
-                Ok(Box::new(backend))
-            }
-            "mock" => Ok(Box::new(MockBackend::testbed(self.sim_gpus)?)),
-            other => Err(bad(format!("no built-in backend named \"{other}\""))),
+        let (_, build) = BACKENDS
+            .iter()
+            .find(|(name, _)| *name == self.backend)
+            .ok_or_else(|| bad(format!("no built-in backend named \"{}\"", self.backend)))?;
+        build(self)
+    }
+
+    fn sim_backend(&self) -> Result<Box<dyn PowerBackend>> {
+        let mut builder = ServerBuilder::new(self.sim_seed).add_device(presets::xeon_gold_5215());
+        for _ in 0..self.sim_gpus {
+            builder = builder.add_device(presets::tesla_v100());
         }
+        let mut backend = SimBackend::new(builder.build()?);
+        // The simulated plant needs a load; a live plant brings its own.
+        // Staged once — utilizations persist across `advance` calls.
+        let utils = vec![self.sim_utilization; backend.num_devices()];
+        backend.stage_utilizations(&utils)?;
+        Ok(Box::new(backend))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn config_round_trips_and_rejects_unknown_keys() {
-        let cfg = DaemonConfig::from_toml_str(
-            r#"
+    const CONFIG: &str = r#"
 [daemon]
 backend = "mock"
 setpoint_watts = 850
@@ -325,9 +333,11 @@ gpus = 3
 [supervisor]
 stale_fallback_periods = 1
 stale_park_periods = 3
-"#,
-        )
-        .unwrap();
+"#;
+
+    #[test]
+    fn config_round_trips_and_rejects_unknown_keys() {
+        let cfg = DaemonConfig::from_toml_str(CONFIG).unwrap();
         assert_eq!(cfg.backend, "mock");
         assert_eq!(cfg.setpoint_watts, 850.0);
         assert_eq!(cfg.control_period_s, 2);
@@ -344,5 +354,84 @@ stale_park_periods = 3
         assert!(DaemonConfig::from_toml_str("[daemon]\nsetpoint_watts = -5\n").is_err());
         assert!(DaemonConfig::from_toml_str("[daemon]\nbackend = \"nvml\"\n").is_err());
         assert!(DaemonConfig::from_toml_str("[identify]\nsteps_per_device = 1\n").is_err());
+        let live = DaemonConfig::from_toml_str("[daemon]\nbackend = \"cpufreq\"\n").unwrap();
+        assert_eq!(live.backend, "cpufreq");
+    }
+
+    /// Neither the TOML subset parser nor the config layer panics, and
+    /// every config it accepts validates.
+    fn parses_safely(src: &str) -> std::result::Result<(), TestCaseError> {
+        let _ = TomlDoc::parse(src);
+        if let Ok(cfg) = DaemonConfig::from_toml_str(src) {
+            prop_assert!(cfg.validate().is_ok(), "{src:?}");
+        }
+        Ok(())
+    }
+
+    /// TOML syntax, known and unknown keys, escapes, extreme numbers and
+    /// multi-byte characters.
+    const PIECES: [&str; 32] = [
+        "[",
+        "]",
+        "=",
+        " ",
+        "\"",
+        "\\",
+        "#",
+        "\n",
+        "\r",
+        "\t",
+        ".",
+        "_",
+        "-",
+        "e",
+        "daemon",
+        "backend",
+        "sim",
+        "cpufreq",
+        "journal",
+        "dir",
+        "setpoint_watts",
+        "supervisor",
+        "stale_park_periods",
+        "0",
+        "7",
+        "1e400",
+        "-0.0",
+        "18446744073709551616",
+        "true",
+        "é",
+        "电",
+        "\\u",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_text_never_panics_the_config_parser(
+            pieces in prop::collection::vec(prop::sample::select(PIECES.to_vec()), 0..48),
+        ) {
+            parses_safely(&pieces.concat())?;
+        }
+
+        /// One byte of the round-trip config replaced, inserted or
+        /// removed.
+        #[test]
+        fn single_byte_mutations_never_panic_the_config_parser(
+            at in 0usize..CONFIG.len(),
+            byte in 0u16..256,
+            op in 0u8..3,
+        ) {
+            let mut bytes = CONFIG.as_bytes().to_vec();
+            match op {
+                0 => bytes[at] = byte as u8,
+                1 => bytes.insert(at, byte as u8),
+                _ => {
+                    bytes.remove(at);
+                }
+            }
+            parses_safely(&String::from_utf8_lossy(&bytes))?;
+        }
     }
 }

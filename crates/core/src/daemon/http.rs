@@ -130,31 +130,85 @@ fn serve_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read as _, Write as _};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    fn get(addr: SocketAddr, path: &str) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        write!(s, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
+        let mut out = String::new();
+        let _ = s.read_to_string(&mut out);
+        out
+    }
 
     #[test]
     fn metrics_server_serves_published_text() {
-        use std::io::{Read as _, Write as _};
         let server = MetricsServer::bind(0).unwrap();
         server.publish("capgpud_power_watts{backend=\"sim\"} 899.5\n");
         let addr = server.local_addr();
-        let fetch = |path: &str| {
-            let mut s = std::net::TcpStream::connect(addr).unwrap();
-            s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-                .unwrap();
-            write!(s, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-            let mut out = String::new();
-            let _ = s.read_to_string(&mut out);
-            out
-        };
-        let ok = fetch("/metrics");
+        let ok = get(addr, "/metrics");
         assert!(ok.starts_with("HTTP/1.1 200 OK"), "{ok}");
         assert!(ok.contains("text/plain; version=0.0.4"));
         assert!(ok.contains("capgpud_power_watts{backend=\"sim\"} 899.5"));
-        let missing = fetch("/nope");
+        let missing = get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
         drop(server);
         // Port is released after drop (bind again succeeds).
         let again = std::net::TcpListener::bind(addr);
         assert!(again.is_ok());
+    }
+
+    #[test]
+    fn a_silent_client_stalls_neither_publish_nor_the_next_scrape() {
+        let server = MetricsServer::bind(0).unwrap();
+        // Accepted first (the kernel's accept queue is FIFO), so the one
+        // accept thread spends its 200 ms read limit on it before the
+        // scrape below.
+        let silent = TcpStream::connect(server.local_addr()).unwrap();
+        let t0 = Instant::now();
+        server.publish("capgpud_periods_total 2\n");
+        assert!(
+            t0.elapsed() < Duration::from_millis(50),
+            "{:?}",
+            t0.elapsed()
+        );
+        let t0 = Instant::now();
+        let reply = get(server.local_addr(), "/metrics");
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+        assert!(reply.ends_with("capgpud_periods_total 2\n"), "{reply}");
+        drop(silent);
+    }
+
+    #[test]
+    fn an_oversized_request_gets_an_answer_or_a_close_and_scrapes_go_on() {
+        let server = MetricsServer::bind(0).unwrap();
+        server.publish("capgpud_periods_total 1\n");
+        let mut big = TcpStream::connect(server.local_addr()).unwrap();
+        big.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
+        big.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut req = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+        req.resize(64 * 1024, b'a');
+        // The listener reads 1 KiB, answers and closes: the rest of the
+        // write may be refused with a reset.
+        let _ = big.write_all(&req);
+        let mut reply = Vec::new();
+        match big.read_to_end(&mut reply) {
+            Ok(_) => assert!(
+                reply.is_empty() || reply.starts_with(b"HTTP/1.1 200 OK"),
+                "{}",
+                String::from_utf8_lossy(&reply)
+            ),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "the listener neither answered nor closed: {e}"
+            ),
+        }
+        assert!(get(server.local_addr(), "/metrics").starts_with("HTTP/1.1 200 OK"));
     }
 }

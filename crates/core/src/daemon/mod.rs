@@ -7,10 +7,10 @@
 //! exclusively through a boxed backend, never through the simulator
 //! directly. Against [`SimBackend`](capgpu_backend::SimBackend) every
 //! run is byte-deterministic (the dry-run golden in
-//! `results/capgpud.txt` pins this); against
-//! [`NvmlBackend`](capgpu_backend::NvmlBackend) /
-//! [`CpufreqBackend`](capgpu_backend::CpufreqBackend) the identical
-//! loop drives real clocks.
+//! `results/capgpud.txt` pins this); `daemon.backend = "cpufreq"`
+//! points the identical loop at the host's
+//! [`CpufreqBackend`](capgpu_backend::CpufreqBackend), which the tests
+//! run against a sysfs fixture tree (no real clock is touched in CI).
 //!
 //! Pieces, one submodule each:
 //!

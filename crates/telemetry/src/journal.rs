@@ -201,11 +201,6 @@ impl Journal {
         }
         out
     }
-
-    /// Write the JSONL rendering to a file.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_jsonl())
-    }
 }
 
 /// JSON-compatible float rendering: integral values stay integral
