@@ -11,16 +11,16 @@
 //! Implementations:
 //!
 //! - [`SimBackend`] — wraps [`capgpu_sim::Server`]; the experiment
-//!   runner's plant. Deterministic: byte-identical to driving the
-//!   server directly (pinned by the conformance suite).
-//! - [`MockBackend`] — a deterministic linear-law plant for tests that
-//!   replays the [`capgpu_faults::FaultKind`] taxonomy (meter dropout,
-//!   stuck clocks, ejection, PSU derate) without a simulator.
+//!   runner's plant and the daemon's tests. Deterministic:
+//!   byte-identical to driving the server directly (pinned by the
+//!   conformance suite). Faults from the `capgpu-faults` taxonomy are
+//!   injected into the wrapped server through
+//!   [`SimBackend::server_mut`].
 //! - [`CpufreqBackend`] — CPU packages through the Linux `cpufreq`
 //!   sysfs interface plus RAPL energy counters, rooted at a
 //!   configurable path so it is testable against a fixture tree.
 //!
-//! Every one of them can be named by the daemon's `daemon.backend` key.
+//! Both can be named by the daemon's `daemon.backend` key.
 //!
 //! The trait is deliberately *sample-oriented*: `advance(dt)` lets one
 //! second of plant time pass (the simulator ticks; live backends sleep
@@ -31,11 +31,9 @@
 #![warn(missing_docs)]
 
 pub mod cpufreq;
-pub mod mock;
 pub mod sim;
 
 pub use cpufreq::CpufreqBackend;
-pub use mock::{MockBackend, MockDevice};
 pub use sim::SimBackend;
 
 use capgpu_sim::DeviceKind;
@@ -110,14 +108,15 @@ pub struct BackendDevice {
     /// empty when the backend only knows the `[min, max]` range.
     pub levels_mhz: Vec<f64>,
     /// Settable board power-limit range `(min, max)` in watts, when the
-    /// device supports power-limit actuation (the mock does; the
-    /// simulated testbed and cpufreq actuate frequency only).
+    /// device supports power-limit actuation (no in-tree backend does:
+    /// the simulated testbed and cpufreq actuate frequency only).
     pub power_limit_w: Option<(f64, f64)>,
 }
 
 /// What a backend can do. The control stack degrades gracefully: a
-/// missing per-device meter falls back to the server meter, missing
-/// throughput telemetry falls back to uniform weights.
+/// missing per-device meter falls back to the server meter. No in-tree
+/// backend sets `set_power_limit` or `throughput`, and the daemon
+/// weighs every device uniformly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Capabilities {
     /// Can set per-device target frequencies.
@@ -154,7 +153,7 @@ pub struct Capabilities {
 ///   no meter) — sense code must treat `None` as staleness, which is
 ///   exactly what the supervisor's watchdog keys on.
 pub trait PowerBackend {
-    /// Short backend name (`"sim"`, `"mock"`, `"cpufreq"`).
+    /// Short backend name (`"sim"`, `"cpufreq"`).
     fn name(&self) -> &str;
 
     /// What this backend can do.

@@ -1,10 +1,11 @@
-//! Backend conformance suite: every [`PowerBackend`] implementation
-//! must satisfy the trait's documented contract. The same checks run
-//! against [`SimBackend`] and [`MockBackend`]; the suite then pins the
-//! refactor-safety property the whole PR rests on — a `SimBackend` is
+//! Backend conformance suite: the trait's documented contract, checked
+//! against [`SimBackend`], with faults injected into the wrapped server
+//! through [`SimBackend::server_mut`] — the path the runner's fault
+//! schedule and the daemon tests use. The suite also pins the
+//! refactor-safety property the seam rests on: a `SimBackend` is
 //! *bit-identical* to driving the raw simulator `Server`.
 
-use capgpu_backend::{BackendError, MockBackend, PowerBackend, SimBackend};
+use capgpu_backend::{BackendError, PowerBackend, SimBackend};
 use capgpu_faults::FaultKind;
 use capgpu_sim::{presets, Server, ServerBuilder};
 
@@ -21,10 +22,6 @@ fn sim_backend(seed: u64) -> SimBackend {
     let mut b = SimBackend::new(sim_server(seed));
     b.stage_utilizations(&[0.8, 0.9, 0.6]).unwrap();
     b
-}
-
-fn mock_backend() -> MockBackend {
-    MockBackend::testbed(2).unwrap()
 }
 
 /// Contract checks shared by every backend.
@@ -121,17 +118,10 @@ fn sim_backend_conforms() {
     conformance(&mut sim_backend(42));
 }
 
-#[test]
-fn mock_backend_conforms() {
-    conformance(&mut mock_backend());
-}
-
 /// Meter dropout makes `advance` return `None` while staleness climbs —
-/// the signal the supervisor's watchdog escalates on. Same observable
-/// behavior from both backends, via their respective fault surfaces.
+/// the signal the supervisor's watchdog escalates on.
 #[test]
-fn staleness_climbs_through_dropout_on_both_backends() {
-    // Sim: inject the meter fault into the wrapped server.
+fn staleness_climbs_through_dropout() {
     let mut sim = sim_backend(7);
     assert!(sim.advance(1.0).unwrap().is_some());
     FaultKind::MeterDropout.apply(sim.server_mut()).unwrap();
@@ -142,57 +132,41 @@ fn staleness_climbs_through_dropout_on_both_backends() {
     FaultKind::MeterDropout.clear(sim.server_mut()).unwrap();
     assert!(sim.advance(1.0).unwrap().is_some());
     assert_eq!(sim.seconds_since_sample(), Some(0));
-
-    // Mock: same taxonomy, no simulator.
-    let mut mock = mock_backend();
-    assert!(mock.advance(1.0).unwrap().is_some());
-    mock.apply_fault(&FaultKind::MeterDropout).unwrap();
-    for expect_age in 1..=3u64 {
-        assert_eq!(mock.advance(1.0).unwrap(), None);
-        assert_eq!(mock.seconds_since_sample(), Some(expect_age));
-    }
-    mock.clear_fault(&FaultKind::MeterDropout).unwrap();
-    assert!(mock.advance(1.0).unwrap().is_some());
-    assert_eq!(mock.seconds_since_sample(), Some(0));
 }
 
-/// Device ejection: zero attributed power, `is_ejected` raised, and
-/// clock commands held — on both backends.
+/// Device ejection: zero attributed power and `is_ejected` raised, both
+/// undone by clearing the fault.
 #[test]
-fn ejection_semantics_match_on_both_backends() {
+fn ejection_zeroes_the_device_until_cleared() {
     let mut sim = sim_backend(11);
-    FaultKind::Ejected { device: 2 }
-        .apply(sim.server_mut())
-        .unwrap();
+    let fault = FaultKind::Ejected { device: 2 };
+    fault.apply(sim.server_mut()).unwrap();
     assert!(sim.is_ejected(2) && !sim.is_ejected(1));
     let mut per = Vec::new();
     sim.per_device_power_into(&mut per).unwrap();
     assert_eq!(per[2], 0.0);
     assert!(per[1] > 0.0);
-
-    let mut mock = mock_backend();
-    mock.apply_fault(&FaultKind::Ejected { device: 2 }).unwrap();
-    assert!(mock.is_ejected(2) && !mock.is_ejected(1));
-    mock.per_device_power_into(&mut per).unwrap();
-    assert_eq!(per[2], 0.0);
-    assert!(per[1] > 0.0);
+    fault.clear(sim.server_mut()).unwrap();
+    assert!(!sim.is_ejected(2));
+    sim.advance(1.0).unwrap();
+    sim.per_device_power_into(&mut per).unwrap();
+    assert!(per[2] > 0.0);
+    // Device-scoped faults validate their target.
+    assert!(FaultKind::Ejected { device: 9 }
+        .apply(sim.server_mut())
+        .is_err());
 }
 
-/// A PSU derate surfaces through `psu_limit` on both backends.
+/// A PSU derate surfaces through `psu_limit` until cleared.
 #[test]
-fn psu_derate_surfaces_on_both_backends() {
+fn psu_derate_surfaces_through_the_trait() {
     let mut sim = sim_backend(3);
     assert_eq!(sim.psu_limit(), None);
-    FaultKind::PsuDerate { limit_watts: 650.0 }
-        .apply(sim.server_mut())
-        .unwrap();
+    let fault = FaultKind::PsuDerate { limit_watts: 650.0 };
+    fault.apply(sim.server_mut()).unwrap();
     assert_eq!(sim.psu_limit(), Some(650.0));
-
-    let mut mock = mock_backend();
-    assert_eq!(mock.psu_limit(), None);
-    mock.apply_fault(&FaultKind::PsuDerate { limit_watts: 650.0 })
-        .unwrap();
-    assert_eq!(mock.psu_limit(), Some(650.0));
+    fault.clear(sim.server_mut()).unwrap();
+    assert_eq!(sim.psu_limit(), None);
 }
 
 /// The refactor-safety pin: a `SimBackend` and a raw `Server` built

@@ -11,29 +11,19 @@
 //! * `--serve`: the real timer loop — wall-clock paced periods with
 //!   SIGHUP + config-mtime set-point hot reload and a live
 //!   `GET /metrics` listener. Not used in CI (non-deterministic).
-//! * `--smoke`: CI gate. Checks that (1) the dry-run transcript reruns
-//!   byte-identically, (2) it matches the committed golden, (3) meter
-//!   dropout on a mock backend escalates the supervisor ladder through
-//!   fallback to park and recovers, (4) the metrics endpoint serves the
-//!   exposition over HTTP, (5) a config rewrite hot-reloads the
-//!   set-point, and (6, Unix) SIGHUP latches the reload flag. Exits
-//!   nonzero on any failure.
 //!
 //! Regenerate the golden with:
 //! `cargo run --release -p capgpu-bench --bin capgpud > results/capgpud.txt`
 //!
-//! Usage: `capgpud [--config path.toml] [--backend sim|mock|cpufreq]
-//! [--setpoint W] [--periods N] [--dry-run | --serve | --smoke]`
+//! Usage: `capgpud [--config path.toml] [--backend sim|cpufreq]
+//! [--setpoint W] [--periods N] [--dry-run | --serve]`
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use capgpu::prelude::*;
-use capgpu_backend::MockBackend;
-use capgpu_bench::fmt;
 
 const DEFAULT_PERIODS: u64 = 12;
-const GOLDEN_PATH: &str = "results/capgpud.txt";
 
 fn tier_name(tier: SupervisorTier) -> &'static str {
     match tier {
@@ -178,164 +168,6 @@ fn serve(cfg: &DaemonConfig, config_path: Option<&PathBuf>, periods: Option<u64>
     }
 }
 
-fn smoke(cfg: &DaemonConfig, periods: u64) -> bool {
-    let mut all_ok = true;
-
-    // ---- check 1: deterministic dry run -------------------------------
-    let first = dry_run_transcript(cfg, periods);
-    let second = dry_run_transcript(cfg, periods);
-    let rerun_ok = match (&first, &second) {
-        (Ok(a), Ok(b)) => a == b,
-        _ => false,
-    };
-    fmt::check(
-        "dry-run transcript reruns byte-identically",
-        rerun_ok,
-        &format!(
-            "{} bytes (journal + prometheus included)",
-            first.as_ref().map(String::len).unwrap_or(0)
-        ),
-    );
-    all_ok &= rerun_ok;
-
-    // ---- check 2: committed golden ------------------------------------
-    match std::fs::read_to_string(GOLDEN_PATH) {
-        Ok(golden) => {
-            let golden_ok = first.as_ref().is_ok_and(|t| *t == golden);
-            fmt::check(
-                "dry-run transcript matches the committed golden",
-                golden_ok,
-                GOLDEN_PATH,
-            );
-            all_ok &= golden_ok;
-        }
-        Err(_) => {
-            fmt::check(
-                "dry-run transcript matches the committed golden",
-                true,
-                "golden absent (not running from the repo root); skipped",
-            );
-        }
-    }
-
-    // ---- check 3: dropout escalates the ladder on a mock backend ------
-    let ladder_ok = (|| -> Result<bool, String> {
-        let mut mcfg = cfg.clone();
-        mcfg.backend = "mock".to_string();
-        mcfg.control_period_s = 2;
-        let backend = mcfg.build_backend().map_err(|e| e.to_string())?;
-        let mut d = Daemon::new(mcfg, backend).map_err(|e| e.to_string())?;
-        d.identify().map_err(|e| e.to_string())?;
-        d.run_periods(3).map_err(|e| e.to_string())?;
-        if d.tier() != SupervisorTier::Primary {
-            return Ok(false);
-        }
-        d.backend_mut()
-            .as_any_mut()
-            .downcast_mut::<MockBackend>()
-            .ok_or("not a mock backend")?
-            .apply_fault(&FaultKind::MeterDropout)
-            .map_err(|e| e.to_string())?;
-        let stale = d.run_periods(6).map_err(|e| e.to_string())?;
-        let saw_fallback = stale.iter().any(|r| r.tier == SupervisorTier::SafeFallback);
-        let parked = stale.last().is_some_and(|r| r.tier == SupervisorTier::Park);
-        d.backend_mut()
-            .as_any_mut()
-            .downcast_mut::<MockBackend>()
-            .unwrap()
-            .clear_fault(&FaultKind::MeterDropout)
-            .map_err(|e| e.to_string())?;
-        let recovered = d.run_periods(14).map_err(|e| e.to_string())?;
-        let back = recovered
-            .last()
-            .is_some_and(|r| r.tier == SupervisorTier::Primary);
-        Ok(saw_fallback && parked && back)
-    })();
-    let ladder_ok = matches!(ladder_ok, Ok(true));
-    fmt::check(
-        "mock meter dropout walks the ladder: primary -> fallback -> park -> primary",
-        ladder_ok,
-        "staleness watchdog fed purely through the PowerBackend seam",
-    );
-    all_ok &= ladder_ok;
-
-    // ---- check 4: metrics over HTTP -----------------------------------
-    let http_ok = (|| -> Result<bool, String> {
-        use std::io::{Read as _, Write as _};
-        let backend = cfg.build_backend().map_err(|e| e.to_string())?;
-        let mut d = Daemon::new(cfg.clone(), backend).map_err(|e| e.to_string())?;
-        d.identify().map_err(|e| e.to_string())?;
-        d.run_periods(2).map_err(|e| e.to_string())?;
-        let server = MetricsServer::bind(0).map_err(|e| e.to_string())?;
-        server.publish(&d.prometheus_text());
-        let mut s = std::net::TcpStream::connect(server.local_addr()).map_err(|e| e.to_string())?;
-        s.set_read_timeout(Some(std::time::Duration::from_secs(5)))
-            .map_err(|e| e.to_string())?;
-        write!(s, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").map_err(|e| e.to_string())?;
-        let mut body = String::new();
-        let _ = s.read_to_string(&mut body);
-        Ok(body.starts_with("HTTP/1.1 200 OK")
-            && body.contains("# HELP capgpud_power_watts")
-            && body.contains("capgpud_periods_total"))
-    })();
-    let http_ok = matches!(http_ok, Ok(true));
-    fmt::check(
-        "GET /metrics serves the Prometheus exposition",
-        http_ok,
-        "help + type lines and daemon counters over the in-tree listener",
-    );
-    all_ok &= http_ok;
-
-    // ---- check 5: config rewrite hot-reloads the set-point ------------
-    let reload_ok = (|| -> Result<bool, String> {
-        let path = std::env::temp_dir().join(format!("capgpud-smoke-{}.toml", std::process::id()));
-        std::fs::write(&path, "[daemon]\nsetpoint_watts = 900\n").map_err(|e| e.to_string())?;
-        let mut watcher = ConfigWatcher::new(&path);
-        let backend = cfg.build_backend().map_err(|e| e.to_string())?;
-        let mut d = Daemon::new(cfg.clone(), backend).map_err(|e| e.to_string())?;
-        d.identify().map_err(|e| e.to_string())?;
-        d.run_periods(2).map_err(|e| e.to_string())?;
-        let baseline = !watcher.changed();
-        std::fs::write(&path, "[daemon]\nsetpoint_watts = 812.5\n").map_err(|e| e.to_string())?;
-        let tripped = watcher.changed();
-        let new_cfg = DaemonConfig::load(&path).map_err(|e| e.to_string())?;
-        let applied = d.apply_reload(&new_cfg);
-        let journaled = d.journal().of_kind("setpoint_change").count() == 1;
-        let _ = std::fs::remove_file(&path);
-        Ok(baseline && tripped && applied && d.setpoint_watts() == 812.5 && journaled)
-    })();
-    let reload_ok = matches!(reload_ok, Ok(true));
-    fmt::check(
-        "config rewrite hot-reloads the set-point",
-        reload_ok,
-        "mtime watcher -> DaemonConfig::load -> apply_reload, journaled",
-    );
-    all_ok &= reload_ok;
-
-    // ---- check 6: SIGHUP latches the reload flag (Unix) ---------------
-    #[cfg(unix)]
-    {
-        extern "C" {
-            fn raise(sig: i32) -> i32;
-        }
-        const SIGHUP: i32 = 1;
-        let sig = ReloadSignal::install();
-        let _ = sig.take();
-        unsafe {
-            raise(SIGHUP);
-        }
-        let sighup_ok = sig.take() && !sig.take();
-        fmt::check(
-            "SIGHUP latches the reload flag exactly once",
-            sighup_ok,
-            "installed handler does only an atomic store",
-        );
-        all_ok &= sighup_ok;
-    }
-
-    all_ok
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag = |name: &str| args.iter().any(|a| a == name);
@@ -375,12 +207,6 @@ fn main() {
         })
         .unwrap_or(DEFAULT_PERIODS);
 
-    if flag("--smoke") {
-        if !smoke(&cfg, periods) {
-            std::process::exit(1);
-        }
-        return;
-    }
     if flag("--serve") {
         let bound = value("--periods").map(|_| periods);
         serve(&cfg, config_path.as_ref(), bound);

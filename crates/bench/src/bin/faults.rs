@@ -9,10 +9,7 @@
 //!
 //! Regenerate with: `cargo run --release -p capgpu-bench --bin faults`
 //!
-//! `--smoke` runs the default-intensity storm only — the CI smoke
-//! configuration; the determinism and supervisor checks are identical.
-//!
-//! Exits nonzero if any shape check fails, so the CI smoke step is a
+//! Exits nonzero if any shape check fails, so the CI golden step is a
 //! real gate.
 
 use capgpu::prelude::*;
@@ -59,12 +56,7 @@ fn worst_miss(trace: &RunTrace) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let intensities: Vec<f64> = if smoke {
-        vec![1.0]
-    } else {
-        vec![0.5, 1.0, 1.5]
-    };
+    let intensities = [0.5, 1.0, 1.5];
     let period_s = Scenario::fault_testbed(SEED).control_period_s as f64;
     let n_contenders = contenders().len();
 

@@ -17,10 +17,7 @@
 //! epochs × 8 control periods; regenerate the committed golden with:
 //! `cargo run --release -p capgpu-bench --bin fleet > results/fleet.txt`
 //! — timings (server-periods/sec) go to **stderr**, keeping the golden
-//! deterministic.
-//!
-//! `--smoke` shrinks to a 4-rack × 6-server fleet for CI; the checks are
-//! identical and the bin exits nonzero if any of them fails.
+//! deterministic. The bin exits nonzero if any check fails.
 
 use capgpu_bench::fmt;
 use capgpu_fleet::prelude::*;
@@ -36,23 +33,13 @@ struct Geometry {
     seed: u64,
 }
 
-const FULL: Geometry = Geometry {
+const FLEET: Geometry = Geometry {
     racks: 16,
     per_rack: 64,
     epochs: 12,
     epoch_periods: 8,
     budget_per_server: 1700.0,
     thread_counts: &[1, 2, 4, 8],
-    seed: 41,
-};
-
-const SMOKE: Geometry = Geometry {
-    racks: 4,
-    per_rack: 6,
-    epochs: 6,
-    epoch_periods: 6,
-    budget_per_server: 1700.0,
-    thread_counts: &[1, 2, 4],
     seed: 41,
 };
 
@@ -126,8 +113,7 @@ fn post_warmup_misses(report: &FleetReport) -> u64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let g = if smoke { &SMOKE } else { &FULL };
+    let g = &FLEET;
     let servers = g.racks * g.per_rack;
     let budget = g.budget_per_server * servers as f64;
     let mut all_ok = true;

@@ -12,9 +12,6 @@
 //! power.
 //!
 //! Regenerate with: `cargo run --release -p capgpu-bench --bin llm`
-//!
-//! `--smoke` runs a shrunk grid (2 caps, short runs) — the CI smoke
-//! configuration; the shape checks are identical.
 
 use capgpu::prelude::*;
 use capgpu::sweep::{ControllerSpec, SweepSpec};
@@ -47,16 +44,9 @@ fn worst_ttft_miss(trace: &RunTrace) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (caps, periods): (Vec<f64>, usize) = if smoke {
-        (vec![900.0, 1100.0], 15)
-    } else {
-        (vec![900.0, 950.0, 1020.0, 1090.0, 1160.0], 40)
-    };
-
     let mut all_ok = true;
-    all_ok &= phase_ablation(&caps, periods);
-    all_ok &= load_scaling(if smoke { periods } else { 30 }, smoke);
+    all_ok &= phase_ablation(&[900.0, 950.0, 1020.0, 1090.0, 1160.0], 40);
+    all_ok &= load_scaling(30);
     if !all_ok {
         std::process::exit(1);
     }
@@ -182,13 +172,9 @@ fn phase_ablation(caps: &[f64], periods: usize) -> bool {
 /// Arrival-load scaling on the LLM family, phase-aware CapGPU at a
 /// mid-depth cap: token throughput follows the offered load, and the
 /// inter-token tail degrades monotonically-ish as KV pressure rises.
-fn load_scaling(periods: usize, smoke: bool) -> bool {
+fn load_scaling(periods: usize) -> bool {
     fmt::header("LLM ablation B: arrival-load scaling");
-    let scales: &[f64] = if smoke {
-        &[0.8, 1.2]
-    } else {
-        &[0.6, 0.8, 1.0, 1.2]
-    };
+    let scales: &[f64] = &[0.6, 0.8, 1.0, 1.2];
     let report = SweepSpec::llm_family(SEED, scales)
         .expect("family")
         .setpoint(1020.0)

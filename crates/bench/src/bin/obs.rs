@@ -2,53 +2,47 @@
 //!
 //! Modes:
 //!
-//! * default: run the scripted observability scenario — a mock-backend
-//!   daemon that identifies, takes a set-point step, suffers a meter
-//!   dropout, crashes mid-run (unsealed journal), is restarted via
-//!   journal-replay recovery, and finally seals — then ingest the
+//! * default: run the scripted observability scenario — a daemon on the
+//!   simulated testbed that identifies, takes a set-point step, suffers
+//!   a meter dropout, crashes mid-run (unsealed journal), is restarted
+//!   via journal-replay recovery, and finally seals — then ingest the
 //!   journal directory it left behind and print the deterministic
 //!   post-mortem report. The committed golden is `results/obs.txt`.
 //! * `--journal DIR`: ingest an arbitrary journal directory instead of
 //!   the scripted scenario and print its post-mortem.
-//! * `--smoke`: CI gate. Checks that (1) the scripted report reruns
-//!   byte-identically, (2) it matches the committed golden, (3) the
-//!   scenario actually rotated and sealed segments, (4) kill-and-restart
-//!   recovery converges to the uninterrupted run within one control
-//!   period, (5) a torn final record is tolerated without changing the
-//!   replayed state, (6) an unknown schema major version is rejected,
-//!   and (7) the fleet health roll-up flags an over-budget rack while
-//!   leaving healthy racks alone. Exits nonzero on any failure.
 //!
 //! Regenerate the golden with:
 //! `cargo run --release -p capgpu-bench --bin obs > results/obs.txt`
 //!
-//! Usage: `obs [--journal DIR] [--smoke]`
+//! Usage: `obs [--journal DIR]`
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use capgpu::daemon::{Daemon, DaemonConfig};
 use capgpu::prelude::FaultKind;
-use capgpu_backend::MockBackend;
-use capgpu_bench::fmt;
+use capgpu_backend::SimBackend;
 use capgpu_obs::analyzer::AnalyzerConfig;
-use capgpu_obs::reader::{parse_jsonl, read_dir};
+use capgpu_obs::reader::read_dir;
 use capgpu_obs::replay::ReplayState;
 use capgpu_obs::report::render;
-use capgpu_obs::ObsError;
+use capgpu_sim::Server;
 
-const GOLDEN_PATH: &str = "results/obs.txt";
-
-fn scenario_cfg(journal_dir: Option<PathBuf>) -> DaemonConfig {
+fn scenario_cfg(journal_dir: &Path) -> DaemonConfig {
     let mut cfg = DaemonConfig::default_sim();
-    cfg.backend = "mock".to_string();
     cfg.sim_gpus = 2;
     cfg.sysid_steps_per_device = 4;
     cfg.control_period_s = 2;
-    cfg.journal_dir = journal_dir;
+    cfg.journal_dir = Some(journal_dir.to_path_buf());
     // Small segments so the scripted run exercises rotation.
     cfg.journal_max_segment_kib = 1;
     cfg.journal_retain_segments = 64;
     cfg
+}
+
+/// The simulated server behind the daemon, for fault injection.
+fn server(d: &mut Daemon) -> Result<&mut Server, String> {
+    let sim = d.backend_mut().as_any_mut().downcast_mut::<SimBackend>();
+    Ok(sim.ok_or("not a sim backend")?.server_mut())
 }
 
 /// Runs the scripted scenario into `dir`: identify → steady periods →
@@ -57,25 +51,19 @@ fn scenario_cfg(journal_dir: Option<PathBuf>) -> DaemonConfig {
 fn scripted_scenario(dir: &Path) -> Result<(), String> {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    let cfg = scenario_cfg(Some(dir.to_path_buf()));
-    let backend = Box::new(MockBackend::testbed(2).map_err(|e| e.to_string())?);
+    let cfg = scenario_cfg(dir);
+    let backend = cfg.build_backend().map_err(|e| e.to_string())?;
     let mut d = Daemon::new(cfg.clone(), backend).map_err(|e| e.to_string())?;
     d.identify().map_err(|e| e.to_string())?;
     d.run_periods(6).map_err(|e| e.to_string())?;
     d.set_setpoint(850.0);
     d.run_periods(4).map_err(|e| e.to_string())?;
-    d.backend_mut()
-        .as_any_mut()
-        .downcast_mut::<MockBackend>()
-        .ok_or("not a mock backend")?
-        .apply_fault(&FaultKind::MeterDropout)
+    FaultKind::MeterDropout
+        .apply(server(&mut d)?)
         .map_err(|e| e.to_string())?;
     d.run_periods(5).map_err(|e| e.to_string())?;
-    d.backend_mut()
-        .as_any_mut()
-        .downcast_mut::<MockBackend>()
-        .ok_or("not a mock backend")?
-        .clear_fault(&FaultKind::MeterDropout)
+    FaultKind::MeterDropout
+        .clear(server(&mut d)?)
         .map_err(|e| e.to_string())?;
     d.run_periods(8).map_err(|e| e.to_string())?;
     // Crash: drop the daemon without sealing; the plant survives.
@@ -106,7 +94,7 @@ fn scripted_transcript() -> Result<String, String> {
     out.push_str("capgpu-obs offline post-mortem\n");
     out.push_str("==============================\n");
     out.push_str(
-        "scenario: scripted mock-backend run — identify, set-point step,\n\
+        "scenario: scripted sim-backend run — identify, set-point step,\n\
          meter dropout + ladder recovery, crash mid-run (unsealed journal),\n\
          journal-replay restart, graceful seal\n\n",
     );
@@ -115,247 +103,14 @@ fn scripted_transcript() -> Result<String, String> {
     Ok(out)
 }
 
-#[allow(clippy::too_many_lines)]
-fn smoke() -> bool {
-    let mut all_ok = true;
-
-    // ---- check 1: deterministic scripted report -----------------------
-    let first = scripted_transcript();
-    let second = scripted_transcript();
-    let rerun_ok = match (&first, &second) {
-        (Ok(a), Ok(b)) => a == b,
-        _ => false,
-    };
-    fmt::check(
-        "scripted post-mortem reruns byte-identically",
-        rerun_ok,
-        &format!(
-            "{} bytes (journal scan + replay + detectors included)",
-            first.as_ref().map(String::len).unwrap_or(0)
-        ),
-    );
-    all_ok &= rerun_ok;
-
-    // ---- check 2: committed golden ------------------------------------
-    match std::fs::read_to_string(GOLDEN_PATH) {
-        Ok(golden) => {
-            let golden_ok = first.as_ref().is_ok_and(|t| *t == golden);
-            fmt::check(
-                "post-mortem matches the committed golden",
-                golden_ok,
-                GOLDEN_PATH,
-            );
-            all_ok &= golden_ok;
-        }
-        Err(_) => {
-            fmt::check(
-                "post-mortem matches the committed golden",
-                true,
-                "golden absent (not running from the repo root); skipped",
-            );
-        }
-    }
-
-    // ---- check 3: the scenario rotated and sealed segments ------------
-    let rotation_ok = (|| -> Result<bool, String> {
-        let dir = std::env::temp_dir().join(format!("capgpu-obs-rotate-{}", std::process::id()));
-        scripted_scenario(&dir)?;
-        let scan = read_dir(&dir).map_err(|e| e.to_string())?;
-        let sealed = scan.segments.iter().filter(|s| s.sealed).count();
-        let _ = std::fs::remove_dir_all(&dir);
-        Ok(scan.segments.len() >= 3 && sealed >= 2 && scan.torn_tail.is_none())
-    })();
-    let rotation_ok = matches!(rotation_ok, Ok(true));
-    fmt::check(
-        "rotation rolled and CRC-sealed multiple segments",
-        rotation_ok,
-        "1 KiB segments; seals verified on read-back",
-    );
-    all_ok &= rotation_ok;
-
-    // ---- check 4: kill-and-restart convergence ------------------------
-    let converge_ok = (|| -> Result<bool, String> {
-        let total = 14u64;
-        let kill_at = 6u64;
-        let mut a = Daemon::new(
-            scenario_cfg(None),
-            Box::new(MockBackend::testbed(2).map_err(|e| e.to_string())?),
-        )
-        .map_err(|e| e.to_string())?;
-        a.identify().map_err(|e| e.to_string())?;
-        let reference = a.run_periods(total).map_err(|e| e.to_string())?;
-
-        let dir = std::env::temp_dir().join(format!("capgpu-obs-conv-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).map_err(|e| e.to_string())?;
-        let mut b = Daemon::new(
-            scenario_cfg(Some(dir.clone())),
-            Box::new(MockBackend::testbed(2).map_err(|e| e.to_string())?),
-        )
-        .map_err(|e| e.to_string())?;
-        b.identify().map_err(|e| e.to_string())?;
-        b.run_periods(kill_at).map_err(|e| e.to_string())?;
-        let backend = b.into_backend();
-        let scan = read_dir(&dir).map_err(|e| e.to_string())?;
-        let state = ReplayState::replay(&scan.records);
-        let mut b2 =
-            Daemon::new(scenario_cfg(Some(dir.clone())), backend).map_err(|e| e.to_string())?;
-        b2.recover(&state).map_err(|e| e.to_string())?;
-        let resumed = b2.run_periods(total - kill_at).map_err(|e| e.to_string())?;
-        let _ = std::fs::remove_dir_all(&dir);
-        // Within one control period: skip the first resumed period.
-        Ok(resumed
-            .iter()
-            .zip(&reference[kill_at as usize..])
-            .skip(1)
-            .all(|(r, want)| {
-                r.tier == want.tier
-                    && r.targets_mhz
-                        .iter()
-                        .zip(want.targets_mhz.iter())
-                        .all(|(t, w)| (t - w).abs() < 1e-6)
-            }))
-    })();
-    let converge_ok = matches!(converge_ok, Ok(true));
-    fmt::check(
-        "kill-and-restart recovery converges within one control period",
-        converge_ok,
-        "replayed tier/model/targets vs the uninterrupted run",
-    );
-    all_ok &= converge_ok;
-
-    // ---- check 5: torn tail is tolerated ------------------------------
-    let torn_ok = (|| -> Result<bool, String> {
-        let dir = std::env::temp_dir().join(format!("capgpu-obs-torn-{}", std::process::id()));
-        scripted_scenario(&dir)?;
-        let before = ReplayState::replay(&read_dir(&dir).map_err(|e| e.to_string())?.records);
-        let mut segments: Vec<_> = std::fs::read_dir(&dir)
-            .map_err(|e| e.to_string())?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .collect();
-        segments.sort();
-        let last = segments.last().ok_or("no segments")?;
-        let mut text = std::fs::read_to_string(last).map_err(|e| e.to_string())?;
-        // The scenario seals its last segment; tearing it would be a
-        // CRC error, so tear a fresh active segment instead.
-        let torn_path = last.with_file_name("journal.999999.jsonl");
-        text.clear();
-        text.push_str("{\"v\":1,\"period\":99,\"t_s\":400,\"kind\":\"per");
-        std::fs::write(&torn_path, &text).map_err(|e| e.to_string())?;
-        let scan = read_dir(&dir).map_err(|e| e.to_string())?;
-        let after = ReplayState::replay(&scan.records);
-        let _ = std::fs::remove_dir_all(&dir);
-        Ok(scan.torn_tail.is_some() && after == before)
-    })();
-    let torn_ok = matches!(torn_ok, Ok(true));
-    fmt::check(
-        "torn final record is dropped without corrupting replay",
-        torn_ok,
-        "crash-mid-flush model: complete records only",
-    );
-    all_ok &= torn_ok;
-
-    // ---- check 6: unknown schema major version is rejected ------------
-    let schema_ok = matches!(
-        parse_jsonl(
-            "{\"v\":2,\"period\":0,\"t_s\":0,\"kind\":\"period\"}\n",
-            true
-        ),
-        Err(ObsError::SchemaVersion {
-            found: 2,
-            supported: 1
-        })
-    );
-    fmt::check(
-        "unknown schema major version is rejected",
-        schema_ok,
-        "v=2 record refused; v=1 is the only spoken version",
-    );
-    all_ok &= schema_ok;
-
-    // ---- check 7: fleet health roll-up --------------------------------
-    let fleet_ok = (|| {
-        use capgpu_fleet::health::analyze;
-        use capgpu_fleet::sim::{EpochReport, FleetReport, RackEpoch, ServerStat};
-        use capgpu_obs::analyzer::Verdict;
-        let rack = |assigned: f64, measured: f64| RackEpoch {
-            assigned,
-            measured,
-            misses: 0,
-            completed: 100,
-            binding_servers: 0,
-            worst_p99_s: 0.1,
-        };
-        let stat = |r: usize| ServerStat {
-            rack: r,
-            class: 0,
-            streams: 1,
-            demand: 900.0,
-            min_watts: 400.0,
-            max_watts: 1200.0,
-            assigned: 900.0,
-            measured: 890.0,
-            misses: 0,
-            completed: 100,
-        };
-        let epochs: Vec<EpochReport> = (0..40)
-            .map(|_| EpochReport {
-                racks: vec![rack(1800.0, 1840.0), rack(1800.0, 1750.0)],
-                migrations: Vec::new(),
-            })
-            .collect();
-        let report = FleetReport {
-            epochs,
-            stats: vec![stat(0), stat(0), stat(1), stat(1)],
-            server_periods: 160,
-            reorder_window: 1,
-            peak_pending: 1,
-            peak_live_traces: 1,
-        };
-        let Ok(h) = analyze(&report, &AnalyzerConfig::default()) else {
-            return false;
-        };
-        h.racks.len() == 2
-            && h.racks[0].overall == Verdict::Critical
-            && h.racks[1].overall == Verdict::Ok
-            && h.overall() == Verdict::Critical
-    })();
-    fmt::check(
-        "fleet health flags the over-budget rack only",
-        fleet_ok,
-        "per-rack detector banks over the epoch fold",
-    );
-    all_ok &= fleet_ok;
-
-    all_ok
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
+    let journal = (args.iter().position(|a| a == "--journal")).and_then(|i| args.get(i + 1));
+    let transcript = match journal {
+        Some(dir) => post_mortem(Path::new(dir)),
+        None => scripted_transcript(),
     };
-    if flag("--smoke") {
-        if !smoke() {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if let Some(dir) = value("--journal") {
-        match post_mortem(Path::new(&dir)) {
-            Ok(t) => print!("{t}"),
-            Err(e) => {
-                eprintln!("obs: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    match scripted_transcript() {
+    match transcript {
         Ok(t) => print!("{t}"),
         Err(e) => {
             eprintln!("obs: {e}");

@@ -8,9 +8,6 @@
 //! load scaling and a mid-run traffic burst.
 //!
 //! Regenerate with: `cargo run --release -p capgpu-bench --bin serving`
-//!
-//! `--smoke` runs a shrunk grid (3 caps, 2 load scales, short runs) — the
-//! CI smoke configuration; the shape checks are identical.
 
 use capgpu::prelude::*;
 use capgpu::sweep::{ControllerSpec, SweepSpec};
@@ -41,20 +38,9 @@ fn worst_p99(trace: &RunTrace) -> f64 {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (caps, scales, periods): (Vec<f64>, Vec<f64>, usize) = if smoke {
-        (vec![880.0, 1020.0, 1160.0], vec![0.8, 1.2], 12)
-    } else {
-        (
-            vec![880.0, 950.0, 1020.0, 1090.0, 1160.0],
-            vec![0.6, 0.8, 1.0, 1.2],
-            40,
-        )
-    };
-
-    cap_curves(&caps, periods);
-    // The family's burst fires at period 50; the full run must reach it.
-    load_and_burst(&scales, if smoke { periods } else { 60 });
+    cap_curves(&[880.0, 950.0, 1020.0, 1090.0, 1160.0], 40);
+    // The family's burst fires at period 50; the run must reach it.
+    load_and_burst(&[0.6, 0.8, 1.0, 1.2], 60);
 }
 
 /// P99-miss-rate-vs-cap: one serving run per (cap, controller) cell.

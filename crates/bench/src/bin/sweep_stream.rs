@@ -13,10 +13,7 @@
 //! **10 000-cell** grid; regenerate the committed golden with:
 //! `cargo run --release -p capgpu-bench --bin sweep_stream > results/sweep_stream.txt`
 //! — cell rates and peak-pending counts go to **stderr**, keeping the
-//! golden deterministic.
-//!
-//! `--smoke` shrinks the grid to 1000 cells for CI; the checks are
-//! identical and the bin exits nonzero if any of them fails.
+//! golden deterministic. The bin exits nonzero if any check fails.
 
 use capgpu::prelude::*;
 use capgpu_bench::fmt;
@@ -36,8 +33,7 @@ fn grid(seeds: u64, setpoints: usize) -> SweepSpec {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (seeds, setpoints) = if smoke { (25, 20) } else { (100, 50) };
+    let (seeds, setpoints) = (100, 50);
     let spec = grid(seeds, setpoints);
     let cells = spec.num_cells();
     let mut all_ok = true;
@@ -94,8 +90,9 @@ fn main() {
 
     // ---- check 2: streaming == summarizing the full-trace report ------
     // Same fold, same order; streaming only changes what is retained.
-    // Smoke scale keeps the full-trace report in memory for comparison.
-    let sub = grid(seeds.min(25), setpoints.min(20));
+    // A 1000-cell sub-grid keeps the full-trace report small enough to
+    // hold in memory for the comparison.
+    let sub = grid(25, 20);
     let full = sub
         .summarize_report(&sub.run_serial().expect("full-trace sweep"))
         .expect("summarize full report");

@@ -12,10 +12,8 @@
 //! Regenerate the committed golden with:
 //! `cargo run --release -p capgpu-bench --bin telemetry > results/telemetry.txt`
 //! — the wall-clock span table goes to **stderr**, keeping stdout (and
-//! therefore the golden) free of non-deterministic timings.
-//!
-//! `--smoke` shortens the storm and the CSV grid for CI; the checks are
-//! identical and the bin exits nonzero if any of them fails.
+//! therefore the golden) free of non-deterministic timings. The bin
+//! exits nonzero if any check fails.
 
 use capgpu::export::trace_to_csv;
 use capgpu::prelude::*;
@@ -51,14 +49,9 @@ fn grid(setpoints: &[f64], periods: usize, telemetry: bool) -> SweepSpec {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let storm_periods = if smoke { 30 } else { 60 };
-    let grid_periods = if smoke { 8 } else { 12 };
-    let setpoints: Vec<f64> = if smoke {
-        vec![900.0, 1100.0]
-    } else {
-        vec![900.0, 1000.0, 1100.0, 1200.0]
-    };
+    let storm_periods = 60;
+    let grid_periods = 12;
+    let setpoints = [900.0, 1000.0, 1100.0, 1200.0];
     let mut all_ok = true;
 
     // ---- deterministic report: supervised CapGPU under the storm ----

@@ -37,18 +37,6 @@ pub enum ScheduledChange {
         /// New mean arrival rate (images/s).
         rate_img_s: f64,
     },
-    /// Inject or clear a power-meter fault. Carries the sim-level
-    /// [`capgpu_sim::MeterFault`] directly so new fault kinds (stuck,
-    /// bias drift, delayed reporting) need no new booleans; `None`
-    /// clears whatever fault is active. For full storms — actuator and
-    /// power-delivery faults, durations, intermittency — use
-    /// [`Scenario::faults`] instead.
-    MeterFault {
-        /// Control period index at which the change takes effect.
-        at_period: usize,
-        /// The fault to inject, or `None` to clear.
-        fault: Option<capgpu_sim::MeterFault>,
-    },
     /// Scale one device's true dynamic power gain (synthetic plant
     /// drift: aging, fan/VRM degradation, a driver power-management
     /// update). The controller's identified model is *not* told — this

@@ -3,7 +3,7 @@
 
 use std::path::{Path, PathBuf};
 
-use capgpu_backend::{CpufreqBackend, MockBackend, PowerBackend, SimBackend};
+use capgpu_backend::{CpufreqBackend, PowerBackend, SimBackend};
 use capgpu_obs::rotate::RotationConfig;
 use capgpu_sim::{presets, ServerBuilder};
 
@@ -20,8 +20,8 @@ use crate::Result;
 /// [`Daemon::apply_reload`](super::Daemon::apply_reload)) — everything else requires a restart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DaemonConfig {
-    /// Which backend [`DaemonConfig::build_backend`] builds: `"sim"`,
-    /// `"mock"` or `"cpufreq"` (the live host's `/sys`).
+    /// Which backend [`DaemonConfig::build_backend`] builds: `"sim"` or
+    /// `"cpufreq"` (the live host's `/sys`).
     pub backend: String,
     /// Server power set-point (W).
     pub setpoint_watts: f64,
@@ -49,7 +49,7 @@ pub struct DaemonConfig {
     pub rls_forgetting: Option<f64>,
     /// Simulated-testbed seed (sim backend only).
     pub sim_seed: u64,
-    /// GPU count for the built-in sim/mock testbeds.
+    /// GPU count of the simulated testbed.
     pub sim_gpus: usize,
     /// Constant per-device utilization staged into the sim plant.
     pub sim_utilization: f64,
@@ -62,11 +62,8 @@ type BuildBackend = fn(&DaemonConfig) -> Result<Box<dyn PowerBackend>>;
 /// Every backend `daemon.backend` can name and how
 /// [`DaemonConfig::build_backend`] builds it; `validate` reads the names
 /// from here too.
-const BACKENDS: [(&str, BuildBackend); 3] = [
+const BACKENDS: [(&str, BuildBackend); 2] = [
     ("sim", DaemonConfig::sim_backend),
-    ("mock", |cfg| {
-        Ok(Box::new(MockBackend::testbed(cfg.sim_gpus)?))
-    }),
     ("cpufreq", |_| match CpufreqBackend::probe("/sys") {
         Ok(b) => Ok(Box::new(b)),
         Err(e) => Err(bad(format!("cpufreq backend: {e}"))),
@@ -285,8 +282,8 @@ impl DaemonConfig {
     }
 
     /// Builds the backend `daemon.backend` names: the simulated
-    /// testbed, the mock, or the live host's cpufreq + RAPL surface
-    /// probed under `/sys`. (Tests hand a fixture-rooted
+    /// testbed or the live host's cpufreq + RAPL surface probed under
+    /// `/sys`. (Tests hand a fixture-rooted
     /// [`CpufreqBackend`] to [`Daemon::new`](super::Daemon::new).)
     ///
     /// # Errors
@@ -321,7 +318,7 @@ mod tests {
 
     const CONFIG: &str = r#"
 [daemon]
-backend = "mock"
+backend = "cpufreq"
 setpoint_watts = 850
 control_period_s = 2
 metrics_port = 0
@@ -338,7 +335,7 @@ stale_park_periods = 3
     #[test]
     fn config_round_trips_and_rejects_unknown_keys() {
         let cfg = DaemonConfig::from_toml_str(CONFIG).unwrap();
-        assert_eq!(cfg.backend, "mock");
+        assert_eq!(cfg.backend, "cpufreq");
         assert_eq!(cfg.setpoint_watts, 850.0);
         assert_eq!(cfg.control_period_s, 2);
         assert_eq!(cfg.metrics_port, Some(0));
@@ -354,8 +351,6 @@ stale_park_periods = 3
         assert!(DaemonConfig::from_toml_str("[daemon]\nsetpoint_watts = -5\n").is_err());
         assert!(DaemonConfig::from_toml_str("[daemon]\nbackend = \"nvml\"\n").is_err());
         assert!(DaemonConfig::from_toml_str("[identify]\nsteps_per_device = 1\n").is_err());
-        let live = DaemonConfig::from_toml_str("[daemon]\nbackend = \"cpufreq\"\n").unwrap();
-        assert_eq!(live.backend, "cpufreq");
     }
 
     /// Neither the TOML subset parser nor the config layer panics, and

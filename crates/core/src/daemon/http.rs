@@ -87,6 +87,27 @@ impl Drop for MetricsServer {
     }
 }
 
+/// What a request asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Metrics,
+    Health,
+    NotFound,
+}
+
+/// Routes a request by its path, the second whitespace-separated token
+/// of the request line: `/metrics` and `/` get the exposition,
+/// `/healthz` the health JSON, anything else a 404. A request with no
+/// path gets the exposition.
+fn route(request: &[u8]) -> Route {
+    let head = String::from_utf8_lossy(request);
+    match head.split_whitespace().nth(1).unwrap_or("/") {
+        "/metrics" | "/" => Route::Metrics,
+        "/healthz" => Route::Health,
+        _ => Route::NotFound,
+    }
+}
+
 fn serve_loop(
     listener: &TcpListener,
     body: &Arc<Mutex<String>>,
@@ -101,16 +122,16 @@ fn serve_loop(
                 let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(200)));
                 let mut req = [0u8; 1024];
                 let n = stream.read(&mut req).unwrap_or(0);
-                let head = String::from_utf8_lossy(&req[..n]);
-                let path = head.split_whitespace().nth(1).unwrap_or("/");
-                let (status, content_type, text) = if path == "/metrics" || path == "/" {
-                    let text = body.lock().map(|b| b.clone()).unwrap_or_default();
-                    ("200 OK", METRICS_TYPE, text)
-                } else if path == "/healthz" {
-                    let text = health.lock().map(|h| h.clone()).unwrap_or_default();
-                    ("200 OK", "application/json", text)
-                } else {
-                    ("404 Not Found", METRICS_TYPE, String::from("not found\n"))
+                let (status, content_type, text) = match route(&req[..n]) {
+                    Route::Metrics => {
+                        let text = body.lock().map(|b| b.clone()).unwrap_or_default();
+                        ("200 OK", METRICS_TYPE, text)
+                    }
+                    Route::Health => {
+                        let text = health.lock().map(|h| h.clone()).unwrap_or_default();
+                        ("200 OK", "application/json", text)
+                    }
+                    Route::NotFound => ("404 Not Found", METRICS_TYPE, String::from("not found\n")),
                 };
                 let response = format!(
                     "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
@@ -130,9 +151,94 @@ fn serve_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::{Read as _, Write as _};
     use std::net::TcpStream;
     use std::time::{Duration, Instant};
+
+    /// The route of a request whose path is `path`.
+    fn route_of_path(path: Option<&str>) -> Route {
+        match path {
+            None | Some("/metrics" | "/") => Route::Metrics,
+            Some("/healthz") => Route::Health,
+            Some(_) => Route::NotFound,
+        }
+    }
+
+    /// Request-line syntax, the three served paths and their near
+    /// misses, Unicode whitespace (NBSP, NEL), invalid UTF-8 and NUL.
+    const PIECES: [&[u8]; 22] = [
+        b"GET",
+        b"POST",
+        b" ",
+        b"\t",
+        b"\r\n",
+        b"/",
+        b"/metrics",
+        b"/healthz",
+        b"/metrics/",
+        b"/healthz?x=1",
+        b"/METRICS",
+        b"metrics",
+        b"HTTP/1.1",
+        b"Host: localhost",
+        b"\xc2\xa0",
+        b"\xc2\x85",
+        b"\xe2\x80\x83",
+        b"\xff",
+        b"\xc2",
+        b"\x00",
+        b"\xe7\x94\xb5",
+        b"?",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Any request of up to 1 KiB (what the listener reads) routes
+        /// without panicking, by the second whitespace-separated token of
+        /// its lossy text.
+        #[test]
+        fn arbitrary_bytes_route_without_panicking(
+            bytes in prop::collection::vec(0u16..256, 0..1025),
+            pieces in prop::collection::vec(prop::sample::select(PIECES.to_vec()), 0..64),
+        ) {
+            let raw: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            let mut structured = pieces.concat();
+            structured.truncate(1024);
+            for request in [raw, structured] {
+                let head = String::from_utf8_lossy(&request);
+                prop_assert_eq!(
+                    route(&request),
+                    route_of_path(head.split_whitespace().nth(1))
+                );
+            }
+        }
+
+        /// A request line routes by its path alone, whatever method
+        /// precedes it and whatever bytes follow it.
+        #[test]
+        fn request_lines_route_by_their_path(
+            method in prop::sample::select(vec!["GET", "HEAD", "POST", "X"]),
+            path in prop::sample::select(vec![
+                "/", "/metrics", "/healthz", "/metrics/", "/healthz/", "//", "/nope",
+                "/metricsx", "/healthz?", "metrics", "/METRICS", "*",
+            ]),
+            sep in prop::sample::select(vec![" ", "\t", "\r\n", " \t "]),
+            tail in prop::collection::vec(0u16..256, 0..960),
+        ) {
+            let mut request = format!("{method}{sep}{path}{sep}").into_bytes();
+            request.extend(tail.iter().map(|&b| b as u8));
+            prop_assert_eq!(route(&request), route_of_path(Some(path)));
+        }
+    }
+
+    #[test]
+    fn requests_without_a_path_get_the_metrics() {
+        for request in [&b""[..], b"GET", b"  \r\n", b"\xff\xfe"] {
+            assert_eq!(route(request), Route::Metrics, "{request:?}");
+        }
+    }
 
     fn get(addr: SocketAddr, path: &str) -> String {
         let mut s = TcpStream::connect(addr).unwrap();

@@ -49,7 +49,6 @@ use capgpu_obs::replay::{format_targets, ReplayState};
 use capgpu_obs::rotate::JournalWriter;
 use capgpu_telemetry::journal::{Event, Journal};
 use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
-use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
 
 use crate::controllers::{CapGpuController, ControlInput, DeviceLayout, PowerController};
 use crate::runner::SCALE_PUSH_DEADBAND;
@@ -144,7 +143,6 @@ pub struct Daemon {
     /// `None` until [`Daemon::identify`] or [`Daemon::recover`]. Boxed
     /// so [`Daemon::step_period`] can lend it out by moving a pointer.
     stack: Option<Box<ControlStack>>,
-    monitors: Vec<ThroughputMonitor>,
     journal: Journal,
     /// Rotating durable journal (crash-recovery replay source), when
     /// `journal_dir` is configured.
@@ -167,7 +165,6 @@ pub struct Daemon {
     last_tier: SupervisorTier,
     setpoint_watts: f64,
     // Scratch buffers (the period loop is allocation-light).
-    throughput_buf: Vec<f64>,
     device_power_buf: Vec<f64>,
     ejected_buf: Vec<bool>,
 }
@@ -282,7 +279,6 @@ impl Daemon {
             backend,
             layout,
             stack: None,
-            monitors: (0..n).map(|_| ThroughputMonitor::new(0.5)).collect(),
             journal: Journal::new(),
             writer,
             line_buf: String::new(),
@@ -297,7 +293,6 @@ impl Daemon {
             last_avg_watts: 0.0,
             last_tier: SupervisorTier::Primary,
             setpoint_watts,
-            throughput_buf: Vec::with_capacity(n),
             device_power_buf: vec![0.0; n],
             ejected_buf: vec![false; n],
         })
@@ -413,20 +408,11 @@ impl Daemon {
                 tracker.record(&self.applied, avg);
             }
         }
-        // -- observe throughput and per-device power ------------------
-        let caps = self.backend.capabilities();
-        let normalized: Vec<f64> = if caps.throughput {
-            self.backend.throughput_into(&mut self.throughput_buf)?;
-            for (m, t) in self.monitors.iter_mut().zip(self.throughput_buf.iter()) {
-                m.record(*t);
-            }
-            normalized_throughputs(&self.monitors)
-        } else {
-            // No throughput signal: neutral weights, every device is
-            // equally expensive to slow down.
-            vec![1.0; self.layout.len()]
-        };
-        if caps.per_device_power {
+        // -- observe per-device power ----------------------------------
+        // No backend reports throughput: neutral weights, every device
+        // is equally expensive to slow down.
+        let normalized = vec![1.0; self.layout.len()];
+        if self.backend.capabilities().per_device_power {
             self.backend
                 .per_device_power_into(&mut self.device_power_buf)?;
         } else {
@@ -640,7 +626,8 @@ impl Daemon {
     }
 
     /// Mutable backend access — the concrete-type escape hatch for
-    /// plant-side hooks (fault injection in tests and smoke runs).
+    /// plant-side hooks (fault injection in tests and the `obs`
+    /// scenario).
     pub fn backend_mut(&mut self) -> &mut dyn PowerBackend {
         self.backend.as_mut()
     }
@@ -761,8 +748,9 @@ impl Daemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capgpu_backend::MockBackend;
+    use capgpu_backend::SimBackend;
     use capgpu_faults::FaultKind;
+    use capgpu_sim::Server;
 
     // -- daemon over the sim backend ----------------------------------
 
@@ -852,28 +840,37 @@ mod tests {
         assert!(err.to_string().contains("identify"), "{err}");
     }
 
-    // -- the staleness-watchdog satellite: backend meter silence must
-    //    propagate through the trait into supervisor escalation -------
+    // -- faults injected into the simulated plant: what the backend
+    //    reports must reach the supervisor through the trait ---------
 
-    #[test]
-    fn mock_meter_dropout_escalates_the_supervisor_ladder() {
+    /// A 2-GPU sim daemon on a 2 s period with a short identification.
+    fn small_cfg() -> DaemonConfig {
         let mut cfg = DaemonConfig::default_sim();
-        cfg.backend = "mock".to_string();
         cfg.sim_gpus = 2;
         cfg.sysid_steps_per_device = 4;
         cfg.control_period_s = 2;
+        cfg
+    }
+
+    /// The simulated server behind the daemon, through the plant-side
+    /// escape hatch.
+    fn server(d: &mut Daemon) -> &mut Server {
+        d.backend_mut()
+            .as_any_mut()
+            .downcast_mut::<SimBackend>()
+            .expect("sim backend")
+            .server_mut()
+    }
+
+    #[test]
+    fn meter_dropout_escalates_the_supervisor_ladder() {
+        let cfg = small_cfg();
         let backend = cfg.build_backend().unwrap();
         let mut d = Daemon::new(cfg, backend).unwrap();
         d.identify().unwrap();
         let healthy = d.run_periods(3).unwrap();
         assert!(healthy.iter().all(|r| r.tier == SupervisorTier::Primary));
-        // Silence the meter through the plant-side escape hatch.
-        d.backend_mut()
-            .as_any_mut()
-            .downcast_mut::<MockBackend>()
-            .expect("mock backend")
-            .apply_fault(&FaultKind::MeterDropout)
-            .unwrap();
+        FaultKind::MeterDropout.apply(server(&mut d)).unwrap();
         let stale = d.run_periods(6).unwrap();
         let tiers: Vec<SupervisorTier> = stale.iter().map(|r| r.tier).collect();
         assert!(
@@ -895,12 +892,7 @@ mod tests {
             );
         }
         // Clearing the fault lets the ladder recover to primary.
-        d.backend_mut()
-            .as_any_mut()
-            .downcast_mut::<MockBackend>()
-            .unwrap()
-            .clear_fault(&FaultKind::MeterDropout)
-            .unwrap();
+        FaultKind::MeterDropout.clear(server(&mut d)).unwrap();
         let recovered = d.run_periods(14).unwrap();
         assert_eq!(
             recovered.last().unwrap().tier,
@@ -913,12 +905,8 @@ mod tests {
 
     #[test]
     fn readmitted_device_is_held_at_its_floor_while_quarantined() {
-        let mut cfg = DaemonConfig::default_sim();
-        cfg.backend = "mock".to_string();
-        cfg.sim_gpus = 2;
-        cfg.sysid_steps_per_device = 4;
-        cfg.control_period_s = 2;
-        // Far above what the mock can draw: every clock wants f_max.
+        let mut cfg = small_cfg();
+        // Far above what the testbed can draw: every clock wants f_max.
         cfg.setpoint_watts = 2000.0;
         let recovery = cfg.supervisor.recovery_periods;
         let backend = cfg.build_backend().unwrap();
@@ -926,15 +914,9 @@ mod tests {
         d.identify().unwrap();
         d.run_periods(3).unwrap();
         let fault = FaultKind::Ejected { device: 1 };
-        fn mock(d: &mut Daemon) -> &mut MockBackend {
-            d.backend_mut()
-                .as_any_mut()
-                .downcast_mut::<MockBackend>()
-                .expect("mock backend")
-        }
-        mock(&mut d).apply_fault(&fault).unwrap();
+        fault.apply(server(&mut d)).unwrap();
         d.run_periods(2).unwrap();
-        mock(&mut d).clear_fault(&fault).unwrap();
+        fault.clear(server(&mut d)).unwrap();
         let (f_min, f_max) = {
             let dev = &d.backend().devices()[1];
             (dev.f_min_mhz, dev.f_max_mhz)
@@ -955,31 +937,5 @@ mod tests {
         assert_eq!(edges.len(), 2, "{edges:?}");
         assert!(edges[0].contains("\"device\":1,\"on\":true"), "{edges:?}");
         assert!(edges[1].contains("\"device\":1,\"on\":false"), "{edges:?}");
-    }
-
-    #[test]
-    fn mock_journal_is_wall_clock_stamped_when_enabled() {
-        let mut cfg = DaemonConfig::default_sim();
-        cfg.backend = "mock".to_string();
-        cfg.sysid_steps_per_device = 4;
-        cfg.control_period_s = 2;
-        let mut backend = MockBackend::testbed(cfg.sim_gpus).unwrap();
-        backend.set_wall_clock_base(1_754_000_000_000);
-        let mut d = Daemon::new(cfg, Box::new(backend)).unwrap();
-        d.identify().unwrap();
-        d.run_periods(2).unwrap();
-        let stamps: Vec<Option<u64>> = d
-            .journal()
-            .events()
-            .iter()
-            .map(|e| e.wall_unix_ms)
-            .collect();
-        assert!(stamps.iter().all(Option::is_some));
-        // Stamps advance with the plant clock.
-        let v: Vec<u64> = stamps.into_iter().flatten().collect();
-        assert!(v.windows(2).all(|w| w[0] <= w[1]));
-        assert!(*v.last().unwrap() > 1_754_000_000_000);
-        // ...and render into the JSONL.
-        assert!(d.journal().to_jsonl().contains("\"wall_ms\":"));
     }
 }

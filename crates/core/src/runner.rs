@@ -635,9 +635,6 @@ impl ExperimentRunner {
                     } if *at_period == period => {
                         self.plant.set_arrival_rate(*task, *rate_img_s)?;
                     }
-                    ScheduledChange::MeterFault { at_period, fault } if *at_period == period => {
-                        self.backend.server_mut().set_meter_fault(*fault);
-                    }
                     ScheduledChange::GainDrift {
                         at_period,
                         device,

@@ -1039,7 +1039,7 @@ impl SweepSpec {
     /// accumulators [`SweepSpec::streaming`] produces — same fold code,
     /// same order, so
     /// `spec.summarize_report(&spec.run_serial()?)? == spec.streaming_serial()?`
-    /// holds exactly (used by the regression tests and the smoke bin).
+    /// holds exactly (used by the regression tests and `sweep_stream`).
     ///
     /// # Errors
     /// [`CapGpuError::BadConfig`] on a telemetry bucket-layout mismatch.

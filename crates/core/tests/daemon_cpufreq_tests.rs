@@ -174,6 +174,18 @@ fn daemon_holds_the_setpoint_on_a_cpufreq_fixture() {
     for i in 0..POLICIES {
         assert!(read_u64(&energy(&root, i)).unwrap() < START_UJ);
     }
+    // A live backend stamps every journal event with the wall clock, in
+    // order, and the stamp reaches the JSONL.
+    let stamps: Vec<Option<u64>> = d
+        .journal()
+        .events()
+        .iter()
+        .map(|e| e.wall_unix_ms)
+        .collect();
+    assert!(stamps.iter().all(Option::is_some), "{stamps:?}");
+    let stamps: Vec<u64> = stamps.into_iter().flatten().collect();
+    assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+    assert!(d.journal().to_jsonl().contains("\"wall_ms\":"));
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -8,6 +8,18 @@ fn runner(seed: u64, setpoint: f64) -> ExperimentRunner {
     ExperimentRunner::new(Scenario::paper_testbed(seed), setpoint).unwrap()
 }
 
+/// The server meter silent over `periods`.
+fn meter_dropout(periods: std::ops::Range<usize>) -> FaultSchedule {
+    FaultSchedule {
+        specs: vec![FaultSpec {
+            kind: FaultKind::MeterDropout,
+            onset_period: periods.start,
+            duration: Some(periods.len()),
+            intermittency: None,
+        }],
+    }
+}
+
 #[test]
 fn identification_reaches_paper_r2() {
     let mut r = runner(42, 900.0);
@@ -140,15 +152,7 @@ fn slo_floor_lifts_gpu_frequency() {
 
 #[test]
 fn meter_dropout_does_not_crash_the_loop() {
-    let scenario = Scenario::paper_testbed(15)
-        .with_change(ScheduledChange::MeterFault {
-            at_period: 20,
-            fault: Some(capgpu_sim::MeterFault::Dropout),
-        })
-        .with_change(ScheduledChange::MeterFault {
-            at_period: 25,
-            fault: None,
-        });
+    let scenario = Scenario::paper_testbed(15).with_faults(meter_dropout(20..25));
     let mut r = ExperimentRunner::new(scenario, 900.0).unwrap();
     let c = r.build_capgpu_controller().unwrap();
     let trace = r.run(c, 50).unwrap();
@@ -164,15 +168,7 @@ fn multi_period_dropout_flags_stale_and_holds_last_fresh_average() {
     // silently blended pre-dropout ring-buffer samples into a "fresh"
     // reading. Silent periods must instead hold the previous measurement
     // and be flagged stale.
-    let scenario = Scenario::paper_testbed(15)
-        .with_change(ScheduledChange::MeterFault {
-            at_period: 20,
-            fault: Some(capgpu_sim::MeterFault::Dropout),
-        })
-        .with_change(ScheduledChange::MeterFault {
-            at_period: 26,
-            fault: None,
-        });
+    let scenario = Scenario::paper_testbed(15).with_faults(meter_dropout(20..26));
     let mut r = ExperimentRunner::new(scenario, 900.0).unwrap();
     let c = r.build_capgpu_controller().unwrap();
     let trace = r.run(c, 40).unwrap();
@@ -308,14 +304,7 @@ fn journal_captures_scripted_escalation_in_order() {
     let scenario = Scenario::paper_testbed(15)
         .with_supervisor(SupervisorConfig::default())
         .with_telemetry(TelemetryConfig::deterministic())
-        .with_change(ScheduledChange::MeterFault {
-            at_period: 10,
-            fault: Some(capgpu_sim::MeterFault::Dropout),
-        })
-        .with_change(ScheduledChange::MeterFault {
-            at_period: 20,
-            fault: None,
-        });
+        .with_faults(meter_dropout(10..20));
     let mut r = ExperimentRunner::new(scenario, 900.0).unwrap();
     let c = r.build_capgpu_controller().unwrap();
     r.run(c, 45).unwrap();
