@@ -1,14 +1,15 @@
-//! Performance invariants: four checks on the control loop's hot paths
+//! Performance invariants: five checks on the control loop's hot paths
 //! that need no committed reference, because each compares two timings
 //! taken in the same run or bounds a nanosecond-scale primitive by a
 //! ceiling an order of magnitude above it.
 //!
-//! Two within-run ratio floors — the MPC's explicit-region hit at most a
-//! third of its cold solve, the supervisor at most 5% of one MPC control
-//! step — and two absolute ceilings: 50 ns per telemetry record, 500 ns
-//! per traced span pair. Every verdict is printed and the process exits
-//! nonzero iff one says FAIL. There is one mode, no input file and no
-//! environment knob; arguments are ignored.
+//! Three within-run ratio floors — the MPC's explicit-region hit at most
+//! a third of its cold solve, the supervisor at most 5% of one MPC
+//! control step, the journal's float renderer at most two thirds of
+//! std's `{}` on the same values — and two absolute ceilings: 50 ns per
+//! telemetry record, 500 ns per traced span pair. Every verdict is
+//! printed and the process exits nonzero iff one says FAIL. There is one
+//! mode, no input file and no environment knob; arguments are ignored.
 //!
 //! Host-time figures (what a solve, a tick or a period costs on this
 //! machine, and whether that moved) are the repo benchmark's job: see
@@ -236,8 +237,48 @@ fn span_enter_exit_ns() -> f64 {
     })
 }
 
+/// Per-value float render times `(journal, std)` in ns: the journal's
+/// `push_json_f64` against `{}` on daemon-like values — clock targets
+/// between 500 and 2000 MHz carrying 16–17 significant digits, as an
+/// MPC solve leaves them — rendered into one reused buffer.
+fn float_render_ns() -> (f64, f64) {
+    use capgpu_telemetry::journal::push_json_f64;
+    use std::fmt::Write as _;
+    const VALUES: usize = 4_096;
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let values: Vec<f64> = (0..VALUES)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            500.0 + 1500.0 * (state >> 11) as f64 / (1u64 << 53) as f64
+        })
+        .collect();
+    let mut out = String::with_capacity(24 * VALUES);
+    // Alternating, as in `mpc_solve_ns`.
+    let (mut journal, mut std) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        journal = journal.min(best_ns_per_call(3, VALUES, || {
+            out.clear();
+            for &v in &values {
+                push_json_f64(&mut out, v);
+            }
+            std::hint::black_box(&out);
+        }));
+        std = std.min(best_ns_per_call(3, VALUES, || {
+            out.clear();
+            for &v in &values {
+                let _ = write!(out, "{v}");
+            }
+            std::hint::black_box(&out);
+        }));
+    }
+    (journal, std)
+}
+
 fn main() -> ExitCode {
     let (mpc_cold, mpc_warm) = mpc_solve_ns();
+    let (render_journal, render_std) = float_render_ns();
     let control_ns = control_step_ns();
     let checks = [
         ("mpc region hit vs cold / 3", mpc_warm, mpc_cold / 3.0),
@@ -245,6 +286,11 @@ fn main() -> ExitCode {
             "supervisor vs 5% of control step",
             supervisor_overhead_ns(),
             0.05 * control_ns,
+        ),
+        (
+            "journal float render vs std {} / 1.5",
+            render_journal,
+            render_std / 1.5,
         ),
         (
             "telemetry record",

@@ -145,7 +145,8 @@ pub struct Daemon {
     stack: Option<Box<ControlStack>>,
     journal: Journal,
     /// Rotating durable journal (crash-recovery replay source), when
-    /// `journal_dir` is configured.
+    /// `journal_dir` is configured. Each public call that records
+    /// commits its records before returning.
     writer: Option<JournalWriter>,
     /// The line `record` renders each event into for `writer`.
     line_buf: String,
@@ -165,6 +166,9 @@ pub struct Daemon {
     last_tier: SupervisorTier,
     setpoint_watts: f64,
     // Scratch buffers (the period loop is allocation-light).
+    /// Per-device throughput weights: no backend reports throughput, so
+    /// every device is equally expensive to slow down.
+    neutral_throughput: Vec<f64>,
     device_power_buf: Vec<f64>,
     ejected_buf: Vec<bool>,
 }
@@ -293,6 +297,7 @@ impl Daemon {
             last_avg_watts: 0.0,
             last_tier: SupervisorTier::Primary,
             setpoint_watts,
+            neutral_throughput: vec![1.0; n],
             device_power_buf: vec![0.0; n],
             ejected_buf: vec![false; n],
         })
@@ -304,19 +309,30 @@ impl Daemon {
         Event::new(self.period, self.sim_time_s, kind).wall_ms(self.backend.wall_clock_unix_ms())
     }
 
-    /// Journals an event: always in memory, and appended (flushed) to
-    /// the rotating durable journal when one is configured. Disk
-    /// failures are counted, not fatal — losing a journal line must
-    /// never stop actuation.
+    /// Journals an event: always in memory, and staged for the rotating
+    /// durable journal when one is configured; the public call that
+    /// records it commits it ([`Daemon::commit_journal`]) before
+    /// returning. Disk failures are counted, not fatal — losing a
+    /// journal line must never stop actuation.
     fn record(&mut self, event: Event) {
         if let Some(w) = self.writer.as_mut() {
             self.line_buf.clear();
             event.write_json(&mut self.line_buf);
-            if w.append(&self.line_buf, event.sim_time_s).is_err() {
+            if w.stage(&self.line_buf, event.sim_time_s).is_err() {
                 self.registry.inc(self.metrics.journal_errors, 1);
             }
         }
         self.journal.push(event);
+    }
+
+    /// Hands the records staged since the last commit to the OS in one
+    /// `write`, counting a failure like a failed record.
+    fn commit_journal(&mut self) {
+        if let Some(w) = self.writer.as_mut() {
+            if w.commit().is_err() {
+                self.registry.inc(self.metrics.journal_errors, 1);
+            }
+        }
     }
 
     /// Runs the excitation-plan identification sweep through the
@@ -369,6 +385,7 @@ impl Daemon {
                 .f64("offset_w", model.offset())
                 .f64("r_squared", sweep.fitted.r_squared),
         );
+        self.commit_journal();
         Ok(())
     }
 
@@ -384,6 +401,7 @@ impl Daemon {
         };
         let report = self.step_with(&mut stack);
         self.stack = Some(stack);
+        self.commit_journal();
         report
     }
 
@@ -409,9 +427,6 @@ impl Daemon {
             }
         }
         // -- observe per-device power ----------------------------------
-        // No backend reports throughput: neutral weights, every device
-        // is equally expensive to slow down.
-        let normalized = vec![1.0; self.layout.len()];
         if self.backend.capabilities().per_device_power {
             self.backend
                 .per_device_power_into(&mut self.device_power_buf)?;
@@ -435,7 +450,7 @@ impl Daemon {
             measured_power: avg,
             setpoint: self.setpoint_watts,
             current_targets: &self.targets,
-            normalized_throughput: &normalized,
+            normalized_throughput: &self.neutral_throughput,
             device_power: &self.device_power_buf,
             floors: &self.layout.f_min,
             phase_mix: None,
@@ -592,6 +607,7 @@ impl Daemon {
                 .f64("from_w", old)
                 .f64("to_w", watts),
         );
+        self.commit_journal();
     }
 
     /// Current operator set-point (W).
@@ -706,6 +722,7 @@ impl Daemon {
                 .u64("tier", u64::from(tier.as_u8()))
                 .u64("records", replayed),
         );
+        self.commit_journal();
         Ok(())
     }
 

@@ -11,8 +11,9 @@ use std::path::{Path, PathBuf};
 use capgpu::daemon::{ConfigWatcher, Daemon, DaemonConfig, MetricsServer, PeriodReport};
 use capgpu::prelude::{FaultKind, SupervisorTier};
 use capgpu_backend::SimBackend;
-use capgpu_obs::reader::read_dir;
+use capgpu_obs::reader::{parse_record, read_dir};
 use capgpu_obs::replay::ReplayState;
+use capgpu_obs::rotate::{list_segments, JournalWriter};
 use capgpu_sim::Server;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -230,11 +231,79 @@ fn torn_final_record_is_tolerated_on_recovery() {
     let after = ReplayState::replay(&scan.records);
     assert_eq!(after, before, "torn tail must not change replayed state");
 
-    // And a daemon still recovers over it.
+    // And a daemon still recovers over it — and again once that daemon
+    // has died in turn, when the torn segment is no longer the last one.
     let mut d2 = Daemon::new(sim_cfg(Some(dir.clone())), backend).unwrap();
     d2.recover(&after).unwrap();
     d2.run_periods(2).unwrap();
+    let backend = d2.into_backend();
+    let scan = read_dir(&dir).unwrap();
+    let torn: Vec<bool> = scan.segments.iter().map(|s| s.torn).collect();
+    assert_eq!(torn.iter().filter(|&&t| t).count(), 1, "{torn:?}");
+    assert!(!torn.last().unwrap(), "{torn:?}");
+    let state = ReplayState::replay(&scan.records);
+    assert_eq!(state.last_period, Some(6));
+    let mut d3 = Daemon::new(sim_cfg(Some(dir.clone())), backend).unwrap();
+    d3.recover(&state).unwrap();
+    assert_eq!(d3.step_period().unwrap().period, 7);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The segment bytes of `dir`, by index.
+fn segment_bytes(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+    list_segments(dir)
+        .unwrap()
+        .into_iter()
+        .map(|(index, path)| (index, std::fs::read(path).unwrap()))
+        .collect()
+}
+
+/// Every public call that journals commits its records before it
+/// returns: after each one the journal on disk ends with the call's
+/// last record, untorn. Batching them into one write per call moves no
+/// byte: with segments small enough to seal, reap and age out in the
+/// middle of a call, the directory is what one `append` per record
+/// writes.
+#[test]
+fn each_call_commits_its_records_before_returning() {
+    let (dir, by_append) = (temp_dir("commit"), temp_dir("commit-append"));
+    let cfg = DaemonConfig {
+        journal_max_segment_kib: 1,
+        journal_max_segment_age_s: 15.0,
+        journal_retain_segments: 3,
+        ..sim_cfg(Some(dir.clone()))
+    };
+    let mut d = daemon(cfg.clone());
+    let on_disk = |d: &Daemon| {
+        let scan = read_dir(&dir).unwrap();
+        assert_eq!(scan.torn_tail, None);
+        let last = d.journal().events().last().unwrap().to_json();
+        assert_eq!(
+            scan.records.last(),
+            Some(&parse_record(&last, "<t>", 1).unwrap())
+        );
+    };
+    d.identify().unwrap();
+    on_disk(&d);
+    for period in 0..30 {
+        if period == 12 {
+            d.set_setpoint(800.0);
+            on_disk(&d);
+        }
+        d.step_period().unwrap();
+        on_disk(&d);
+    }
+    let (_, sealed, reaped) = d.journal_stats();
+    assert!(sealed > 3 && reaped > 0, "sealed {sealed}, reaped {reaped}");
+
+    let mut w = JournalWriter::create(&by_append, cfg.rotation_config()).unwrap();
+    for e in d.journal().events() {
+        w.append(&e.to_json(), e.sim_time_s).unwrap();
+    }
+    assert_eq!(w.stats(), d.journal_stats());
+    assert!(segment_bytes(&dir) == segment_bytes(&by_append));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&by_append);
 }
 
 /// `/healthz` serves the analyzer verdict JSON alongside `/metrics`.

@@ -1,6 +1,6 @@
 //! Journal reading: parse JSONL records, verify sealed segments,
-//! tolerate a torn tail in the active segment, and refuse schema
-//! versions this reader does not understand.
+//! tolerate a torn tail in each unsealed (active or crashed) segment,
+//! and refuse schema versions this reader does not understand.
 //!
 //! A line is walked once (the crate's `json` module): the same pass that
 //! validates it as flat JSON fills the record's header and a compact
@@ -139,9 +139,10 @@ pub struct JournalScan {
     pub records: Vec<Record>,
     /// Per-segment metadata, in index order.
     pub segments: Vec<SegmentInfo>,
-    /// The torn final record of the active segment, when one was
-    /// dropped (raw text, for diagnostics; bytes that are not UTF-8 —
-    /// a crash inside a multi-byte character — shown as U+FFFD).
+    /// The torn final record of the latest segment that ended in one,
+    /// when one was dropped (raw text, for diagnostics; bytes that are
+    /// not UTF-8 — a crash inside a multi-byte character — shown as
+    /// U+FFFD). [`SegmentInfo::torn`] says which segments had one.
     pub torn_tail: Option<String>,
 }
 
@@ -232,12 +233,14 @@ pub struct SegmentScan {
 }
 
 /// Parses one segment's bytes, appending its records to `records`.
-/// `tolerate_torn_tail` is set for the active (unsealed, possibly
-/// crashed) segment: a final record that is incomplete — no trailing
-/// newline, bytes that are not UTF-8 (the crash landed inside a
-/// multi-byte character), or a clean JSON parse failure on the *last*
-/// line only — is dropped and reported instead of failing the scan.
-/// Mid-file corruption is always an error.
+/// With `tolerate_torn_tail` set, a segment that does not end in its
+/// seal footer (an active or crashed one) may end in a torn record: a
+/// final record that is incomplete — no trailing newline, bytes that are
+/// not UTF-8 (the crash landed inside a multi-byte character), or a
+/// clean JSON parse failure on the *last* line only — is dropped and
+/// reported instead of failing the scan.
+/// Mid-file corruption, and anything after a seal footer, is always an
+/// error.
 ///
 /// # Errors
 /// [`ObsError::Corrupt`] / [`ObsError::SchemaVersion`] as for
@@ -305,8 +308,11 @@ pub fn parse_segment(
 }
 
 /// Scans a journal directory: every segment in index order, seals
-/// verified (record count + CRC-32 over the record bytes), the final
-/// segment's torn tail tolerated.
+/// verified (record count + CRC-32 over the record bytes), and a torn
+/// final record tolerated in every unsealed segment. A restarted writer
+/// never appends to the segment a crash left behind, so each crash
+/// leaves at most one torn record, at the end of its own segment;
+/// sealed segments stay strict.
 ///
 /// # Errors
 /// [`ObsError::Io`] on filesystem failure, [`ObsError::SealMismatch`]
@@ -314,18 +320,12 @@ pub fn parse_segment(
 /// [`ObsError::Corrupt`] / [`ObsError::SchemaVersion`] on bad records.
 pub fn read_dir(dir: &Path) -> Result<JournalScan> {
     let mut scan = JournalScan::default();
-    let segments = list_segments(dir)?;
-    let last = segments.len().saturating_sub(1);
-    for (pos, (index, path)) in segments.iter().enumerate() {
+    for (index, path) in &list_segments(dir)? {
         // Bytes, not `read_to_string`: a crash can tear the tail inside
         // a multi-byte character, and that must not fail the scan.
         let bytes = std::fs::read(path)?;
         let source = path.display().to_string();
-        // Only the final segment may legitimately be unsealed/torn; an
-        // earlier unsealed segment means a lost seal, which the CRC
-        // check below reports as a mismatch (no seal to verify), so we
-        // surface it as ordinary records with `sealed: false`.
-        let seg = parse_segment(&bytes, &source, pos == last, &mut scan.records)?;
+        let seg = parse_segment(&bytes, &source, true, &mut scan.records)?;
         let mut sealed = false;
         if let Some((n, crc)) = seg.seal {
             if n != seg.records as u64 {
@@ -663,13 +663,14 @@ mod tests {
         let mut records = Vec::new();
         let seg = parse_segment(&torn, "<t>", true, &mut records).unwrap();
         assert_eq!((seg.records, seg.torn_tail.is_some()), (1, true));
-        // Not the last line of the last segment: corruption, located.
-        torn.extend_from_slice(line(2).as_bytes());
-        torn.push(b'\n');
-        std::fs::write(dir.join(segment_file_name(0)), &torn).unwrap();
-        for segment in [0, 1] {
-            // (With a later segment present, even the last line of
-            // segment 0 is mid-journal.)
+        // Followed by a record, or by a seal footer: corruption, located.
+        let tail = torn.len();
+        let footer = "{\"v\":1,\"kind\":\"segment_seal\",\"segment\":0,\"records\":1,\"crc32\":0}";
+        for next in [line(2).as_str(), footer] {
+            torn.truncate(tail);
+            torn.extend_from_slice(next.as_bytes());
+            torn.push(b'\n');
+            std::fs::write(dir.join(segment_file_name(0)), &torn).unwrap();
             let err = read_dir(&dir).unwrap_err();
             match &err {
                 ObsError::Corrupt {
@@ -683,12 +684,15 @@ mod tests {
                 }
                 other => panic!("wrong error {other:?}"),
             }
-            if segment == 0 {
-                torn.truncate(torn.len() - line(2).len() - 1);
-                std::fs::write(dir.join(segment_file_name(0)), &torn).unwrap();
-                std::fs::write(dir.join(segment_file_name(1)), format!("{}\n", line(2))).unwrap();
-            }
         }
+        // The final line of an unsealed segment is a torn tail even
+        // with a later segment present: a restart opened that one.
+        torn.truncate(tail);
+        std::fs::write(dir.join(segment_file_name(0)), &torn).unwrap();
+        std::fs::write(dir.join(segment_file_name(1)), format!("{}\n", line(2))).unwrap();
+        let scan = read_dir(&dir).unwrap();
+        assert_eq!(scan.records.len(), 2);
+        assert!(scan.segments[0].torn && !scan.segments[1].torn);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

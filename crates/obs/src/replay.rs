@@ -14,6 +14,8 @@
 
 use std::fmt::Write as _;
 
+use capgpu_telemetry::journal::push_json_f64;
+
 use crate::reader::Record;
 
 /// Control state re-derived from a journal.
@@ -186,19 +188,21 @@ fn push_targets(s: &str, out: &mut Vec<f64>) -> bool {
     true
 }
 
-/// Renders targets in the journal's comma-joined format (shortest
-/// round-trip per element, matching `Event::to_json` float rendering).
+/// Renders targets in the journal's comma-joined format: each finite
+/// element as `Event::to_json` renders a float (shortest round trip,
+/// [`push_json_f64`]); a non-finite one, which no valid target is, as
+/// `NaN`/`inf`/`-inf`.
 pub fn format_targets(targets: &[f64]) -> String {
     let mut out = String::new();
     for (i, t) in targets.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = if t.fract() == 0.0 && t.abs() < 1e15 {
-            write!(out, "{}", *t as i64)
+        if t.is_finite() {
+            push_json_f64(&mut out, *t);
         } else {
-            write!(out, "{t}")
-        };
+            let _ = write!(out, "{t}");
+        }
     }
     out
 }

@@ -16,9 +16,16 @@
 //! On roll the segment is *sealed*: a footer line
 //! `{"v":1,"kind":"segment_seal","segment":N,"records":R,"crc32":C}`
 //! is appended, where `C` is the CRC-32 of every preceding record byte
-//! (newlines included). The reader verifies seals; the one segment
-//! without a seal is the active (or crashed) one, whose final record is
+//! (newlines included). The reader verifies seals; a segment without a
+//! seal is the active one or a crashed one, and its final record is
 //! allowed to be torn.
+//!
+//! Durability contract: records are *staged* in memory and handed to
+//! the OS by [`JournalWriter::commit`], all of them in one `write(2)`;
+//! a commit that returns `Ok` has delivered every record staged before
+//! it. Nothing calls `fsync`. A crash therefore leaves each segment a
+//! byte prefix of what was committed to it — at most one torn final
+//! record, never a gap — and loses what was staged but not committed.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -119,33 +126,35 @@ pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 
 /// Rotating JSONL journal writer.
 ///
-/// Appends pre-rendered record lines (`Event::write_json` output) to
+/// Stages pre-rendered record lines (`Event::write_json` output) for
 /// the active segment, sealing and rolling per [`RotationConfig`]. Each
-/// append hands its record to the OS — line and newline in one
-/// `write`, nothing held back for the next record — so a crash loses at
-/// most the record being written: the torn-tail case the reader
-/// explicitly tolerates.
+/// commit hands every staged record to the OS in one `write`, nothing
+/// held back; a crash loses at most what was staged since the last
+/// commit and tears at most the final record written, which the reader
+/// tolerates. Records staged but not committed when the writer is
+/// dropped are lost, as in a crash.
 #[derive(Debug)]
 pub struct JournalWriter {
     dir: PathBuf,
     cfg: RotationConfig,
     /// Index of the active segment.
     index: u64,
+    /// The active segment's file, opened by its first write.
     file: Option<File>,
     seg_bytes: u64,
     seg_records: u64,
     /// Running CRC state over the active segment's record bytes.
     seg_crc: u32,
     seg_first_t_s: Option<f64>,
-    /// Total records appended over the writer's lifetime.
+    /// Total records staged over the writer's lifetime.
     appended: u64,
     /// Segments sealed over the writer's lifetime.
     sealed: u64,
     /// Segments deleted by the reaper over the writer's lifetime.
     reaped: u64,
-    /// Staging for one record (`line + '\n'`), so that it reaches the
-    /// file in a single write. Never holds a record across appends.
-    buf: Vec<u8>,
+    /// Bytes staged for the active segment (`line + '\n'` per record,
+    /// then its footer when it rolls), written and cleared together.
+    staged: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -175,7 +184,7 @@ impl JournalWriter {
             appended: 0,
             sealed: 0,
             reaped: 0,
-            buf: Vec::new(),
+            staged: Vec::new(),
         })
     }
 
@@ -196,70 +205,102 @@ impl JournalWriter {
     }
 
     /// Appends one record line (no trailing newline) stamped at record
-    /// clock `t_s`, rolling the segment afterwards if the policy says
-    /// so.
+    /// clock `t_s` and commits it: [`JournalWriter::stage`] then
+    /// [`JournalWriter::commit`], one record per `write`.
     ///
     /// # Errors
     /// [`ObsError::Io`] on filesystem failure.
     pub fn append(&mut self, line: &str, t_s: f64) -> Result<()> {
-        if self.file.is_none() {
-            let path = self.dir.join(segment_file_name(self.index));
-            let file = OpenOptions::new()
-                .create_new(true)
-                .write(true)
-                .open(&path)?;
-            self.file = Some(file);
-            self.seg_bytes = 0;
-            self.seg_records = 0;
-            self.seg_crc = 0xFFFF_FFFF;
-            self.seg_first_t_s = None;
-        }
-        let file = self.file.as_mut().expect("opened above");
-        self.buf.clear();
-        self.buf.extend_from_slice(line.as_bytes());
-        self.buf.push(b'\n');
-        file.write_all(&self.buf)?;
-        file.flush()?;
-        self.seg_crc = crc32_update(self.seg_crc, &self.buf);
-        self.seg_bytes += self.buf.len() as u64;
+        self.stage(line, t_s)?;
+        self.commit()
+    }
+
+    /// Stages one record line (no trailing newline) stamped at record
+    /// clock `t_s`, rolling the segment afterwards if the policy says
+    /// so. The record's CRC, counters and roll decision are all taken
+    /// here, and a roll writes the segment's staged records and then its
+    /// footer, so where commits fall changes no byte on disk.
+    ///
+    /// # Errors
+    /// [`ObsError::Io`] when a roll's write or the reaper fails.
+    pub fn stage(&mut self, line: &str, t_s: f64) -> Result<()> {
+        let start = self.staged.len();
+        self.staged.extend_from_slice(line.as_bytes());
+        self.staged.push(b'\n');
+        self.seg_crc = crc32_update(self.seg_crc, &self.staged[start..]);
+        self.seg_bytes += (self.staged.len() - start) as u64;
         self.seg_records += 1;
-        self.seg_first_t_s.get_or_insert(t_s);
+        let t0 = *self.seg_first_t_s.get_or_insert(t_s);
         self.appended += 1;
-        let aged = self
-            .seg_first_t_s
-            .is_some_and(|t0| t_s - t0 >= self.cfg.max_segment_age_s);
-        if self.seg_bytes >= self.cfg.max_segment_bytes || aged {
+        if self.seg_bytes >= self.cfg.max_segment_bytes || t_s - t0 >= self.cfg.max_segment_age_s {
             self.seal()?;
         }
         Ok(())
     }
 
-    /// Seals the active segment (writes the CRC footer) and advances
-    /// the segment index; the next append opens a fresh segment. A
-    /// no-op when the active segment holds no records. Call on graceful
-    /// shutdown — a crash simply leaves the segment unsealed.
+    /// Hands every staged record to the OS in one `write`. A no-op when
+    /// nothing is staged.
+    ///
+    /// # Errors
+    /// [`ObsError::Io`] on filesystem failure. The staged records are
+    /// then lost and the segment, which may end in a torn record, is
+    /// left unsealed: the next record opens a new one.
+    pub fn commit(&mut self) -> Result<()> {
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let written = match self.file.as_mut() {
+            Some(file) => file.write_all(&self.staged),
+            None => OpenOptions::new()
+                .create_new(true)
+                .write(true)
+                .open(self.dir.join(segment_file_name(self.index)))
+                .and_then(|file| self.file.insert(file).write_all(&self.staged)),
+        };
+        self.staged.clear();
+        if let Err(e) = written {
+            self.next_segment();
+            return Err(e.into());
+        }
+        Ok(())
+    }
+
+    /// Seals the active segment — commits what is staged, followed by
+    /// the CRC footer — and advances the segment index; the next record
+    /// opens a fresh segment. A no-op when the active segment holds no
+    /// records. Call on graceful shutdown — a crash simply leaves the
+    /// segment unsealed.
     ///
     /// # Errors
     /// [`ObsError::Io`] on filesystem failure.
     pub fn seal(&mut self) -> Result<()> {
-        let Some(mut file) = self.file.take() else {
+        if self.seg_records == 0 {
             return Ok(());
-        };
+        }
         let crc = self.seg_crc ^ 0xFFFF_FFFF;
-        let footer = format!(
-            "{{\"v\":{},\"kind\":\"segment_seal\",\"segment\":{},\"records\":{},\"crc32\":{}}}\n",
+        writeln!(
+            self.staged,
+            "{{\"v\":{},\"kind\":\"segment_seal\",\"segment\":{},\"records\":{},\"crc32\":{}}}",
             capgpu_telemetry::journal::SCHEMA_VERSION,
             self.index,
             self.seg_records,
             crc
-        );
-        file.write_all(footer.as_bytes())?;
-        file.flush()?;
-        drop(file);
+        )?;
+        self.commit()?;
+        self.next_segment();
         self.sealed += 1;
+        self.reap()
+    }
+
+    /// Closes the active segment, sealed or not, and resets the
+    /// per-segment state for the next one.
+    fn next_segment(&mut self) {
+        self.file = None;
         self.index += 1;
-        self.reap()?;
-        Ok(())
+        self.seg_bytes = 0;
+        self.seg_records = 0;
+        self.seg_crc = 0xFFFF_FFFF;
+        self.seg_first_t_s = None;
     }
 
     /// Deletes the oldest segments beyond the retention bound. The
@@ -364,6 +405,27 @@ mod tests {
             w.append(&record(i), 4.0 * i as f64).unwrap();
         }
         assert!(w.segment_index() >= 2, "age trigger never fired");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_commit_leaves_its_segment_and_writing_moves_on() {
+        let dir = tmpdir("fail");
+        let mut w = JournalWriter::create(&dir, RotationConfig::default()).unwrap();
+        // A directory where segment 0 would go: opening it fails.
+        let blocked = dir.join(segment_file_name(0));
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(w.append(&record(0), 0.0).is_err());
+        w.append(&record(1), 4.0).unwrap();
+        w.append(&record(2), 8.0).unwrap();
+        std::fs::remove_dir(&blocked).unwrap();
+        let text = std::fs::read_to_string(dir.join(segment_file_name(1))).unwrap();
+        assert_eq!(text, format!("{}\n{}\n", record(1), record(2)));
+        // The seal counts only what reached the new segment.
+        w.seal().unwrap();
+        let scan = crate::reader::read_dir(&dir).unwrap();
+        assert_eq!(scan.records.len(), 2);
+        assert!(scan.segments[0].sealed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,11 +1,32 @@
-//! Property tests for the journal reader and crash-recovery replay:
-//! truncating a journal at *any* byte offset — the torn-write model of
-//! a crash mid-flush — must still parse every complete record cleanly
-//! and replay a state identical to folding those records directly.
+//! Property tests for the journal writer, reader and crash-recovery
+//! replay: truncating a journal at *any* byte offset — the torn-write
+//! model of a crash mid-flush — must still parse every complete record
+//! cleanly and replay a state identical to folding those records
+//! directly, and staging records in batches must write the same bytes
+//! as appending them one by one.
 
-use capgpu_obs::reader::{parse_jsonl, parse_segment};
+use std::path::{Path, PathBuf};
+
+use capgpu_obs::reader::{parse_jsonl, parse_segment, read_dir};
 use capgpu_obs::replay::{format_targets, parse_targets, ReplayState};
+use capgpu_obs::rotate::{list_segments, segment_file_name, JournalWriter, RotationConfig};
 use proptest::prelude::*;
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("capgpu-obs-proptests-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The segment bytes of `dir`, by index.
+fn segment_bytes(dir: &Path) -> Vec<(u64, Vec<u8>)> {
+    list_segments(dir)
+        .unwrap()
+        .into_iter()
+        .map(|(index, path)| (index, std::fs::read(path).unwrap()))
+        .collect()
+}
 
 /// Renders a deterministic journal with `n` records drawn from the
 /// daemon's event vocabulary, parameterized by small integers so the
@@ -64,8 +85,88 @@ fn journal_text(n: usize, salt: u64) -> String {
     out
 }
 
+/// The lines of [`journal_text`] with their record clocks.
+fn journal_records(n: usize, salt: u64) -> Vec<(String, f64)> {
+    journal_text(n, salt)
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (line.to_string(), 4.0 * i as f64))
+        .collect()
+}
+
+/// One commit of several records, torn at every byte offset: the reader
+/// returns exactly the records written whole plus at most one torn
+/// tail, and replays the state of that prefix.
+#[test]
+fn a_multi_record_commit_torn_at_every_byte_replays_its_prefix() {
+    let dir = tmpdir("tear");
+    let mut w = JournalWriter::create(&dir, RotationConfig::default()).unwrap();
+    for (line, t_s) in journal_records(7, 1) {
+        w.stage(&line, t_s).unwrap();
+    }
+    w.commit().unwrap();
+    drop(w);
+    let path = dir.join(segment_file_name(0));
+    let full = std::fs::read(&path).unwrap();
+    let all = read_dir(&dir).unwrap().records;
+    assert_eq!(all.len(), 7);
+    for cut in 0..=full.len() {
+        std::fs::write(&path, &full[..cut]).unwrap();
+        let scan = read_dir(&dir).unwrap();
+        let complete = full[..cut].iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(scan.records, all[..complete], "cut at {cut}");
+        let mid_line = cut > 0 && full[cut - 1] != b'\n';
+        assert_eq!(scan.torn_tail.is_some(), mid_line, "cut at {cut}");
+        assert_eq!(
+            ReplayState::replay(&scan.records),
+            ReplayState::replay(&all[..complete])
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Staging a record stream and committing it at arbitrary batch
+    /// boundaries writes the directory that appending it one record at a
+    /// time writes, byte for byte — with segments small and short-lived
+    /// enough that seals, age rolls and reaps land inside batches.
+    #[test]
+    fn staged_batches_write_what_appends_write(
+        n in 1usize..60,
+        salt in 0u64..1000,
+        max_segment_bytes in 100u64..600,
+        max_segment_age_s in 8.0f64..80.0,
+        retain_segments in 2usize..5,
+        batches in prop::collection::vec(1usize..8, 1..20),
+    ) {
+        let cfg = RotationConfig { max_segment_bytes, max_segment_age_s, retain_segments };
+        let records = journal_records(n, salt);
+        let (one_by_one, batched) = (tmpdir("append"), tmpdir("staged"));
+        let mut a = JournalWriter::create(&one_by_one, cfg).unwrap();
+        for (line, t_s) in &records {
+            a.append(line, *t_s).unwrap();
+        }
+        let mut b = JournalWriter::create(&batched, cfg).unwrap();
+        let mut sizes = batches.iter().cycle();
+        let mut rest = &records[..];
+        while !rest.is_empty() {
+            let (batch, tail) = rest.split_at((*sizes.next().unwrap()).min(rest.len()));
+            for (line, t_s) in batch {
+                b.stage(line, *t_s).unwrap();
+            }
+            b.commit().unwrap();
+            rest = tail;
+        }
+        prop_assert_eq!(a.stats(), b.stats());
+        prop_assert!(segment_bytes(&one_by_one) == segment_bytes(&batched));
+        a.seal().unwrap();
+        b.seal().unwrap();
+        prop_assert!(segment_bytes(&one_by_one) == segment_bytes(&batched));
+        let _ = std::fs::remove_dir_all(&one_by_one);
+        let _ = std::fs::remove_dir_all(&batched);
+    }
 
     /// Truncating the journal at any byte offset still yields a clean
     /// parse of every record that was completely written, plus at most

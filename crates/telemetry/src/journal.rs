@@ -117,31 +117,32 @@ impl Event {
 
     /// Appends what [`Event::to_json`] returns to `out`, allocating
     /// nothing beyond `out`'s own growth: a caller that renders many
-    /// events reuses one buffer.
+    /// events reuses one buffer. Literals are pushed whole and integers
+    /// rendered by a digit loop; no `core::fmt` machinery runs on the
+    /// common path.
     pub fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"v\":{},\"period\":{},\"t_s\":",
-            SCHEMA_VERSION, self.period
-        );
+        out.push_str("{\"v\":");
+        push_u64(out, u64::from(SCHEMA_VERSION));
+        out.push_str(",\"period\":");
+        push_u64(out, self.period);
+        out.push_str(",\"t_s\":");
         push_json_f64(out, self.sim_time_s);
-        let _ = write!(out, ",\"kind\":\"{}\"", self.kind);
+        out.push_str(",\"kind\":\"");
+        out.push_str(self.kind);
+        out.push('"');
         if let Some(ms) = self.wall_unix_ms {
-            let _ = write!(out, ",\"wall_ms\":{ms}");
+            out.push_str(",\"wall_ms\":");
+            push_u64(out, ms);
         }
         for (k, v) in &self.fields {
-            let _ = write!(out, ",\"{k}\":");
+            out.push_str(",\"");
+            out.push_str(k);
+            out.push_str("\":");
             match v {
-                Value::U64(x) => {
-                    let _ = write!(out, "{x}");
-                }
-                Value::I64(x) => {
-                    let _ = write!(out, "{x}");
-                }
+                Value::U64(x) => push_u64(out, *x),
+                Value::I64(x) => push_i64(out, *x),
                 Value::F64(x) => push_json_f64(out, *x),
-                Value::Bool(x) => {
-                    let _ = write!(out, "{x}");
-                }
+                Value::Bool(x) => out.push_str(if *x { "true" } else { "false" }),
                 Value::Str(s) => {
                     out.push('"');
                     push_json_escaped(out, s);
@@ -203,18 +204,202 @@ impl Journal {
     }
 }
 
-/// JSON-compatible float rendering: integral values stay integral
-/// (JSON has no distinct int type, so `48` parses fine as a number),
-/// non-finite values — which valid events never carry — degrade to
-/// `null`.
-fn push_json_f64(out: &mut String, v: f64) {
+/// JSON-compatible float rendering, the journal's one float spelling:
+/// the digits of Rust's `{}` (shortest round trip, no exponent), except
+/// that `-0.0` is `0` and non-finite values — which valid events never
+/// carry — degrade to `null`.
+///
+/// Integral values below 10^15 are rendered as integers. A normal value
+/// below 2^54 whose multiplier `5^i` fits a `u128` (`i <= 55`, which
+/// holds down to about 1e-38) takes a Ryu-style shortest-digit path with
+/// exact 192-bit products; everything else falls back to `{}`. Like std,
+/// and unlike Ryu, a tie between two shortest candidates rounds half
+/// *up*.
+pub fn push_json_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
-    } else if v.fract() == 0.0 && v.abs() < 1e15 {
-        let _ = write!(out, "{}", v as i64);
-    } else {
-        let _ = write!(out, "{v}");
+        return;
     }
+    let int = v as i64;
+    if v.abs() < 1e15 && int as f64 == v {
+        push_i64(out, int);
+        return;
+    }
+    match shortest(v.abs().to_bits()) {
+        Some((digits, exp10)) => push_decimal(out, v < 0.0, digits, exp10),
+        None => {
+            let _ = write!(out, "{v}");
+        }
+    }
+}
+
+/// `5^i` for every `i` whose power fits a `u128`: the only table the
+/// shortest-digit path uses.
+const POW5: [u128; 56] = {
+    let mut t = [1u128; 56];
+    let mut i = 1;
+    while i < t.len() {
+        t[i] = t[i - 1] * 5;
+        i += 1;
+    }
+    t
+};
+
+/// `floor(log10(5^e))`, exact for `e <= 2620`.
+fn log10_pow5(e: u32) -> u32 {
+    (e * 732_923) >> 20
+}
+
+/// `floor(m * p / 2^q)`, with the product formed exactly in 192 bits.
+/// The caller guarantees the quotient fits a `u64`.
+fn mul_shift(m: u64, p: u128, q: u32) -> u64 {
+    let m = u128::from(m);
+    let lo = m * u128::from(p as u64);
+    let hi = m * (p >> 64);
+    // product = top * 2^64 + bottom
+    let top = hi + (lo >> 64);
+    let bottom = lo as u64;
+    if q < 64 {
+        ((top << (64 - q)) | u128::from(bottom >> q)) as u64
+    } else {
+        (top >> (q - 64)) as u64
+    }
+}
+
+/// Shortest round-trip decimal of the positive finite `f64` with bits
+/// `bits`, as `(digits, exp10)` meaning `digits * 10^exp10`: the fewest
+/// digits that parse back to the same value, and of those the closest to
+/// it, a tie rounding up. `None` for zero, subnormals, values of 2^54 and
+/// above, and values so small that `5^i` overflows the table.
+///
+/// This is Ryu's `e2 < 0` branch (Adams, PLDI 2018) with its truncated
+/// 5^-k table replaced by exact products, and without its round-half-even
+/// rule, which std does not share.
+fn shortest(bits: u64) -> Option<(u64, i32)> {
+    let mant = bits & ((1 << 52) - 1);
+    let exp = (bits >> 52) as u32;
+    // Biased exponents 1077 and up are values of 2^54 and above.
+    if exp == 0 || exp >= 1077 {
+        return None;
+    }
+    // value = mv * 2^-k, with the interval of values that round to it
+    // being (mm, mp) * 2^-k, inclusive when the mantissa is even.
+    let k = 1077 - exp;
+    let q = log10_pow5(k) - u32::from(k > 1);
+    let p5 = *POW5.get((k - q) as usize)?;
+    let m2 = mant | 1 << 52;
+    let even = m2 & 1 == 0;
+    let mv = 4 * m2;
+    let mp = mv + 2;
+    let mm = mv - 1 - u64::from(mant != 0 || exp <= 1);
+    // v* = m* * 10^(k-q) / 2^k = m* * 5^(k-q) / 2^q, floored. 5^(k-q) is
+    // odd, so a quotient is exact iff 2^q divides its m*.
+    let mut vr = mul_shift(mv, p5, q);
+    let mut vp = mul_shift(mp, p5, q) - u64::from(!even && mp.trailing_zeros() >= q);
+    let mut vm = mul_shift(mm, p5, q);
+    let mut vm_exact = mm.trailing_zeros() >= q;
+    let mut removed = 0i32;
+    let digits = if vm_exact {
+        // The lower bound itself may be the answer: track whether the
+        // digits removed from vm are all zeros.
+        let mut last = 0;
+        while vp / 10 > vm / 10 {
+            vm_exact &= vm.is_multiple_of(10);
+            last = vr % 10;
+            (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+            removed += 1;
+        }
+        if vm_exact {
+            while vm.is_multiple_of(10) {
+                last = vr % 10;
+                (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+                removed += 1;
+            }
+        }
+        vr + u64::from((vr == vm && (!even || !vm_exact)) || last >= 5)
+    } else {
+        let mut round_up = false;
+        if vp / 100 > vm / 100 {
+            round_up = vr % 100 >= 50;
+            (vr, vp, vm) = (vr / 100, vp / 100, vm / 100);
+            removed += 2;
+        }
+        while vp / 10 > vm / 10 {
+            round_up = vr % 10 >= 5;
+            (vr, vp, vm) = (vr / 10, vp / 10, vm / 10);
+            removed += 1;
+        }
+        vr + u64::from(vr == vm || round_up)
+    };
+    Some((digits, q as i32 - k as i32 + removed))
+}
+
+/// Writes `x`'s decimal digits into `buf` ending at `end`, returning
+/// where they start. Four-digit limbs are split off first, so only the
+/// divisions by 10^4 form a dependency chain.
+fn digits_into(buf: &mut [u8], mut end: usize, mut x: u64) -> usize {
+    while x >= 10_000 {
+        let limb = (x % 10_000) as u32;
+        x /= 10_000;
+        let (hi, lo) = (limb / 100, limb % 100);
+        buf[end - 1] = b'0' + (lo % 10) as u8;
+        buf[end - 2] = b'0' + (lo / 10) as u8;
+        buf[end - 3] = b'0' + (hi % 10) as u8;
+        buf[end - 4] = b'0' + (hi / 10) as u8;
+        end -= 4;
+    }
+    let mut x = x as u32;
+    loop {
+        end -= 1;
+        buf[end] = b'0' + (x % 10) as u8;
+        x /= 10;
+        if x == 0 {
+            return end;
+        }
+    }
+}
+
+/// Appends `x` in decimal.
+fn push_u64(out: &mut String, x: u64) {
+    let mut buf = [0u8; 20];
+    let start = digits_into(&mut buf, 20, x);
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+}
+
+/// Appends `x` in decimal.
+fn push_i64(out: &mut String, x: i64) {
+    if x < 0 {
+        out.push('-');
+    }
+    push_u64(out, x.unsigned_abs());
+}
+
+/// Appends `±digits * 10^exp10` the way `{}` spells it: no exponent, no
+/// trailing fractional zeros, a leading `0.` below one.
+fn push_decimal(out: &mut String, negative: bool, digits: u64, exp10: i32) {
+    // The longest spelling, `-0.` then 38 zeros and 17 digits, fits.
+    let mut buf = [b'0'; 64];
+    let end = buf.len();
+    let mut start = if exp10 >= 0 {
+        digits_into(&mut buf, end - exp10 as usize, digits)
+    } else {
+        let start = digits_into(&mut buf, end, digits);
+        let point = end - exp10.unsigned_abs() as usize - 1;
+        if start <= point {
+            // The integer part moves one byte left, making room.
+            buf.copy_within(start..=point, start - 1);
+            buf[point] = b'.';
+            start - 1
+        } else {
+            buf[point] = b'.';
+            point - 1
+        }
+    };
+    if negative {
+        start -= 1;
+        buf[start] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
 }
 
 /// Appends `s` with `"`, `\` and control characters escaped. Most
