@@ -558,6 +558,11 @@ impl ExperimentRunner {
             None => None,
         };
         let mut ejected_flags = vec![false; n];
+        // Continuous tracking needs an anchor model; identify if the
+        // caller has not already done so.
+        if self.scenario.rls_tracking.is_some() && self.tracker.is_none() {
+            self.identify()?;
+        }
         // Latencies recorded during calibration (identification) must not
         // count against the measured run's SLO statistics.
         self.plant.reset_stats();
@@ -566,11 +571,6 @@ impl ExperimentRunner {
         let mut applied = Vec::with_capacity(n);
         let mut applied_sum = vec![0.0; n];
         let mut device_power = Vec::with_capacity(n);
-        // Continuous tracking needs an anchor model; identify if the
-        // caller has not already done so.
-        if self.scenario.rls_tracking.is_some() && self.tracker.is_none() {
-            self.identify()?;
-        }
         let probe_mhz = self.scenario.rls_tracking.map_or(0.0, |c| c.probe_mhz);
         let mut probed = vec![0.0; n];
         let mut prev_applied_mean: Option<Vec<f64>> = None;
@@ -1206,5 +1206,27 @@ mod tests {
     #[test]
     fn serving_tails_and_misses_equal_the_sort_oracle() {
         assert_tails_match_sort_oracle(Scenario::serving_testbed);
+    }
+
+    /// With RLS tracking on, `run` identifies first when nobody has. The
+    /// sweep's dwell latencies are calibration, not the run: the trace
+    /// must equal that of a runner identified before `run` was called.
+    #[test]
+    fn identifying_inside_run_leaves_the_run_s_tails_alone() {
+        let mut scenario = Scenario::llm_testbed(42);
+        scenario.slos = vec![Some(4.0); scenario.gpu_models.len()];
+        scenario.rls_tracking = Some(crate::config::RlsTracking::default());
+        let run = |identify_first: bool| {
+            let mut runner = ExperimentRunner::new(scenario.clone(), 900.0).expect("runner");
+            if identify_first {
+                runner.identify().expect("identify");
+            }
+            // Fixed-step needs no model, so nothing else identifies.
+            let controller = runner.build_fixed_step(1);
+            runner.run(controller, 8).expect("run")
+        };
+        let inside = run(false);
+        assert!(inside.itl_p99_s.iter().all(|&p| p > 0.0));
+        assert_eq!(inside, run(true));
     }
 }

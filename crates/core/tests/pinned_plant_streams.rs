@@ -2,15 +2,15 @@
 //! `capgpu::plant` — `LlmEngine`, `ServeEngine`, `PipelineSim`.
 //!
 //! A change that makes a plant *faster* must not make it *different*:
-//! each case below drives one engine for 600 one-second windows and
-//! folds every field of every window's statistics (floats by bit
-//! pattern) plus the engine's lifetime counters into one FNV-1a hash,
-//! compared against a constant captured before the plants were last
-//! optimised. The clock changes every window in every case, so a factor
-//! hoisted out of the event loop and then not refreshed per window
-//! cannot hide. A mismatch means the simulated stream moved — which a
-//! speed-up never justifies; re-pin only in a PR whose purpose is to
-//! move digits.
+//! each case below drives one engine (`closed_eval`: one per evaluation
+//! model, in turn) for 600 one-second windows and folds every field of
+//! every window's statistics (floats by bit pattern) plus the engine's
+//! lifetime counters into one FNV-1a hash, compared against a constant
+//! captured before the code it pins was changed for speed. The clock
+//! changes every window in every case, so a factor hoisted out of the
+//! event loop and then not refreshed per window cannot hide. A mismatch
+//! means the simulated stream moved — which a speed-up never justifies;
+//! re-pin only in a PR whose purpose is to move digits.
 
 use capgpu_llm::{LlmEngine, LlmServiceModel, LlmTaskSpec, TokenRange};
 use capgpu_serve::{ArrivalGen, ArrivalProcess, ServeEngine, ServeWindowStats, ServiceModel};
@@ -430,73 +430,101 @@ const SERVE_PINS: [(&str, [u64; 3]); 4] = [
 
 // ----------------------------------------------------------- pipeline
 
+/// The pipelines a case drives.
+enum PipelineShape {
+    /// The §3.2 motivation pipeline, whose 20-image queue fills and
+    /// blocks workers whenever the GPU clock is the low one.
+    Motivation,
+    /// The evaluation ResNet50 under Poisson traffic that crosses its
+    /// capacity as the GPU clock moves.
+    OpenResnet50,
+    /// The same models, worker count, queue capacity and clock ranges as
+    /// `Scenario::paper_testbed` (the `runner_cnn` benchmark workload):
+    /// each evaluation model in a closed loop with two workers and a
+    /// 64-image queue, over the V100 and Xeon clock ranges.
+    ClosedEval,
+}
+
 struct PipelineCase {
     name: &'static str,
-    open_loop: bool,
+    shape: PipelineShape,
     jitter: bool,
 }
 
-const PIPELINE_CASES: [PipelineCase; 4] = [
+const PIPELINE_CASES: [PipelineCase; 5] = [
     PipelineCase {
         name: "closed_jitter",
-        open_loop: false,
+        shape: PipelineShape::Motivation,
         jitter: true,
     },
     PipelineCase {
         name: "closed_no_jitter",
-        open_loop: false,
+        shape: PipelineShape::Motivation,
         jitter: false,
     },
     PipelineCase {
         name: "open_jitter",
-        open_loop: true,
+        shape: PipelineShape::OpenResnet50,
         jitter: true,
     },
     PipelineCase {
         name: "open_no_jitter",
-        open_loop: true,
+        shape: PipelineShape::OpenResnet50,
         jitter: false,
+    },
+    PipelineCase {
+        name: "closed_eval",
+        shape: PipelineShape::ClosedEval,
+        jitter: true,
     },
 ];
 
+/// Drives each of the case's pipelines in turn, the `i`-th seeded
+/// `seed + i`, into one hash.
 fn pipeline_hash(case: &PipelineCase, seed: u64) -> u64 {
-    // Closed loop: the §3.2 motivation pipeline, whose 20-image queue
-    // fills and blocks workers whenever the GPU clock is the low one.
-    // Open loop: the evaluation ResNet50 under Poisson traffic that
-    // crosses its capacity as the GPU clock moves.
-    let (mut model, num_workers, queue_capacity, f_gpu_max_mhz, arrivals, cpu, gpu) =
-        if case.open_loop {
+    let (models, num_workers, queue_capacity, f_gpu_max_mhz, arrivals, cpu, gpu) = match case.shape
+    {
+        PipelineShape::Motivation => {
+            let (cpu, gpu) = ((1100.0, 2100.0), (495.0, 2100.0));
+            let models = vec![models::googlenet_wildlife()];
+            (models, 10, 20, 2100.0, ArrivalMode::Closed, cpu, gpu)
+        }
+        PipelineShape::OpenResnet50 => {
             let arrivals = ArrivalMode::Open { rate_img_s: 220.0 };
             let (cpu, gpu) = ((1200.0, 2200.0), (435.0, 1350.0));
-            (models::resnet50(), 2, 64, 1350.0, arrivals, cpu, gpu)
-        } else {
-            let (cpu, gpu) = ((1100.0, 2100.0), (495.0, 2100.0));
-            let model = models::googlenet_wildlife();
-            (model, 10, 20, 2100.0, ArrivalMode::Closed, cpu, gpu)
-        };
-    if !case.jitter {
-        model.jitter = 0.0;
-    }
-    let mut sim = PipelineSim::new(PipelineConfig {
-        model,
-        num_workers,
-        queue_capacity,
-        seed,
-        f_gpu_max_mhz,
-        arrivals,
-    })
-    .expect("pipeline");
-    let mut stats = WindowStats::default();
+            (vec![models::resnet50()], 2, 64, 1350.0, arrivals, cpu, gpu)
+        }
+        PipelineShape::ClosedEval => {
+            let (cpu, gpu) = ((1000.0, 2400.0), (435.0, 1350.0));
+            let models = models::evaluation_models();
+            (models, 2, 64, 1350.0, ArrivalMode::Closed, cpu, gpu)
+        }
+    };
     let mut h = Fnv::new();
-    for k in 0..WINDOWS {
-        // Both clocks change every window, out of step with each other.
-        let f_cpu = clock_mhz(k + 3, cpu.0, cpu.1);
-        let f_gpu = clock_mhz(2 * k + 1, gpu.0, gpu.1);
-        sim.advance_into(1.0, f_cpu, f_gpu, &mut stats);
-        hash_pipeline_window(&mut h, &stats);
+    for (i, mut model) in models.into_iter().enumerate() {
+        if !case.jitter {
+            model.jitter = 0.0;
+        }
+        let mut sim = PipelineSim::new(PipelineConfig {
+            model,
+            num_workers,
+            queue_capacity,
+            seed: seed + i as u64,
+            f_gpu_max_mhz,
+            arrivals,
+        })
+        .expect("pipeline");
+        let mut stats = WindowStats::default();
+        for k in 0..WINDOWS {
+            // Both clocks change every window, out of step with each other.
+            let f_cpu = clock_mhz(k + 3, cpu.0, cpu.1);
+            let f_gpu = clock_mhz(2 * k + 1, gpu.0, gpu.1);
+            sim.advance_into(1.0, f_cpu, f_gpu, &mut stats);
+            hash_pipeline_window(&mut h, &stats);
+        }
+        h.f64(sim.now());
+        h.usize(sim.queue_len());
     }
-    h.f64(sim.now());
-    h.usize(sim.queue_len());
     h.0
 }
 
@@ -509,7 +537,7 @@ fn pipeline_sim_streams_are_pinned() {
     check("PipelineSim", &got, &PIPELINE_PINS);
 }
 
-const PIPELINE_PINS: [(&str, [u64; 3]); 4] = [
+const PIPELINE_PINS: [(&str, [u64; 3]); 5] = [
     (
         "closed_jitter",
         [0xdc2eeada09ab9ae3, 0xaaff2a11ed441ea5, 0x788005db16dff1c8],
@@ -525,5 +553,9 @@ const PIPELINE_PINS: [(&str, [u64; 3]); 4] = [
     (
         "open_no_jitter",
         [0x8108a042268df815, 0x846b483a05523b11, 0xae2f5fd7c530b8e8],
+    ),
+    (
+        "closed_eval",
+        [0x7f6c9b8754c2eccf, 0x07c1cde3e8285e98, 0xef0a25ae532ea431],
     ),
 ];

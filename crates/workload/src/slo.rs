@@ -94,9 +94,8 @@ impl SloTracker {
 
     /// Records a batch of latencies for a task, in order, with the buffer
     /// grown once. A non-finite latency (a degenerate measurement) counts
-    /// as a deadline miss but is not stored, so it cannot poison the
-    /// percentile paths ([`SloTracker::meets_all`], p99 reporting) with
-    /// NaN.
+    /// as a deadline miss but is not stored, so it cannot poison
+    /// [`SloTracker::percentile`] with NaN.
     ///
     /// # Panics
     /// Panics on an out-of-range task index.
@@ -135,8 +134,7 @@ impl SloTracker {
     }
 
     /// All recorded (finite) latencies of a task. Their order is
-    /// unspecified once [`SloTracker::percentile`] or
-    /// [`SloTracker::meets_all`] has been called.
+    /// unspecified once [`SloTracker::percentile`] has been called.
     pub fn latencies(&self, task: usize) -> &[f64] {
         &self.latencies[task]
     }
@@ -172,15 +170,6 @@ impl SloTracker {
         }
         self.misses.iter_mut().for_each(|m| *m = 0);
         self.totals.iter_mut().for_each(|t| *t = 0);
-    }
-
-    /// True when every task currently meets its SLO at the given
-    /// percentile (e.g. `99.0` = "99% of batches within SLO"). An
-    /// out-of-range percentile is clamped to `[0, 100]`; tasks with no
-    /// recorded latency trivially pass.
-    pub fn meets_all(&mut self, percentile: f64) -> bool {
-        (0..self.num_tasks())
-            .all(|t| self.latencies[t].is_empty() || self.percentile(t, percentile) <= self.slos[t])
     }
 }
 
@@ -223,13 +212,13 @@ mod tests {
     }
 
     #[test]
-    fn meets_all_percentile() {
+    fn one_outlier_in_a_hundred_shows_only_at_the_top() {
         let mut t = SloTracker::new(vec![1.0]);
         for i in 0..100 {
             t.record(0, if i < 99 { 0.5 } else { 2.0 });
         }
-        assert!(t.meets_all(98.0));
-        assert!(!t.meets_all(100.0));
+        assert_eq!(t.percentile(0, 98.0), 0.5);
+        assert_eq!(t.percentile(0, 100.0), 2.0);
     }
 
     #[test]
@@ -239,7 +228,6 @@ mod tests {
         assert_eq!(t.overall_miss_rate(), 0.0);
         assert_eq!(t.misses(0), 0);
         assert_eq!(t.percentile(0, 99.0), 0.0);
-        assert!(t.meets_all(99.0));
     }
 
     #[test]
@@ -271,17 +259,17 @@ mod tests {
         t.record(0, f64::INFINITY);
         assert_eq!(t.latencies(0), &[0.05]);
         assert_eq!(t.miss_rate(0), 2.0 / 3.0);
-        // Percentile paths stay NaN-free and clamped.
-        assert!(t.meets_all(99.0));
-        assert!(t.meets_all(250.0));
-        assert!(t.meets_all(-3.0));
+        // Percentiles stay NaN-free and clamp out-of-range levels.
+        for q in [99.0, 250.0, -3.0] {
+            assert_eq!(t.percentile(0, q), 0.05);
+        }
     }
 
     #[test]
     fn single_sample_tracker_percentiles() {
         let mut t = SloTracker::new(vec![0.1]);
         t.record(0, 0.08);
-        assert!(t.meets_all(99.0));
+        assert_eq!(t.percentile(0, 99.0), 0.08);
         assert_eq!(t.miss_rate(0), 0.0);
     }
 
@@ -339,7 +327,6 @@ mod tests {
         assert_eq!(t.percentile(0, 99.0), 0.99);
         assert_eq!(t.percentile(0, 50.0), 0.5);
         assert_eq!(t.percentile(0, 250.0), 1.0);
-        assert!(!t.meets_all(99.0));
         assert_eq!(
             (t.misses(0), t.miss_rate(0), t.overall_miss_rate()),
             (misses, rate, overall)
