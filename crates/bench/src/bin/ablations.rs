@@ -299,7 +299,7 @@ fn drift_tracking() {
     // probe honestly: the displacement that carries gain information is
     // itself cap error, so tracking costs a couple of watts when nothing
     // drifts.
-    let drift_variant = |rls: Option<RlsTracking>, factor: f64, label: &str| {
+    let drift_variant = |rls: bool, factor: f64, label: &str| {
         let mut s = Scenario::paper_testbed(42);
         s.workers_per_pipeline = 8;
         s.rls_tracking = rls;
@@ -323,8 +323,8 @@ fn drift_tracking() {
     };
     for factor in [1.0, 1.5, 2.0] {
         let report = SweepSpec::over_scenarios(vec![
-            drift_variant(None, factor, "one-shot"),
-            drift_variant(Some(RlsTracking::default()), factor, "RLS-tracked"),
+            drift_variant(false, factor, "one-shot"),
+            drift_variant(true, factor, "RLS-tracked"),
         ])
         .setpoint(SETPOINT)
         .periods(96)
@@ -368,7 +368,7 @@ fn drift_tracking() {
     // the V100s throttle near full load; while clamped, core-clock
     // actuation loses authority and measured power decouples from the
     // one-shot model.
-    let thermal_variant = |rls: Option<RlsTracking>, label: &str| {
+    let thermal_variant = |rls: bool, label: &str| {
         let mut s = Scenario::paper_testbed(42);
         let mut spec = capgpu_sim::thermal::v100_thermal();
         spec.r_th_k_per_w = 0.24;
@@ -379,8 +379,8 @@ fn drift_tracking() {
         (label.to_string(), s)
     };
     let report = SweepSpec::over_scenarios(vec![
-        thermal_variant(None, "one-shot"),
-        thermal_variant(Some(RlsTracking::default()), "RLS-tracked"),
+        thermal_variant(false, "one-shot"),
+        thermal_variant(true, "RLS-tracked"),
     ])
     .setpoint(1150.0)
     .periods(80)

@@ -49,8 +49,7 @@ pub fn compute(scenario: &Scenario) -> SloLevels {
         let dev = gpu_devices[task];
         let f_min = scenario.devices[dev].freq_table.min();
         let f_max = scenario.devices[dev].freq_table.max();
-        let lat =
-            LatencyModel::new(model.e_min_s, scenario.gamma_fitted, f_max).expect("latency model");
+        let lat = LatencyModel::new(model.e_min_s, GAMMA_FITTED, f_max).expect("latency model");
         tail30.push(level_at(&lat, f_min, f_max, 30.0));
         tail50.push(level_at(&lat, f_min, f_max, 50.0));
         tail80.push(level_at(&lat, f_min, f_max, 80.0));
@@ -92,7 +91,7 @@ mod tests {
         // Required frequency for the tight SLO ≈ 80% up the range.
         let lat = capgpu_control::latency::LatencyModel::new(
             scenario.gpu_models[0].e_min_s,
-            scenario.gamma_fitted,
+            GAMMA_FITTED,
             1350.0,
         )
         .unwrap();

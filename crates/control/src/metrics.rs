@@ -1,4 +1,4 @@
-//! Trace metrics: settling time, overshoot, violations, steady-state stats.
+//! Trace metrics: settling time, overshoot, steady-state stats.
 //!
 //! These quantify the power-control traces of Figs. 3–6 and 10: how fast a
 //! controller settles, whether it overshoots the cap (a power *violation*
@@ -34,11 +34,6 @@ pub fn max_overshoot(series: &[f64], setpoint: f64) -> f64 {
     series.iter().map(|v| v - setpoint).fold(0.0_f64, f64::max)
 }
 
-/// Number of periods in which the series exceeds `setpoint + tol`.
-pub fn violation_count(series: &[f64], setpoint: f64, tol: f64) -> usize {
-    series.iter().filter(|&&v| v > setpoint + tol).count()
-}
-
 /// Mean and population standard deviation over the trailing
 /// `tail_fraction` of the series (the paper uses the last 80%,
 /// `tail_fraction = 0.8`).
@@ -61,11 +56,6 @@ pub fn steady_state(series: &[f64], tail_fraction: f64) -> (f64, f64) {
     )
 }
 
-/// Steady-state tracking error: |steady-state mean − setpoint|.
-pub fn steady_state_error(series: &[f64], setpoint: f64, tail_fraction: f64) -> f64 {
-    (steady_state(series, tail_fraction).0 - setpoint).abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,11 +75,9 @@ mod tests {
     }
 
     #[test]
-    fn overshoot_and_violations() {
+    fn overshoot() {
         let series = [890.0, 905.0, 910.0, 899.0];
         assert_eq!(max_overshoot(&series, 900.0), 10.0);
-        assert_eq!(violation_count(&series, 900.0, 0.0), 2);
-        assert_eq!(violation_count(&series, 900.0, 6.0), 1);
         assert_eq!(max_overshoot(&[880.0], 900.0), 0.0);
     }
 
@@ -101,7 +89,6 @@ mod tests {
         let (mean, std) = steady_state(&series, 0.8);
         assert_eq!(mean, 900.0);
         assert_eq!(std, 0.0);
-        assert_eq!(steady_state_error(&series, 905.0, 0.8), 5.0);
     }
 
     #[test]

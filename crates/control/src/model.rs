@@ -82,12 +82,6 @@ impl LinearPowerModel {
                 .sum::<f64>()
     }
 
-    /// Total gain `Σᵢ Aᵢ` — the sensitivity of server power to a uniform
-    /// 1 MHz move of every device. Used by the pole-placement baselines.
-    pub fn total_gain(&self) -> f64 {
-        self.gains.iter().sum()
-    }
-
     /// The achievable power range `[p_min, p_max]` over a frequency box,
     /// per the model. Feasibility of a set point is checked against this
     /// (paper §4.4 assumes the constrained problem is feasible).
@@ -156,11 +150,6 @@ mod tests {
         let delta: Vec<f64> = f1.iter().zip(f0.iter()).map(|(a, b)| a - b).collect();
         let p1_delta = m.predict_delta(p0, &delta);
         assert!((p1_delta - m.predict(&f1)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn total_gain() {
-        assert!((model().total_gain() - 0.42).abs() < 1e-12);
     }
 
     #[test]

@@ -78,24 +78,24 @@ impl ProportionalController {
         let delta = self.gain * (setpoint - p_measured);
         (current_freq + delta).clamp(self.f_min, self.f_max)
     }
-
-    /// The closed-loop pole this controller realizes on a plant with the
-    /// given actual gain: `z = 1 − a·K`. Stable iff `|z| < 1`.
-    pub fn closed_loop_pole(&self, actual_plant_gain: f64) -> f64 {
-        1.0 - actual_plant_gain * self.gain
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The closed-loop pole `z = 1 − a·K` that `c` realizes on a plant of
+    /// actual gain `a`. Stable iff `|z| < 1`.
+    fn closed_loop_pole(c: &ProportionalController, a: f64) -> f64 {
+        1.0 - a * c.gain()
+    }
+
     #[test]
     fn pole_placement_math() {
         // 3 GPUs at 0.18 W/MHz share one knob: a = 0.54 W/MHz.
         let c = ProportionalController::pole_placed(0.54, 0.5, 435.0, 1350.0).unwrap();
         assert!((c.gain() - (0.5 / 0.54)).abs() < 1e-12);
-        assert!((c.closed_loop_pole(0.54) - 0.5).abs() < 1e-12);
+        assert!((closed_loop_pole(&c, 0.54) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -142,11 +142,11 @@ mod tests {
         // Gain double the deadbeat value → pole at −1 (marginally unstable).
         let a = 0.5;
         let c = ProportionalController::new(2.0 / a * 2.0, 0.0, 1.0e6).unwrap();
-        assert!(c.closed_loop_pole(a) <= -1.0);
+        assert!(closed_loop_pole(&c, a) <= -1.0);
         // Pole-placed design stays stable for plant gain up to 2× nominal.
         let c = ProportionalController::pole_placed(a, 0.5, 0.0, 1.0e6).unwrap();
-        assert!(c.closed_loop_pole(a * 1.9).abs() < 1.0);
-        assert!(c.closed_loop_pole(a * 4.1).abs() > 1.0);
+        assert!(closed_loop_pole(&c, a * 1.9).abs() < 1.0);
+        assert!(closed_loop_pole(&c, a * 4.1).abs() > 1.0);
     }
 
     #[test]

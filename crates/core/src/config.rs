@@ -63,64 +63,10 @@ pub enum ScheduledChange {
     },
 }
 
-/// Continuous (streaming) model-tracking configuration (§6.4 online
-/// re-identification, generalized to every control period).
-///
-/// When enabled on a [`Scenario`], the runner feeds each control period's
-/// `(applied F, p̄)` sample into a recursive-least-squares identifier
-/// seeded with the startup excitation sweep, and pushes the refreshed
-/// model into the controller at the end of the period — `O(n²)` per
-/// period instead of an `O(m·n²)` batch refit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RlsTracking {
-    /// Exponential forgetting factor `λ ∈ (0, 1]`. A sample's weight after
-    /// `k` further periods is `λᵏ`; `1.0` means never forget (pure
-    /// refinement, no drift tracking).
-    pub forgetting: f64,
-    /// Refreshed models are pushed to the controller only while the
-    /// identifier's design condition number stays below this guard —
-    /// closed-loop operation near steady state barely excites the system,
-    /// and an ill-conditioned refit would replace good gains with noise.
-    pub condition_guard: f64,
-    /// Persistent-excitation probe amplitude (MHz). A converged power
-    /// loop holds frequencies still, so the closed-loop data contain no
-    /// information about the gains; each period the runner therefore
-    /// offsets every device's target by ±`probe_mhz` with a deterministic
-    /// per-device sign pattern (derived from the scenario seed, not the
-    /// simulation RNG). Probing is the classic adaptive-control tradeoff:
-    /// the displacement that carries gain information is the same
-    /// displacement the cap loop pays as tracking error, so amplitude
-    /// buys tracking bandwidth at the cost of steady-state accuracy.
-    /// ~10 MHz (under one GPU clock level — realized by the delta-sigma
-    /// modulator as dithering) is enough for the difference-based scale
-    /// tracker while costing ≈1–2 W of cap error. `0.0` disables probing.
-    pub probe_mhz: f64,
-    /// Quasi-steady recording gate (MHz). The identified model is a
-    /// *steady-state* power map, but a period whose applied frequencies
-    /// slewed hundreds of MHz mixes pre- and post-move power (and queue /
-    /// utilization transients) in one average — fitting those rows is
-    /// what corrupts naive closed-loop identification. A period is fed
-    /// to the identifier only when no device's mean applied frequency
-    /// moved more than this since the previous period; probes and normal
-    /// regulation jitter pass, transient slews are skipped.
-    /// `f64::INFINITY` disables the gate.
-    pub settle_gate_mhz: f64,
-}
-
-impl Default for RlsTracking {
-    /// λ = 0.95 (≈ 20-period memory — minutes at the paper's 4 s control
-    /// period, fast enough to track thermal-scale drift), a 10⁸ condition
-    /// guard, a sub-clock-level (10 MHz) excitation probe, and a 120 MHz
-    /// quasi-steady gate.
-    fn default() -> Self {
-        RlsTracking {
-            forgetting: 0.95,
-            condition_guard: 1e8,
-            probe_mhz: 10.0,
-            settle_gate_mhz: 120.0,
-        }
-    }
-}
+/// The latency-model exponent the *controller* plans with: the paper's
+/// fitted γ = 0.91 (Fig. 2b). The simulated plant's ground truth differs
+/// per model, so the controller always carries some model error.
+pub const GAMMA_FITTED: f64 = 0.91;
 
 /// Request-level serving configuration (the `capgpu-serve` bridge).
 ///
@@ -182,13 +128,6 @@ pub struct Scenario {
     pub queue_capacity: usize,
     /// Control period T in seconds (paper: 4).
     pub control_period_s: usize,
-    /// Feature-selection reference rate (subsets/s at `featsel_ref_mhz`).
-    pub featsel_ref_rate: f64,
-    /// Reference CPU frequency for the feature-selection rate (MHz).
-    pub featsel_ref_mhz: f64,
-    /// The fitted latency-model exponent the *controller* uses (paper:
-    /// γ = 0.91; ground truth differs per model).
-    pub gamma_fitted: f64,
     /// Multiplicative safety factor on SLO frequency floors, covering the
     /// fitted-γ model error, latency jitter, and the delta-sigma
     /// modulator's dips to the level below the target.
@@ -207,14 +146,17 @@ pub struct Scenario {
     pub changes: Vec<ScheduledChange>,
     /// Identification sweep points per device (paper §4.2 sweeps 8).
     pub sysid_steps_per_device: usize,
-    /// Where non-swept devices are parked during identification, as a
-    /// fraction of their frequency range (0 = f_min, 1 = f_max; the
-    /// default 0.5 is the mid-range hold the paper uses).
-    pub sysid_hold_fraction: f64,
-    /// Continuous RLS model tracking; `None` (the default everywhere)
+    /// Continuous (streaming) model tracking, the §6.4 online
+    /// re-identification generalized to every control period: the runner
+    /// feeds each period's `(applied F, p̄)` sample into a
+    /// recursive-least-squares identifier seeded with the startup
+    /// excitation sweep, and pushes the refreshed model into the
+    /// controller at the end of the period — `O(n²)` per period instead
+    /// of an `O(m·n²)` batch refit. Its tuning is fixed (the `RLS_*`
+    /// constants in [`crate::runner`]). `false` (the default everywhere)
     /// keeps the paper's one-shot identification and leaves every
     /// published trace byte-identical.
-    pub rls_tracking: Option<RlsTracking>,
+    pub rls_tracking: bool,
     /// Request-level serving layer; `None` (the default everywhere)
     /// keeps the period-level pipeline model and leaves every published
     /// trace byte-identical.
@@ -266,17 +208,13 @@ impl Scenario {
             workers_per_pipeline: 2,
             queue_capacity: 64,
             control_period_s: 4,
-            featsel_ref_rate: 120.0,
-            featsel_ref_mhz: 2200.0,
-            gamma_fitted: 0.91,
             slo_margin: 1.06,
             memory_escape: false,
             arrival_rates: None,
             slos: vec![None, None, None],
             changes: Vec::new(),
             sysid_steps_per_device: 8,
-            sysid_hold_fraction: 0.5,
-            rls_tracking: None,
+            rls_tracking: false,
             serving: None,
             llm: None,
             faults: None,
@@ -305,17 +243,13 @@ impl Scenario {
             workers_per_pipeline: 2,
             queue_capacity: 64,
             control_period_s: 4,
-            featsel_ref_rate: 120.0,
-            featsel_ref_mhz: 2200.0,
-            gamma_fitted: 0.91,
             slo_margin: 1.06,
             memory_escape: false,
             arrival_rates: None,
             slos: vec![None; 8],
             changes: Vec::new(),
             sysid_steps_per_device: 8,
-            sysid_hold_fraction: 0.5,
-            rls_tracking: None,
+            rls_tracking: false,
             serving: None,
             llm: None,
             faults: None,
@@ -335,17 +269,13 @@ impl Scenario {
             workers_per_pipeline: 10,
             queue_capacity: 20,
             control_period_s: 4,
-            featsel_ref_rate: 120.0,
-            featsel_ref_mhz: 2200.0,
-            gamma_fitted: 0.91,
             slo_margin: 1.06,
             memory_escape: false,
             arrival_rates: None,
             slos: vec![None],
             changes: Vec::new(),
             sysid_steps_per_device: 8,
-            sysid_hold_fraction: 0.5,
-            rls_tracking: None,
+            rls_tracking: false,
             serving: None,
             llm: None,
             faults: None,
@@ -466,14 +396,6 @@ impl Scenario {
         self
     }
 
-    /// Enables the request-level serving layer, returning `self` for
-    /// chaining.
-    #[must_use]
-    pub fn with_serving(mut self, serving: ServingConfig) -> Self {
-        self.serving = Some(serving);
-        self
-    }
-
     /// Enables telemetry recording, returning `self` for chaining.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: capgpu_telemetry::TelemetryConfig) -> Self {
@@ -545,40 +467,10 @@ impl Scenario {
                 "control period must be >= 1 s".into(),
             ));
         }
-        if !(0.5..1.5).contains(&self.gamma_fitted) {
-            return Err(CapGpuError::BadConfig("gamma_fitted out of range".into()));
-        }
         if self.sysid_steps_per_device < 2 {
             return Err(CapGpuError::BadConfig(
                 "sysid_steps_per_device must be >= 2".into(),
             ));
-        }
-        if !(0.0..=1.0).contains(&self.sysid_hold_fraction) {
-            return Err(CapGpuError::BadConfig(
-                "sysid_hold_fraction must be in [0, 1]".into(),
-            ));
-        }
-        if let Some(rls) = &self.rls_tracking {
-            if !(rls.forgetting > 0.0 && rls.forgetting <= 1.0 && rls.forgetting.is_finite()) {
-                return Err(CapGpuError::BadConfig(
-                    "rls_tracking.forgetting must be in (0, 1]".into(),
-                ));
-            }
-            if rls.condition_guard <= 1.0 || rls.condition_guard.is_nan() {
-                return Err(CapGpuError::BadConfig(
-                    "rls_tracking.condition_guard must be > 1".into(),
-                ));
-            }
-            if rls.probe_mhz < 0.0 || !rls.probe_mhz.is_finite() {
-                return Err(CapGpuError::BadConfig(
-                    "rls_tracking.probe_mhz must be finite and >= 0".into(),
-                ));
-            }
-            if rls.settle_gate_mhz <= 0.0 || rls.settle_gate_mhz.is_nan() {
-                return Err(CapGpuError::BadConfig(
-                    "rls_tracking.settle_gate_mhz must be > 0".into(),
-                ));
-            }
         }
         // Open-loop pipeline arrivals have nothing to act on once a
         // request-level plant replaces the pipeline model.
@@ -700,10 +592,10 @@ impl Scenario {
                     }
                 }
                 ScheduledChange::GainDrift { device, factor, .. } => {
-                    if *device > n_gpus {
+                    if *device >= self.devices.len() {
                         return Err(CapGpuError::BadConfig(format!(
                             "gain drift targets device {device} but there are {} devices",
-                            n_gpus + 1
+                            self.devices.len()
                         )));
                     }
                     if *factor <= 0.0 || !factor.is_finite() {
@@ -766,38 +658,6 @@ mod tests {
         assert!(s.validate().is_err());
 
         let mut s = Scenario::paper_testbed(1);
-        s.sysid_hold_fraction = 1.2;
-        assert!(s.validate().is_err());
-
-        let mut s = Scenario::paper_testbed(1);
-        s.rls_tracking = Some(RlsTracking {
-            forgetting: 0.0,
-            ..Default::default()
-        });
-        assert!(s.validate().is_err());
-
-        let mut s = Scenario::paper_testbed(1);
-        s.rls_tracking = Some(RlsTracking {
-            condition_guard: 0.5,
-            ..Default::default()
-        });
-        assert!(s.validate().is_err());
-
-        let mut s = Scenario::paper_testbed(1);
-        s.rls_tracking = Some(RlsTracking {
-            probe_mhz: -1.0,
-            ..Default::default()
-        });
-        assert!(s.validate().is_err());
-
-        let mut s = Scenario::paper_testbed(1);
-        s.rls_tracking = Some(RlsTracking {
-            settle_gate_mhz: 0.0,
-            ..Default::default()
-        });
-        assert!(s.validate().is_err());
-
-        let mut s = Scenario::paper_testbed(1);
         s = s.with_change(ScheduledChange::GainDrift {
             at_period: 5,
             device: 9,
@@ -812,6 +672,20 @@ mod tests {
             factor: 0.0,
         });
         assert!(s.validate().is_err());
+
+        // The device bound counts every device, not one CPU plus the GPUs.
+        let mut two_cpus = Scenario::paper_testbed(1);
+        two_cpus.devices.insert(1, presets::xeon_gold_5215());
+        let drift = |device| {
+            two_cpus.clone().with_change(ScheduledChange::GainDrift {
+                at_period: 5,
+                device,
+                factor: 1.5,
+            })
+        };
+        drift(4).validate().unwrap();
+        let msg = format!("{}", drift(5).validate().unwrap_err());
+        assert!(msg.contains("device 5 but there are 5 devices"), "{msg}");
 
         // No CPU device: nothing hosts preprocessing or feature selection.
         let mut s = Scenario::paper_testbed(1);
@@ -834,7 +708,7 @@ mod tests {
         }
 
         let mut s = Scenario::paper_testbed(1);
-        s.rls_tracking = Some(RlsTracking::default());
+        s.rls_tracking = true;
         s.validate().unwrap();
     }
 

@@ -39,7 +39,8 @@ pub struct DaemonConfig {
     pub journal_max_segment_age_s: f64,
     /// Rotating-journal retention bound (segments).
     pub journal_retain_segments: usize,
-    /// Excitation steps per device during identification.
+    /// Excitation steps per device during identification: 2 to 256
+    /// (`MAX_SYSID_STEPS` says why).
     pub sysid_steps_per_device: usize,
     /// Hold point for non-excited devices, as a fraction of each
     /// device's frequency range.
@@ -49,13 +50,26 @@ pub struct DaemonConfig {
     pub rls_forgetting: Option<f64>,
     /// Simulated-testbed seed (sim backend only).
     pub sim_seed: u64,
-    /// GPU count of the simulated testbed.
+    /// GPU count of the simulated testbed: 1 to 16, one server's worth
+    /// (`MAX_SIM_GPUS` says why).
     pub sim_gpus: usize,
     /// Constant per-device utilization staged into the sim plant.
     pub sim_utilization: f64,
     /// Supervisor failover thresholds.
     pub supervisor: SupervisorConfig,
 }
+
+/// The most excitation steps per device `identify.steps_per_device`
+/// takes. Identification dwells one control period per step, device after
+/// device, and reserves a row per step up front: 256 steps is already
+/// 17 minutes per device at the paper's 4 s period (the paper sweeps 8).
+const MAX_SYSID_STEPS: usize = 256;
+
+/// The most GPUs `sim.gpus` takes. The simulated testbed is one server,
+/// and a server carries one host CPU and up to eight GPUs; 16 leaves
+/// headroom while every per-device structure (the plant, the
+/// identification rows, the condensed MPC problem) stays small.
+const MAX_SIM_GPUS: usize = 16;
 
 type BuildBackend = fn(&DaemonConfig) -> Result<Box<dyn PowerBackend>>;
 
@@ -249,8 +263,10 @@ impl DaemonConfig {
         if self.control_period_s == 0 {
             return Err(bad("daemon.control_period_s must be >= 1".into()));
         }
-        if self.sysid_steps_per_device < 2 {
-            return Err(bad("identify.steps_per_device must be >= 2".into()));
+        if !(2..=MAX_SYSID_STEPS).contains(&self.sysid_steps_per_device) {
+            return Err(bad(format!(
+                "identify.steps_per_device must be in 2..={MAX_SYSID_STEPS}"
+            )));
         }
         if !(self.sysid_hold_fraction > 0.0 && self.sysid_hold_fraction < 1.0) {
             return Err(bad("identify.hold_fraction must be in (0, 1)".into()));
@@ -260,8 +276,8 @@ impl DaemonConfig {
                 return Err(bad("identify.rls_forgetting must be in (0, 1]".into()));
             }
         }
-        if self.sim_gpus == 0 {
-            return Err(bad("sim.gpus must be >= 1".into()));
+        if !(1..=MAX_SIM_GPUS).contains(&self.sim_gpus) {
+            return Err(bad(format!("sim.gpus must be in 1..={MAX_SIM_GPUS}")));
         }
         if !(0.0..=1.0).contains(&self.sim_utilization) {
             return Err(bad("sim.utilization must be in [0, 1]".into()));
@@ -314,6 +330,7 @@ impl DaemonConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capgpu_control::sysid::ExcitationPlan;
     use proptest::prelude::*;
 
     const CONFIG: &str = r#"
@@ -353,12 +370,41 @@ stale_park_periods = 3
         assert!(DaemonConfig::from_toml_str("[identify]\nsteps_per_device = 1\n").is_err());
     }
 
+    /// A sweep of 10¹² steps per device would reserve 96 TB of rows, and
+    /// 4·10⁹ GPUs would have the sim backend build them all: both are
+    /// refused when the config is read, as is one past each bound.
+    #[test]
+    fn sizes_past_their_bounds_are_refused() {
+        for src in [
+            "[identify]\nsteps_per_device = 1000000000000\n",
+            "[identify]\nsteps_per_device = 257\n",
+            "[sim]\ngpus = 4000000000\n",
+            "[sim]\ngpus = 17\n",
+        ] {
+            let err = DaemonConfig::from_toml_str(src).unwrap_err();
+            assert!(err.to_string().contains("must be in"), "{src:?}: {err}");
+        }
+        let cfg =
+            DaemonConfig::from_toml_str("[identify]\nsteps_per_device = 256\n[sim]\ngpus = 16\n")
+                .unwrap();
+        assert_eq!((cfg.sysid_steps_per_device, cfg.sim_gpus), (256, 16));
+    }
+
     /// Neither the TOML subset parser nor the config layer panics, and
-    /// every config it accepts validates.
+    /// every config it accepts validates and can run: its sim backend
+    /// builds, and so does identification's excitation plan.
     fn parses_safely(src: &str) -> std::result::Result<(), TestCaseError> {
         let _ = TomlDoc::parse(src);
         if let Ok(cfg) = DaemonConfig::from_toml_str(src) {
             prop_assert!(cfg.validate().is_ok(), "{src:?}");
+            let Ok(backend) = cfg.sim_backend() else {
+                return Err(TestCaseError::fail(format!("no sim backend for {src:?}")));
+            };
+            let devices = backend.devices();
+            let f_min: Vec<f64> = devices.iter().map(|d| d.f_min_mhz).collect();
+            let f_max: Vec<f64> = devices.iter().map(|d| d.f_max_mhz).collect();
+            let plan = ExcitationPlan::new(f_min.clone(), f_max, f_min, cfg.sysid_steps_per_device);
+            prop_assert!(plan.is_ok(), "{src:?}");
         }
         Ok(())
     }
@@ -427,6 +473,19 @@ stale_park_periods = 3
                 }
             }
             parses_safely(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        /// Sizes at, around and far past both bounds.
+        #[test]
+        fn any_size_that_validates_can_run(
+            gpus_bits in 0u32..42,
+            gpus_off in 0u64..3,
+            steps_bits in 0u32..42,
+            steps_off in 0u64..3,
+        ) {
+            let gpus = (1u64 << gpus_bits) + gpus_off - 1;
+            let steps = (1u64 << steps_bits) + steps_off - 1;
+            parses_safely(&format!("[identify]\nsteps_per_device = {steps}\n[sim]\ngpus = {gpus}\n"))?;
         }
     }
 }

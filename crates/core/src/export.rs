@@ -5,8 +5,6 @@
 //! per-task columns, so the file loads directly into pandas/gnuplot.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use crate::runner::RunTrace;
 
@@ -89,14 +87,6 @@ pub fn trace_to_csv(trace: &RunTrace) -> String {
     out
 }
 
-/// Writes the trace CSV to a file.
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn write_trace_csv(trace: &RunTrace, path: impl AsRef<Path>) -> io::Result<()> {
-    std::fs::write(path, trace_to_csv(trace))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,18 +166,6 @@ mod tests {
         assert!(lines[1..]
             .iter()
             .all(|l| l.split(',').count() == header_cols));
-    }
-
-    #[test]
-    fn csv_file_write() {
-        let mut runner = ExperimentRunner::new(Scenario::paper_testbed(4), 900.0).unwrap();
-        let controller = runner.build_capgpu_controller().unwrap();
-        let trace = runner.run(controller, 5).unwrap();
-        let path = std::env::temp_dir().join("capgpu_trace_test.csv");
-        write_trace_csv(&trace, &path).unwrap();
-        let read = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(read, trace_to_csv(&trace));
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod weights;
 
 /// Convenient re-exports for typical use.
 pub mod prelude {
-    pub use crate::config::{RlsTracking, Scenario, ScheduledChange, ServingConfig};
+    pub use crate::config::{Scenario, ScheduledChange, ServingConfig, GAMMA_FITTED};
     pub use crate::controllers::{
         CapGpuController, CpuGpuSplitController, CpuOnlyController, FixedStepController,
         GpuOnlyController, PowerController, SafeFixedStepController,

@@ -25,6 +25,13 @@ use crate::telemetry::{Phase, RunTelemetry};
 use crate::weights::PhaseMix;
 use crate::{CapGpuError, Result};
 
+/// The feature-selection job's rate (subsets/s) at [`FEATSEL_REF_MHZ`];
+/// it scales linearly with the CPU clock.
+const FEATSEL_REF_RATE: f64 = 120.0;
+
+/// The reference CPU clock of [`FEATSEL_REF_RATE`] (MHz).
+const FEATSEL_REF_MHZ: f64 = 2200.0;
+
 /// The GPU-side engines of one server, one per GPU task, with their
 /// recycled per-window scratch. Exactly one kind exists per plant: a
 /// request-level plant holds no pipeline, and only the LLM kind holds
@@ -204,7 +211,6 @@ impl Plant {
         };
         // A placeholder huge SLO where the task has none.
         let slos = (scenario.slos.iter().map(|s| s.unwrap_or(f64::MAX / 2.0))).collect();
-        let (rate, mhz) = (scenario.featsel_ref_rate, scenario.featsel_ref_mhz);
         Ok(Plant {
             workload,
             request_level,
@@ -215,7 +221,7 @@ impl Plant {
             slo: SloTracker::new(slos),
             second_stats: vec![TaskPeriodStats::default(); n_tasks],
             last_utils: vec![0.0; scenario.devices.len()],
-            featsel: FeatselRateModel::new(rate, mhz, 0.05)?,
+            featsel: FeatselRateModel::new(FEATSEL_REF_RATE, FEATSEL_REF_MHZ, 0.05)?,
             rng: StdRng::seed_from_u64(scenario.seed.wrapping_mul(0x9E37_79B9)),
         })
     }

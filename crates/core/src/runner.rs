@@ -19,7 +19,7 @@ use capgpu_control::sysid::{identify_sweep, IdentifiedModel, ScaledModelTracker}
 use capgpu_sim::{DeviceKind, Server, ServerBuilder};
 use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
 
-use crate::config::{Scenario, ScheduledChange};
+use crate::config::{Scenario, ScheduledChange, GAMMA_FITTED};
 use crate::controllers::{
     CapGpuController, ControlInput, CpuGpuSplitController, CpuOnlyController, DeviceLayout,
     FixedStepController, GpuOnlyController, PowerController, SafeFixedStepController,
@@ -253,7 +253,7 @@ impl ExperimentRunner {
                 let dev = gpu_device_indices[i];
                 LatencyModel::new(
                     m.e_min_s,
-                    scenario.gamma_fitted,
+                    GAMMA_FITTED,
                     scenario.devices[dev].freq_table.max(),
                 )
             })
@@ -366,7 +366,7 @@ impl ExperimentRunner {
         let sweep = identify_sweep(
             &f_min,
             &f_max,
-            self.scenario.sysid_hold_fraction,
+            SYSID_HOLD_FRACTION,
             self.scenario.sysid_steps_per_device,
             |point| {
                 self.backend.set_frequencies(point)?;
@@ -386,11 +386,11 @@ impl ExperimentRunner {
                 )
             },
         )?;
-        if let Some(cfg) = self.scenario.rls_tracking {
+        if self.scenario.rls_tracking {
             let anchor = sweep.fitted.model.clone();
             self.tracker = Some(ScaledModelTracker::seeded(
                 anchor,
-                cfg.forgetting,
+                RLS_FORGETTING,
                 &sweep.rows,
             )?);
         }
@@ -560,7 +560,7 @@ impl ExperimentRunner {
         let mut ejected_flags = vec![false; n];
         // Continuous tracking needs an anchor model; identify if the
         // caller has not already done so.
-        if self.scenario.rls_tracking.is_some() && self.tracker.is_none() {
+        if self.scenario.rls_tracking && self.tracker.is_none() {
             self.identify()?;
         }
         // Latencies recorded during calibration (identification) must not
@@ -571,7 +571,6 @@ impl ExperimentRunner {
         let mut applied = Vec::with_capacity(n);
         let mut applied_sum = vec![0.0; n];
         let mut device_power = Vec::with_capacity(n);
-        let probe_mhz = self.scenario.rls_tracking.map_or(0.0, |c| c.probe_mhz);
         let mut probed = vec![0.0; n];
         let mut prev_applied_mean: Option<Vec<f64>> = None;
         // Scale last pushed to the controller. Refits inside the deadband
@@ -668,13 +667,13 @@ impl ExperimentRunner {
             // loop holds frequencies still, so without a probe the
             // closed-loop stream carries no gain information — and worse,
             // the few moves it does contain are the controller's own
-            // noise responses, which bias any fit. The ±probe_mhz offsets
-            // use a deterministic per-(period, device) sign pattern so
-            // they never perturb the simulation's RNG streams.
-            if probe_mhz > 0.0 {
+            // noise responses, which bias any fit. The ±RLS_PROBE_MHZ
+            // offsets use a deterministic per-(period, device) sign pattern
+            // so they never perturb the simulation's RNG streams.
+            if self.scenario.rls_tracking {
                 for (d, p) in probed.iter_mut().enumerate() {
                     let sign = probe_sign(self.scenario.seed, period, d);
-                    *p = (self.targets[d] + probe_mhz * sign)
+                    *p = (self.targets[d] + RLS_PROBE_MHZ * sign)
                         .clamp(self.layout.f_min[d], self.layout.f_max[d]);
                 }
             } else {
@@ -772,17 +771,16 @@ impl ExperimentRunner {
                     tm.span_enter(Phase::Identify);
                 }
             }
-            if let (Some(tracker), Some(cfg)) = (self.tracker.as_mut(), self.scenario.rls_tracking)
-            {
+            if let Some(tracker) = self.tracker.as_mut() {
                 let quasi_steady = prev_applied_mean.as_ref().is_none_or(|prev| {
                     applied_mean
                         .iter()
                         .zip(prev.iter())
-                        .all(|(now, was)| (now - was).abs() <= cfg.settle_gate_mhz)
+                        .all(|(now, was)| (now - was).abs() <= RLS_SETTLE_GATE_MHZ)
                 });
                 if fresh_meter_samples > 0 && quasi_steady {
                     tracker.record(&applied_mean, avg_power);
-                    if tracker.design_condition() < cfg.condition_guard {
+                    if tracker.design_condition() < RLS_CONDITION_GUARD {
                         match tracker.fit() {
                             Ok((model, scale))
                                 if (scale - pushed_scale).abs()
@@ -1058,6 +1056,49 @@ impl ExperimentRunner {
     }
 }
 
+/// Where identification parks the devices it is not sweeping, as a
+/// fraction of their frequency range (0 = f_min, 1 = f_max): the
+/// mid-range hold of the paper's §4.2 sweep.
+const SYSID_HOLD_FRACTION: f64 = 0.5;
+
+/// RLS tracking's exponential forgetting factor `λ ∈ (0, 1]`: a sample's
+/// weight after `k` further periods is `λᵏ` (`1.0` would never forget:
+/// pure refinement, no drift tracking). 0.95 is a ≈ 20-period memory —
+/// minutes at the paper's 4 s control period, fast enough to track
+/// thermal-scale drift. (The daemon forgets at its own
+/// `identify.rls_forgetting`, 0.98 by default.)
+const RLS_FORGETTING: f64 = 0.95;
+
+/// Refreshed models are pushed to the controller only while the RLS
+/// identifier's design condition number stays below this guard:
+/// closed-loop operation near steady state barely excites the system,
+/// and an ill-conditioned refit would replace good gains with noise.
+const RLS_CONDITION_GUARD: f64 = 1e8;
+
+/// Persistent-excitation probe amplitude under RLS tracking (MHz). A
+/// converged power loop holds frequencies still, so the closed-loop data
+/// contain no information about the gains; each period the runner
+/// therefore offsets every device's target by ±this with a deterministic
+/// per-device sign pattern (derived from the scenario seed, not the
+/// simulation RNG). Probing is the classic adaptive-control tradeoff: the
+/// displacement that carries gain information is the same displacement
+/// the cap loop pays as tracking error, so amplitude buys tracking
+/// bandwidth at the cost of steady-state accuracy. 10 MHz, under one GPU
+/// clock level and realized by the delta-sigma modulator as dithering, is
+/// enough for the difference-based scale tracker while costing ≈ 1–2 W
+/// of cap error.
+const RLS_PROBE_MHZ: f64 = 10.0;
+
+/// Quasi-steady recording gate of RLS tracking (MHz). The identified
+/// model is a *steady-state* power map, but a period whose applied
+/// frequencies slewed hundreds of MHz mixes pre- and post-move power (and
+/// queue / utilization transients) in one average — fitting those rows
+/// is what corrupts naive closed-loop identification. A period is fed to
+/// the identifier only when no device's mean applied frequency moved more
+/// than this since the previous period: probes and normal regulation
+/// jitter pass, transient slews are skipped.
+const RLS_SETTLE_GATE_MHZ: f64 = 120.0;
+
 /// Relative deadband on the tracked gain scale below which a refreshed
 /// model is *not* pushed to the controller. The streaming estimate
 /// wiggles by a few percent under meter noise even on a stationary
@@ -1215,7 +1256,7 @@ mod tests {
     fn identifying_inside_run_leaves_the_run_s_tails_alone() {
         let mut scenario = Scenario::llm_testbed(42);
         scenario.slos = vec![Some(4.0); scenario.gpu_models.len()];
-        scenario.rls_tracking = Some(crate::config::RlsTracking::default());
+        scenario.rls_tracking = true;
         let run = |identify_first: bool| {
             let mut runner = ExperimentRunner::new(scenario.clone(), 900.0).expect("runner");
             if identify_first {

@@ -447,15 +447,6 @@ impl FaultSchedule {
                 Some(acc.map_or(w, |a| a.min(w)))
             })
     }
-
-    /// True when no fault is active at any period ≥ `period` (the storm
-    /// has fully passed).
-    pub fn quiescent_after(&self, period: usize) -> bool {
-        self.specs.iter().all(|s| match s.duration {
-            None => false,
-            Some(d) => s.onset_period + d <= period,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -633,8 +624,13 @@ mod tests {
         let b = FaultSchedule::storm(42, &cfg).unwrap();
         assert_eq!(a, b);
         a.validate(&PAPER_KINDS).unwrap();
-        // All five phases present at default intensity.
+        // All five phases present at default intensity, and every one has
+        // ended by the horizon.
         assert_eq!(a.specs.len(), 5);
+        for s in &a.specs {
+            let end = s.onset_period + s.duration.expect("storm faults end");
+            assert!(end <= cfg.horizon_periods, "{s:?} ends at {end}");
+        }
         // A different seed may retarget GPUs but keeps the same phases.
         let c = FaultSchedule::storm(7, &cfg).unwrap();
         assert_eq!(c.specs.len(), 5);
@@ -681,22 +677,6 @@ mod tests {
             .unwrap();
         assert_eq!(s.feasible_limit(derate.onset_period), Some(940.0));
         assert_eq!(s.feasible_limit(0), None);
-    }
-
-    #[test]
-    fn quiescence() {
-        let s = FaultSchedule::storm(42, &StormConfig::default()).unwrap();
-        assert!(!s.quiescent_after(0));
-        assert!(s.quiescent_after(60));
-        let permanent = FaultSchedule {
-            specs: vec![FaultSpec {
-                kind: FaultKind::MeterStuck,
-                onset_period: 0,
-                duration: None,
-                intermittency: None,
-            }],
-        };
-        assert!(!permanent.quiescent_after(1_000_000));
     }
 
     #[test]

@@ -15,13 +15,9 @@
 //!   in parallel between allocator epochs, summaries fold in server
 //!   index order (`capgpu::ordered::ordered_fold`), and reports are
 //!   bit-identical across thread counts with O(servers) resident state.
-//! - [`health`]: the `capgpu-obs` control-loop health detectors run per
-//!   rack over a finished report — budget-burn, oscillating
-//!   reallocation, silent racks, saturation dwell, SLO burn.
 
 pub mod balancer;
 pub mod classes;
-pub mod health;
 pub mod sim;
 pub mod topology;
 
@@ -31,7 +27,6 @@ pub use capgpu::{CapGpuError, Result};
 pub mod prelude {
     pub use crate::balancer::{Migration, MigrationConfig};
     pub use crate::classes::mixed_generation_classes;
-    pub use crate::health::{analyze, FleetHealth, RackHealth};
     pub use crate::sim::{
         AllocatorMode, EpochReport, FleetConfig, FleetReport, FleetSim, RackEpoch, ServerClass,
         ServerStat,

@@ -97,19 +97,6 @@ impl Cholesky {
         }
         Ok(y)
     }
-
-    /// Log-determinant of `A` (useful for conditioning diagnostics).
-    pub fn log_det(&self) -> f64 {
-        2.0 * (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>()
-    }
-}
-
-/// One-shot convenience: solve an SPD system `A·x = b`.
-///
-/// # Errors
-/// See [`Cholesky::new`] and [`Cholesky::solve`].
-pub fn solve_spd(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    Cholesky::new(a)?.solve(b)
 }
 
 #[cfg(test)]
@@ -134,7 +121,7 @@ mod tests {
         let a = spd3();
         let x_true = vec![1.0, -1.0, 2.0];
         let b = a.matvec(&x_true);
-        let x = solve_spd(&a, &b).unwrap();
+        let x = Cholesky::new(&a).unwrap().solve(&b).unwrap();
         assert!(approx_eq(&x, &x_true, 1e-10));
     }
 
@@ -163,19 +150,6 @@ mod tests {
             Cholesky::new(&Matrix::zeros(0, 0)).unwrap_err(),
             LinalgError::Empty
         );
-    }
-
-    #[test]
-    fn log_det_of_identity_is_zero() {
-        let ch = Cholesky::new(&Matrix::identity(4)).unwrap();
-        assert!(ch.log_det().abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_det_of_diagonal() {
-        let a = Matrix::from_diag(&[2.0, 8.0]);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - 16.0_f64.ln()).abs() < 1e-12);
     }
 
     #[test]

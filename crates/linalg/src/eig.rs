@@ -44,45 +44,12 @@ impl Complex {
         self.re.hypot(self.im)
     }
 
-    /// Complex conjugate.
-    pub fn conj(&self) -> Complex {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Complex multiplication.
     pub fn mul(&self, other: &Complex) -> Complex {
         Complex::new(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
-    }
-
-    /// Complex subtraction.
-    pub fn sub(&self, other: &Complex) -> Complex {
-        Complex::new(self.re - other.re, self.im - other.im)
-    }
-
-    /// Complex addition.
-    pub fn add(&self, other: &Complex) -> Complex {
-        Complex::new(self.re + other.re, self.im + other.im)
-    }
-
-    /// Complex division (Smith's algorithm for robustness).
-    pub fn div(&self, other: &Complex) -> Complex {
-        if other.re.abs() >= other.im.abs() {
-            let r = other.im / other.re;
-            let d = other.re + other.im * r;
-            Complex::new((self.re + self.im * r) / d, (self.im - self.re * r) / d)
-        } else {
-            let r = other.re / other.im;
-            let d = other.re * r + other.im;
-            Complex::new((self.re * r + self.im) / d, (self.im * r - self.re) / d)
-        }
-    }
-
-    /// True when `|self - other| <= tol` componentwise.
-    pub fn approx_eq(&self, other: &Complex, tol: f64) -> bool {
-        (self.re - other.re).abs() <= tol && (self.im - other.im).abs() <= tol
     }
 }
 
@@ -460,12 +427,6 @@ mod tests {
         let a = Complex::new(1.0, 2.0);
         let b = Complex::new(3.0, -1.0);
         assert_eq!(a.mul(&b), Complex::new(5.0, 5.0));
-        assert_eq!(a.add(&b), Complex::new(4.0, 1.0));
-        assert_eq!(a.sub(&b), Complex::new(-2.0, 3.0));
-        let q = a.div(&b);
-        let back = q.mul(&b);
-        assert!(back.approx_eq(&a, 1e-12));
-        assert_eq!(a.conj(), Complex::new(1.0, -2.0));
         assert!((Complex::new(3.0, 4.0).abs() - 5.0).abs() < 1e-12);
     }
 

@@ -76,16 +76,6 @@ impl Matrix {
         m
     }
 
-    /// Creates a single-column matrix from a vector.
-    pub fn column(v: &[f64]) -> Self {
-        Matrix::from_vec(v.len(), 1, v.to_vec())
-    }
-
-    /// Creates a single-row matrix from a vector.
-    pub fn row(v: &[f64]) -> Self {
-        Matrix::from_vec(1, v.len(), v.to_vec())
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -159,22 +149,6 @@ impl Matrix {
                 acc += a * b;
             }
             y[r] = acc;
-        }
-        y
-    }
-
-    /// Vector–matrix product `xᵀ·A` returning a row vector.
-    pub fn vecmat(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows, "vecmat dimension mismatch");
-        let mut y = vec![0.0; self.cols];
-        for r in 0..self.rows {
-            let xv = x[r];
-            if xv == 0.0 {
-                continue;
-            }
-            for c in 0..self.cols {
-                y[c] += xv * self[(r, c)];
-            }
         }
         y
     }
@@ -277,21 +251,6 @@ impl Matrix {
                 .all(|(a, b)| (a - b).abs() <= tol)
     }
 
-    /// Returns the horizontal concatenation `[self | other]`.
-    ///
-    /// # Panics
-    /// Panics if row counts differ.
-    pub fn hstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hstack requires equal row counts");
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.data[r * out.cols..r * out.cols + self.cols].copy_from_slice(self.row_slice(r));
-            out.data[r * out.cols + self.cols..(r + 1) * out.cols]
-                .copy_from_slice(other.row_slice(r));
-        }
-        out
-    }
-
     /// Returns the vertical concatenation of `self` on top of `other`.
     ///
     /// # Panics
@@ -301,21 +260,6 @@ impl Matrix {
         let mut data = self.data.clone();
         data.extend_from_slice(&other.data);
         Matrix::from_vec(self.rows + other.rows, self.cols, data)
-    }
-
-    /// Extracts the sub-matrix `rows × cols` starting at `(r0, c0)`.
-    ///
-    /// # Panics
-    /// Panics if the requested block exceeds the matrix bounds.
-    pub fn block(&self, r0: usize, c0: usize, rows: usize, cols: usize) -> Matrix {
-        assert!(r0 + rows <= self.rows && c0 + cols <= self.cols);
-        let mut out = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                out[(r, c)] = self[(r0 + r, c0 + c)];
-            }
-        }
-        out
     }
 }
 
@@ -442,7 +386,6 @@ mod tests {
     fn matvec_matches_manual() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
-        assert_eq!(m.vecmat(&[1.0, 1.0]), vec![4.0, 6.0]);
     }
 
     #[test]
@@ -470,19 +413,10 @@ mod tests {
     }
 
     #[test]
-    fn hstack_vstack_shapes() {
+    fn vstack_shape() {
         let a = Matrix::zeros(2, 3);
-        let b = Matrix::identity(2);
-        assert_eq!(a.hstack(&b).shape(), (2, 5));
         let c = Matrix::zeros(4, 3);
         assert_eq!(a.vstack(&c).shape(), (6, 3));
-    }
-
-    #[test]
-    fn block_extraction() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0], &[7.0, 8.0, 9.0]]);
-        let b = m.block(1, 1, 2, 2);
-        assert_eq!(b, Matrix::from_rows(&[&[5.0, 6.0], &[8.0, 9.0]]));
     }
 
     #[test]

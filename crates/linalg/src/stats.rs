@@ -30,15 +30,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 
-/// Sample standard deviation (n−1 denominator); 0.0 for < 2 entries.
-pub fn sample_std_dev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Linear-interpolation percentile, `q ∈ [0, 100]`.
 ///
 /// Matches the common "linear" method: `p50` of `[1, 2, 3, 4]` is 2.5.
@@ -234,15 +225,6 @@ pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
     (ss / a.len() as f64).sqrt()
 }
 
-/// Mean absolute error of a series against a scalar set point — the power
-/// "control accuracy" metric of Fig. 6.
-pub fn mae_to_setpoint(xs: &[f64], setpoint: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.iter().map(|x| (x - setpoint).abs()).sum::<f64>() / xs.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +238,6 @@ mod tests {
         assert_eq!(mean(&xs), 5.0);
         assert_eq!(variance(&xs), 4.0);
         assert_eq!(std_dev(&xs), 2.0);
-        assert!(sample_std_dev(&xs) > std_dev(&xs));
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[1.0]), 0.0);
     }
@@ -578,9 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_mae() {
+    fn rmse_of_two_series() {
         assert_eq!(rmse(&[1.0, 2.0], &[1.0, 4.0]), 2.0_f64.sqrt());
-        assert_eq!(mae_to_setpoint(&[899.0, 901.0, 905.0], 900.0), 7.0 / 3.0);
-        assert_eq!(mae_to_setpoint(&[], 900.0), 0.0);
     }
 }

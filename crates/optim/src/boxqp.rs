@@ -449,22 +449,9 @@ impl BoxQp {
         self.solve_from(qp, &x0, None)
     }
 
-    /// Solves warm-started from a previous solution's bound states: hinted
-    /// variables start pinned on their bound, the rest start from `x0`.
-    ///
-    /// # Errors
-    /// See [`BoxQp::solve_from`].
-    pub fn solve_warm(
-        &self,
-        qp: &BoxQpProblem,
-        x0: &[f64],
-        hint: &[VarState],
-    ) -> Result<BoxQpSolution> {
-        self.solve_from(qp, x0, Some(hint))
-    }
-
     /// Solves starting from `x0` (clamped into the box) with an optional
-    /// working-set hint.
+    /// working-set hint, such as a previous solution's bound states:
+    /// hinted variables start pinned on their bound.
     ///
     /// # Errors
     /// * [`OptimError::BadProblem`] if `x0`/`hint` lengths mismatch.
@@ -660,7 +647,9 @@ mod tests {
         let qp = BoxQpProblem::new(h.clone(), g.clone(), vec![-10.0; 3], vec![10.0; 3]).unwrap();
         let sol = BoxQp::default().solve(&qp).unwrap();
         // Unconstrained optimum: H·x = −g.
-        let expect = capgpu_linalg::cholesky::solve_spd(&h, &[1.0, -0.5, 0.25]).unwrap();
+        let expect = (capgpu_linalg::Cholesky::new(&h).unwrap())
+            .solve(&[1.0, -0.5, 0.25])
+            .unwrap();
         for (a, b) in sol.x.iter().zip(expect.iter()) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
@@ -687,12 +676,12 @@ mod tests {
         let qp = BoxQpProblem::new(h, g, vec![-0.5, -0.5, -0.5], vec![0.5, 0.5, 0.5]).unwrap();
         let solver = BoxQp::default();
         let cold = solver.solve(&qp).unwrap();
-        let warm = solver.solve_warm(&qp, &cold.x, &cold.states).unwrap();
+        let warm = solver.solve_from(&qp, &cold.x, Some(&cold.states)).unwrap();
         assert_eq!(cold.x, warm.x, "polish must make warm == cold bitwise");
         assert_eq!(cold.states, warm.states);
         // A deliberately wrong hint must still converge to the same point.
         let bad_hint = vec![VarState::AtHi; 3];
-        let warm2 = solver.solve_warm(&qp, &[0.0; 3], &bad_hint).unwrap();
+        let warm2 = solver.solve_from(&qp, &[0.0; 3], Some(&bad_hint)).unwrap();
         assert_eq!(cold.x, warm2.x);
     }
 

@@ -151,7 +151,7 @@ proptest! {
             .zip(bqp.hi.iter())
             .map(|(l, u)| 0.5 * (l + u))
             .collect();
-        let warm = BoxQp::default().solve_warm(&bqp, &x0, &hint).unwrap();
+        let warm = BoxQp::default().solve_from(&bqp, &x0, Some(&hint)).unwrap();
 
         prop_assert_eq!(&cold.x, &warm.x);
         prop_assert_eq!(&cold.states, &warm.states);

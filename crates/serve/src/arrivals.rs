@@ -3,10 +3,8 @@
 //! Three request streams cover the traffic shapes power-capping serving
 //! work evaluates against: memoryless Poisson (the queueing-theory
 //! baseline), a 2-state Markov-modulated Poisson process whose high-rate
-//! phase models bursts, and a deterministic trace-driven stream whose
-//! inter-arrival times are derived from the synthetic Alibaba-PAI trace
-//! (`capgpu_workload::pai`) so request pressure inherits the production
-//! trace's job-mix variability.
+//! phase models bursts, and a deterministic trace-driven stream that
+//! replays given inter-arrival times.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,8 +34,7 @@ pub enum ArrivalProcess {
         mean_dwell_high_s: f64,
     },
     /// Deterministic trace-driven arrivals: the given inter-arrival
-    /// times are replayed cyclically. Use [`ArrivalProcess::pai_trace`]
-    /// to derive one from the synthetic PAI workload trace.
+    /// times are replayed cyclically.
     Trace {
         /// Inter-arrival times (s), replayed in order and wrapped.
         iats: Vec<f64>,
@@ -45,32 +42,6 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// A trace-driven process derived from the synthetic PAI trace:
-    /// each job's (log-)duration, normalized by the trace mean, becomes
-    /// one inter-arrival gap, scaled so the stream's long-run mean rate
-    /// is `mean_rate_rps`. Heavier jobs therefore space requests out and
-    /// light-job runs bunch them — deterministic, production-shaped
-    /// variability with no RNG at serve time.
-    ///
-    /// # Errors
-    /// [`ServeError::BadConfig`] on a non-positive row count or rate.
-    pub fn pai_trace(n_rows: usize, seed: u64, mean_rate_rps: f64) -> Result<Self> {
-        if n_rows == 0 {
-            return Err(ServeError::BadConfig("PAI trace needs >= 1 row"));
-        }
-        if !(mean_rate_rps > 0.0 && mean_rate_rps.is_finite()) {
-            return Err(ServeError::BadConfig("trace mean rate must be positive"));
-        }
-        let trace = capgpu_workload::pai::generate(n_rows, seed);
-        let mean_y: f64 = trace.y.iter().sum::<f64>() / trace.y.len() as f64;
-        let iats = trace
-            .y
-            .iter()
-            .map(|&y| (y / mean_y) / mean_rate_rps)
-            .collect();
-        Ok(ArrivalProcess::Trace { iats })
-    }
-
     /// The process's nominal mean rate (requests/s), before any
     /// intensity scaling. MMPP reports the dwell-weighted average.
     pub fn mean_rate_rps(&self) -> f64 {
@@ -358,12 +329,18 @@ mod tests {
         assert!(mmpp > 3.0, "MMPP dispersion {mmpp}");
     }
 
+    /// Uneven gaps with mean 1 s: `trace(r)` has mean rate `r`.
+    fn trace(rate_rps: f64) -> ArrivalProcess {
+        let gaps = [0.4, 1.7, 0.9, 0.2, 1.3, 0.5, 2.1, 0.9];
+        ArrivalProcess::Trace {
+            iats: gaps.iter().map(|g| g / rate_rps).collect(),
+        }
+    }
+
     #[test]
-    fn pai_trace_rate_and_determinism() {
-        let p = ArrivalProcess::pai_trace(500, 21, 40.0).unwrap();
+    fn trace_rate_and_determinism() {
+        let p = trace(40.0);
         assert!((p.mean_rate_rps() - 40.0).abs() < 1e-9);
-        let q = ArrivalProcess::pai_trace(500, 21, 40.0).unwrap();
-        assert_eq!(p, q);
         // Trace arrivals ignore the RNG entirely: two generators with
         // different seeds replay the same gaps.
         let mut a = ArrivalGen::new(p.clone(), 1).unwrap();
@@ -394,7 +371,7 @@ mod tests {
                 mean_dwell_low_s: 8.0,
                 mean_dwell_high_s: 2.0,
             },
-            ArrivalProcess::pai_trace(200, 5, 40.0).unwrap(),
+            trace(40.0),
         ];
         for p in procs {
             let scaled = p.scaled(1.5);
@@ -425,7 +402,5 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(ArrivalProcess::pai_trace(0, 1, 10.0).is_err());
-        assert!(ArrivalProcess::pai_trace(10, 1, 0.0).is_err());
     }
 }

@@ -10,8 +10,7 @@
 //! before the mean does. This crate supplies the missing request level:
 //!
 //! * [`arrivals`] — pluggable arrival processes: Poisson, 2-state MMPP
-//!   (bursty), and deterministic trace-driven arrivals derived from the
-//!   synthetic PAI trace in `capgpu_workload::pai`.
+//!   (bursty), and deterministic trace-driven arrivals.
 //! * [`engine`] — a deterministic discrete-event engine per GPU: a
 //!   seeded, binary-heap event queue over arrivals, batching timeouts
 //!   and batch completions; a bounded FIFO request queue; and a dynamic

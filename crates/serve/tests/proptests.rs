@@ -24,7 +24,13 @@ fn process(kind: u8, rate: f64) -> ArrivalProcess {
             mean_dwell_low_s: 6.0,
             mean_dwell_high_s: 2.0,
         },
-        _ => ArrivalProcess::pai_trace(200, 99, rate).expect("trace"),
+        // Uneven gaps with mean 1 s, so the mean rate is `rate`.
+        _ => ArrivalProcess::Trace {
+            iats: [0.4, 1.7, 0.9, 0.2, 1.3, 0.5, 2.1, 0.9]
+                .iter()
+                .map(|g| g / rate)
+                .collect(),
+        },
     }
 }
 

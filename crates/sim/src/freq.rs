@@ -96,22 +96,6 @@ impl FrequencyTable {
             }
         }
     }
-
-    /// The two levels bracketing a target, for delta-sigma modulation.
-    /// Returns `(level, level)` when the target sits exactly on a level or
-    /// outside the range.
-    pub fn bracket(&self, target_mhz: f64) -> (f64, f64) {
-        let clamped = target_mhz.clamp(self.min(), self.max());
-        match self
-            .levels
-            .binary_search_by(|l| l.partial_cmp(&clamped).expect("no NaN"))
-        {
-            Ok(i) => (self.levels[i], self.levels[i]),
-            Err(0) => (self.levels[0], self.levels[0]),
-            Err(i) if i == self.levels.len() => (self.max(), self.max()),
-            Err(i) => (self.levels[i - 1], self.levels[i]),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,15 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn bracket_pairs() {
-        let t = FrequencyTable::uniform(100.0, 200.0, 50.0).unwrap();
-        assert_eq!(t.bracket(150.0), (150.0, 150.0));
-        assert_eq!(t.bracket(160.0), (150.0, 200.0));
-        assert_eq!(t.bracket(-5.0), (100.0, 100.0));
-        assert_eq!(t.bracket(1e6), (200.0, 200.0));
-    }
-
-    #[test]
     fn validation() {
         assert!(FrequencyTable::new(vec![]).is_err());
         assert!(FrequencyTable::new(vec![2.0, 1.0]).is_err());
@@ -160,7 +135,6 @@ mod tests {
     fn single_level() {
         let t = FrequencyTable::new(vec![877.0]).unwrap();
         assert_eq!(t.quantize(1000.0), 877.0);
-        assert_eq!(t.bracket(900.0), (877.0, 877.0));
     }
 
     #[test]

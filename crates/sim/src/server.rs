@@ -261,11 +261,6 @@ impl Server {
             .ok_or(SimError::NoSuchDevice(idx))
     }
 
-    /// All applied frequencies in index order.
-    pub fn applied_frequencies(&self) -> Vec<f64> {
-        self.states.iter().map(|s| s.applied_mhz).collect()
-    }
-
     /// Sets a device's target frequency; returns the applied (quantized)
     /// value. Mirrors `nvidia-smi -ac` / `cpupower frequency-set`.
     ///
@@ -338,16 +333,9 @@ impl Server {
         ))
     }
 
-    /// All effective frequencies in index order.
-    pub fn effective_frequencies(&self) -> Vec<f64> {
-        (0..self.devices.len())
-            .map(|i| effective_mhz(&self.devices[i], &self.states[i], &self.thermal_states[i]))
-            .collect()
-    }
-
-    /// Writes all effective frequencies into `out` (resized to the device
-    /// count). Allocation-free variant of
-    /// [`Server::effective_frequencies`] for per-second polling loops.
+    /// Writes all effective frequencies, in index order, into `out`
+    /// (resized to the device count); no allocation once `out` has grown,
+    /// for per-second polling loops.
     pub fn effective_frequencies_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(
@@ -552,17 +540,6 @@ impl Server {
         Ok(())
     }
 
-    /// The active actuator fault on a device, if any.
-    ///
-    /// # Errors
-    /// [`SimError::NoSuchDevice`] for an out-of-range index.
-    pub fn actuator_fault(&self, idx: usize) -> Result<Option<ActuatorFault>> {
-        self.actuator_faults
-            .get(idx)
-            .copied()
-            .ok_or(SimError::NoSuchDevice(idx))
-    }
-
     /// Whether a device is currently ejected (off the bus). Out-of-range
     /// indices read `false` — this is a hot-path probe, not a validator.
     pub fn is_ejected(&self, idx: usize) -> bool {
@@ -687,7 +664,8 @@ mod tests {
             .set_all_frequencies(&[2000.0, 1350.0, 435.0, 900.0])
             .unwrap();
         assert_eq!(applied, vec![2000.0, 1350.0, 435.0, 900.0]);
-        assert_eq!(s.applied_frequencies(), applied);
+        let now: Vec<f64> = (0..4).map(|i| s.applied_frequency(i).unwrap()).collect();
+        assert_eq!(now, applied);
         assert!(matches!(
             s.set_all_frequencies(&[1.0]).unwrap_err(),
             SimError::WrongArity {
@@ -875,15 +853,13 @@ mod actuator_fault_tests {
     #[test]
     fn fault_bookkeeping_and_bounds() {
         let mut s = one_gpu();
-        assert_eq!(s.actuator_fault(0).unwrap(), None);
+        assert_eq!(s.set_target_frequency(0, 900.0).unwrap(), 900.0);
         s.set_actuator_fault(0, Some(ActuatorFault::StuckClock))
             .unwrap();
-        assert_eq!(
-            s.actuator_fault(0).unwrap(),
-            Some(ActuatorFault::StuckClock)
-        );
+        assert_eq!(s.set_target_frequency(0, 1350.0).unwrap(), 900.0);
+        s.set_actuator_fault(0, None).unwrap();
+        assert_eq!(s.set_target_frequency(0, 1350.0).unwrap(), 1350.0);
         assert!(s.set_actuator_fault(5, None).is_err());
-        assert!(s.actuator_fault(5).is_err());
         assert!(!s.is_ejected(5));
     }
 

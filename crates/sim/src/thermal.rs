@@ -58,12 +58,6 @@ impl ThermalSpec {
     pub fn steady_temperature(&self, p_watts: f64) -> f64 {
         self.ambient_c + self.r_th_k_per_w * p_watts
     }
-
-    /// The power at which the device would eventually hit its throttle
-    /// point — the thermal design power at this airflow.
-    pub fn throttle_power_watts(&self) -> f64 {
-        (self.t_throttle_c - self.ambient_c) / self.r_th_k_per_w
-    }
 }
 
 /// V100-class thermal parameters at a pinned mid-speed fan.
@@ -132,7 +126,8 @@ mod tests {
         let spec = v100_thermal();
         assert_eq!(spec.steady_temperature(0.0), 30.0);
         assert_eq!(spec.steady_temperature(200.0), 70.0);
-        assert!((spec.throttle_power_watts() - 265.0).abs() < 1e-9);
+        // 265 W is the envelope: it settles exactly at the throttle point.
+        assert!((spec.steady_temperature(265.0) - spec.t_throttle_c).abs() < 1e-9);
     }
 
     #[test]
@@ -199,14 +194,14 @@ mod tests {
 
     #[test]
     fn no_chatter_at_the_boundary() {
-        // Power exactly at the throttle envelope: hysteresis prevents
-        // rapid on/off cycling.
+        // Power 1 W above the 265 W throttle envelope: hysteresis
+        // prevents rapid on/off cycling.
         let spec = v100_thermal();
         let mut st = ThermalState::new(&spec);
         let mut transitions = 0;
         let mut prev = false;
         for _ in 0..2000 {
-            let now = st.step(&spec, spec.throttle_power_watts() + 1.0);
+            let now = st.step(&spec, 266.0);
             if now != prev {
                 transitions += 1;
             }

@@ -184,11 +184,6 @@ impl FeatselRateModel {
         let base = self.ref_rate * f_cpu_mhz / self.ref_mhz;
         base * (1.0 + self.jitter * noise.clamp(-1.0, 1.0))
     }
-
-    /// The average wall-clock seconds one subset evaluation takes at `f`.
-    pub fn seconds_per_subset(&self, f_cpu_mhz: f64) -> f64 {
-        1.0 / self.rate(f_cpu_mhz, 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -247,7 +242,6 @@ mod tests {
         let m = FeatselRateModel::new(100.0, 2200.0, 0.0).unwrap();
         assert!((m.rate(1100.0, 0.0) - 50.0).abs() < 1e-9);
         assert!((m.rate(2200.0, 0.0) - 100.0).abs() < 1e-9);
-        assert!((m.seconds_per_subset(2200.0) - 0.01).abs() < 1e-12);
     }
 
     #[test]
@@ -266,145 +260,5 @@ mod tests {
         assert!(FeatselRateModel::new(0.0, 2200.0, 0.0).is_err());
         assert!(FeatselRateModel::new(1.0, 0.0, 0.0).is_err());
         assert!(FeatselRateModel::new(1.0, 1.0, 1.0).is_err());
-    }
-}
-
-/// Parallel exhaustive search: subsets are distributed over `threads`
-/// workers by atomic work stealing on the mask counter. Scoring is
-/// read-only over the dataset, so workers share it by reference
-/// (`std::thread::scope`); results merge by minimum CV MSE, which is
-/// associative, so the parallel result equals the serial one exactly
-/// (ties broken toward the smaller mask for determinism).
-impl ExhaustiveFeatureSelection {
-    /// Runs the exhaustive search across `threads` OS threads.
-    ///
-    /// # Errors
-    /// Same as [`Self::run`]; the first worker error wins.
-    pub fn run_parallel(
-        &self,
-        x: &[Vec<f64>],
-        y: &[f64],
-        threads: usize,
-    ) -> Result<SelectionResult> {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::sync::Mutex;
-
-        if x.is_empty() {
-            return Err(WorkloadError::BadConfig("empty dataset"));
-        }
-        let p = x[0].len();
-        if p == 0 || p > 20 {
-            return Err(WorkloadError::BadConfig(
-                "feature count must be in 1..=20 for exhaustive search",
-            ));
-        }
-        let threads = threads.max(1);
-        let total_masks = (1u32 << p) - 1;
-        let next_mask = AtomicU32::new(1);
-        // (cv_mse, mask) — smaller mask wins ties for determinism.
-        let best: Mutex<Option<(f64, u32)>> = Mutex::new(None);
-        let first_error: Mutex<Option<WorkloadError>> = Mutex::new(None);
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut local_best: Option<(f64, u32)> = None;
-                    loop {
-                        let mask = next_mask.fetch_add(1, Ordering::Relaxed);
-                        if mask > total_masks {
-                            break;
-                        }
-                        let features: Vec<usize> =
-                            (0..p).filter(|j| mask & (1 << j) != 0).collect();
-                        match self.score_subset(x, y, &features) {
-                            Ok(cv_mse) => {
-                                let better = match local_best {
-                                    None => true,
-                                    Some((b, bm)) => cv_mse < b || (cv_mse == b && mask < bm),
-                                };
-                                if better {
-                                    local_best = Some((cv_mse, mask));
-                                }
-                            }
-                            Err(e) => {
-                                let mut slot = first_error.lock().expect("poisoned");
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                break;
-                            }
-                        }
-                    }
-                    if let Some((mse, mask)) = local_best {
-                        let mut global = best.lock().expect("poisoned");
-                        let better = match *global {
-                            None => true,
-                            Some((b, bm)) => mse < b || (mse == b && mask < bm),
-                        };
-                        if better {
-                            *global = Some((mse, mask));
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some(e) = first_error.into_inner().expect("poisoned") {
-            return Err(e);
-        }
-        let (cv_mse, mask) = best
-            .into_inner()
-            .expect("poisoned")
-            .expect("at least one subset scored");
-        let features: Vec<usize> = (0..p).filter(|j| mask & (1 << j) != 0).collect();
-        Ok(SelectionResult {
-            best: SubsetScore { features, cv_mse },
-            subsets_evaluated: total_masks as usize,
-        })
-    }
-}
-
-#[cfg(test)]
-mod parallel_tests {
-    use super::*;
-    use crate::pai;
-
-    #[test]
-    fn parallel_matches_serial() {
-        let trace = pai::generate(300, 23);
-        let fs = ExhaustiveFeatureSelection { folds: 4 };
-        let serial = fs.run(&trace.x, &trace.y, |_| {}).unwrap();
-        for threads in [1, 2, 4, 8] {
-            let par = fs.run_parallel(&trace.x, &trace.y, threads).unwrap();
-            assert_eq!(par.best.features, serial.best.features, "{threads} threads");
-            assert!((par.best.cv_mse - serial.best.cv_mse).abs() < 1e-12);
-            assert_eq!(par.subsets_evaluated, serial.subsets_evaluated);
-        }
-    }
-
-    #[test]
-    fn parallel_recovers_true_features() {
-        let trace = pai::generate(400, 29);
-        let fs = ExhaustiveFeatureSelection::default();
-        let result = fs.run_parallel(&trace.x, &trace.y, 4).unwrap();
-        for &f in &pai::TRUE_FEATURES {
-            assert!(result.best.features.contains(&f));
-        }
-    }
-
-    #[test]
-    fn parallel_propagates_errors() {
-        // Dataset too small for the fold count: every worker errors; the
-        // first error is surfaced.
-        let trace = pai::generate(8, 1);
-        let fs = ExhaustiveFeatureSelection { folds: 5 };
-        assert!(fs.run_parallel(&trace.x, &trace.y, 4).is_err());
-    }
-
-    #[test]
-    fn zero_threads_clamps_to_one() {
-        let trace = pai::generate(200, 31);
-        let fs = ExhaustiveFeatureSelection { folds: 3 };
-        assert!(fs.run_parallel(&trace.x, &trace.y, 0).is_ok());
     }
 }

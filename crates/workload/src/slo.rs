@@ -1,34 +1,9 @@
 //! SLO bookkeeping (§6.4).
 //!
-//! The paper derives SLO levels from the latency distribution of each
-//! workload: a "30% tail latency" SLO is the threshold only the slowest
-//! 30% of requests exceed (tight), an "80% tail latency" SLO is exceeded
-//! by 80% of requests at the reference operating point (loose). The
-//! tracker records per-batch inference latencies per task, reports
-//! deadline-miss rates, and converts tail levels into absolute SLO values
-//! via [`slo_from_tail`].
+//! The tracker records per-batch inference latencies per task and
+//! reports deadline misses, miss rates and latency percentiles.
 
 use capgpu_linalg::stats;
-
-/// Converts a tail level into an absolute SLO threshold from a latency
-/// sample: the `(100 − tail)`-th percentile. Smaller tails → tighter SLOs.
-///
-/// Degenerate inputs get a defined fallback instead of a panic or NaN:
-/// non-finite latencies are ignored, an out-of-range `tail_pct` is
-/// clamped to `[0, 100]`, a single sample is its own threshold, and an
-/// empty (or all-non-finite) sample yields `f64::INFINITY` — an SLO
-/// derived from no data constrains nothing.
-pub fn slo_from_tail(latencies: &[f64], tail_pct: f64) -> f64 {
-    let mut finite: Vec<f64> = latencies
-        .iter()
-        .copied()
-        .filter(|l| l.is_finite())
-        .collect();
-    if finite.is_empty() {
-        return f64::INFINITY;
-    }
-    stats::percentile_in_place(&mut finite, 100.0 - tail_pct.clamp(0.0, 100.0))
-}
 
 /// Per-task SLO tracking over a run.
 #[derive(Debug, Clone)]
@@ -151,16 +126,6 @@ impl SloTracker {
         stats::percentile_in_place(&mut self.latencies[task], q)
     }
 
-    /// Overall miss rate across all tasks.
-    pub fn overall_miss_rate(&self) -> f64 {
-        let total: usize = self.totals.iter().sum();
-        if total == 0 {
-            0.0
-        } else {
-            self.misses.iter().sum::<usize>() as f64 / total as f64
-        }
-    }
-
     /// Clears all recorded latencies and miss counters while keeping the
     /// configured SLOs — used when a calibration phase (e.g. system
     /// identification) precedes the measured run.
@@ -178,17 +143,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tail_semantics() {
-        // 30% tail = 70th percentile: tighter than 80% tail = 20th pct.
-        let lats: Vec<f64> = (1..=100).map(|i| i as f64 / 100.0).collect();
-        let tight = slo_from_tail(&lats, 30.0);
-        let loose = slo_from_tail(&lats, 80.0);
-        assert!(tight > loose);
-        assert!((tight - 0.703).abs() < 0.005);
-        assert!((loose - 0.208).abs() < 0.005);
-    }
-
-    #[test]
     fn miss_accounting() {
         let mut t = SloTracker::new(vec![0.1, 0.2]);
         t.record(0, 0.05);
@@ -197,7 +151,6 @@ mod tests {
         t.record(1, 0.19);
         assert_eq!(t.miss_rate(0), 0.5);
         assert_eq!(t.miss_rate(1), 0.0);
-        assert_eq!(t.overall_miss_rate(), 0.25);
         assert_eq!(t.latencies(0).len(), 2);
     }
 
@@ -225,30 +178,8 @@ mod tests {
     fn empty_tracker_is_healthy() {
         let mut t = SloTracker::new(vec![0.1]);
         assert_eq!(t.miss_rate(0), 0.0);
-        assert_eq!(t.overall_miss_rate(), 0.0);
         assert_eq!(t.misses(0), 0);
         assert_eq!(t.percentile(0, 99.0), 0.0);
-    }
-
-    #[test]
-    fn tail_edges_have_defined_fallbacks() {
-        // Empty and all-non-finite samples: an unconstraining threshold.
-        assert_eq!(slo_from_tail(&[], 30.0), f64::INFINITY);
-        assert_eq!(
-            slo_from_tail(&[f64::NAN, f64::INFINITY], 30.0),
-            f64::INFINITY
-        );
-        // A single sample is its own threshold at any tail level.
-        for tail in [-10.0, 0.0, 30.0, 100.0, 250.0] {
-            assert_eq!(slo_from_tail(&[0.07], tail), 0.07);
-        }
-        // Non-finite entries are ignored, not propagated.
-        let got = slo_from_tail(&[0.1, f64::NAN, 0.3, 0.2], 50.0);
-        assert!((got - 0.2).abs() < 1e-12);
-        // Out-of-range tails clamp instead of panicking.
-        let lats = [0.1, 0.2, 0.3];
-        assert_eq!(slo_from_tail(&lats, -5.0), 0.3); // 100th pct
-        assert_eq!(slo_from_tail(&lats, 400.0), 0.1); // 0th pct
     }
 
     #[test]
@@ -310,7 +241,6 @@ mod tests {
                 assert_eq!(bulk.misses(t), one_by_one.misses(t));
                 assert_eq!(bulk.miss_rate(t), one_by_one.miss_rate(t));
             }
-            assert_eq!(bulk.overall_miss_rate(), one_by_one.overall_miss_rate());
         }
         assert_eq!(bulk.misses(0), 4); // 0.15, NaN, +inf, -inf
         assert_eq!(bulk.misses(1), 1); // 0.3
@@ -322,15 +252,12 @@ mod tests {
         let samples: Vec<f64> = (0..101).map(|i| ((i * 37) % 101) as f64 / 100.0).collect();
         t.record_all(0, &samples);
         t.record(0, f64::NAN);
-        let (misses, rate, overall) = (t.misses(0), t.miss_rate(0), t.overall_miss_rate());
+        let (misses, rate) = (t.misses(0), t.miss_rate(0));
         assert_eq!(misses, 51); // 0.51..=1.00 and the NaN
         assert_eq!(t.percentile(0, 99.0), 0.99);
         assert_eq!(t.percentile(0, 50.0), 0.5);
         assert_eq!(t.percentile(0, 250.0), 1.0);
-        assert_eq!(
-            (t.misses(0), t.miss_rate(0), t.overall_miss_rate()),
-            (misses, rate, overall)
-        );
+        assert_eq!((t.misses(0), t.miss_rate(0)), (misses, rate));
         // The buffer may have been permuted, never resized or altered.
         let mut after = t.latencies(0).to_vec();
         after.sort_by(|a, b| a.partial_cmp(b).unwrap());

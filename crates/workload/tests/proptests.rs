@@ -109,7 +109,6 @@ proptest! {
                 prop_assert_eq!(bulk.misses(t), one_by_one.misses(t));
                 prop_assert_eq!(bulk.miss_rate(t), one_by_one.miss_rate(t));
             }
-            prop_assert_eq!(bulk.overall_miss_rate(), one_by_one.overall_miss_rate());
         }
     }
 

@@ -19,7 +19,7 @@ fn main() {
     // latency at the frequency q% of the way up the GPU's range.
     let level = |task: usize, q: f64| -> f64 {
         let m = &base.gpu_models[task];
-        let lat = LatencyModel::new(m.e_min_s, base.gamma_fitted, 1350.0).unwrap();
+        let lat = LatencyModel::new(m.e_min_s, GAMMA_FITTED, 1350.0).unwrap();
         let f = 435.0 + (q / 100.0) * (1350.0 - 435.0);
         lat.latency(f)
     };
