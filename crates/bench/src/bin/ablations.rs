@@ -42,7 +42,7 @@ fn weight_assignment() {
         s.gpu_models[2].preprocess_s_per_image = 0.16;
         s
     };
-    let weighted = |enabled: bool, label: &'static str| {
+    let weighted = |weights: WeightAssigner, label: &'static str| {
         ControllerSpec::custom(label, move |runner| {
             let model = runner.identified_model()?;
             let controller = CapGpuController::with_config(
@@ -51,11 +51,7 @@ fn weight_assignment() {
                     runner.layout().f_max.clone(),
                 ),
                 model,
-                if enabled {
-                    WeightAssigner::default()
-                } else {
-                    WeightAssigner::disabled()
-                },
+                weights,
                 label,
             )?;
             Ok(Box::new(controller) as Box<dyn PowerController>)
@@ -64,8 +60,8 @@ fn weight_assignment() {
     let report = SweepSpec::new(scenario())
         .setpoint(SETPOINT)
         .periods(PERIODS)
-        .controller(weighted(true, "CapGPU (weights on)"))
-        .controller(weighted(false, "CapGPU (weights off)"))
+        .controller(weighted(WeightAssigner::PhaseAware, "CapGPU (weights on)"))
+        .controller(weighted(WeightAssigner::Uniform, "CapGPU (weights off)"))
         .run()
         .expect("sweep");
     let on = RunSummary::from_trace(report.cells[0].trace());
@@ -116,7 +112,6 @@ fn horizon_sweep() {
                 );
                 config.prediction_horizon = p;
                 config.control_horizon = p.min(2);
-                config.q_weights = vec![1.0; p];
                 let controller = CapGpuController::with_config(
                     config,
                     model,

@@ -76,14 +76,7 @@ fn main() {
     let mut all_ok = true;
     let mut strict_sup = (0.0, 0.0);
     for (k, &intensity) in intensities.iter().enumerate() {
-        let storm = FaultSchedule::storm(
-            SEED,
-            &StormConfig {
-                intensity,
-                ..Default::default()
-            },
-        )
-        .expect("storm schedule");
+        let storm = FaultSchedule::storm(SEED, intensity).expect("storm schedule");
         println!();
         println!("storm x{intensity:.2} ({PERIODS} periods, set point {SETPOINT:.0} W):");
         println!(

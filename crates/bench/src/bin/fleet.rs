@@ -64,11 +64,7 @@ fn config(g: &Geometry, allocator: AllocatorMode, migrate: bool) -> FleetConfig 
         epochs: g.epochs,
         epoch_periods: g.epoch_periods,
         allocator,
-        migration: if migrate {
-            Some(MigrationConfig::default())
-        } else {
-            None
-        },
+        migration: migrate,
         ..FleetConfig::new(g.budget_per_server * (g.racks * g.per_rack) as f64)
     }
 }

@@ -21,7 +21,6 @@ use std::path::Path;
 use capgpu::daemon::{Daemon, DaemonConfig};
 use capgpu::prelude::FaultKind;
 use capgpu_backend::SimBackend;
-use capgpu_obs::analyzer::AnalyzerConfig;
 use capgpu_obs::reader::read_dir;
 use capgpu_obs::replay::ReplayState;
 use capgpu_obs::report::render;
@@ -81,8 +80,7 @@ fn scripted_scenario(dir: &Path) -> Result<(), String> {
 /// Renders the post-mortem for a journal directory.
 fn post_mortem(dir: &Path) -> Result<String, String> {
     let scan = read_dir(dir).map_err(|e| e.to_string())?;
-    let pm = render(&scan, &AnalyzerConfig::default()).map_err(|e| e.to_string())?;
-    Ok(pm.text)
+    Ok(render(&scan).text)
 }
 
 /// The default transcript: scripted scenario + its post-mortem.

@@ -4,7 +4,7 @@
 //! observability invariants that make the subsystem safe to leave on:
 //!
 //! 1. the deterministic report reruns byte-identically,
-//! 2. published figure CSVs are byte-identical with telemetry enabled,
+//! 2. run traces are bit-identical with telemetry enabled,
 //! 3. a telemetry-carrying sweep is bit-identical across thread counts
 //!    (merged registry included),
 //! 4. wall-clock span tracing captures every control-loop phase.
@@ -15,7 +15,6 @@
 //! therefore the golden) free of non-deterministic timings. The bin
 //! exits nonzero if any check fails.
 
-use capgpu::export::trace_to_csv;
 use capgpu::prelude::*;
 use capgpu_bench::fmt;
 
@@ -70,27 +69,23 @@ fn main() {
     );
     all_ok &= det_ok;
 
-    // ---- check 2: telemetry never perturbs published CSVs -------------
+    // ---- check 2: telemetry never perturbs a run -----------------------
     // The Fig. 6 accuracy grid (shortened), once bare and once with
-    // telemetry enabled on a threaded schedule — every per-cell CSV must
-    // come out byte for byte the same.
+    // telemetry enabled on a threaded schedule — every per-cell trace
+    // must come out bit for bit the same.
     let off = grid(&setpoints, grid_periods, false)
         .run_serial()
         .expect("bare sweep");
     let on = grid(&setpoints, grid_periods, true)
         .run_with_threads(4)
         .expect("telemetry sweep");
-    let csv_ok = off.traces().count() == on.traces().count()
-        && off
-            .traces()
-            .zip(on.traces())
-            .all(|(a, b)| trace_to_csv(a) == trace_to_csv(b));
+    let traces_ok = off.traces().eq(on.traces());
     fmt::check(
-        "published CSVs byte-identical with telemetry enabled",
-        csv_ok,
+        "run traces bit-identical with telemetry enabled",
+        traces_ok,
         &format!("{} cells compared", off.len()),
     );
-    all_ok &= csv_ok;
+    all_ok &= traces_ok;
 
     // ---- check 3: thread-schedule independence with telemetry on ------
     let serial = grid(&setpoints, grid_periods, true)

@@ -57,41 +57,37 @@ use capgpu_optim::OptimError;
 use crate::model::LinearPowerModel;
 use crate::{ControlError, Result};
 
-/// Static MPC configuration.
+/// Tracking weight `Q(i)`, the same at every prediction step (paper
+/// Eq. 9: `Q = 1`).
+const Q_WEIGHT: f64 = 1.0;
+/// Base control-penalty scale multiplied by the per-device weights.
+const R_BASE: f64 = 2e-4;
+
+/// Static MPC configuration. The control penalty's reference frequency
+/// `f_ref` is the hardware minimum `f_min`, as in the paper.
 #[derive(Debug, Clone)]
 pub struct MpcConfig {
     /// Prediction horizon `P` (paper: 8).
     pub prediction_horizon: usize,
     /// Control horizon `M ≤ P` (paper: 2).
     pub control_horizon: usize,
-    /// Tracking weights `Q(i)`, one per prediction step (defaults to 1.0).
-    pub q_weights: Vec<f64>,
-    /// Base control-penalty scale multiplied by the per-step weights.
-    pub r_base: f64,
     /// Hard per-device minimum frequencies (MHz).
     pub f_min: Vec<f64>,
     /// Hard per-device maximum frequencies (MHz).
     pub f_max: Vec<f64>,
-    /// Reference frequency `f_ref` in the control penalty (paper uses
-    /// `f_min`; kept configurable for ablations).
-    pub f_ref: Vec<f64>,
     /// Optional per-device slew limit on a single move `|d₀ⱼ|` (MHz).
     pub max_step: Option<Vec<f64>>,
 }
 
 impl MpcConfig {
-    /// Paper-default configuration (`P = 8`, `M = 2`, `Q = 1`,
-    /// `f_ref = f_min`) for the given frequency ranges.
+    /// Paper-default configuration (`P = 8`, `M = 2`) for the given
+    /// frequency ranges.
     pub fn paper_defaults(f_min: Vec<f64>, f_max: Vec<f64>) -> Self {
-        let f_ref = f_min.clone();
         MpcConfig {
             prediction_horizon: 8,
             control_horizon: 2,
-            q_weights: vec![1.0; 8],
-            r_base: 2e-4,
             f_min,
             f_max,
-            f_ref,
             max_step: None,
         }
     }
@@ -101,7 +97,7 @@ impl MpcConfig {
         if n == 0 {
             return Err(ControlError::BadConfig("MPC needs >= 1 device"));
         }
-        if self.f_max.len() != n || self.f_ref.len() != n {
+        if self.f_max.len() != n {
             return Err(ControlError::BadConfig("MPC bound length mismatch"));
         }
         if let Some(ms) = &self.max_step {
@@ -118,14 +114,6 @@ impl MpcConfig {
         if self.control_horizon == 0 || self.control_horizon > self.prediction_horizon {
             return Err(ControlError::BadConfig(
                 "control horizon must be in 1..=prediction horizon",
-            ));
-        }
-        if self.q_weights.len() != self.prediction_horizon {
-            return Err(ControlError::BadConfig("q_weights length != P"));
-        }
-        if self.q_weights.iter().any(|q| *q < 0.0) || self.r_base <= 0.0 {
-            return Err(ControlError::BadConfig(
-                "weights must be non-negative, r_base > 0",
             ));
         }
         if self
@@ -253,7 +241,6 @@ pub struct MpcController {
     config: MpcConfig,
     model: LinearPowerModel,
     num_devices: usize,
-    solver: BoxQp,
     /// Lazily built per-period cache ([`StepCache`]); interior mutability
     /// keeps `step(&self)` — the controller is logically immutable.
     cache: RefCell<Option<StepCache>>,
@@ -276,7 +263,6 @@ impl MpcController {
             config,
             model,
             num_devices: n,
-            solver: BoxQp::default(),
             cache: RefCell::new(None),
         })
     }
@@ -416,7 +402,7 @@ impl MpcController {
 
         let mut qbar = vec![0.0; m];
         for i in 1..=self.config.prediction_horizon {
-            qbar[i.min(m) - 1] += self.config.q_weights[i - 1];
+            qbar[i.min(m) - 1] += Q_WEIGHT;
         }
 
         let mut h = Matrix::zeros(dim, dim);
@@ -447,7 +433,7 @@ impl MpcController {
 
     /// Computes one control period: given the measured average power, the
     /// set point, the currently applied frequencies, per-device control
-    /// weights (≥ 0, scaled by `r_base`; pass all-1s for uniform), and
+    /// weights (≥ 0, scaled by `R_BASE`; pass all-1s for uniform), and
     /// per-device frequency floors (pass `f_min` when no SLO applies).
     ///
     /// The condensed QP is solved in cumulative coordinates as a pure box
@@ -475,9 +461,7 @@ impl MpcController {
         let (f_lo, floor_clamped) = self.effective_floors(current_freqs, r_weights, floors)?;
         let f_now = current_freqs;
         let e0 = p_measured - setpoint;
-        let r_diag: Vec<f64> = (0..n)
-            .map(|j| self.config.r_base * r_weights[j].max(1e-9))
-            .collect();
+        let r_diag: Vec<f64> = (0..n).map(|j| R_BASE * r_weights[j].max(1e-9)).collect();
 
         let mut slot = self.cache.borrow_mut();
         let cache = match slot.as_mut() {
@@ -533,7 +517,7 @@ impl MpcController {
         let a = self.model.gains();
         for b in 0..m {
             for j in 0..n {
-                let w_j = f_now[j] - self.config.f_ref[j];
+                let w_j = f_now[j] - self.config.f_min[j];
                 cache.qp.gradient[b * n + j] =
                     2.0 * cache.qbar[b] * e0 * a[j] + 2.0 * cache.r_diag[j] * w_j;
             }
@@ -582,9 +566,7 @@ impl MpcController {
                 for i in 0..m {
                     start[i * n..(i + 1) * n].copy_from_slice(&d0[..n]);
                 }
-                let sol = self
-                    .solver
-                    .solve_from(&cache.qp, &start, cache.warm.as_deref())?;
+                let sol = BoxQp.solve_from(&cache.qp, &start, cache.warm.as_deref())?;
                 if !cache.regions.iter().any(|r| r.states == sol.states) {
                     let region = Region {
                         states: sol.states.clone(),
@@ -650,16 +632,15 @@ impl MpcController {
         let dim = m * n;
 
         // Rebuild H (independent of e0 / w) and the two gradient factories.
-        let r_diag: Vec<f64> = (0..n).map(|_| self.config.r_base).collect();
+        let r_diag = vec![R_BASE; n];
         let mut h = Matrix::zeros(dim, dim);
         let mut g_e = vec![0.0; dim]; // gradient per unit e0 (w = 0)
         for i in 1..=p_h {
-            let q = self.config.q_weights[i - 1];
             let s = self.tracking_row(i);
             for a in 0..dim {
-                g_e[a] += 2.0 * q * s[a];
+                g_e[a] += 2.0 * Q_WEIGHT * s[a];
                 for b in 0..dim {
-                    h[(a, b)] += 2.0 * q * s[a] * s[b];
+                    h[(a, b)] += 2.0 * Q_WEIGHT * s[a] * s[b];
                 }
             }
         }
@@ -749,26 +730,20 @@ mod tests {
             // H = 2·(Σ Qᵢ·sᵢsᵢᵀ + Σ Tᵢᵀ R Tᵢ),
             // g = 2·(e₀·Σ Qᵢ·sᵢ + Σ Tᵢᵀ R w),  w = f(k) − f_ref.
             let e0 = p_measured - setpoint;
-            let w: Vec<f64> = vector::sub(&f_now, &self.config.f_ref);
-            let r_diag: Vec<f64> = (0..n)
-                .map(|j| self.config.r_base * r_weights[j].max(1e-9))
-                .collect();
+            let w: Vec<f64> = vector::sub(&f_now, &self.config.f_min);
+            let r_diag: Vec<f64> = (0..n).map(|j| R_BASE * r_weights[j].max(1e-9)).collect();
 
             let mut h = Matrix::zeros(dim, dim);
             let mut g = vec![0.0; dim];
             for i in 1..=p_h {
-                let q = self.config.q_weights[i - 1];
-                if q == 0.0 {
-                    continue;
-                }
                 let s = self.tracking_row(i);
                 for a in 0..dim {
                     if s[a] == 0.0 {
                         continue;
                     }
-                    g[a] += 2.0 * q * e0 * s[a];
+                    g[a] += 2.0 * Q_WEIGHT * e0 * s[a];
                     for b in 0..dim {
-                        h[(a, b)] += 2.0 * q * s[a] * s[b];
+                        h[(a, b)] += 2.0 * Q_WEIGHT * s[a] * s[b];
                     }
                 }
             }
@@ -1040,7 +1015,7 @@ mod tests {
             .unwrap();
         let w: Vec<f64> = f
             .iter()
-            .zip(c.config().f_ref.iter())
+            .zip(c.config().f_min.iter())
             .map(|(a, b)| a - b)
             .collect();
         for j in 0..3 {
@@ -1372,10 +1347,6 @@ mod tests {
 
         let mut bad = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
         bad.control_horizon = 9;
-        assert!(MpcController::new(bad, model.clone()).is_err());
-
-        let mut bad = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
-        bad.q_weights = vec![1.0; 3];
         assert!(MpcController::new(bad, model.clone()).is_err());
 
         let bad = MpcConfig::paper_defaults(vec![1350.0], vec![435.0]);

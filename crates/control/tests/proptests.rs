@@ -1,6 +1,6 @@
 //! Property tests for the control layer: delta-sigma averaging, system
 //! identification recovery, MPC feasibility and monotonicity, stability of
-//! pole-placed designs.
+//! pole-placed designs, and the §4.4 pole verdict against the closed loop.
 
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::modulator::{uniform_levels, DeltaSigmaModulator};
@@ -9,6 +9,17 @@ use capgpu_control::pid::ProportionalController;
 use capgpu_control::sysid::{ExcitationPlan, SystemIdentifier};
 use capgpu_control::{metrics, stability};
 use proptest::prelude::*;
+
+/// Half-width of the band around spectral radius 1 where the pole
+/// verdict is not checked against the simulated loop. Near ρ = 1 a
+/// stable loop needs ≈ 18 / (1 − ρ) periods to settle to `SETTLED_MHZ`
+/// and an unstable one ≈ ln(150) / (ρ − 1) to reach a bound, so within
+/// `MAX_PERIODS` the outcome is undecidable there, not wrong.
+const STABILITY_BAND: f64 = 0.02;
+/// Closed-loop periods simulated per case.
+const MAX_PERIODS: usize = 2000;
+/// A loop has converged once no device moves more than this (MHz).
+const SETTLED_MHZ: f64 = 1e-6;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -90,8 +101,8 @@ proptest! {
         // legitimate: when the tracking error is already ~0, the optimizer
         // trades a tiny Q-cost for a reduction of the R-penalty
         // (frequency redistribution along nearly power-neutral
-        // directions), bounded by the r_base/Q ratio.
-        // The transient's worst case scales with r_base · w_max · Δf_max
+        // directions), bounded by the R_BASE/Q ratio.
+        // The transient's worst case scales with R_BASE · w_max · Δf_max
         // (≈ 2e-4 · 2 · 1400 ≈ 0.6 W of penalty gradient): 2 W is a safe,
         // still-meaningful envelope.
         let err_before = err.abs();
@@ -155,5 +166,47 @@ proptest! {
             stability::is_stable(&actual, &k_p, &k_f, 0.0).unwrap(),
             "unstable at g = {g} for gains {:?}", c.model().gains()
         );
+    }
+
+    #[test]
+    fn pole_verdict_matches_the_simulated_loop(
+        g in prop::collection::vec(0.25..3.5f64, 3),
+    ) {
+        // The paper model, mis-scaled per device: the plant's gains are
+        // g∘A while the controller keeps A.
+        let a = [0.06, 0.18, 0.18];
+        let (f_min, f_max) = ([1000.0, 435.0, 435.0], [2400.0, 1350.0, 1350.0]);
+        let model = LinearPowerModel::new(a.to_vec(), 250.0).unwrap();
+        let config = MpcConfig::paper_defaults(f_min.to_vec(), f_max.to_vec());
+        let c = MpcController::new(config, model).unwrap();
+        let (k_p, k_f) = c.unconstrained_gains().unwrap();
+        let actual: Vec<f64> = a.iter().zip(&g).map(|(a, g)| a * g).collect();
+        let rho = stability::closed_loop_spectral_radius(&actual, &k_p, &k_f).unwrap();
+        prop_assume!((rho - 1.0).abs() >= STABILITY_BAND);
+        let stable = stability::is_stable(&actual, &k_p, &k_f, 0.0).unwrap();
+
+        // Operating point: the split uniform weights settle at (excess
+        // frequency ∝ A_j), 150 and 450 MHz above the floors, with the
+        // set point the true plant draws there. Start off it by tens of
+        // MHz, well inside every bound.
+        let plant = |f: &[f64]| 250.0 + actual.iter().zip(f).map(|(a, f)| a * f).sum::<f64>();
+        let setpoint = plant(&[1150.0, 885.0, 885.0]);
+        let mut f = vec![1180.0, 845.0, 910.0];
+        // Converged: the moves die out before any bound binds. A bound
+        // that binds ends the run unconverged.
+        let mut converged = false;
+        for _ in 0..MAX_PERIODS {
+            let step = c.step(plant(&f), setpoint, &f, &[1.0; 3], &f_min).unwrap();
+            if step.active_constraints > 0 {
+                break;
+            }
+            let moved = step.first_move.iter().fold(0.0f64, |m, d| m.max(d.abs()));
+            f = step.target_freqs;
+            if moved < SETTLED_MHZ {
+                converged = true;
+                break;
+            }
+        }
+        prop_assert!(converged == stable, "g = {g:?}, ρ = {rho}: converged {converged}");
     }
 }

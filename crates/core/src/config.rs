@@ -367,10 +367,8 @@ impl Scenario {
     pub fn fault_testbed(seed: u64) -> Self {
         let mut s = Scenario::paper_testbed(seed);
         s.slos = s.gpu_models.iter().map(|m| Some(4.0 * m.e_min_s)).collect();
-        s.faults = Some(
-            capgpu_faults::FaultSchedule::storm(seed, &capgpu_faults::StormConfig::default())
-                .expect("default storm config is valid"),
-        );
+        s.faults =
+            Some(capgpu_faults::FaultSchedule::storm(seed, 1.0).expect("intensity 1.0 is valid"));
         s
     }
 

@@ -230,12 +230,7 @@ mod tests {
                 tokens_per_s: 1500.0,
             },
         ];
-        let run = |phase_aware: bool| {
-            let weights = if phase_aware {
-                WeightAssigner::default()
-            } else {
-                WeightAssigner::phase_blind()
-            };
+        let run = |weights: WeightAssigner| {
             let mut c = CapGpuController::new(&layout(), model(), weights).unwrap();
             let plant = model();
             let mut f = vec![1000.0, 800.0, 800.0];
@@ -255,8 +250,8 @@ mod tests {
             }
             (f, p)
         };
-        let (aware, p_aware) = run(true);
-        let (blind, p_blind) = run(false);
+        let (aware, p_aware) = run(WeightAssigner::PhaseAware);
+        let (blind, p_blind) = run(WeightAssigner::PhaseBlind);
         // Both settle at the cap...
         assert!((p_aware - 560.0).abs() < 5.0 && (p_blind - 560.0).abs() < 5.0);
         // ...but only the phase-aware one keeps the decode GPU faster.

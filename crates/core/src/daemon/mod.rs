@@ -44,14 +44,14 @@ pub use reload::{ConfigWatcher, ReloadSignal};
 use capgpu_backend::PowerBackend;
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::sysid::{identify_sweep, ScaledModelTracker};
-use capgpu_obs::analyzer::{AnalyzerConfig, HealthAnalyzer, PeriodSample, DETECTORS};
+use capgpu_obs::analyzer::{HealthAnalyzer, PeriodSample, DETECTORS};
 use capgpu_obs::replay::{format_targets, ReplayState};
 use capgpu_obs::rotate::JournalWriter;
 use capgpu_telemetry::journal::{Event, Journal};
 use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
 
 use crate::controllers::{CapGpuController, ControlInput, DeviceLayout, PowerController};
-use crate::runner::SCALE_PUSH_DEADBAND;
+use crate::runner::{period_power, SCALE_PUSH_DEADBAND};
 use crate::supervisor::{HealthSample, Ladder, SupervisorTier};
 use crate::weights::WeightAssigner;
 use crate::{CapGpuError, Result};
@@ -276,8 +276,6 @@ impl Daemon {
             ),
             None => None,
         };
-        let analyzer = HealthAnalyzer::new(AnalyzerConfig::default())
-            .map_err(|e| bad(format!("analyzer: {e}")))?;
         Ok(Daemon {
             cfg,
             backend,
@@ -286,7 +284,7 @@ impl Daemon {
             journal: Journal::new(),
             writer,
             line_buf: String::new(),
-            analyzer,
+            analyzer: HealthAnalyzer::default(),
             prev_quarantined: vec![false; n],
             registry,
             metrics,
@@ -416,10 +414,12 @@ impl Daemon {
                 fresh += 1;
             }
         }
-        let avg = self
-            .backend
-            .average_power(self.cfg.control_period_s as usize)
-            .unwrap_or(self.last_avg_watts);
+        let (avg, stale) = period_power(
+            self.backend.as_ref(),
+            self.cfg.control_period_s as usize,
+            fresh,
+            self.last_avg_watts,
+        );
         self.last_avg_watts = avg;
         if fresh > 0 {
             if let Some(tracker) = stack.tracker.as_mut() {
@@ -536,7 +536,7 @@ impl Daemon {
             power_w: avg,
             cap_w: directive.effective_setpoint,
             delta_f_mhz,
-            meter_stale: fresh == 0,
+            meter_stale: stale,
             saturated,
             slo_miss_frac: 0.0,
         };

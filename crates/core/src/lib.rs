@@ -57,7 +57,6 @@
 pub mod config;
 pub mod controllers;
 pub mod daemon;
-pub mod export;
 pub mod ordered;
 mod plant;
 pub mod runner;
@@ -85,7 +84,7 @@ pub mod prelude {
     pub use crate::sweep::{ControllerSpec, SweepCellResult, SweepReport, SweepSpec};
     pub use crate::telemetry::{RunTelemetry, TelemetryReport};
     pub use crate::weights::{PhaseMix, WeightAssigner};
-    pub use capgpu_faults::{FaultKind, FaultSchedule, FaultSpec, Intermittency, StormConfig};
+    pub use capgpu_faults::{FaultKind, FaultSchedule, FaultSpec, Intermittency};
     pub use capgpu_llm::{LlmConfig, LlmEngine, LlmServiceModel, LlmTaskSpec, TokenRange};
     pub use capgpu_telemetry::TelemetryConfig;
 }

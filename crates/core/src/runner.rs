@@ -67,14 +67,6 @@ pub struct PeriodRecord {
     /// `avg_power` is the held-over previous measurement rather than a
     /// fresh average.
     pub meter_stale: bool,
-    /// Wall time of the period's control solve (ns). Always 0 unless
-    /// the scenario enables telemetry with
-    /// [`capgpu_telemetry::TelemetryConfig::trace_spans`] — wall clocks
-    /// are non-deterministic, so the default keeps traces bit-stable.
-    pub solve_ns: u64,
-    /// Wall time of the period's actuation loop (ns). Gated exactly
-    /// like [`PeriodRecord::solve_ns`].
-    pub actuate_ns: u64,
 }
 
 /// A full run's trace plus end-of-run aggregates.
@@ -441,7 +433,7 @@ impl ExperimentRunner {
         CapGpuController::with_config(
             config,
             model,
-            WeightAssigner::phase_blind(),
+            WeightAssigner::PhaseBlind,
             "CapGPU (phase-blind)",
         )
     }
@@ -723,35 +715,17 @@ impl ExperimentRunner {
                     fresh_meter_samples += 1;
                 }
             }
-            let actuate_ns = match self.telemetry.as_mut() {
-                Some(tm) => tm.span_exit(),
-                None => 0,
-            };
+            if let Some(tm) = self.telemetry.as_mut() {
+                tm.span_exit();
+            }
             let applied_mean: Vec<f64> = applied_sum.iter().map(|s| s / t as f64).collect();
 
             // Measurement: average the period's *fresh* meter samples.
-            // Averaging `average_last(t)` unconditionally would silently
-            // blend pre-dropout samples still in the ring buffer into a
-            // "fresh" reading; instead a partial-dropout period averages
-            // only what the meter actually produced this period, and a
-            // fully silent period holds the previous measurement and is
-            // flagged stale (the supervisor's staleness watchdog keys on
-            // exactly this).
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_enter(Phase::Sense);
             }
-            let (avg_power, meter_stale) = if fresh_meter_samples >= t {
-                (self.backend.average_power(t).unwrap_or(last_power), false)
-            } else if fresh_meter_samples > 0 {
-                (
-                    self.backend
-                        .average_power(fresh_meter_samples)
-                        .unwrap_or(last_power),
-                    false,
-                )
-            } else {
-                (last_power, true)
-            };
+            let (avg_power, meter_stale) =
+                period_power(&self.backend, t, fresh_meter_samples, last_power);
             last_power = avg_power;
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_exit();
@@ -890,10 +864,9 @@ impl ExperimentRunner {
                 }
             };
             self.targets = new_targets;
-            let solve_ns = match self.telemetry.as_mut() {
-                Some(tm) => tm.span_exit(),
-                None => 0,
-            };
+            if let Some(tm) = self.telemetry.as_mut() {
+                tm.span_exit();
+            }
 
             // §4.4 multi-layer adaptation: if frequency scaling alone is
             // out of authority (cap exceeded with every knob at its
@@ -950,8 +923,6 @@ impl ExperimentRunner {
                 memory_escape_active: self.mem_escape_active,
                 supervisor_tier: tier.as_u8(),
                 meter_stale,
-                solve_ns,
-                actuate_ns,
             });
 
             // Fold the completed period into the telemetry registry and
@@ -1106,6 +1077,28 @@ const RLS_SETTLE_GATE_MHZ: f64 = 120.0;
 /// costs more cap-tracking error than the stale-by-ε model does. Real
 /// drift (tens of percent) clears the band within a few periods.
 pub(crate) const SCALE_PUSH_DEADBAND: f64 = 0.05;
+
+/// The period's power reading and whether it is stale: the one sensing
+/// rule of the runner and the daemon.
+///
+/// It averages only the `fresh` samples the meter produced this period
+/// (at most `period_s` of them). Averaging the last `period_s` samples
+/// unconditionally would silently blend pre-dropout samples still in the
+/// meter's history into a "fresh" reading. A fully silent period holds
+/// `last` and is flagged stale, which is exactly what the supervisor's
+/// staleness watchdog keys on.
+pub(crate) fn period_power<B: PowerBackend + ?Sized>(
+    backend: &B,
+    period_s: usize,
+    fresh: usize,
+    last: f64,
+) -> (f64, bool) {
+    if fresh == 0 {
+        return (last, true);
+    }
+    let avg = backend.average_power(fresh.min(period_s));
+    (avg.unwrap_or(last), false)
+}
 
 /// Deterministic ±1 persistent-excitation sign for one (period, device)
 /// pair: a splitmix64-style hash of the scenario seed and the pair's

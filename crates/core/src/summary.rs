@@ -94,8 +94,6 @@ mod tests {
             memory_escape_active: false,
             supervisor_tier: 0,
             meter_stale: false,
-            solve_ns: 0,
-            actuate_ns: 0,
         }
     }
 

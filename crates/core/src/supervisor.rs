@@ -56,7 +56,7 @@ pub enum SupervisorTier {
 }
 
 impl SupervisorTier {
-    /// Numeric encoding for traces/CSV (0 = primary … 2 = park).
+    /// Numeric encoding for traces and journals (0 = primary … 2 = park).
     pub fn as_u8(self) -> u8 {
         self as u8
     }

@@ -76,7 +76,7 @@ pub enum ControllerSpec {
     /// The paper's controller (identified model, default weights).
     CapGpu,
     /// The paper's controller with a phase-blind weight assigner
-    /// ([`crate::weights::WeightAssigner::phase_blind`]): throughput
+    /// ([`crate::weights::WeightAssigner::PhaseBlind`]): throughput
     /// inversion only, ignoring the LLM layer's per-device phase mix.
     /// The ablation arm that shows why the phase signal matters
     /// (DESIGN.md §17); identical to [`ControllerSpec::CapGpu`] on
@@ -633,11 +633,7 @@ impl SweepSpec {
                     "fault family intensities must be positive".into(),
                 ));
             }
-            let cfg = capgpu_faults::StormConfig {
-                intensity,
-                ..Default::default()
-            };
-            let storm = capgpu_faults::FaultSchedule::storm(seed, &cfg)?;
+            let storm = capgpu_faults::FaultSchedule::storm(seed, intensity)?;
             let base = Scenario::fault_testbed(seed).with_faults(storm);
             base.validate()?;
             scenarios.push((format!("storm x{intensity:.2}"), base.clone()));

@@ -322,14 +322,12 @@ impl RunTelemetry {
         self.spans.enter(id);
     }
 
-    /// Close the innermost open scope, returning its wall time (ns; 0
-    /// when span tracing is off).
+    /// Close the innermost open scope.
     #[inline]
-    pub fn span_exit(&mut self) -> u64 {
-        if !self.cfg.trace_spans {
-            return 0;
+    pub fn span_exit(&mut self) {
+        if self.cfg.trace_spans {
+            self.spans.exit();
         }
-        self.spans.exit()
     }
 
     /// Journal the start of a closed-loop run.
@@ -768,7 +766,7 @@ mod tests {
     fn spans_stay_off_unless_traced() {
         let mut tm = telemetry();
         tm.span_enter(Phase::Period);
-        assert_eq!(tm.span_exit(), 0);
+        tm.span_exit();
         assert!(tm.report().wall_clock_text().is_none());
 
         let mut traced = RunTelemetry::new(

@@ -25,7 +25,7 @@
 //! ("The Illusion of Power Capping in LLM Decode", PAPERS.md). When the
 //! serving layer reports a per-device [`PhaseMix`], the assigner scales
 //! the inverted importance by a *cap-elasticity* factor
-//! `e_j = (floor + (1 − floor) · prefill_share_j) · (1 − kv_guard · kv_j)`:
+//! `e_j = (PHASE_FLOOR + (1 − PHASE_FLOOR) · prefill_share_j) · (1 − KV_GUARD · kv_j)`:
 //! decode-dominated devices (low prefill share) and devices under KV-cache
 //! pressure get penalties pulled toward `ε`, keeping them fast, while the
 //! MPC sheds the cap's burden on prefill-elastic devices where a MHz
@@ -59,56 +59,32 @@ impl PhaseMix {
     }
 }
 
-/// Weight assigner configuration.
-#[derive(Debug, Clone)]
-pub struct WeightAssigner {
-    /// Floor added to the inverted weight so a fully-busy device
-    /// (normalized throughput = 1) still carries a positive penalty —
-    /// keeps the MPC Hessian strictly positive definite.
-    pub epsilon: f64,
-    /// When `false`, all devices get weight 1 (ablation switch).
-    pub enabled: bool,
-    /// When `false`, [`WeightAssigner::control_penalties_with_phase`]
-    /// ignores the phase mix — the phase-blind ablation arm.
-    pub phase_aware: bool,
-    /// Cap-elasticity floor: a pure-decode device keeps this fraction
-    /// of its phase-blind penalty (never fully immune to the cap).
-    pub phase_floor: f64,
-    /// How strongly KV-cache pressure shrinks the penalty: at full
-    /// occupancy the elasticity is scaled by `1 − kv_guard`.
-    pub kv_guard: f64,
-}
+/// Floor added to the inverted weight so a fully-busy device (normalized
+/// throughput = 1) still carries a positive penalty — keeps the MPC
+/// Hessian strictly positive definite.
+const EPSILON: f64 = 0.1;
+/// Cap-elasticity floor: a pure-decode device keeps this fraction of its
+/// phase-blind penalty (never fully immune to the cap).
+const PHASE_FLOOR: f64 = 0.15;
+/// How strongly KV-cache pressure shrinks the penalty: at full occupancy
+/// the elasticity is scaled by `1 − KV_GUARD`.
+const KV_GUARD: f64 = 0.5;
 
-impl Default for WeightAssigner {
-    fn default() -> Self {
-        WeightAssigner {
-            epsilon: 0.1,
-            enabled: true,
-            phase_aware: true,
-            phase_floor: 0.15,
-            kv_guard: 0.5,
-        }
-    }
+/// Which weight-assignment rule the controller applies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum WeightAssigner {
+    /// Throughput inversion scaled by each device's phase-mix
+    /// cap-elasticity — the paper's rule plus the LLM extension.
+    #[default]
+    PhaseAware,
+    /// Throughput inversion only: the ablation arm that shows why the
+    /// phase signal matters.
+    PhaseBlind,
+    /// All devices weigh 1: the weight-assignment-off ablation arm.
+    Uniform,
 }
 
 impl WeightAssigner {
-    /// Creates a disabled (uniform-weight) assigner for ablations.
-    pub fn disabled() -> Self {
-        WeightAssigner {
-            enabled: false,
-            ..WeightAssigner::default()
-        }
-    }
-
-    /// Creates a phase-blind assigner: throughput inversion only, the
-    /// ablation arm that shows why the phase signal matters.
-    pub fn phase_blind() -> Self {
-        WeightAssigner {
-            phase_aware: false,
-            ..WeightAssigner::default()
-        }
-    }
-
     /// Maps normalized throughputs (∈ [0, 1] per device) to per-device MPC
     /// control-penalty weights `R_j = ε + 1 − w_j`.
     ///
@@ -117,22 +93,22 @@ impl WeightAssigner {
     /// frequency until they prove busy, which is the conservative choice
     /// under a power cap.
     pub fn control_penalties(&self, normalized_throughput: &[f64]) -> Vec<f64> {
-        if !self.enabled {
+        if *self == WeightAssigner::Uniform {
             return vec![1.0; normalized_throughput.len()];
         }
         normalized_throughput
             .iter()
-            .map(|w| self.epsilon + 1.0 - w.clamp(0.0, 1.0))
+            .map(|w| EPSILON + 1.0 - w.clamp(0.0, 1.0))
             .collect()
     }
 
     /// Cap-elasticity factor for one device's phase mix:
-    /// `(floor + (1 − floor) · prefill_share) · (1 − kv_guard · kv)`,
+    /// `(PHASE_FLOOR + (1 − PHASE_FLOOR) · prefill_share) · (1 − KV_GUARD · kv)`,
     /// clamped into `(0, 1]`. The neutral mix maps to exactly 1.
-    fn elasticity(&self, mix: &PhaseMix) -> f64 {
+    fn elasticity(mix: &PhaseMix) -> f64 {
         let share = mix.prefill_share.clamp(0.0, 1.0);
         let kv = mix.kv_occupancy.clamp(0.0, 1.0);
-        let e = (self.phase_floor + (1.0 - self.phase_floor) * share) * (1.0 - self.kv_guard * kv);
+        let e = (PHASE_FLOOR + (1.0 - PHASE_FLOOR) * share) * (1.0 - KV_GUARD * kv);
         e.clamp(f64::EPSILON, 1.0)
     }
 
@@ -140,34 +116,32 @@ impl WeightAssigner {
     /// scaled by the device's cap-elasticity before the `ε` floor is
     /// added, `R_j = ε + (1 − w_j) · e_j`.
     ///
-    /// `phase_mix` is `None` (or the assigner is phase-blind) → falls
-    /// back to [`WeightAssigner::control_penalties`] exactly, so the
-    /// one-shot serving and pipeline plants are untouched. A `Some` mix
-    /// must be device-indexed and the same length as the throughputs.
+    /// `phase_mix` is `None` (or the rule is not
+    /// [`WeightAssigner::PhaseAware`]) → falls back to
+    /// [`WeightAssigner::control_penalties`] exactly, so the one-shot
+    /// serving and pipeline plants are untouched. A `Some` mix must be
+    /// device-indexed and the same length as the throughputs.
     pub fn control_penalties_with_phase(
         &self,
         normalized_throughput: &[f64],
         phase_mix: Option<&[PhaseMix]>,
     ) -> Vec<f64> {
-        let Some(mix) = phase_mix else {
+        let (WeightAssigner::PhaseAware, Some(mix)) = (self, phase_mix) else {
             return self.control_penalties(normalized_throughput);
         };
-        if !self.enabled || !self.phase_aware {
-            return self.control_penalties(normalized_throughput);
-        }
         debug_assert_eq!(mix.len(), normalized_throughput.len());
         normalized_throughput
             .iter()
             .zip(mix.iter())
             .map(|(w, m)| {
-                let e = self.elasticity(m);
+                let e = Self::elasticity(m);
                 let w = w.clamp(0.0, 1.0);
                 if e == 1.0 {
                     // Bit-exact phase-blind recovery on the neutral mix
                     // (`ε + (1 − w) · 1` rounds differently).
-                    self.epsilon + 1.0 - w
+                    EPSILON + 1.0 - w
                 } else {
-                    self.epsilon + (1.0 - w) * e
+                    EPSILON + (1.0 - w) * e
                 }
             })
             .collect()
@@ -206,7 +180,7 @@ mod tests {
 
     #[test]
     fn disabled_gives_uniform() {
-        let wa = WeightAssigner::disabled();
+        let wa = WeightAssigner::Uniform;
         assert_eq!(wa.control_penalties(&[0.1, 0.9, 0.5]), vec![1.0, 1.0, 1.0]);
     }
 
@@ -251,7 +225,7 @@ mod tests {
         // The decode-bound device is kept fast: smaller penalty.
         assert!(r[1] < r[0], "{r:?}");
         // But never below the epsilon floor.
-        assert!(r[1] > wa.epsilon, "{r:?}");
+        assert!(r[1] > EPSILON, "{r:?}");
     }
 
     #[test]
@@ -271,7 +245,7 @@ mod tests {
 
     #[test]
     fn phase_blind_assigner_ignores_the_mix() {
-        let wa = WeightAssigner::phase_blind();
+        let wa = WeightAssigner::PhaseBlind;
         let thr = [0.5, 0.5];
         let mix = [
             PhaseMix {

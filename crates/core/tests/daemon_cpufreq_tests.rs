@@ -66,6 +66,8 @@ fn fixture(tag: &str) -> PathBuf {
 struct Kernel {
     root: PathBuf,
     cpufreq: CpufreqBackend,
+    /// Seconds until package 1's `energy_uj` vanishes, if it is due to.
+    vanish_in: Option<usize>,
 }
 
 impl PowerBackend for Kernel {
@@ -97,6 +99,14 @@ impl PowerBackend for Kernel {
     }
 
     fn advance(&mut self, dt_s: f64) -> BackendResult<Option<f64>> {
+        match self.vanish_in {
+            Some(0) => {
+                fs::remove_file(energy(&self.root, 1)).unwrap();
+                self.vanish_in = None;
+            }
+            Some(s) => self.vanish_in = Some(s - 1),
+            None => {}
+        }
         for i in 0..POLICIES {
             // A removed counter stays removed until the test restores it.
             let path = energy(&self.root, i);
@@ -138,6 +148,7 @@ fn daemon(root: &Path) -> Daemon {
     let kernel = Kernel {
         root: root.to_path_buf(),
         cpufreq,
+        vanish_in: None,
     };
     let mut cfg = DaemonConfig::default_sim();
     cfg.backend = "cpufreq".to_string();
@@ -213,6 +224,48 @@ fn vanishing_rapl_counter_parks_without_an_err_and_climbs_back() {
     fs::write(&counter, saved).unwrap();
     let recovered = steps(&mut d, 14);
     assert_eq!(recovered.last().unwrap().tier, SupervisorTier::Primary);
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Fixture power (W) at the clocks the policies run now.
+fn fixture_power(root: &Path) -> f64 {
+    (0..POLICIES)
+        .map(|i| {
+            let khz = read_u64(&policy(root, i).join("scaling_cur_freq")).unwrap();
+            IDLE_W + W_PER_MHZ * khz as f64 / 1000.0
+        })
+        .sum()
+}
+
+#[test]
+fn a_mid_period_dropout_reads_only_that_periods_fresh_samples() {
+    let root = fixture("midperiod");
+    let mut d = daemon(&root);
+    steps(&mut d, 5);
+    // A set-point step moves the clocks at the end of the next period,
+    // so the meter's history then holds that period's samples at the
+    // old clocks.
+    d.set_setpoint(SETPOINT_W - 30.0);
+    let previous = steps(&mut d, 1).pop().unwrap();
+    let fresh_w = fixture_power(&root);
+    assert!(
+        (fresh_w - previous.avg_power_watts).abs() > 1.0,
+        "no clock change: {fresh_w} W after {} W",
+        previous.avg_power_watts
+    );
+    // Package 1's counter vanishes after two of the period's four seconds.
+    let kernel = d.backend_mut().as_any_mut().downcast_mut::<Kernel>();
+    kernel.unwrap().vanish_in = Some(2);
+    let r = steps(&mut d, 1).pop().unwrap();
+    assert_eq!(
+        r.stale_periods, 0,
+        "two fresh samples are not a silent period"
+    );
+    assert!(
+        (r.avg_power_watts - fresh_w).abs() < 1e-6,
+        "read {} W, the period's fresh samples are {fresh_w} W",
+        r.avg_power_watts
+    );
     let _ = fs::remove_dir_all(&root);
 }
 

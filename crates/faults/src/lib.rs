@@ -260,31 +260,14 @@ impl std::fmt::Display for FaultError {
 
 impl std::error::Error for FaultError {}
 
-/// Knobs for the default fault storm ([`FaultSchedule::storm`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StormConfig {
-    /// GPU device indices eligible as actuator-fault targets.
-    pub gpu_devices: Vec<usize>,
-    /// Experiment horizon in control periods; storm phases sit at fixed
-    /// fractions of it.
-    pub horizon_periods: usize,
-    /// Scales phase durations (1.0 = default storm; 0 disables).
-    pub intensity: f64,
-    /// PSU limit advertised during the power-delivery phase (W).
-    pub psu_limit_watts: f64,
-}
-
-impl Default for StormConfig {
-    fn default() -> Self {
-        StormConfig {
-            // The paper testbed: device 0 is the CPU, 1–3 are V100s.
-            gpu_devices: vec![1, 2, 3],
-            horizon_periods: 60,
-            intensity: 1.0,
-            psu_limit_watts: 940.0,
-        }
-    }
-}
+/// GPU device indices eligible as storm actuator-fault targets: the
+/// paper testbed, where device 0 is the CPU and 1–3 are V100s.
+const STORM_GPU_DEVICES: [usize; 3] = [1, 2, 3];
+/// Storm horizon in control periods; storm phases sit at fixed fractions
+/// of it.
+const STORM_HORIZON_PERIODS: usize = 60;
+/// PSU limit advertised during the storm's power-delivery phase (W).
+const STORM_PSU_LIMIT_WATTS: f64 = 940.0;
 
 /// splitmix64-style mixer: deterministic, independent of the simulation
 /// RNG streams (same construction as the runner's probe-sign hash).
@@ -308,25 +291,21 @@ impl FaultSchedule {
     /// The canonical seeded fault storm used by the `faults` ablation:
     /// an intermittent dropout storm, a bias drift, a stuck GPU clock, a
     /// GPU ejection/re-admission, and a PSU derate, staged at fixed
-    /// fractions of the horizon with target GPUs chosen by hashing
-    /// `seed`. Deterministic: same `(seed, cfg)` ⇒ same schedule.
-    pub fn storm(seed: u64, cfg: &StormConfig) -> Result<Self, FaultError> {
-        if cfg.gpu_devices.is_empty() {
-            return Err(FaultError::BadParam("storm needs >= 1 GPU device"));
-        }
-        if cfg.horizon_periods < 10 {
-            return Err(FaultError::BadParam("storm horizon must be >= 10 periods"));
-        }
-        if cfg.intensity < 0.0 || !cfg.intensity.is_finite() {
+    /// fractions of a 60-period horizon with target GPUs chosen by
+    /// hashing `seed`. `intensity` scales phase durations (1.0 = the
+    /// default storm; 0 disables it). Deterministic: same
+    /// `(seed, intensity)` ⇒ same schedule.
+    ///
+    /// # Errors
+    /// [`FaultError::BadParam`] on a negative or non-finite intensity.
+    pub fn storm(seed: u64, intensity: f64) -> Result<Self, FaultError> {
+        if intensity < 0.0 || !intensity.is_finite() {
             return Err(FaultError::BadParam("storm intensity must be finite, >= 0"));
         }
-        if cfg.psu_limit_watts <= 0.0 || !cfg.psu_limit_watts.is_finite() {
-            return Err(FaultError::BadParam("psu limit must be finite and > 0"));
-        }
-        let h = cfg.horizon_periods as f64;
+        let h = STORM_HORIZON_PERIODS as f64;
         let at = |frac: f64| (h * frac).round() as usize;
         let dur = |frac: f64| {
-            let d = (h * frac * cfg.intensity).round() as usize;
+            let d = (h * frac * intensity).round() as usize;
             if d == 0 {
                 None // zero-length phases are dropped below
             } else {
@@ -334,8 +313,8 @@ impl FaultSchedule {
             }
         };
         let gpu = |salt: u64| {
-            let i = (mix(seed, salt, 0x6661756c74) % cfg.gpu_devices.len() as u64) as usize;
-            cfg.gpu_devices[i]
+            let i = (mix(seed, salt, 0x6661756c74) % STORM_GPU_DEVICES.len() as u64) as usize;
+            STORM_GPU_DEVICES[i]
         };
         let mut specs = Vec::new();
         let mut push = |kind: FaultKind, onset: f64, length: f64, im: Option<Intermittency>| {
@@ -372,7 +351,7 @@ impl FaultSchedule {
         push(FaultKind::Ejected { device: gpu(2) }, 0.63, 0.10, None);
         push(
             FaultKind::PsuDerate {
-                limit_watts: cfg.psu_limit_watts,
+                limit_watts: STORM_PSU_LIMIT_WATTS,
             },
             0.80,
             0.13,
@@ -619,9 +598,8 @@ mod tests {
 
     #[test]
     fn storm_is_deterministic_and_valid() {
-        let cfg = StormConfig::default();
-        let a = FaultSchedule::storm(42, &cfg).unwrap();
-        let b = FaultSchedule::storm(42, &cfg).unwrap();
+        let a = FaultSchedule::storm(42, 1.0).unwrap();
+        let b = FaultSchedule::storm(42, 1.0).unwrap();
         assert_eq!(a, b);
         a.validate(&PAPER_KINDS).unwrap();
         // All five phases present at default intensity, and every one has
@@ -629,10 +607,10 @@ mod tests {
         assert_eq!(a.specs.len(), 5);
         for s in &a.specs {
             let end = s.onset_period + s.duration.expect("storm faults end");
-            assert!(end <= cfg.horizon_periods, "{s:?} ends at {end}");
+            assert!(end <= STORM_HORIZON_PERIODS, "{s:?} ends at {end}");
         }
         // A different seed may retarget GPUs but keeps the same phases.
-        let c = FaultSchedule::storm(7, &cfg).unwrap();
+        let c = FaultSchedule::storm(7, 1.0).unwrap();
         assert_eq!(c.specs.len(), 5);
         for (x, y) in a.specs.iter().zip(c.specs.iter()) {
             assert_eq!(x.onset_period, y.onset_period);
@@ -642,11 +620,7 @@ mod tests {
 
     #[test]
     fn storm_intensity_zero_is_empty() {
-        let cfg = StormConfig {
-            intensity: 0.0,
-            ..StormConfig::default()
-        };
-        let s = FaultSchedule::storm(1, &cfg).unwrap();
+        let s = FaultSchedule::storm(1, 0.0).unwrap();
         assert!(s.specs.is_empty());
     }
 
@@ -654,7 +628,7 @@ mod tests {
     fn storm_phases_never_overlap_on_the_meter() {
         // Meter faults share one slot; the storm must keep them disjoint.
         for seed in 0..20u64 {
-            let s = FaultSchedule::storm(seed, &StormConfig::default()).unwrap();
+            let s = FaultSchedule::storm(seed, 1.0).unwrap();
             for p in 0..80 {
                 let meter_active = s
                     .specs
@@ -669,7 +643,7 @@ mod tests {
 
     #[test]
     fn feasible_limit_tracks_psu_phase() {
-        let s = FaultSchedule::storm(42, &StormConfig::default()).unwrap();
+        let s = FaultSchedule::storm(42, 1.0).unwrap();
         let derate = s
             .specs
             .iter()
@@ -680,19 +654,9 @@ mod tests {
     }
 
     #[test]
-    fn storm_rejects_bad_config() {
-        let mut cfg = StormConfig::default();
-        cfg.gpu_devices.clear();
-        assert!(FaultSchedule::storm(1, &cfg).is_err());
-        let cfg = StormConfig {
-            horizon_periods: 4,
-            ..StormConfig::default()
-        };
-        assert!(FaultSchedule::storm(1, &cfg).is_err());
-        let cfg = StormConfig {
-            psu_limit_watts: -1.0,
-            ..StormConfig::default()
-        };
-        assert!(FaultSchedule::storm(1, &cfg).is_err());
+    fn storm_rejects_bad_intensity() {
+        for intensity in [-0.5, f64::NAN, f64::INFINITY] {
+            assert!(FaultSchedule::storm(1, intensity).is_err(), "{intensity}");
+        }
     }
 }

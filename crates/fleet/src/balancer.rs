@@ -17,40 +17,28 @@
 
 use crate::sim::ServerStat;
 
-/// Migration policy knobs.
-#[derive(Debug, Clone)]
-pub struct MigrationConfig {
-    /// Maximum migrations per allocator epoch.
-    pub max_per_epoch: usize,
-    /// A server must miss at least this many SLOs in the epoch to shed
-    /// load.
-    pub min_misses: u64,
-    /// "Pinned at the cap" band (W): overloaded means
-    /// `measured ≥ assigned − band`.
-    pub binding_band_watts: f64,
-    /// A receiver must have at least this much capacity headroom
-    /// (`max_watts − measured`) to accept a stream.
-    pub headroom_watts: f64,
-    /// A receiver's epoch miss rate (misses / (misses + completed)) must
-    /// not exceed this — occasional Poisson-burst misses do not
-    /// disqualify an otherwise healthy server.
-    pub receiver_max_miss_rate: f64,
-    /// Hard per-server stream ceiling for receivers.
-    pub max_streams: u32,
-}
+/// Maximum migrations per allocator epoch.
+const MAX_PER_EPOCH: usize = 8;
+/// A server must miss at least this many SLOs in the epoch to shed load.
+const MIN_MISSES: u64 = 1;
+/// "Pinned at the cap" band (W): overloaded means
+/// `measured ≥ assigned − band`.
+const BINDING_BAND_WATTS: f64 = 12.0;
+/// A receiver must have at least this much capacity headroom
+/// (`max_watts − measured`) to accept a stream.
+const HEADROOM_WATTS: f64 = 40.0;
+/// A receiver's epoch miss rate (misses / (misses + completed)) must not
+/// exceed this — occasional Poisson-burst misses do not disqualify an
+/// otherwise healthy server.
+const RECEIVER_MAX_MISS_RATE: f64 = 0.002;
+/// Hard per-server stream ceiling for receivers.
+const MAX_STREAMS: u32 = 16;
 
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        MigrationConfig {
-            max_per_epoch: 8,
-            min_misses: 1,
-            binding_band_watts: 12.0,
-            headroom_watts: 40.0,
-            receiver_max_miss_rate: 0.002,
-            max_streams: 16,
-        }
-    }
-}
+/// The planner's former policy record. Every knob is now a constant of
+/// this module; the empty type remains only as the argument of
+/// [`plan`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MigrationConfig;
 
 /// One planned stream migration (always a single stream).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,18 +53,15 @@ pub struct Migration {
 ///
 /// Pure and deterministic: identical stats produce identical plans
 /// regardless of thread count or call site.
-pub fn plan(stats: &[ServerStat], cfg: &MigrationConfig) -> Vec<Migration> {
-    if cfg.max_per_epoch == 0 {
-        return vec![];
-    }
+pub fn plan(stats: &[ServerStat], _cfg: &MigrationConfig) -> Vec<Migration> {
     // Donors: binding budget, real misses, and at least one stream to
     // spare (never drain a server to zero offered load).
     let mut donors: Vec<usize> = (0..stats.len())
         .filter(|&i| {
             let s = &stats[i];
             s.streams >= 2
-                && s.misses >= cfg.min_misses
-                && s.measured >= s.assigned - cfg.binding_band_watts
+                && s.misses >= MIN_MISSES
+                && s.measured >= s.assigned - BINDING_BAND_WATTS
         })
         .collect();
     donors.sort_by(|&a, &b| stats[b].misses.cmp(&stats[a].misses).then(a.cmp(&b)));
@@ -96,9 +81,9 @@ pub fn plan(stats: &[ServerStat], cfg: &MigrationConfig) -> Vec<Migration> {
     let mut receivers: Vec<usize> = (0..stats.len())
         .filter(|&i| {
             let s = &stats[i];
-            s.streams < cfg.max_streams
-                && miss_rate(i) <= cfg.receiver_max_miss_rate
-                && s.max_watts - s.measured >= cfg.headroom_watts
+            s.streams < MAX_STREAMS
+                && miss_rate(i) <= RECEIVER_MAX_MISS_RATE
+                && s.max_watts - s.measured >= HEADROOM_WATTS
         })
         .collect();
     receivers.sort_by(|&a, &b| {
@@ -110,13 +95,14 @@ pub fn plan(stats: &[ServerStat], cfg: &MigrationConfig) -> Vec<Migration> {
     let mut plans = Vec::new();
     let mut ri = 0;
     for &from in &donors {
-        if plans.len() >= cfg.max_per_epoch || ri >= receivers.len() {
+        if plans.len() >= MAX_PER_EPOCH || ri >= receivers.len() {
             break;
         }
         let to = receivers[ri];
         if to == from {
             // A server passing both filters takes no part in migration —
-            // possible only with a permissive receiver_max_miss_rate.
+            // possible when its few misses keep its miss rate under
+            // RECEIVER_MAX_MISS_RATE.
             ri += 1;
             continue;
         }
@@ -152,26 +138,25 @@ mod tests {
             stat(4, 900.0, 700.0, 1200.0, 0),  // 500 W headroom
             stat(4, 900.0, 650.0, 1200.0, 0),  // 550 W headroom → first receiver
         ];
-        let plans = plan(&stats, &MigrationConfig::default());
+        let plans = plan(&stats, &MigrationConfig);
         assert_eq!(plans, vec![Migration { from: 0, to: 2 }]);
     }
 
     #[test]
     fn unpinned_or_missfree_servers_do_not_shed() {
-        let cfg = MigrationConfig::default();
         // Missing SLOs but *not* pinned: more power is still available
         // locally, migration is not the right lever.
         let stats = vec![
             stat(6, 900.0, 700.0, 1200.0, 40),
             stat(4, 900.0, 650.0, 1200.0, 0),
         ];
-        assert!(plan(&stats, &cfg).is_empty());
+        assert!(plan(&stats, &MigrationConfig).is_empty());
         // Pinned but miss-free: the cap binds yet SLOs hold — no action.
         let stats = vec![
             stat(6, 900.0, 899.0, 1200.0, 0),
             stat(4, 900.0, 650.0, 1200.0, 0),
         ];
-        assert!(plan(&stats, &cfg).is_empty());
+        assert!(plan(&stats, &MigrationConfig).is_empty());
     }
 
     #[test]
@@ -180,28 +165,24 @@ mod tests {
             stat(1, 900.0, 899.0, 1200.0, 50),
             stat(4, 900.0, 650.0, 1200.0, 0),
         ];
-        assert!(plan(&stats, &MigrationConfig::default()).is_empty());
+        assert!(plan(&stats, &MigrationConfig).is_empty());
     }
 
     #[test]
     fn caps_and_ceilings_bound_the_plan() {
-        let cfg = MigrationConfig {
-            max_per_epoch: 1,
-            ..MigrationConfig::default()
-        };
-        let stats = vec![
-            stat(6, 900.0, 899.0, 1200.0, 40),
-            stat(6, 900.0, 899.0, 1200.0, 30),
-            stat(4, 900.0, 650.0, 1200.0, 0),
-            stat(4, 900.0, 640.0, 1200.0, 0),
-        ];
-        assert_eq!(plan(&stats, &cfg).len(), 1);
+        // More donor/receiver pairs than one epoch may move.
+        let pairs = MAX_PER_EPOCH + 2;
+        let mut stats: Vec<ServerStat> = (0..pairs)
+            .map(|k| stat(6, 900.0, 899.0, 1200.0, 40 + k as u64))
+            .collect();
+        stats.extend((0..pairs).map(|k| stat(4, 900.0, 650.0 - k as f64, 1200.0, 0)));
+        assert_eq!(plan(&stats, &MigrationConfig).len(), MAX_PER_EPOCH);
         // Full receivers are skipped.
         let stats = vec![
             stat(6, 900.0, 899.0, 1200.0, 40),
             stat(16, 900.0, 650.0, 1200.0, 0),
         ];
-        assert!(plan(&stats, &MigrationConfig::default()).is_empty());
+        assert!(plan(&stats, &MigrationConfig).is_empty());
     }
 
     #[test]
@@ -213,8 +194,8 @@ mod tests {
             stat(4, 900.0, 650.0, 1200.0, 0),
             stat(4, 900.0, 650.0, 1200.0, 0),
         ];
-        let a = plan(&stats, &MigrationConfig::default());
-        let b = plan(&stats, &MigrationConfig::default());
+        let a = plan(&stats, &MigrationConfig);
+        let b = plan(&stats, &MigrationConfig);
         assert_eq!(a, b);
         assert_eq!(
             a,

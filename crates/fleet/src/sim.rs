@@ -91,8 +91,8 @@ pub struct FleetConfig {
     pub epoch_periods: usize,
     /// Division rule.
     pub allocator: AllocatorMode,
-    /// Stream migration policy; `None` disables migration.
-    pub migration: Option<MigrationConfig>,
+    /// Whether the balancer plans stream migrations ([`balancer::plan`]).
+    pub migration: bool,
     /// Extra per-server floor (W) on top of each server's identified
     /// feasible minimum.
     pub min_share_watts: f64,
@@ -107,7 +107,7 @@ impl FleetConfig {
             epochs: 12,
             epoch_periods: 8,
             allocator: AllocatorMode::Hierarchical,
-            migration: Some(MigrationConfig::default()),
+            migration: true,
             min_share_watts: 0.0,
         }
     }
@@ -337,7 +337,7 @@ impl FleetSim {
                 "class nominal_streams must be >= 1".into(),
             ));
         }
-        if config.migration.is_some() {
+        if config.migration {
             if let Some(c) = classes.iter().find(|c| c.scenario.serving.is_none()) {
                 return Err(CapGpuError::BadConfig(format!(
                     "stream migration needs the serving layer; class '{}' has none",
@@ -505,9 +505,10 @@ impl FleetSim {
             peak_live_all = peak_live_all.max(peak_live.load(Ordering::Relaxed));
 
             // 4. Plan migrations on the folded epoch; apply for next.
-            let migrations = match &self.config.migration {
-                Some(cfg) => balancer::plan(&self.stats, cfg),
-                None => vec![],
+            let migrations = if self.config.migration {
+                balancer::plan(&self.stats, &MigrationConfig)
+            } else {
+                vec![]
             };
             for m in &migrations {
                 self.stats[m.from].streams -= 1;

@@ -135,7 +135,7 @@ fn single_rack_shifts_budget_toward_demand() {
         epochs: 6,
         epoch_periods: 8,
         min_share_watts: 700.0,
-        migration: None,
+        migration: false,
         ..FleetConfig::new(1900.0)
     };
     let report = FleetSim::new(rack, &classes, config)
@@ -181,7 +181,7 @@ fn equal_split_is_the_strictly_dumber_baseline() {
     let hier = run(small_config(8600.0));
     let mut cfg = small_config(8600.0);
     cfg.allocator = AllocatorMode::EqualSplit;
-    cfg.migration = None;
+    cfg.migration = false;
     let equal = run(cfg);
     // Equal split ignores demand: identical shares per rack regardless
     // of load asymmetry.

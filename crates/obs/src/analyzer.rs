@@ -52,84 +52,36 @@ pub const DETECTORS: [&str; 5] = [
     "slo_miss_burn",
 ];
 
-/// Analyzer tuning. Windows are in control periods.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalyzerConfig {
-    /// Fast burn window (periods).
-    pub fast_window: usize,
-    /// Slow burn window (periods).
-    pub slow_window: usize,
-    /// Cap-violation burn threshold: mean overage (W) above the cap,
-    /// per period, that counts as burning in a window.
-    pub cap_burn_w: f64,
-    /// Oscillation: fraction of periods in the fast window whose summed
-    /// frequency delta flips sign (with hysteresis) before Warn.
-    pub flip_rate_warn: f64,
-    /// Oscillation flip-rate for Critical.
-    pub flip_rate_critical: f64,
-    /// Hysteresis floor (MHz): |Δf| below this does not count as a
-    /// direction, suppressing dither-driven false flips.
-    pub flip_hysteresis_mhz: f64,
-    /// Consecutive stale-meter periods before meter-silence Warn;
-    /// 2× this is Critical.
-    pub silence_warn_periods: usize,
-    /// Fraction of the slow window spent with actuation saturated
-    /// (targets pinned at a bound) before Warn; Critical at 2× capped
-    /// to 1.0.
-    pub saturation_warn_frac: f64,
-    /// SLO-miss burn threshold: miss fraction per period that counts as
-    /// burning in a window.
-    pub slo_burn_frac: f64,
-}
+/// Fast burn window (control periods).
+const FAST_WINDOW: usize = 5;
+/// Slow burn window (control periods); also the saturation-dwell window.
+const SLOW_WINDOW: usize = 30;
+/// Cap-violation burn threshold: mean overage (W) above the cap, per
+/// period, that counts as burning in a window.
+const CAP_BURN_W: f64 = 1.0;
+/// Oscillation: fraction of periods in the fast window whose summed
+/// frequency delta flips sign (with hysteresis) before Warn.
+const FLIP_RATE_WARN: f64 = 0.35;
+/// Oscillation flip-rate for Critical.
+const FLIP_RATE_CRITICAL: f64 = 0.6;
+/// Hysteresis floor (MHz): |Δf| below this does not count as a
+/// direction, suppressing dither-driven false flips.
+const FLIP_HYSTERESIS_MHZ: f64 = 1.0;
+/// Consecutive stale-meter periods before meter-silence Warn; 2× this
+/// is Critical.
+const SILENCE_WARN_PERIODS: usize = 3;
+/// Fraction of the slow window spent with actuation saturated (targets
+/// pinned at a bound) before Warn; Critical at 2× capped to 1.0.
+const SATURATION_WARN_FRAC: f64 = 0.5;
+/// SLO-miss burn threshold: miss fraction per period that counts as
+/// burning in a window.
+const SLO_BURN_FRAC: f64 = 0.05;
 
-impl Default for AnalyzerConfig {
-    fn default() -> Self {
-        AnalyzerConfig {
-            fast_window: 5,
-            slow_window: 30,
-            cap_burn_w: 1.0,
-            flip_rate_warn: 0.35,
-            flip_rate_critical: 0.6,
-            flip_hysteresis_mhz: 1.0,
-            silence_warn_periods: 3,
-            saturation_warn_frac: 0.5,
-            slo_burn_frac: 0.05,
-        }
-    }
-}
-
-impl AnalyzerConfig {
-    /// Validates the tuning.
-    ///
-    /// # Errors
-    /// [`crate::ObsError::BadConfig`] with a description.
-    pub fn validate(&self) -> crate::Result<()> {
-        if self.fast_window == 0 || self.slow_window < self.fast_window {
-            return Err(crate::ObsError::BadConfig(
-                "analyzer windows must satisfy 1 <= fast_window <= slow_window".into(),
-            ));
-        }
-        // NaN thresholds must be rejected too, hence the explicit is_nan.
-        if self.cap_burn_w.is_nan()
-            || self.cap_burn_w < 0.0
-            || self.slo_burn_frac.is_nan()
-            || self.slo_burn_frac < 0.0
-        {
-            return Err(crate::ObsError::BadConfig(
-                "analyzer burn thresholds must be >= 0".into(),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.flip_rate_warn)
-            || !(0.0..=1.0).contains(&self.flip_rate_critical)
-            || self.flip_rate_critical < self.flip_rate_warn
-        {
-            return Err(crate::ObsError::BadConfig(
-                "analyzer flip rates must satisfy 0 <= warn <= critical <= 1".into(),
-            ));
-        }
-        Ok(())
-    }
-}
+/// The analyzer's former tuning record. Every threshold and window is
+/// now a constant of this module; the empty type remains only as the
+/// argument of [`HealthAnalyzer::new`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct AnalyzerConfig;
 
 /// One period's observables, as fed to [`HealthAnalyzer::observe`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -223,7 +175,6 @@ impl Ring {
 /// Streaming health analyzer; one instance per control loop.
 #[derive(Debug, Clone)]
 pub struct HealthAnalyzer {
-    cfg: AnalyzerConfig,
     /// Per-period W over the cap (0 when under).
     over_w: Ring,
     /// Per-period flip indicator (1.0 when Δf changed sign).
@@ -238,25 +189,29 @@ pub struct HealthAnalyzer {
     periods: u64,
 }
 
-impl HealthAnalyzer {
+impl Default for HealthAnalyzer {
     /// A fresh analyzer.
-    ///
-    /// # Errors
-    /// [`crate::ObsError::BadConfig`] on invalid tuning.
-    pub fn new(cfg: AnalyzerConfig) -> crate::Result<Self> {
-        cfg.validate()?;
-        let w = cfg.slow_window;
-        Ok(HealthAnalyzer {
-            over_w: Ring::new(w),
-            flips: Ring::new(w),
-            sat: Ring::new(w),
-            slo: Ring::new(w),
+    fn default() -> Self {
+        HealthAnalyzer {
+            over_w: Ring::new(SLOW_WINDOW),
+            flips: Ring::new(SLOW_WINDOW),
+            sat: Ring::new(SLOW_WINDOW),
+            slo: Ring::new(SLOW_WINDOW),
             last_dir: 0,
             stale_run: 0,
             verdicts: [Verdict::Ok; DETECTORS.len()],
-            cfg,
             periods: 0,
-        })
+        }
+    }
+}
+
+impl HealthAnalyzer {
+    /// A fresh analyzer, as [`HealthAnalyzer::default`].
+    ///
+    /// # Errors
+    /// None: the analyzer has no tuning left to reject.
+    pub fn new(_cfg: AnalyzerConfig) -> crate::Result<Self> {
+        Ok(HealthAnalyzer::default())
     }
 
     /// Feeds one period and returns the verdict edges it triggered
@@ -266,9 +221,9 @@ impl HealthAnalyzer {
         self.over_w.push((s.power_w - s.cap_w).max(0.0));
         // Oscillation: a flip is a sign change of Δf between periods,
         // where |Δf| under the hysteresis floor carries no direction.
-        let dir = if s.delta_f_mhz > self.cfg.flip_hysteresis_mhz {
+        let dir = if s.delta_f_mhz > FLIP_HYSTERESIS_MHZ {
             1i8
-        } else if s.delta_f_mhz < -self.cfg.flip_hysteresis_mhz {
+        } else if s.delta_f_mhz < -FLIP_HYSTERESIS_MHZ {
             -1
         } else {
             0
@@ -283,11 +238,11 @@ impl HealthAnalyzer {
         self.stale_run = if s.meter_stale { self.stale_run + 1 } else { 0 };
 
         let next = [
-            self.burn_verdict(&self.over_w, self.cfg.cap_burn_w),
+            self.burn_verdict(&self.over_w, CAP_BURN_W),
             self.oscillation_verdict(),
             self.silence_verdict(),
             self.saturation_verdict(),
-            self.burn_verdict(&self.slo, self.cfg.slo_burn_frac),
+            self.burn_verdict(&self.slo, SLO_BURN_FRAC),
         ];
         let mut edges = Vec::new();
         for (i, (&from, &to)) in self.verdicts.iter().zip(next.iter()).enumerate() {
@@ -307,11 +262,11 @@ impl HealthAnalyzer {
     /// Warn; fast *and* slow both over is Critical (the SRE two-window
     /// AND — sustained burn, not a blip).
     fn burn_verdict(&self, ring: &Ring, threshold: f64) -> Verdict {
-        let fast = ring.mean_last(self.cfg.fast_window);
-        let slow = ring.mean_last(self.cfg.slow_window);
-        if fast > threshold && slow > threshold && ring.observed() >= self.cfg.fast_window {
+        let fast = ring.mean_last(FAST_WINDOW);
+        let slow = ring.mean_last(SLOW_WINDOW);
+        if fast > threshold && slow > threshold && ring.observed() >= FAST_WINDOW {
             Verdict::Critical
-        } else if fast > threshold && ring.observed() >= self.cfg.fast_window {
+        } else if fast > threshold && ring.observed() >= FAST_WINDOW {
             Verdict::Warn
         } else {
             Verdict::Ok
@@ -319,13 +274,13 @@ impl HealthAnalyzer {
     }
 
     fn oscillation_verdict(&self) -> Verdict {
-        if self.flips.observed() < self.cfg.fast_window {
+        if self.flips.observed() < FAST_WINDOW {
             return Verdict::Ok;
         }
-        let rate = self.flips.mean_last(self.cfg.fast_window);
-        if rate >= self.cfg.flip_rate_critical {
+        let rate = self.flips.mean_last(FAST_WINDOW);
+        if rate >= FLIP_RATE_CRITICAL {
             Verdict::Critical
-        } else if rate >= self.cfg.flip_rate_warn {
+        } else if rate >= FLIP_RATE_WARN {
             Verdict::Warn
         } else {
             Verdict::Ok
@@ -333,9 +288,9 @@ impl HealthAnalyzer {
     }
 
     fn silence_verdict(&self) -> Verdict {
-        if self.stale_run >= 2 * self.cfg.silence_warn_periods {
+        if self.stale_run >= 2 * SILENCE_WARN_PERIODS {
             Verdict::Critical
-        } else if self.stale_run >= self.cfg.silence_warn_periods {
+        } else if self.stale_run >= SILENCE_WARN_PERIODS {
             Verdict::Warn
         } else {
             Verdict::Ok
@@ -343,16 +298,16 @@ impl HealthAnalyzer {
     }
 
     fn saturation_verdict(&self) -> Verdict {
-        if self.sat.observed() < self.cfg.fast_window {
+        if self.sat.observed() < FAST_WINDOW {
             return Verdict::Ok;
         }
         // Dwell is a fraction of the *full* slow window, so a freshly
         // started analyzer does not call five saturated periods
         // "saturated half the time".
-        let frac = self.sat.frac_of(self.cfg.slow_window);
-        if frac >= (2.0 * self.cfg.saturation_warn_frac).min(1.0) {
+        let frac = self.sat.frac_of(SLOW_WINDOW);
+        if frac >= (2.0 * SATURATION_WARN_FRAC).min(1.0) {
             Verdict::Critical
-        } else if frac >= self.cfg.saturation_warn_frac {
+        } else if frac >= SATURATION_WARN_FRAC {
             Verdict::Warn
         } else {
             Verdict::Ok
@@ -384,7 +339,7 @@ mod tests {
     use super::*;
 
     fn analyzer() -> HealthAnalyzer {
-        HealthAnalyzer::new(AnalyzerConfig::default()).unwrap()
+        HealthAnalyzer::default()
     }
 
     fn quiet(cap_w: f64) -> PeriodSample {
@@ -521,24 +476,5 @@ mod tests {
         }
         // Ok->Warn and Warn->Critical: exactly two edges, no repeats.
         assert_eq!(edges, 2);
-    }
-
-    #[test]
-    fn config_validation_rejects_nonsense() {
-        let cfg = AnalyzerConfig {
-            fast_window: 0,
-            ..AnalyzerConfig::default()
-        };
-        assert!(HealthAnalyzer::new(cfg).is_err());
-        let cfg = AnalyzerConfig {
-            slow_window: 2,
-            ..AnalyzerConfig::default()
-        };
-        assert!(HealthAnalyzer::new(cfg).is_err());
-        let cfg = AnalyzerConfig {
-            flip_rate_critical: 0.1,
-            ..AnalyzerConfig::default()
-        };
-        assert!(HealthAnalyzer::new(cfg).is_err());
     }
 }

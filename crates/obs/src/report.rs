@@ -6,10 +6,9 @@
 
 use std::fmt::Write as _;
 
-use crate::analyzer::{AnalyzerConfig, HealthAnalyzer, PeriodSample, Verdict, DETECTORS};
+use crate::analyzer::{HealthAnalyzer, PeriodSample, Verdict, DETECTORS};
 use crate::reader::{JournalScan, Record};
 use crate::replay::ReplayState;
-use crate::Result;
 
 /// A rendered post-mortem.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,11 +52,8 @@ fn period_sample(r: &Record) -> PeriodSample {
 }
 
 /// Renders the post-mortem for a scanned journal.
-///
-/// # Errors
-/// [`crate::ObsError::BadConfig`] on invalid analyzer tuning.
-pub fn render(scan: &JournalScan, cfg: &AnalyzerConfig) -> Result<PostMortem> {
-    let mut analyzer = HealthAnalyzer::new(cfg.clone())?;
+pub fn render(scan: &JournalScan) -> PostMortem {
+    let mut analyzer = HealthAnalyzer::default();
     let state = ReplayState::replay(&scan.records);
 
     let mut out = String::new();
@@ -245,12 +241,12 @@ pub fn render(scan: &JournalScan, cfg: &AnalyzerConfig) -> Result<PostMortem> {
         }
     );
 
-    Ok(PostMortem {
+    PostMortem {
         text: out,
         verdicts,
         overall: analyzer.overall(),
         state,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -277,9 +273,8 @@ mod tests {
             "{\"v\":1,\"period\":3,\"t_s\":12,\"kind\":\"period\",\"watts\":930,\"setpoint\":900,\"targets\":\"1300\"}\n",
         );
         let scan = scan_of(text);
-        let cfg = AnalyzerConfig::default();
-        let a = render(&scan, &cfg).unwrap();
-        let b = render(&scan, &cfg).unwrap();
+        let a = render(&scan);
+        let b = render(&scan);
         assert_eq!(a.text, b.text);
         for needle in [
             "capgpu-obs post-mortem",
@@ -302,7 +297,7 @@ mod tests {
     #[test]
     fn empty_journal_renders_without_panicking() {
         let scan = JournalScan::default();
-        let pm = render(&scan, &AnalyzerConfig::default()).unwrap();
+        let pm = render(&scan);
         assert!(pm.text.contains("records=0"));
         assert!(pm.text.contains("(no transitions"));
         assert_eq!(pm.overall, Verdict::Ok);

@@ -425,19 +425,11 @@ pub fn kkt_optimal(
 /// Cholesky factor replacing the dense KKT factorization and a vectorized
 /// bound pass per iteration. See the module docs for the determinism
 /// contract.
-#[derive(Debug, Clone)]
-pub struct BoxQp {
-    /// Maximum active-set changes before giving up.
-    pub max_iterations: usize,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BoxQp;
 
-impl Default for BoxQp {
-    fn default() -> Self {
-        Self {
-            max_iterations: 200,
-        }
-    }
-}
+/// Maximum active-set changes before [`BoxQp`] gives up.
+const MAX_ITERATIONS: usize = 200;
 
 impl BoxQp {
     /// Solves from the cold start `x₀ = clamp(0, lo, hi)`.
@@ -457,7 +449,7 @@ impl BoxQp {
     /// * [`OptimError::BadProblem`] if `x0`/`hint` lengths mismatch.
     /// * [`OptimError::Numerical`] if `H_FF` is not positive definite.
     /// * [`OptimError::IterationLimit`] if the active set fails to settle
-    ///   within [`BoxQp::max_iterations`].
+    ///   within 200 active-set changes.
     // Index loops mirror the mathematical statement of the iteration; the
     // gradient pass indexes `grad` and the Hessian rows in lockstep.
     #[allow(clippy::needless_range_loop)]
@@ -508,7 +500,7 @@ impl BoxQp {
 
         let mut grad = vec![0.0; n];
         let mut step = vec![0.0; n];
-        for iteration in 0..self.max_iterations {
+        for iteration in 0..MAX_ITERATIONS {
             // grad = H·x + g (bound variables contribute exactly their bound).
             for i in 0..n {
                 let mut acc = qp.gradient[i];
@@ -589,7 +581,7 @@ impl BoxQp {
             }
         }
         Err(OptimError::IterationLimit {
-            iterations: self.max_iterations,
+            iterations: MAX_ITERATIONS,
         })
     }
 
@@ -645,7 +637,7 @@ mod tests {
         let h = spd3();
         let g = vec![-1.0, 0.5, -0.25];
         let qp = BoxQpProblem::new(h.clone(), g.clone(), vec![-10.0; 3], vec![10.0; 3]).unwrap();
-        let sol = BoxQp::default().solve(&qp).unwrap();
+        let sol = BoxQp.solve(&qp).unwrap();
         // Unconstrained optimum: H·x = −g.
         let expect = (capgpu_linalg::Cholesky::new(&h).unwrap())
             .solve(&[1.0, -0.5, 0.25])
@@ -662,7 +654,7 @@ mod tests {
         // Strong pull toward +∞ on x0, box caps it.
         let h = Matrix::from_diag(&[1.0, 1.0]);
         let qp = BoxQpProblem::new(h, vec![-10.0, -0.2], vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
-        let sol = BoxQp::default().solve(&qp).unwrap();
+        let sol = BoxQp.solve(&qp).unwrap();
         assert_eq!(sol.states[0], VarState::AtHi);
         assert!((sol.x[0] - 1.0).abs() < 1e-12);
         assert!((sol.x[1] - 0.2).abs() < 1e-12);
@@ -674,7 +666,7 @@ mod tests {
         let h = spd3();
         let g = vec![-5.0, 2.0, -1.0];
         let qp = BoxQpProblem::new(h, g, vec![-0.5, -0.5, -0.5], vec![0.5, 0.5, 0.5]).unwrap();
-        let solver = BoxQp::default();
+        let solver = BoxQp;
         let cold = solver.solve(&qp).unwrap();
         let warm = solver.solve_from(&qp, &cold.x, Some(&cold.states)).unwrap();
         assert_eq!(cold.x, warm.x, "polish must make warm == cold bitwise");
@@ -692,7 +684,7 @@ mod tests {
         let lo = vec![-0.5; 3];
         let hi = vec![0.5; 3];
         let qp = BoxQpProblem::new(h.clone(), g.clone(), lo.clone(), hi.clone()).unwrap();
-        let sol = BoxQp::default().solve(&qp).unwrap();
+        let sol = BoxQp.solve(&qp).unwrap();
         let bf = BoxFactor::from_states(&h, &sol.states).unwrap();
         let x = bf.polish(&h, &g, &lo, &hi, &sol.states);
         assert_eq!(x, sol.x, "cached law must be bitwise equal to the solve");
@@ -708,7 +700,7 @@ mod tests {
         let lo = vec![-0.5; 3];
         let hi = vec![0.5; 3];
         let qp = BoxQpProblem::new(h.clone(), vec![-5.0, 0.5, -0.25], lo, hi).unwrap();
-        let sol = BoxQp::default().solve(&qp).unwrap();
+        let sol = BoxQp.solve(&qp).unwrap();
         assert_eq!(sol.active_count(), 1, "one bound, a 2×2 factor");
         let fresh = BoxFactor::from_states(&h, &sol.states).unwrap();
         let (g, lo, hi) = ([-4.75, 1.5, -0.8], [-0.45, -0.5, -0.6], [0.55, 0.5, 0.4]);
@@ -723,7 +715,7 @@ mod tests {
         // 0 is reserved for "no iteration ran" (a cached-law answer): a
         // cold solve that converges at its first optimality check took
         // one iteration, and one step plus the check that accepts it two.
-        let solver = BoxQp::default();
+        let solver = BoxQp;
         let qp = BoxQpProblem::new(spd3(), vec![0.0; 3], vec![-1.0; 3], vec![1.0; 3]).unwrap();
         assert_eq!(solver.solve(&qp).unwrap().iterations, 1);
         let qp = BoxQpProblem::new(
@@ -757,7 +749,7 @@ mod tests {
         // free set.
         let h = spd3();
         let qp = BoxQpProblem::new(h, vec![1.0; 3], vec![0.25; 3], vec![0.25; 3]).unwrap();
-        let sol = BoxQp::default().solve(&qp).unwrap();
+        let sol = BoxQp.solve(&qp).unwrap();
         assert_eq!(sol.x, vec![0.25; 3]);
         assert_eq!(sol.active_count(), 3);
     }
@@ -797,7 +789,7 @@ mod tests {
         let lo = vec![-0.3; 8];
         let hi = vec![0.4; 8];
         let qp = BoxQpProblem::new(h.clone(), g.clone(), lo.clone(), hi.clone()).unwrap();
-        let sol = BoxQp::default().solve(&qp).unwrap();
+        let sol = BoxQp.solve(&qp).unwrap();
         assert!(kkt_optimal(&h, &g, &lo, &hi, &sol.states, &sol.x, 1e-7));
         let bounds = crate::projgrad::Box::new(lo.clone(), hi.clone()).unwrap();
         let pg =

@@ -100,7 +100,7 @@ proptest! {
         let hi: Vec<f64> = lo.iter().zip(width.iter()).map(|(l, w)| l + w).collect();
 
         let bqp = BoxQpProblem::new(h.clone(), g.clone(), lo.clone(), hi.clone()).unwrap();
-        let sol = BoxQp::default().solve(&bqp).unwrap();
+        let sol = BoxQp.solve(&bqp).unwrap();
 
         let mut cons = vec![];
         for i in 0..4 {
@@ -135,7 +135,7 @@ proptest! {
         let hi: Vec<f64> = lo.iter().zip(width.iter()).map(|(l, w)| l + w).collect();
         let bqp = BoxQpProblem::new(h.clone(), g.clone(), lo, hi).unwrap();
 
-        let cold = BoxQp::default().solve(&bqp).unwrap();
+        let cold = BoxQp.solve(&bqp).unwrap();
 
         let hint: Vec<VarState> = hint_raw
             .iter()
@@ -151,7 +151,7 @@ proptest! {
             .zip(bqp.hi.iter())
             .map(|(l, u)| 0.5 * (l + u))
             .collect();
-        let warm = BoxQp::default().solve_from(&bqp, &x0, Some(&hint)).unwrap();
+        let warm = BoxQp.solve_from(&bqp, &x0, Some(&hint)).unwrap();
 
         prop_assert_eq!(&cold.x, &warm.x);
         prop_assert_eq!(&cold.states, &warm.states);

@@ -70,10 +70,9 @@ impl std::error::Error for TelemetryError {}
 /// published trace byte-identical. `Some(TelemetryConfig::default())`
 /// turns on the deterministic layers only — the metric registry and the
 /// event journal — which are safe inside bit-identity-compared sweep
-/// results. `trace_spans` additionally arms the wall-clock span stack
-/// and the per-period `solve_ns`/`actuate_ns` record fields; those are
-/// non-deterministic and must stay out of published artifacts, so it
-/// defaults to off even when telemetry is enabled.
+/// results. `trace_spans` additionally arms the wall-clock span stack,
+/// which is non-deterministic and must stay out of published artifacts,
+/// so it defaults to off even when telemetry is enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Also collect wall-clock control-loop spans (non-deterministic).

@@ -37,7 +37,7 @@ fn main() {
         epochs: 6,
         epoch_periods: 8,
         min_share_watts: 700.0,
-        migration: None,
+        migration: false,
         ..FleetConfig::new(budget)
     };
     let mut sim = FleetSim::new(rack, &classes, config).expect("fleet");
