@@ -17,7 +17,8 @@
 //!   QP from `capgpu-optim` behind the explicit / multi-parametric region
 //!   table §4.3 sketches (one cached affine law per active set,
 //!   KKT-checked, exact solve on a miss). That is the only path; the
-//!   generic active-set QP is the oracle `mpc`'s tests hold it against.
+//!   generic active-set QP of the dev-only `capgpu-oracle` crate is what
+//!   `mpc`'s tests hold it against.
 //! * [`pid`] — pole-placed proportional controllers (the GPU-Only and
 //!   CPU-Only baselines of §6.1 follow OptimML / IBM server-level control).
 //! * [`modulator`] — the first-order **delta-sigma modulator** that

@@ -33,8 +33,8 @@
 //! affine law per active set, KKT-checked against the period's problem,
 //! the iterative solve on a miss. Hits, misses, warm and cold starts that
 //! end on the same active set return bit-identical moves (DESIGN.md §15).
-//! There is no second path: the generic active-set solver
-//! `capgpu_optim::qp` is the oracle this module's tests hold
+//! There is no second path: the generic active-set solver of the dev-only
+//! `capgpu-oracle` crate is what this module's tests hold
 //! [`MpcController::step`] against, in the original `d` coordinates.
 //!
 //! # Weight semantics
@@ -680,7 +680,7 @@ impl MpcController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capgpu_optim::qp::{ActiveSetQp, LinearConstraint, QpProblem};
+    use capgpu_oracle::qp::{ActiveSetQp, LinearConstraint, QpProblem};
     use proptest::prelude::*;
 
     impl MpcController {
@@ -709,7 +709,8 @@ mod tests {
         /// validation and the feasible start.
         ///
         /// # Errors
-        /// Same as [`MpcController::step`].
+        /// Same as [`MpcController::step`]; a failure of the oracle solve
+        /// itself panics.
         #[allow(clippy::needless_range_loop)]
         fn step_uncached(
             &self,
@@ -789,12 +790,12 @@ mod tests {
             }
 
             let start = self.feasible_start(&f_now, &f_lo);
-            let qp = QpProblem::new(h, g, cons)?;
+            let qp = QpProblem::new(h, g, cons).expect("the oracle QP is well-formed");
             let sol = match ActiveSetQp::default().solve(&qp, &start) {
                 Ok(s) => s,
                 // A slew limit tighter than a raised floor makes the QP
                 // infeasible; fall back to the best-effort jump itself.
-                Err(capgpu_optim::OptimError::InfeasibleStart) => {
+                Err(capgpu_oracle::OracleError::InfeasibleStart) => {
                     let first_move = start[..n].to_vec();
                     let target = vector::add(&f_now, &first_move);
                     let predicted = self.model.predict_delta(p_measured, &first_move);
@@ -808,7 +809,7 @@ mod tests {
                         slo_floor_binding: Self::floor_raised(&f_lo, &self.config.f_min),
                     });
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => panic!("oracle QP failed: {e}"),
             };
 
             let first_move = sol.x[..n].to_vec();

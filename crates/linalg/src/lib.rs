@@ -40,7 +40,6 @@
 pub mod cholesky;
 pub mod eig;
 pub mod lstsq;
-pub mod lu;
 pub mod matrix;
 pub mod qr;
 pub mod rls;
@@ -51,7 +50,6 @@ pub mod vector;
 pub use cholesky::Cholesky;
 pub use eig::{eigenvalues, spectral_radius, Complex};
 pub use lstsq::{solve as lstsq_solve, LstsqFit};
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use rls::RlsFactor;

@@ -17,11 +17,6 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Infinity norm (maximum absolute entry); 0 for an empty slice.
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-}
-
 /// Elementwise `a + b`.
 pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "add length mismatch");
@@ -34,30 +29,9 @@ pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
 }
 
-/// `a + s·b` (axpy).
-pub fn axpy(a: &[f64], s: f64, b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "axpy length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x + s * y).collect()
-}
-
 /// Scales every entry by `s`.
 pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
     a.iter().map(|x| x * s).collect()
-}
-
-/// Clamps each entry of `x` into `[lo[i], hi[i]]`.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn clamp_box(x: &[f64], lo: &[f64], hi: &[f64]) -> Vec<f64> {
-    assert!(
-        x.len() == lo.len() && x.len() == hi.len(),
-        "clamp_box length mismatch"
-    );
-    x.iter()
-        .zip(lo.iter().zip(hi.iter()))
-        .map(|(&v, (&l, &h))| v.clamp(l, h))
-        .collect()
 }
 
 /// True when every `|a[i] - b[i]| <= tol`.
@@ -73,22 +47,13 @@ mod tests {
     fn dot_and_norms() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-        assert_eq!(norm_inf(&[]), 0.0);
     }
 
     #[test]
     fn elementwise_ops() {
         assert_eq!(add(&[1.0], &[2.0]), vec![3.0]);
         assert_eq!(sub(&[1.0], &[2.0]), vec![-1.0]);
-        assert_eq!(axpy(&[1.0, 1.0], 2.0, &[3.0, 4.0]), vec![7.0, 9.0]);
         assert_eq!(scale(&[2.0, -2.0], 0.5), vec![1.0, -1.0]);
-    }
-
-    #[test]
-    fn clamping() {
-        let x = clamp_box(&[-1.0, 0.5, 9.0], &[0.0, 0.0, 0.0], &[1.0, 1.0, 1.0]);
-        assert_eq!(x, vec![0.0, 0.5, 1.0]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! input, not just hand-picked examples: factorizations reconstruct,
 //! solvers invert, eigenvalue sums match traces.
 
-use capgpu_linalg::{eig, lstsq, stats, Cholesky, Lu, Matrix, Qr};
+use capgpu_linalg::{eig, lstsq, stats, Cholesky, Matrix, Qr};
+use capgpu_oracle::lu::Lu;
 use proptest::prelude::*;
 
 /// Strategy: vector of `n` floats in a tame range.
@@ -116,6 +117,30 @@ proptest! {
         prop_assert!(prod.im.abs() < 1e-5 * det.abs().max(1.0));
         prop_assert!((prod.re - det).abs() < 1e-5 * det.abs().max(1.0));
     }
+}
+
+#[test]
+fn trace_and_det_invariants_5x5() {
+    let a = Matrix::from_rows(&[
+        &[1.0, 2.0, 0.5, -1.0, 0.2],
+        &[0.3, -2.0, 1.5, 0.7, -0.4],
+        &[2.2, 0.1, 3.0, -0.6, 1.1],
+        &[-0.9, 1.4, 0.0, 0.5, 2.3],
+        &[0.6, -1.1, 0.8, 1.9, -1.5],
+    ]);
+    let eigs = eig::eigenvalues(&a).unwrap();
+    let trace: f64 = a.diag().iter().sum();
+    let eig_sum: f64 = eigs.iter().map(|e| e.re).sum();
+    assert!((trace - eig_sum).abs() < 1e-8, "trace {trace} vs {eig_sum}");
+    let det = Lu::new(&a).unwrap().det();
+    let eig_prod = eigs
+        .iter()
+        .fold(eig::Complex::real(1.0), |acc, e| acc.mul(e));
+    assert!(eig_prod.im.abs() < 1e-7);
+    assert!((det - eig_prod.re).abs() < 1e-6 * det.abs().max(1.0));
+}
+
+proptest! {
 
     #[test]
     fn lstsq_r2_bounded(xs in prop::collection::vec(-5.0..5.0f64, 8), noise in prop::collection::vec(-0.5..0.5f64, 8)) {

@@ -4,7 +4,8 @@
 //! cumulative-move change of variables (see `capgpu-control::mpc`): every
 //! constraint is a per-variable bound `lo_j ≤ x_j ≤ hi_j`, separable across
 //! devices and horizon blocks. That structure admits a much cheaper
-//! active-set iteration than the generic [`crate::qp::ActiveSetQp`] oracle:
+//! active-set iteration than the generic `capgpu_oracle::qp::ActiveSetQp`
+//! it is tested against:
 //!
 //! * the working set is just a per-variable state (free / at lower bound /
 //!   at upper bound), so "constraint rows" never need to be materialized;
@@ -420,7 +421,7 @@ pub fn kkt_optimal(
 
 /// Primal active-set solver for box-constrained strictly convex QPs.
 ///
-/// Equivalent to [`crate::qp::ActiveSetQp`] restricted to bound constraints
+/// Equivalent to `capgpu_oracle::qp::ActiveSetQp` restricted to bound constraints
 /// (same method, Nocedal & Wright §16.5), but with the incremental free-set
 /// Cholesky factor replacing the dense KKT factorization and a vectorized
 /// bound pass per iteration. See the module docs for the determinism
@@ -764,38 +765,5 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, OptimError::BadProblem(_)));
-    }
-
-    #[test]
-    fn larger_random_style_problem_agrees_with_projected_gradient() {
-        // Deterministic pseudo-random SPD problem (no RNG dependency here).
-        let n = 8;
-        let mut b = Matrix::zeros(n, n);
-        let mut s = 1234567u64;
-        let mut next = || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        for i in 0..n {
-            for j in 0..n {
-                b[(i, j)] = next();
-            }
-        }
-        let mut h = b.transpose().matmul(&b);
-        h.add_diagonal(0.5).unwrap();
-        let g: Vec<f64> = (0..n).map(|_| 2.0 * next()).collect();
-        let lo = vec![-0.3; 8];
-        let hi = vec![0.4; 8];
-        let qp = BoxQpProblem::new(h.clone(), g.clone(), lo.clone(), hi.clone()).unwrap();
-        let sol = BoxQp.solve(&qp).unwrap();
-        assert!(kkt_optimal(&h, &g, &lo, &hi, &sol.states, &sol.x, 1e-7));
-        let bounds = crate::projgrad::Box::new(lo.clone(), hi.clone()).unwrap();
-        let pg =
-            crate::projgrad::solve_box_qp(&h, &g, &bounds, &vec![0.0; n], 1e-12, 200_000).unwrap();
-        for (a, b) in sol.x.iter().zip(pg.iter()) {
-            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
-        }
     }
 }

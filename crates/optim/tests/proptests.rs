@@ -3,9 +3,9 @@
 
 use capgpu_linalg::Matrix;
 use capgpu_optim::boxqp::{self, BoxFactor, BoxQp, BoxQpProblem, VarState};
-use capgpu_optim::kkt;
-use capgpu_optim::projgrad::{self, Box as PgBox};
-use capgpu_optim::qp::{ActiveSetQp, LinearConstraint, QpProblem};
+use capgpu_oracle::kkt;
+use capgpu_oracle::projgrad::{self, Box as PgBox};
+use capgpu_oracle::qp::{ActiveSetQp, LinearConstraint, QpProblem};
 use proptest::prelude::*;
 
 /// Random SPD Hessian `BᵀB + I` of size n.
@@ -32,6 +32,46 @@ fn central_difference(x: &[f64], f: impl Fn(&[f64]) -> f64) -> Vec<f64> {
             (fp - fm) / (2.0 * h)
         })
         .collect()
+}
+
+#[test]
+fn larger_random_style_problem_agrees_with_projected_gradient() {
+    // Deterministic pseudo-random SPD problem (no RNG dependency here).
+    let n = 8;
+    let mut b = Matrix::zeros(n, n);
+    let mut s = 1234567u64;
+    let mut next = || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+    };
+    for i in 0..n {
+        for j in 0..n {
+            b[(i, j)] = next();
+        }
+    }
+    let mut h = b.transpose().matmul(&b);
+    h.add_diagonal(0.5).unwrap();
+    let g: Vec<f64> = (0..n).map(|_| 2.0 * next()).collect();
+    let lo = vec![-0.3; 8];
+    let hi = vec![0.4; 8];
+    let qp = BoxQpProblem::new(h.clone(), g.clone(), lo.clone(), hi.clone()).unwrap();
+    let sol = BoxQp.solve(&qp).unwrap();
+    assert!(boxqp::kkt_optimal(
+        &h,
+        &g,
+        &lo,
+        &hi,
+        &sol.states,
+        &sol.x,
+        1e-7
+    ));
+    let bounds = PgBox::new(lo.clone(), hi.clone()).unwrap();
+    let pg = projgrad::solve_box_qp(&h, &g, &bounds, &vec![0.0; n], 1e-12, 200_000).unwrap();
+    for (a, b) in sol.x.iter().zip(pg.iter()) {
+        assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+    }
 }
 
 proptest! {

@@ -78,17 +78,6 @@ impl PaiTrace {
     pub fn num_features(&self) -> usize {
         FEATURE_NAMES.len()
     }
-
-    /// Projects the feature matrix onto a subset of column indices.
-    ///
-    /// # Panics
-    /// Panics if any index is out of range.
-    pub fn project(&self, features: &[usize]) -> Vec<Vec<f64>> {
-        self.x
-            .iter()
-            .map(|row| features.iter().map(|&j| row[j]).collect())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -151,16 +140,6 @@ mod tests {
             }
             assert!(corr(f) < 0.1, "distractor {f} corr {}", corr(f));
         }
-    }
-
-    #[test]
-    fn projection() {
-        let t = generate(10, 1);
-        let p = t.project(&[1, 4]);
-        assert_eq!(p.len(), 10);
-        assert_eq!(p[0].len(), 2);
-        assert_eq!(p[3][0], t.x[3][1]);
-        assert_eq!(p[3][1], t.x[3][4]);
     }
 
     #[test]
