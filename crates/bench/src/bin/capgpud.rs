@@ -138,6 +138,19 @@ fn serve(cfg: &DaemonConfig, config_path: Option<&PathBuf>, periods: Option<u64>
                                 daemon.setpoint_watts()
                             );
                         }
+                        let running = daemon.config();
+                        let setpoint_watts = running.setpoint_watts;
+                        if (DaemonConfig {
+                            setpoint_watts,
+                            ..new_cfg
+                        }) != *running
+                        {
+                            eprintln!(
+                                "capgpud: {}: only daemon.setpoint_watts reloads; \
+                                 its other changes take effect on restart",
+                                path.display()
+                            );
+                        }
                     }
                     Err(e) => eprintln!("capgpud: reload rejected: {e}"),
                 }

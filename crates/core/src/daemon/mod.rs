@@ -15,10 +15,11 @@
 //! Pieces, one submodule each:
 //!
 //! * [`Daemon`] (here) — the control loop: excitation-plan
-//!   identification ([`identify_sweep`]), per-period MPC with throughput
-//!   weights, streaming RLS warm-start refits, and the failover
-//!   [`Ladder`] (primary → safe fixed-step → park-at-floors) — the
-//!   sweep and the ladder being the experiment runner's own.
+//!   identification, per-period MPC with throughput weights, streaming
+//!   RLS warm-start refits, and the failover [`Ladder`] (primary → safe
+//!   fixed-step → park-at-floors). The identification dwell, the
+//!   health-and-decide step and the refit push are the experiment
+//!   runner's own: both loops call the crate-private `period` module.
 //! * [`DaemonConfig`] (`config`) — operator-facing TOML configuration
 //!   (`toml` is the dependency-free subset parser behind it),
 //!   hot-reloadable set-point.
@@ -43,16 +44,16 @@ pub use reload::{ConfigWatcher, ReloadSignal};
 
 use capgpu_backend::PowerBackend;
 use capgpu_control::model::LinearPowerModel;
-use capgpu_control::sysid::{identify_sweep, ScaledModelTracker};
+use capgpu_control::sysid::ScaledModelTracker;
 use capgpu_obs::analyzer::{HealthAnalyzer, PeriodSample, DETECTORS};
 use capgpu_obs::replay::{format_targets, ReplayState};
 use capgpu_obs::rotate::JournalWriter;
 use capgpu_telemetry::journal::{Event, Journal};
 use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
 
-use crate::controllers::{CapGpuController, ControlInput, DeviceLayout, PowerController};
-use crate::runner::{period_power, SCALE_PUSH_DEADBAND};
-use crate::supervisor::{HealthSample, Ladder, SupervisorTier};
+use crate::controllers::{CapGpuController, DeviceLayout};
+use crate::period::{self, period_power, Decider, PeriodInputs};
+use crate::supervisor::{Ladder, SupervisorTier};
 use crate::weights::WeightAssigner;
 use crate::{CapGpuError, Result};
 
@@ -165,12 +166,10 @@ pub struct Daemon {
     last_avg_watts: f64,
     last_tier: SupervisorTier,
     setpoint_watts: f64,
-    // Scratch buffers (the period loop is allocation-light).
     /// Per-device throughput weights: no backend reports throughput, so
     /// every device is equally expensive to slow down.
     neutral_throughput: Vec<f64>,
-    device_power_buf: Vec<f64>,
-    ejected_buf: Vec<bool>,
+    decider: Decider,
 }
 
 impl std::fmt::Debug for Daemon {
@@ -296,8 +295,7 @@ impl Daemon {
             last_tier: SupervisorTier::Primary,
             setpoint_watts,
             neutral_throughput: vec![1.0; n],
-            device_power_buf: vec![0.0; n],
-            ejected_buf: vec![false; n],
+            decider: Decider::new(n),
         })
     }
 
@@ -342,26 +340,16 @@ impl Daemon {
     /// # Errors
     /// Propagates excitation, backend, and fitting errors.
     pub fn identify(&mut self) -> Result<()> {
-        let sweep = identify_sweep(
-            &self.layout.f_min,
-            &self.layout.f_max,
+        let sweep = period::identify(
+            self.backend.as_mut(),
+            &self.layout,
             self.cfg.sysid_hold_fraction,
             self.cfg.sysid_steps_per_device,
-            |point| {
-                self.backend.set_frequencies(point)?;
-                self.backend.effective_frequencies_into(&mut self.applied)?;
-                let mut power_sum = 0.0;
-                let mut samples = 0u32;
-                for _ in 0..self.cfg.control_period_s {
-                    self.sim_time_s += 1.0;
-                    if let Some(p) = self.backend.advance(1.0)? {
-                        power_sum += p;
-                        samples += 1;
-                    }
-                }
-                Ok::<_, CapGpuError>(
-                    (samples > 0).then(|| (self.applied.clone(), power_sum / f64::from(samples))),
-                )
+            self.cfg.control_period_s as usize,
+            &mut self.applied,
+            |backend, _| {
+                self.sim_time_s += 1.0;
+                Ok(backend.advance(1.0)?)
             },
         )?;
         let model = sweep.fitted.model;
@@ -418,44 +406,30 @@ impl Daemon {
             self.backend.as_ref(),
             self.cfg.control_period_s as usize,
             fresh,
-            self.last_avg_watts,
+            &mut self.last_avg_watts,
         );
-        self.last_avg_watts = avg;
         if fresh > 0 {
             if let Some(tracker) = stack.tracker.as_mut() {
                 tracker.record(&self.applied, avg);
             }
         }
-        // -- observe per-device power ----------------------------------
-        if self.backend.capabilities().per_device_power {
-            self.backend
-                .per_device_power_into(&mut self.device_power_buf)?;
-        } else {
-            self.device_power_buf.iter_mut().for_each(|p| *p = 0.0);
-        }
         // -- supervise + control --------------------------------------
-        for (i, e) in self.ejected_buf.iter_mut().enumerate() {
-            *e = self.backend.is_ejected(i);
-        }
-        let health = HealthSample {
+        let inputs = PeriodInputs {
             fresh_samples: fresh,
-            meter_age_s: self.backend.seconds_since_sample(),
             avg_power: avg,
             setpoint: self.setpoint_watts,
-            psu_limit: self.backend.psu_limit(),
             applied_mean: &self.applied,
-            ejected: &self.ejected_buf,
-        };
-        let input = ControlInput {
-            measured_power: avg,
-            setpoint: self.setpoint_watts,
-            current_targets: &self.targets,
+            targets: &self.targets,
             normalized_throughput: &self.neutral_throughput,
-            device_power: &self.device_power_buf,
             floors: &self.layout.f_min,
             phase_mix: None,
         };
-        let decision = stack.ladder.decide(&mut stack.primary, &health, &input)?;
+        let decision = self.decider.step(
+            self.backend.as_mut(),
+            Some(&mut stack.ladder),
+            &mut stack.primary,
+            &inputs,
+        )?;
         let (targets, directive) = (decision.targets, decision.directive);
         if directive.tier != self.last_tier {
             let reason = if directive.stale_periods > 0 {
@@ -503,10 +477,10 @@ impl Daemon {
         // -- streaming refit (primary only: the fallback and park are
         //    model-free by design) ------------------------------------
         if fresh > 0 && directive.tier == SupervisorTier::Primary {
-            if let Some(Ok((model, scale))) = stack.tracker.as_ref().map(ScaledModelTracker::fit) {
-                if (scale - stack.pushed_scale).abs() > SCALE_PUSH_DEADBAND * stack.pushed_scale {
-                    stack.primary.set_power_model(&model)?;
-                    stack.pushed_scale = scale;
+            if let Some(tracker) = stack.tracker.as_ref() {
+                let pushed =
+                    period::push_refit(tracker, &mut stack.pushed_scale, &mut stack.primary)?;
+                if let Some((model, scale)) = pushed {
                     self.registry.inc(self.metrics.refits, 1);
                     // scale + offset pin the pushed model exactly
                     // (gains = journaled base gains × scale), which
@@ -586,10 +560,12 @@ impl Daemon {
         Ok(out)
     }
 
-    /// Applies a hot reload: only the set-point changes at runtime;
-    /// every other difference is reported as requiring a restart.
+    /// Applies a hot reload: only the set-point changes at runtime.
+    /// Every other key keeps its running value until a restart, and
+    /// `capgpud --serve` prints one line to stderr when a reloaded
+    /// config differs in one.
     ///
-    /// Returns `true` when anything was applied.
+    /// Returns `true` when the set-point changed.
     pub fn apply_reload(&mut self, new_cfg: &DaemonConfig) -> bool {
         if (new_cfg.setpoint_watts - self.setpoint_watts).abs() > f64::EPSILON {
             self.set_setpoint(new_cfg.setpoint_watts);
@@ -676,7 +652,8 @@ impl Daemon {
     /// re-running identification: rebuilds the control stack from the
     /// journaled model (base gains × last refit scale, bit-exact),
     /// restores supervisor tier and quarantine flags, re-asserts the
-    /// dead daemon's last commanded targets, and continues its
+    /// dead daemon's last commanded targets (or, if it died before its
+    /// first period, the clocks in force), and continues its
     /// period/clock sequence so the journal stays monotone.
     ///
     /// The config-file set-point stays authoritative unless the journal
@@ -709,11 +686,16 @@ impl Daemon {
         if let Some(cap) = state.cap_w {
             self.setpoint_watts = cap;
         }
-        if state.last_targets_mhz.len() == self.layout.len() {
-            self.backend.set_frequencies(&state.last_targets_mhz)?;
-            self.backend.effective_frequencies_into(&mut self.applied)?;
-            self.targets = state.last_targets_mhz.clone();
+        // A daemon that died before its first period journaled no
+        // targets: resume from the clocks its sweep left in force, as
+        // `identify` does.
+        let mut targets = state.last_targets_mhz.clone();
+        if targets.len() != self.layout.len() {
+            self.backend.effective_frequencies_into(&mut targets)?;
         }
+        self.backend.set_frequencies(&targets)?;
+        self.backend.effective_frequencies_into(&mut self.applied)?;
+        self.targets = targets;
         self.period = state.last_period.map_or(0, |p| p + 1);
         self.sim_time_s = state.last_t_s.unwrap_or(0.0);
         let replayed: u64 = state.kind_counts.iter().map(|(_, n)| n).sum();
@@ -918,6 +900,36 @@ mod tests {
         );
         // The escalation and recovery are journaled as tier changes.
         assert!(d.journal().of_kind("tier_change").count() >= 3);
+    }
+
+    /// A PSU derate reaches the supervisor through the backend: while the
+    /// supply advertises 850 W, the daemon regulates to 850 W less the
+    /// default 10 W margin, and goes back to the operator's 900 W the
+    /// period the derate clears.
+    #[test]
+    fn psu_derate_clamps_the_setpoint_until_it_clears() {
+        let cfg = DaemonConfig::default_sim();
+        assert_eq!(cfg.setpoint_watts, 900.0);
+        let backend = cfg.build_backend().unwrap();
+        let mut d = Daemon::new(cfg, backend).unwrap();
+        d.identify().unwrap();
+        d.run_periods(8).unwrap();
+        let derate = FaultKind::PsuDerate { limit_watts: 850.0 };
+        derate.apply(server(&mut d)).unwrap();
+        let derated = d.run_periods(12).unwrap();
+        for r in &derated {
+            assert_eq!(r.effective_setpoint, 840.0, "period {}", r.period);
+        }
+        for r in &derated[1..] {
+            assert!(
+                r.avg_power_watts < 850.0,
+                "period {}: {}",
+                r.period,
+                r.avg_power_watts
+            );
+        }
+        derate.clear(server(&mut d)).unwrap();
+        assert_eq!(d.step_period().unwrap().effective_setpoint, 900.0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!  │  every second:   delta-sigma modulators → Server.set_all_frequencies    │
 //!  │                  Plant: engine × N_gpu → per-device utilization         │
 //!  │                  Server.tick_second   → 1 Hz power-meter sample         │
-//!  │  every period T: meter.average_last(T) ┐                                │
+//!  │  every period T: period_power(fresh)   ┐                                │
 //!  │                  throughput monitors   ├→ PowerController.control()     │
 //!  │                  SLO frequency floors  ┘        (CapGPU or baseline)    │
 //!  └──────────────────────────────────────────────────────────────────────────┘
@@ -58,6 +58,7 @@ pub mod config;
 pub mod controllers;
 pub mod daemon;
 pub mod ordered;
+mod period;
 mod plant;
 pub mod runner;
 pub mod summary;

@@ -15,20 +15,21 @@ use capgpu_backend::{PowerBackend, SimBackend};
 use capgpu_control::latency::LatencyModel;
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::modulator::DeltaSigmaModulator;
-use capgpu_control::sysid::{identify_sweep, IdentifiedModel, ScaledModelTracker};
+use capgpu_control::sysid::{IdentifiedModel, ScaledModelTracker};
 use capgpu_sim::{DeviceKind, Server, ServerBuilder};
 use capgpu_workload::monitor::{normalized_throughputs, ThroughputMonitor};
 
 use crate::config::{Scenario, ScheduledChange, GAMMA_FITTED};
 use crate::controllers::{
-    CapGpuController, ControlInput, CpuGpuSplitController, CpuOnlyController, DeviceLayout,
-    FixedStepController, GpuOnlyController, PowerController, SafeFixedStepController,
+    CapGpuController, CpuGpuSplitController, CpuOnlyController, DeviceLayout, FixedStepController,
+    GpuOnlyController, PowerController, SafeFixedStepController,
 };
+use crate::period::{self, period_power, Decider, PeriodInputs};
 use crate::plant::Plant;
-use crate::supervisor::{check_arity, HealthSample, Ladder, SupervisorTier};
+use crate::supervisor::{Ladder, SupervisorTier};
 use crate::telemetry::{PeriodObservation, Phase, RunTelemetry, TelemetryReport};
 use crate::weights::WeightAssigner;
-use crate::{CapGpuError, Result};
+use crate::Result;
 
 /// One control period's worth of observations.
 #[derive(Debug, Clone, PartialEq)]
@@ -316,8 +317,9 @@ impl ExperimentRunner {
     /// always restores the nominal rates).
     ///
     /// # Errors
-    /// [`CapGpuError::BadConfig`] when the scenario has no serving layer
-    /// or the scale is not positive and finite.
+    /// [`CapGpuError::BadConfig`](crate::CapGpuError::BadConfig) when the
+    /// scenario has no serving layer or the scale is not positive and
+    /// finite.
     pub fn set_serving_intensity_scale(&mut self, scale: f64) -> Result<()> {
         self.plant.set_intensity_scale(scale)
     }
@@ -353,29 +355,18 @@ impl ExperimentRunner {
     }
 
     fn identify_inner(&mut self) -> Result<IdentifiedModel> {
-        let (f_min, f_max) = (self.layout.f_min.clone(), self.layout.f_max.clone());
         let mut applied = Vec::with_capacity(self.layout.len());
-        let sweep = identify_sweep(
-            &f_min,
-            &f_max,
+        // Workloads run at each point's clocks through the dwell.
+        let sweep = period::identify(
+            &mut self.backend,
+            &self.layout,
             SYSID_HOLD_FRACTION,
             self.scenario.sysid_steps_per_device,
-            |point| {
-                self.backend.set_frequencies(point)?;
-                // Effective = applied clamped by any active thermal throttle.
-                self.backend.effective_frequencies_into(&mut applied)?;
-                // Dwell one control period; workloads run at these clocks.
-                let mut power_sum = 0.0;
-                let mut samples = 0;
-                for _ in 0..self.scenario.control_period_s {
-                    if let Some(p) = self.advance_second(&applied, None)? {
-                        power_sum += p;
-                        samples += 1;
-                    }
-                }
-                Ok::<_, CapGpuError>(
-                    (samples > 0).then(|| (applied.clone(), power_sum / samples as f64)),
-                )
+            self.scenario.control_period_s,
+            &mut applied,
+            |backend, applied| {
+                self.plant
+                    .advance_second(backend, applied, self.telemetry.as_mut(), None)
             },
         )?;
         if self.scenario.rls_tracking {
@@ -549,7 +540,7 @@ impl ExperimentRunner {
             }
             None => None,
         };
-        let mut ejected_flags = vec![false; n];
+        let mut decider = Decider::new(n);
         // Continuous tracking needs an anchor model; identify if the
         // caller has not already done so.
         if self.scenario.rls_tracking && self.tracker.is_none() {
@@ -562,13 +553,8 @@ impl ExperimentRunner {
         let mut levels = vec![0.0; n];
         let mut applied = Vec::with_capacity(n);
         let mut applied_sum = vec![0.0; n];
-        let mut device_power = Vec::with_capacity(n);
         let mut probed = vec![0.0; n];
         let mut prev_applied_mean: Option<Vec<f64>> = None;
-        // Scale last pushed to the controller. Refits inside the deadband
-        // are withheld: re-pushing on every sub-percent estimate wiggle
-        // makes the MPC chase identification noise, which costs more
-        // tracking error than the wiggle is worth.
         let mut pushed_scale = 1.0_f64;
         for period in 0..num_periods {
             let t_start_s = (period * t) as f64;
@@ -725,8 +711,7 @@ impl ExperimentRunner {
                 tm.span_enter(Phase::Sense);
             }
             let (avg_power, meter_stale) =
-                period_power(&self.backend, t, fresh_meter_samples, last_power);
-            last_power = avg_power;
+                period_power(&self.backend, t, fresh_meter_samples, &mut last_power);
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_exit();
             }
@@ -755,27 +740,19 @@ impl ExperimentRunner {
                 if fresh_meter_samples > 0 && quasi_steady {
                     tracker.record(&applied_mean, avg_power);
                     if tracker.design_condition() < RLS_CONDITION_GUARD {
-                        match tracker.fit() {
-                            Ok((model, scale))
-                                if (scale - pushed_scale).abs()
-                                    > SCALE_PUSH_DEADBAND * pushed_scale =>
-                            {
-                                pushed_scale = scale;
-                                controller.set_power_model(&model)?;
-                                self.identified = Some(IdentifiedModel {
-                                    model,
-                                    r_squared: tracker.r_squared(),
-                                    rmse_watts: tracker.rmse(),
-                                    n_samples: tracker.len(),
-                                    design_condition: tracker.design_condition(),
-                                });
-                                if let Some(tm) = self.telemetry.as_mut() {
-                                    tm.on_refit(period, t_end_s, scale, tracker.r_squared());
-                                }
+                        let pushed =
+                            period::push_refit(tracker, &mut pushed_scale, &mut controller)?;
+                        if let Some((model, scale)) = pushed {
+                            self.identified = Some(IdentifiedModel {
+                                model,
+                                r_squared: tracker.r_squared(),
+                                rmse_watts: tracker.rmse(),
+                                n_samples: tracker.len(),
+                                design_condition: tracker.design_condition(),
+                            });
+                            if let Some(tm) = self.telemetry.as_mut() {
+                                tm.on_refit(period, t_end_s, scale, tracker.r_squared());
                             }
-                            Ok(_) => {}
-                            Err(capgpu_control::ControlError::InsufficientData(_)) => {}
-                            Err(e) => return Err(e.into()),
                         }
                     }
                 } else {
@@ -819,51 +796,21 @@ impl ExperimentRunner {
                 }
             }
 
-            // Per-device power readings for the split baseline. The
-            // backend attributes them as of the most recent elapsed
-            // second (the staged utilizations equal `last_utils` here).
-            self.backend.per_device_power_into(&mut device_power)?;
-
             let normalized = normalized_throughputs(&self.monitors);
-
-            let input = ControlInput {
-                measured_power: avg_power,
+            let inputs = PeriodInputs {
+                fresh_samples: fresh_meter_samples,
+                avg_power,
                 setpoint: self.setpoint,
-                current_targets: &self.targets,
+                applied_mean: &applied_mean,
+                targets: &self.targets,
                 normalized_throughput: &normalized,
-                device_power: &device_power,
                 floors: &floors,
                 phase_mix: self.plant.phase_mix(),
             };
-            // The supervised path ingests this period's health evidence
-            // before the control decision, so demotions take effect in
-            // the same period the fault is observed.
-            let (new_targets, tier, effective_setpoint, sup_stale_periods) = match ladder.as_mut() {
-                None => (
-                    check_arity(controller.control(&input)?, n)?,
-                    SupervisorTier::Primary,
-                    self.setpoint,
-                    0,
-                ),
-                Some(ladder) => {
-                    for (d, flag) in ejected_flags.iter_mut().enumerate() {
-                        *flag = self.backend.is_ejected(d);
-                    }
-                    let health = HealthSample {
-                        fresh_samples: fresh_meter_samples,
-                        meter_age_s: self.backend.seconds_since_sample(),
-                        avg_power,
-                        setpoint: self.setpoint,
-                        psu_limit: self.backend.psu_limit(),
-                        applied_mean: &applied_mean,
-                        ejected: &ejected_flags,
-                    };
-                    let d = ladder.decide(&mut controller, &health, &input)?;
-                    let v = d.directive;
-                    (d.targets, v.tier, v.effective_setpoint, v.stale_periods)
-                }
-            };
-            self.targets = new_targets;
+            let decision =
+                decider.step(&mut self.backend, ladder.as_mut(), &mut controller, &inputs)?;
+            let directive = decision.directive;
+            self.targets = decision.targets;
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_exit();
             }
@@ -892,7 +839,7 @@ impl ExperimentRunner {
                         if let Some(mt) = self.backend.server().device(dev)?.mem_throttle {
                             if self.backend.server().memory_throttled(dev)? {
                                 let idle = self.backend.server().device(dev)?.power_law.idle_watts;
-                                let dynamic = (device_power[dev] - idle).max(0.0);
+                                let dynamic = (decider.device_power[dev] - idle).max(0.0);
                                 // device_power is the throttled reading.
                                 restore += dynamic * (1.0 / mt.power_scale - 1.0);
                             }
@@ -909,7 +856,7 @@ impl ExperimentRunner {
 
             records.push(PeriodRecord {
                 period,
-                setpoint: effective_setpoint,
+                setpoint: directive.effective_setpoint,
                 avg_power,
                 targets: self.targets.clone(),
                 applied_mean,
@@ -921,7 +868,7 @@ impl ExperimentRunner {
                 batches: measured.batches,
                 floors,
                 memory_escape_active: self.mem_escape_active,
-                supervisor_tier: tier.as_u8(),
+                supervisor_tier: directive.tier.as_u8(),
                 meter_stale,
             });
 
@@ -930,7 +877,7 @@ impl ExperimentRunner {
             // controller acted — on a fallback/park period its cached
             // solve is from an earlier period.
             if self.telemetry.is_some() {
-                let diag = match tier {
+                let diag = match directive.tier {
                     SupervisorTier::Primary => controller.diagnostics(),
                     _ => None,
                 };
@@ -942,10 +889,10 @@ impl ExperimentRunner {
                     seconds: t,
                     fresh_meter_samples,
                     avg_power,
-                    setpoint: effective_setpoint,
+                    setpoint: directive.effective_setpoint,
                     meter_stale,
-                    tier: tier.as_u8(),
-                    stale_periods: sup_stale_periods,
+                    tier: directive.tier.as_u8(),
+                    stale_periods: directive.stale_periods,
                     quarantined,
                     targets: &rec.targets,
                     diag,
@@ -1069,36 +1016,6 @@ const RLS_PROBE_MHZ: f64 = 10.0;
 /// than this since the previous period: probes and normal regulation
 /// jitter pass, transient slews are skipped.
 const RLS_SETTLE_GATE_MHZ: f64 = 120.0;
-
-/// Relative deadband on the tracked gain scale below which a refreshed
-/// model is *not* pushed to the controller. The streaming estimate
-/// wiggles by a few percent under meter noise even on a stationary
-/// plant; pushing every wiggle makes the MPC retune constantly and
-/// costs more cap-tracking error than the stale-by-ε model does. Real
-/// drift (tens of percent) clears the band within a few periods.
-pub(crate) const SCALE_PUSH_DEADBAND: f64 = 0.05;
-
-/// The period's power reading and whether it is stale: the one sensing
-/// rule of the runner and the daemon.
-///
-/// It averages only the `fresh` samples the meter produced this period
-/// (at most `period_s` of them). Averaging the last `period_s` samples
-/// unconditionally would silently blend pre-dropout samples still in the
-/// meter's history into a "fresh" reading. A fully silent period holds
-/// `last` and is flagged stale, which is exactly what the supervisor's
-/// staleness watchdog keys on.
-pub(crate) fn period_power<B: PowerBackend + ?Sized>(
-    backend: &B,
-    period_s: usize,
-    fresh: usize,
-    last: f64,
-) -> (f64, bool) {
-    if fresh == 0 {
-        return (last, true);
-    }
-    let avg = backend.average_power(fresh.min(period_s));
-    (avg.unwrap_or(last), false)
-}
 
 /// Deterministic ±1 persistent-excitation sign for one (period, device)
 /// pair: a splitmix64-style hash of the scenario seed and the pair's

@@ -91,11 +91,11 @@ fn kill_and_restart(
     (reference, state, resumed)
 }
 
-/// Every resumed period after the first `skip` has the uninterrupted
-/// run's tier, targets and power within 1e-6.
+/// Every resumed period after the first `skip` has the tier, targets
+/// and power of the uninterrupted run's period in the same place of
+/// `reference` within 1e-6.
 fn assert_resumes(reference: &[PeriodReport], resumed: &[PeriodReport], skip: usize) {
-    let kill_at = resumed[0].period as usize;
-    for (r, want) in resumed.iter().zip(&reference[kill_at..]).skip(skip) {
+    for (r, want) in resumed.iter().zip(reference).skip(skip) {
         assert_eq!(r.tier, want.tier, "period {}", r.period);
         for (t, w) in r.targets_mhz.iter().zip(want.targets_mhz.iter()) {
             assert!(
@@ -134,7 +134,7 @@ fn kill_and_restart_resumes_within_one_control_period() {
         ..sim_cfg(None)
     };
     let (reference, _, resumed) = kill_and_restart(&cfg, &dir, 16, 7);
-    assert_resumes(&reference, &resumed, 1);
+    assert_resumes(&reference[7..], &resumed, 1);
 
     // The restarted daemon journals into a fresh segment and its
     // "recovered" marker is on disk.
@@ -161,8 +161,57 @@ fn kill_after_a_refit_resumes_from_the_first_period() {
         .find(|(kind, _)| kind == "refit")
         .map_or(0, |(_, n)| *n);
     assert!(refits >= 1, "no refit journaled before the kill");
-    assert_resumes(&reference, &resumed, 0);
+    assert_resumes(&reference[13..], &resumed, 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon killed between `identify`'s commit and its first period's
+/// journals a model but no targets. It recovers from the clocks its
+/// sweep left in force and runs `periods` periods; returns their
+/// reports.
+///
+/// The `identified` record is stamped period 0, so replay counts
+/// period 0 as done and the resumed daemon numbers its first period 1
+/// where the uninterrupted run numbers it 0.
+fn kill_right_after_identify(cfg: DaemonConfig, tag: &str, periods: u64) -> Vec<PeriodReport> {
+    let dir = temp_dir(tag);
+    let journaled = DaemonConfig {
+        journal_dir: Some(dir.clone()),
+        ..cfg
+    };
+    let mut d = daemon(journaled.clone());
+    d.identify().unwrap();
+    let backend = d.into_backend();
+    let state = replay_journal(&dir);
+    assert!(state.model().is_some() && state.last_targets_mhz.is_empty());
+    let mut d2 = Daemon::new(journaled, backend).unwrap();
+    d2.recover(&state).unwrap();
+    let resumed = d2.run_periods(periods).unwrap();
+    assert_eq!(resumed[0].period, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+    resumed
+}
+
+#[test]
+fn kill_right_after_identify_recovers_with_rls_on() {
+    let cfg = sim_cfg(None);
+    assert!(cfg.rls_forgetting.is_some());
+    assert_eq!(kill_right_after_identify(cfg, "identify-rls", 16).len(), 16);
+}
+
+/// With RLS off, the daemon recovered right after `identify` runs the
+/// uninterrupted run's periods from its first one, in order.
+#[test]
+fn kill_right_after_identify_resumes_from_the_first_period() {
+    let cfg = DaemonConfig {
+        rls_forgetting: None,
+        ..sim_cfg(None)
+    };
+    let mut a = daemon(cfg.clone());
+    a.identify().unwrap();
+    let reference = a.run_periods(16).unwrap();
+    let resumed = kill_right_after_identify(cfg, "identify", 16);
+    assert_resumes(&reference, &resumed, 0);
 }
 
 /// Recovery replays the exact model (base gains × refit scale) and the
