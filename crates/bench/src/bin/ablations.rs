@@ -64,8 +64,8 @@ fn weight_assignment() {
         .controller(weighted(WeightAssigner::Uniform, "CapGPU (weights off)"))
         .run()
         .expect("sweep");
-    let on = RunSummary::from_trace(report.cells[0].trace());
-    let off = RunSummary::from_trace(report.cells[1].trace());
+    let on = RunSummary::from_trace(&report.cells[0].trace);
+    let off = RunSummary::from_trace(&report.cells[1].trace);
     for s in [&on, &off] {
         println!(
             "{:<24} power {:>7} W  GPU thr {:>6.1} img/s  CPU {:>6.1} subsets/s",
@@ -125,7 +125,7 @@ fn horizon_sweep() {
     let report = spec.run().expect("sweep");
     let mut results = Vec::new();
     for (p, cell) in horizons.into_iter().zip(&report.cells) {
-        let s = RunSummary::from_trace(cell.trace());
+        let s = RunSummary::from_trace(&cell.trace);
         println!(
             "{p:>4} {:>16} {:>10.2} {:>10}",
             fmt::pm(s.power_mean, s.power_std),
@@ -181,8 +181,8 @@ fn modulation() {
         }))
         .run()
         .expect("sweep");
-    let s_mod = RunSummary::from_trace(report.cells[0].trace());
-    let s_round = RunSummary::from_trace(report.cells[1].trace());
+    let s_mod = RunSummary::from_trace(&report.cells[0].trace);
+    let s_round = RunSummary::from_trace(&report.cells[1].trace);
 
     println!(
         "delta-sigma: {}   rounded: {}",
@@ -229,7 +229,7 @@ fn slo_margin_sweep() {
         .expect("sweep");
     let mut misses = Vec::new();
     for (margin, cell) in margins.into_iter().zip(&report.cells) {
-        let trace = cell.trace();
+        let trace = &cell.trace;
         let floor = trace.records.last().expect("records").floors[1];
         // Steady-state misses only: the first periods climb from f_min and
         // miss regardless of margin — that transient is not what the
@@ -328,7 +328,7 @@ fn drift_tracking() {
         .expect("sweep");
         let mut errs = Vec::new();
         for cell in &report.cells {
-            let trace = cell.trace();
+            let trace = &cell.trace;
             let err = post_err(trace, 45);
             let s = RunSummary::from_trace(trace);
             println!(
@@ -384,7 +384,7 @@ fn drift_tracking() {
     .expect("sweep");
     let mut errs = Vec::new();
     for cell in &report.cells {
-        let trace = cell.trace();
+        let trace = &cell.trace;
         let err = post_err(trace, 40);
         let s = RunSummary::from_trace(trace);
         println!(

@@ -21,8 +21,8 @@ fn main() {
         .controller(ControllerSpec::FixedStep { multiplier: 5 })
         .run()
         .expect("sweep");
-    let t1 = report.cells[0].trace();
-    let t5 = report.cells[1].trace();
+    let t1 = &report.cells[0].trace;
+    let t5 = &report.cells[1].trace;
     fmt::series_table(
         &[t1.controller.as_str(), t5.controller.as_str()],
         &[t1.power_series(), t5.power_series()],

@@ -51,7 +51,7 @@ fn main() {
         .controller(ControllerSpec::CapGpu)
         .run()
         .expect("sweep");
-    let trace = report.cells[0].trace();
+    let trace = &report.cells[0].trace;
 
     println!(
         "{:>6} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",

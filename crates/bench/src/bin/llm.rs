@@ -188,7 +188,7 @@ fn load_scaling(periods: usize) -> bool {
     );
     let mut tokens = Vec::new();
     for cell in &report.cells {
-        let trace = cell.trace();
+        let trace = &cell.trace;
         let thr: f64 = trace.steady_gpu_throughput(0.5).iter().sum();
         println!(
             "{:>12} {:>14.0} {:>9.0} ms {:>9.1} ms {:>12.2}",

@@ -147,7 +147,7 @@ fn load_and_burst(scales: &[f64], periods: usize) {
     );
     let mut misses = Vec::new();
     for cell in &report.cells {
-        let trace = cell.trace();
+        let trace = &cell.trace;
         let thr: f64 = trace.steady_gpu_throughput(0.5).iter().sum();
         println!(
             "{:>12} {:>12.2} {:>12.1} {:>14.1}",

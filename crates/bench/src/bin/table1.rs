@@ -28,19 +28,13 @@ fn main() {
         "Thr(img/s)",
         "Power(W)"
     );
-    let mut spec = SweepSpec::new(Scenario::motivation_testbed(42)).setpoint(0.0);
-    for (name, f_cpu, f_gpu) in configs {
-        spec = spec.controller(ControllerSpec::FixedFrequencies {
-            label: name.to_string(),
-            freqs: vec![f_cpu, f_gpu],
-            seconds: 240,
-            warmup_seconds: 60,
-        });
-    }
-    let report = spec.run().expect("sweep");
     let mut rows = Vec::new();
-    for ((name, f_cpu, f_gpu), cell) in configs.into_iter().zip(&report.cells) {
-        let stats = cell.fixed().clone();
+    for (name, f_cpu, f_gpu) in configs {
+        let mut runner =
+            ExperimentRunner::new(Scenario::motivation_testbed(42), 0.0).expect("runner");
+        let stats = runner
+            .run_fixed(&[f_cpu, f_gpu], 240, 60)
+            .expect("fixed-frequency dwell");
         println!(
             "{:<10} {:>9.0} {:>9.0} {:>12.3} {:>12.2} {:>12.2} {:>12.2} {:>10.1}",
             name,

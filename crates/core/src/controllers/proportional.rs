@@ -29,6 +29,10 @@ use crate::{CapGpuError, Result};
 
 use super::{ControlInput, DeviceLayout, PowerController};
 
+/// The closed-loop pole every baseline loop is placed at, per §6.1
+/// ("chosen to minimize oscillations").
+const BASELINE_POLE: f64 = 0.5;
+
 /// One pole-placed proportional loop whose single clock is written to
 /// every device of one kind.
 #[derive(Debug)]
@@ -41,21 +45,19 @@ struct KindLoop {
 
 impl KindLoop {
     /// `summed_gain` is the plant gain seen by the shared knob — the sum
-    /// of the devices' W/MHz gains (from system identification); `pole ∈
-    /// [0, 1)` is placed per §6.1 ("chosen to minimize oscillations"; 0.5
-    /// is a good default). The devices share one clock, so the loop runs
-    /// over the tightest range common to all of them and starts at one
-    /// of its ends.
+    /// of the devices' W/MHz gains (from system identification); the
+    /// pole is [`BASELINE_POLE`]. The devices share one clock, so the loop
+    /// runs over the tightest range common to all of them and starts at
+    /// one of its ends.
     fn new(
         layout: &DeviceLayout,
         indices: Vec<usize>,
         summed_gain: f64,
-        pole: f64,
         start_at_max: bool,
     ) -> Result<Self> {
         let f_min = (indices.iter().map(|&i| layout.f_min[i])).fold(f64::NEG_INFINITY, f64::max);
         let f_max = (indices.iter().map(|&i| layout.f_max[i])).fold(f64::INFINITY, f64::min);
-        let pid = ProportionalController::pole_placed(summed_gain, pole, f_min, f_max)?;
+        let pid = ProportionalController::pole_placed(summed_gain, BASELINE_POLE, f_min, f_max)?;
         Ok(KindLoop {
             indices,
             pid,
@@ -90,12 +92,12 @@ pub type CpuOnlyController = SingleKnobController<false>;
 
 impl<const GPU: bool> SingleKnobController<GPU> {
     /// Creates the controller from the summed gain (W/MHz) of the devices
-    /// it actuates and the desired closed-loop pole.
+    /// it actuates.
     ///
     /// # Errors
     /// [`CapGpuError::BadConfig`] if the layout has no device of the
     /// actuated kind; propagates pole-placement errors.
-    pub fn new(layout: DeviceLayout, summed_gain: f64, pole: f64) -> Result<Self> {
+    pub fn new(layout: DeviceLayout, summed_gain: f64) -> Result<Self> {
         let (kind, missing) = if GPU {
             (DeviceKind::Gpu, "GPU-Only needs >= 1 GPU")
         } else {
@@ -109,7 +111,7 @@ impl<const GPU: bool> SingleKnobController<GPU> {
             .filter(|&i| layout.kinds[i] != kind)
             .map(|i| (i, layout.f_max[i]))
             .collect();
-        let knob = KindLoop::new(&layout, indices, summed_gain, pole, !GPU)?;
+        let knob = KindLoop::new(&layout, indices, summed_gain, !GPU)?;
         Ok(SingleKnobController { knob, pinned })
     }
 }
@@ -157,7 +159,6 @@ impl CpuGpuSplitController {
         summed_cpu_gain: f64,
         summed_gpu_gain: f64,
         gpu_share: f64,
-        pole: f64,
     ) -> Result<Self> {
         if !(0.0..1.0).contains(&gpu_share) || gpu_share == 0.0 {
             return Err(CapGpuError::BadConfig("gpu_share must be in (0,1)".into()));
@@ -171,8 +172,8 @@ impl CpuGpuSplitController {
         }
         Ok(CpuGpuSplitController {
             n_devices: layout.len(),
-            cpu: KindLoop::new(&layout, cpu_indices, summed_cpu_gain, pole, false)?,
-            gpu: KindLoop::new(&layout, gpu_indices, summed_gpu_gain, pole, false)?,
+            cpu: KindLoop::new(&layout, cpu_indices, summed_cpu_gain, false)?,
+            gpu: KindLoop::new(&layout, gpu_indices, summed_gpu_gain, false)?,
             gpu_share,
             name: format!("CPU+GPU ({:.0}% GPU)", gpu_share * 100.0),
         })
@@ -234,12 +235,12 @@ mod tests {
     }
 
     fn make(share: f64) -> CpuGpuSplitController {
-        CpuGpuSplitController::new(layout(), 0.05, 3.0 * 0.1475, share, 0.5).unwrap()
+        CpuGpuSplitController::new(layout(), 0.05, 3.0 * 0.1475, share).unwrap()
     }
 
     #[test]
     fn all_gpus_share_one_clock_cpu_pinned() {
-        let mut c = GpuOnlyController::new(layout(), 3.0 * 0.1475, 0.5).unwrap();
+        let mut c = GpuOnlyController::new(layout(), 3.0 * 0.1475).unwrap();
         let t = vec![1500.0, 700.0, 900.0, 1100.0];
         let out = c.control(&input(800.0, 900.0, &t)).unwrap();
         assert_eq!(out[0], 2400.0); // CPU pinned at max
@@ -250,7 +251,7 @@ mod tests {
     #[test]
     fn converges_on_linear_plant() {
         let gain = 3.0 * 0.1475;
-        let mut c = GpuOnlyController::new(layout(), gain, 0.5).unwrap();
+        let mut c = GpuOnlyController::new(layout(), gain).unwrap();
         // Plant: p = 300 + cpu_power(max) + gain · shared_clock.
         let cpu_w = 170.0;
         let mut t = vec![2400.0, 435.0, 435.0, 435.0];
@@ -266,12 +267,12 @@ mod tests {
     fn needs_gpus() {
         let cpu_only_layout =
             DeviceLayout::new(vec![DeviceKind::Cpu], vec![1000.0], vec![2400.0]).unwrap();
-        assert!(GpuOnlyController::new(cpu_only_layout, 0.4, 0.5).is_err());
+        assert!(GpuOnlyController::new(cpu_only_layout, 0.4).is_err());
     }
 
     #[test]
     fn actuates_cpu_pins_gpus_at_max() {
-        let mut c = CpuOnlyController::new(layout(), 0.05, 0.5).unwrap();
+        let mut c = CpuOnlyController::new(layout(), 0.05).unwrap();
         let t = vec![1500.0, 700.0, 900.0, 1100.0];
         let out = c.control(&input(1000.0, 900.0, &t)).unwrap();
         assert_eq!(out[1], 1350.0);
@@ -285,7 +286,7 @@ mod tests {
         // The central claim of Fig. 3: with GPUs pinned at max, the CPU's
         // range is far too small to reach a 900 W cap on a GPU server.
         let gain = 0.05;
-        let mut c = CpuOnlyController::new(layout(), gain, 0.5).unwrap();
+        let mut c = CpuOnlyController::new(layout(), gain).unwrap();
         // Plant: GPUs pinned at max draw ~3×250 W, platform 300 W.
         let fixed = 300.0 + 3.0 * 250.0;
         let mut t = vec![2400.0, 1350.0, 1350.0, 1350.0];
@@ -303,7 +304,7 @@ mod tests {
     fn needs_cpus() {
         let gpu_layout =
             DeviceLayout::new(vec![DeviceKind::Gpu], vec![435.0], vec![1350.0]).unwrap();
-        assert!(CpuOnlyController::new(gpu_layout, 0.05, 0.5).is_err());
+        assert!(CpuOnlyController::new(gpu_layout, 0.05).is_err());
     }
 
     #[test]
@@ -370,10 +371,10 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(CpuGpuSplitController::new(layout(), 0.05, 0.44, 0.0, 0.5).is_err());
-        assert!(CpuGpuSplitController::new(layout(), 0.05, 0.44, 1.0, 0.5).is_err());
+        assert!(CpuGpuSplitController::new(layout(), 0.05, 0.44, 0.0).is_err());
+        assert!(CpuGpuSplitController::new(layout(), 0.05, 0.44, 1.0).is_err());
         let gpu_only = DeviceLayout::new(vec![DeviceKind::Gpu], vec![435.0], vec![1350.0]).unwrap();
-        assert!(CpuGpuSplitController::new(gpu_only, 0.05, 0.44, 0.5, 0.5).is_err());
+        assert!(CpuGpuSplitController::new(gpu_only, 0.05, 0.44, 0.5).is_err());
     }
 
     #[test]

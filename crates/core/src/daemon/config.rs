@@ -42,9 +42,6 @@ pub struct DaemonConfig {
     /// Excitation steps per device during identification: 2 to 256
     /// (`MAX_SYSID_STEPS` says why).
     pub sysid_steps_per_device: usize,
-    /// Hold point for non-excited devices, as a fraction of each
-    /// device's frequency range.
-    pub sysid_hold_fraction: f64,
     /// RLS forgetting factor for streaming refits; `None` disables
     /// continuous tracking.
     pub rls_forgetting: Option<f64>,
@@ -96,7 +93,6 @@ const KNOWN_KEYS: &[&str] = &[
     "journal.max_segment_age_s",
     "journal.retain_segments",
     "identify.steps_per_device",
-    "identify.hold_fraction",
     "identify.rls",
     "identify.rls_forgetting",
     "sim.seed",
@@ -131,7 +127,6 @@ impl DaemonConfig {
             journal_max_segment_age_s: 3600.0,
             journal_retain_segments: 8,
             sysid_steps_per_device: 6,
-            sysid_hold_fraction: 0.5,
             rls_forgetting: Some(0.98),
             sim_seed: 42,
             sim_gpus: 2,
@@ -184,9 +179,6 @@ impl DaemonConfig {
         }
         if let Some(v) = doc.u64_opt("identify.steps_per_device").map_err(e)? {
             cfg.sysid_steps_per_device = v as usize;
-        }
-        if let Some(v) = doc.f64_opt("identify.hold_fraction").map_err(e)? {
-            cfg.sysid_hold_fraction = v;
         }
         if let Some(v) = doc.f64_opt("identify.rls_forgetting").map_err(e)? {
             cfg.rls_forgetting = Some(v);
@@ -267,9 +259,6 @@ impl DaemonConfig {
             return Err(bad(format!(
                 "identify.steps_per_device must be in 2..={MAX_SYSID_STEPS}"
             )));
-        }
-        if !(self.sysid_hold_fraction > 0.0 && self.sysid_hold_fraction < 1.0) {
-            return Err(bad("identify.hold_fraction must be in (0, 1)".into()));
         }
         if let Some(f) = self.rls_forgetting {
             if !(f > 0.0 && f <= 1.0) {

@@ -343,7 +343,6 @@ impl Daemon {
         let sweep = period::identify(
             self.backend.as_mut(),
             &self.layout,
-            self.cfg.sysid_hold_fraction,
             self.cfg.sysid_steps_per_device,
             self.cfg.control_period_s as usize,
             &mut self.applied,

@@ -13,31 +13,41 @@ use crate::supervisor::{check_arity, Decision, Directive, HealthSample, Ladder, 
 use crate::weights::PhaseMix;
 use crate::Result;
 
+/// Where identification parks the devices it is not sweeping, as a
+/// fraction of their frequency range (0 = f_min, 1 = f_max): the
+/// mid-range hold of the paper's §4.2 sweep.
+const SYSID_HOLD_FRACTION: f64 = 0.5;
+
 /// The §4.2 identification sweep: each point is commanded, its effective
 /// clocks are read into `applied`, and the plant dwells `period_s` calls
 /// of `advance_second`, whose fresh meter samples the point averages.
 pub(crate) fn identify<B: PowerBackend + ?Sized>(
     backend: &mut B,
     layout: &DeviceLayout,
-    hold_fraction: f64,
     steps_per_device: usize,
     period_s: usize,
     applied: &mut Vec<f64>,
     mut advance_second: impl FnMut(&mut B, &[f64]) -> Result<Option<f64>>,
 ) -> Result<SweepFit> {
     let (f_min, f_max) = (&layout.f_min, &layout.f_max);
-    identify_sweep(f_min, f_max, hold_fraction, steps_per_device, |point| {
-        backend.set_frequencies(point)?;
-        backend.effective_frequencies_into(applied)?;
-        let (mut power_sum, mut samples) = (0.0, 0usize);
-        for _ in 0..period_s {
-            if let Some(p) = advance_second(backend, applied)? {
-                power_sum += p;
-                samples += 1;
+    identify_sweep(
+        f_min,
+        f_max,
+        SYSID_HOLD_FRACTION,
+        steps_per_device,
+        |point| {
+            backend.set_frequencies(point)?;
+            backend.effective_frequencies_into(applied)?;
+            let (mut power_sum, mut samples) = (0.0, 0usize);
+            for _ in 0..period_s {
+                if let Some(p) = advance_second(backend, applied)? {
+                    power_sum += p;
+                    samples += 1;
+                }
             }
-        }
-        Ok((samples > 0).then(|| (applied.clone(), power_sum / samples as f64)))
-    })
+            Ok((samples > 0).then(|| (applied.clone(), power_sum / samples as f64)))
+        },
+    )
 }
 
 /// The period's power reading and whether it is stale, kept in `last`.

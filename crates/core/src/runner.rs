@@ -360,7 +360,6 @@ impl ExperimentRunner {
         let sweep = period::identify(
             &mut self.backend,
             &self.layout,
-            SYSID_HOLD_FRACTION,
             self.scenario.sysid_steps_per_device,
             self.scenario.control_period_s,
             &mut applied,
@@ -440,22 +439,22 @@ impl ExperimentRunner {
         Ok(gain.max(1e-6))
     }
 
-    /// Builds the GPU-Only baseline (pole 0.5) from identified GPU gains.
+    /// Builds the GPU-Only baseline from identified GPU gains.
     ///
     /// # Errors
     /// Propagates identification and construction errors.
     pub fn build_gpu_only(&mut self) -> Result<GpuOnlyController> {
         let gain = self.summed_gain(DeviceKind::Gpu)?;
-        GpuOnlyController::new(self.layout.clone(), gain, 0.5)
+        GpuOnlyController::new(self.layout.clone(), gain)
     }
 
-    /// Builds the CPU-Only baseline (pole 0.5) from identified CPU gains.
+    /// Builds the CPU-Only baseline from identified CPU gains.
     ///
     /// # Errors
     /// Propagates identification and construction errors.
     pub fn build_cpu_only(&mut self) -> Result<CpuOnlyController> {
         let gain = self.summed_gain(DeviceKind::Cpu)?;
-        CpuOnlyController::new(self.layout.clone(), gain, 0.5)
+        CpuOnlyController::new(self.layout.clone(), gain)
     }
 
     /// Builds the CPU+GPU split baseline with the given GPU budget share.
@@ -465,7 +464,7 @@ impl ExperimentRunner {
     pub fn build_split(&mut self, gpu_share: f64) -> Result<CpuGpuSplitController> {
         let cpu_gain = self.summed_gain(DeviceKind::Cpu)?;
         let gpu_gain = self.summed_gain(DeviceKind::Gpu)?;
-        CpuGpuSplitController::new(self.layout.clone(), cpu_gain, gpu_gain, gpu_share, 0.5)
+        CpuGpuSplitController::new(self.layout.clone(), cpu_gain, gpu_gain, gpu_share)
     }
 
     /// Builds the Fixed-step baseline with the given step multiplier.
@@ -662,28 +661,14 @@ impl ExperimentRunner {
             }
             for _ in 0..t {
                 if modulate {
-                    match self.telemetry.as_mut() {
-                        // Carry-wrap accounting rides along only when
-                        // telemetry is on; the emitted level sequence is
-                        // identical either way (pinned by a modulator
-                        // test), so traces stay byte-stable.
-                        Some(tm) => {
-                            for (d, l) in levels.iter_mut().enumerate() {
-                                let (level, wrapped) =
-                                    self.modulators[d].next_level_with_carry(probed[d]);
-                                *l = level;
-                                if wrapped {
-                                    tm.on_carry_wrap(d);
-                                }
-                            }
-                        }
-                        None => {
-                            for ((l, m), &tgt) in levels
-                                .iter_mut()
-                                .zip(self.modulators.iter_mut())
-                                .zip(probed.iter())
-                            {
-                                *l = m.next_level(tgt);
+                    // Carry wraps are reported only when telemetry is on;
+                    // the emitted levels are the same either way.
+                    for (d, l) in levels.iter_mut().enumerate() {
+                        let (level, wrapped) = self.modulators[d].next_level_with_carry(probed[d]);
+                        *l = level;
+                        if wrapped {
+                            if let Some(tm) = self.telemetry.as_mut() {
+                                tm.on_carry_wrap(d);
                             }
                         }
                     }
@@ -973,11 +958,6 @@ impl ExperimentRunner {
         })
     }
 }
-
-/// Where identification parks the devices it is not sweeping, as a
-/// fraction of their frequency range (0 = f_min, 1 = f_max): the
-/// mid-range hold of the paper's §4.2 sweep.
-const SYSID_HOLD_FRACTION: f64 = 0.5;
 
 /// RLS tracking's exponential forgetting factor `λ ∈ (0, 1]`: a sample's
 /// weight after `k` further periods is `λᵏ` (`1.0` would never forget:

@@ -1,6 +1,6 @@
 //! Parallel experiment sweep engine.
 //!
-//! Every figure and table in the paper's evaluation (§6) is a grid of
+//! Every closed-loop figure in the paper's evaluation (§6) is a grid of
 //! independent closed-loop experiments: controllers × set points × seeds
 //! × scenario variants. This module factors that grid into an explicit
 //! [`SweepSpec`], expands it into [`SweepCell`]s, and executes the cells
@@ -24,9 +24,9 @@
 //! post-identification [`ExperimentRunner`] for each cell, which replays
 //! exactly the trajectory the cell would have produced by identifying on
 //! its own (every stochastic component is part of the cloned state).
-//! Controllers that do not identify ([`ControllerSpec::FixedStep`],
-//! [`ControllerSpec::FixedFrequencies`]) get a fresh runner so their
-//! testbed has not been advanced through the excitation sweep.
+//! [`ControllerSpec::FixedStep`], which does not identify, gets a fresh
+//! runner so its testbed has not been advanced through the excitation
+//! sweep.
 //!
 //! ## Thread count
 //!
@@ -40,7 +40,8 @@ use capgpu_telemetry::registry::Snapshot;
 use crate::config::Scenario;
 use crate::controllers::PowerController;
 use crate::ordered::{default_reorder_window, ordered_fold};
-use crate::runner::{ExperimentRunner, FixedRunStats, RunTrace};
+use crate::runner::{ExperimentRunner, RunTrace};
+use crate::summary::RunSummary;
 use crate::{CapGpuError, Result};
 
 /// Environment variable overriding the sweep engine's thread count.
@@ -70,7 +71,7 @@ pub type ControllerBuilder =
     dyn Fn(&mut ExperimentRunner) -> Result<Box<dyn PowerController>> + Send + Sync;
 
 /// One axis value of the controller dimension: how a cell's controller
-/// (or controller-less dwell) is built from its runner.
+/// is built from its runner.
 #[derive(Clone)]
 pub enum ControllerSpec {
     /// The paper's controller (identified model, default weights).
@@ -101,42 +102,24 @@ pub enum ControllerSpec {
         /// Step-unit multiplier.
         multiplier: usize,
     },
-    /// Controller-less fixed-frequency dwell via
-    /// [`ExperimentRunner::run_fixed`] — the Table 1 motivation rows. The
-    /// cell's output is [`CellOutput::Fixed`] instead of a trace.
-    FixedFrequencies {
-        /// Display label for the cell.
-        label: String,
-        /// Per-device frequencies (MHz), in device order.
-        freqs: Vec<f64>,
-        /// Measured seconds (after warmup).
-        seconds: usize,
-        /// Warmup seconds excluded from the statistics.
-        warmup_seconds: usize,
-    },
-    /// An arbitrary controller built by a user closure (ablations).
+    /// An arbitrary controller built by a user closure (ablations) on
+    /// the class's identified runner.
     Custom {
         /// Display label for the cell.
         label: String,
-        /// Whether to hand the closure a pre-identified runner. Set
-        /// `false` only for builders that never touch the identified
-        /// model, so their testbed is not advanced through excitation.
-        identify: bool,
         /// The factory.
         build: Arc<ControllerBuilder>,
     },
 }
 
 impl ControllerSpec {
-    /// A [`ControllerSpec::Custom`] whose builder uses the identified
-    /// model (the common case — identification is shared per class).
+    /// A [`ControllerSpec::Custom`] built by `build`.
     pub fn custom<F>(label: impl Into<String>, build: F) -> Self
     where
         F: Fn(&mut ExperimentRunner) -> Result<Box<dyn PowerController>> + Send + Sync + 'static,
     {
         ControllerSpec::Custom {
             label: label.into(),
-            identify: true,
             build: Arc::new(build),
         }
     }
@@ -156,18 +139,13 @@ impl ControllerSpec {
             ControllerSpec::SafeFixedStep { multiplier } => {
                 format!("Safe Fixed-step x{multiplier}")
             }
-            ControllerSpec::FixedFrequencies { label, .. }
-            | ControllerSpec::Custom { label, .. } => label.clone(),
+            ControllerSpec::Custom { label, .. } => label.clone(),
         }
     }
 
     /// Whether the cell wants the shared post-identification runner.
     fn needs_identification(&self) -> bool {
-        match self {
-            ControllerSpec::FixedStep { .. } | ControllerSpec::FixedFrequencies { .. } => false,
-            ControllerSpec::Custom { identify, .. } => *identify,
-            _ => true,
-        }
+        !matches!(self, ControllerSpec::FixedStep { .. })
     }
 
     /// Builds the boxed controller on the cell's runner.
@@ -183,11 +161,6 @@ impl ControllerSpec {
                 Box::new(r.build_safe_fixed_step(*multiplier)?)
             }
             ControllerSpec::Custom { build, .. } => build(r)?,
-            ControllerSpec::FixedFrequencies { .. } => {
-                return Err(CapGpuError::BadConfig(
-                    "fixed-frequency cells have no controller".into(),
-                ))
-            }
         })
     }
 }
@@ -220,67 +193,18 @@ pub struct SweepCell {
     pub controller_label: String,
 }
 
-/// What a cell produced: a closed-loop trace or fixed-dwell statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellOutput {
-    /// Closed-loop run ([`ExperimentRunner::run`]).
-    Trace(RunTrace),
-    /// Controller-less dwell ([`ExperimentRunner::run_fixed`]).
-    Fixed(FixedRunStats),
-}
-
-impl CellOutput {
-    /// The trace, if this was a closed-loop cell.
-    pub fn as_trace(&self) -> Option<&RunTrace> {
-        match self {
-            CellOutput::Trace(t) => Some(t),
-            CellOutput::Fixed(_) => None,
-        }
-    }
-
-    /// The fixed-dwell statistics, if this was a fixed-frequency cell.
-    pub fn as_fixed(&self) -> Option<&FixedRunStats> {
-        match self {
-            CellOutput::Fixed(s) => Some(s),
-            CellOutput::Trace(_) => None,
-        }
-    }
-}
-
-/// A completed cell: its grid coordinates plus its output.
+/// A completed cell: its grid coordinates plus its closed-loop trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCellResult {
     /// The cell's coordinates in the sweep grid.
     pub cell: SweepCell,
-    /// The cell's output.
-    pub output: CellOutput,
+    /// The cell's run ([`ExperimentRunner::run`]).
+    pub trace: RunTrace,
     /// Frozen telemetry registry of the cell's runner, when its
     /// scenario enables telemetry. Snapshot contents are sim-clock
     /// deterministic, so they participate in the report's bit-identity
     /// guarantee across thread counts.
     pub telemetry: Option<Snapshot>,
-}
-
-impl SweepCellResult {
-    /// The cell's trace.
-    ///
-    /// # Panics
-    /// Panics if the cell was a fixed-frequency dwell.
-    pub fn trace(&self) -> &RunTrace {
-        self.output
-            .as_trace()
-            .expect("cell produced fixed-dwell statistics, not a trace")
-    }
-
-    /// The cell's fixed-dwell statistics.
-    ///
-    /// # Panics
-    /// Panics if the cell was a closed-loop run.
-    pub fn fixed(&self) -> &FixedRunStats {
-        self.output
-            .as_fixed()
-            .expect("cell produced a trace, not fixed-dwell statistics")
-    }
 }
 
 /// The collected results of a sweep, in expansion order (scenario, then
@@ -326,10 +250,10 @@ impl SweepReport {
         &self.cells[idx]
     }
 
-    /// Shorthand for `get(..).trace()`.
+    /// Shorthand for `&get(..).trace`.
     ///
     /// # Panics
-    /// Panics on out-of-range coordinates or a fixed-frequency cell.
+    /// Panics on out-of-range coordinates.
     pub fn trace(
         &self,
         scenario: usize,
@@ -337,12 +261,12 @@ impl SweepReport {
         setpoint: usize,
         controller: usize,
     ) -> &RunTrace {
-        self.get(scenario, seed, setpoint, controller).trace()
+        &self.get(scenario, seed, setpoint, controller).trace
     }
 
-    /// All traces in expansion order (fixed-frequency cells excluded).
+    /// All traces in expansion order.
     pub fn traces(&self) -> impl Iterator<Item = &RunTrace> {
-        self.cells.iter().filter_map(|c| c.output.as_trace())
+        self.cells.iter().map(|c| &c.trace)
     }
 
     /// Fold every cell's telemetry snapshot into one aggregate, merging
@@ -357,14 +281,12 @@ impl SweepReport {
     /// histogram with different bucket edges.
     pub fn merged_telemetry(&self) -> Result<Option<Snapshot>> {
         let mut acc: Option<Snapshot> = None;
-        for cell in &self.cells {
-            if let Some(snap) = &cell.telemetry {
-                match acc.as_mut() {
-                    Some(a) => a
-                        .merge(snap)
-                        .map_err(|e| CapGpuError::BadConfig(e.to_string()))?,
-                    None => acc = Some(snap.clone()),
-                }
+        for snap in self.cells.iter().filter_map(|c| c.telemetry.as_ref()) {
+            match acc.as_mut() {
+                Some(a) => a
+                    .merge(snap)
+                    .map_err(|e| CapGpuError::BadConfig(e.to_string()))?,
+                None => acc = Some(snap.clone()),
             }
         }
         Ok(acc)
@@ -379,12 +301,8 @@ struct CellSummary {
     /// Group index: `scenario_index · n_controllers + controller_index`.
     group: usize,
     power_mean: f64,
-    power_std: f64,
     tracking_error: f64,
-    violations: usize,
-    settling_period: Option<usize>,
     mean_miss_rate: f64,
-    telemetry: Option<Snapshot>,
 }
 
 /// Streaming accumulator for one `(scenario, controller)` group: scalar
@@ -404,63 +322,23 @@ pub struct GroupSummary {
     pub cells: usize,
     /// Sum of steady-state mean powers (W).
     pub power_mean_sum: f64,
-    /// Sum of steady-state power standard deviations (W).
-    pub power_std_sum: f64,
     /// Sum of per-cell |steady power − set point| tracking errors (W).
     pub tracking_error_sum: f64,
-    /// Worst per-cell tracking error in the group (W).
-    pub tracking_error_max: f64,
-    /// Total set-point violations across the group's cells.
-    pub violations: usize,
-    /// Cells whose power settled into the ±2% band.
-    pub settled_cells: usize,
-    /// Sum of settling periods over the settled cells.
-    pub settling_sum: usize,
     /// Sum of per-cell mean deadline-miss rates.
     pub miss_rate_sum: f64,
 }
 
 impl GroupSummary {
-    fn new(spec: &SweepSpec, scenario_index: usize, controller_index: usize) -> Self {
-        GroupSummary {
-            scenario_index,
-            scenario_label: spec.scenarios[scenario_index].0.clone(),
-            controller_index,
-            controller_label: spec.controllers[controller_index].label(),
-            cells: 0,
-            power_mean_sum: 0.0,
-            power_std_sum: 0.0,
-            tracking_error_sum: 0.0,
-            tracking_error_max: 0.0,
-            violations: 0,
-            settled_cells: 0,
-            settling_sum: 0,
-            miss_rate_sum: 0.0,
-        }
-    }
-
     fn fold(&mut self, s: &CellSummary) {
         self.cells += 1;
         self.power_mean_sum += s.power_mean;
-        self.power_std_sum += s.power_std;
         self.tracking_error_sum += s.tracking_error;
-        self.tracking_error_max = self.tracking_error_max.max(s.tracking_error);
-        self.violations += s.violations;
-        if let Some(p) = s.settling_period {
-            self.settled_cells += 1;
-            self.settling_sum += p;
-        }
         self.miss_rate_sum += s.mean_miss_rate;
     }
 
     /// Mean steady-state power over the group's cells (W).
     pub fn mean_power(&self) -> f64 {
         self.power_mean_sum / (self.cells.max(1) as f64)
-    }
-
-    /// Mean steady-state power standard deviation (W).
-    pub fn mean_power_std(&self) -> f64 {
-        self.power_std_sum / (self.cells.max(1) as f64)
     }
 
     /// Mean tracking error (W).
@@ -472,26 +350,11 @@ impl GroupSummary {
     pub fn mean_miss_rate(&self) -> f64 {
         self.miss_rate_sum / (self.cells.max(1) as f64)
     }
-
-    /// One-line report row for the group.
-    pub fn row(&self) -> String {
-        format!(
-            "{:<16} {:<22} cells {:>5}  P {:>7.1} ± {:>5.1} W  err {:>6.2} W (max {:>6.2})  viol {:>5}",
-            self.scenario_label,
-            self.controller_label,
-            self.cells,
-            self.mean_power(),
-            self.mean_power_std(),
-            self.mean_tracking_error(),
-            self.tracking_error_max,
-            self.violations,
-        )
-    }
 }
 
 /// Result of a streaming sweep ([`SweepSpec::streaming`]): one
-/// [`GroupSummary`] per `(scenario, controller)` pair plus the merged
-/// telemetry — memory is `O(groups)`, independent of the cell count.
+/// [`GroupSummary`] per `(scenario, controller)` pair — memory is
+/// `O(groups)`, independent of the cell count.
 ///
 /// `peak_pending` is a scheduling diagnostic (the largest number of
 /// finished-but-not-yet-folded cells the bounded reorder window ever
@@ -503,10 +366,6 @@ pub struct StreamReport {
     pub groups: Vec<GroupSummary>,
     /// Total cells folded.
     pub cells: usize,
-    /// Telemetry snapshots merged in grid order (as
-    /// [`SweepReport::merged_telemetry`]); `None` when no cell carried
-    /// telemetry.
-    pub telemetry: Option<Snapshot>,
     /// Peak size of the out-of-order pending buffer (0 for serial runs).
     /// Bounded by the reorder window
     /// ([`default_reorder_window`]`(threads)`); excluded from `PartialEq`.
@@ -518,7 +377,6 @@ impl PartialEq for StreamReport {
     fn eq(&self, other: &Self) -> bool {
         self.groups == other.groups
             && self.cells == other.cells
-            && self.telemetry == other.telemetry
             && self.n_controllers == other.n_controllers
     }
 }
@@ -535,6 +393,28 @@ impl StreamReport {
         );
         &self.groups[scenario * self.n_controllers + controller]
     }
+}
+
+/// Runs `work` for indices `0..n` and hands each value to `fold` strictly
+/// in index order: a plain `for` loop when `threads` is `None` (the
+/// serial references), else [`ordered_fold`] across that many threads
+/// with at most `window` values parked ahead of the fold frontier.
+/// Returns that peak (0 for the plain loop).
+fn fold_in_order<T: Send>(
+    n: usize,
+    threads: Option<usize>,
+    window: usize,
+    work: impl Fn(usize) -> Result<T> + Sync,
+    mut fold: impl FnMut(T) -> Result<()> + Send,
+) -> Result<usize> {
+    let Some(threads) = threads else {
+        for i in 0..n {
+            fold(work(i)?)?;
+        }
+        return Ok(0);
+    };
+    let stats = ordered_fold(n, threads, window, work, |_, value| fold(value))?;
+    Ok(stats.peak_pending)
 }
 
 /// Declarative description of an experiment sweep.
@@ -564,15 +444,8 @@ pub struct SweepSpec {
 impl SweepSpec {
     /// A sweep over one base scenario (labelled `"base"`).
     pub fn new(base: Scenario) -> Self {
-        SweepSpec {
-            scenarios: vec![("base".into(), base)],
-            seeds: Vec::new(),
-            setpoints: Vec::new(),
-            controllers: Vec::new(),
-            periods: 100,
-        }
+        SweepSpec::over_scenarios(vec![("base".into(), base)])
     }
-
     /// The serving scenario family: the serving testbed
     /// ([`Scenario::serving_testbed`]) swept over arrival-rate scales
     /// (each scale multiplies every task's nominal rate), plus — when
@@ -686,13 +559,6 @@ impl SweepSpec {
         }
     }
 
-    /// Adds a labelled scenario variant.
-    #[must_use]
-    pub fn scenario(mut self, label: impl Into<String>, scenario: Scenario) -> Self {
-        self.scenarios.push((label.into(), scenario));
-        self
-    }
-
     /// Adds a seed to the seed axis. When no seed is added, each scenario
     /// runs with its own embedded seed.
     #[must_use]
@@ -723,7 +589,7 @@ impl SweepSpec {
     }
 
     /// Sets the closed-loop run length in control periods (default 100,
-    /// the paper's standard; ignored by fixed-frequency cells).
+    /// the paper's standard).
     #[must_use]
     pub fn periods(mut self, periods: usize) -> Self {
         self.periods = periods;
@@ -804,83 +670,88 @@ impl SweepSpec {
         Ok(runner)
     }
 
-    /// Executes one cell, cloning its class's identified runner (out of
-    /// [`SweepSpec::identify_classes`]' per-class table) when the
+    /// Executes one cell, cloning its class's identified runner when the
     /// controller wants it and building a fresh one otherwise.
     fn run_cell(
         &self,
         cell: &SweepCell,
-        identified: &[Option<IdentifiedRunner>],
-    ) -> Result<(CellOutput, Option<Snapshot>)> {
+        identified: &[IdentifiedRunner],
+    ) -> Result<SweepCellResult> {
         let spec = &self.controllers[cell.controller_index];
         let class_index = cell.scenario_index * self.n_seeds() + cell.seed_index;
-        let mut runner = match &identified[class_index] {
-            Some(base) if spec.needs_identification() => {
-                let mut r = base.lock().expect("a cell panicked mid-clone").clone();
-                r.set_setpoint(cell.setpoint);
-                r
-            }
-            _ => ExperimentRunner::new(self.class_scenario(class_index), cell.setpoint)?,
+        let mut runner = if spec.needs_identification() {
+            let mut r = identified[class_index]
+                .lock()
+                .expect("a cell panicked mid-clone")
+                .clone();
+            r.set_setpoint(cell.setpoint);
+            r
+        } else {
+            ExperimentRunner::new(self.class_scenario(class_index), cell.setpoint)?
         };
-        if let ControllerSpec::FixedFrequencies {
-            freqs,
-            seconds,
-            warmup_seconds,
-            ..
-        } = spec
-        {
-            let output = CellOutput::Fixed(runner.run_fixed(freqs, *seconds, *warmup_seconds)?);
-            let telemetry = runner.telemetry().map(|tm| tm.snapshot());
-            return Ok((output, telemetry));
-        }
         let controller = spec.build(&mut runner)?;
-        let output = CellOutput::Trace(runner.run(controller, self.periods)?);
-        let telemetry = runner.telemetry().map(|tm| tm.snapshot());
-        Ok((output, telemetry))
+        let trace = runner.run(controller, self.periods)?;
+        Ok(SweepCellResult {
+            cell: cell.clone(),
+            trace,
+            telemetry: runner.telemetry().map(|tm| tm.snapshot()),
+        })
     }
 
-    fn report(&self, cells: Vec<SweepCellResult>) -> SweepReport {
-        SweepReport {
-            cells,
-            n_seeds: self.n_seeds(),
-            n_setpoints: self.setpoints.len(),
-            n_controllers: self.controllers.len(),
-        }
-    }
-
-    /// One identified runner per `(scenario, seed)` class — `None`s when
-    /// no controller needs one — identified across `threads` OS threads,
-    /// or by a plain loop when `threads` is `None` (the serial references).
-    fn identify_classes(&self, threads: Option<usize>) -> Result<Vec<Option<IdentifiedRunner>>> {
+    /// The one executor behind both output modes. It identifies each
+    /// `(scenario, seed)` class once (when any controller needs it), runs
+    /// every cell, turns its result into `cell_value` on the worker that
+    /// ran it, and hands the values to `fold` in grid order — by a plain
+    /// loop when `threads` is `None`, else across that many threads with
+    /// at most `window` values parked (see [`fold_in_order`]). Returns the
+    /// cell fold's peak number parked.
+    fn execute<T: Send>(
+        &self,
+        threads: Option<usize>,
+        window: usize,
+        cell_value: impl Fn(SweepCellResult) -> T + Sync,
+        fold: impl FnMut(T) -> Result<()> + Send,
+    ) -> Result<usize> {
+        self.validate()?;
         let n_classes = self.scenarios.len() * self.n_seeds();
-        if !self
+        let mut identified = Vec::new();
+        if self
             .controllers
             .iter()
             .any(ControllerSpec::needs_identification)
         {
-            return Ok((0..n_classes).map(|_| None).collect());
+            identified.reserve(n_classes);
+            let work = |class| self.identify_class(class);
+            fold_in_order(n_classes, threads, n_classes, work, |runner| {
+                identified.push(Mutex::new(runner));
+                Ok(())
+            })?;
         }
-        let mut identified = Vec::with_capacity(n_classes);
-        match threads {
-            None => {
-                for class in 0..n_classes {
-                    identified.push(Some(Mutex::new(self.identify_class(class)?)));
-                }
-            }
-            Some(threads) => {
-                ordered_fold(
-                    n_classes,
-                    threads,
-                    n_classes,
-                    |class| self.identify_class(class),
-                    |_, runner| {
-                        identified.push(Some(Mutex::new(runner)));
-                        Ok(())
-                    },
-                )?;
-            }
-        }
-        Ok(identified)
+        let cells = self.expand();
+        let work = |i: usize| self.run_cell(&cells[i], &identified).map(&cell_value);
+        fold_in_order(cells.len(), threads, window, work, fold)
+    }
+
+    /// Runs every cell and keeps every result: the fold is a push in grid
+    /// order with a window as wide as the grid, so admission never blocks.
+    fn collect(&self, threads: Option<usize>) -> Result<SweepReport> {
+        let n = self.num_cells();
+        let mut cells = Vec::with_capacity(n);
+        self.execute(
+            threads,
+            n,
+            |r| r,
+            |r| {
+                cells.push(r);
+                Ok(())
+            },
+        )?;
+        Ok(SweepReport {
+            cells,
+            n_seeds: self.n_seeds(),
+            n_setpoints: self.setpoints.len(),
+            n_controllers: self.controllers.len(),
+        })
     }
 
     /// Runs the sweep with the thread count from [`threads_from_env`].
@@ -897,24 +768,10 @@ impl SweepSpec {
     /// # Errors
     /// Propagates the first cell or identification error.
     pub fn run_serial(&self) -> Result<SweepReport> {
-        self.validate()?;
-        let cells = self.expand();
-        let identified = self.identify_classes(None)?;
-        let mut results = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let (output, telemetry) = self.run_cell(&cell, &identified)?;
-            results.push(SweepCellResult {
-                cell,
-                output,
-                telemetry,
-            });
-        }
-        Ok(self.report(results))
+        self.collect(None)
     }
 
-    /// Runs the sweep across `threads` OS threads. Every cell's result is
-    /// retained, so the fold is a push in grid order with a window as
-    /// wide as the grid (admission never blocks); the report is
+    /// Runs the sweep across `threads` OS threads; the report is
     /// bit-identical to [`SweepSpec::run_serial`] regardless of the
     /// thread count or scheduling order.
     ///
@@ -922,113 +779,74 @@ impl SweepSpec {
     /// Propagates the first cell or identification error (remaining work
     /// is abandoned).
     pub fn run_with_threads(&self, threads: usize) -> Result<SweepReport> {
-        self.validate()?;
-        let cells = self.expand();
-        let identified = self.identify_classes(Some(threads))?;
-        let mut results = Vec::with_capacity(cells.len());
-        ordered_fold(
-            cells.len(),
-            threads,
-            cells.len(),
-            |i| self.run_cell(&cells[i], &identified),
-            |i, (output, telemetry)| {
-                results.push(SweepCellResult {
-                    cell: cells[i].clone(),
-                    output,
-                    telemetry,
-                });
-                Ok(())
-            },
-        )?;
-        Ok(self.report(results))
+        self.collect(Some(threads))
     }
 
     // ---- Streaming summary-reduction mode ------------------------------
 
-    /// Runs one cell and keeps only its summary: the trace dies here, which
-    /// is what keeps the streaming executors' memory flat.
-    fn run_and_summarize(
-        &self,
-        cell: &SweepCell,
-        identified: &[Option<IdentifiedRunner>],
-    ) -> Result<CellSummary> {
-        let (output, telemetry) = self.run_cell(cell, identified)?;
-        Ok(self.summarize_cell(cell, &output, telemetry))
-    }
-
     /// Reduces one finished cell to its scalar summary; the cell's trace
-    /// is dropped by the caller immediately afterwards. Fixed-frequency
-    /// dwell cells contribute only their mean power (they have no set
-    /// point to track).
-    fn summarize_cell(
-        &self,
-        cell: &SweepCell,
-        output: &CellOutput,
-        telemetry: Option<Snapshot>,
-    ) -> CellSummary {
-        let group = cell.scenario_index * self.controllers.len() + cell.controller_index;
-        match output {
-            CellOutput::Trace(trace) => {
-                let s = crate::summary::RunSummary::from_trace(trace);
-                let mean_miss_rate = if s.miss_rates.is_empty() {
-                    0.0
-                } else {
-                    s.miss_rates.iter().sum::<f64>() / s.miss_rates.len() as f64
-                };
-                CellSummary {
-                    group,
-                    power_mean: s.power_mean,
-                    power_std: s.power_std,
-                    tracking_error: s.tracking_error,
-                    violations: s.violations,
-                    settling_period: s.settling_period,
-                    mean_miss_rate,
-                    telemetry,
-                }
-            }
-            CellOutput::Fixed(stats) => CellSummary {
-                group,
-                power_mean: stats.mean_power,
-                power_std: 0.0,
-                tracking_error: 0.0,
-                violations: 0,
-                settling_period: None,
-                mean_miss_rate: 0.0,
-                telemetry,
-            },
+    /// is dropped immediately afterwards.
+    fn summarize(&self, r: &SweepCellResult) -> CellSummary {
+        let s = RunSummary::from_trace(&r.trace);
+        let mean_miss_rate = if s.miss_rates.is_empty() {
+            0.0
+        } else {
+            s.miss_rates.iter().sum::<f64>() / s.miss_rates.len() as f64
+        };
+        CellSummary {
+            group: r.cell.scenario_index * self.controllers.len() + r.cell.controller_index,
+            power_mean: s.power_mean,
+            tracking_error: s.tracking_error,
+            mean_miss_rate,
         }
     }
 
-    /// One group accumulator per `(scenario, controller)` pair,
+    /// One empty group accumulator per `(scenario, controller)` pair,
     /// scenario-major.
     fn make_groups(&self) -> Vec<GroupSummary> {
         let mut groups = Vec::with_capacity(self.scenarios.len() * self.controllers.len());
-        for si in 0..self.scenarios.len() {
-            for ci in 0..self.controllers.len() {
-                groups.push(GroupSummary::new(self, si, ci));
+        for (si, (scenario_label, _)) in self.scenarios.iter().enumerate() {
+            for (ci, spec) in self.controllers.iter().enumerate() {
+                groups.push(GroupSummary {
+                    scenario_index: si,
+                    scenario_label: scenario_label.clone(),
+                    controller_index: ci,
+                    controller_label: spec.label(),
+                    cells: 0,
+                    power_mean_sum: 0.0,
+                    tracking_error_sum: 0.0,
+                    miss_rate_sum: 0.0,
+                });
             }
         }
         groups
     }
 
-    /// Folds one summary into the accumulators (strictly in grid order —
-    /// the caller guarantees ordering; this keeps the float sums and the
-    /// telemetry merge bit-identical across thread counts).
-    fn fold_summary(
-        groups: &mut [GroupSummary],
-        telemetry: &mut Option<Snapshot>,
-        s: CellSummary,
-    ) -> Result<()> {
-        groups[s.group].fold(&s);
-        if let Some(snap) = s.telemetry {
-            match telemetry.as_mut() {
-                Some(acc) => acc
-                    .merge(&snap)
-                    .map_err(|e| CapGpuError::BadConfig(e.to_string()))?,
-                None => *telemetry = Some(snap),
-            }
+    fn stream_report(&self, groups: Vec<GroupSummary>, peak_pending: usize) -> StreamReport {
+        StreamReport {
+            cells: groups.iter().map(|g| g.cells).sum(),
+            groups,
+            peak_pending,
+            n_controllers: self.controllers.len(),
         }
-        Ok(())
+    }
+
+    /// Runs every cell and folds each summary into its group in grid
+    /// order, with at most [`default_reorder_window`]`(threads)` summaries
+    /// parked ahead of the fold frontier.
+    fn stream(&self, threads: Option<usize>) -> Result<StreamReport> {
+        let mut groups = self.make_groups();
+        let window = threads.map_or(0, default_reorder_window);
+        let peak_pending = self.execute(
+            threads,
+            window,
+            |r| self.summarize(&r),
+            |s| {
+                groups[s.group].fold(&s);
+                Ok(())
+            },
+        )?;
+        Ok(self.stream_report(groups, peak_pending))
     }
 
     /// Folds an already-collected full-trace report into the group
@@ -1038,22 +856,15 @@ impl SweepSpec {
     /// holds exactly (used by the regression tests and `sweep_stream`).
     ///
     /// # Errors
-    /// [`CapGpuError::BadConfig`] on a telemetry bucket-layout mismatch.
+    /// [`CapGpuError::BadConfig`] when the spec fails validation.
     pub fn summarize_report(&self, report: &SweepReport) -> Result<StreamReport> {
         self.validate()?;
         let mut groups = self.make_groups();
-        let mut telemetry = None;
         for r in &report.cells {
-            let s = self.summarize_cell(&r.cell, &r.output, r.telemetry.clone());
-            Self::fold_summary(&mut groups, &mut telemetry, s)?;
+            let s = self.summarize(r);
+            groups[s.group].fold(&s);
         }
-        Ok(StreamReport {
-            groups,
-            cells: report.cells.len(),
-            telemetry,
-            peak_pending: 0,
-            n_controllers: self.controllers.len(),
-        })
+        Ok(self.stream_report(groups, 0))
     }
 
     /// Runs the sweep in streaming summary-reduction mode with the thread
@@ -1074,22 +885,7 @@ impl SweepSpec {
     /// # Errors
     /// Propagates the first cell or identification error.
     pub fn streaming_serial(&self) -> Result<StreamReport> {
-        self.validate()?;
-        let cells = self.expand();
-        let identified = self.identify_classes(None)?;
-        let mut groups = self.make_groups();
-        let mut telemetry = None;
-        for cell in &cells {
-            let s = self.run_and_summarize(cell, &identified)?;
-            Self::fold_summary(&mut groups, &mut telemetry, s)?;
-        }
-        Ok(StreamReport {
-            groups,
-            cells: cells.len(),
-            telemetry,
-            peak_pending: 0,
-            n_controllers: self.controllers.len(),
-        })
+        self.stream(None)
     }
 
     /// Runs the streaming sweep across `threads` OS threads: cell
@@ -1102,25 +898,7 @@ impl SweepSpec {
     /// Propagates the first cell or identification error (remaining work
     /// is abandoned).
     pub fn streaming_with_threads(&self, threads: usize) -> Result<StreamReport> {
-        self.validate()?;
-        let cells = self.expand();
-        let identified = self.identify_classes(Some(threads))?;
-        let mut groups = self.make_groups();
-        let mut telemetry = None;
-        let stats = ordered_fold(
-            cells.len(),
-            threads,
-            default_reorder_window(threads),
-            |i| self.run_and_summarize(&cells[i], &identified),
-            |_, s| Self::fold_summary(&mut groups, &mut telemetry, s),
-        )?;
-        Ok(StreamReport {
-            groups,
-            cells: cells.len(),
-            telemetry,
-            peak_pending: stats.peak_pending,
-            n_controllers: self.controllers.len(),
-        })
+        self.stream(Some(threads))
     }
 }
 
@@ -1231,7 +1009,9 @@ mod tests {
         // Every cell must reproduce exactly what the hand-rolled pattern
         // in the figure bins produces: fresh runner, lazy identification
         // inside the builder, then run — for each controller kind that
-        // identifies, not only CapGPU.
+        // identifies, not only CapGPU. A custom cell always receives the
+        // class's identified runner, even when its builder (here a
+        // fixed-step controller) never reads the model.
         let report = SweepSpec::new(Scenario::paper_testbed(7))
             .setpoints(&[900.0, 950.0])
             .periods(5)
@@ -1240,9 +1020,14 @@ mod tests {
             .controller(ControllerSpec::Split { gpu_share: 0.4 })
             .controller(ControllerSpec::Split { gpu_share: 0.6 })
             .controller(ControllerSpec::CapGpu)
+            .controller(ControllerSpec::CpuOnly)
+            .controller(ControllerSpec::CapGpuPhaseBlind)
+            .controller(ControllerSpec::custom("identified fixed-step", |r| {
+                Ok(Box::new(r.build_fixed_step(1)))
+            }))
             .run_serial()
             .expect("sweep");
-        assert_eq!(report.cells.len(), 10);
+        assert_eq!(report.cells.len(), 16);
         for result in &report.cells {
             let cell = &result.cell;
             let mut r =
@@ -1252,10 +1037,16 @@ mod tests {
                 1 => Box::new(r.build_gpu_only().expect("gpu-only")),
                 2 => Box::new(r.build_split(0.4).expect("split40")),
                 3 => Box::new(r.build_split(0.6).expect("split60")),
-                _ => Box::new(r.build_capgpu_controller().expect("capgpu")),
+                4 => Box::new(r.build_capgpu_controller().expect("capgpu")),
+                5 => Box::new(r.build_cpu_only().expect("cpu-only")),
+                6 => Box::new(r.build_capgpu_phase_blind().expect("phase-blind")),
+                _ => {
+                    r.identify().expect("identify");
+                    Box::new(r.build_fixed_step(1))
+                }
             };
             let trace = r.run(c, 5).expect("run");
-            assert_eq!(result.trace(), &trace, "{}", cell.controller_label);
+            assert_eq!(result.trace, trace, "{}", cell.controller_label);
         }
     }
 
@@ -1273,26 +1064,7 @@ mod tests {
         let mut runner = ExperimentRunner::new(Scenario::paper_testbed(7), 900.0).expect("runner");
         let controller = runner.build_fixed_step(1);
         let trace = runner.run(controller, 4).expect("run");
-        assert_eq!(report.cells[0].trace(), &trace);
-    }
-
-    #[test]
-    fn fixed_frequency_cells_produce_dwell_stats() {
-        let report = SweepSpec::new(Scenario::motivation_testbed(42))
-            .setpoint(0.0)
-            .controller(ControllerSpec::FixedFrequencies {
-                label: "midpoint".into(),
-                freqs: vec![1600.0, 660.0],
-                seconds: 20,
-                warmup_seconds: 5,
-            })
-            .run_serial()
-            .expect("sweep");
-        let mut runner =
-            ExperimentRunner::new(Scenario::motivation_testbed(42), 0.0).expect("runner");
-        let stats = runner.run_fixed(&[1600.0, 660.0], 20, 5).expect("dwell");
-        assert_eq!(report.cells[0].fixed(), &stats);
-        assert!(report.cells[0].output.as_trace().is_none());
+        assert_eq!(report.cells[0].trace, trace);
     }
 
     #[test]
@@ -1309,8 +1081,8 @@ mod tests {
         assert_eq!(report.cells[1].cell.seed, 22);
         // Different seeds → different traces.
         assert_ne!(
-            report.get(0, 0, 0, 0).trace().power_series(),
-            report.get(0, 1, 0, 0).trace().power_series()
+            report.trace(0, 0, 0, 0).power_series(),
+            report.trace(0, 1, 0, 0).power_series()
         );
     }
 
@@ -1434,31 +1206,5 @@ mod tests {
         assert_eq!(streamed.get(0, 0).cells, 2500);
         // And the parked-summary shortcut changes nothing.
         assert_eq!(streamed, spec.streaming_serial().expect("serial"));
-    }
-
-    #[test]
-    fn streaming_telemetry_merge_matches_full_report_merge() {
-        use capgpu_telemetry::TelemetryConfig;
-
-        let spec = SweepSpec::new(
-            Scenario::paper_testbed(7).with_telemetry(TelemetryConfig::deterministic()),
-        )
-        .setpoints(&[900.0, 1000.0])
-        .periods(5)
-        .controller(ControllerSpec::CapGpu)
-        .controller(ControllerSpec::FixedStep { multiplier: 2 });
-        let merged_full = spec
-            .run_serial()
-            .expect("full sweep")
-            .merged_telemetry()
-            .expect("merge")
-            .expect("snapshots present");
-        let streamed = spec.streaming().expect("streaming sweep");
-        let merged_stream = streamed.telemetry.as_ref().expect("streamed snapshots");
-        assert_eq!(
-            merged_stream.to_prometheus_text(),
-            merged_full.to_prometheus_text(),
-            "streamed telemetry merge diverged from full-report merge"
-        );
     }
 }
