@@ -16,7 +16,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use capgpu_sim::DeviceKind;
+use capgpu_sim::{DeviceKind, METER_HISTORY_SAMPLES};
 
 use crate::{BackendDevice, BackendError, BackendResult, Capabilities, PowerBackend};
 
@@ -278,7 +278,7 @@ impl PowerBackend for CpufreqBackend {
             return Ok(None);
         }
         self.history.push(total_w);
-        if self.history.len() > 1024 {
+        if self.history.len() > METER_HISTORY_SAMPLES {
             self.history.remove(0);
         }
         self.last_sample_at_s = Some(self.elapsed_s);

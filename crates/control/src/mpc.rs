@@ -50,7 +50,7 @@
 
 use std::cell::RefCell;
 
-use capgpu_linalg::{vector, Matrix};
+use capgpu_linalg::Matrix;
 use capgpu_optim::boxqp::{self, BoxFactor, BoxQp, BoxQpProblem, VarState};
 use capgpu_optim::OptimError;
 
@@ -75,8 +75,6 @@ pub struct MpcConfig {
     pub f_min: Vec<f64>,
     /// Hard per-device maximum frequencies (MHz).
     pub f_max: Vec<f64>,
-    /// Optional per-device slew limit on a single move `|d₀ⱼ|` (MHz).
-    pub max_step: Option<Vec<f64>>,
 }
 
 impl MpcConfig {
@@ -88,7 +86,6 @@ impl MpcConfig {
             control_horizon: 2,
             f_min,
             f_max,
-            max_step: None,
         }
     }
 
@@ -99,14 +96,6 @@ impl MpcConfig {
         }
         if self.f_max.len() != n {
             return Err(ControlError::BadConfig("MPC bound length mismatch"));
-        }
-        if let Some(ms) = &self.max_step {
-            if ms.len() != n {
-                return Err(ControlError::BadConfig("max_step length mismatch"));
-            }
-            if ms.iter().any(|s| *s <= 0.0) {
-                return Err(ControlError::BadConfig("max_step must be positive"));
-            }
         }
         if self.prediction_horizon == 0 {
             return Err(ControlError::BadConfig("prediction horizon must be >= 1"));
@@ -139,18 +128,17 @@ pub struct MpcStep {
     /// Power predicted by the model after the first move.
     pub predicted_power: f64,
     /// Active-set iterations the QP solve took; 0 ≡ no iteration ran —
-    /// the period was answered by a cached region's law or by the
-    /// best-effort jump of an infeasible slew/floor combination.
+    /// the period was answered by a cached region's law.
     pub qp_iterations: usize,
     /// True when an SLO floor exceeded a device's reachable range and had
     /// to be clamped (best-effort; see module docs).
     pub floor_clamped: bool,
-    /// Constraint rows active at the optimum (frequency-range and slew
-    /// bounds, plus SLO floors). Telemetry: which bound shaped the move.
+    /// Constraint rows active at the optimum (frequency-range bounds
+    /// and SLO floors). Telemetry: which bound shaped the move.
     pub active_constraints: usize,
     /// True when an active lower bound is an SLO-*raised* floor (above
     /// the hardware `f_min`) — the paper's (10b) latency bound binding
-    /// the solve — including the infeasible-start floor-jump fallback.
+    /// the solve.
     pub slo_floor_binding: bool,
 }
 
@@ -360,29 +348,6 @@ impl MpcController {
         Ok((f_lo, floor_clamped))
     }
 
-    /// True when any effective floor sits above the hardware minimum —
-    /// i.e. an SLO raised it.
-    fn floor_raised(f_lo: &[f64], f_min: &[f64]) -> bool {
-        f_lo.iter().zip(f_min).any(|(lo, fm)| lo > fm)
-    }
-
-    /// Feasible start: d = 0 unless the floor was raised above (or f_max
-    /// dropped below) the current frequency; then the first block jumps to
-    /// the nearest feasible frequency (clipped by the slew limit).
-    fn feasible_start(&self, f_now: &[f64], f_lo: &[f64]) -> Vec<f64> {
-        let n = self.num_devices;
-        let mut start = vec![0.0; self.config.control_horizon * n];
-        for j in 0..n {
-            let clamped = f_now[j].clamp(f_lo[j], self.config.f_max[j]);
-            let mut jump = clamped - f_now[j];
-            if let Some(ms) = &self.config.max_step {
-                jump = jump.clamp(-ms[j], ms[j]);
-            }
-            start[j] = jump;
-        }
-        start
-    }
-
     /// Builds the per-period cache: the cumulative-coordinate box Hessian
     /// `H_c = blockdiag_b(2·Q̄_b·aaᵀ + 2·R̂)` and the box-QP skeleton whose
     /// gradient and bounds are rewritten each period.
@@ -392,8 +357,9 @@ impl MpcController {
     /// cumulative block into `Q̄_b = Σ_{i: min(i,M)−1 = b} Q(i)`; the
     /// control penalty `‖dᵢ + f(k+i|k) − f_ref‖²_R = ‖cᵢ + w‖²_R` is
     /// block-diagonal outright; and constraint (10a) plus the SLO floors
-    /// become the per-variable box `f_lo − f_now ≤ cᵢ ≤ f_max − f_now`
-    /// (block 0 additionally intersected with the slew limit `±max_step`).
+    /// become the per-variable box `f_lo − f_now ≤ cᵢ ≤ f_max − f_now`,
+    /// never empty because the effective floor `f_lo` is clamped to
+    /// `f_max`.
     fn build_cache(&self, r_diag: Vec<f64>) -> Result<StepCache> {
         let n = self.num_devices;
         let m = self.config.control_horizon;
@@ -475,42 +441,11 @@ impl MpcController {
         };
 
         // ---- Box bounds in cumulative coordinates ----------------------
-        let mut feasible = true;
-        'bounds: for i in 0..m {
+        for i in 0..m {
             for j in 0..n {
-                let mut lo = f_lo[j] - f_now[j];
-                let mut hi = self.config.f_max[j] - f_now[j];
-                if i == 0 {
-                    if let Some(ms) = &self.config.max_step {
-                        lo = lo.max(-ms[j]);
-                        hi = hi.min(ms[j]);
-                    }
-                }
-                if lo > hi {
-                    feasible = false;
-                    break 'bounds;
-                }
-                cache.qp.lo[i * n + j] = lo;
-                cache.qp.hi[i * n + j] = hi;
+                cache.qp.lo[i * n + j] = f_lo[j] - f_now[j];
+                cache.qp.hi[i * n + j] = self.config.f_max[j] - f_now[j];
             }
-        }
-        if !feasible {
-            // A slew limit tighter than a raised floor empties the box:
-            // take the best-effort jump toward the floor itself.
-            cache.warm = None;
-            let start = self.feasible_start(f_now, &f_lo);
-            let first_move = start[..n].to_vec();
-            let target = vector::add(f_now, &first_move);
-            let predicted = self.model.predict_delta(p_measured, &first_move);
-            return Ok(MpcStep {
-                target_freqs: target,
-                first_move,
-                predicted_power: predicted,
-                qp_iterations: 0,
-                floor_clamped: true,
-                active_constraints: 0,
-                slo_floor_binding: Self::floor_raised(&f_lo, &self.config.f_min),
-            });
         }
 
         // ---- Gradient: tracking per block + control penalty ------------
@@ -559,13 +494,10 @@ impl MpcController {
             Some(s) => s,
             None => {
                 cache.misses += 1;
-                // Cumulative image of the d-space feasible start: the first
-                // block's jump held for every later block.
-                let d0 = self.feasible_start(f_now, &f_lo);
-                let mut start = vec![0.0; m * n];
-                for i in 0..m {
-                    start[i * n..(i + 1) * n].copy_from_slice(&d0[..n]);
-                }
+                // Cold start from "hold every clock": the solver clamps it
+                // into the box, i.e. jumps straight to the nearest
+                // feasible clock.
+                let start = vec![0.0; m * n];
                 let sol = BoxQp.solve_from(&cache.qp, &start, cache.warm.as_deref())?;
                 if !cache.regions.iter().any(|r| r.states == sol.states) {
                     let region = Region {
@@ -586,21 +518,13 @@ impl MpcController {
         let first_move = x[..n].to_vec();
         let active_constraints = states.iter().filter(|s| **s != VarState::Free).count();
         // An active lower bound is an SLO binding when the floor is raised
-        // above hardware f_min AND the floor (not the slew clip) is the
-        // tighter side of that variable's box.
+        // above hardware f_min.
         let slo_floor_binding = (0..m).any(|i| {
-            (0..n).any(|j| {
-                states[i * n + j] == VarState::AtLo
-                    && f_lo[j] > self.config.f_min[j]
-                    && cache.qp.lo[i * n + j] == f_lo[j] - f_now[j]
-            })
+            (0..n).any(|j| states[i * n + j] == VarState::AtLo && f_lo[j] > self.config.f_min[j])
         });
         cache.warm = Some(states);
         let target: Vec<f64> = (0..n)
-            .map(|j| {
-                (f_now[j] + first_move[j])
-                    .clamp(f_lo[j].min(self.config.f_max[j]), self.config.f_max[j])
-            })
+            .map(|j| (f_now[j] + first_move[j]).clamp(f_lo[j], self.config.f_max[j]))
             .collect();
         let predicted = self.model.predict_delta(p_measured, &first_move);
         Ok(MpcStep {
@@ -688,17 +612,11 @@ mod tests {
         /// bound whose floor is SLO-raised (above hardware `f_min`): the
         /// (10b) latency bound is what shaped this move. Box rows are laid
         /// out as `2·(i·n + j)` (upper) / `2·(i·n + j) + 1` (lower) for
-        /// `i ∈ 0..m`, `j ∈ 0..n`; slew rows (≥ `2·m·n`) never encode SLOs.
-        fn active_slo_floor(
-            active: &[usize],
-            f_lo: &[f64],
-            f_min: &[f64],
-            n: usize,
-            m: usize,
-        ) -> bool {
+        /// `i ∈ 0..m`, `j ∈ 0..n`.
+        fn active_slo_floor(active: &[usize], f_lo: &[f64], f_min: &[f64], n: usize) -> bool {
             active
                 .iter()
-                .any(|&r| r < 2 * m * n && r % 2 == 1 && f_lo[(r / 2) % n] > f_min[(r / 2) % n])
+                .any(|&r| r % 2 == 1 && f_lo[(r / 2) % n] > f_min[(r / 2) % n])
         }
 
         /// Cache-free reference implementation of [`MpcController::step`]:
@@ -706,7 +624,7 @@ mod tests {
         /// coordinates and cold-starts the generic [`ActiveSetQp`] every
         /// call. Kept verbatim as the ground truth the production path is
         /// tested against — it shares no arithmetic with it beyond the input
-        /// validation and the feasible start.
+        /// validation.
         ///
         /// # Errors
         /// Same as [`MpcController::step`]; a failure of the oracle solve
@@ -731,7 +649,7 @@ mod tests {
             // H = 2·(Σ Qᵢ·sᵢsᵢᵀ + Σ Tᵢᵀ R Tᵢ),
             // g = 2·(e₀·Σ Qᵢ·sᵢ + Σ Tᵢᵀ R w),  w = f(k) − f_ref.
             let e0 = p_measured - setpoint;
-            let w: Vec<f64> = vector::sub(&f_now, &self.config.f_min);
+            let w: Vec<f64> = (0..n).map(|j| f_now[j] - self.config.f_min[j]).collect();
             let r_diag: Vec<f64> = (0..n).map(|j| R_BASE * r_weights[j].max(1e-9)).collect();
 
             let mut h = Matrix::zeros(dim, dim);
@@ -781,46 +699,23 @@ mod tests {
                     cons.push(LinearConstraint::new(neg, f_now[j] - f_lo[j]));
                 }
             }
-            // Optional slew limit on the first move only (hardware ramp rate).
-            if let Some(ms) = &self.config.max_step {
-                for j in 0..n {
-                    cons.push(LinearConstraint::upper_bound(dim, j, ms[j]));
-                    cons.push(LinearConstraint::lower_bound(dim, j, -ms[j]));
-                }
+            // Feasible start: the first move jumps to the nearest feasible
+            // clock, the later moves hold it.
+            let mut start = vec![0.0; dim];
+            for j in 0..n {
+                start[j] = f_now[j].clamp(f_lo[j], self.config.f_max[j]) - f_now[j];
             }
-
-            let start = self.feasible_start(&f_now, &f_lo);
             let qp = QpProblem::new(h, g, cons).expect("the oracle QP is well-formed");
-            let sol = match ActiveSetQp::default().solve(&qp, &start) {
-                Ok(s) => s,
-                // A slew limit tighter than a raised floor makes the QP
-                // infeasible; fall back to the best-effort jump itself.
-                Err(capgpu_oracle::OracleError::InfeasibleStart) => {
-                    let first_move = start[..n].to_vec();
-                    let target = vector::add(&f_now, &first_move);
-                    let predicted = self.model.predict_delta(p_measured, &first_move);
-                    return Ok(MpcStep {
-                        target_freqs: target,
-                        first_move,
-                        predicted_power: predicted,
-                        qp_iterations: 0,
-                        floor_clamped: true,
-                        active_constraints: 0,
-                        slo_floor_binding: Self::floor_raised(&f_lo, &self.config.f_min),
-                    });
-                }
-                Err(e) => panic!("oracle QP failed: {e}"),
-            };
+            let sol = ActiveSetQp::default()
+                .solve(&qp, &start)
+                .unwrap_or_else(|e| panic!("oracle QP failed: {e}"));
 
             let first_move = sol.x[..n].to_vec();
             let active_constraints = sol.active_set.len();
             let slo_floor_binding =
-                Self::active_slo_floor(&sol.active_set, &f_lo, &self.config.f_min, n, m);
+                Self::active_slo_floor(&sol.active_set, &f_lo, &self.config.f_min, n);
             let target: Vec<f64> = (0..n)
-                .map(|j| {
-                    (f_now[j] + first_move[j])
-                        .clamp(f_lo[j].min(self.config.f_max[j]), self.config.f_max[j])
-                })
+                .map(|j| (f_now[j] + first_move[j]).clamp(f_lo[j], self.config.f_max[j]))
                 .collect();
             let predicted = self.model.predict_delta(p_measured, &first_move);
             Ok(MpcStep {
@@ -985,18 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn slew_limit_respected() {
-        let model = LinearPowerModel::new(vec![0.18], 250.0).unwrap();
-        let mut config = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
-        config.max_step = Some(vec![90.0]);
-        let c = MpcController::new(config, model).unwrap();
-        let f = [435.0];
-        let p = c.model().predict(&f);
-        let step = c.step(p, p + 200.0, &f, &[1.0], &[435.0]).unwrap();
-        assert!(step.first_move[0] <= 90.0 + 1e-9);
-    }
-
-    #[test]
     fn unconstrained_gains_are_positive_on_power_error() {
         let c = controller();
         let (k_p, k_f) = c.unconstrained_gains().unwrap();
@@ -1107,26 +990,6 @@ mod tests {
             f_c = s_c.target_freqs;
             f_u = s_u.target_freqs;
         }
-    }
-
-    #[test]
-    fn slew_limit_infeasible_fallback_matches_uncached() {
-        // Floor raised beyond what the slew limit allows in one move: the
-        // production path's empty box and the oracle's infeasible start
-        // must take the identical best-effort jump.
-        let model = LinearPowerModel::new(vec![0.18], 250.0).unwrap();
-        let mut config = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
-        config.max_step = Some(vec![50.0]);
-        let c = MpcController::new(config, model).unwrap();
-        let f = [500.0];
-        let p = c.model().predict(&f);
-        let step = c.step(p, p, &f, &[1.0], &[900.0]).unwrap();
-        let reference = c.step_uncached(p, p, &f, &[1.0], &[900.0]).unwrap();
-        assert!(step.floor_clamped && reference.floor_clamped);
-        assert_eq!(step.first_move, reference.first_move);
-        assert_eq!(step.target_freqs, reference.target_freqs);
-        assert!(step.slo_floor_binding && reference.slo_floor_binding);
-        assert_eq!(step.qp_iterations, 0, "the fallback runs no iteration");
     }
 
     #[test]
@@ -1300,16 +1163,14 @@ mod tests {
             floor_frac in prop::collection::vec(-0.5..0.6f64, 9),
             weights in prop::collection::vec(0.1..3.0f64, 9 * 12),
             setpoint_frac in prop::collection::vec(0.05..0.95f64, 3),
-            slew in prop::sample::select(vec![None, Some(60.0), Some(250.0)]),
             redraw_weights in prop::sample::select(vec![false, true]),
         ) {
             // 1–9 devices, each period on the production path and on the
             // oracle from the same inputs: set-point steps every four
-            // periods, floors on roughly half the devices, the slew limit
-            // on or off, weights held or redrawn every period.
+            // periods, floors on roughly half the devices, weights held or
+            // redrawn every period.
             let (f_min, f_max) = (vec![435.0; n], vec![1350.0; n]);
-            let mut config = MpcConfig::paper_defaults(f_min.clone(), f_max.clone());
-            config.max_step = slew.map(|s| vec![s; n]);
+            let config = MpcConfig::paper_defaults(f_min.clone(), f_max.clone());
             let model = LinearPowerModel::new(gains[..n].to_vec(), 250.0).unwrap();
             let c = MpcController::new(config, model).unwrap();
             let floors: Vec<f64> = floor_frac[..n]
@@ -1329,10 +1190,7 @@ mod tests {
                 prop_assert!(d <= CLOSED_LOOP_TOL_MHZ, "period {k}: off by {d} MHz");
                 prop_assert_eq!(step.floor_clamped, reference.floor_clamped);
                 for (t, floor) in step.target_freqs.iter().zip(&floors) {
-                    // The best-effort jump of an infeasible slew/floor pair
-                    // (flagged) is the one answer allowed below its floor.
-                    let lo = if step.floor_clamped { 435.0 } else { *floor };
-                    prop_assert!((lo..=1350.0).contains(t), "{t} outside [{lo}, 1350]");
+                    prop_assert!((*floor..=1350.0).contains(t), "{t} outside [{floor}, 1350]");
                 }
                 f = step.target_freqs;
             }

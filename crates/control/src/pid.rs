@@ -66,11 +66,6 @@ impl ProportionalController {
         Self::new((1.0 - pole) / plant_gain, f_min, f_max)
     }
 
-    /// The control gain `K` (MHz/W).
-    pub fn gain(&self) -> f64 {
-        self.gain
-    }
-
     /// One control period: returns the new shared frequency target given
     /// the measured power, the set point and the current frequency,
     /// saturated at the knob's range.
@@ -87,14 +82,14 @@ mod tests {
     /// The closed-loop pole `z = 1 − a·K` that `c` realizes on a plant of
     /// actual gain `a`. Stable iff `|z| < 1`.
     fn closed_loop_pole(c: &ProportionalController, a: f64) -> f64 {
-        1.0 - a * c.gain()
+        1.0 - a * c.gain
     }
 
     #[test]
     fn pole_placement_math() {
         // 3 GPUs at 0.18 W/MHz share one knob: a = 0.54 W/MHz.
         let c = ProportionalController::pole_placed(0.54, 0.5, 435.0, 1350.0).unwrap();
-        assert!((c.gain() - (0.5 / 0.54)).abs() < 1e-12);
+        assert!((c.gain - (0.5 / 0.54)).abs() < 1e-12);
         assert!((closed_loop_pole(&c, 0.54) - 0.5).abs() < 1e-12);
     }
 

@@ -393,11 +393,6 @@ impl ScaledModelTracker {
         Ok(tracker)
     }
 
-    /// The anchor model whose gain ratios are preserved.
-    pub fn anchor(&self) -> &LinearPowerModel {
-        &self.anchor
-    }
-
     /// Folds in one sample (frequency vector applied over a control
     /// period, average power measured over it).
     ///

@@ -329,7 +329,7 @@ impl Scenario {
             step_overhead_s: 5e-4,
             max_batch: 32,
             kv_budget_tokens: 24_000,
-            chunk_tokens: Some(512),
+            chunk_tokens: 512,
             gpu_util_prefill: 0.95,
             gpu_util_decode: 0.55,
         };

@@ -170,11 +170,6 @@ impl SafeFixedStepController {
             .fold(0.0_f64, f64::max);
         Self::new(layout, step_multiplier, worst + 2.0 * meter_noise_std)
     }
-
-    /// The configured margin in watts.
-    pub fn margin_watts(&self) -> f64 {
-        self.margin_watts
-    }
 }
 
 impl PowerController for SafeFixedStepController {
@@ -352,7 +347,6 @@ mod tests {
     fn safe_variant_targets_shifted_setpoint() {
         let mut plain = FixedStepController::new(layout(), 1);
         let mut safe = SafeFixedStepController::new(layout(), 1, 30.0);
-        assert_eq!(safe.margin_watts(), 30.0);
         // measured 880 W: plain (target 900) raises, safe (target 870) lowers.
         let t = vec![2000.0, 900.0, 900.0];
         let thr = [0.5, 0.9, 0.2];

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 use capgpu_backend::{CpufreqBackend, PowerBackend, SimBackend};
 use capgpu_obs::rotate::RotationConfig;
-use capgpu_sim::{presets, ServerBuilder};
+use capgpu_sim::{presets, ServerBuilder, METER_HISTORY_SAMPLES};
 
 use super::bad;
 use super::toml::TomlDoc;
@@ -252,8 +252,13 @@ impl DaemonConfig {
         if !(self.setpoint_watts.is_finite() && self.setpoint_watts > 0.0) {
             return Err(bad("daemon.setpoint_watts must be finite and > 0".into()));
         }
-        if self.control_period_s == 0 {
-            return Err(bad("daemon.control_period_s must be >= 1".into()));
+        // A period averages its own samples; past the meter's history it
+        // would silently average only the last METER_HISTORY_SAMPLES.
+        if !(1..=METER_HISTORY_SAMPLES as u64).contains(&self.control_period_s) {
+            return Err(bad(format!(
+                "daemon.control_period_s must be in 1..={METER_HISTORY_SAMPLES} \
+                 (the seconds of samples a power meter keeps)"
+            )));
         }
         if !(2..=MAX_SYSID_STEPS).contains(&self.sysid_steps_per_device) {
             return Err(bad(format!(
@@ -359,9 +364,11 @@ stale_park_periods = 3
         assert!(DaemonConfig::from_toml_str("[identify]\nsteps_per_device = 1\n").is_err());
     }
 
-    /// A sweep of 10¹² steps per device would reserve 96 TB of rows, and
-    /// 4·10⁹ GPUs would have the sim backend build them all: both are
-    /// refused when the config is read, as is one past each bound.
+    /// A sweep of 10¹² steps per device would reserve 96 TB of rows,
+    /// 4·10⁹ GPUs would have the sim backend build them all, and a
+    /// control period past the meter's 1024 s of history would average
+    /// only its last 1024 s: all are refused when the config is read, as
+    /// is one past each bound.
     #[test]
     fn sizes_past_their_bounds_are_refused() {
         for src in [
@@ -369,13 +376,16 @@ stale_park_periods = 3
             "[identify]\nsteps_per_device = 257\n",
             "[sim]\ngpus = 4000000000\n",
             "[sim]\ngpus = 17\n",
+            "[daemon]\ncontrol_period_s = 1025\n",
         ] {
             let err = DaemonConfig::from_toml_str(src).unwrap_err();
             assert!(err.to_string().contains("must be in"), "{src:?}: {err}");
         }
-        let cfg =
-            DaemonConfig::from_toml_str("[identify]\nsteps_per_device = 256\n[sim]\ngpus = 16\n")
-                .unwrap();
+        let cfg = DaemonConfig::from_toml_str(
+            "[daemon]\ncontrol_period_s = 1024\n[identify]\nsteps_per_device = 256\n[sim]\ngpus = 16\n",
+        )
+        .unwrap();
+        assert_eq!(cfg.control_period_s, 1024);
         assert_eq!((cfg.sysid_steps_per_device, cfg.sim_gpus), (256, 16));
     }
 

@@ -16,10 +16,11 @@
 //!   that is safe without *any* feedback.
 //! * **Actuation-authority detector** — regresses the observed power
 //!   change `Δp` on the model-predicted change `Σ gᵢ·ΔFᵢ` over a sliding
-//!   window. When the loop commands real frequency moves (excitation
-//!   above a floor) but power does not follow (slope below a ratio), the
-//!   plant has stopped obeying — stuck clocks, rejected commands, or a
-//!   stuck meter all land here — and the MPC's model is actively harmful.
+//!   window. When the applied clocks really move (excitation above a
+//!   floor) but power does not follow (slope below a ratio), the plant
+//!   has stopped obeying and the MPC's model is actively harmful. The
+//!   unit tests drive it with such a plant directly; no injected fault
+//!   kind is shown to trip it.
 //! * **Per-device quarantine** — a device seen ejected is pinned to its
 //!   frequency floor after re-admission until it proves healthy, so a
 //!   flapping GPU cannot whipsaw the budget redistribution.

@@ -166,7 +166,7 @@ fn llm_model() -> LlmServiceModel {
         step_overhead_s: 5e-4,
         max_batch: 32,
         kv_budget_tokens: 60_000,
-        chunk_tokens: Some(512),
+        chunk_tokens: 512,
         gpu_util_prefill: 0.95,
         gpu_util_decode: 0.55,
     }
@@ -209,34 +209,10 @@ fn llm_cases() -> Vec<LlmCase> {
             clock: two_level,
         },
         LlmCase {
-            name: "unchunked",
-            model: LlmServiceModel {
-                chunk_tokens: None,
-                ..llm_model()
-            },
-            spec: typical(),
-            queue_capacity: 256,
-            clock: two_level,
-        },
-        LlmCase {
             name: "tight_kv",
             model: LlmServiceModel {
                 kv_budget_tokens: 900,
                 max_batch: 8,
-                ..llm_model()
-            },
-            spec: llm_spec(4.0, (300, 400), (200, 400)),
-            queue_capacity: 64,
-            clock: two_level,
-        },
-        // Unchunked under cache pressure: a pending prefill stalls every
-        // decode, so the relief loop sees zero growth until it drains.
-        LlmCase {
-            name: "unchunked_tight_kv",
-            model: LlmServiceModel {
-                kv_budget_tokens: 900,
-                max_batch: 8,
-                chunk_tokens: None,
                 ..llm_model()
             },
             spec: llm_spec(4.0, (300, 400), (200, 400)),
@@ -270,7 +246,7 @@ fn llm_hash(case: &LlmCase, seed: u64) -> u64 {
         hash_serve_window(&mut h, &stats);
     }
     match case.name {
-        "tight_kv" | "unchunked_tight_kv" => assert!(
+        "tight_kv" => assert!(
             engine.preemptions_total() > 100,
             "{} seed {seed}: only {} preemptions",
             case.name,
@@ -303,22 +279,14 @@ fn llm_engine_streams_are_pinned() {
     check("LlmEngine", &got, &LLM_PINS);
 }
 
-const LLM_PINS: [(&str, [u64; 3]); 6] = [
+const LLM_PINS: [(&str, [u64; 3]); 4] = [
     (
         "chunked",
         [0xf3b035d11104eebc, 0x5859623fff4b5603, 0xcb5abfb153dc5cab],
     ),
     (
-        "unchunked",
-        [0x0ba46c5e14621b6d, 0x7865a1caa8212a18, 0x756e426e30463dbf],
-    ),
-    (
         "tight_kv",
         [0x0994119fa03ebbea, 0x4b7c0a7c9139c56e, 0xf353d040e63f6256],
-    ),
-    (
-        "unchunked_tight_kv",
-        [0xe38955a53a55775c, 0x83f395e2a0ea1717, 0x52eaf9d24a7718ef],
     ),
     (
         "small_queue",
@@ -349,16 +317,6 @@ fn serve_cases() -> Vec<ServeCase> {
             name: "overload_sheds",
             arrival: ArrivalProcess::Poisson { rate_rps: 800.0 },
             batch_timeout_s: 0.05,
-        },
-        ServeCase {
-            name: "bursty_mmpp",
-            arrival: ArrivalProcess::Mmpp {
-                rate_low_rps: 60.0,
-                rate_high_rps: 600.0,
-                mean_dwell_low_s: 8.0,
-                mean_dwell_high_s: 2.0,
-            },
-            batch_timeout_s: 0.02,
         },
         ServeCase {
             name: "zero_timeout_trickle",
@@ -409,7 +367,7 @@ fn serve_engine_streams_are_pinned() {
     check("ServeEngine", &got, &SERVE_PINS);
 }
 
-const SERVE_PINS: [(&str, [u64; 3]); 4] = [
+const SERVE_PINS: [(&str, [u64; 3]); 3] = [
     (
         "underload",
         [0xdcf13af795970500, 0xd02428d084ec921f, 0x51a8a9617bdbe497],
@@ -417,10 +375,6 @@ const SERVE_PINS: [(&str, [u64; 3]); 4] = [
     (
         "overload_sheds",
         [0xc26bcc470a7ee7b6, 0x147190d21d03863d, 0xd219825b77e2f070],
-    ),
-    (
-        "bursty_mmpp",
-        [0xb478d950c2529480, 0x091ffe6b3575fed1, 0x21ed3a6c88171fc8],
     ),
     (
         "zero_timeout_trickle",

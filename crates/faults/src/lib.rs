@@ -2,8 +2,8 @@
 //!
 //! The paper's stability analysis covers multiplicative model error; a
 //! production power-capping loop must also survive *structural* failures
-//! — meters that drop out or drift, clocks that stick or reject
-//! commands, GPUs that fall off the bus, PSUs that derate the budget
+//! — meters that drop out or drift, clocks that stick, GPUs that fall
+//! off the bus, PSUs that derate the budget
 //! mid-run. This crate describes those failures as data: a
 //! [`FaultSchedule`] is a list of [`FaultSpec`]s (fault kind × target
 //! device × onset period × duration/intermittency) that the experiment
@@ -45,8 +45,6 @@ use serde::{Deserialize, Serialize};
 pub enum FaultKind {
     /// Meter produces no samples (telemetry).
     MeterDropout,
-    /// Meter repeats its last good sample (telemetry).
-    MeterStuck,
     /// Meter reads offset by `watts` plus `drift_w_per_s` per second of
     /// fault age (telemetry).
     MeterBias {
@@ -55,27 +53,10 @@ pub enum FaultKind {
         /// Drift per second of fault age (W/s).
         drift_w_per_s: f64,
     },
-    /// Meter reports each sample `seconds` late (telemetry).
-    MeterDelay {
-        /// Reporting delay in seconds.
-        seconds: usize,
-    },
     /// A GPU's clock freezes at its current value (actuator).
     ClockStuck {
         /// Target device index.
         device: usize,
-    },
-    /// A GPU's driver rejects set-clock commands (actuator).
-    CommandRejected {
-        /// Target device index.
-        device: usize,
-    },
-    /// A GPU only honors a coarse clock grid (actuator).
-    CoarseQuantize {
-        /// Target device index.
-        device: usize,
-        /// Coarse quantization step (MHz), must be positive.
-        step_mhz: f64,
     },
     /// A GPU falls off the bus; clearing models re-admission (actuator).
     Ejected {
@@ -96,12 +77,8 @@ impl FaultKind {
     pub fn label(&self) -> &'static str {
         match self {
             FaultKind::MeterDropout => "meter_dropout",
-            FaultKind::MeterStuck => "meter_stuck",
             FaultKind::MeterBias { .. } => "meter_bias",
-            FaultKind::MeterDelay { .. } => "meter_delay",
             FaultKind::ClockStuck { .. } => "clock_stuck",
-            FaultKind::CommandRejected { .. } => "command_rejected",
-            FaultKind::CoarseQuantize { .. } => "coarse_quantize",
             FaultKind::Ejected { .. } => "ejected",
             FaultKind::PsuDerate { .. } => "psu_derate",
         }
@@ -110,10 +87,7 @@ impl FaultKind {
     /// The device this fault targets, if it is device-scoped.
     pub fn device(&self) -> Option<usize> {
         match *self {
-            FaultKind::ClockStuck { device }
-            | FaultKind::CommandRejected { device }
-            | FaultKind::CoarseQuantize { device, .. }
-            | FaultKind::Ejected { device } => Some(device),
+            FaultKind::ClockStuck { device } | FaultKind::Ejected { device } => Some(device),
             _ => None,
         }
     }
@@ -131,7 +105,6 @@ impl FaultKind {
     pub fn apply(&self, server: &mut Server) -> capgpu_sim::Result<()> {
         match *self {
             FaultKind::MeterDropout => server.set_meter_fault(Some(MeterFault::Dropout)),
-            FaultKind::MeterStuck => server.set_meter_fault(Some(MeterFault::Stuck)),
             FaultKind::MeterBias {
                 watts,
                 drift_w_per_s,
@@ -139,17 +112,9 @@ impl FaultKind {
                 watts,
                 drift_w_per_s,
             })),
-            FaultKind::MeterDelay { seconds } => {
-                server.set_meter_fault(Some(MeterFault::Delay { seconds }))
-            }
             FaultKind::ClockStuck { device } => {
                 server.set_actuator_fault(device, Some(ActuatorFault::StuckClock))?
             }
-            FaultKind::CommandRejected { device } => {
-                server.set_actuator_fault(device, Some(ActuatorFault::RejectCommands))?
-            }
-            FaultKind::CoarseQuantize { device, step_mhz } => server
-                .set_actuator_fault(device, Some(ActuatorFault::CoarseQuantize { step_mhz }))?,
             FaultKind::Ejected { device } => {
                 server.set_actuator_fault(device, Some(ActuatorFault::Ejected))?
             }
@@ -165,14 +130,10 @@ impl FaultKind {
     /// Propagates [`capgpu_sim::SimError`] for out-of-range devices.
     pub fn clear(&self, server: &mut Server) -> capgpu_sim::Result<()> {
         match *self {
-            FaultKind::MeterDropout
-            | FaultKind::MeterStuck
-            | FaultKind::MeterBias { .. }
-            | FaultKind::MeterDelay { .. } => server.set_meter_fault(None),
-            FaultKind::ClockStuck { device }
-            | FaultKind::CommandRejected { device }
-            | FaultKind::CoarseQuantize { device, .. }
-            | FaultKind::Ejected { device } => server.set_actuator_fault(device, None)?,
+            FaultKind::MeterDropout | FaultKind::MeterBias { .. } => server.set_meter_fault(None),
+            FaultKind::ClockStuck { device } | FaultKind::Ejected { device } => {
+                server.set_actuator_fault(device, None)?
+            }
             FaultKind::PsuDerate { .. } => server.set_psu_limit(None)?,
         }
         Ok(())
@@ -380,11 +341,6 @@ impl FaultSchedule {
                 }
             }
             match spec.kind {
-                FaultKind::CoarseQuantize { step_mhz, .. }
-                    if step_mhz <= 0.0 || !step_mhz.is_finite() =>
-                {
-                    return Err(FaultError::BadParam("coarse-quantize step must be > 0"));
-                }
                 FaultKind::PsuDerate { limit_watts }
                     if limit_watts <= 0.0 || !limit_watts.is_finite() =>
                 {
@@ -467,7 +423,10 @@ mod tests {
     #[test]
     fn permanent_fault_never_expires() {
         let s = FaultSpec {
-            kind: FaultKind::MeterStuck,
+            kind: FaultKind::MeterBias {
+                watts: 10.0,
+                drift_w_per_s: 0.0,
+            },
             onset_period: 2,
             duration: None,
             intermittency: None,
@@ -559,18 +518,15 @@ mod tests {
             Err(FaultError::DeviceOutOfRange { device: 9, .. })
         ));
 
-        let bad_step = FaultSchedule {
+        let bad_limit = FaultSchedule {
             specs: vec![FaultSpec {
-                kind: FaultKind::CoarseQuantize {
-                    device: 1,
-                    step_mhz: -5.0,
-                },
+                kind: FaultKind::PsuDerate { limit_watts: -5.0 },
                 onset_period: 0,
                 duration: None,
                 intermittency: None,
             }],
         };
-        assert!(bad_step.validate(&PAPER_KINDS).is_err());
+        assert!(bad_limit.validate(&PAPER_KINDS).is_err());
 
         let zero_duration = FaultSchedule {
             specs: vec![FaultSpec {

@@ -59,7 +59,7 @@ pub struct FleetTopology {
     root: Node,
     servers: Vec<ServerSpec>,
     rack_of: Vec<usize>,
-    rack_labels: Vec<String>,
+    num_racks: usize,
 }
 
 /// The result of one budget division: per-server allocations plus every
@@ -149,7 +149,7 @@ impl FleetTopology {
             },
             servers: Vec::new(),
             rack_of: Vec::new(),
-            rack_labels: Vec::new(),
+            num_racks: 0,
         };
         match &root {
             Node::Server(_) => {
@@ -188,8 +188,8 @@ impl FleetTopology {
                 // This group is a rack iff it directly parents servers.
                 let mut rack_id = None;
                 if children.iter().any(|c| matches!(c, Node::Server(_))) {
-                    rack_id = Some(self.rack_labels.len());
-                    self.rack_labels.push(label.clone());
+                    rack_id = Some(self.num_racks);
+                    self.num_racks += 1;
                 }
                 for child in children {
                     self.flatten(child, rack_id)?;
@@ -242,14 +242,9 @@ impl FleetTopology {
         &self.rack_of
     }
 
-    /// Rack labels, in rack index order.
-    pub fn rack_labels(&self) -> &[String] {
-        &self.rack_labels
-    }
-
     /// Number of racks.
     pub fn num_racks(&self) -> usize {
-        self.rack_labels.len()
+        self.num_racks
     }
 
     /// Hierarchically water-fills `budget` down the tree against
@@ -398,10 +393,7 @@ mod tests {
         let t = two_rack_tree();
         assert_eq!(t.len(), 3);
         assert_eq!(t.rack_of(), &[0, 0, 1]);
-        assert_eq!(
-            t.rack_labels(),
-            &["rack-a".to_string(), "rack-b".to_string()]
-        );
+        assert_eq!(t.num_racks(), 2);
         assert_eq!(t.servers()[2].class, 1);
     }
 

@@ -43,14 +43,6 @@ impl Complex {
     pub fn abs(&self) -> f64 {
         self.re.hypot(self.im)
     }
-
-    /// Complex multiplication.
-    pub fn mul(&self, other: &Complex) -> Complex {
-        Complex::new(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-    }
 }
 
 impl std::fmt::Display for Complex {
@@ -424,9 +416,6 @@ mod tests {
 
     #[test]
     fn complex_arithmetic() {
-        let a = Complex::new(1.0, 2.0);
-        let b = Complex::new(3.0, -1.0);
-        assert_eq!(a.mul(&b), Complex::new(5.0, 5.0));
         assert!((Complex::new(3.0, 4.0).abs() - 5.0).abs() < 1e-12);
     }
 

@@ -116,13 +116,6 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Returns the main diagonal as a vector.
-    pub fn diag(&self) -> Vec<f64> {
-        (0..self.rows.min(self.cols))
-            .map(|i| self[(i, i)])
-            .collect()
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -355,7 +348,10 @@ mod tests {
         let i = Matrix::identity(3);
         assert_eq!(i[(0, 0)], 1.0);
         assert_eq!(i[(0, 1)], 0.0);
-        assert_eq!(i.diag(), vec![1.0, 1.0, 1.0]);
+        assert_eq!(
+            i,
+            Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0]])
+        );
     }
 
     #[test]
@@ -425,7 +421,7 @@ mod tests {
         assert!(m.add_diagonal(1.0).is_err());
         let mut s = Matrix::zeros(2, 2);
         s.add_diagonal(2.5).unwrap();
-        assert_eq!(s.diag(), vec![2.5, 2.5]);
+        assert_eq!(s, Matrix::from_rows(&[&[2.5, 0.0], &[0.0, 2.5]]));
     }
 
     #[test]

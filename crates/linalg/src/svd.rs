@@ -147,7 +147,7 @@ mod tests {
         assert!((sum_sq - fro * fro).abs() < 1e-9);
         // Largest singular value bounds the matvec gain.
         let y = a.matvec(&[1.0, 0.0]);
-        let gain = crate::vector::norm2(&y);
+        let gain = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!(gain <= s[0] + 1e-9);
     }
 

@@ -36,6 +36,18 @@ fn spd_matrix(n: usize) -> impl Strategy<Value = Matrix> {
     })
 }
 
+/// Sum of the main diagonal of a square matrix.
+fn trace(a: &Matrix) -> f64 {
+    (0..a.rows()).map(|i| a[(i, i)]).sum()
+}
+
+/// Product of complex numbers, `(re, im)` pairs multiplied in order.
+fn product(zs: &[eig::Complex]) -> eig::Complex {
+    zs.iter().fold(eig::Complex::real(1.0), |acc, z| {
+        eig::Complex::new(acc.re * z.re - acc.im * z.im, acc.re * z.im + acc.im * z.re)
+    })
+}
+
 proptest! {
     #[test]
     fn lu_solve_recovers_solution(a in dominant_matrix(4), x in vec_f64(4)) {
@@ -100,7 +112,7 @@ proptest! {
     #[test]
     fn eigenvalue_sum_matches_trace(a in dominant_matrix(5)) {
         let eigs = eig::eigenvalues(&a).unwrap();
-        let trace: f64 = a.diag().iter().sum();
+        let trace = trace(&a);
         let sum: f64 = eigs.iter().map(|e| e.re).sum();
         let imag_sum: f64 = eigs.iter().map(|e| e.im).sum();
         prop_assert!((trace - sum).abs() < 1e-6 * trace.abs().max(1.0));
@@ -111,9 +123,7 @@ proptest! {
     fn eigenvalue_product_matches_det(a in dominant_matrix(4)) {
         let eigs = eig::eigenvalues(&a).unwrap();
         let det = Lu::new(&a).unwrap().det();
-        let prod = eigs
-            .iter()
-            .fold(eig::Complex::real(1.0), |acc, e| acc.mul(e));
+        let prod = product(&eigs);
         prop_assert!(prod.im.abs() < 1e-5 * det.abs().max(1.0));
         prop_assert!((prod.re - det).abs() < 1e-5 * det.abs().max(1.0));
     }
@@ -129,13 +139,11 @@ fn trace_and_det_invariants_5x5() {
         &[0.6, -1.1, 0.8, 1.9, -1.5],
     ]);
     let eigs = eig::eigenvalues(&a).unwrap();
-    let trace: f64 = a.diag().iter().sum();
+    let trace = trace(&a);
     let eig_sum: f64 = eigs.iter().map(|e| e.re).sum();
     assert!((trace - eig_sum).abs() < 1e-8, "trace {trace} vs {eig_sum}");
     let det = Lu::new(&a).unwrap().det();
-    let eig_prod = eigs
-        .iter()
-        .fold(eig::Complex::real(1.0), |acc, e| acc.mul(e));
+    let eig_prod = product(&eigs);
     assert!(eig_prod.im.abs() < 1e-7);
     assert!((det - eig_prod.re).abs() < 1e-6 * det.abs().max(1.0));
 }

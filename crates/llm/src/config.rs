@@ -87,10 +87,9 @@ pub struct LlmServiceModel {
     pub max_batch: usize,
     /// KV-cache capacity in tokens.
     pub kv_budget_tokens: usize,
-    /// Chunked prefill: interleave at most this many prompt tokens with
-    /// each decode step instead of running prompt passes to completion
-    /// (`None` = unchunked, decode stalls behind whole prefills).
-    pub chunk_tokens: Option<usize>,
+    /// Chunked prefill: at most this many prompt tokens ride along with
+    /// each decode step, so decodes never stall behind a whole prompt.
+    pub chunk_tokens: usize,
     /// GPU utilization while the device is prefill-busy (power model
     /// coupling; compute-bound prefill drives the core hard).
     pub gpu_util_prefill: f64,
@@ -146,10 +145,8 @@ impl LlmServiceModel {
                 "kv_budget_tokens must be >= 1 (a zero KV budget admits nothing)",
             ));
         }
-        if self.chunk_tokens == Some(0) {
-            return Err(LlmError::BadConfig(
-                "chunk_tokens must be >= 1 when chunked prefill is enabled",
-            ));
+        if self.chunk_tokens == 0 {
+            return Err(LlmError::BadConfig("chunk_tokens must be >= 1"));
         }
         let util = |x: f64| x > 0.0 && x <= 1.0;
         if !util(self.gpu_util_prefill) {
@@ -178,13 +175,7 @@ impl LlmServiceModel {
         (self.f_max_mhz / f_eff_mhz).powf(self.gamma_decode)
     }
 
-    /// Prefill time for `tokens` prompt tokens at effective frequency
-    /// `f_eff_mhz`.
-    pub fn prefill_s(&self, tokens: usize, f_eff_mhz: f64) -> f64 {
-        self.prefill_s_scaled(tokens, self.prefill_freq_factor(f_eff_mhz))
-    }
-
-    /// [`LlmServiceModel::prefill_s`] given the clock's
+    /// Prefill time for `tokens` prompt tokens given the clock's
     /// [`LlmServiceModel::prefill_freq_factor`].
     #[inline]
     pub(crate) fn prefill_s_scaled(&self, tokens: usize, freq_factor: f64) -> f64 {
@@ -298,7 +289,7 @@ mod tests {
             step_overhead_s: 5e-4,
             max_batch: 32,
             kv_budget_tokens: 60_000,
-            chunk_tokens: Some(512),
+            chunk_tokens: 512,
             gpu_util_prefill: 0.95,
             gpu_util_decode: 0.55,
         }
@@ -333,7 +324,7 @@ mod tests {
         m.kv_budget_tokens = 0;
         assert!(msg(m).contains("kv_budget_tokens"));
         let mut m = model();
-        m.chunk_tokens = Some(0);
+        m.chunk_tokens = 0;
         assert!(msg(m).contains("chunk_tokens"));
         let mut m = model();
         m.gpu_util_decode = 1.5;
@@ -393,8 +384,8 @@ mod tests {
         }
         let m = model();
         // Prefill halves its speed roughly with frequency (γ ≈ 1)...
-        let fast = m.prefill_s(1000, 1380.0);
-        let slow = m.prefill_s(1000, 690.0);
+        let prefill_s = |f| m.prefill_s_scaled(1000, m.prefill_freq_factor(f));
+        let (fast, slow) = (prefill_s(1380.0), prefill_s(690.0));
         assert!(slow / fast > 1.8);
         // ...while decode barely notices the same cut (γ ≈ 0.2).
         let dfast = m.decode_step_s(10_000, 1380.0);

@@ -7,9 +7,8 @@
 //! the running set; requests join the running set between steps as KV
 //! headroom allows and leave the moment their last token is emitted —
 //! decodes never wait for a batch to re-form (vLLM/Orca-style in-flight
-//! batching). Without chunked prefill a pending prompt runs to
-//! completion first and every resident decode stalls behind it, the
-//! classic TTFT-vs-ITL trade the chunk option exists to soften.
+//! batching). Chunked prefill bounds the prompt work in any one step, so
+//! a long prompt never stalls the resident decodes behind it.
 //!
 //! ## KV-cache accounting
 //!
@@ -133,7 +132,7 @@ struct Step {
     /// Prompt tokens materialized by this step.
     prefill_tokens: usize,
     /// Requests emitting one token each: every decode-ready request of
-    /// `running`, or none (unchunked, behind a pending prefill).
+    /// `running`.
     decoders: usize,
     /// Fraction of the step's wall time attributed to prefill (busy-time
     /// split for the phase-mix signal).
@@ -365,7 +364,6 @@ impl LlmEngine {
         if self.running.is_empty() {
             return;
         }
-        let chunked = self.model.chunk_tokens.is_some();
         // The one pass over the running set: how many requests are
         // decode-ready, the context they hold (the KV tokens a decode pass
         // reads), and the oldest request still owed prefill.
@@ -378,20 +376,11 @@ impl LlmEngine {
                 first_pending = Some(i);
             }
         }
-        // Cache-pressure relief: every decode-eligible request grows its
+        // Cache-pressure relief: every decode-ready request grows its
         // context by one this step; preempt the youngest resident until
         // the growth fits (validation guarantees a lone request always
-        // does). In unchunked mode a pending prefill stalls all decodes,
-        // so there is no growth to make room for.
-        loop {
-            let n_decode = if !chunked && first_pending.is_some() {
-                0
-            } else {
-                ready
-            };
-            if self.kv_used + n_decode <= self.model.kv_budget_tokens || self.running.len() <= 1 {
-                break;
-            }
+        // does).
+        while self.kv_used + ready > self.model.kv_budget_tokens && self.running.len() > 1 {
             let mut victim = self.running.pop().expect("non-empty");
             if victim.prefill_remaining() == 0 {
                 ready -= 1;
@@ -407,21 +396,14 @@ impl LlmEngine {
         }
         // Assemble the step: one prompt chunk (the oldest incomplete
         // context) plus a decode token for every context-complete
-        // request — or, unchunked, the whole prompt with decode stalled.
+        // request. A non-empty running set always has one or the other.
         let prefill_tokens = first_pending.map_or(0, |i| {
-            let remaining = self.running[i].prefill_remaining();
             self.model
                 .chunk_tokens
-                .map_or(remaining, |chunk| chunk.min(remaining))
+                .min(self.running[i].prefill_remaining())
         });
-        let decoders = if chunked || first_pending.is_none() {
-            ready
-        } else {
-            0
-        };
-        if prefill_tokens == 0 && decoders == 0 {
-            return;
-        }
+        let decoders = ready;
+        debug_assert!(prefill_tokens > 0 || decoders > 0);
         let prefill_s = if prefill_tokens > 0 {
             self.model.prefill_s_scaled(prefill_tokens, freq.prefill)
         } else {
@@ -618,7 +600,7 @@ mod tests {
             step_overhead_s: 5e-4,
             max_batch: 32,
             kv_budget_tokens: 60_000,
-            chunk_tokens: Some(512),
+            chunk_tokens: 512,
             gpu_util_prefill: 0.95,
             gpu_util_decode: 0.55,
         }
@@ -727,30 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn unchunked_prefill_stalls_decode_harder() {
-        // The same workload with and without chunked prefill: unchunked
-        // runs whole prompts ahead of decode, so the worst inter-token
-        // gap grows past the chunked engine's.
-        let worst_itl = |chunk: Option<usize>| {
-            let mut m = model();
-            m.chunk_tokens = chunk;
-            let mut e = LlmEngine::new(m, spec(2.5), 256, 19).unwrap();
-            let mut worst = 0.0_f64;
-            for _ in 0..180 {
-                let s = e.advance(1.0, 1380.0);
-                worst = s.inter_token_s.iter().cloned().fold(worst, f64::max);
-            }
-            worst
-        };
-        let chunked = worst_itl(Some(256));
-        let unchunked = worst_itl(None);
-        assert!(
-            unchunked > 1.3 * chunked,
-            "unchunked worst ITL {unchunked} vs chunked {chunked}"
-        );
-    }
-
-    #[test]
     fn prefill_slows_with_frequency_decode_barely_does() {
         // Prefill-heavy workload: long prompts, one-token outputs.
         let share_and_tps = |prompt: TokenRange, output: TokenRange, f: f64| {
@@ -830,28 +788,37 @@ mod tests {
             ..model()
         };
         let sp = LlmTaskSpec {
-            arrival: ArrivalProcess::Trace {
-                iats: vec![1.0, 0.5, 1000.0],
-            },
+            arrival: ArrivalProcess::Poisson { rate_rps: 1e-3 },
             prompt: TokenRange::fixed(2),
             output: TokenRange::fixed(2),
             ttft_slo_s: 5.0,
             itl_slo_s: 5.0,
         };
         let mut e = LlmEngine::new(m, sp, 8, 1).unwrap();
-        // A arrives at 1.0: handling it schedules B's arrival (1.5) and
-        // *then* launches A's prefill step, done at 1.0 + 0.25 + 0.25 =
-        // 1.5 as well. B's arrival was scheduled first, so it is handled
-        // first and B is queued when the completion launches the next
-        // step: that step prefills B beside A's first decode (1.0 s, done
-        // 2.5), the one after decodes both (0.75 s, done 3.25). Handled the
-        // other way round, A would decode alone and see its first token
-        // at 2.25.
-        let s = e.advance(5.0, 1000.0);
+        // Poisson draws never tie, so each window first moves the pending
+        // arrival to a chosen time, keeping the sequence number the engine
+        // stamped on it when it was drawn. Arrivals land at 1.0 (A) and
+        // 1.5 (B); the third is pushed past the horizon.
+        let mut windows = Vec::new();
+        for (arrival_at, until) in [(1.0, 1.0), (1.5, 1.5), (1000.0, 5.0)] {
+            e.next_arrival.at = arrival_at;
+            windows.push(e.advance(until - e.now(), 1000.0));
+        }
+        // Handling A at 1.0 draws B's arrival and *then* launches A's
+        // prefill step, done at 1.0 + 0.25 + 0.25 = 1.5 as well. B's
+        // arrival was scheduled first, so it is handled first and B is
+        // queued when the completion launches the next step: that step
+        // prefills B beside A's first decode (1.0 s, done 2.5), the one
+        // after decodes both (0.75 s, done 3.25). Handled the other way
+        // round, A would decode alone and see its first token at 2.25.
+        let s = &windows[2];
         assert_eq!(s.ttft_s, vec![2.5 - 1.0, 3.25 - 1.5]);
         assert_eq!(s.inter_token_s, vec![0.75, 0.75]);
         assert_eq!(s.request_latencies, vec![3.25 - 1.0, 4.0 - 1.5]);
-        assert_eq!((s.arrivals, s.completions, s.batches), (2, 2, 4));
+        let total = |f: fn(&ServeWindowStats) -> usize| windows.iter().map(f).sum::<usize>();
+        assert_eq!(total(|w| w.arrivals), 2);
+        assert_eq!(total(|w| w.completions), 2);
+        assert_eq!(total(|w| w.batches), 4);
         assert!(e.timestamps_monotone());
     }
 

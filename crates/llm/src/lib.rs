@@ -23,9 +23,9 @@
 //!   degenerate inputs are named explicitly).
 //! * [`engine`] — [`LlmEngine`], a deterministic continuous batcher
 //!   (iteration-level scheduling, vLLM-style): decodes proceed
-//!   token-by-token while new prefills join the running set, with an
-//!   optional chunked-prefill mode that interleaves a bounded prompt
-//!   chunk with every decode step; KV-cache occupancy is accounted
+//!   token-by-token while new prefills join the running set, a bounded
+//!   prompt chunk riding along with every decode step (chunked
+//!   prefill); KV-cache occupancy is accounted
 //!   exactly, admission reserves a request's full context and cache
 //!   pressure preempts the youngest request for recompute.
 //!

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 /// decode tokens, TTFT samples, inter-token samples).
 type WindowSig = (usize, usize, usize, usize, Vec<f64>, Vec<f64>);
 
-fn model(kv_budget: usize, max_batch: usize, chunk: Option<usize>) -> LlmServiceModel {
+fn model(kv_budget: usize, max_batch: usize, chunk: usize) -> LlmServiceModel {
     LlmServiceModel {
         f_max_mhz: 1380.0,
         prefill_tok_s: 8000.0,
@@ -52,7 +52,7 @@ proptest! {
         prompt_hi in 50usize..1500,
         output_hi in 4usize..300,
         max_batch in 1usize..24,
-        chunk_raw in 0usize..1024,
+        chunk in 1usize..1024,
         slack in 1usize..2000,
         seed in 0u64..1000,
         f_lo in 500.0..900.0f64,
@@ -60,9 +60,7 @@ proptest! {
     ) {
         // The budget always admits the largest possible request (the
         // deadlock-freedom validation bound) plus a random slack, so
-        // cache pressure ranges from constant thrash to none. Draws
-        // below 64 turn chunked prefill off.
-        let chunk = if chunk_raw < 64 { None } else { Some(chunk_raw) };
+        // cache pressure ranges from constant thrash to none.
         let kv_budget = prompt_hi + output_hi + slack;
         let mut engine = LlmEngine::new(
             model(kv_budget, max_batch, chunk),
@@ -99,9 +97,8 @@ proptest! {
     fn prompt_and_generated_tokens_account_exactly(
         rate in 0.5..4.0f64,
         seed in 0u64..1000,
-        chunk_raw in 0usize..512,
+        chunk in 1usize..512,
     ) {
-        let chunk = if chunk_raw < 64 { None } else { Some(chunk_raw) };
         // With a roomy cache there are no preemptions, so lifetime
         // prefill work equals the prompt lengths of requests that
         // reached the GPU — checked via the per-window counters.
@@ -132,7 +129,7 @@ proptest! {
     ) {
         let run = || {
             let mut engine = LlmEngine::new(
-                model(kv_budget, 16, Some(256)),
+                model(kv_budget, 16, 256),
                 spec(rate, 800, 200),
                 128,
                 seed,

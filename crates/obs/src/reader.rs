@@ -771,11 +771,10 @@ mod tests {
         }
         for _ in 0..rng.below(21) {
             let key = rng.pick(&KEYS);
-            e = match rng.below(5) {
+            e = match rng.below(4) {
                 0 => e.u64(key, rng.next() >> rng.below(64)),
-                1 => e.i64(key, rng.next() as i64 >> rng.below(64)),
-                2 => e.f64(key, arbitrary_f64(rng)),
-                3 => e.bool(key, rng.below(2) == 0),
+                1 => e.f64(key, arbitrary_f64(rng)),
+                2 => e.bool(key, rng.below(2) == 0),
                 _ => e.str(key, &arbitrary_text(rng)),
             };
         }
@@ -1002,11 +1001,6 @@ mod tests {
                         Value::U64(x) => {
                             let f = *x as f64;
                             ((f <= 9_007_199_254_740_992.0).then_some(f as u64), Some(f), None, None)
-                        }
-                        Value::I64(x) => {
-                            let f = *x as f64;
-                            let u = (0.0..=9_007_199_254_740_992.0).contains(&f);
-                            (u.then_some(f as u64), Some(f), None, None)
                         }
                         Value::F64(x) if x.is_finite() => (
                             Scalar::Num(*x).as_u64(),

@@ -101,7 +101,7 @@ pub fn segment_file_name(index: u64) -> String {
 }
 
 /// Parses a segment index out of a file name, if it is one.
-pub fn parse_segment_index(name: &str) -> Option<u64> {
+fn parse_segment_index(name: &str) -> Option<u64> {
     let body = name
         .strip_prefix(SEGMENT_PREFIX)?
         .strip_suffix(SEGMENT_SUFFIX)?;
@@ -186,11 +186,6 @@ impl JournalWriter {
             reaped: 0,
             staged: Vec::new(),
         })
-    }
-
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Index of the segment the next record lands in.

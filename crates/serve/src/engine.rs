@@ -168,19 +168,6 @@ impl ServeWindowStats {
         }
     }
 
-    /// Fraction of the window's busy time spent in prefill-dominated
-    /// work. Returns 1.0 when the window did no phase-attributed work at
-    /// all — an idle (or one-shot) device is fully cap-elastic, so the
-    /// neutral value must not shelter it from the controller.
-    pub fn prefill_share(&self) -> f64 {
-        let total = self.prefill_busy_s + self.decode_busy_s;
-        if total <= 0.0 {
-            1.0
-        } else {
-            (self.prefill_busy_s / total).clamp(0.0, 1.0)
-        }
-    }
-
     /// KV-cache occupancy at window end as a fraction of the budget
     /// (0 without a KV cache).
     pub fn kv_occupancy(&self) -> f64 {
@@ -188,15 +175,6 @@ impl ServeWindowStats {
             0.0
         } else {
             (self.kv_used_tokens_end as f64 / self.kv_budget_tokens as f64).clamp(0.0, 1.0)
-        }
-    }
-
-    /// Tokens processed per second of window time (prefill + decode).
-    pub fn tokens_per_s(&self) -> f64 {
-        if self.window_s <= 0.0 {
-            0.0
-        } else {
-            (self.prefill_tokens + self.decode_tokens) as f64 / self.window_s
         }
     }
 
@@ -620,15 +598,12 @@ mod tests {
     }
 
     #[test]
-    fn phase_helpers_cover_one_shot_and_token_windows() {
-        // A fresh (one-shot) window: no phase work, no KV cache — the
-        // phase share is the neutral 1.0 (fully cap-elastic).
+    fn kv_occupancy_covers_one_shot_and_token_windows() {
+        // A fresh (one-shot) window has no KV cache.
         let mut s = ServeWindowStats::default();
-        assert_eq!(s.prefill_share(), 1.0);
         assert_eq!(s.kv_occupancy(), 0.0);
-        assert_eq!(s.tokens_per_s(), 0.0);
-        // Token-level window: share, occupancy and throughput follow
-        // the counters, and clear_for_window resets all of them.
+        // Token-level window: occupancy follows the counters, and
+        // clear_for_window resets all of them.
         s.window_s = 2.0;
         s.prefill_busy_s = 0.5;
         s.decode_busy_s = 1.5;
@@ -639,16 +614,15 @@ mod tests {
         s.preemptions = 2;
         s.ttft_s.push(0.4);
         s.inter_token_s.push(0.03);
-        assert!((s.prefill_share() - 0.25).abs() < 1e-12);
         assert!((s.kv_occupancy() - 0.5).abs() < 1e-12);
-        assert!((s.tokens_per_s() - 2050.0).abs() < 1e-9);
         s.clear_for_window(1.0);
         assert_eq!(s.prefill_tokens, 0);
         assert_eq!(s.decode_tokens, 0);
         assert_eq!(s.kv_budget_tokens, 0);
         assert_eq!(s.preemptions, 0);
         assert!(s.ttft_s.is_empty() && s.inter_token_s.is_empty());
-        assert_eq!(s.prefill_share(), 1.0);
+        assert_eq!((s.prefill_busy_s, s.decode_busy_s), (0.0, 0.0));
+        assert_eq!(s.kv_occupancy(), 0.0);
     }
 
     #[test]

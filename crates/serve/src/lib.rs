@@ -9,8 +9,8 @@
 //! inflate service time, queues build, and p99 latency diverges long
 //! before the mean does. This crate supplies the missing request level:
 //!
-//! * [`arrivals`] — pluggable arrival processes: Poisson, 2-state MMPP
-//!   (bursty), and deterministic trace-driven arrivals.
+//! * [`arrivals`] — Poisson request arrivals whose intensity a scheduled
+//!   burst can scale.
 //! * [`engine`] — a deterministic discrete-event engine per GPU: a
 //!   seeded, binary-heap event queue over arrivals, batching timeouts
 //!   and batch completions; a bounded FIFO request queue; and a dynamic

@@ -15,23 +15,8 @@ fn model(max_batch: usize, overhead: f64) -> ServiceModel {
     }
 }
 
-fn process(kind: u8, rate: f64) -> ArrivalProcess {
-    match kind % 3 {
-        0 => ArrivalProcess::Poisson { rate_rps: rate },
-        1 => ArrivalProcess::Mmpp {
-            rate_low_rps: rate * 0.5,
-            rate_high_rps: rate * 3.0,
-            mean_dwell_low_s: 6.0,
-            mean_dwell_high_s: 2.0,
-        },
-        // Uneven gaps with mean 1 s, so the mean rate is `rate`.
-        _ => ArrivalProcess::Trace {
-            iats: [0.4, 1.7, 0.9, 0.2, 1.3, 0.5, 2.1, 0.9]
-                .iter()
-                .map(|g| g / rate)
-                .collect(),
-        },
-    }
+fn poisson(seed: u64, rate: f64) -> ArrivalGen {
+    ArrivalGen::new(ArrivalProcess::Poisson { rate_rps: rate }, seed).unwrap()
 }
 
 proptest! {
@@ -39,7 +24,6 @@ proptest! {
 
     #[test]
     fn conservation_and_bounds_hold_at_every_window(
-        kind in 0u8..3,
         rate in 20.0..600.0f64,
         timeout in 0.0..0.2f64,
         max_batch in 1usize..32,
@@ -48,7 +32,7 @@ proptest! {
         f_lo in 400.0..900.0f64,
         f_hi in 900.0..1380.0f64,
     ) {
-        let arrivals = ArrivalGen::new(process(kind, rate), seed).unwrap();
+        let arrivals = poisson(seed, rate);
         let capacity = max_batch.max(64);
         let mut engine =
             ServeEngine::new(model(max_batch, overhead), timeout, capacity, arrivals).unwrap();
@@ -74,12 +58,11 @@ proptest! {
 
     #[test]
     fn same_seed_replays_bit_identical(
-        kind in 0u8..3,
         rate in 20.0..400.0f64,
         seed in 0u64..1000,
     ) {
         let run = || {
-            let arrivals = ArrivalGen::new(process(kind, rate), seed).unwrap();
+            let arrivals = poisson(seed, rate);
             let mut engine =
                 ServeEngine::new(model(20, 0.3), 0.05, 128, arrivals).unwrap();
             let mut sig: Vec<(usize, usize, usize, Vec<f64>)> = Vec::new();
@@ -102,9 +85,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         // A queue big enough for the offered load never sheds.
-        let arrivals =
-            ArrivalGen::new(ArrivalProcess::Poisson { rate_rps: rate }, seed).unwrap();
-        let mut engine = ServeEngine::new(model(20, 0.3), 0.05, 4096, arrivals).unwrap();
+        let mut engine = ServeEngine::new(model(20, 0.3), 0.05, 4096, poisson(seed, rate)).unwrap();
         for _ in 0..30 {
             engine.advance(1.0, 1380.0);
         }

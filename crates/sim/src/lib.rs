@@ -21,12 +21,11 @@
 //!   approximation (R² ≈ 0.96, like Fig. 2a) rather than an oracle.
 //! * **Determinism.** All randomness flows from a caller-provided seed, so
 //!   every experiment trace is reproducible bit-for-bit.
-//! * **Failure injection.** The meter supports dropout / stuck-value /
-//!   bias-drift / delayed-reporting faults, devices support actuator
-//!   faults (stuck or rejected clock commands, coarse quantization,
-//!   ejection off the bus), and the PSU can advertise a derated power
-//!   limit — the injection surface the `capgpu-faults` schedule DSL and
-//!   the supervisory failover layer drive.
+//! * **Failure injection.** The meter supports dropout and bias-drift
+//!   faults, devices support actuator faults (a stuck clock, ejection off
+//!   the bus), and the PSU can advertise a derated power limit — the
+//!   injection surface the `capgpu-faults` schedule DSL and the
+//!   supervisory failover layer drive.
 //!
 //! ```
 //! use capgpu_sim::{presets, ServerBuilder};
@@ -55,7 +54,7 @@ pub mod thermal;
 
 pub use device::{DeviceKind, DeviceSpec, PowerLaw};
 pub use freq::FrequencyTable;
-pub use meter::{MeterFault, PowerMeter};
+pub use meter::{MeterFault, PowerMeter, METER_HISTORY_SAMPLES};
 pub use server::{ActuatorFault, Server, ServerBuilder};
 pub use thermal::{ThermalSpec, ThermalState};
 

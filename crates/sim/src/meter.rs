@@ -4,21 +4,23 @@
 //! lm-sensors (§5): a device that samples total server power once per
 //! second and appends readings the controller averages over each control
 //! period. Sensor noise is Gaussian; fault injection covers dropouts
-//! (no reading), stuck-value failures, additive bias drift, and delayed
-//! reporting (the telemetry-fault family of the `capgpu-faults`
-//! subsystem).
+//! (no reading) and additive bias drift (the telemetry-fault family of
+//! the `capgpu-faults` subsystem).
 
 use std::collections::VecDeque;
 
 use crate::{Result, SimError};
+
+/// Samples a server power meter keeps, at one a second: the simulated
+/// meter's ring and the live backends' history alike. An average can
+/// reach back no further, so no control period may be longer.
+pub const METER_HISTORY_SAMPLES: usize = 1024;
 
 /// Injected meter fault.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MeterFault {
     /// Meter returns no sample.
     Dropout,
-    /// Meter repeats its last good sample.
-    Stuck,
     /// Meter reads high/low by a constant offset plus a linear drift
     /// (sensor decalibration): the reported sample is
     /// `true + noise + watts + drift_w_per_s · age`, where `age` counts
@@ -28,14 +30,6 @@ pub enum MeterFault {
         watts: f64,
         /// Additional drift per second of fault age (W/s).
         drift_w_per_s: f64,
-    },
-    /// Meter reports each sample `seconds` late (a congested BMC): the
-    /// first `seconds` records after injection return nothing, then the
-    /// delayed stream flows. Clearing the fault discards readings still
-    /// in flight — delayed telemetry is lost, not replayed.
-    Delay {
-        /// Reporting delay in whole samples (seconds at 1 Hz).
-        seconds: usize,
     },
 }
 
@@ -50,14 +44,10 @@ pub struct PowerMeter {
     capacity: usize,
     /// Active fault, if any.
     fault: Option<MeterFault>,
-    /// Last good (pre-fault) sample.
-    last_good: Option<f64>,
     /// Total samples taken (including faulted periods).
     total_samples: u64,
     /// Seconds since the active fault was injected (drives bias drift).
     fault_age_s: u64,
-    /// Readings in flight during a [`MeterFault::Delay`].
-    delayed: VecDeque<f64>,
     /// `total_samples` at the most recent *successful* record, for
     /// sample-age queries ([`PowerMeter::seconds_since_last_sample`]).
     last_recorded_at: Option<u64>,
@@ -81,10 +71,8 @@ impl PowerMeter {
             samples: VecDeque::with_capacity(capacity),
             capacity,
             fault: None,
-            last_good: None,
             total_samples: 0,
             fault_age_s: 0,
-            delayed: VecDeque::new(),
             last_recorded_at: None,
         })
     }
@@ -94,17 +82,10 @@ impl PowerMeter {
         self.noise_std
     }
 
-    /// Injects (or clears, with `None`) a fault. Resets the fault age and
-    /// discards any delayed readings still in flight.
+    /// Injects (or clears, with `None`) a fault. Resets the fault age.
     pub fn set_fault(&mut self, fault: Option<MeterFault>) {
         self.fault = fault;
         self.fault_age_s = 0;
-        self.delayed.clear();
-    }
-
-    /// The active fault, if any.
-    pub fn fault(&self) -> Option<MeterFault> {
-        self.fault
     }
 
     /// Records one 1 Hz sample. `true_power` is the instantaneous server
@@ -112,41 +93,21 @@ impl PowerMeter {
     /// server supplies it from its seeded RNG so the meter itself stays
     /// deterministic and RNG-free).
     ///
-    /// Returns the recorded reading, or `None` when the active fault
-    /// produced no sample (dropout, or a delay line still filling).
+    /// Returns the recorded reading, or `None` during a dropout.
     pub fn record(&mut self, true_power: f64, noise: f64) -> Option<f64> {
         self.total_samples += 1;
         let reading = match self.fault {
             Some(MeterFault::Dropout) => None,
-            Some(MeterFault::Stuck) => self.last_good,
             Some(MeterFault::Bias {
                 watts,
                 drift_w_per_s,
-            }) => {
-                let r = true_power
+            }) => Some(
+                true_power
                     + self.noise_std * noise
                     + watts
-                    + drift_w_per_s * self.fault_age_s as f64;
-                // The meter does not know it is biased: the corrupted
-                // reading becomes its notion of "last good".
-                self.last_good = Some(r);
-                Some(r)
-            }
-            Some(MeterFault::Delay { seconds }) => {
-                self.delayed.push_back(true_power + self.noise_std * noise);
-                if self.delayed.len() > seconds {
-                    let r = self.delayed.pop_front();
-                    self.last_good = r;
-                    r
-                } else {
-                    None
-                }
-            }
-            None => {
-                let r = true_power + self.noise_std * noise;
-                self.last_good = Some(r);
-                Some(r)
-            }
+                    + drift_w_per_s * self.fault_age_s as f64,
+            ),
+            None => Some(true_power + self.noise_std * noise),
         };
         if self.fault.is_some() {
             self.fault_age_s += 1;
@@ -206,11 +167,6 @@ impl PowerMeter {
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
-
-    /// Lifetime sample count (including faulted attempts).
-    pub fn total_samples(&self) -> u64 {
-        self.total_samples
-    }
 }
 
 #[cfg(test)]
@@ -259,15 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn stuck_fault_repeats_last_good() {
-        let mut m = PowerMeter::new(0.0, 4).unwrap();
-        m.record(100.0, 0.0);
-        m.set_fault(Some(MeterFault::Stuck));
-        assert_eq!(m.record(500.0, 0.0), Some(100.0));
-        assert_eq!(m.average_last(2).unwrap(), 100.0);
-    }
-
-    #[test]
     fn bias_fault_drifts_with_age() {
         let mut m = PowerMeter::new(0.0, 8).unwrap();
         m.set_fault(Some(MeterFault::Bias {
@@ -285,20 +232,6 @@ mod tests {
             drift_w_per_s: 1.0,
         }));
         assert_eq!(m.record(100.0, 0.0), Some(90.0));
-    }
-
-    #[test]
-    fn delay_fault_shifts_the_stream() {
-        let mut m = PowerMeter::new(0.0, 8).unwrap();
-        m.set_fault(Some(MeterFault::Delay { seconds: 2 }));
-        assert_eq!(m.record(1.0, 0.0), None);
-        assert_eq!(m.record(2.0, 0.0), None);
-        assert_eq!(m.record(3.0, 0.0), Some(1.0));
-        assert_eq!(m.record(4.0, 0.0), Some(2.0));
-        // Clearing drops the two readings still in flight.
-        m.set_fault(None);
-        assert_eq!(m.record(5.0, 0.0), Some(5.0));
-        assert_eq!(m.len(), 3);
     }
 
     #[test]
@@ -336,7 +269,7 @@ mod tests {
         m.set_fault(Some(MeterFault::Dropout));
         m.record(1.0, 0.0);
         m.record(1.0, 0.0);
-        assert_eq!(m.total_samples(), 2);
+        assert_eq!(m.total_samples, 2);
         assert_eq!(m.len(), 0);
     }
 }

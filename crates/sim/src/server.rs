@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::device::{DeviceSpec, DeviceState};
-use crate::meter::{MeterFault, PowerMeter};
+use crate::meter::{MeterFault, PowerMeter, METER_HISTORY_SAMPLES};
 use crate::thermal::ThermalState;
 use crate::{Result, SimError};
 
@@ -30,19 +30,6 @@ pub enum ActuatorFault {
     /// The clock is frozen at its current applied value: commands are
     /// accepted (the target is recorded) but never take effect.
     StuckClock,
-    /// The driver rejects set-clock commands outright; the applied clock
-    /// keeps its last value. Behaviorally identical to [`StuckClock`]
-    /// from the plant's perspective, kept distinct for reporting.
-    ///
-    /// [`StuckClock`]: ActuatorFault::StuckClock
-    RejectCommands,
-    /// Only a coarse clock grid is honored (degraded driver/firmware):
-    /// targets quantize to multiples of `step_mhz` instead of the
-    /// device's native table, clamped to the table's range.
-    CoarseQuantize {
-        /// Coarse quantization step (MHz); must be positive.
-        step_mhz: f64,
-    },
     /// The device has fallen off the bus: it draws no power, performs no
     /// work, and ignores commands. Clearing the fault models
     /// re-admission — the device re-enters at its minimum clock with
@@ -86,13 +73,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Sets the amplitude of the slow sinusoidal platform drift.
-    #[must_use]
-    pub fn platform_drift_watts(mut self, watts: f64) -> Self {
-        self.platform_drift_watts = watts;
-        self
-    }
-
     /// Sets the meter's Gaussian noise standard deviation (W).
     #[must_use]
     pub fn meter_noise_std(mut self, std: f64) -> Self {
@@ -124,7 +104,7 @@ impl ServerBuilder {
                 mem_throttled: false,
             })
             .collect();
-        let meter = PowerMeter::new(self.meter_noise_std, 1024)?;
+        let meter = PowerMeter::new(self.meter_noise_std, METER_HISTORY_SAMPLES)?;
         let thermal_states = self
             .devices
             .iter()
@@ -271,12 +251,8 @@ impl Server {
         let applied = match self.actuator_faults[idx] {
             // Command path dead: the target is recorded (the tool "ran")
             // but the applied clock does not move.
-            Some(ActuatorFault::StuckClock)
-            | Some(ActuatorFault::RejectCommands)
-            | Some(ActuatorFault::Ejected) => self.states[idx].applied_mhz,
-            Some(ActuatorFault::CoarseQuantize { step_mhz }) => {
-                let coarse = (target_mhz / step_mhz).round() * step_mhz;
-                coarse.clamp(spec.freq_table.min(), spec.freq_table.max())
+            Some(ActuatorFault::StuckClock) | Some(ActuatorFault::Ejected) => {
+                self.states[idx].applied_mhz
             }
             None => spec.freq_table.quantize(target_mhz),
         };
@@ -380,56 +356,13 @@ impl Server {
             .ok_or(SimError::NoSuchDevice(idx))
     }
 
-    /// Ground-truth instantaneous power at the given per-device
-    /// utilizations — **not** what a controller should read (use the meter);
-    /// exposed for tests and oracle comparisons.
-    ///
-    /// # Errors
-    /// [`SimError::WrongArity`] on utilization length mismatch.
-    pub fn true_power(&self, utils: &[f64]) -> Result<f64> {
-        if utils.len() != self.devices.len() {
-            return Err(SimError::WrongArity {
-                expected: self.devices.len(),
-                got: utils.len(),
-            });
-        }
-        let drift = self.platform_drift_watts
-            * (2.0 * std::f64::consts::PI * self.elapsed_seconds as f64 / DRIFT_PERIOD_S).sin();
-        let device_power: f64 = self
-            .devices
-            .iter()
-            .zip(self.states.iter())
-            .zip(utils.iter())
-            .zip(self.thermal_states.iter())
-            .zip(self.actuator_faults.iter())
-            .map(|((((spec, state), &u), th), fault)| {
-                if matches!(fault, Some(ActuatorFault::Ejected)) {
-                    0.0
-                } else {
-                    device_power_at(spec, state, effective_mhz(spec, state, th), u)
-                }
-            })
-            .sum();
-        Ok(self.platform_watts + drift + device_power)
-    }
-
-    /// Per-device power readings at the given utilizations — what
-    /// RAPL / `nvidia-smi` would report per package/board. Used by the
-    /// split-budget baseline (the paper reads GPU power via `nvidia-smi`
-    /// for its baselines); CapGPU itself needs only the server meter.
-    ///
-    /// # Errors
-    /// [`SimError::WrongArity`] on utilization length mismatch.
-    pub fn per_device_power(&self, utils: &[f64]) -> Result<Vec<f64>> {
-        let mut out = Vec::new();
-        self.per_device_power_into(utils, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes per-device power readings into `out` (resized to the device
-    /// count). Allocation-free variant of [`Server::per_device_power`] —
-    /// this is called every simulated second by [`Server::tick_second`]
-    /// and every control period by the runner.
+    /// Writes per-device power readings at the given utilizations into
+    /// `out` (resized to the device count) — what RAPL / `nvidia-smi`
+    /// would report per package/board. Used by the split-budget baseline
+    /// (the paper reads GPU power via `nvidia-smi` for its baselines);
+    /// CapGPU itself needs only the server meter. Called every simulated
+    /// second by [`Server::tick_second`] and every control period by the
+    /// runner, so it does not allocate.
     ///
     /// # Errors
     /// [`SimError::WrongArity`] on utilization length mismatch.
@@ -459,6 +392,14 @@ impl Server {
         Ok(())
     }
 
+    /// Platform power at the current second: the constant floor plus the
+    /// slow sinusoidal drift.
+    fn platform_power(&self) -> f64 {
+        self.platform_watts
+            + self.platform_drift_watts
+                * (2.0 * std::f64::consts::PI * self.elapsed_seconds as f64 / DRIFT_PERIOD_S).sin()
+    }
+
     /// Advances one second of wall-clock time: computes true power at the
     /// given utilizations and records one meter sample. Returns the meter
     /// reading (`None` during a dropout fault).
@@ -474,10 +415,8 @@ impl Server {
             self.power_scratch = per_device;
             return Err(e);
         }
-        let drift = self.platform_drift_watts
-            * (2.0 * std::f64::consts::PI * self.elapsed_seconds as f64 / DRIFT_PERIOD_S).sin();
         let device_power: f64 = per_device.iter().sum();
-        let p = self.platform_watts + drift + device_power;
+        let p = self.platform_power() + device_power;
         // Advance each device's thermal state with its dissipated power;
         // throttling decisions take effect from the next second.
         for (i, th) in self.thermal_states.iter_mut().enumerate() {
@@ -512,19 +451,10 @@ impl Server {
     /// thermal state reset, as after a hot-plug or driver reload.
     ///
     /// # Errors
-    /// * [`SimError::NoSuchDevice`] for an out-of-range index.
-    /// * [`SimError::BadConfig`] for a non-positive/non-finite
-    ///   [`ActuatorFault::CoarseQuantize`] step.
+    /// [`SimError::NoSuchDevice`] for an out-of-range index.
     pub fn set_actuator_fault(&mut self, idx: usize, fault: Option<ActuatorFault>) -> Result<()> {
         if idx >= self.devices.len() {
             return Err(SimError::NoSuchDevice(idx));
-        }
-        if let Some(ActuatorFault::CoarseQuantize { step_mhz }) = fault {
-            if step_mhz <= 0.0 || !step_mhz.is_finite() {
-                return Err(SimError::BadConfig(
-                    "coarse-quantize step must be finite and > 0",
-                ));
-            }
         }
         let was_ejected = matches!(self.actuator_faults[idx], Some(ActuatorFault::Ejected));
         let now_ejected = matches!(fault, Some(ActuatorFault::Ejected));
@@ -593,11 +523,6 @@ impl Server {
         Ok(())
     }
 
-    /// Seconds of simulated time elapsed.
-    pub fn elapsed_seconds(&self) -> u64 {
-        self.elapsed_seconds
-    }
-
     /// Indices of all GPU devices (cached at build; the device set is
     /// immutable, so this is a plain slice read, not a scan).
     pub fn gpu_indices(&self) -> &[usize] {
@@ -624,6 +549,25 @@ impl Server {
 mod tests {
     use super::*;
     use crate::presets;
+
+    impl ServerBuilder {
+        /// Sets the amplitude of the slow sinusoidal platform drift.
+        #[must_use]
+        pub(crate) fn platform_drift_watts(mut self, watts: f64) -> Self {
+            self.platform_drift_watts = watts;
+            self
+        }
+    }
+
+    impl Server {
+        /// Ground-truth instantaneous power at the given per-device
+        /// utilizations: what the meter samples, before its noise.
+        pub(crate) fn true_power(&self, utils: &[f64]) -> Result<f64> {
+            let mut per_device = Vec::new();
+            self.per_device_power_into(utils, &mut per_device)?;
+            Ok(self.platform_power() + per_device.iter().sum::<f64>())
+        }
+    }
 
     fn paper_server(seed: u64) -> Server {
         ServerBuilder::new(seed)
@@ -707,7 +651,7 @@ mod tests {
             let r = s.tick_second(&[1.0; 4]).unwrap();
             assert!(r.is_some());
         }
-        assert_eq!(s.elapsed_seconds(), 4);
+        assert_eq!(s.elapsed_seconds, 4);
         assert_eq!(s.meter().len(), 4);
         let avg = s.meter().average_last(4).unwrap();
         let truth = s.true_power(&[1.0; 4]).unwrap();
@@ -801,30 +745,6 @@ mod actuator_fault_tests {
     }
 
     #[test]
-    fn reject_commands_behaves_like_stuck() {
-        let mut s = one_gpu();
-        s.set_target_frequency(0, 600.0).unwrap();
-        s.set_actuator_fault(0, Some(ActuatorFault::RejectCommands))
-            .unwrap();
-        assert_eq!(s.set_target_frequency(0, 1200.0).unwrap(), 600.0);
-    }
-
-    #[test]
-    fn coarse_quantize_rounds_to_step() {
-        let mut s = one_gpu();
-        s.set_actuator_fault(0, Some(ActuatorFault::CoarseQuantize { step_mhz: 250.0 }))
-            .unwrap();
-        // 900 → 1000 on a 250 MHz grid.
-        assert_eq!(s.set_target_frequency(0, 900.0).unwrap(), 1000.0);
-        // Clamped to the table's range (V100: 435–1350).
-        assert_eq!(s.set_target_frequency(0, 100.0).unwrap(), 435.0);
-        assert_eq!(s.set_target_frequency(0, 2000.0).unwrap(), 1350.0);
-        assert!(s
-            .set_actuator_fault(0, Some(ActuatorFault::CoarseQuantize { step_mhz: 0.0 }))
-            .is_err());
-    }
-
-    #[test]
     fn ejection_zeroes_power_and_readmission_resets() {
         let mut s = one_gpu();
         s.set_target_frequency(0, 1350.0).unwrap();
@@ -839,7 +759,8 @@ mod actuator_fault_tests {
             p_ejected < p_healthy - 50.0,
             "ejected {p_ejected} healthy {p_healthy}"
         );
-        let per = s.per_device_power(&[1.0]).unwrap();
+        let mut per = Vec::new();
+        s.per_device_power_into(&[1.0], &mut per).unwrap();
         assert_eq!(per[0], 0.0);
         // Commands are ignored while off the bus.
         assert_eq!(s.set_target_frequency(0, 900.0).unwrap(), 1350.0);

@@ -23,8 +23,6 @@ pub const SCHEMA_VERSION: u32 = 1;
 pub enum Value {
     /// Unsigned integer.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
     /// Float (rendered with Rust's shortest-roundtrip formatting).
     F64(f64),
     /// Boolean.
@@ -75,12 +73,6 @@ impl Event {
     /// Attach an unsigned-integer field.
     pub fn u64(mut self, key: &'static str, v: u64) -> Self {
         self.fields.push((key, Value::U64(v)));
-        self
-    }
-
-    /// Attach a signed-integer field.
-    pub fn i64(mut self, key: &'static str, v: i64) -> Self {
-        self.fields.push((key, Value::I64(v)));
         self
     }
 
@@ -140,7 +132,6 @@ impl Event {
             out.push_str("\":");
             match v {
                 Value::U64(x) => push_u64(out, *x),
-                Value::I64(x) => push_i64(out, *x),
                 Value::F64(x) => push_json_f64(out, *x),
                 Value::Bool(x) => out.push_str(if *x { "true" } else { "false" }),
                 Value::Str(s) => {
@@ -491,8 +482,8 @@ mod tests {
         let e = Event::new(u64::MAX, 0.1 + 0.2, "period")
             .wall_ms(Some(0))
             .u64("u", 9_007_199_254_740_993)
-            .i64("i", i64::MIN)
             .f64("int", 48.0)
+            .f64("neg_int", -48.0)
             .f64("neg_zero", -0.0)
             .f64("big", 1e15)
             .f64("tiny", -1.5e-7)
@@ -505,7 +496,7 @@ mod tests {
         let want = concat!(
             "{\"v\":1,\"period\":18446744073709551615,\"t_s\":0.30000000000000004,",
             "\"kind\":\"period\",\"wall_ms\":0,\"u\":9007199254740993,",
-            "\"i\":-9223372036854775808,\"int\":48,\"neg_zero\":0,",
+            "\"int\":48,\"neg_int\":-48,\"neg_zero\":0,",
             "\"big\":1000000000000000,\"tiny\":-0.00000015,",
             "\"nan\":null,\"inf\":null,\"b\":false,\"plain\":\"café/电源\",",
             "\"esc\":\"\\\"\\\\\\n\\r\\t\\u0000\\u0008\\u000c\\u001f\u{7f}\",\"u\":\"\"}",

@@ -84,11 +84,6 @@ impl SpanStack {
         }
     }
 
-    /// Current nesting depth (open scopes).
-    pub fn depth(&self) -> usize {
-        self.active.len()
-    }
-
     /// Freeze the accumulated per-phase statistics.
     pub fn summary(&self) -> SpanSummary {
         SpanSummary {
@@ -184,7 +179,7 @@ mod tests {
             spans.exit();
             spans.exit();
         }
-        assert_eq!(spans.depth(), 0);
+        assert!(spans.active.is_empty());
         let sum = spans.summary();
         let p = sum.phases.iter().find(|p| p.name == "period").unwrap();
         let s = sum.phases.iter().find(|p| p.name == "solve").unwrap();

@@ -18,7 +18,6 @@ use capgpu_linalg::stats::Ewma;
 pub struct ThroughputMonitor {
     ewma: Ewma,
     observed_max: f64,
-    last_raw: Option<f64>,
     periods: u64,
 }
 
@@ -31,7 +30,6 @@ impl ThroughputMonitor {
         ThroughputMonitor {
             ewma: Ewma::new(alpha),
             observed_max: 0.0,
-            last_raw: None,
             periods: 0,
         }
     }
@@ -43,23 +41,12 @@ impl ThroughputMonitor {
         let t = throughput.max(0.0);
         self.ewma.update(t);
         self.observed_max = self.observed_max.max(t);
-        self.last_raw = Some(t);
         self.periods += 1;
     }
 
     /// Smoothed throughput (EWMA); 0 before any reading.
     pub fn smoothed(&self) -> f64 {
         self.ewma.value().unwrap_or(0.0)
-    }
-
-    /// Last raw reading, if any.
-    pub fn last_raw(&self) -> Option<f64> {
-        self.last_raw
-    }
-
-    /// Largest raw reading ever observed.
-    pub fn observed_max(&self) -> f64 {
-        self.observed_max
     }
 
     /// Normalized throughput in `[0, 1]`: smoothed value divided by the
@@ -83,7 +70,6 @@ impl ThroughputMonitor {
     pub fn reset(&mut self) {
         self.ewma.reset();
         self.observed_max = 0.0;
-        self.last_raw = None;
         self.periods = 0;
     }
 }
@@ -109,8 +95,6 @@ mod tests {
         assert_eq!(m.normalized(), 1.0); // 100/100
         m.record(25.0);
         assert_eq!(m.normalized(), 0.25); // 25/100
-        assert_eq!(m.observed_max(), 100.0);
-        assert_eq!(m.last_raw(), Some(25.0));
         assert_eq!(m.periods(), 3);
     }
 
@@ -162,7 +146,6 @@ mod tests {
         m.reset();
         assert_eq!(m.normalized(), 0.0);
         assert_eq!(m.periods(), 0);
-        assert_eq!(m.last_raw(), None);
     }
 
     #[test]

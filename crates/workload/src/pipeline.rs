@@ -104,16 +104,6 @@ pub struct WindowStats {
     pub ingress_backlog: usize,
 }
 
-impl WindowStats {
-    /// Throughput in images per second.
-    pub fn throughput_img_s(&self) -> f64 {
-        if self.window_s <= 0.0 {
-            return 0.0;
-        }
-        self.images_completed as f64 / self.window_s
-    }
-}
-
 /// The pipeline simulator.
 #[derive(Debug, Clone)]
 pub struct PipelineSim {
