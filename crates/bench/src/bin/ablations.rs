@@ -89,8 +89,8 @@ fn weight_assignment() {
     );
 }
 
-/// Horizon sweep: longer horizons shouldn't hurt accuracy; P = 1 loses the
-/// predictive damping and tracks more noisily.
+/// Horizon sweep. Every arm applies the same move: only the independent
+/// block 0 is applied, and its tracking weight is `Q` in every arm.
 fn horizon_sweep() {
     fmt::header("Ablation 2: prediction horizon P (M = 2, paper uses P = 8)");
     println!(

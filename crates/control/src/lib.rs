@@ -25,7 +25,8 @@
 //!   realizes fractional frequency commands on discrete P-state tables
 //!   (§5, "Frequency Modulators").
 //! * [`stability`] — closed-loop pole analysis under multiplicative model
-//!   error `A'ᵢ = gᵢ·Aᵢ` (§4.4), computing the stable gain interval.
+//!   error `A'ᵢ = gᵢ·Aᵢ` (§4.4) in closed form: the loop's one nonzero pole
+//!   `π(g)` and the exact stable uniform-gain interval, both O(N).
 //! * [`metrics`] — settling time, overshoot and steady-state-error metrics
 //!   used throughout the evaluation.
 

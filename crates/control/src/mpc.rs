@@ -302,19 +302,16 @@ impl MpcController {
         }
     }
 
-    /// Builds the selector row `s_i = A·C_i` (power sensitivity of
-    /// prediction step `i ∈ 1..=P` to the stacked decision vector).
-    fn tracking_row(&self, i: usize) -> Vec<f64> {
-        let n = self.num_devices;
+    /// The tracking weight of each cumulative block,
+    /// `Q̄_b = Σ_{i: min(i,M)−1 = b} Q(i)`: `Q̄₀ = Q` once `M ≥ 2`, and the
+    /// whole `P·Q` when `M = 1`.
+    fn block_weights(&self) -> Vec<f64> {
         let m = self.config.control_horizon;
-        let blocks = i.min(m);
-        let mut row = vec![0.0; m * n];
-        for l in 0..blocks {
-            for j in 0..n {
-                row[l * n + j] = self.model.gains()[j];
-            }
+        let mut qbar = vec![0.0; m];
+        for i in 1..=self.config.prediction_horizon {
+            qbar[i.min(m) - 1] += Q_WEIGHT;
         }
-        row
+        qbar
     }
 
     /// Validates step inputs and computes the effective per-device floors:
@@ -366,10 +363,7 @@ impl MpcController {
         let dim = m * n;
         let a = self.model.gains();
 
-        let mut qbar = vec![0.0; m];
-        for i in 1..=self.config.prediction_horizon {
-            qbar[i.min(m) - 1] += Q_WEIGHT;
-        }
+        let qbar = self.block_weights();
 
         let mut h = Matrix::zeros(dim, dim);
         for b in 0..m {
@@ -538,66 +532,28 @@ impl MpcController {
         })
     }
 
-    /// Extracts the *unconstrained* first-move feedback law
-    /// `d₀ = −K_p·(p − P_s) − K_f·(f − f_ref)` by solving the QP without
-    /// constraints for basis inputs. Used by the stability analysis
-    /// (paper §4.4: "its control decisions become linear functions of the
-    /// current power, the set point, and the previous frequency decisions").
+    /// The *unconstrained* first-move feedback law
+    /// `d₀ = −K_p·(p − P_s) − K_f·(f − f_ref)` at uniform weights
+    /// (`R = R_BASE·I`), the input of the stability analysis (paper §4.4:
+    /// "its control decisions become linear functions of the current power,
+    /// the set point, and the previous frequency decisions").
     ///
-    /// Returns `(k_p, k_f)` with `k_p ∈ R^N`, `k_f ∈ R^{N×N}`.
+    /// The cumulative-coordinate Hessian is block diagonal (see
+    /// `build_cache`) and only block 0 is applied, so the law is the
+    /// minimiser of `Q̄₀·(e₀ + aᵀc)² + ‖c + w‖²_R` alone. Sherman–Morrison
+    /// on `R + Q̄₀·aaᵀ` gives
     ///
-    /// # Errors
-    /// [`ControlError::Linalg`] if the Hessian factorization fails
-    /// (cannot happen for valid configs: the Hessian is SPD).
-    pub fn unconstrained_gains(&self) -> Result<(Vec<f64>, Matrix)> {
-        let n = self.num_devices;
-        let m = self.config.control_horizon;
-        let p_h = self.config.prediction_horizon;
-        let dim = m * n;
-
-        // Rebuild H (independent of e0 / w) and the two gradient factories.
-        let r_diag = vec![R_BASE; n];
-        let mut h = Matrix::zeros(dim, dim);
-        let mut g_e = vec![0.0; dim]; // gradient per unit e0 (w = 0)
-        for i in 1..=p_h {
-            let s = self.tracking_row(i);
-            for a in 0..dim {
-                g_e[a] += 2.0 * Q_WEIGHT * s[a];
-                for b in 0..dim {
-                    h[(a, b)] += 2.0 * Q_WEIGHT * s[a] * s[b];
-                }
-            }
-        }
-        for i in 0..m {
-            for a in 0..=i {
-                for b in 0..=i {
-                    for j in 0..n {
-                        h[(a * n + j, b * n + j)] += 2.0 * r_diag[j];
-                    }
-                }
-            }
-        }
-        let chol = capgpu_linalg::Cholesky::new(&h)?;
-
-        // K_p: d = −H⁻¹·g_e · e0 → first block of H⁻¹ g_e.
-        let kp_full = chol.solve(&g_e)?;
-        let k_p = kp_full[..n].to_vec();
-
-        // K_f columns: gradient per unit w_j is 2·Σᵢ Tᵢᵀ R e_j.
-        let mut k_f = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut g_w = vec![0.0; dim];
-            for i in 0..m {
-                for a in 0..=i {
-                    g_w[a * n + j] += 2.0 * r_diag[j];
-                }
-            }
-            let col = chol.solve(&g_w)?;
-            for r in 0..n {
-                k_f[(r, j)] = col[r];
-            }
-        }
-        Ok((k_p, k_f))
+    /// ```text
+    ///   K_p = Q̄₀·R⁻¹a / (1 + s),   s = Q̄₀·aᵀR⁻¹a,   K_f = I − K_p·aᵀ.
+    /// ```
+    ///
+    /// Returns `K_p` (MHz/W per device); `K_f` follows from it and the
+    /// model's gains `a`.
+    pub fn unconstrained_gains(&self) -> Vec<f64> {
+        let q0 = self.block_weights()[0];
+        let a = self.model.gains();
+        let s = q0 * a.iter().map(|a| a * a).sum::<f64>() / R_BASE;
+        a.iter().map(|a| q0 * a / R_BASE / (1.0 + s)).collect()
     }
 }
 
@@ -606,8 +562,25 @@ mod tests {
     use super::*;
     use capgpu_oracle::qp::{ActiveSetQp, LinearConstraint, QpProblem};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     impl MpcController {
+        /// Builds the selector row `s_i = A·C_i` (power sensitivity of
+        /// prediction step `i ∈ 1..=P` to the stacked decision vector).
+        fn tracking_row(&self, i: usize) -> Vec<f64> {
+            let n = self.num_devices;
+            let m = self.config.control_horizon;
+            let blocks = i.min(m);
+            let mut row = vec![0.0; m * n];
+            for l in 0..blocks {
+                for j in 0..n {
+                    row[l * n + j] = self.model.gains()[j];
+                }
+            }
+            row
+        }
+
         /// True when the solution's active set pins a *lower* cumulative
         /// bound whose floor is SLO-raised (above hardware `f_min`): the
         /// (10b) latency bound is what shaped this move. Box rows are laid
@@ -882,13 +855,12 @@ mod tests {
     #[test]
     fn unconstrained_gains_are_positive_on_power_error() {
         let c = controller();
-        let (k_p, k_f) = c.unconstrained_gains().unwrap();
+        let k_p = c.unconstrained_gains();
         // Positive power error (over budget) must push frequencies down:
         // d₀ = −K_p·e means K_p > 0 for every device.
         for k in &k_p {
             assert!(*k > 0.0, "K_p = {k_p:?}");
         }
-        assert_eq!(k_f.shape(), (3, 3));
         // Feedback law reproduces an actual unconstrained step: compare
         // against step() on an interior point with a small error.
         let f = [1700.0, 900.0, 900.0];
@@ -902,13 +874,74 @@ mod tests {
             .zip(c.config().f_min.iter())
             .map(|(a, b)| a - b)
             .collect();
-        for j in 0..3 {
-            let lin = -k_p[j] * e0 - (0..3).map(|i| k_f[(j, i)] * w[i]).sum::<f64>();
-            assert!(
-                (lin - step.first_move[j]).abs() < 1e-6,
-                "device {j}: linear {lin} vs qp {}",
-                step.first_move[j]
-            );
+        // With K_f = I − K_p·aᵀ the law is d₀ = −w − K_p·(e₀ − aᵀw).
+        let a_w: f64 = c.model().gains().iter().zip(&w).map(|(a, w)| a * w).sum();
+        for (j, (k, d)) in k_p.iter().zip(&step.first_move).enumerate() {
+            let lin = -w[j] - k * (e0 - a_w);
+            assert!((lin - d).abs() < 1e-6, "device {j}: linear {lin} vs qp {d}");
+        }
+    }
+
+    #[test]
+    fn horizons_do_not_change_the_applied_move() {
+        // Eq. 9 penalises the frequency level, not the move, so the
+        // cumulative-coordinate QP splits into M independent blocks and
+        // only block 0 is applied. Its tracking weight is Q̄₀ = Q for every
+        // P once M ≥ 2, and P·Q = Q at P = M = 1, so all of these apply the
+        // same move to the bit, through warm starts, region hits and
+        // raised floors. (P = 8, M = 1 weighs block 0 by 8 and differs.)
+        let horizons = [(1, 1), (2, 2), (4, 2), (8, 2), (16, 2), (8, 3)];
+        let f_min = vec![1000.0, 435.0, 435.0, 435.0];
+        let f_max = vec![2400.0, 1350.0, 1350.0, 1350.0];
+        let model = LinearPowerModel::new(vec![0.06, 0.18, 0.15, 0.21], 250.0).unwrap();
+        let controllers: Vec<MpcController> = horizons
+            .iter()
+            .map(|&(p, m)| {
+                let config = MpcConfig {
+                    prediction_horizon: p,
+                    control_horizon: m,
+                    f_min: f_min.clone(),
+                    f_max: f_max.clone(),
+                };
+                MpcController::new(config, model.clone()).unwrap()
+            })
+            .collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut f = vec![1400.0, 800.0, 800.0, 800.0];
+        let (mut setpoint, mut weights, mut floors) = (0.0, vec![], vec![]);
+        for k in 0..600 {
+            // Set point, weights and floors hold for five periods, so the
+            // region tables warm up between redraws.
+            if k % 5 == 0 {
+                setpoint = rng.gen_range(560.0..1110.0);
+                weights = (0..4).map(|_| rng.gen_range(0.1..2.0)).collect();
+                floors = (0..4)
+                    .map(|j| {
+                        if rng.gen::<f64>() < 0.3 {
+                            rng.gen_range(f_min[j]..f_max[j])
+                        } else {
+                            f_min[j]
+                        }
+                    })
+                    .collect();
+            }
+            let p = model.predict(&f) + rng.gen_range(-5.0..5.0);
+            let targets: Vec<Vec<f64>> = controllers
+                .iter()
+                .map(|c| {
+                    c.step(p, setpoint, &f, &weights, &floors)
+                        .unwrap()
+                        .target_freqs
+                })
+                .collect();
+            for (t, (p_h, m)) in targets.iter().zip(horizons).skip(1) {
+                assert_eq!(bits(t), bits(&targets[0]), "period {k}: P = {p_h}, M = {m}");
+            }
+            f = targets[0].clone();
+        }
+        for c in &controllers {
+            assert!(c.region_stats().0 > 0, "no region hit");
         }
     }
 

@@ -1,10 +1,11 @@
-//! Closed-loop stability analysis under model error (paper §4.4).
+//! Closed-loop stability analysis under model error (paper §4.4), in closed
+//! form.
 //!
-//! The paper's four-step recipe, implemented literally:
+//! The paper's four-step recipe:
 //!
 //! 1. **Nominal control inputs** — the unconstrained MPC first move is a
-//!    linear feedback `d₀ = −K_p·(p − P_s) − K_f·(f − f_ref)` (extracted by
-//!    [`crate::mpc::MpcController::unconstrained_gains`]).
+//!    linear feedback `d₀ = −K_p·(p − P_s) − K_f·(f − f_ref)` with
+//!    `K_f = I − K_p·Aᵀ` ([`crate::mpc::MpcController::unconstrained_gains`]).
 //! 2. **Actual system model** — the true gains are `A'ᵢ = gᵢ·Aᵢ` for
 //!    unknown multiplicative errors `gᵢ`.
 //! 3. **Closed-loop system** — substituting the nominal law into the
@@ -15,6 +16,7 @@
 //!    ```text
 //!      f⁺ = f − K_p·(A'·f + C − P_s) − K_f·(f − f_ref)
 //!         = (I − K_p·A'ᵀ − K_f)·f + const
+//!         = K_p·((1 − g)∘A)ᵀ·f + const
 //!    ```
 //!
 //!    (A naive composite `[p; f]` realization carries the structural
@@ -22,115 +24,50 @@
 //!    1, which says nothing about convergence — the minimal realization
 //!    avoids that artifact.)
 //!
-//! 4. **Pole analysis** — the loop is stable iff all eigenvalues of the
-//!    `N×N` matrix `I − K_p·A'ᵀ − K_f` lie strictly inside the unit
-//!    circle; sweeping `g` yields the guaranteed-stable range of model
-//!    error.
+//! 4. **Pole analysis** — the state matrix is rank one, so `N − 1` of its
+//!    poles sit at 0 and the one other is its trace,
+//!
+//!    ```text
+//!      π(g) = Σⱼ K_pⱼ·Aⱼ·(1 − gⱼ).
+//!    ```
+//!
+//!    The loop is stable iff `|π(g)| < 1`, and the nominal loop is
+//!    deadbeat: `π(1) = 0`. Under a uniform error `g` the pole is
+//!    `σ·(1 − g)` with `σ = Σⱼ K_pⱼ·Aⱼ = s/(1 + s)`, so the loop is stable
+//!    exactly for `g ∈ (1 − 1/σ, 1 + 1/σ) = (−1/s, 2 + 1/s)`.
+//!
+//! `capgpu-control`'s proptests hold both formulas to the spectral radius
+//! of the dense `N×N` matrix, computed by the dev-only `capgpu-oracle`
+//! eigen solver, and the verdict to the simulated loop.
 
-use capgpu_linalg::{eig, Matrix};
-
-use crate::{ControlError, Result};
-
-/// Builds the minimal closed-loop state matrix `I − K_p·A'ᵀ − K_f` for
-/// actual plant gains `a_actual`, proportional feedback `k_p` and
-/// frequency feedback `k_f`. State: the device frequency vector.
+/// The one nonzero pole `π(g) = Σⱼ K_pⱼ·Aⱼ·(1 − gⱼ)` of the closed loop
+/// whose plant gains are `g∘A` while the controller's law `k_p` was built
+/// for `a_nominal`. The loop is stable iff `|π| < 1`.
 ///
-/// # Errors
-/// [`ControlError::BadConfig`] on dimension mismatches.
-pub fn closed_loop_matrix(a_actual: &[f64], k_p: &[f64], k_f: &Matrix) -> Result<Matrix> {
-    let n = a_actual.len();
-    if k_p.len() != n || k_f.shape() != (n, n) {
-        return Err(ControlError::BadConfig("closed-loop dimension mismatch"));
-    }
-    let mut m = Matrix::zeros(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            let eye = if i == j { 1.0 } else { 0.0 };
-            m[(i, j)] = eye - k_p[i] * a_actual[j] - k_f[(i, j)];
-        }
-    }
-    Ok(m)
-}
-
-/// Spectral radius of the closed loop; stable iff `< 1`.
-///
-/// # Errors
-/// Propagates matrix-construction and eigenvalue errors.
-pub fn closed_loop_spectral_radius(a_actual: &[f64], k_p: &[f64], k_f: &Matrix) -> Result<f64> {
-    let m = closed_loop_matrix(a_actual, k_p, k_f)?;
-    eig::spectral_radius(&m).map_err(ControlError::Linalg)
-}
-
-/// True when the closed loop with the given actual gains is asymptotically
-/// stable (spectral radius strictly below `1 − margin`).
-///
-/// # Errors
-/// Propagates eigenvalue-computation failures.
-pub fn is_stable(a_actual: &[f64], k_p: &[f64], k_f: &Matrix, margin: f64) -> Result<bool> {
-    Ok(closed_loop_spectral_radius(a_actual, k_p, k_f)? < 1.0 - margin)
-}
-
-/// The scalar pole `1 − Σ gᵢAᵢK_pᵢ` of the pure power loop (no frequency
-/// feedback, `K_f = 0`) — the paper's simplest pole expression.
-pub fn scalar_pole(a_nominal: &[f64], g: &[f64], k_p: &[f64]) -> f64 {
-    assert_eq!(a_nominal.len(), g.len());
-    assert_eq!(a_nominal.len(), k_p.len());
-    1.0 - a_nominal
+/// # Panics
+/// If the three slices differ in length.
+pub fn pole(a_nominal: &[f64], g: &[f64], k_p: &[f64]) -> f64 {
+    assert_eq!(a_nominal.len(), g.len(), "one gain error per device");
+    assert_eq!(a_nominal.len(), k_p.len(), "one feedback gain per device");
+    a_nominal
         .iter()
-        .zip(g.iter())
-        .zip(k_p.iter())
-        .map(|((a, gi), k)| a * gi * k)
-        .sum::<f64>()
+        .zip(g)
+        .zip(k_p)
+        .map(|((a, g), k)| k * a * (1.0 - g))
+        .sum()
 }
 
-/// Sweeps a **uniform** gain multiplier `g` (same error on every device)
-/// over `[g_lo, g_hi]` and returns the largest contiguous interval
-/// containing `g = 1` for which the composite loop is stable.
+/// The exact open interval of **uniform** gain errors `g` (the same on
+/// every device) for which the closed loop is stable:
+/// `(1 − 1/σ, 1 + 1/σ)` with `σ = Σⱼ K_pⱼ·Aⱼ`. It always contains the
+/// nominal `g = 1`, and it is unbounded, `(−∞, ∞)`, when `σ = 0`.
 ///
-/// Returns `None` if the loop is unstable even at the nominal model
-/// (`g = 1`), which indicates a mis-designed controller.
-///
-/// # Errors
-/// Propagates eigenvalue-computation failures.
-pub fn uniform_gain_stability_interval(
-    a_nominal: &[f64],
-    k_p: &[f64],
-    k_f: &Matrix,
-    g_lo: f64,
-    g_hi: f64,
-    steps: usize,
-) -> Result<Option<(f64, f64)>> {
-    assert!(steps >= 2, "need at least 2 sweep steps");
-    assert!(g_lo < 1.0 && g_hi > 1.0, "sweep must bracket g = 1");
-    let probe = |g: f64| -> Result<bool> {
-        let actual: Vec<f64> = a_nominal.iter().map(|a| a * g).collect();
-        is_stable(&actual, k_p, k_f, 0.0)
-    };
-    if !probe(1.0)? {
-        return Ok(None);
-    }
-    let dg = (g_hi - g_lo) / steps as f64;
-    // Walk down from 1 until instability.
-    let mut lo = g_lo;
-    let mut g = 1.0;
-    while g - dg >= g_lo {
-        g -= dg;
-        if !probe(g)? {
-            lo = g + dg;
-            break;
-        }
-    }
-    // Walk up from 1 until instability.
-    let mut hi = g_hi;
-    let mut g = 1.0;
-    while g + dg <= g_hi {
-        g += dg;
-        if !probe(g)? {
-            hi = g - dg;
-            break;
-        }
-    }
-    Ok(Some((lo, hi)))
+/// # Panics
+/// If the two slices differ in length.
+pub fn uniform_gain_stability_interval(a_nominal: &[f64], k_p: &[f64]) -> (f64, f64) {
+    assert_eq!(a_nominal.len(), k_p.len(), "one feedback gain per device");
+    let sigma: f64 = a_nominal.iter().zip(k_p).map(|(a, k)| a * k).sum();
+    (1.0 - 1.0 / sigma, 1.0 + 1.0 / sigma)
 }
 
 #[cfg(test)]
@@ -149,104 +86,56 @@ mod tests {
     }
 
     #[test]
-    fn nominal_loop_is_stable() {
+    fn nominal_loop_is_deadbeat() {
         let c = paper_controller();
-        let (k_p, k_f) = c.unconstrained_gains().unwrap();
-        let rho = closed_loop_spectral_radius(c.model().gains(), &k_p, &k_f).unwrap();
-        assert!(rho < 1.0, "nominal spectral radius {rho}");
+        let k_p = c.unconstrained_gains();
+        assert_eq!(pole(c.model().gains(), &[1.0; 4], &k_p), 0.0);
     }
 
     #[test]
-    fn stability_survives_large_gain_error() {
-        // The paper's claim: stability holds while each Aᵢ stays within a
-        // derived bound. Verify ±50% uniform error keeps the loop stable.
+    fn pole_is_the_weighted_sum_of_gain_errors() {
+        let a = [0.5, 0.25];
+        let k_p = [0.4, 0.8];
+        // K_p·A = (0.2, 0.2): π = 0.2·(1 − g₀) + 0.2·(1 − g₁).
+        assert!((pole(&a, &[2.0, 1.0], &k_p) + 0.2).abs() < 1e-15);
+        assert!((pole(&a, &[0.0, 0.5], &k_p) - 0.3).abs() < 1e-15);
+        assert!((pole(&a, &[6.0, 1.0], &k_p) + 1.0).abs() < 1e-15);
+    }
+
+    #[test]
+    fn interval_ends_on_the_unit_circle() {
+        // The paper model: s = Q̄₀·aᵀa / R_BASE with Q̄₀ = 1 and
+        // R_BASE = 2·10⁻⁴, and the interval is (−1/s, 2 + 1/s).
         let c = paper_controller();
-        let (k_p, k_f) = c.unconstrained_gains().unwrap();
-        for g in [0.5, 0.8, 1.0, 1.2, 1.5] {
-            let actual: Vec<f64> = c.model().gains().iter().map(|a| a * g).collect();
-            assert!(
-                is_stable(&actual, &k_p, &k_f, 0.0).unwrap(),
-                "unstable at g = {g}"
-            );
+        let a = c.model().gains();
+        let k_p = c.unconstrained_gains();
+        let (lo, hi) = uniform_gain_stability_interval(a, &k_p);
+        let s = a.iter().map(|a| a * a).sum::<f64>() / 2e-4;
+        assert!((lo + 1.0 / s).abs() < 1e-12, "lo = {lo}, s = {s}");
+        assert!((hi - 2.0 - 1.0 / s).abs() < 1e-12, "hi = {hi}, s = {s}");
+        for g in [lo, hi] {
+            let p = pole(a, &[g; 4], &k_p);
+            assert!((p.abs() - 1.0).abs() < 1e-12, "|π({g})| = {}", p.abs());
         }
     }
 
     #[test]
-    fn stability_interval_brackets_one() {
-        let c = paper_controller();
-        let (k_p, k_f) = c.unconstrained_gains().unwrap();
-        let (lo, hi) =
-            uniform_gain_stability_interval(c.model().gains(), &k_p, &k_f, 0.05, 6.0, 120)
-                .unwrap()
-                .expect("nominal loop must be stable");
-        assert!(lo < 1.0 && hi > 1.0, "interval ({lo}, {hi})");
-        assert!(
-            hi > 1.4,
-            "should tolerate >40% overshoot in gains, hi = {hi}"
-        );
+    fn aggressive_law_narrows_the_interval() {
+        // σ = K_p·A = 5: stable only for |1 − g| < 0.2.
+        let (lo, hi) = uniform_gain_stability_interval(&[0.5], &[10.0]);
+        assert!((lo - 0.8).abs() < 1e-15 && (hi - 1.2).abs() < 1e-15);
+        assert!((pole(&[0.5], &[2.0], &[10.0]) + 5.0).abs() < 1e-15);
     }
 
     #[test]
-    fn scalar_pole_formula() {
-        let a = [0.5, 0.5];
-        let k = [0.4, 0.4];
-        // Σ aᵢkᵢ = 0.4 → pole 0.6.
-        assert!((scalar_pole(&a, &[1.0, 1.0], &k) - 0.6).abs() < 1e-12);
-        // Double the true gains: Σ = 0.8 → pole 0.2.
-        assert!((scalar_pole(&a, &[2.0, 2.0], &k) - 0.2).abs() < 1e-12);
-        // 5× gains: Σ = 2 → pole −1 (marginal).
-        assert!((scalar_pole(&a, &[5.0, 5.0], &k) + 1.0).abs() < 1e-12);
+    fn zero_gain_loop_is_stable_for_every_g() {
+        let (lo, hi) = uniform_gain_stability_interval(&[0.0, 0.0], &[0.0, 0.0]);
+        assert_eq!((lo, hi), (f64::NEG_INFINITY, f64::INFINITY));
     }
 
     #[test]
-    fn closed_loop_matrix_entries() {
-        let k_f = Matrix::zeros(2, 2);
-        let m = closed_loop_matrix(&[0.1, 0.2], &[1.0, 1.0], &k_f).unwrap();
-        assert_eq!(m.shape(), (2, 2));
-        // M = I − k_p aᵀ: [[1−0.1, −0.2], [−0.1, 1−0.2]].
-        assert!((m[(0, 0)] - 0.9).abs() < 1e-12);
-        assert!((m[(0, 1)] + 0.2).abs() < 1e-12);
-        assert!((m[(1, 0)] + 0.1).abs() < 1e-12);
-        assert!((m[(1, 1)] - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn without_frequency_feedback_matrix_pole_matches_scalar() {
-        // K_f = 0 decouples: poles are {1 − ΣaK, 1, …} — the power pole
-        // must match the scalar formula.
-        let a = [0.3, 0.2];
-        let k_p = [0.5, 0.5];
-        let k_f = Matrix::zeros(2, 2);
-        let m = closed_loop_matrix(&a, &k_p, &k_f).unwrap();
-        let eigs = capgpu_linalg::eig::eigenvalues(&m).unwrap();
-        let expected = scalar_pole(&a, &[1.0, 1.0], &k_p);
-        assert!(
-            eigs.iter()
-                .any(|e| (e.re - expected).abs() < 1e-8 && e.im.abs() < 1e-8),
-            "poles {eigs:?} missing {expected}"
-        );
-    }
-
-    #[test]
-    fn unstable_controller_detected() {
-        // Absurdly aggressive K_p destabilizes the loop.
-        let a = [0.5];
-        let k_p = [10.0]; // pole 1 − 5 = −4
-        let k_f = Matrix::zeros(1, 1);
-        assert!(!is_stable(&a, &k_p, &k_f, 0.0).unwrap());
-        assert!(
-            uniform_gain_stability_interval(&a, &k_p, &k_f, 0.1, 3.0, 30)
-                .unwrap()
-                .is_none()
-        );
-    }
-
-    #[test]
-    fn dimension_validation() {
-        let k_f = Matrix::zeros(2, 2);
-        assert!(closed_loop_matrix(&[0.1], &[1.0, 2.0], &k_f).is_err());
-        assert!(closed_loop_matrix(&[0.1, 0.2], &[1.0], &k_f).is_err());
-        let bad_kf = Matrix::zeros(1, 2);
-        assert!(closed_loop_matrix(&[0.1, 0.2], &[1.0, 2.0], &bad_kf).is_err());
+    #[should_panic(expected = "one gain error per device")]
+    fn pole_rejects_mismatched_lengths() {
+        pole(&[0.1, 0.2], &[1.0], &[1.0, 1.0]);
     }
 }

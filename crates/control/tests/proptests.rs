@@ -1,6 +1,7 @@
 //! Property tests for the control layer: delta-sigma averaging, system
 //! identification recovery, MPC feasibility and monotonicity, stability of
-//! pole-placed designs, and the §4.4 pole verdict against the closed loop.
+//! pole-placed designs, and the closed-form §4.4 pole against the dense
+//! closed loop and against the simulated one.
 
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::modulator::{uniform_levels, DeltaSigmaModulator};
@@ -8,13 +9,15 @@ use capgpu_control::mpc::{MpcConfig, MpcController};
 use capgpu_control::pid::ProportionalController;
 use capgpu_control::sysid::{ExcitationPlan, SystemIdentifier};
 use capgpu_control::{metrics, stability};
+use capgpu_linalg::{Cholesky, Matrix};
+use capgpu_oracle::eig;
 use proptest::prelude::*;
 
-/// Half-width of the band around spectral radius 1 where the pole
-/// verdict is not checked against the simulated loop. Near ρ = 1 a
-/// stable loop needs ≈ 18 / (1 − ρ) periods to settle to `SETTLED_MHZ`
-/// and an unstable one ≈ ln(150) / (ρ − 1) to reach a bound, so within
-/// `MAX_PERIODS` the outcome is undecidable there, not wrong.
+/// Half-width of the band around `|π| = 1` where the pole verdict is not
+/// checked against the simulated loop. Near `|π| = 1` a stable loop needs
+/// ≈ 18 / (1 − |π|) periods to settle to `SETTLED_MHZ` and an unstable
+/// one ≈ ln(150) / (|π| − 1) to reach a bound, so within `MAX_PERIODS`
+/// the outcome is undecidable there, not wrong.
 const STABILITY_BAND: f64 = 0.02;
 /// Closed-loop periods simulated per case.
 const MAX_PERIODS: usize = 2000;
@@ -147,27 +150,178 @@ proptest! {
         prop_assert!(metrics::settling_time(&trace, setpoint, 1.0).is_some(),
             "did not settle: final p = {p}");
     }
+}
+
+/// The MPC's tracking weight `Q` and control-penalty scale `R_BASE`, the
+/// constants of `capgpu_control::mpc` the dense reference needs.
+const Q_WEIGHT: f64 = 1.0;
+const R_BASE: f64 = 2e-4;
+
+/// Dense reference for the unconstrained first-move law at uniform
+/// weights: builds the whole `M·N` condensed Hessian of Eq. 9 in per-move
+/// coordinates and Cholesky-solves `N + 1` right-hand sides for
+/// `d₀ = −K_p·e₀ − K_f·w`. Returns `(K_p, K_f)`.
+fn dense_unconstrained_gains(a: &[f64], p_h: usize, m: usize) -> (Vec<f64>, Matrix) {
+    let n = a.len();
+    let dim = m * n;
+    let mut h = Matrix::zeros(dim, dim);
+    let mut g_e = vec![0.0; dim]; // gradient per unit e₀ (w = 0)
+    for i in 1..=p_h {
+        // Power sensitivity of prediction step i to the stacked moves.
+        let mut s = vec![0.0; dim];
+        for l in 0..i.min(m) {
+            s[l * n..(l + 1) * n].copy_from_slice(a);
+        }
+        for r in 0..dim {
+            g_e[r] += 2.0 * Q_WEIGHT * s[r];
+            for c in 0..dim {
+                h[(r, c)] += 2.0 * Q_WEIGHT * s[r] * s[c];
+            }
+        }
+    }
+    for i in 0..m {
+        for r in 0..=i {
+            for c in 0..=i {
+                for j in 0..n {
+                    h[(r * n + j, c * n + j)] += 2.0 * R_BASE;
+                }
+            }
+        }
+    }
+    let chol = Cholesky::new(&h).unwrap();
+    let k_p = chol.solve(&g_e).unwrap()[..n].to_vec();
+    // K_f's columns: the gradient per unit w_j is 2·Σᵢ Tᵢᵀ·R·e_j.
+    let mut k_f = Matrix::zeros(n, n);
+    for j in 0..n {
+        let mut g_w = vec![0.0; dim];
+        for i in 0..m {
+            for r in 0..=i {
+                g_w[r * n + j] += 2.0 * R_BASE;
+            }
+        }
+        let col = chol.solve(&g_w).unwrap();
+        for r in 0..n {
+            k_f[(r, j)] = col[r];
+        }
+    }
+    (k_p, k_f)
+}
+
+/// The minimal closed-loop state matrix `I − K_p·A'ᵀ − K_f` for actual
+/// plant gains `a_actual`; its spectral radius is the loop's.
+fn closed_loop_matrix(a_actual: &[f64], k_p: &[f64], k_f: &Matrix) -> Matrix {
+    let n = a_actual.len();
+    let mut m = Matrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..n {
+            let eye = if i == j { 1.0 } else { 0.0 };
+            m[(i, j)] = eye - k_p[i] * a_actual[j] - k_f[(i, j)];
+        }
+    }
+    m
+}
+
+/// The noiseless plant's power at `f` for gains `actual`.
+fn plant(actual: &[f64], f: &[f64]) -> f64 {
+    250.0 + actual.iter().zip(f).map(|(a, f)| a * f).sum::<f64>()
+}
+
+/// Runs `c` against the noiseless plant with gains `actual` from `f` for
+/// up to `MAX_PERIODS`. Converged: the moves die out while no device in
+/// `free` reaches a bound and every other device stays at its floor. A
+/// bound reached, or a pinned device let go, ends the run unconverged.
+fn converges(
+    c: &MpcController,
+    actual: &[f64],
+    setpoint: f64,
+    mut f: Vec<f64>,
+    floors: &[f64],
+    free: &[usize],
+) -> bool {
+    let (f_min, f_max) = (&c.config().f_min, &c.config().f_max);
+    let weights = vec![1.0; f.len()];
+    for _ in 0..MAX_PERIODS {
+        let step = c
+            .step(plant(actual, &f), setpoint, &f, &weights, floors)
+            .unwrap();
+        let t = &step.target_freqs;
+        let bound = free.iter().any(|&j| {
+            t[j] <= f_min[j].max(floors[j]) + SETTLED_MHZ || t[j] >= f_max[j] - SETTLED_MHZ
+        });
+        let let_go = (0..t.len()).any(|j| !free.contains(&j) && t[j] > floors[j] + SETTLED_MHZ);
+        if bound || let_go {
+            return false;
+        }
+        let moved = step.first_move.iter().fold(0.0f64, |m, d| m.max(d.abs()));
+        f = step.target_freqs;
+        if moved < SETTLED_MHZ {
+            return true;
+        }
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn mpc_unconstrained_gains_stable_for_random_models(
-        a1 in 0.02..0.1f64,
-        a2 in 0.1..0.3f64,
-        a3 in 0.1..0.3f64,
-        g in 0.4..1.6f64,
+    fn closed_form_pole_matches_the_dense_loop(
+        n in 1usize..10,
+        gains in prop::collection::vec(0.01..0.3f64, 9),
+        g in prop::collection::vec(0.0..3.0f64, 9),
+        horizons in prop::sample::select(vec![(1, 1), (8, 1), (2, 2), (8, 2), (16, 2), (4, 3)]),
     ) {
-        let model = LinearPowerModel::new(vec![a1, a2, a3], 250.0).unwrap();
-        let config = MpcConfig::paper_defaults(
-            vec![1000.0, 435.0, 435.0],
-            vec![2400.0, 1350.0, 1350.0],
-        );
-        let c = MpcController::new(config, model).unwrap();
-        let (k_p, k_f) = c.unconstrained_gains().unwrap();
-        let actual: Vec<f64> = c.model().gains().iter().map(|a| a * g).collect();
-        prop_assert!(
-            stability::is_stable(&actual, &k_p, &k_f, 0.0).unwrap(),
-            "unstable at g = {g} for gains {:?}", c.model().gains()
-        );
+        let (p_h, m) = horizons;
+        let a = &gains[..n];
+        let config = MpcConfig {
+            prediction_horizon: p_h,
+            control_horizon: m,
+            f_min: vec![435.0; n],
+            f_max: vec![1350.0; n],
+        };
+        let c = MpcController::new(config, LinearPowerModel::new(a.to_vec(), 250.0).unwrap())
+            .unwrap();
+        let k_p = c.unconstrained_gains();
+        let (dense_k_p, dense_k_f) = dense_unconstrained_gains(a, p_h, m);
+        for (k, want) in k_p.iter().zip(&dense_k_p) {
+            prop_assert!((k - want).abs() <= 1e-9 * want.abs(), "K_p {k} vs dense {want}");
+        }
+        for r in 0..n {
+            for j in 0..n {
+                let k_f = if r == j { 1.0 } else { 0.0 } - k_p[r] * a[j];
+                prop_assert!((k_f - dense_k_f[(r, j)]).abs() <= 1e-9,
+                    "K_f[{r},{j}] {k_f} vs dense {}", dense_k_f[(r, j)]);
+            }
+        }
+
+        // Per-device error: the formula's pole against the dense loop.
+        let radius = |g: &[f64]| {
+            let actual: Vec<f64> = a.iter().zip(g).map(|(a, g)| a * g).collect();
+            let m = closed_loop_matrix(&actual, &dense_k_p, &dense_k_f);
+            eig::spectral_radius(&m).unwrap()
+        };
+        let pi = stability::pole(a, &g[..n], &k_p);
+        let rho = radius(&g[..n]);
+        prop_assert!((pi.abs() - rho).abs() <= 1e-8, "|π| = {} vs ρ = {rho}", pi.abs());
+
+        // Uniform error: the interval holds the nominal model's whole
+        // (0, 2], and just inside / outside each end the dense loop is
+        // stable / unstable.
+        let (lo, hi) = stability::uniform_gain_stability_interval(a, &k_p);
+        prop_assert!(lo < 0.0 && hi > 2.0, "({lo}, {hi})");
+        for end in [lo, hi] {
+            for factor in [1.0 - 1e-6, 1.0 + 1e-6] {
+                let g = end * factor;
+                let inside = lo < g && g < hi;
+                let rho = radius(&vec![g; n]);
+                prop_assert!((rho < 1.0) == inside, "g = {g} at the end {end}: ρ = {rho}");
+            }
+        }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn pole_verdict_matches_the_simulated_loop(
@@ -180,34 +334,34 @@ proptest! {
         let model = LinearPowerModel::new(a.to_vec(), 250.0).unwrap();
         let config = MpcConfig::paper_defaults(f_min.to_vec(), f_max.to_vec());
         let c = MpcController::new(config, model).unwrap();
-        let (k_p, k_f) = c.unconstrained_gains().unwrap();
-        let actual: Vec<f64> = a.iter().zip(&g).map(|(a, g)| a * g).collect();
-        let rho = stability::closed_loop_spectral_radius(&actual, &k_p, &k_f).unwrap();
-        prop_assume!((rho - 1.0).abs() >= STABILITY_BAND);
-        let stable = stability::is_stable(&actual, &k_p, &k_f, 0.0).unwrap();
+        let pi = stability::pole(&a, &g, &c.unconstrained_gains());
+        prop_assume!((pi.abs() - 1.0).abs() >= STABILITY_BAND);
 
         // Operating point: the split uniform weights settle at (excess
         // frequency ∝ A_j), 150 and 450 MHz above the floors, with the
         // set point the true plant draws there. Start off it by tens of
         // MHz, well inside every bound.
-        let plant = |f: &[f64]| 250.0 + actual.iter().zip(f).map(|(a, f)| a * f).sum::<f64>();
-        let setpoint = plant(&[1150.0, 885.0, 885.0]);
-        let mut f = vec![1180.0, 845.0, 910.0];
-        // Converged: the moves die out before any bound binds. A bound
-        // that binds ends the run unconverged.
-        let mut converged = false;
-        for _ in 0..MAX_PERIODS {
-            let step = c.step(plant(&f), setpoint, &f, &[1.0; 3], &f_min).unwrap();
-            if step.active_constraints > 0 {
-                break;
-            }
-            let moved = step.first_move.iter().fold(0.0f64, |m, d| m.max(d.abs()));
-            f = step.target_freqs;
-            if moved < SETTLED_MHZ {
-                converged = true;
-                break;
-            }
+        let actual: Vec<f64> = a.iter().zip(&g).map(|(a, g)| a * g).collect();
+        let setpoint = plant(&actual, &[1150.0, 885.0, 885.0]);
+        let start = vec![1180.0, 845.0, 910.0];
+        let converged = converges(&c, &actual, setpoint, start, &f_min, &[0, 1, 2]);
+        prop_assert!(converged == (pi.abs() < 1.0), "g = {g:?}, π = {pi}: converged {converged}");
+
+        // Saturated: an SLO floor of 1000 MHz, above its 885 MHz operating
+        // point, pins device 2. It starts there, and the set point is what
+        // the true plant draws with it there. Only the free devices feed
+        // back, so the pole is that of a controller over their gains alone.
+        let free = LinearPowerModel::new(a[..2].to_vec(), 250.0).unwrap();
+        let free_config = MpcConfig::paper_defaults(f_min[..2].to_vec(), f_max[..2].to_vec());
+        let k_p_free = MpcController::new(free_config, free).unwrap().unconstrained_gains();
+        let pi_free = stability::pole(&a[..2], &g[..2], &k_p_free);
+        if (pi_free.abs() - 1.0).abs() >= STABILITY_BAND {
+            let floors = [1000.0, 435.0, 1000.0];
+            let setpoint = plant(&actual, &[1150.0, 885.0, 1000.0]);
+            let start = vec![1180.0, 845.0, 1000.0];
+            let converged = converges(&c, &actual, setpoint, start, &floors, &[0, 1]);
+            prop_assert!(converged == (pi_free.abs() < 1.0),
+                "pinned, g = {g:?}, π_F = {pi_free}: converged {converged}");
         }
-        prop_assert!(converged == stable, "g = {g:?}, ρ = {rho}: converged {converged}");
     }
 }

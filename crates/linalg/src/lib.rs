@@ -8,8 +8,6 @@
 //!   the CPU feature-selection workload,
 //! * positive-definite solves for the condensed **MPC quadratic program**
 //!   (paper Eq. 9),
-//! * eigenvalue computation for the closed-loop **stability analysis**
-//!   (paper §4.4, pole analysis),
 //! * basic descriptive statistics for throughput monitors and experiment
 //!   summaries.
 //!
@@ -38,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod cholesky;
-pub mod eig;
 pub mod lstsq;
 pub mod matrix;
 pub mod qr;
@@ -48,7 +45,6 @@ pub mod svd;
 pub mod vector;
 
 pub use cholesky::Cholesky;
-pub use eig::{eigenvalues, spectral_radius, Complex};
 pub use lstsq::{solve as lstsq_solve, LstsqFit};
 pub use matrix::Matrix;
 pub use qr::Qr;

@@ -279,12 +279,15 @@ impl Walker<'_> {
     }
 }
 
-/// The character a `\uXXXX` escape's four bytes name. The journal only
-/// escapes control characters, which are never surrogates, so a
-/// surrogate half is refused rather than paired.
+/// The character a `\uXXXX` escape's four bytes name. Each byte must be
+/// an ASCII hex digit: `u32::from_str_radix` would also take a leading
+/// `+`. The journal only escapes control characters, which are never
+/// surrogates, so a surrogate half is refused rather than paired.
 fn decode_hex4(hex: &[u8]) -> Result<char, &'static str> {
-    let hex = std::str::from_utf8(hex).map_err(|_| "bad utf-8 in \\u escape")?;
-    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
+    let code = hex
+        .iter()
+        .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+        .ok_or("bad \\u escape digits")?;
     char::from_u32(code).ok_or("invalid \\u code point")
 }
 
@@ -465,10 +468,12 @@ pub(crate) mod oracle {
                             if self.pos + 4 > self.bytes.len() {
                                 return Err("truncated \\u escape".into());
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "bad utf-8 in \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape digits")?;
+                            let hex = &self.bytes[self.pos..self.pos + 4];
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err("bad \\u escape digits".into());
+                            }
+                            let hex = std::str::from_utf8(hex).expect("ASCII");
+                            let code = u32::from_str_radix(hex, 16).expect("hex digits");
                             self.pos += 4;
                             out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
                         }
@@ -638,6 +643,18 @@ mod tests {
             "é",
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn hex_escapes_take_exactly_four_hex_digits() {
+        // `u32::from_str_radix` accepts a leading sign; JSON does not.
+        for bad in [
+            r#"{"v":"\u+041"}"#,
+            r#"{"v":"\u-041"}"#,
+            r#"{"v":"\u 041"}"#,
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), "bad \\u escape digits", "{bad}");
         }
     }
 

@@ -16,10 +16,15 @@
 //! * [`kkt`] — first-order optimality (KKT) condition checking for [`qp`]
 //!   solutions.
 //! * [`lu`] — LU decomposition with partial pivoting: [`qp`]'s KKT solves,
-//!   and the determinant `capgpu-linalg`'s eigenvalue tests compare with.
+//!   and the determinant the [`eig`] tests in `capgpu-linalg` compare with.
+//! * [`eig`] — eigenvalues of real dense matrices (balancing, Hessenberg
+//!   reduction, Francis double-shift QR). `capgpu-control`'s proptests hold
+//!   the closed-form §4.4 pole of `capgpu_control::stability` to the
+//!   spectral radius of the dense closed-loop matrix.
 
 #![warn(missing_docs)]
 
+pub mod eig;
 pub mod kkt;
 pub mod lu;
 pub mod projgrad;
