@@ -10,15 +10,15 @@
 //! * [`latency`] — the inference latency model `e = e_min·(f_max/f)^γ`
 //!   (Eq. 8) and its inversion into per-GPU frequency floors for SLO
 //!   constraints (10b)/(10c).
-//! * [`mpc`] — the condensed **MIMO model-predictive controller** with
-//!   prediction horizon `P`, control horizon `M`, tracking weights `Q`,
-//!   per-device control penalties `R` and hard frequency constraints
-//!   (Eq. 9 + 10a–10c), solved in cumulative-move coordinates by the box
-//!   QP from `capgpu-optim` behind the explicit / multi-parametric region
-//!   table §4.3 sketches (one cached affine law per active set,
-//!   KKT-checked, exact solve on a miss). That is the only path; the
-//!   generic active-set QP of the dev-only `capgpu-oracle` crate is what
-//!   `mpc`'s tests hold it against.
+//! * [`mpc`] — the **MIMO model-predictive controller** with tracking
+//!   weight `Q`, per-device control penalties `R` and hard frequency
+//!   constraints (Eq. 9 + 10a–10c). The paper's condensed problem splits
+//!   into one block per move, so it solves only the applied block, an
+//!   `N`-variable box QP from `capgpu-optim`, behind the explicit /
+//!   multi-parametric region table §4.3 sketches (one cached affine law
+//!   per active set, KKT-checked, exact solve on a miss). That is the only
+//!   path; `mpc`'s tests hold it against the whole `P = 8`, `M = 2` QP
+//!   solved by the generic active-set QP of the dev-only `capgpu-oracle`.
 //! * [`pid`] — pole-placed proportional controllers (the GPU-Only and
 //!   CPU-Only baselines of §6.1 follow OptimML / IBM server-level control).
 //! * [`modulator`] — the first-order **delta-sigma modulator** that
@@ -51,8 +51,8 @@ pub use sysid::{ExcitationPlan, SystemIdentifier};
 /// Errors produced by the control layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlError {
-    /// Configuration is inconsistent (mismatched device counts, empty
-    /// horizons, bad bounds…).
+    /// Configuration is inconsistent (mismatched device counts, no
+    /// devices, bad bounds…).
     BadConfig(&'static str),
     /// Not enough (or degenerate) excitation data for identification.
     InsufficientData(&'static str),

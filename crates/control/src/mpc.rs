@@ -1,41 +1,51 @@
 //! The CapGPU MIMO model-predictive controller (paper §4.3, Eq. 9 + 10a–c).
 //!
-//! # Condensed formulation
+//! # The paper's problem and the one block that is applied
 //!
 //! With prediction horizon `P`, control horizon `M` and `N` devices, the
-//! decision vector stacks the `M` frequency moves: `d = [d₀; …; d_{M−1}]`,
-//! `d ∈ R^{M·N}`. From the difference model (Eq. 7) the predicted power is
-//!
-//! ```text
-//!   p(k+i|k) = p(k) + A · Σ_{l < min(i,M)} d_l
-//! ```
-//!
-//! so the tracking error `p(k+i|k) − P_s` is affine in `d` and the paper's
-//! cost (Eq. 9),
+//! paper's decision vector stacks the `M` frequency moves
+//! `d = [d₀; …; d_{M−1}]`. From the difference model (Eq. 7) the
+//! predicted power is `p(k+i|k) = p(k) + A · Σ_{l < min(i,M)} d_l`, and
+//! the cost (Eq. 9) is
 //!
 //! ```text
 //!   V = Σ_{i=1}^{P} Q(i)·‖p(k+i|k) − P_s‖² +
 //!       Σ_{i=0}^{M−1} ‖d(k+i|k) + f(k+i|k) − f_ref‖²_{R(i)}
 //! ```
 //!
-//! is a strictly convex quadratic. Constraint (10a) bounds every cumulative
-//! frequency; constraints (10b)+(10c) reduce to per-GPU frequency floors
-//! (see [`crate::latency`]). Each control period solves one small QP and
-//! applies only the first move `d₀` (receding horizon).
+//! Constraint (10a) bounds every cumulative frequency; constraints
+//! (10b)+(10c) reduce to per-GPU frequency floors (see
+//! [`crate::latency`]). Only the first move `d₀` is applied (receding
+//! horizon).
+//!
+//! In *cumulative-move* coordinates `cᵢ = Σ_{l≤i} dₗ` the predicted power
+//! at step `i` is `p(k) + a·c_{min(i,M)−1}`, the control penalty is
+//! `‖cᵢ + w‖²_R` with `w = f(k) − f_ref`, and every constraint is the same
+//! per-variable box on each `cᵢ`. Eq. 9 penalises the frequency *level*,
+//! not the move, so the problem splits into `M` independent blocks, and
+//! block 0 — whose minimiser is `d₀` — carries tracking weight `Q` for
+//! every `P` once `M ≥ 2` (only step `i = 1` lands in it). The paper's
+//! `P = 8`, `M = 2` therefore apply exactly the minimiser of
+//!
+//! ```text
+//!   min_c  Q·(e + aᵀc)² + ‖c + w‖²_R   s.t.  f_lo − f(k) ≤ c ≤ f_max − f(k)
+//! ```
+//!
+//! with `e = p(k) − P_s`, and that `N`-variable box QP is all
+//! [`MpcController::step`] solves. The horizons survive only in this
+//! module's tests, which hold `step` against the full condensed QP at
+//! `P = 8`, `M = 2` (and at other horizons), built in the original `d`
+//! coordinates and solved by the generic active-set solver of the
+//! dev-only `capgpu-oracle` crate.
 //!
 //! # How it is solved
 //!
-//! In *cumulative-move* coordinates `cᵢ = Σ_{l≤i} dₗ` every constraint is
-//! a separable per-variable box and the Hessian is block diagonal (see
-//! `MpcController::build_cache` for the transform), so the period's QP
-//! goes to the box-constrained active-set solver [`capgpu_optim::boxqp`]
-//! behind the explicit / multi-parametric table §4.3 sketches: one cached
-//! affine law per active set, KKT-checked against the period's problem,
-//! the iterative solve on a miss. Hits, misses, warm and cold starts that
-//! end on the same active set return bit-identical moves (DESIGN.md §15).
-//! There is no second path: the generic active-set solver of the dev-only
-//! `capgpu-oracle` crate is what this module's tests hold
-//! [`MpcController::step`] against, in the original `d` coordinates.
+//! The box QP goes to the box-constrained active-set solver
+//! [`capgpu_optim::boxqp`] behind the explicit / multi-parametric table
+//! §4.3 sketches: one cached affine law per active set, KKT-checked
+//! against the period's problem, the iterative solve on a miss. Hits,
+//! misses, warm and cold starts that end on the same active set return
+//! bit-identical moves (DESIGN.md §15).
 //!
 //! # Weight semantics
 //!
@@ -58,19 +68,16 @@ use crate::model::LinearPowerModel;
 use crate::{ControlError, Result};
 
 /// Tracking weight `Q(i)`, the same at every prediction step (paper
-/// Eq. 9: `Q = 1`).
+/// Eq. 9: `Q = 1`); block 0's whole tracking weight (module docs).
 const Q_WEIGHT: f64 = 1.0;
 /// Base control-penalty scale multiplied by the per-device weights.
 const R_BASE: f64 = 2e-4;
 
-/// Static MPC configuration. The control penalty's reference frequency
-/// `f_ref` is the hardware minimum `f_min`, as in the paper.
+/// Static MPC configuration: the frequency bounds of constraint (10a).
+/// The control penalty's reference frequency `f_ref` is the hardware
+/// minimum `f_min`, as in the paper.
 #[derive(Debug, Clone)]
 pub struct MpcConfig {
-    /// Prediction horizon `P` (paper: 8).
-    pub prediction_horizon: usize,
-    /// Control horizon `M ≤ P` (paper: 2).
-    pub control_horizon: usize,
     /// Hard per-device minimum frequencies (MHz).
     pub f_min: Vec<f64>,
     /// Hard per-device maximum frequencies (MHz).
@@ -78,15 +85,11 @@ pub struct MpcConfig {
 }
 
 impl MpcConfig {
-    /// Paper-default configuration (`P = 8`, `M = 2`) for the given
-    /// frequency ranges.
+    /// The paper's configuration for the given frequency ranges. Its
+    /// `P = 8`, `M = 2` need no field: they apply the same move as the one
+    /// block [`MpcController::step`] solves (module docs).
     pub fn paper_defaults(f_min: Vec<f64>, f_max: Vec<f64>) -> Self {
-        MpcConfig {
-            prediction_horizon: 8,
-            control_horizon: 2,
-            f_min,
-            f_max,
-        }
+        MpcConfig { f_min, f_max }
     }
 
     fn validate(&self) -> Result<usize> {
@@ -96,14 +99,6 @@ impl MpcConfig {
         }
         if self.f_max.len() != n {
             return Err(ControlError::BadConfig("MPC bound length mismatch"));
-        }
-        if self.prediction_horizon == 0 {
-            return Err(ControlError::BadConfig("prediction horizon must be >= 1"));
-        }
-        if self.control_horizon == 0 || self.control_horizon > self.prediction_horizon {
-            return Err(ControlError::BadConfig(
-                "control horizon must be in 1..=prediction horizon",
-            ));
         }
         if self
             .f_min
@@ -123,7 +118,8 @@ pub struct MpcStep {
     /// New frequency targets (current + first move), already clamped to the
     /// effective bounds. Fractional — feed them to a delta-sigma modulator.
     pub target_freqs: Vec<f64>,
-    /// The applied first move `d₀` (MHz per device).
+    /// The applied first move `d₀` (MHz per device), the solved block's
+    /// minimiser.
     pub first_move: Vec<f64>,
     /// Power predicted by the model after the first move.
     pub predicted_power: f64,
@@ -133,12 +129,13 @@ pub struct MpcStep {
     /// True when an SLO floor exceeded a device's reachable range and had
     /// to be clamped (best-effort; see module docs).
     pub floor_clamped: bool,
-    /// Constraint rows active at the optimum (frequency-range bounds
-    /// and SLO floors). Telemetry: which bound shaped the move.
+    /// Devices whose move sits on a bound at the optimum (frequency-range
+    /// bounds and SLO floors), at most `N`. Telemetry: which bound shaped
+    /// the move.
     pub active_constraints: usize,
-    /// True when an active lower bound is an SLO-*raised* floor (above
+    /// True when some device's move sits on an SLO-*raised* floor (above
     /// the hardware `f_min`) — the paper's (10b) latency bound binding
-    /// the solve.
+    /// the move.
     pub slo_floor_binding: bool,
 }
 
@@ -169,13 +166,11 @@ struct Region {
 struct StepCache {
     /// `r_diag` baked into the Hessian's diagonal.
     r_diag: Vec<f64>,
-    /// Aggregated tracking weights `Q̄_b = Σ_{i: min(i,M)−1 = b} Q(i)`.
-    qbar: Vec<f64>,
-    /// Tracking part of the Hessian's diagonal, `2·Q̄_b·a_j²` per variable:
+    /// Tracking part of the Hessian's diagonal, `2·Q·a_j²` per device:
     /// what [`StepCache::rebake`] adds `2·R̂_j` to.
     track_diag: Vec<f64>,
-    /// Box QP in cumulative coordinates; the Hessian is static per
-    /// `(model, r_diag)`, gradient and bounds are rewritten each period.
+    /// The period's box QP; the Hessian is static per `(model, r_diag)`,
+    /// gradient and bounds are rewritten each period.
     qp: BoxQpProblem,
     /// Final bound states of the previous period (warm hint + region key).
     warm: Option<Vec<VarState>>,
@@ -199,18 +194,17 @@ impl StepCache {
     /// counters.
     ///
     /// Weights that change every period (measured throughput) thus cost
-    /// `dim` additions and never a table they cannot use; weights that
+    /// `N` additions and never a table they cannot use; weights that
     /// repeat keep theirs.
     fn rebake(&mut self, r_diag: Vec<f64>) -> Result<()> {
-        let n = r_diag.len();
-        let baked = |v: usize| self.track_diag[v] + 2.0 * r_diag[v % n];
+        let baked = |j: usize| self.track_diag[j] + 2.0 * r_diag[j];
         // What `BoxQpProblem::new` rejects in a Hessian, checked before
         // anything is written.
-        if (0..self.track_diag.len()).any(|v| !baked(v).is_finite()) {
+        if (0..r_diag.len()).any(|j| !baked(j).is_finite()) {
             return Err(OptimError::BadProblem("Hessian must be finite").into());
         }
-        for v in 0..self.track_diag.len() {
-            self.qp.hessian[(v, v)] = baked(v);
+        for j in 0..r_diag.len() {
+            self.qp.hessian[(j, j)] = baked(j);
         }
         self.r_diag = r_diag;
         self.clear_regions();
@@ -302,18 +296,6 @@ impl MpcController {
         }
     }
 
-    /// The tracking weight of each cumulative block,
-    /// `Q̄_b = Σ_{i: min(i,M)−1 = b} Q(i)`: `Q̄₀ = Q` once `M ≥ 2`, and the
-    /// whole `P·Q` when `M = 1`.
-    fn block_weights(&self) -> Vec<f64> {
-        let m = self.config.control_horizon;
-        let mut qbar = vec![0.0; m];
-        for i in 1..=self.config.prediction_horizon {
-            qbar[i.min(m) - 1] += Q_WEIGHT;
-        }
-        qbar
-    }
-
     /// Validates step inputs and computes the effective per-device floors:
     /// SLO floors can only tighten the hard minimum; a floor above `f_max`
     /// is clamped (best effort) and flagged.
@@ -345,40 +327,25 @@ impl MpcController {
         Ok((f_lo, floor_clamped))
     }
 
-    /// Builds the per-period cache: the cumulative-coordinate box Hessian
-    /// `H_c = blockdiag_b(2·Q̄_b·aaᵀ + 2·R̂)` and the box-QP skeleton whose
-    /// gradient and bounds are rewritten each period.
-    ///
-    /// Derivation: with `cᵢ = Σ_{l≤i} dₗ` the predicted power at step `i`
-    /// is `p(k) + a·c_{min(i,M)−1}`, so the tracking cost aggregates per
-    /// cumulative block into `Q̄_b = Σ_{i: min(i,M)−1 = b} Q(i)`; the
-    /// control penalty `‖dᵢ + f(k+i|k) − f_ref‖²_R = ‖cᵢ + w‖²_R` is
-    /// block-diagonal outright; and constraint (10a) plus the SLO floors
-    /// become the per-variable box `f_lo − f_now ≤ cᵢ ≤ f_max − f_now`,
-    /// never empty because the effective floor `f_lo` is clamped to
+    /// Builds the per-period cache: the box QP's Hessian
+    /// `2·Q·aaᵀ + 2·R̂` and the skeleton whose gradient and bounds are
+    /// rewritten each period. The box `f_lo − f_now ≤ c ≤ f_max − f_now`
+    /// is never empty because the effective floor `f_lo` is clamped to
     /// `f_max`.
     fn build_cache(&self, r_diag: Vec<f64>) -> Result<StepCache> {
         let n = self.num_devices;
-        let m = self.config.control_horizon;
-        let dim = m * n;
         let a = self.model.gains();
-
-        let qbar = self.block_weights();
-
-        let mut h = Matrix::zeros(dim, dim);
-        for b in 0..m {
-            for j in 0..n {
-                for k in 0..n {
-                    h[(b * n + j, b * n + k)] += 2.0 * qbar[b] * a[j] * a[k];
-                }
+        let mut h = Matrix::zeros(n, n);
+        for j in 0..n {
+            for k in 0..n {
+                h[(j, k)] += 2.0 * Q_WEIGHT * a[j] * a[k];
             }
         }
         // The tracking part alone so far; `rebake` adds `2·R̂`.
-        let track_diag: Vec<f64> = (0..dim).map(|v| h[(v, v)]).collect();
-        let qp = BoxQpProblem::new(h, vec![0.0; dim], vec![0.0; dim], vec![0.0; dim])?;
+        let track_diag: Vec<f64> = (0..n).map(|j| h[(j, j)]).collect();
+        let qp = BoxQpProblem::new(h, vec![0.0; n], vec![0.0; n], vec![0.0; n])?;
         let mut cache = StepCache {
             r_diag: Vec::new(),
-            qbar,
             track_diag,
             qp,
             warm: None,
@@ -396,14 +363,14 @@ impl MpcController {
     /// weights (≥ 0, scaled by `R_BASE`; pass all-1s for uniform), and
     /// per-device frequency floors (pass `f_min` when no SLO applies).
     ///
-    /// The condensed QP is solved in cumulative coordinates as a pure box
-    /// QP (see `build_cache` for the transform): the explicit-MPC region
-    /// table is consulted first, keyed by the previous period's active
-    /// set, and the warm-started iterative [`BoxQp`] runs on a miss and
-    /// hands the table the factor it polished with. A change of
+    /// The applied block's box QP (module docs) is solved behind the
+    /// explicit-MPC region table: the table is consulted first, keyed by
+    /// the previous period's active set, and the warm-started iterative
+    /// [`BoxQp`] runs on a miss and hands the table the factor it polished
+    /// with. A change of
     /// `r_weights` re-bakes the Hessian's diagonal and empties the table
     /// (`StepCache::rebake`). The `#[cfg(test)]` `step_uncached` is the
-    /// cache-free, generic-solver reference.
+    /// cache-free, generic-solver reference over the full horizons.
     ///
     /// # Errors
     /// * [`ControlError::BadConfig`] on input length mismatches.
@@ -417,7 +384,6 @@ impl MpcController {
         floors: &[f64],
     ) -> Result<MpcStep> {
         let n = self.num_devices;
-        let m = self.config.control_horizon;
         let (f_lo, floor_clamped) = self.effective_floors(current_freqs, r_weights, floors)?;
         let f_now = current_freqs;
         let e0 = p_measured - setpoint;
@@ -434,22 +400,13 @@ impl MpcController {
             None => slot.insert(self.build_cache(r_diag)?),
         };
 
-        // ---- Box bounds in cumulative coordinates ----------------------
-        for i in 0..m {
-            for j in 0..n {
-                cache.qp.lo[i * n + j] = f_lo[j] - f_now[j];
-                cache.qp.hi[i * n + j] = self.config.f_max[j] - f_now[j];
-            }
-        }
-
-        // ---- Gradient: tracking per block + control penalty ------------
+        // ---- Box bounds, and the gradient: tracking + control penalty --
         let a = self.model.gains();
-        for b in 0..m {
-            for j in 0..n {
-                let w_j = f_now[j] - self.config.f_min[j];
-                cache.qp.gradient[b * n + j] =
-                    2.0 * cache.qbar[b] * e0 * a[j] + 2.0 * cache.r_diag[j] * w_j;
-            }
+        for j in 0..n {
+            cache.qp.lo[j] = f_lo[j] - f_now[j];
+            cache.qp.hi[j] = self.config.f_max[j] - f_now[j];
+            let w_j = f_now[j] - self.config.f_min[j];
+            cache.qp.gradient[j] = 2.0 * Q_WEIGHT * e0 * a[j] + 2.0 * cache.r_diag[j] * w_j;
         }
 
         // ---- Explicit-MPC region lookup, keyed by the warm-start set ---
@@ -491,7 +448,7 @@ impl MpcController {
                 // Cold start from "hold every clock": the solver clamps it
                 // into the box, i.e. jumps straight to the nearest
                 // feasible clock.
-                let start = vec![0.0; m * n];
+                let start = vec![0.0; n];
                 let sol = BoxQp.solve_from(&cache.qp, &start, cache.warm.as_deref())?;
                 if !cache.regions.iter().any(|r| r.states == sol.states) {
                     let region = Region {
@@ -509,13 +466,12 @@ impl MpcController {
             }
         };
 
-        let first_move = x[..n].to_vec();
+        let first_move = x;
         let active_constraints = states.iter().filter(|s| **s != VarState::Free).count();
         // An active lower bound is an SLO binding when the floor is raised
         // above hardware f_min.
-        let slo_floor_binding = (0..m).any(|i| {
-            (0..n).any(|j| states[i * n + j] == VarState::AtLo && f_lo[j] > self.config.f_min[j])
-        });
+        let slo_floor_binding =
+            (0..n).any(|j| states[j] == VarState::AtLo && f_lo[j] > self.config.f_min[j]);
         cache.warm = Some(states);
         let target: Vec<f64> = (0..n)
             .map(|j| (f_now[j] + first_move[j]).clamp(f_lo[j], self.config.f_max[j]))
@@ -538,22 +494,22 @@ impl MpcController {
     /// "its control decisions become linear functions of the current power,
     /// the set point, and the previous frequency decisions").
     ///
-    /// The cumulative-coordinate Hessian is block diagonal (see
-    /// `build_cache`) and only block 0 is applied, so the law is the
-    /// minimiser of `Q̄₀·(e₀ + aᵀc)² + ‖c + w‖²_R` alone. Sherman–Morrison
-    /// on `R + Q̄₀·aaᵀ` gives
+    /// The law is the unconstrained minimiser of the solved block,
+    /// `Q·(e₀ + aᵀc)² + ‖c + w‖²_R` (module docs). Sherman–Morrison on
+    /// `R + Q·aaᵀ` gives
     ///
     /// ```text
-    ///   K_p = Q̄₀·R⁻¹a / (1 + s),   s = Q̄₀·aᵀR⁻¹a,   K_f = I − K_p·aᵀ.
+    ///   K_p = Q·R⁻¹a / (1 + s),   s = Q·aᵀR⁻¹a,   K_f = I − K_p·aᵀ.
     /// ```
     ///
     /// Returns `K_p` (MHz/W per device); `K_f` follows from it and the
     /// model's gains `a`.
     pub fn unconstrained_gains(&self) -> Vec<f64> {
-        let q0 = self.block_weights()[0];
         let a = self.model.gains();
-        let s = q0 * a.iter().map(|a| a * a).sum::<f64>() / R_BASE;
-        a.iter().map(|a| q0 * a / R_BASE / (1.0 + s)).collect()
+        let s = Q_WEIGHT * a.iter().map(|a| a * a).sum::<f64>() / R_BASE;
+        a.iter()
+            .map(|a| Q_WEIGHT * a / R_BASE / (1.0 + s))
+            .collect()
     }
 }
 
@@ -565,12 +521,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The paper's prediction and control horizons `(P, M)` (§4.3).
+    const PAPER: (usize, usize) = (8, 2);
+
     impl MpcController {
         /// Builds the selector row `s_i = A·C_i` (power sensitivity of
-        /// prediction step `i ∈ 1..=P` to the stacked decision vector).
-        fn tracking_row(&self, i: usize) -> Vec<f64> {
+        /// prediction step `i ∈ 1..=P` to the `M` stacked moves).
+        fn tracking_row(&self, i: usize, m: usize) -> Vec<f64> {
             let n = self.num_devices;
-            let m = self.config.control_horizon;
             let blocks = i.min(m);
             let mut row = vec![0.0; m * n];
             for l in 0..blocks {
@@ -581,23 +539,15 @@ mod tests {
             row
         }
 
-        /// True when the solution's active set pins a *lower* cumulative
-        /// bound whose floor is SLO-raised (above hardware `f_min`): the
-        /// (10b) latency bound is what shaped this move. Box rows are laid
-        /// out as `2·(i·n + j)` (upper) / `2·(i·n + j) + 1` (lower) for
-        /// `i ∈ 0..m`, `j ∈ 0..n`.
-        fn active_slo_floor(active: &[usize], f_lo: &[f64], f_min: &[f64], n: usize) -> bool {
-            active
-                .iter()
-                .any(|&r| r % 2 == 1 && f_lo[(r / 2) % n] > f_min[(r / 2) % n])
-        }
-
         /// Cache-free reference implementation of [`MpcController::step`]:
-        /// rebuilds the full QP from scratch in the original per-move
-        /// coordinates and cold-starts the generic [`ActiveSetQp`] every
-        /// call. Kept verbatim as the ground truth the production path is
-        /// tested against — it shares no arithmetic with it beyond the input
-        /// validation.
+        /// builds the paper's whole condensed QP at horizons `(P, M)` from
+        /// scratch in the original per-move coordinates and cold-starts the
+        /// generic [`ActiveSetQp`] every call. It is the ground truth the
+        /// one-block production path is tested against, and shares no
+        /// arithmetic with it beyond the input validation. Its diagnostics
+        /// describe the applied move `d₀`: the active rows of the first
+        /// `N` devices' bounds, laid out as `2·j` (upper) / `2·j + 1`
+        /// (lower).
         ///
         /// # Errors
         /// Same as [`MpcController::step`]; a failure of the oracle solve
@@ -605,15 +555,15 @@ mod tests {
         #[allow(clippy::needless_range_loop)]
         fn step_uncached(
             &self,
+            (p_h, m): (usize, usize),
             p_measured: f64,
             setpoint: f64,
             current_freqs: &[f64],
             r_weights: &[f64],
             floors: &[f64],
         ) -> Result<MpcStep> {
+            assert!(1 <= m && m <= p_h, "horizons (P, M) = ({p_h}, {m})");
             let n = self.num_devices;
-            let m = self.config.control_horizon;
-            let p_h = self.config.prediction_horizon;
             let (f_lo, floor_clamped) = self.effective_floors(current_freqs, r_weights, floors)?;
             let f_now: Vec<f64> = current_freqs.to_vec();
             let dim = m * n;
@@ -628,7 +578,7 @@ mod tests {
             let mut h = Matrix::zeros(dim, dim);
             let mut g = vec![0.0; dim];
             for i in 1..=p_h {
-                let s = self.tracking_row(i);
+                let s = self.tracking_row(i, m);
                 for a in 0..dim {
                     if s[a] == 0.0 {
                         continue;
@@ -684,9 +634,16 @@ mod tests {
                 .unwrap_or_else(|e| panic!("oracle QP failed: {e}"));
 
             let first_move = sol.x[..n].to_vec();
-            let active_constraints = sol.active_set.len();
-            let slo_floor_binding =
-                Self::active_slo_floor(&sol.active_set, &f_lo, &self.config.f_min, n);
+            let applied: Vec<usize> = sol
+                .active_set
+                .iter()
+                .copied()
+                .filter(|&r| r < 2 * n)
+                .collect();
+            let active_constraints = applied.len();
+            let slo_floor_binding = applied
+                .iter()
+                .any(|&r| r % 2 == 1 && f_lo[r / 2] > self.config.f_min[r / 2]);
             let target: Vec<f64> = (0..n)
                 .map(|j| (f_now[j] + first_move[j]).clamp(f_lo[j], self.config.f_max[j]))
                 .collect();
@@ -883,36 +840,26 @@ mod tests {
     }
 
     #[test]
-    fn horizons_do_not_change_the_applied_move() {
+    fn step_matches_uncached_at_every_horizon() {
         // Eq. 9 penalises the frequency level, not the move, so the
-        // cumulative-coordinate QP splits into M independent blocks and
-        // only block 0 is applied. Its tracking weight is Q̄₀ = Q for every
-        // P once M ≥ 2, and P·Q = Q at P = M = 1, so all of these apply the
-        // same move to the bit, through warm starts, region hits and
-        // raised floors. (P = 8, M = 1 weighs block 0 by 8 and differs.)
-        let horizons = [(1, 1), (2, 2), (4, 2), (8, 2), (16, 2), (8, 3)];
+        // paper's condensed QP splits into M independent blocks and only
+        // block 0 is applied. Its tracking weight is Q for every P once
+        // M ≥ 2, and P·Q = Q at P = M = 1, so the one production step
+        // must apply the oracle's first move at each of these horizons,
+        // through warm starts, region hits, weight re-bakes and raised
+        // floors. (P = 8, M = 1 weighs block 0 by 8 and differs.)
+        let horizons = [(1, 1), (2, 2), (4, 2), PAPER, (16, 2), (8, 3)];
         let f_min = vec![1000.0, 435.0, 435.0, 435.0];
         let f_max = vec![2400.0, 1350.0, 1350.0, 1350.0];
         let model = LinearPowerModel::new(vec![0.06, 0.18, 0.15, 0.21], 250.0).unwrap();
-        let controllers: Vec<MpcController> = horizons
-            .iter()
-            .map(|&(p, m)| {
-                let config = MpcConfig {
-                    prediction_horizon: p,
-                    control_horizon: m,
-                    f_min: f_min.clone(),
-                    f_max: f_max.clone(),
-                };
-                MpcController::new(config, model.clone()).unwrap()
-            })
-            .collect();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let config = MpcConfig::paper_defaults(f_min.clone(), f_max.clone());
+        let c = MpcController::new(config, model.clone()).unwrap();
         let mut rng = StdRng::seed_from_u64(41);
         let mut f = vec![1400.0, 800.0, 800.0, 800.0];
         let (mut setpoint, mut weights, mut floors) = (0.0, vec![], vec![]);
         for k in 0..600 {
             // Set point, weights and floors hold for five periods, so the
-            // region tables warm up between redraws.
+            // region table warms up between redraws.
             if k % 5 == 0 {
                 setpoint = rng.gen_range(560.0..1110.0);
                 weights = (0..4).map(|_| rng.gen_range(0.1..2.0)).collect();
@@ -927,22 +874,22 @@ mod tests {
                     .collect();
             }
             let p = model.predict(&f) + rng.gen_range(-5.0..5.0);
-            let targets: Vec<Vec<f64>> = controllers
-                .iter()
-                .map(|c| {
-                    c.step(p, setpoint, &f, &weights, &floors)
-                        .unwrap()
-                        .target_freqs
-                })
-                .collect();
-            for (t, (p_h, m)) in targets.iter().zip(horizons).skip(1) {
-                assert_eq!(bits(t), bits(&targets[0]), "period {k}: P = {p_h}, M = {m}");
+            let step = c.step(p, setpoint, &f, &weights, &floors).unwrap();
+            for h in horizons {
+                let reference = c
+                    .step_uncached(h, p, setpoint, &f, &weights, &floors)
+                    .unwrap();
+                let d = max_abs_diff(&step.target_freqs, &reference.target_freqs);
+                assert!(
+                    d <= CLOSED_LOOP_TOL_MHZ,
+                    "period {k}, (P, M) = {h:?}: off by {d}"
+                );
+                let diag = |s: &MpcStep| (s.active_constraints, s.slo_floor_binding);
+                assert_eq!(diag(&step), diag(&reference), "period {k}, (P, M) = {h:?}");
             }
-            f = targets[0].clone();
+            f = step.target_freqs;
         }
-        for c in &controllers {
-            assert!(c.region_stats().0 > 0, "no region hit");
-        }
+        assert!(c.region_stats().0 > 0, "no region hit");
     }
 
     /// First-call agreement with the oracle, MHz. Both sides cold-solve
@@ -976,7 +923,9 @@ mod tests {
         let p = controller().model().predict(&f);
         for setpoint in [p - 150.0, p - 80.0, p, p + 100.0, p + 500.0] {
             let c = controller();
-            let reference = c.step_uncached(p, setpoint, &f, &wgt, &floors).unwrap();
+            let reference = c
+                .step_uncached(PAPER, p, setpoint, &f, &wgt, &floors)
+                .unwrap();
             let step = c.step(p, setpoint, &f, &wgt, &floors).unwrap();
             let d_move = max_abs_diff(&step.first_move, &reference.first_move);
             let d_target = max_abs_diff(&step.target_freqs, &reference.target_freqs);
@@ -1011,7 +960,9 @@ mod tests {
             let p_c = c.model().predict(&f_c);
             let p_u = c.model().predict(&f_u);
             let s_c = c.step(p_c, setpoint, &f_c, &wgt, &floors).unwrap();
-            let s_u = c.step_uncached(p_u, setpoint, &f_u, &wgt, &floors).unwrap();
+            let s_u = c
+                .step_uncached(PAPER, p_u, setpoint, &f_u, &wgt, &floors)
+                .unwrap();
             let d = max_abs_diff(&s_c.target_freqs, &s_u.target_freqs);
             assert!(
                 d <= CLOSED_LOOP_TOL_MHZ,
@@ -1135,7 +1086,9 @@ mod tests {
         let wgt = [0.5, 1.5, 1.0];
         let step = c.step(854.0, 900.0, &f, &wgt, &floors).unwrap();
         assert_eq!(c.region_stats(), (hits, misses + 1));
-        let reference = c.step_uncached(854.0, 900.0, &f, &wgt, &floors).unwrap();
+        let reference = c
+            .step_uncached(PAPER, 854.0, 900.0, &f, &wgt, &floors)
+            .unwrap();
         assert!(max_abs_diff(&step.target_freqs, &reference.target_freqs) <= CLOSED_LOOP_TOL_MHZ);
         // Non-finite weights are rejected as they are on a fresh build,
         // and leave the controller as it was.
@@ -1157,7 +1110,9 @@ mod tests {
         let f = [1600.0, 900.0, 900.0];
         let raised = [1000.0, 1100.0, 435.0];
         let step = c.step(854.0, 900.0, &f, &wgt, &raised).unwrap();
-        let reference = c.step_uncached(854.0, 900.0, &f, &wgt, &raised).unwrap();
+        let reference = c
+            .step_uncached(PAPER, 854.0, 900.0, &f, &wgt, &raised)
+            .unwrap();
         assert!(max_abs_diff(&step.target_freqs, &reference.target_freqs) <= CLOSED_LOOP_TOL_MHZ);
         assert!(step.target_freqs[1] >= 1100.0 - 1e-6);
     }
@@ -1176,7 +1131,9 @@ mod tests {
         let f = [1600.0, 900.0, 900.0];
         let step = c.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
         assert_eq!(c.region_stats(), (0, 1), "first step must miss");
-        let reference = c.step_uncached(850.0, 900.0, &f, &wgt, &floors).unwrap();
+        let reference = c
+            .step_uncached(PAPER, 850.0, 900.0, &f, &wgt, &floors)
+            .unwrap();
         let d = max_abs_diff(&step.first_move, &reference.first_move);
         assert!(d <= FIRST_CALL_TOL_MHZ, "stale cache after set_model: {d}");
 
@@ -1218,7 +1175,7 @@ mod tests {
                 let wgt = &weights[row * 9..row * 9 + n];
                 let p = c.model().predict(&f);
                 let step = c.step(p, setpoint, &f, wgt, &floors).unwrap();
-                let reference = c.step_uncached(p, setpoint, &f, wgt, &floors).unwrap();
+                let reference = c.step_uncached(PAPER, p, setpoint, &f, wgt, &floors).unwrap();
                 let d = max_abs_diff(&step.target_freqs, &reference.target_freqs);
                 prop_assert!(d <= CLOSED_LOOP_TOL_MHZ, "period {k}: off by {d} MHz");
                 prop_assert_eq!(step.floor_clamped, reference.floor_clamped);
@@ -1233,12 +1190,10 @@ mod tests {
     #[test]
     fn config_validation() {
         let model = LinearPowerModel::new(vec![0.18], 0.0).unwrap();
-        let mut bad = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
-        bad.control_horizon = 0;
+        let bad = MpcConfig::paper_defaults(vec![], vec![]);
         assert!(MpcController::new(bad, model.clone()).is_err());
 
-        let mut bad = MpcConfig::paper_defaults(vec![435.0], vec![1350.0]);
-        bad.control_horizon = 9;
+        let bad = MpcConfig::paper_defaults(vec![435.0], vec![1350.0, 1350.0]);
         assert!(MpcController::new(bad, model.clone()).is_err());
 
         let bad = MpcConfig::paper_defaults(vec![1350.0], vec![435.0]);

@@ -132,6 +132,48 @@ proptest! {
     }
 
     #[test]
+    fn mpc_diagnostics_describe_the_applied_move(
+        n in 1usize..10,
+        gains in prop::collection::vec(0.03..0.3f64, 9),
+        f_frac in prop::collection::vec(0.0..1.0f64, 9),
+        // Per device: no floor, a raised floor, or one above f_max.
+        floor_kind in prop::collection::vec(0usize..3, 9),
+        floor_frac in prop::collection::vec(0.0..1.0f64, 9),
+        weights in prop::collection::vec(0.1..3.0f64, 9),
+        err in prop::sample::select(vec![-3000.0, -300.0, -30.0, 0.0, 30.0, 300.0, 3000.0]),
+    ) {
+        // Random 1–9 device servers, down to a fully saturated box (±3 kW
+        // of error) and clamped floors: the diagnostics count only bounds
+        // the applied targets sit on.
+        let (f_min, f_max) = (vec![435.0; n], vec![1350.0; n]);
+        let model = LinearPowerModel::new(gains[..n].to_vec(), 250.0).unwrap();
+        let c = MpcController::new(MpcConfig::paper_defaults(f_min, f_max), model).unwrap();
+        let f: Vec<f64> = f_frac[..n].iter().map(|x| 435.0 + x * 915.0).collect();
+        let floors: Vec<f64> = (0..n)
+            .map(|j| match floor_kind[j] {
+                0 => 435.0,
+                1 => 435.0 + floor_frac[j] * 915.0,
+                _ => 1350.0 + floor_frac[j] * 500.0,
+            })
+            .collect();
+        let p = c.model().predict(&f);
+        let step = c.step(p, p - err, &f, &weights[..n], &floors).unwrap();
+        let effective: Vec<f64> = floors.iter().map(|x| x.clamp(435.0, 1350.0)).collect();
+        let on = |t: f64, bound: f64| (t - bound).abs() <= 1e-6;
+        let t = &step.target_freqs;
+        let on_a_bound = (0..n).filter(|&j| on(t[j], effective[j]) || on(t[j], 1350.0)).count();
+        prop_assert!(step.active_constraints <= n,
+            "{} active constraints for {n} devices", step.active_constraints);
+        prop_assert!(step.active_constraints <= on_a_bound,
+            "{} active constraints, {on_a_bound} targets on a bound: {t:?}",
+            step.active_constraints);
+        if step.slo_floor_binding {
+            prop_assert!((0..n).any(|j| effective[j] > 435.0 && on(t[j], effective[j])),
+                "SLO floor reported binding, none reached: {t:?} vs {effective:?}");
+        }
+    }
+
+    #[test]
     fn pole_placed_controller_converges_for_any_valid_pole(
         pole in 0.0..0.95f64,
         plant_gain in 0.1..1.0f64,
@@ -269,16 +311,14 @@ proptest! {
         n in 1usize..10,
         gains in prop::collection::vec(0.01..0.3f64, 9),
         g in prop::collection::vec(0.0..3.0f64, 9),
-        horizons in prop::sample::select(vec![(1, 1), (8, 1), (2, 2), (8, 2), (16, 2), (4, 3)]),
+        horizons in prop::sample::select(vec![(1, 1), (2, 2), (8, 2), (16, 2), (4, 3)]),
     ) {
+        // The one production law against the dense extraction at every
+        // horizon whose applied block carries the weight `Q` (every M ≥ 2,
+        // and P = M = 1).
         let (p_h, m) = horizons;
         let a = &gains[..n];
-        let config = MpcConfig {
-            prediction_horizon: p_h,
-            control_horizon: m,
-            f_min: vec![435.0; n],
-            f_max: vec![1350.0; n],
-        };
+        let config = MpcConfig::paper_defaults(vec![435.0; n], vec![1350.0; n]);
         let c = MpcController::new(config, LinearPowerModel::new(a.to_vec(), 250.0).unwrap())
             .unwrap();
         let k_p = c.unconstrained_gains();

@@ -23,7 +23,7 @@ pub struct CapGpuController {
 
 impl CapGpuController {
     /// Builds the controller from a device layout and an identified power
-    /// model, using the paper's MPC configuration (P = 8, M = 2).
+    /// model, using the paper's MPC configuration, labelled "CapGPU".
     ///
     /// # Errors
     /// Propagates MPC construction errors (device-count mismatch etc.).
@@ -32,26 +32,20 @@ impl CapGpuController {
         model: LinearPowerModel,
         weights: WeightAssigner,
     ) -> Result<Self> {
-        let config = MpcConfig::paper_defaults(layout.f_min.clone(), layout.f_max.clone());
-        let mpc = MpcController::new(config, model)?;
-        Ok(CapGpuController {
-            mpc,
-            weights,
-            name: "CapGPU".to_string(),
-            last_diag: None,
-        })
+        Self::labelled(layout, model, weights, "CapGPU")
     }
 
-    /// Builds with a custom MPC configuration (horizon ablations).
+    /// As [`CapGpuController::new`], under another label (ablation arms).
     ///
     /// # Errors
     /// Propagates MPC construction errors.
-    pub fn with_config(
-        config: MpcConfig,
+    pub fn labelled(
+        layout: &DeviceLayout,
         model: LinearPowerModel,
         weights: WeightAssigner,
         name: impl Into<String>,
     ) -> Result<Self> {
+        let config = MpcConfig::paper_defaults(layout.f_min.clone(), layout.f_max.clone());
         Ok(CapGpuController {
             mpc: MpcController::new(config, model)?,
             weights,

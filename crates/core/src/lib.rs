@@ -27,8 +27,8 @@
 //!
 //! ## Controllers
 //!
-//! * [`controllers::CapGpuController`] — the paper's controller: condensed
-//!   MIMO MPC (P = 8, M = 2) + weight assignment from normalized
+//! * [`controllers::CapGpuController`] — the paper's controller: MIMO MPC
+//!   (the applied block of P = 8, M = 2) + weight assignment from normalized
 //!   throughputs + per-GPU SLO frequency floors.
 //! * [`controllers::FixedStepController`] / `SafeFixedStepController` —
 //!   heuristic ±1-step baselines (§6.1 baseline 1).

@@ -416,12 +416,8 @@ impl ExperimentRunner {
     /// Propagates identification and construction errors.
     pub fn build_capgpu_phase_blind(&mut self) -> Result<CapGpuController> {
         let model = self.identified_model()?;
-        let config = capgpu_control::mpc::MpcConfig::paper_defaults(
-            self.layout.f_min.clone(),
-            self.layout.f_max.clone(),
-        );
-        CapGpuController::with_config(
-            config,
+        CapGpuController::labelled(
+            &self.layout,
             model,
             WeightAssigner::PhaseBlind,
             "CapGPU (phase-blind)",

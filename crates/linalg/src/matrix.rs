@@ -5,7 +5,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
 /// A dense, row-major `f64` matrix.
 ///
-/// All CapGPU matrices are small (device counts, MPC horizons), so the
+/// All CapGPU matrices are small (sized by device counts), so the
 /// representation is a single contiguous `Vec<f64>` without blocking or
 /// strides. Indexing is `(row, col)`.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,9 +1,9 @@
 //! Box-constrained specialization of the active-set QP solver.
 //!
-//! The condensed CapGPU MPC problem becomes a *pure box* QP after the
-//! cumulative-move change of variables (see `capgpu-control::mpc`): every
-//! constraint is a per-variable bound `lo_j ≤ x_j ≤ hi_j`, separable across
-//! devices and horizon blocks. That structure admits a much cheaper
+//! The block of the condensed CapGPU MPC problem that is applied is a
+//! *pure box* QP in cumulative-move coordinates (see
+//! `capgpu-control::mpc`): every constraint is a per-variable bound
+//! `lo_j ≤ x_j ≤ hi_j`, separable across devices. That structure admits a much cheaper
 //! active-set iteration than the generic `capgpu_oracle::qp::ActiveSetQp`
 //! it is tested against:
 //!
