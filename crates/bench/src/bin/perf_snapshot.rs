@@ -1,10 +1,9 @@
-//! Performance invariants: five checks on the control loop's hot paths
+//! Performance invariants: four checks on the control loop's hot paths
 //! that need no committed reference, because each compares two timings
 //! taken in the same run or bounds a nanosecond-scale primitive by a
 //! ceiling an order of magnitude above it.
 //!
-//! Three within-run ratio floors — the MPC's explicit-region hit at most
-//! a third of its cold solve, the supervisor at most 5% of one MPC
+//! Two within-run ratio floors — the supervisor at most 5% of one MPC
 //! control step, the journal's float renderer at most two thirds of
 //! std's `{}` on the same values — and two absolute ceilings: 50 ns per
 //! telemetry record, 500 ns per traced span pair. Every verdict is
@@ -19,8 +18,6 @@
 
 use capgpu::controllers::ControlInput;
 use capgpu::prelude::*;
-use capgpu_control::model::LinearPowerModel;
-use capgpu_control::mpc::{MpcConfig, MpcController};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -71,70 +68,12 @@ fn best_ns_per_call(repeats: usize, calls: usize, mut f: impl FnMut()) -> f64 {
     best * 1e9 / calls as f64
 }
 
-/// Per-call MPC solve times `(cold, warm)` in ns on 1 CPU + 8 GPUs (the
-/// paper's "about 4 to 8 GPUs" headline size): solved cold (warm hint and
-/// region table cleared before every call), and in steady state. The
-/// steady-state loop re-solves the identical problem, which is what the
-/// controller sees between set-point changes — the explicit-MPC region
-/// table turns those periods into a cached-factor polish.
-fn mpc_solve_ns() -> (f64, f64) {
-    const STEPS: usize = 2_000;
-    const GPUS: usize = 8;
-    let mut f_min = vec![1000.0];
-    let mut f_max = vec![2400.0];
-    let mut gains = vec![0.05];
-    f_min.extend(std::iter::repeat_n(435.0, GPUS));
-    f_max.extend(std::iter::repeat_n(1350.0, GPUS));
-    gains.extend(std::iter::repeat_n(0.1475, GPUS));
-    let make = || {
-        let config = MpcConfig::paper_defaults(f_min.clone(), f_max.clone());
-        let model = LinearPowerModel::new(gains.clone(), 330.0).expect("model");
-        MpcController::new(config, model).expect("controller")
-    };
-    let mut freqs = vec![1700.0];
-    freqs.extend(std::iter::repeat_n(900.0, GPUS));
-    let weights = vec![1.0; GPUS + 1];
-    let floors = f_min.clone();
-    let run = |ctrl: &MpcController, reset: bool| -> f64 {
-        best_ns_per_call(1, STEPS, || {
-            for _ in 0..STEPS {
-                if reset {
-                    ctrl.reset_solver_state();
-                }
-                std::hint::black_box(
-                    ctrl.step(930.0, 900.0, &freqs, &weights, &floors)
-                        .expect("mpc step"),
-                );
-            }
-        })
-    };
-
-    // The two sides take turns, so that a host that changes speed partway
-    // through shows both minima the same fast stretches.
-    let (cold_ctrl, warm_ctrl) = (make(), make());
-    let (mut cold, mut warm) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        cold = cold.min(run(&cold_ctrl, true));
-        warm = warm.min(run(&warm_ctrl, false));
-    }
-    let (hits, misses) = warm_ctrl.region_stats();
-    assert!(
-        hits > 10 * misses,
-        "steady-state loop must be hit-dominated (hits {hits}, misses {misses})"
-    );
-    (cold, warm)
-}
-
 /// One full `control()` call of the paper testbed's CapGPU controller
 /// (weight assignment + MPC solve + modulation), ns: the yardstick the
 /// supervisor's cost is held against, since the two run in series on
 /// every period. Driven as the runner drives it — measured throughput,
-/// and with it the weight vector, differs from one period to the next, so
-/// every call re-bakes the Hessian's diagonal and runs the warm-started
-/// solve, here from a mid-range operating point with no bound active.
-/// (Under weights that repeat, the call is a region-table hit three to
-/// four times cheaper; the supervisor is 5–8 % of *that*, because the step
-/// got cheaper, not the supervisor dearer.)
+/// and with it the weight vector, differs from one period to the next —
+/// here from a mid-range operating point with no bound active.
 fn control_step_ns() -> f64 {
     const CALLS: usize = 100;
     let mut runner = ExperimentRunner::new(Scenario::paper_testbed(42), 900.0).expect("runner");
@@ -255,7 +194,8 @@ fn float_render_ns() -> (f64, f64) {
         })
         .collect();
     let mut out = String::with_capacity(24 * VALUES);
-    // Alternating, as in `mpc_solve_ns`.
+    // The two sides take turns, so that a host that changes speed partway
+    // through shows both minima the same fast stretches.
     let (mut journal, mut std) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..5 {
         journal = journal.min(best_ns_per_call(3, VALUES, || {
@@ -277,11 +217,9 @@ fn float_render_ns() -> (f64, f64) {
 }
 
 fn main() -> ExitCode {
-    let (mpc_cold, mpc_warm) = mpc_solve_ns();
     let (render_journal, render_std) = float_render_ns();
     let control_ns = control_step_ns();
     let checks = [
-        ("mpc region hit vs cold / 3", mpc_warm, mpc_cold / 3.0),
         (
             "supervisor vs 5% of control step",
             supervisor_overhead_ns(),

@@ -14,11 +14,11 @@
 //!   weight `Q`, per-device control penalties `R` and hard frequency
 //!   constraints (Eq. 9 + 10a–10c). The paper's condensed problem splits
 //!   into one block per move, so it solves only the applied block, an
-//!   `N`-variable box QP from `capgpu-optim`, behind the explicit /
-//!   multi-parametric region table §4.3 sketches (one cached affine law
-//!   per active set, KKT-checked, exact solve on a miss). That is the only
-//!   path; `mpc`'s tests hold it against the whole `P = 8`, `M = 2` QP
-//!   solved by the generic active-set QP of the dev-only `capgpu-oracle`.
+//!   `N`-variable box QP whose Hessian is diagonal plus rank one: exactly,
+//!   in O(N log N), by a search for its one KKT multiplier, with no
+//!   iteration and no state between periods. `mpc`'s tests hold it
+//!   against the whole `P = 8`, `M = 2` QP solved by the generic
+//!   active-set QP of the dev-only `capgpu-oracle`.
 //! * [`pid`] — pole-placed proportional controllers (the GPU-Only and
 //!   CPU-Only baselines of §6.1 follow OptimML / IBM server-level control).
 //! * [`modulator`] — the first-order **delta-sigma modulator** that
@@ -56,8 +56,6 @@ pub enum ControlError {
     BadConfig(&'static str),
     /// Not enough (or degenerate) excitation data for identification.
     InsufficientData(&'static str),
-    /// The underlying optimizer failed.
-    Optim(capgpu_optim::OptimError),
     /// The underlying linear algebra failed.
     Linalg(capgpu_linalg::LinalgError),
     /// The constraints admit no solution (e.g. SLO floor above `f_max`).
@@ -69,7 +67,6 @@ impl std::fmt::Display for ControlError {
         match self {
             ControlError::BadConfig(m) => write!(f, "bad controller config: {m}"),
             ControlError::InsufficientData(m) => write!(f, "insufficient data: {m}"),
-            ControlError::Optim(e) => write!(f, "optimizer failure: {e}"),
             ControlError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             ControlError::Infeasible(m) => write!(f, "infeasible constraints: {m}"),
         }
@@ -77,12 +74,6 @@ impl std::fmt::Display for ControlError {
 }
 
 impl std::error::Error for ControlError {}
-
-impl From<capgpu_optim::OptimError> for ControlError {
-    fn from(e: capgpu_optim::OptimError) -> Self {
-        ControlError::Optim(e)
-    }
-}
 
 impl From<capgpu_linalg::LinalgError> for ControlError {
     fn from(e: capgpu_linalg::LinalgError) -> Self {

@@ -28,24 +28,42 @@
 //! `P = 8`, `M = 2` therefore apply exactly the minimiser of
 //!
 //! ```text
-//!   min_c  Q·(e + aᵀc)² + ‖c + w‖²_R   s.t.  f_lo − f(k) ≤ c ≤ f_max − f(k)
+//!   min_c  Q·(e + aᵀc)² + Σⱼ rⱼ·(cⱼ + wⱼ)²   s.t.  lo ≤ c ≤ hi,
+//!   lo = f_lo − f(k),  hi = f_max − f(k),
 //! ```
 //!
-//! with `e = p(k) − P_s`, and that `N`-variable box QP is all
+//! with `e = p(k) − P_s`, and that `N`-variable box problem is all
 //! [`MpcController::step`] solves. The horizons survive only in this
 //! module's tests, which hold `step` against the full condensed QP at
 //! `P = 8`, `M = 2` (and at other horizons), built in the original `d`
 //! coordinates and solved by the generic active-set solver of the
 //! dev-only `capgpu-oracle` crate.
 //!
-//! # How it is solved
+//! # How it is solved: one multiplier
 //!
-//! The box QP goes to the box-constrained active-set solver
-//! [`capgpu_optim::boxqp`] behind the explicit / multi-parametric table
-//! §4.3 sketches: one cached affine law per active set, KKT-checked
-//! against the period's problem, the iterative solve on a miss. Hits,
-//! misses, warm and cold starts that end on the same active set return
-//! bit-identical moves (DESIGN.md §15).
+//! The Hessian is diagonal plus rank one, so the KKT conditions solve the
+//! block exactly. With the multiplier `λ = Q·(e + aᵀc)` — the weighted
+//! predicted tracking error, `Q·(predicted_power − P_s)` — every device's
+//! move is
+//!
+//! ```text
+//!   cⱼ(λ) = clamp(−wⱼ − λ·aⱼ/rⱼ, loⱼ, hiⱼ),
+//! ```
+//!
+//! and `λ` is the one root of `φ(λ) = λ − Q·(e + Σⱼ aⱼ·cⱼ(λ))`. Each term
+//! `aⱼ·cⱼ(λ)` is non-increasing, so `φ` is strictly increasing (slope
+//! ≥ 1) and piecewise linear, with at most `2N` breakpoints, where a
+//! device reaches a bound. [`MpcController::step`] sorts them,
+//! binary-searches the sign change of `φ`, and solves the bracketing
+//! segment — on which the free set `F` is fixed — in closed form:
+//!
+//! ```text
+//!   λ = Q·(e + Σ_{j∉F} aⱼ·boundⱼ − Σ_{j∈F} aⱼ·wⱼ) / (1 + Q·Σ_{j∈F} aⱼ²/rⱼ).
+//! ```
+//!
+//! That is O(N log N) with no iteration and no state carried between
+//! periods: the move is a pure function of the period's inputs and the
+//! model (DESIGN.md §15).
 //!
 //! # Weight semantics
 //!
@@ -57,12 +75,6 @@
 //! device `j` is proportional to `A_j / R_j`, which is exactly the
 //! throughput-proportional allocation the weight assigner in the `capgpu`
 //! crate produces.
-
-use std::cell::RefCell;
-
-use capgpu_linalg::Matrix;
-use capgpu_optim::boxqp::{self, BoxFactor, BoxQp, BoxQpProblem, VarState};
-use capgpu_optim::OptimError;
 
 use crate::model::LinearPowerModel;
 use crate::{ControlError, Result};
@@ -121,10 +133,13 @@ pub struct MpcStep {
     /// The applied first move `d₀` (MHz per device), the solved block's
     /// minimiser.
     pub first_move: Vec<f64>,
-    /// Power predicted by the model after the first move.
+    /// Power predicted by the model after the first move. The solve's
+    /// multiplier is `λ = Q·(predicted_power − setpoint)` with `Q = 1`
+    /// (module docs): every free device's move is `−wⱼ − λ·aⱼ/rⱼ`.
     pub predicted_power: f64,
-    /// Active-set iterations the QP solve took; 0 ≡ no iteration ran —
-    /// the period was answered by a cached region's law.
+    /// Always 0: the solve is closed-form and runs no iteration. Kept
+    /// because the repository benchmark reads it; it goes when that
+    /// benchmark stops reading it.
     pub qp_iterations: usize,
     /// True when an SLO floor exceeded a device's reachable range and had
     /// to be clamped (best-effort; see module docs).
@@ -139,93 +154,66 @@ pub struct MpcStep {
     pub slo_floor_binding: bool,
 }
 
-/// KKT tolerance (scaled by the gradient magnitude) for accepting a cached
-/// explicit-MPC region without re-running the iterative solver.
-const REGION_KKT_TOL: f64 = 1e-7;
-/// Maximum cached explicit-MPC regions before round-robin replacement.
-const MAX_REGIONS: usize = 64;
-
-/// One explicit-MPC region: the affine control law of a fixed active set,
-/// stored as the frozen free-set factorization. Evaluating it for the
-/// period's `(g, lo, hi)` reproduces the iterative solver's polish step bit
-/// for bit, so a KKT-validated hit equals the full solve exactly.
-#[derive(Debug, Clone)]
-struct Region {
-    /// Active-set signature (per-variable bound state) keying this region.
-    states: Vec<VarState>,
-    /// Cholesky factor of `H_FF` over this region's free set — the one the
-    /// solve that discovered the region polished with.
-    factor: BoxFactor,
+/// One device's term of the period's block (module docs): gain `a`,
+/// `slope = a/r` of its unclamped move in `λ` (`r > 0` its control
+/// penalty), offset `w = f(k) − f_min` and the box `lo ≤ c ≤ hi` on its
+/// move.
+#[derive(Debug, Clone, Copy)]
+struct Term {
+    a: f64,
+    slope: f64,
+    w: f64,
+    lo: f64,
+    hi: f64,
 }
 
-/// Cross-period cache of everything in the QP that does not depend on the
-/// measured power: the box problem whose gradient and bounds are rewritten
-/// in place each period, the previous period's active set, and the region
-/// table that is valid for as long as the Hessian is.
-#[derive(Debug, Clone)]
-struct StepCache {
-    /// `r_diag` baked into the Hessian's diagonal.
-    r_diag: Vec<f64>,
-    /// Tracking part of the Hessian's diagonal, `2·Q·a_j²` per device:
-    /// what [`StepCache::rebake`] adds `2·R̂_j` to.
-    track_diag: Vec<f64>,
-    /// The period's box QP; the Hessian is static per `(model, r_diag)`,
-    /// gradient and bounds are rewritten each period.
-    qp: BoxQpProblem,
-    /// Final bound states of the previous period (warm hint + region key).
-    warm: Option<Vec<VarState>>,
-    /// Explicit-MPC region table.
-    regions: Vec<Region>,
-    /// Round-robin replacement cursor once the table is full.
-    insert_at: usize,
-    /// Explicit-table hits (periods solved by a cached law alone).
-    hits: u64,
-    /// Explicit-table misses (periods that ran the iterative solver).
-    misses: u64,
-}
-
-impl StepCache {
-    /// Bakes per-device control penalties into the Hessian. Only its
-    /// diagonal depends on them, so only the diagonal is rewritten — a
-    /// fresh cache is built by this same call, hence a re-baked Hessian is
-    /// bit-identical to a from-scratch one — and the region table, whose
-    /// factors froze the old diagonal, is emptied. The warm hint stays
-    /// (the optimal active set rarely moves with the weights), as do the
-    /// counters.
-    ///
-    /// Weights that change every period (measured throughput) thus cost
-    /// `N` additions and never a table they cannot use; weights that
-    /// repeat keep theirs.
-    fn rebake(&mut self, r_diag: Vec<f64>) -> Result<()> {
-        let baked = |j: usize| self.track_diag[j] + 2.0 * r_diag[j];
-        // What `BoxQpProblem::new` rejects in a Hessian, checked before
-        // anything is written.
-        if (0..r_diag.len()).any(|j| !baked(j).is_finite()) {
-            return Err(OptimError::BadProblem("Hessian must be finite").into());
-        }
-        for j in 0..r_diag.len() {
-            self.qp.hessian[(j, j)] = baked(j);
-        }
-        self.r_diag = r_diag;
-        self.clear_regions();
-        Ok(())
+impl Term {
+    /// The minimising move at multiplier `λ`.
+    fn at(&self, lam: f64) -> f64 {
+        (-self.w - lam * self.slope).clamp(self.lo, self.hi)
     }
 
-    fn clear_regions(&mut self) {
-        self.regions.clear();
-        self.insert_at = 0;
+    /// The `λ` at which the unclamped move `−w − λ·slope` reaches
+    /// `bound` (`slope ≠ 0`).
+    fn breakpoint(&self, bound: f64) -> f64 {
+        -(bound + self.w) / self.slope
+    }
+
+    /// The bound the move sits on for every `λ` strictly inside
+    /// `(left, right)`, an interval no breakpoint cuts, or `None` if the
+    /// move is free there. A point box (a floor clamped to `f_max`) is
+    /// always pinned, on a bound that is also its floor.
+    fn pinned(&self, left: f64, right: f64) -> Option<f64> {
+        if self.slope == 0.0 {
+            // No breakpoint: the move is `−w` clamped, for every λ.
+            let u = -self.w;
+            return (u <= self.lo || u >= self.hi).then(|| u.clamp(self.lo, self.hi));
+        }
+        // The move falls with λ when the slope is positive, else rises.
+        let (t_hi, t_lo) = (self.breakpoint(self.hi), self.breakpoint(self.lo));
+        let ((t_first, first), (t_last, last)) = if self.slope > 0.0 {
+            ((t_hi, self.hi), (t_lo, self.lo))
+        } else {
+            ((t_lo, self.lo), (t_hi, self.hi))
+        };
+        if right <= t_first {
+            Some(first)
+        } else if left >= t_last {
+            Some(last)
+        } else {
+            None
+        }
     }
 }
 
-/// The receding-horizon MPC controller.
+/// The receding-horizon MPC controller. It carries no state between
+/// periods: [`MpcController::step`] is a pure function of its inputs and
+/// the current model.
 #[derive(Debug, Clone)]
 pub struct MpcController {
     config: MpcConfig,
     model: LinearPowerModel,
     num_devices: usize,
-    /// Lazily built per-period cache ([`StepCache`]); interior mutability
-    /// keeps `step(&self)` — the controller is logically immutable.
-    cache: RefCell<Option<StepCache>>,
 }
 
 impl MpcController {
@@ -245,7 +233,6 @@ impl MpcController {
             config,
             model,
             num_devices: n,
-            cache: RefCell::new(None),
         })
     }
 
@@ -268,32 +255,7 @@ impl MpcController {
             return Err(ControlError::BadConfig("model device count changed"));
         }
         self.model = model;
-        // The cached Hessian (and so every region's law) depends on the
-        // gains.
-        *self.cache.borrow_mut() = None;
         Ok(())
-    }
-
-    /// Explicit-MPC region-table statistics: `(hits, misses)` — periods
-    /// solved by a cached affine law alone vs periods that ran the
-    /// iterative box solver. `(0, 0)` until the first step, and again
-    /// after [`MpcController::set_model`].
-    pub fn region_stats(&self) -> (u64, u64) {
-        self.cache
-            .borrow()
-            .as_ref()
-            .map_or((0, 0), |c| (c.hits, c.misses))
-    }
-
-    /// Discards the solver's cross-period state (warm-start hint and
-    /// region table). Diagnostics/ablation hook: forces the next solve to
-    /// be fully cold. The deterministic polish makes the cold re-solve
-    /// bit-identical to the warm one for the same inputs.
-    pub fn reset_solver_state(&self) {
-        if let Some(c) = self.cache.borrow_mut().as_mut() {
-            c.warm = None;
-            c.clear_regions();
-        }
     }
 
     /// Validates step inputs and computes the effective per-device floors:
@@ -301,6 +263,8 @@ impl MpcController {
     /// is clamped (best effort) and flagged.
     fn effective_floors(
         &self,
+        p_measured: f64,
+        setpoint: f64,
         current_freqs: &[f64],
         r_weights: &[f64],
         floors: &[f64],
@@ -309,8 +273,23 @@ impl MpcController {
         if current_freqs.len() != n || r_weights.len() != n || floors.len() != n {
             return Err(ControlError::BadConfig("MPC step input length mismatch"));
         }
-        if r_weights.iter().any(|w| *w < 0.0) {
-            return Err(ControlError::BadConfig("r_weights must be non-negative"));
+        if !p_measured.is_finite() || !setpoint.is_finite() {
+            return Err(ControlError::BadConfig(
+                "measured power and set point must be finite",
+            ));
+        }
+        if current_freqs.iter().any(|f| !f.is_finite()) {
+            return Err(ControlError::BadConfig(
+                "current frequencies must be finite",
+            ));
+        }
+        if r_weights.iter().any(|w| !(w.is_finite() && *w >= 0.0)) {
+            return Err(ControlError::BadConfig(
+                "r_weights must be finite and non-negative",
+            ));
+        }
+        if floors.iter().any(|f| f.is_nan()) {
+            return Err(ControlError::BadConfig("floors must not be NaN"));
         }
         let mut floor_clamped = false;
         let f_lo: Vec<f64> = (0..n)
@@ -327,54 +306,19 @@ impl MpcController {
         Ok((f_lo, floor_clamped))
     }
 
-    /// Builds the per-period cache: the box QP's Hessian
-    /// `2·Q·aaᵀ + 2·R̂` and the skeleton whose gradient and bounds are
-    /// rewritten each period. The box `f_lo − f_now ≤ c ≤ f_max − f_now`
-    /// is never empty because the effective floor `f_lo` is clamped to
-    /// `f_max`.
-    fn build_cache(&self, r_diag: Vec<f64>) -> Result<StepCache> {
-        let n = self.num_devices;
-        let a = self.model.gains();
-        let mut h = Matrix::zeros(n, n);
-        for j in 0..n {
-            for k in 0..n {
-                h[(j, k)] += 2.0 * Q_WEIGHT * a[j] * a[k];
-            }
-        }
-        // The tracking part alone so far; `rebake` adds `2·R̂`.
-        let track_diag: Vec<f64> = (0..n).map(|j| h[(j, j)]).collect();
-        let qp = BoxQpProblem::new(h, vec![0.0; n], vec![0.0; n], vec![0.0; n])?;
-        let mut cache = StepCache {
-            r_diag: Vec::new(),
-            track_diag,
-            qp,
-            warm: None,
-            regions: Vec::new(),
-            insert_at: 0,
-            hits: 0,
-            misses: 0,
-        };
-        cache.rebake(r_diag)?;
-        Ok(cache)
-    }
-
     /// Computes one control period: given the measured average power, the
     /// set point, the currently applied frequencies, per-device control
     /// weights (≥ 0, scaled by `R_BASE`; pass all-1s for uniform), and
     /// per-device frequency floors (pass `f_min` when no SLO applies).
     ///
-    /// The applied block's box QP (module docs) is solved behind the
-    /// explicit-MPC region table: the table is consulted first, keyed by
-    /// the previous period's active set, and the warm-started iterative
-    /// [`BoxQp`] runs on a miss and hands the table the factor it polished
-    /// with. A change of
-    /// `r_weights` re-bakes the Hessian's diagonal and empties the table
-    /// (`StepCache::rebake`). The `#[cfg(test)]` `step_uncached` is the
-    /// cache-free, generic-solver reference over the full horizons.
+    /// Solves the applied block exactly by the multiplier search of the
+    /// module docs. The `#[cfg(test)]` `step_uncached` is the generic-solver
+    /// reference over the full horizons.
     ///
     /// # Errors
-    /// * [`ControlError::BadConfig`] on input length mismatches.
-    /// * [`ControlError::Optim`] if the QP solver fails.
+    /// [`ControlError::BadConfig`] on input length mismatches, a
+    /// non-finite measured power, set point, current frequency or weight,
+    /// a negative weight, or a NaN floor.
     pub fn step(
         &self,
         p_measured: f64,
@@ -384,95 +328,61 @@ impl MpcController {
         floors: &[f64],
     ) -> Result<MpcStep> {
         let n = self.num_devices;
-        let (f_lo, floor_clamped) = self.effective_floors(current_freqs, r_weights, floors)?;
+        let (f_lo, floor_clamped) =
+            self.effective_floors(p_measured, setpoint, current_freqs, r_weights, floors)?;
         let f_now = current_freqs;
         let e0 = p_measured - setpoint;
-        let r_diag: Vec<f64> = (0..n).map(|j| R_BASE * r_weights[j].max(1e-9)).collect();
-
-        let mut slot = self.cache.borrow_mut();
-        let cache = match slot.as_mut() {
-            Some(cache) => {
-                if cache.r_diag != r_diag {
-                    cache.rebake(r_diag)?;
-                }
-                cache
-            }
-            None => slot.insert(self.build_cache(r_diag)?),
-        };
-
-        // ---- Box bounds, and the gradient: tracking + control penalty --
         let a = self.model.gains();
-        for j in 0..n {
-            cache.qp.lo[j] = f_lo[j] - f_now[j];
-            cache.qp.hi[j] = self.config.f_max[j] - f_now[j];
-            let w_j = f_now[j] - self.config.f_min[j];
-            cache.qp.gradient[j] = 2.0 * Q_WEIGHT * e0 * a[j] + 2.0 * cache.r_diag[j] * w_j;
-        }
+        let terms: Vec<Term> = (0..n)
+            .map(|j| Term {
+                a: a[j],
+                slope: a[j] / (R_BASE * r_weights[j].max(1e-9)),
+                w: f_now[j] - self.config.f_min[j],
+                lo: f_lo[j] - f_now[j],
+                hi: self.config.f_max[j] - f_now[j],
+            })
+            .collect();
 
-        // ---- Explicit-MPC region lookup, keyed by the warm-start set ---
-        let g_scale = 1.0
-            + cache
-                .qp
-                .gradient
-                .iter()
-                .fold(0.0f64, |mx, v| mx.max(v.abs()));
-        let tol = REGION_KKT_TOL * g_scale;
-        let mut solved: Option<(Vec<f64>, Vec<VarState>, usize)> = None;
-        if let Some(sig) = cache.warm.as_ref() {
-            if let Some(region) = cache.regions.iter().find(|r| &r.states == sig) {
-                let x = region.factor.polish(
-                    &cache.qp.hessian,
-                    &cache.qp.gradient,
-                    &cache.qp.lo,
-                    &cache.qp.hi,
-                    &region.states,
-                );
-                if boxqp::kkt_optimal(
-                    &cache.qp.hessian,
-                    &cache.qp.gradient,
-                    &cache.qp.lo,
-                    &cache.qp.hi,
-                    &region.states,
-                    &x,
-                    tol,
-                ) {
-                    cache.hits += 1;
-                    solved = Some((x, region.states.clone(), 0));
+        // ---- Bracket the root of φ between two adjacent breakpoints ----
+        let phi =
+            |lam: f64| lam - Q_WEIGHT * (e0 + terms.iter().map(|t| t.a * t.at(lam)).sum::<f64>());
+        let mut breakpoints: Vec<f64> = terms
+            .iter()
+            .filter(|t| t.slope != 0.0)
+            .flat_map(|t| [t.breakpoint(t.lo), t.breakpoint(t.hi)])
+            .collect();
+        breakpoints.sort_unstable_by(f64::total_cmp);
+        let first_above = breakpoints.partition_point(|&lam| phi(lam) < 0.0);
+        let left = (first_above.checked_sub(1)).map_or(f64::NEG_INFINITY, |i| breakpoints[i]);
+        let right = breakpoints
+            .get(first_above)
+            .copied()
+            .unwrap_or(f64::INFINITY);
+
+        // ---- The segment's free set fixes λ in closed form ----
+        let pinned: Vec<Option<f64>> = terms.iter().map(|t| t.pinned(left, right)).collect();
+        let (mut excess, mut curvature) = (e0, 0.0);
+        for (t, pin) in terms.iter().zip(&pinned) {
+            match pin {
+                Some(bound) => excess += t.a * bound,
+                None => {
+                    excess -= t.a * t.w;
+                    curvature += t.a * t.slope;
                 }
             }
         }
-        let (x, states, iterations) = match solved {
-            Some(s) => s,
-            None => {
-                cache.misses += 1;
-                // Cold start from "hold every clock": the solver clamps it
-                // into the box, i.e. jumps straight to the nearest
-                // feasible clock.
-                let start = vec![0.0; n];
-                let sol = BoxQp.solve_from(&cache.qp, &start, cache.warm.as_deref())?;
-                if !cache.regions.iter().any(|r| r.states == sol.states) {
-                    let region = Region {
-                        states: sol.states.clone(),
-                        factor: sol.factor,
-                    };
-                    if cache.regions.len() < MAX_REGIONS {
-                        cache.regions.push(region);
-                    } else {
-                        cache.regions[cache.insert_at % MAX_REGIONS] = region;
-                        cache.insert_at = cache.insert_at.wrapping_add(1);
-                    }
-                }
-                (sol.x, sol.states, sol.iterations)
-            }
-        };
+        let lam = Q_WEIGHT * excess / (1.0 + Q_WEIGHT * curvature);
 
-        let first_move = x;
-        let active_constraints = states.iter().filter(|s| **s != VarState::Free).count();
-        // An active lower bound is an SLO binding when the floor is raised
-        // above hardware f_min.
+        let first_move: Vec<f64> = terms
+            .iter()
+            .zip(&pinned)
+            .map(|(t, pin)| pin.unwrap_or_else(|| t.at(lam)))
+            .collect();
+        let active_constraints = pinned.iter().filter(|p| p.is_some()).count();
+        // A device pinned at its lower bound is an SLO binding when the
+        // floor is raised above hardware f_min.
         let slo_floor_binding =
-            (0..n).any(|j| states[j] == VarState::AtLo && f_lo[j] > self.config.f_min[j]);
-        cache.warm = Some(states);
+            (0..n).any(|j| pinned[j] == Some(terms[j].lo) && f_lo[j] > self.config.f_min[j]);
         let target: Vec<f64> = (0..n)
             .map(|j| (f_now[j] + first_move[j]).clamp(f_lo[j], self.config.f_max[j]))
             .collect();
@@ -481,7 +391,7 @@ impl MpcController {
             target_freqs: target,
             first_move,
             predicted_power: predicted,
-            qp_iterations: iterations,
+            qp_iterations: 0,
             floor_clamped,
             active_constraints,
             slo_floor_binding,
@@ -516,6 +426,7 @@ impl MpcController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capgpu_linalg::Matrix;
     use capgpu_oracle::qp::{ActiveSetQp, LinearConstraint, QpProblem};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -539,12 +450,12 @@ mod tests {
             row
         }
 
-        /// Cache-free reference implementation of [`MpcController::step`]:
-        /// builds the paper's whole condensed QP at horizons `(P, M)` from
-        /// scratch in the original per-move coordinates and cold-starts the
-        /// generic [`ActiveSetQp`] every call. It is the ground truth the
-        /// one-block production path is tested against, and shares no
-        /// arithmetic with it beyond the input validation. Its diagnostics
+        /// Reference implementation of [`MpcController::step`]: builds the
+        /// paper's whole condensed QP at horizons `(P, M)` in the original
+        /// per-move coordinates and cold-starts the generic
+        /// [`ActiveSetQp`] every call. It is the ground truth the one-block
+        /// multiplier search is tested against, and shares no arithmetic
+        /// with it beyond the input validation. Its diagnostics
         /// describe the applied move `d₀`: the active rows of the first
         /// `N` devices' bounds, laid out as `2·j` (upper) / `2·j + 1`
         /// (lower).
@@ -564,7 +475,8 @@ mod tests {
         ) -> Result<MpcStep> {
             assert!(1 <= m && m <= p_h, "horizons (P, M) = ({p_h}, {m})");
             let n = self.num_devices;
-            let (f_lo, floor_clamped) = self.effective_floors(current_freqs, r_weights, floors)?;
+            let (f_lo, floor_clamped) =
+                self.effective_floors(p_measured, setpoint, current_freqs, r_weights, floors)?;
             let f_now: Vec<f64> = current_freqs.to_vec();
             let dim = m * n;
 
@@ -846,8 +758,8 @@ mod tests {
         // block 0 is applied. Its tracking weight is Q for every P once
         // M ≥ 2, and P·Q = Q at P = M = 1, so the one production step
         // must apply the oracle's first move at each of these horizons,
-        // through warm starts, region hits, weight re-bakes and raised
-        // floors. (P = 8, M = 1 weighs block 0 by 8 and differs.)
+        // through held and redrawn weights and raised floors. (P = 8,
+        // M = 1 weighs block 0 by 8 and differs.)
         let horizons = [(1, 1), (2, 2), (4, 2), PAPER, (16, 2), (8, 3)];
         let f_min = vec![1000.0, 435.0, 435.0, 435.0];
         let f_max = vec![2400.0, 1350.0, 1350.0, 1350.0];
@@ -858,8 +770,7 @@ mod tests {
         let mut f = vec![1400.0, 800.0, 800.0, 800.0];
         let (mut setpoint, mut weights, mut floors) = (0.0, vec![], vec![]);
         for k in 0..600 {
-            // Set point, weights and floors hold for five periods, so the
-            // region table warms up between redraws.
+            // Set point, weights and floors hold for five periods.
             if k % 5 == 0 {
                 setpoint = rng.gen_range(560.0..1110.0);
                 weights = (0..4).map(|_| rng.gen_range(0.1..2.0)).collect();
@@ -889,13 +800,12 @@ mod tests {
             }
             f = step.target_freqs;
         }
-        assert!(c.region_stats().0 > 0, "no region hit");
     }
 
-    /// First-call agreement with the oracle, MHz. Both sides cold-solve
-    /// the same strictly convex QP — in different coordinates, with
-    /// different factorizations — so they differ by rounding only
-    /// (measured: at most 1.1·10⁻¹⁰ over the set points tested).
+    /// First-call agreement with the oracle, MHz. Both sides solve the
+    /// same strictly convex QP — in different coordinates, one by the
+    /// multiplier search and one by a factorized active-set method — so
+    /// they differ by rounding only.
     const FIRST_CALL_TOL_MHZ: f64 = 1e-9;
     /// Closed-loop agreement with the oracle, MHz: each side feeds its own
     /// targets back, so rounding differences compound over the run, and a
@@ -914,9 +824,9 @@ mod tests {
 
     #[test]
     fn step_matches_uncached_on_first_call() {
-        // No warm hint, no region: the production path and the oracle
-        // each cold-solve the period's QP — interior, partly bound and
-        // fully saturated optima.
+        // The production path and the oracle each solve the period's QP
+        // from scratch — interior, partly bound and fully saturated
+        // optima.
         let f = [1400.0, 800.0, 800.0];
         let floors = [1000.0, 435.0, 435.0];
         let wgt = [0.7, 1.2, 1.1];
@@ -941,9 +851,9 @@ mod tests {
 
     #[test]
     fn step_matches_uncached_in_closed_loop() {
-        // The same closed loop through the production path (warm starts,
-        // region table, a weight re-bake four periods out of five) and
-        // through the oracle, with an SLO floor engaging partway: unique
+        // The same closed loop through the production path (weights that
+        // change four periods out of five) and through the oracle, with an
+        // SLO floor engaging partway: unique
         // minimizers each period, so the trajectories agree to solver
         // tolerance and report the same binding floor.
         let c = controller();
@@ -977,170 +887,144 @@ mod tests {
     }
 
     #[test]
-    fn region_hit_is_bit_identical_to_cold_resolve() {
-        // One controller keeps its warm state + region table (steady state
-        // = explicit hits); the other is forced fully cold before every
-        // step. The deterministic polish makes both trajectories bitwise
-        // equal, and the warm controller must actually hit the table.
-        let warm = controller();
-        let cold = controller();
-        let setpoint = 800.0;
-        let floors = [1000.0, 435.0, 435.0];
-        let wgt = [1.0, 1.0, 1.0];
-        let mut f_w = vec![1000.0, 435.0, 435.0];
-        let mut f_c = f_w.clone();
-        for k in 0..25 {
-            cold.reset_solver_state();
-            let p_w = warm.model().predict(&f_w);
-            let p_c = cold.model().predict(&f_c);
-            let s_w = warm.step(p_w, setpoint, &f_w, &wgt, &floors).unwrap();
-            let s_c = cold.step(p_c, setpoint, &f_c, &wgt, &floors).unwrap();
-            assert_eq!(s_w.target_freqs, s_c.target_freqs, "period {k}");
-            assert_eq!(s_w.first_move, s_c.first_move, "period {k}");
-            f_w = s_w.target_freqs;
-            f_c = s_c.target_freqs;
-        }
-        let (hits, misses) = warm.region_stats();
-        assert!(hits > 0, "steady state should hit the region table");
-        assert!(misses >= 1, "first period must miss");
-        let (cold_hits, _) = cold.region_stats();
-        assert_eq!(cold_hits, 0, "reset before every step should never hit");
-    }
-
-    #[test]
-    fn rebaked_diagonal_is_bit_identical_to_a_fresh_cache() {
-        // Weights alternating A, B, A, … re-bake the Hessian's diagonal in
-        // place every period. The twin's whole cache is thrown away before
-        // every step, so it assembles each Hessian from scratch and solves
-        // cold; output is a pure function of the problem and the final
-        // active set (DESIGN.md §15), so the two must agree bit for bit.
-        let (wgt_a, wgt_b) = ([1.0, 1.0, 1.0], [0.6, 1.7, 0.9]);
-        let floors = [1000.0, 435.0, 435.0];
-        let setpoint = 800.0;
-        let rebaked = controller();
-        let fresh = controller();
-        let steady = controller();
-        let mut f = vec![1000.0, 435.0, 435.0];
-        let mut f_steady = f.clone();
-        for k in 0..60 {
-            let wgt = if k % 2 == 0 { &wgt_a } else { &wgt_b };
-            let p = rebaked.model().predict(&f);
-            *fresh.cache.borrow_mut() = None;
-            let s_r = rebaked.step(p, setpoint, &f, wgt, &floors).unwrap();
-            let s_f = fresh.step(p, setpoint, &f, wgt, &floors).unwrap();
-            assert_eq!(s_r.first_move, s_f.first_move, "period {k}");
-            assert_eq!(s_r.target_freqs, s_f.target_freqs, "period {k}");
-            assert_eq!(s_r.predicted_power, s_f.predicted_power, "period {k}");
-            f = s_r.target_freqs;
-
-            let p = steady.model().predict(&f_steady);
-            f_steady = steady
-                .step(p, setpoint, &f_steady, &wgt_a, &floors)
-                .unwrap()
-                .target_freqs;
-        }
-        // The table pays off exactly when the weights repeat.
-        assert_eq!(rebaked.region_stats(), (0, 60), "per-period weights");
-        let (hits, misses) = steady.region_stats();
-        assert!(hits >= 50 && hits + misses == 60, "steady weights: {hits}");
-    }
-
-    /// Steps `c` through a few settled periods so the region table holds
-    /// (and has served) the steady-state active set.
-    fn warm_region_table(c: &MpcController, weights: &[f64], floors: &[f64]) {
-        let f = [1600.0, 900.0, 900.0];
-        for k in 0..4 {
-            c.step(850.0 + k as f64, 900.0, &f, weights, floors)
-                .unwrap();
-        }
-        assert!(c.region_stats().0 >= 1, "steady state never hit");
-    }
-
-    #[test]
-    fn qp_iterations_is_zero_only_when_no_iteration_ran() {
-        // A cold solve of an interior problem takes one Newton step and
-        // the check that accepts it; a region hit runs no iteration.
-        let c = controller();
-        let f = [1600.0, 900.0, 900.0];
-        let wgt = [1.0, 1.0, 1.0];
-        let floors = [1000.0, 435.0, 435.0];
-        let cold = c.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
-        assert_eq!(cold.active_constraints, 0, "meant to be interior");
-        assert!(cold.qp_iterations >= 1, "a solve that ran reports >= 1");
-        assert_eq!(c.region_stats(), (0, 1));
-        let hit = c.step(851.0, 900.0, &f, &wgt, &floors).unwrap();
-        assert_eq!(c.region_stats(), (1, 1));
-        assert_eq!(hit.qp_iterations, 0);
-    }
-
-    #[test]
-    fn weight_change_clears_the_region_table() {
-        // The Hessian bakes in the weights, so the cached laws are stale
-        // after a weight change: that period must miss, keep the counters,
-        // and still agree with the oracle.
-        let c = controller();
-        let floors = [1000.0, 435.0, 435.0];
-        warm_region_table(&c, &[1.0, 1.0, 1.0], &floors);
-        let (hits, misses) = c.region_stats();
-        let f = [1600.0, 900.0, 900.0];
-        let wgt = [0.5, 1.5, 1.0];
-        let step = c.step(854.0, 900.0, &f, &wgt, &floors).unwrap();
-        assert_eq!(c.region_stats(), (hits, misses + 1));
-        let reference = c
-            .step_uncached(PAPER, 854.0, 900.0, &f, &wgt, &floors)
-            .unwrap();
-        assert!(max_abs_diff(&step.target_freqs, &reference.target_freqs) <= CLOSED_LOOP_TOL_MHZ);
-        // Non-finite weights are rejected as they are on a fresh build,
-        // and leave the controller as it was.
-        let inf = [f64::INFINITY, 1.0, 1.0];
-        assert!(c.step(854.0, 900.0, &f, &inf, &floors).is_err());
-        assert!(controller().step(854.0, 900.0, &f, &inf, &floors).is_err());
-        let again = c.step(854.0, 900.0, &f, &wgt, &floors).unwrap();
-        assert_eq!(again.target_freqs, step.target_freqs);
-        assert_eq!(c.region_stats(), (hits + 1, misses + 1));
-    }
-
-    #[test]
-    fn floor_change_is_not_served_from_a_stale_region() {
-        // A raised floor moves the box under the cached active set; the
-        // KKT check must reject the stale law rather than reuse it.
-        let c = controller();
-        let wgt = [1.0, 1.0, 1.0];
-        warm_region_table(&c, &wgt, &[1000.0, 435.0, 435.0]);
-        let f = [1600.0, 900.0, 900.0];
-        let raised = [1000.0, 1100.0, 435.0];
-        let step = c.step(854.0, 900.0, &f, &wgt, &raised).unwrap();
-        let reference = c
-            .step_uncached(PAPER, 854.0, 900.0, &f, &wgt, &raised)
-            .unwrap();
-        assert!(max_abs_diff(&step.target_freqs, &reference.target_freqs) <= CLOSED_LOOP_TOL_MHZ);
-        assert!(step.target_freqs[1] >= 1100.0 - 1e-6);
-    }
-
-    #[test]
-    fn set_model_flushes_the_region_table() {
+    fn set_model_leaves_no_state_behind() {
+        // A controller that ran on one model and was then handed another
+        // must step exactly like a fresh controller built on the new one:
+        // the solve carries nothing across periods or models.
         let mut c = controller();
         let wgt = [1.0, 1.0, 1.0];
         let floors = [1000.0, 435.0, 435.0];
-        warm_region_table(&c, &wgt, &floors);
-
-        // Re-identified model: different gains, so cached laws are stale.
+        let mut f = vec![1600.0, 900.0, 900.0];
+        for k in 0..4 {
+            f = c
+                .step(850.0 + k as f64, 900.0, &f, &wgt, &floors)
+                .unwrap()
+                .target_freqs;
+        }
         let new_model = LinearPowerModel::new(vec![0.08, 0.22, 0.22], 310.0).unwrap();
-        c.set_model(new_model).unwrap();
-        assert_eq!(c.region_stats(), (0, 0), "solver state survived");
-        let f = [1600.0, 900.0, 900.0];
-        let step = c.step(850.0, 900.0, &f, &wgt, &floors).unwrap();
-        assert_eq!(c.region_stats(), (0, 1), "first step must miss");
-        let reference = c
-            .step_uncached(PAPER, 850.0, 900.0, &f, &wgt, &floors)
-            .unwrap();
-        let d = max_abs_diff(&step.first_move, &reference.first_move);
-        assert!(d <= FIRST_CALL_TOL_MHZ, "stale cache after set_model: {d}");
+        c.set_model(new_model.clone()).unwrap();
+        let config = c.config().clone();
+        let fresh = MpcController::new(config, new_model).unwrap();
+        for (k, wgt) in [[1.0, 1.0, 1.0], [0.5, 1.5, 1.0]].iter().enumerate() {
+            let s_c = c.step(850.0, 900.0, &f, wgt, &floors).unwrap();
+            let s_f = fresh.step(850.0, 900.0, &f, wgt, &floors).unwrap();
+            assert_eq!(s_c.first_move, s_f.first_move, "call {k}");
+            assert_eq!(s_c.target_freqs, s_f.target_freqs, "call {k}");
+            assert_eq!(s_c.predicted_power, s_f.predicted_power, "call {k}");
+        }
 
         // Wrong device count is rejected and leaves the controller usable.
         let bad = LinearPowerModel::new(vec![0.08], 310.0).unwrap();
         assert!(c.set_model(bad).is_err());
         assert!(c.step(850.0, 900.0, &f, &wgt, &floors).is_ok());
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected() {
+        // A NaN or infinite reading, set point, clock or weight, or a NaN
+        // floor, must not turn into commanded clocks.
+        let c = controller();
+        let f = [1400.0, 800.0, 800.0];
+        let wgt = [1.0, 1.0, 1.0];
+        let floors = [1000.0, 435.0, 435.0];
+        let nan = f64::NAN;
+        // (measured power, set point, clocks, weights, floors)
+        type Inputs = (f64, f64, [f64; 3], [f64; 3], [f64; 3]);
+        let cases: [Inputs; 7] = [
+            (nan, 900.0, f, wgt, floors),
+            (f64::INFINITY, 900.0, f, wgt, floors),
+            (900.0, nan, f, wgt, floors),
+            (900.0, 900.0, [1400.0, nan, 800.0], wgt, floors),
+            (900.0, 900.0, f, [nan, 1.0, 1.0], floors),
+            (900.0, 900.0, f, [f64::INFINITY, 1.0, 1.0], floors),
+            (900.0, 900.0, f, wgt, [1000.0, nan, 435.0]),
+        ];
+        for (i, (p, sp, f, w, lo)) in cases.iter().enumerate() {
+            assert!(
+                matches!(c.step(*p, *sp, f, w, lo), Err(ControlError::BadConfig(_))),
+                "case {i} accepted"
+            );
+        }
+        // An infinite floor is a floor above f_max: clamped, not rejected.
+        let step = c
+            .step(900.0, 900.0, &f, &wgt, &[1000.0, f64::INFINITY, 435.0])
+            .unwrap();
+        assert!(step.floor_clamped);
+        assert_eq!(step.target_freqs[1], 1350.0);
+    }
+
+    /// Asserts that `step` agrees with the oracle at the paper's horizons
+    /// on one period, diagnostics included, and returns the step.
+    fn assert_matches_oracle(
+        c: &MpcController,
+        p: f64,
+        setpoint: f64,
+        f: &[f64],
+        wgt: &[f64],
+        floors: &[f64],
+    ) -> MpcStep {
+        let step = c.step(p, setpoint, f, wgt, floors).unwrap();
+        let reference = c.step_uncached(PAPER, p, setpoint, f, wgt, floors).unwrap();
+        let d = max_abs_diff(&step.target_freqs, &reference.target_freqs);
+        assert!(d <= FIRST_CALL_TOL_MHZ, "off the oracle by {d} MHz");
+        assert_eq!(step.active_constraints, reference.active_constraints);
+        assert_eq!(step.slo_floor_binding, reference.slo_floor_binding);
+        assert_eq!(step.floor_clamped, reference.floor_clamped);
+        assert_eq!(step.qp_iterations, 0);
+        step
+    }
+
+    #[test]
+    fn zero_gain_device_returns_to_its_reference() {
+        // A device the model says draws no power contributes no tracking
+        // and no breakpoint: only its penalty acts, so it moves straight
+        // to f_ref = f_min while the others track the set point.
+        let model = LinearPowerModel::new(vec![0.06, 0.0, 0.18], 250.0).unwrap();
+        let config =
+            MpcConfig::paper_defaults(vec![1000.0, 435.0, 435.0], vec![2400.0, 1350.0, 1350.0]);
+        let c = MpcController::new(config, model).unwrap();
+        let f = [1400.0, 800.0, 800.0];
+        let p = c.model().predict(&f);
+        for setpoint in [p - 80.0, p, p + 60.0] {
+            let step =
+                assert_matches_oracle(&c, p, setpoint, &f, &[1.0; 3], &[1000.0, 435.0, 435.0]);
+            assert!((step.target_freqs[1] - 435.0).abs() <= FIRST_CALL_TOL_MHZ);
+        }
+    }
+
+    #[test]
+    fn saturated_boxes_pin_every_device() {
+        let c = controller();
+        let f = [1700.0, 900.0, 900.0];
+        let p = c.model().predict(&f);
+        let (wgt, floors) = ([0.7, 1.2, 1.1], [1000.0, 435.0, 435.0]);
+        // Far under the cap: every device at f_max.
+        let up = assert_matches_oracle(&c, p, p + 3000.0, &f, &wgt, &floors);
+        assert_eq!(up.target_freqs, c.config().f_max);
+        assert_eq!(up.active_constraints, 3);
+        assert!(!up.slo_floor_binding);
+        // Far over it: every device at its (partly raised) floor.
+        let raised = [1000.0, 700.0, 435.0];
+        let down = assert_matches_oracle(&c, p, p - 3000.0, &f, &wgt, &raised);
+        assert_eq!(down.target_freqs, raised);
+        assert_eq!(down.active_constraints, 3);
+        assert!(down.slo_floor_binding);
+    }
+
+    #[test]
+    fn clamped_floor_is_a_point_box() {
+        // A floor above f_max leaves that device no room: it sits at f_max
+        // whatever the error, and its floor binds; the rest still track.
+        let c = controller();
+        let f = [1400.0, 800.0, 800.0];
+        let p = c.model().predict(&f);
+        let floors = [1000.0, 2000.0, 435.0];
+        for setpoint in [p - 150.0, p, p + 100.0] {
+            let step = assert_matches_oracle(&c, p, setpoint, &f, &[1.0; 3], &floors);
+            assert!(step.floor_clamped);
+            assert_eq!(step.target_freqs[1], 1350.0);
+            assert!(step.slo_floor_binding);
+        }
     }
 
     proptest! {

@@ -1,7 +1,7 @@
 //! Property tests for the control layer: delta-sigma averaging, system
-//! identification recovery, MPC feasibility and monotonicity, stability of
-//! pole-placed designs, and the closed-form §4.4 pole against the dense
-//! closed loop and against the simulated one.
+//! identification recovery, MPC feasibility, monotonicity and KKT
+//! conditions, stability of pole-placed designs, and the closed-form §4.4
+//! pole against the dense closed loop and against the simulated one.
 
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::modulator::{uniform_levels, DeltaSigmaModulator};
@@ -170,6 +170,50 @@ proptest! {
         if step.slo_floor_binding {
             prop_assert!((0..n).any(|j| effective[j] > 435.0 && on(t[j], effective[j])),
                 "SLO floor reported binding, none reached: {t:?} vs {effective:?}");
+        }
+    }
+
+    #[test]
+    fn mpc_moves_follow_the_one_multiplier(
+        n in 1usize..10,
+        gains in prop::collection::vec(0.03..0.3f64, 9),
+        f_frac in prop::collection::vec(0.0..1.0f64, 9),
+        // Per device: no floor, a raised floor, or one above f_max.
+        floor_kind in prop::collection::vec(0usize..3, 9),
+        floor_frac in prop::collection::vec(0.0..1.0f64, 9),
+        // ≥ 0.5 keeps aⱼ/rⱼ ≤ 3000 MHz/W: one ulp of the predicted power
+        // then moves the law by ≤ 3.4·10⁻¹⁰ MHz.
+        weights in prop::collection::vec(0.5..2.0f64, 9),
+        err in prop::sample::select(vec![-3000.0, -300.0, -30.0, 0.0, 30.0, 300.0, 3000.0]),
+    ) {
+        // The KKT conditions of the applied block: with the multiplier
+        // λ = Q·(predicted_power − setpoint), every device's move is
+        // clamp(−wⱼ − λ·aⱼ/rⱼ, loⱼ, hiⱼ), where Q = 1 (paper Eq. 9) and
+        // rⱼ = 2·10⁻⁴·weightⱼ. Random 1–9 device servers, from interior
+        // optima to fully saturated boxes (±3 kW of error), with raised
+        // and clamped floors.
+        const R_BASE: f64 = 2e-4;
+        let (f_min, f_max) = (vec![435.0; n], vec![1350.0; n]);
+        let model = LinearPowerModel::new(gains[..n].to_vec(), 250.0).unwrap();
+        let c = MpcController::new(MpcConfig::paper_defaults(f_min, f_max), model).unwrap();
+        let f: Vec<f64> = f_frac[..n].iter().map(|x| 435.0 + x * 915.0).collect();
+        let floors: Vec<f64> = (0..n)
+            .map(|j| match floor_kind[j] {
+                0 => 435.0,
+                1 => 435.0 + floor_frac[j] * 915.0,
+                _ => 1350.0 + floor_frac[j] * 500.0,
+            })
+            .collect();
+        let p = c.model().predict(&f);
+        let setpoint = p - err;
+        let step = c.step(p, setpoint, &f, &weights[..n], &floors).unwrap();
+        prop_assert_eq!(step.qp_iterations, 0);
+        let lam = step.predicted_power - setpoint;
+        for j in 0..n {
+            let (lo, hi) = (floors[j].clamp(435.0, 1350.0) - f[j], 1350.0 - f[j]);
+            let law = (-(f[j] - 435.0) - lam * gains[j] / (R_BASE * weights[j])).clamp(lo, hi);
+            let d = (step.first_move[j] - law).abs();
+            prop_assert!(d <= 1e-9, "device {j}: move {} vs law {law}, off by {d}", step.first_move[j]);
         }
     }
 

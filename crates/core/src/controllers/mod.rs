@@ -113,8 +113,10 @@ pub struct ControlInput<'a> {
 /// (all deterministic — derived from the solve, not wall clocks).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControlDiagnostics {
-    /// Iterations the period's optimization took (0 for closed-form
-    /// controllers).
+    /// Iterations the period's optimization took: always 0, since every
+    /// shipped controller, the MPC included, is closed-form. Kept because
+    /// the repository benchmark reads it; it goes when that benchmark
+    /// stops reading it.
     pub solver_iterations: usize,
     /// Constraint rows active at the optimum.
     pub active_constraints: usize,

@@ -41,8 +41,8 @@ pub enum Phase {
 
 /// Histogram bucket edges for absolute power tracking error (W).
 const POWER_ERROR_EDGES: &[f64] = &[0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0];
-/// Histogram bucket edges for QP iteration counts.
-const ITERATION_EDGES: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
+/// Histogram bucket edges for active-constraint counts.
+const CONSTRAINT_EDGES: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0];
 /// Histogram bucket edges for serving queue depth (requests).
 const QUEUE_EDGES: &[f64] = &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 /// Histogram bucket edges for served batch sizes (requests/batch).
@@ -69,7 +69,6 @@ struct Handles {
     model_scale: GaugeId,
     target_mhz: Vec<GaugeId>,
     power_error_watts: HistogramId,
-    qp_iterations: HistogramId,
     active_constraints: HistogramId,
     serve_admitted_total: Vec<CounterId>,
     serve_dropped_total: Vec<CounterId>,
@@ -217,11 +216,10 @@ impl RunTelemetry {
                 &[],
                 POWER_ERROR_EDGES,
             ),
-            qp_iterations: registry.histogram("capgpu_qp_iterations", &[], ITERATION_EDGES),
             active_constraints: registry.histogram(
                 "capgpu_active_constraints",
                 &[],
-                ITERATION_EDGES,
+                CONSTRAINT_EDGES,
             ),
             serve_admitted_total: task_labels
                 .iter()
@@ -572,8 +570,6 @@ impl RunTelemetry {
             }
         }
         if let Some(diag) = obs.diag {
-            self.registry
-                .observe(self.h.qp_iterations, diag.solver_iterations as f64);
             self.registry
                 .observe(self.h.active_constraints, diag.active_constraints as f64);
             if diag.slo_floor_binding {

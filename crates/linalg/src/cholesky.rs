@@ -1,8 +1,8 @@
 //! Cholesky factorization for symmetric positive-definite systems.
 //!
-//! The condensed MPC Hessian `H = SᵀQS + R` (paper Eq. 9) is symmetric
-//! positive definite by construction, so the QP solvers in `capgpu-optim`
-//! factor it once per active set with Cholesky rather than LU.
+//! A strictly convex QP's Hessian is symmetric positive definite, so the
+//! box-QP solver in `capgpu-optim` factors it, restricted to the free
+//! set, with Cholesky rather than LU.
 
 use crate::{LinalgError, Matrix, Result};
 

@@ -1,11 +1,9 @@
 //! Box-constrained specialization of the active-set QP solver.
 //!
-//! The block of the condensed CapGPU MPC problem that is applied is a
-//! *pure box* QP in cumulative-move coordinates (see
-//! `capgpu-control::mpc`): every constraint is a per-variable bound
-//! `lo_j ≤ x_j ≤ hi_j`, separable across devices. That structure admits a much cheaper
-//! active-set iteration than the generic `capgpu_oracle::qp::ActiveSetQp`
-//! it is tested against:
+//! Every constraint is a per-variable bound `lo_j ≤ x_j ≤ hi_j`, separable
+//! across variables. That structure admits a much cheaper active-set
+//! iteration than the generic `capgpu_oracle::qp::ActiveSetQp` it is
+//! tested against:
 //!
 //! * the working set is just a per-variable state (free / at lower bound /
 //!   at upper bound), so "constraint rows" never need to be materialized;
@@ -16,15 +14,13 @@
 //!   when a variable leaves a bound, and an `O(f²)` Givens-rotation row
 //!   deletion when one hits a bound;
 //! * the bound handling (clamping, ratio tests, multiplier signs) runs as
-//!   one vectorized pass over all devices' boxes per iteration.
+//!   one vectorized pass over every variable's box per iteration.
 //!
-//! Determinism contract: the solver finishes with a *polish* step that
-//! re-factorizes `H_FF` from scratch over the sorted free set and recomputes
-//! the free coordinates in one solve. The returned solution is therefore a
-//! pure function of `(problem, final active set)` — independent of the
-//! iteration path that discovered the active set. Warm starts, cold starts,
-//! and cached explicit-MPC lookups that share a final active set produce
-//! bit-identical solutions.
+//! The solver finishes with a *polish* step that re-factorizes `H_FF` from
+//! scratch over the sorted free set and recomputes the free coordinates in
+//! one solve, so the returned solution is a pure function of
+//! `(problem, final active set)`, not of the iteration path that found
+//! the active set.
 
 use crate::{OptimError, Result};
 use capgpu_linalg::{Cholesky, LinalgError, Matrix};
@@ -129,15 +125,8 @@ pub struct BoxQpSolution {
     /// Objective value at `x`.
     pub objective: f64,
     /// Active-set iterations performed, counting the one whose optimality
-    /// check ended the solve: ≥ 1 for every solution this solver returns,
-    /// so a caller can reserve 0 for "no iteration ran" (an answer taken
-    /// from a cached [`BoxFactor`] instead).
+    /// check ended the solve: ≥ 1 for every solution this solver returns.
     pub iterations: usize,
-    /// The sorted-free-set factorization the final polish solved with:
-    /// exactly `BoxFactor::from_states(hessian, &states)`, handed out so a
-    /// region table can cache this active set's law without factorizing
-    /// `H_FF` a second time.
-    pub factor: BoxFactor,
 }
 
 impl BoxQpSolution {
@@ -294,15 +283,10 @@ impl FreeFactor {
     }
 }
 
-/// Frozen factorization of `H_FF` over a *sorted* free set — the object an
-/// explicit-MPC region table caches per active set.
-///
-/// [`BoxFactor::polish`] reproduces, bit for bit, the final solve the
-/// iterative [`BoxQp`] performs for the same active set: both sort the free
-/// variables ascending, factorize `H_FF` with the same [`Cholesky`] routine,
-/// and evaluate `x_F = H_FF⁻¹·(−g_F − H_FB·x_B)` with identical arithmetic.
+/// Factorization of `H_FF` over a *sorted* free set, from scratch with
+/// [`Cholesky`]: what the final polish of [`BoxQp`] solves with.
 #[derive(Debug, Clone)]
-pub struct BoxFactor {
+struct BoxFactor {
     free: Vec<usize>,
     chol: Option<Cholesky>,
 }
@@ -313,7 +297,7 @@ impl BoxFactor {
     ///
     /// # Errors
     /// [`OptimError::Numerical`] if `H_FF` is not positive definite.
-    pub fn from_states(h: &Matrix, states: &[VarState]) -> Result<Self> {
+    fn from_states(h: &Matrix, states: &[VarState]) -> Result<Self> {
         let free: Vec<usize> = (0..states.len())
             .filter(|&j| states[j] == VarState::Free)
             .collect();
@@ -332,14 +316,10 @@ impl BoxFactor {
         Ok(Self { free, chol })
     }
 
-    /// Evaluates the affine control law of this active set: bound variables
-    /// sit exactly on their bound, free variables solve the reduced system
+    /// Evaluates the affine law of this active set: bound variables sit
+    /// exactly on their bound, free variables solve the reduced system
     /// `H_FF·x_F = −g_F − H_FB·x_B`.
-    ///
-    /// The caller is responsible for checking that the result is actually
-    /// optimal for `(g, lo, hi)` (primal bounds on `x_F`, dual signs on the
-    /// bound variables); see [`kkt_optimal`].
-    pub fn polish(
+    fn polish(
         &self,
         h: &Matrix,
         g: &[f64],
@@ -377,48 +357,6 @@ impl BoxFactor {
     }
 }
 
-/// Checks the KKT conditions of a candidate active-set solution `x` for a
-/// box QP: free variables inside `[lo, hi]` (within `tol`), bound variables
-/// with correctly signed multipliers (within `tol`). Used by the explicit
-/// region table to validate a cached law before trusting it.
-pub fn kkt_optimal(
-    h: &Matrix,
-    g: &[f64],
-    lo: &[f64],
-    hi: &[f64],
-    states: &[VarState],
-    x: &[f64],
-    tol: f64,
-) -> bool {
-    let grad = {
-        let mut grad = h.matvec(x);
-        for (gi, gv) in grad.iter_mut().zip(g.iter()) {
-            *gi += gv;
-        }
-        grad
-    };
-    for j in 0..states.len() {
-        match states[j] {
-            VarState::Free => {
-                if x[j] < lo[j] - tol || x[j] > hi[j] + tol || grad[j].abs() > tol {
-                    return false;
-                }
-            }
-            VarState::AtLo => {
-                if grad[j] < -tol {
-                    return false;
-                }
-            }
-            VarState::AtHi => {
-                if grad[j] > tol {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 /// Primal active-set solver for box-constrained strictly convex QPs.
 ///
 /// Equivalent to `capgpu_oracle::qp::ActiveSetQp` restricted to bound constraints
@@ -436,61 +374,28 @@ impl BoxQp {
     /// Solves from the cold start `x₀ = clamp(0, lo, hi)`.
     ///
     /// # Errors
-    /// See [`BoxQp::solve_from`].
-    pub fn solve(&self, qp: &BoxQpProblem) -> Result<BoxQpSolution> {
-        let x0 = vec![0.0; qp.dim()];
-        self.solve_from(qp, &x0, None)
-    }
-
-    /// Solves starting from `x0` (clamped into the box) with an optional
-    /// working-set hint, such as a previous solution's bound states:
-    /// hinted variables start pinned on their bound.
-    ///
-    /// # Errors
-    /// * [`OptimError::BadProblem`] if `x0`/`hint` lengths mismatch.
     /// * [`OptimError::Numerical`] if `H_FF` is not positive definite.
     /// * [`OptimError::IterationLimit`] if the active set fails to settle
     ///   within 200 active-set changes.
     // Index loops mirror the mathematical statement of the iteration; the
     // gradient pass indexes `grad` and the Hessian rows in lockstep.
     #[allow(clippy::needless_range_loop)]
-    pub fn solve_from(
-        &self,
-        qp: &BoxQpProblem,
-        x0: &[f64],
-        hint: Option<&[VarState]>,
-    ) -> Result<BoxQpSolution> {
+    pub fn solve(&self, qp: &BoxQpProblem) -> Result<BoxQpSolution> {
         let n = qp.dim();
-        if x0.len() != n {
-            return Err(OptimError::BadProblem("start point length mismatch"));
-        }
-        if let Some(h) = hint {
-            if h.len() != n {
-                return Err(OptimError::BadProblem("hint length mismatch"));
-            }
-        }
 
-        // Start point: clamp into the box; hinted variables snap onto their
-        // bound (always feasible), others bind only if the clamp hit.
+        // Start point: 0 clamped into the box; a variable binds only if the
+        // clamp hit.
         let mut x = vec![0.0; n];
         let mut states = vec![VarState::Free; n];
         for j in 0..n {
-            let (xj, st) = match hint.map(|h| h[j]) {
-                Some(VarState::AtLo) => (qp.lo[j], VarState::AtLo),
-                Some(VarState::AtHi) => (qp.hi[j], VarState::AtHi),
-                _ => {
-                    let v = qp.clamp(x0[j], j);
-                    if v <= qp.lo[j] {
-                        (qp.lo[j], VarState::AtLo)
-                    } else if v >= qp.hi[j] {
-                        (qp.hi[j], VarState::AtHi)
-                    } else {
-                        (v, VarState::Free)
-                    }
-                }
+            let v = qp.clamp(0.0, j);
+            (x[j], states[j]) = if v <= qp.lo[j] {
+                (qp.lo[j], VarState::AtLo)
+            } else if v >= qp.hi[j] {
+                (qp.hi[j], VarState::AtHi)
+            } else {
+                (v, VarState::Free)
             };
-            x[j] = xj;
-            states[j] = st;
         }
 
         let scale = 1.0 + qp.gradient.iter().fold(0.0f64, |m, v| m.max(v.abs()));
@@ -547,7 +452,7 @@ impl BoxQp {
             }
 
             // Ratio test over the free variables (one vectorized pass over
-            // every device's box).
+            // every variable's box).
             let mut alpha = 1.0f64;
             let mut blocking: Option<(usize, usize, VarState)> = None;
             for (ri, &v) in factor.vars.iter().enumerate() {
@@ -616,7 +521,6 @@ impl BoxQp {
             multipliers,
             objective,
             iterations,
-            factor,
         }
     }
 }
@@ -663,59 +567,9 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_is_bit_identical_to_cold() {
-        let h = spd3();
-        let g = vec![-5.0, 2.0, -1.0];
-        let qp = BoxQpProblem::new(h, g, vec![-0.5, -0.5, -0.5], vec![0.5, 0.5, 0.5]).unwrap();
-        let solver = BoxQp;
-        let cold = solver.solve(&qp).unwrap();
-        let warm = solver.solve_from(&qp, &cold.x, Some(&cold.states)).unwrap();
-        assert_eq!(cold.x, warm.x, "polish must make warm == cold bitwise");
-        assert_eq!(cold.states, warm.states);
-        // A deliberately wrong hint must still converge to the same point.
-        let bad_hint = vec![VarState::AtHi; 3];
-        let warm2 = solver.solve_from(&qp, &[0.0; 3], Some(&bad_hint)).unwrap();
-        assert_eq!(cold.x, warm2.x);
-    }
-
-    #[test]
-    fn box_factor_reproduces_iterative_solution() {
-        let h = spd3();
-        let g = vec![-5.0, 2.0, -1.0];
-        let lo = vec![-0.5; 3];
-        let hi = vec![0.5; 3];
-        let qp = BoxQpProblem::new(h.clone(), g.clone(), lo.clone(), hi.clone()).unwrap();
-        let sol = BoxQp.solve(&qp).unwrap();
-        let bf = BoxFactor::from_states(&h, &sol.states).unwrap();
-        let x = bf.polish(&h, &g, &lo, &hi, &sol.states);
-        assert_eq!(x, sol.x, "cached law must be bitwise equal to the solve");
-        assert!(kkt_optimal(&h, &g, &lo, &hi, &sol.states, &x, 1e-8));
-    }
-
-    #[test]
-    fn returned_factor_polishes_like_a_fresh_factorization() {
-        // The factor a solution carries is the one a region table caches
-        // in place of `from_states`: on a later period's gradient and
-        // bounds the two must evaluate the active set's law bit for bit.
-        let h = spd3();
-        let lo = vec![-0.5; 3];
-        let hi = vec![0.5; 3];
-        let qp = BoxQpProblem::new(h.clone(), vec![-5.0, 0.5, -0.25], lo, hi).unwrap();
-        let sol = BoxQp.solve(&qp).unwrap();
-        assert_eq!(sol.active_count(), 1, "one bound, a 2×2 factor");
-        let fresh = BoxFactor::from_states(&h, &sol.states).unwrap();
-        let (g, lo, hi) = ([-4.75, 1.5, -0.8], [-0.45, -0.5, -0.6], [0.55, 0.5, 0.4]);
-        assert_eq!(
-            sol.factor.polish(&h, &g, &lo, &hi, &sol.states),
-            fresh.polish(&h, &g, &lo, &hi, &sol.states)
-        );
-    }
-
-    #[test]
     fn every_returned_solution_reports_at_least_one_iteration() {
-        // 0 is reserved for "no iteration ran" (a cached-law answer): a
-        // cold solve that converges at its first optimality check took
-        // one iteration, and one step plus the check that accepts it two.
+        // A solve that converges at its first optimality check took one
+        // iteration, and one step plus the check that accepts it two.
         let solver = BoxQp;
         let qp = BoxQpProblem::new(spd3(), vec![0.0; 3], vec![-1.0; 3], vec![1.0; 3]).unwrap();
         assert_eq!(solver.solve(&qp).unwrap().iterations, 1);
@@ -729,19 +583,6 @@ mod tests {
         let interior = solver.solve(&qp).unwrap();
         assert_eq!(interior.active_count(), 0);
         assert_eq!(interior.iterations, 2);
-    }
-
-    #[test]
-    fn kkt_check_rejects_wrong_region() {
-        let h = Matrix::from_diag(&[1.0, 1.0]);
-        let g = vec![-10.0, -0.2];
-        let lo = vec![0.0, 0.0];
-        let hi = vec![1.0, 1.0];
-        // Claim "everything free" — but the optimum has x0 at its cap.
-        let states = vec![VarState::Free, VarState::Free];
-        let bf = BoxFactor::from_states(&h, &states).unwrap();
-        let x = bf.polish(&h, &g, &lo, &hi, &states);
-        assert!(!kkt_optimal(&h, &g, &lo, &hi, &states, &x, 1e-8));
     }
 
     #[test]

@@ -1,16 +1,16 @@
-//! Constrained optimization solvers for the CapGPU controller.
+//! Constrained optimization solvers.
 //!
 //! The paper implements its model-predictive controller "with SLSQP in
 //! Python" (§4.3). With the latency constraint reduced analytically to a
-//! per-GPU frequency floor the problem is a convex QP, solved natively:
+//! per-GPU frequency floor, the block the controller applies is a convex
+//! QP with a diagonal-plus-rank-one Hessian and a box, which
+//! `capgpu_control::mpc` solves exactly by a one-multiplier search and not
+//! with this crate.
 //!
-//! [`boxqp`] is the controller's one solver: a primal **active-set method
-//! specialized to box constraints**. After the cumulative-move change of
-//! variables the condensed MPC problem (paper Eq. 9 with constraints
-//! 10a–10c reduced to linear form) has only per-variable bounds, so the
-//! working set is a bound state per variable, each active-set change is an
-//! `O(f²)` incremental Cholesky update, and the factor of the final active
-//! set is what the controller's explicit-MPC region table caches.
+//! [`boxqp`] is a primal **active-set method specialized to box
+//! constraints**: the working set is a bound state per variable, and each
+//! active-set change is an `O(f²)` incremental Cholesky update. No shipped
+//! crate calls it; the repository benchmark still times it.
 //!
 //! The general solvers it is tested against (a generic active-set QP, KKT
 //! checks, projected gradient) live in the dev-only `capgpu-oracle` crate.
@@ -19,7 +19,7 @@
 
 pub mod boxqp;
 
-pub use boxqp::{BoxFactor, BoxQp, BoxQpProblem, BoxQpSolution, VarState};
+pub use boxqp::{BoxQp, BoxQpProblem, BoxQpSolution, VarState};
 
 /// Errors produced by the optimization solvers.
 #[derive(Debug, Clone, PartialEq)]

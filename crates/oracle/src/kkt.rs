@@ -3,8 +3,8 @@
 //! Used by the [`crate::qp`] tests and `capgpu-optim`'s proptests: a
 //! solution is accepted only when stationarity, primal feasibility, dual
 //! feasibility, and complementary slackness all hold within tolerance, so
-//! a true optimum, not just a feasible point. (The box solver's own check
-//! is `capgpu_optim::boxqp::kkt_optimal`.)
+//! a true optimum, not just a feasible point. (The box solver's proptests
+//! carry a bound-state check of their own.)
 
 use crate::{qp::QpProblem, vector};
 

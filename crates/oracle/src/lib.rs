@@ -1,9 +1,9 @@
 //! Reference solvers for the CapGPU test suites.
 //!
-//! Nothing here runs in production. The controller solves its MPC with
-//! `capgpu_optim::boxqp` alone; this crate holds the general machinery that
-//! solve is checked against, and it is only ever a `[dev-dependencies]`
-//! entry:
+//! Nothing here runs in production. The controller solves its MPC by a
+//! closed-form multiplier search; this crate holds the general machinery
+//! that solve is checked against, and it is only ever a
+//! `[dev-dependencies]` entry:
 //!
 //! * [`qp`] — a primal active-set method for strictly convex QPs with
 //!   **general linear inequality constraints**, one dense KKT factorization

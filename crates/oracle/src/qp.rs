@@ -13,13 +13,13 @@
 //! SLO-derived frequency floors of constraints (10b)+(10c) are all linear
 //! in the decision vector.
 //!
-//! No controller calls it. The controller solves the same problem in
-//! cumulative-move coordinates with `capgpu_optim::boxqp`; this solver —
-//! general constraints, a dense KKT factorization per iteration, no
-//! structure assumed — is the independent oracle that path is tested
-//! against (`capgpu-control`'s `mpc::tests` and `capgpu-optim`'s
-//! proptests), the status [`crate::projgrad`] has for the box solver
-//! itself.
+//! No controller calls it. The controller solves the applied block of the
+//! same problem in cumulative-move coordinates by a closed-form search for
+//! its one KKT multiplier; this solver — general constraints, a dense KKT
+//! factorization per iteration, no structure assumed — is the independent
+//! oracle that path is tested against (`capgpu-control`'s `mpc::tests`),
+//! and the box solver too (`capgpu-optim`'s proptests), the status
+//! [`crate::projgrad`] also has for the box solver.
 //!
 //! The implementation is the textbook primal active-set method
 //! (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3): maintain a
