@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use capgpu::prelude::*;
+use capgpu_telemetry::journal::Body;
 
 const DEFAULT_PERIODS: u64 = 12;
 
@@ -64,8 +65,9 @@ fn dry_run_transcript(cfg: &DaemonConfig, periods: u64) -> Result<String, String
     );
     let ident = daemon
         .journal()
-        .of_kind("identified")
-        .next()
+        .events()
+        .iter()
+        .find(|e| matches!(e.body, Body::Identified { .. }))
         .expect("identified event")
         .to_json();
     let _ = writeln!(out, "identified: {ident}");

@@ -46,9 +46,9 @@ use capgpu_backend::PowerBackend;
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::sysid::ScaledModelTracker;
 use capgpu_obs::analyzer::{HealthAnalyzer, PeriodSample, DETECTORS};
-use capgpu_obs::replay::{format_targets, ReplayState};
+use capgpu_obs::replay::ReplayState;
 use capgpu_obs::rotate::JournalWriter;
-use capgpu_telemetry::journal::{Event, Journal};
+use capgpu_telemetry::journal::{Body, Event, Journal, Targets};
 use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
 
 use crate::controllers::{CapGpuController, DeviceLayout};
@@ -299,18 +299,18 @@ impl Daemon {
         })
     }
 
-    /// A journal event at the current period and plant time, stamped
-    /// with the backend's wall clock when it has one.
-    fn event(&self, kind: &'static str) -> Event {
-        Event::new(self.period, self.sim_time_s, kind).wall_ms(self.backend.wall_clock_unix_ms())
-    }
-
-    /// Journals an event: always in memory, and staged for the rotating
-    /// durable journal when one is configured; the public call that
-    /// records it commits it ([`Daemon::commit_journal`]) before
-    /// returning. Disk failures are counted, not fatal — losing a
-    /// journal line must never stop actuation.
-    fn record(&mut self, event: Event) {
+    /// Journals `body` at the current period and plant time, stamped
+    /// with the backend's wall clock when it has one: in memory, and
+    /// staged for the durable journal, which the public call that
+    /// records it commits ([`Daemon::commit_journal`]). Disk failures
+    /// are counted, not fatal: a lost line must never stop actuation.
+    fn record(&mut self, body: Body) {
+        let event = Event {
+            period: self.period,
+            sim_time_s: self.sim_time_s,
+            wall_unix_ms: self.backend.wall_clock_unix_ms(),
+            body,
+        };
         if let Some(w) = self.writer.as_mut() {
             self.line_buf.clear();
             event.write_json(&mut self.line_buf);
@@ -354,22 +354,19 @@ impl Daemon {
         let model = sweep.fitted.model;
         self.stack = Some(ControlStack::from_model(self, model.clone(), &sweep.rows)?);
         self.targets = self.applied.clone();
-        // Per-device base gains, journaled individually so
-        // crash-recovery replay can rebuild the exact model (field keys
-        // are static; per-device data gets per-device events).
+        // Per-device base gains, one record each (a record holds
+        // scalars), so crash-recovery replay rebuilds the exact model.
         for d in 0..self.layout.len() {
-            self.record(
-                self.event("model_gain")
-                    .u64("device", d as u64)
-                    .f64("w_per_mhz", model.gains()[d]),
-            );
+            self.record(Body::ModelGain {
+                device: d as u64,
+                w_per_mhz: model.gains()[d],
+            });
         }
-        self.record(
-            self.event("identified")
-                .u64("points", sweep.points as u64)
-                .f64("offset_w", model.offset())
-                .f64("r_squared", sweep.fitted.r_squared),
-        );
+        self.record(Body::Identified {
+            points: sweep.points as u64,
+            offset_w: model.offset(),
+            r_squared: sweep.fitted.r_squared,
+        });
         self.commit_journal();
         Ok(())
     }
@@ -438,12 +435,12 @@ impl Daemon {
             } else {
                 "recovered"
             };
-            self.record(
-                self.event("tier_change")
-                    .u64("from", self.last_tier.as_u8() as u64)
-                    .u64("to", directive.tier.as_u8() as u64)
-                    .str("reason", reason),
-            );
+            self.record(Body::TierChange {
+                from: self.last_tier.as_u8() as u64,
+                to: directive.tier.as_u8() as u64,
+                stale_periods: Some(directive.stale_periods as u64),
+                reason: reason.into(),
+            });
             self.registry.inc(self.metrics.tier_changes, 1);
             self.last_tier = directive.tier;
         }
@@ -452,11 +449,10 @@ impl Daemon {
         for (d, &on) in stack.ladder.supervisor().quarantined().iter().enumerate() {
             if on != self.prev_quarantined[d] {
                 self.prev_quarantined[d] = on;
-                self.record(
-                    self.event("quarantine")
-                        .u64("device", d as u64)
-                        .bool("on", on),
-                );
+                self.record(Body::Quarantine {
+                    device: d as u64,
+                    on,
+                });
             }
         }
         // Summed commanded move and bound saturation, for the journal
@@ -484,26 +480,23 @@ impl Daemon {
                     // scale + offset pin the pushed model exactly
                     // (gains = journaled base gains × scale), which
                     // is what makes crash-recovery replay bit-exact.
-                    let ev = self
-                        .event("refit")
-                        .f64("scale", scale)
-                        .f64("offset_w", model.offset());
-                    self.record(ev);
+                    self.record(Body::Refit {
+                        scale,
+                        offset_w: model.offset(),
+                    });
                 }
             }
         }
         // -- journal + metrics ----------------------------------------
-        let targets_str = format_targets(&self.targets);
-        self.record(
-            self.event("period")
-                .u64("tier", directive.tier.as_u8() as u64)
-                .f64("watts", avg)
-                .f64("setpoint", directive.effective_setpoint)
-                .u64("stale", directive.stale_periods as u64)
-                .f64("delta_f_mhz", delta_f_mhz)
-                .bool("saturated", saturated)
-                .str("targets", &targets_str),
-        );
+        self.record(Body::Period {
+            tier: Some(directive.tier.as_u8() as u64),
+            watts: Some(avg),
+            setpoint: Some(directive.effective_setpoint),
+            stale: Some(directive.stale_periods as u64),
+            delta_f_mhz: Some(delta_f_mhz),
+            saturated: Some(saturated),
+            targets: Some(Targets::new(&self.targets)),
+        });
         // -- online health analyzer -----------------------------------
         let sample = PeriodSample {
             power_w: avg,
@@ -515,12 +508,11 @@ impl Daemon {
         };
         let edges = self.analyzer.observe(&sample);
         for e in &edges {
-            self.record(
-                self.event("health")
-                    .str("detector", e.detector)
-                    .str("from", e.from.label())
-                    .str("to", e.to.label()),
-            );
+            self.record(Body::Health {
+                detector: e.detector.into(),
+                from: e.from.label().into(),
+                to: e.to.label().into(),
+            });
         }
         for (i, (_, v)) in self.analyzer.verdicts().iter().enumerate() {
             self.registry.set(self.metrics.health[i], v.gauge());
@@ -577,11 +569,10 @@ impl Daemon {
     pub fn set_setpoint(&mut self, watts: f64) {
         let old = self.setpoint_watts;
         self.setpoint_watts = watts;
-        self.record(
-            self.event("setpoint_change")
-                .f64("from_w", old)
-                .f64("to_w", watts),
-        );
+        self.record(Body::SetpointChange {
+            from_w: old,
+            to_w: watts,
+        });
         self.commit_journal();
     }
 
@@ -698,11 +689,10 @@ impl Daemon {
         self.period = state.last_period.map_or(0, |p| p + 1);
         self.sim_time_s = state.last_t_s.unwrap_or(0.0);
         let replayed: u64 = state.kind_counts.iter().map(|(_, n)| n).sum();
-        self.record(
-            self.event("recovered")
-                .u64("tier", u64::from(tier.as_u8()))
-                .u64("records", replayed),
-        );
+        self.record(Body::Recovered {
+            tier: u64::from(tier.as_u8()),
+            records: replayed,
+        });
         self.commit_journal();
         Ok(())
     }
@@ -750,6 +740,11 @@ mod tests {
     use capgpu_faults::FaultKind;
     use capgpu_sim::Server;
 
+    /// The events of `journal` whose body `keep` selects.
+    fn events_where(journal: &Journal, keep: impl Fn(&Body) -> bool) -> Vec<&Event> {
+        journal.events().iter().filter(|e| keep(&e.body)).collect()
+    }
+
     // -- daemon over the sim backend ----------------------------------
 
     fn sim_daemon(setpoint: f64) -> Daemon {
@@ -775,8 +770,14 @@ mod tests {
         );
         assert!(reports.iter().all(|r| r.tier == SupervisorTier::Primary));
         // The journal recorded identification and every period.
-        assert_eq!(d.journal().of_kind("identified").count(), 1);
-        assert_eq!(d.journal().of_kind("period").count(), 20);
+        assert_eq!(
+            events_where(d.journal(), |b| matches!(b, Body::Identified { .. })).len(),
+            1
+        );
+        assert_eq!(
+            events_where(d.journal(), |b| matches!(b, Body::Period { .. })).len(),
+            20
+        );
         // Sim journals carry no wall clock.
         assert!(d
             .journal()
@@ -821,7 +822,10 @@ mod tests {
         assert!(d.apply_reload(&new_cfg));
         assert!(!d.apply_reload(&new_cfg), "second reload is a no-op");
         assert_eq!(d.setpoint_watts(), 800.0);
-        assert_eq!(d.journal().of_kind("setpoint_change").count(), 1);
+        assert_eq!(
+            events_where(d.journal(), |b| matches!(b, Body::SetpointChange { .. })).len(),
+            1
+        );
         let reports = d.run_periods(12).unwrap();
         let tail: Vec<f64> = reports[8..].iter().map(|r| r.avg_power_watts).collect();
         let mean = tail.iter().sum::<f64>() / tail.len() as f64;
@@ -898,7 +902,7 @@ mod tests {
             "ladder must climb back after the meter returns"
         );
         // The escalation and recovery are journaled as tier changes.
-        assert!(d.journal().of_kind("tier_change").count() >= 3);
+        assert!(events_where(d.journal(), |b| matches!(b, Body::TierChange { .. })).len() >= 3);
     }
 
     /// A PSU derate reaches the supervisor through the backend: while the
@@ -957,11 +961,11 @@ mod tests {
             assert_eq!(r.targets_mhz[2], f_max, "the healthy GPU is not pinned");
         }
         assert_eq!(after[recovery].targets_mhz[1], f_max);
-        let edges: Vec<String> = d
-            .journal()
-            .of_kind("quarantine")
-            .map(|e| e.to_json())
-            .collect();
+        let edges: Vec<String> =
+            events_where(d.journal(), |b| matches!(b, Body::Quarantine { .. }))
+                .into_iter()
+                .map(|e| e.to_json())
+                .collect();
         assert_eq!(edges.len(), 2, "{edges:?}");
         assert!(edges[0].contains("\"device\":1,\"on\":true"), "{edges:?}");
         assert!(edges[1].contains("\"device\":1,\"on\":false"), "{edges:?}");

@@ -587,9 +587,9 @@ impl ExperimentRunner {
             for change in &changes {
                 match change {
                     ScheduledChange::SetPoint { at_period, watts } if *at_period == period => {
-                        self.setpoint = *watts;
+                        let from_w = std::mem::replace(&mut self.setpoint, *watts);
                         if let Some(tm) = self.telemetry.as_mut() {
-                            tm.on_setpoint_change(period, t_start_s, *watts);
+                            tm.on_setpoint_change(period, t_start_s, from_w, *watts);
                         }
                     }
                     ScheduledChange::Slo {

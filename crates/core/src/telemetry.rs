@@ -15,7 +15,7 @@
 
 use capgpu_serve::ServeWindowStats;
 use capgpu_sim::DeviceKind;
-use capgpu_telemetry::journal::{Event, Journal};
+use capgpu_telemetry::journal::{Body, Event, Journal};
 use capgpu_telemetry::registry::{CounterId, GaugeId, HistogramId, Registry, Snapshot};
 use capgpu_telemetry::spans::{SpanId, SpanStack, SpanSummary};
 use capgpu_telemetry::TelemetryConfig;
@@ -328,13 +328,24 @@ impl RunTelemetry {
         }
     }
 
+    /// Journals `body` at `period` and sim time `t_s`.
+    fn record(&mut self, period: usize, t_s: f64, body: Body) {
+        self.journal.push(Event {
+            period: period as u64,
+            sim_time_s: t_s,
+            wall_unix_ms: None,
+            body,
+        });
+    }
+
     /// Journal the start of a closed-loop run.
     pub fn begin_run(&mut self, controller: &str, setpoint: f64, num_periods: usize) {
-        let ev = Event::new(0, 0.0, "run_start")
-            .str("controller", controller)
-            .f64("setpoint_w", setpoint)
-            .u64("periods", num_periods as u64);
-        self.journal.push(ev);
+        let body = Body::RunStart {
+            controller: controller.into(),
+            setpoint_w: setpoint,
+            periods: num_periods as u64,
+        };
+        self.record(0, 0.0, body);
     }
 
     /// Journal the end of a run and record end-of-run aggregates:
@@ -352,14 +363,12 @@ impl RunTelemetry {
                 self.registry.set(*id, p99);
             }
         }
-        let mut ev = Event::new(period as u64, t_s, "run_end");
-        if let Some((samples, accepted, rejected)) = tracker_stats {
-            ev = ev
-                .u64("rls_samples", samples)
-                .u64("rls_pairs_accepted", accepted)
-                .u64("rls_pairs_rejected", rejected);
-        }
-        self.journal.push(ev);
+        let body = Body::RunEnd {
+            rls_samples: tracker_stats.map(|s| s.0),
+            rls_pairs_accepted: tracker_stats.map(|s| s.1),
+            rls_pairs_rejected: tracker_stats.map(|s| s.2),
+        };
+        self.record(period, t_s, body);
     }
 
     /// Journal a fault-schedule transition (onset or clear).
@@ -372,20 +381,26 @@ impl RunTelemetry {
         device: Option<usize>,
         onset: bool,
     ) {
-        let kind = if onset { "fault_onset" } else { "fault_clear" };
-        let mut ev = Event::new(period as u64, t_s, kind)
-            .u64("spec", spec_index as u64)
-            .str("fault", label);
-        if let Some(d) = device {
-            ev = ev.u64("device", d as u64);
-        }
-        self.journal.push(ev);
+        let (spec, fault, device) = (spec_index as u64, label.into(), device.map(|d| d as u64));
+        let body = if onset {
+            Body::FaultOnset {
+                spec,
+                fault,
+                device,
+            }
+        } else {
+            Body::FaultClear {
+                spec,
+                fault,
+                device,
+            }
+        };
+        self.record(period, t_s, body);
     }
 
     /// Journal an operator set-point change taking effect.
-    pub fn on_setpoint_change(&mut self, period: usize, t_s: f64, watts: f64) {
-        self.journal
-            .push(Event::new(period as u64, t_s, "setpoint_change").f64("watts", watts));
+    pub fn on_setpoint_change(&mut self, period: usize, t_s: f64, from_w: f64, to_w: f64) {
+        self.record(period, t_s, Body::SetpointChange { from_w, to_w });
     }
 
     /// Record one delta-sigma carry wrap (the modulator emitted a level
@@ -460,12 +475,13 @@ impl RunTelemetry {
             prefill_share < 0.3
         };
         if decode_now != self.llm_decode_dominant[task] {
-            self.journal.push(
-                Event::new(period as u64, t_s, "phase_transition")
-                    .u64("task", task as u64)
-                    .str("to", if decode_now { "decode" } else { "prefill" })
-                    .f64("prefill_share", prefill_share),
-            );
+            let to = if decode_now { "decode" } else { "prefill" };
+            let body = Body::PhaseTransition {
+                task: task as u64,
+                to: to.into(),
+                prefill_share,
+            };
+            self.record(period, t_s, body);
             self.llm_decode_dominant[task] = decode_now;
         }
         let pressured_now = if self.llm_kv_pressured[task] {
@@ -474,12 +490,12 @@ impl RunTelemetry {
             kv_occupancy >= 0.9
         };
         if pressured_now != self.llm_kv_pressured[task] {
-            self.journal.push(
-                Event::new(period as u64, t_s, "kv_pressure")
-                    .u64("task", task as u64)
-                    .bool("on", pressured_now)
-                    .f64("kv_occupancy", kv_occupancy),
-            );
+            let body = Body::KvPressure {
+                task: task as u64,
+                on: pressured_now,
+                kv_occupancy,
+            };
+            self.record(period, t_s, body);
             self.llm_kv_pressured[task] = pressured_now;
         }
     }
@@ -488,11 +504,7 @@ impl RunTelemetry {
     pub fn on_refit(&mut self, period: usize, t_s: f64, scale: f64, r_squared: f64) {
         self.registry.inc(self.h.refits_total, 1);
         self.registry.set(self.h.model_scale, scale);
-        self.journal.push(
-            Event::new(period as u64, t_s, "rls_refit")
-                .f64("scale", scale)
-                .f64("r_squared", r_squared),
-        );
+        self.record(period, t_s, Body::RlsRefit { scale, r_squared });
     }
 
     /// Fold one completed control period into the registry and journal.
@@ -501,7 +513,7 @@ impl RunTelemetry {
     /// aggregated carry wraps) are derived here by diffing against the
     /// previous period's state.
     pub fn on_period(&mut self, obs: &PeriodObservation<'_>) {
-        let (period, t_s) = (obs.period as u64, obs.t_s);
+        let (period, t_s) = (obs.period, obs.t_s);
         self.registry.inc(self.h.periods_total, 1);
         self.registry.inc(self.h.seconds_total, obs.seconds as u64);
         self.registry
@@ -519,11 +531,11 @@ impl RunTelemetry {
             self.registry.inc(self.h.meter_stale_periods_total, 1);
         }
         if obs.meter_stale != self.prev_stale {
-            self.journal.push(
-                Event::new(period, t_s, "meter_stale")
-                    .bool("stale", obs.meter_stale)
-                    .u64("stale_periods", obs.stale_periods as u64),
-            );
+            let body = Body::MeterStale {
+                stale: obs.meter_stale,
+                stale_periods: obs.stale_periods as u64,
+            };
+            self.record(period, t_s, body);
             self.prev_stale = obs.meter_stale;
         }
         if let Some(id) = self.h.tier_periods_total.get(obs.tier as usize) {
@@ -541,13 +553,13 @@ impl RunTelemetry {
                 } else {
                     "recovered"
                 };
-                self.journal.push(
-                    Event::new(period, t_s, "tier_change")
-                        .u64("from", prev as u64)
-                        .u64("to", obs.tier as u64)
-                        .u64("stale_periods", obs.stale_periods as u64)
-                        .str("reason", reason),
-                );
+                let body = Body::TierChange {
+                    from: prev as u64,
+                    to: obs.tier as u64,
+                    stale_periods: Some(obs.stale_periods as u64),
+                    reason: reason.into(),
+                };
+                self.record(period, t_s, body);
             }
         }
         self.prev_tier = Some(obs.tier);
@@ -555,11 +567,11 @@ impl RunTelemetry {
             for (d, &q) in quarantined.iter().enumerate() {
                 if q != self.prev_quarantine[d] {
                     self.registry.inc(self.h.quarantine_transitions_total, 1);
-                    self.journal.push(
-                        Event::new(period, t_s, "quarantine")
-                            .u64("device", d as u64)
-                            .bool("on", q),
-                    );
+                    let body = Body::Quarantine {
+                        device: d as u64,
+                        on: q,
+                    };
+                    self.record(period, t_s, body);
                     self.prev_quarantine[d] = q;
                 }
             }
@@ -579,22 +591,20 @@ impl RunTelemetry {
                 self.registry.inc(self.h.floor_clamped_periods_total, 1);
             }
             if diag.slo_floor_binding != self.slo_bound_active {
-                self.journal.push(
-                    Event::new(period, t_s, "slo_floor_binding")
-                        .bool("active", diag.slo_floor_binding),
-                );
+                let active = diag.slo_floor_binding;
+                self.record(period, t_s, Body::SloFloorBinding { active });
                 self.slo_bound_active = diag.slo_floor_binding;
             }
         }
         if obs.mem_escape_active != self.prev_mem_escape {
             self.registry.inc(self.h.mem_escape_transitions_total, 1);
-            self.journal
-                .push(Event::new(period, t_s, "mem_escape").bool("engaged", obs.mem_escape_active));
+            let engaged = obs.mem_escape_active;
+            self.record(period, t_s, Body::MemEscape { engaged });
             self.prev_mem_escape = obs.mem_escape_active;
         }
         if self.carry_pending > 0 {
-            self.journal
-                .push(Event::new(period, t_s, "ds_carry_wraps").u64("wraps", self.carry_pending));
+            let wraps = self.carry_pending;
+            self.record(period, t_s, Body::DsCarryWraps { wraps });
             self.carry_pending = 0;
         }
     }
@@ -678,6 +688,11 @@ impl TelemetryReport {
 mod tests {
     use super::*;
 
+    /// The events of `journal` whose body `keep` selects.
+    fn events_where(journal: &Journal, keep: impl Fn(&Body) -> bool) -> Vec<&Event> {
+        journal.events().iter().filter(|e| keep(&e.body)).collect()
+    }
+
     fn telemetry() -> RunTelemetry {
         RunTelemetry::new(
             TelemetryConfig::deterministic(),
@@ -728,8 +743,14 @@ mod tests {
             snap.gauge_value("capgpu_serve_p99_latency_s", &[("task", "1")]),
             Some(0.2)
         );
-        assert_eq!(tm.journal().of_kind("run_start").count(), 1);
-        assert_eq!(tm.journal().of_kind("run_end").count(), 1);
+        assert_eq!(
+            events_where(tm.journal(), |b| matches!(b, Body::RunStart { .. })).len(),
+            1
+        );
+        assert_eq!(
+            events_where(tm.journal(), |b| matches!(b, Body::RunEnd { .. })).len(),
+            1
+        );
     }
 
     #[test]
@@ -748,11 +769,11 @@ mod tests {
             snap.counter_value("capgpu_tier_periods_total", &[("tier", "1")]),
             Some(2)
         );
-        let changes: Vec<String> = tm
-            .journal()
-            .of_kind("tier_change")
-            .map(Event::to_json)
-            .collect();
+        let changes: Vec<String> =
+            events_where(tm.journal(), |b| matches!(b, Body::TierChange { .. }))
+                .into_iter()
+                .map(Event::to_json)
+                .collect();
         assert_eq!(changes.len(), 2);
         assert!(changes[0].contains("\"from\":0,\"to\":1"));
         assert!(changes[1].contains("\"reason\":\"recovered\""));
@@ -793,7 +814,8 @@ mod tests {
             snap.counter_value("capgpu_carry_wraps_total", &[("device", "gpu1")]),
             Some(2)
         );
-        let wraps: Vec<&Event> = tm.journal().of_kind("ds_carry_wraps").collect();
+        let wraps: Vec<&Event> =
+            events_where(tm.journal(), |b| matches!(b, Body::DsCarryWraps { .. }));
         assert_eq!(wraps.len(), 1, "aggregated once, only when wraps occurred");
         assert!(wraps[0].to_json().contains("\"wraps\":3"));
     }
@@ -817,7 +839,9 @@ mod tests {
             .report()
             .deterministic_text()
             .contains("capgpu_llm_prefill_tokens_total"));
-        assert!(off.journal().of_kind("phase_transition").next().is_none());
+        assert!(
+            events_where(off.journal(), |b| matches!(b, Body::PhaseTransition { .. })).is_empty()
+        );
 
         let mut tm = RunTelemetry::new(
             TelemetryConfig::deterministic(),
@@ -842,8 +866,14 @@ mod tests {
         for (p, share, kv) in [(0, 0.9, 0.2), (1, 0.1, 0.95), (2, 0.4, 0.8), (3, 0.6, 0.6)] {
             tm.on_llm_period(p, 4.0 * (p + 1) as f64, 0, share, kv);
         }
-        assert_eq!(tm.journal().of_kind("phase_transition").count(), 2);
-        assert_eq!(tm.journal().of_kind("kv_pressure").count(), 2);
+        assert_eq!(
+            events_where(tm.journal(), |b| matches!(b, Body::PhaseTransition { .. })).len(),
+            2
+        );
+        assert_eq!(
+            events_where(tm.journal(), |b| matches!(b, Body::KvPressure { .. })).len(),
+            2
+        );
     }
 
     #[test]

@@ -13,8 +13,10 @@ use capgpu::prelude::{FaultKind, SupervisorTier};
 use capgpu_backend::SimBackend;
 use capgpu_obs::reader::{parse_record, read_dir};
 use capgpu_obs::replay::ReplayState;
+use capgpu_obs::report::render;
 use capgpu_obs::rotate::{list_segments, JournalWriter};
 use capgpu_sim::Server;
+use capgpu_telemetry::journal::Body;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("capgpu-recovery-{tag}-{}", std::process::id()));
@@ -140,7 +142,10 @@ fn kill_and_restart_resumes_within_one_control_period() {
     // "recovered" marker is on disk.
     let scan = read_dir(&dir).unwrap();
     assert!(scan.segments.len() >= 2, "restart must open a new segment");
-    assert!(scan.records.iter().any(|r| r.kind() == "recovered"));
+    assert!(scan
+        .records
+        .iter()
+        .any(|r| matches!(r.body, Body::Recovered { .. })));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -255,6 +260,49 @@ fn recovery_restores_tier_and_model_after_meter_dropout() {
 
 /// A torn final record — the crash-mid-flush case — is tolerated by the
 /// reader and replay sees every complete record.
+/// The post-mortem re-runs the health detectors over the journal's
+/// `period` records; the daemon journaled its own live firings as
+/// `health` records. The two agree period by period and edge by edge,
+/// which holds only while every analyzer input is in the `period`
+/// record.
+#[test]
+fn post_mortem_detectors_agree_with_the_live_ones() {
+    let dir = temp_dir("detectors");
+    let mut d = daemon(sim_cfg(Some(dir.clone())));
+    d.identify().unwrap();
+    d.run_periods(8).unwrap();
+    FaultKind::MeterDropout.apply(server(&mut d)).unwrap();
+    d.run_periods(6).unwrap();
+    FaultKind::MeterDropout.clear(server(&mut d)).unwrap();
+    d.run_periods(20).unwrap();
+    d.seal_journal().unwrap();
+    let scan = read_dir(&dir).unwrap();
+    let live: Vec<String> = scan
+        .records
+        .iter()
+        .filter_map(|r| match &r.body {
+            Body::Health { detector, from, to } => Some(format!(
+                "  period={} t_s={} {detector} {from} -> {to}",
+                r.period, r.sim_time_s
+            )),
+            _ => None,
+        })
+        .collect();
+    let report = render(&scan).text;
+    let replayed: Vec<&str> = report
+        .lines()
+        .skip_while(|l| *l != "detector firings")
+        .skip(1)
+        .take_while(|l| !l.starts_with("  final:"))
+        .collect();
+    assert!(
+        live.iter().any(|l| l.contains("meter_silence")),
+        "the dropout fired no meter_silence edge:\n{report}"
+    );
+    assert_eq!(replayed, live, "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn torn_final_record_is_tolerated_on_recovery() {
     let dir = temp_dir("torn");
@@ -429,7 +477,9 @@ fn config_watcher_sees_rename_over_write() {
     assert_eq!(d.setpoint_watts(), 800.0);
     let changes: Vec<String> = d
         .journal()
-        .of_kind("setpoint_change")
+        .events()
+        .iter()
+        .filter(|e| matches!(e.body, Body::SetpointChange { .. }))
         .map(|e| e.to_json())
         .collect();
     assert_eq!(changes.len(), 1, "{changes:?}");

@@ -299,7 +299,7 @@ fn journal_captures_scripted_escalation_in_order() {
     // dropout must produce the supervisor's full escalation/recovery
     // ladder as ordered journal events — stale onset, fallback, park,
     // then the two hysteretic recovery steps after the meter returns.
-    use capgpu_telemetry::journal::Value;
+    use capgpu_telemetry::journal::Body;
 
     let scenario = Scenario::paper_testbed(15)
         .with_supervisor(SupervisorConfig::default())
@@ -319,36 +319,25 @@ fn journal_captures_scripted_escalation_in_order() {
     // The stale flag toggles exactly twice: on at the dropout, off after
     // the meter recovers.
     let stale: Vec<bool> = journal
-        .of_kind("meter_stale")
-        .map(|e| match e.fields.iter().find(|(k, _)| *k == "stale") {
-            Some((_, Value::Bool(b))) => *b,
-            other => panic!("bad stale field {other:?}"),
+        .events()
+        .iter()
+        .filter_map(|e| match e.body {
+            Body::MeterStale { stale, .. } => Some(stale),
+            _ => None,
         })
         .collect();
     assert_eq!(stale, vec![true, false]);
 
     // Full ladder, in order: 0→1 and 1→2 driven by the stale meter,
     // then single-step recoveries 2→1 and 1→0.
-    let field_u64 = |e: &capgpu_telemetry::journal::Event, key: &str| -> u64 {
-        match e.fields.iter().find(|(k, _)| *k == key) {
-            Some((_, Value::U64(v))) => *v,
-            other => panic!("bad {key} field {other:?}"),
-        }
-    };
-    let field_str = |e: &capgpu_telemetry::journal::Event, key: &str| -> String {
-        match e.fields.iter().find(|(k, _)| *k == key) {
-            Some((_, Value::Str(s))) => s.clone(),
-            other => panic!("bad {key} field {other:?}"),
-        }
-    };
     let ladder: Vec<(u64, u64, String)> = journal
-        .of_kind("tier_change")
-        .map(|e| {
-            (
-                field_u64(e, "from"),
-                field_u64(e, "to"),
-                field_str(e, "reason"),
-            )
+        .events()
+        .iter()
+        .filter_map(|e| match &e.body {
+            Body::TierChange {
+                from, to, reason, ..
+            } => Some((*from, *to, reason.clone())),
+            _ => None,
         })
         .collect();
     assert_eq!(

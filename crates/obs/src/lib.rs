@@ -14,7 +14,7 @@
 //! - [`reader`] — a journal-directory reader that verifies sealed
 //!   segments, tolerates a torn final record in the active (crashed)
 //!   segment, and rejects unknown journal schema major versions with a
-//!   clear error.
+//!   clear error. A [`reader::Record`] is the writer's own typed event.
 //! - [`replay`] — the crash-recovery state machine: folds
 //!   `identified` / `model_gain` / `refit` / `tier_change` /
 //!   `setpoint_change` / `quarantine` / `period` events back into the
@@ -38,7 +38,6 @@
 
 pub mod analyzer;
 mod crc;
-mod json;
 pub mod reader;
 pub mod replay;
 pub mod report;

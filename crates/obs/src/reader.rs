@@ -2,122 +2,20 @@
 //! tolerate a torn tail in each unsealed (active or crashed) segment,
 //! and refuse schema versions this reader does not understand.
 //!
-//! A line is walked once (the crate's `json` module): the same pass that
-//! validates it as flat JSON fills the record's header and a compact
-//! index of its other fields. A [`Record`] is the validated line plus
-//! that index — two allocations, no per-key or per-value `String`.
+//! A [`Record`] is the writer's [`Event`], decoded by its own schema
+//! ([`Event::parse`]); this module adds where a line came from, and the
+//! seal footer that `rotate` writes and recognises.
 
-use std::borrow::Cow;
 use std::path::Path;
 
-use capgpu_telemetry::journal::SCHEMA_VERSION;
+use capgpu_telemetry::journal::{DecodeError, Event, SCHEMA_VERSION};
 
 use crate::crc::crc32;
-use crate::json::{walk_object, Scalar, Span};
-use crate::rotate::list_segments;
+use crate::rotate::{list_segments, parse_seal};
 use crate::{ObsError, Result};
 
-/// One non-header field of a record: where its key sits in the line,
-/// and its value.
-#[derive(Debug, Clone, Copy)]
-struct Field {
-    key: Span,
-    value: Scalar,
-}
-
-// The index is most of what a scanned journal keeps resident.
-const _: () = assert!(std::mem::size_of::<Field>() == 24);
-
-/// One parsed journal record.
-#[derive(Clone)]
-pub struct Record {
-    /// Journal schema version (`"v"`).
-    pub schema_version: u64,
-    /// Control period index.
-    pub period: u64,
-    /// Record clock (sim seconds in deterministic runs).
-    pub t_s: f64,
-    /// The validated line. A kind whose body carries escapes (this
-    /// repo's writer emits none) is unwound once and appended, so that
-    /// [`Record::kind`] can hand out a plain `&str` either way.
-    text: Box<str>,
-    /// Where the (unwound) event kind sits in `text`.
-    kind: Span,
-    /// Every field but `v`, `period`, `t_s` and `kind`, in document
-    /// order.
-    fields: Box<[Field]>,
-}
-
-impl Record {
-    /// Event kind (`"period"`, `"tier_change"`, …).
-    pub fn kind(&self) -> &str {
-        &self.text[self.kind.range()]
-    }
-
-    /// First field named `key`.
-    fn get(&self, key: &str) -> Option<Scalar> {
-        self.fields
-            .iter()
-            .find(|f| f.key.text(&self.text) == key)
-            .map(|f| f.value)
-    }
-
-    /// Field as `u64`.
-    pub fn u64(&self, key: &str) -> Option<u64> {
-        self.get(key).and_then(Scalar::as_u64)
-    }
-
-    /// Field as `f64`.
-    pub fn f64(&self, key: &str) -> Option<f64> {
-        self.get(key).and_then(Scalar::as_f64)
-    }
-
-    /// Field as string: borrowed from the record unless the journal
-    /// line spelled it with escapes.
-    pub fn str(&self, key: &str) -> Option<Cow<'_, str>> {
-        let body = self.get(key)?.as_span()?;
-        Some(body.text(&self.text))
-    }
-
-    /// Field as bool.
-    pub fn bool(&self, key: &str) -> Option<bool> {
-        self.get(key).and_then(Scalar::as_bool)
-    }
-}
-
-impl PartialEq for Record {
-    /// Records are equal when they say the same thing — same header,
-    /// same keys and values in the same order — however their lines
-    /// spelled the numbers and strings.
-    fn eq(&self, other: &Self) -> bool {
-        self.schema_version == other.schema_version
-            && self.period == other.period
-            && self.t_s == other.t_s
-            && self.kind() == other.kind()
-            && self.fields.len() == other.fields.len()
-            && self.fields.iter().zip(other.fields.iter()).all(|(a, b)| {
-                a.key.text(&self.text) == b.key.text(&other.text)
-                    && match (a.value, b.value) {
-                        (Scalar::Str(x), Scalar::Str(y)) => {
-                            x.text(&self.text) == y.text(&other.text)
-                        }
-                        (x, y) => x == y,
-                    }
-            })
-    }
-}
-
-impl std::fmt::Debug for Record {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Record")
-            .field("schema_version", &self.schema_version)
-            .field("period", &self.period)
-            .field("t_s", &self.t_s)
-            .field("kind", &self.kind())
-            .field("text", &self.text)
-            .finish()
-    }
-}
+/// One parsed journal record: the event the writer rendered.
+pub type Record = Event;
 
 /// What the reader learned about one segment file.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,67 +55,15 @@ fn corrupt_at(source: &str, line: usize, message: &str) -> ObsError {
 /// Parses one record line.
 ///
 /// # Errors
-/// [`ObsError::Corrupt`] on malformed JSON or missing required fields,
+/// [`ObsError::Corrupt`] on malformed JSON or missing header fields,
 /// [`ObsError::SchemaVersion`] on a version this reader does not speak.
 pub fn parse_record(line: &str, source: &str, lineno: usize) -> Result<Record> {
-    let corrupt = |message: &str| corrupt_at(source, lineno, message);
-    // First occurrence of each header key; every occurrence stays out
-    // of the field index.
-    let (mut v, mut kind, mut period, mut t_s) = (None, None, None, None);
-    // A `period` record — nearly every line of a journal — has seven
-    // such fields, eight when stamped with `wall_ms`.
-    let mut index = Vec::with_capacity(8);
-    walk_object(line, |key, value| {
-        let slot = match &*key.text(line) {
-            "v" => &mut v,
-            "kind" => &mut kind,
-            "period" => &mut period,
-            "t_s" => &mut t_s,
-            _ => return index.push(Field { key, value }),
-        };
-        slot.get_or_insert(value);
-    })
-    .map_err(|message| corrupt(&message))?;
-    let schema_version = v
-        .and_then(Scalar::as_u64)
-        .ok_or_else(|| corrupt("missing schema version field `v`"))?;
-    if schema_version != u64::from(SCHEMA_VERSION) {
-        return Err(ObsError::SchemaVersion {
-            found: schema_version,
+    Event::parse(line).map_err(|e| match e {
+        DecodeError::Malformed(message) => corrupt_at(source, lineno, &message),
+        DecodeError::Version(found) => ObsError::SchemaVersion {
+            found,
             supported: u64::from(SCHEMA_VERSION),
-        });
-    }
-    let kind = kind
-        .and_then(Scalar::as_span)
-        .ok_or_else(|| corrupt("missing `kind`"))?;
-    let (text, kind) = if kind.escaped() {
-        let unwound = kind.text(line);
-        (
-            format!("{line}{unwound}"),
-            Span::new(line.len(), line.len() + unwound.len(), false),
-        )
-    } else {
-        (line.to_string(), kind)
-    };
-    // The seal footer is the one record shape without period/t_s.
-    let (period, t_s) = if &text[kind.range()] == "segment_seal" {
-        (0, 0.0)
-    } else {
-        (
-            period
-                .and_then(Scalar::as_u64)
-                .ok_or_else(|| corrupt("missing `period`"))?,
-            t_s.and_then(Scalar::as_f64)
-                .ok_or_else(|| corrupt("missing `t_s`"))?,
-        )
-    };
-    Ok(Record {
-        schema_version,
-        period,
-        t_s,
-        text: text.into_boxed_str(),
-        kind,
-        fields: index.into_boxed_slice(),
+        },
     })
 }
 
@@ -273,21 +119,17 @@ pub fn parse_segment(
             break;
         }
         let parsed = match std::str::from_utf8(raw) {
-            Ok(line) => parse_record(line, source, lineno),
+            Ok(line) => match parse_seal(line) {
+                Some(footer) => {
+                    seal = Some(footer.map_err(|m| corrupt(lineno, m))?);
+                    rest = next;
+                    continue;
+                }
+                None => parse_record(line, source, lineno),
+            },
             Err(e) => Err(corrupt(lineno, &format!("not UTF-8: {e}"))),
         };
         match parsed {
-            Ok(r) if r.kind() == "segment_seal" => {
-                let n = r
-                    .u64("records")
-                    .ok_or_else(|| corrupt(lineno, "seal footer missing `records`"))?;
-                let crc = r
-                    .u64("crc32")
-                    .ok_or_else(|| corrupt(lineno, "seal footer missing `crc32`"))?;
-                let crc = u32::try_from(crc)
-                    .map_err(|_| corrupt(lineno, "seal footer crc32 out of range"))?;
-                seal = Some((n, crc));
-            }
             Ok(r) => records.push(r),
             // A torn final *complete-looking* line (the crash landed
             // mid-flush and the tail bytes happen to include a newline)
@@ -363,29 +205,11 @@ pub fn read_dir(dir: &Path) -> Result<JournalScan> {
     Ok(scan)
 }
 
-/// Parses free-standing JSONL (no segment framing): convenience for
-/// in-memory journals and tests.
-///
-/// # Errors
-/// As for [`parse_record`]; the torn tail is tolerated when
-/// `tolerate_torn_tail` is set.
-pub fn parse_jsonl(text: &str, tolerate_torn_tail: bool) -> Result<(Vec<Record>, Option<String>)> {
-    let mut records = Vec::new();
-    let seg = parse_segment(
-        text.as_bytes(),
-        "<memory>",
-        tolerate_torn_tail,
-        &mut records,
-    )?;
-    Ok((records, seg.torn_tail))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::oracle::{dom_value, parse_object, same, walk_to_dom, JsonValue};
     use crate::rotate::{segment_file_name, JournalWriter, RotationConfig};
-    use capgpu_telemetry::journal::{Event, Value};
+    use capgpu_telemetry::journal::Body;
     use proptest::prelude::*;
     use std::path::PathBuf;
 
@@ -397,6 +221,18 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Parses free-standing JSONL, as one segment.
+    fn parse_jsonl(text: &str, tolerate_torn_tail: bool) -> Result<(Vec<Record>, Option<String>)> {
+        let mut records = Vec::new();
+        let seg = parse_segment(
+            text.as_bytes(),
+            "<memory>",
+            tolerate_torn_tail,
+            &mut records,
+        )?;
+        Ok((records, seg.torn_tail))
     }
 
     fn line(i: u64) -> String {
@@ -419,75 +255,25 @@ mod tests {
     #[test]
     fn parses_records_and_fields() {
         let r = parse_record(&line(7), "<t>", 1).unwrap();
-        assert_eq!(r.period, 7);
-        assert_eq!(r.t_s, 28.0);
-        assert_eq!(r.kind(), "period");
-        assert_eq!(r.u64("tier"), Some(0));
-        assert_eq!(r.f64("watts"), Some(899.5));
-        assert_eq!(r.str("nope"), None);
+        assert_eq!((r.period, r.sim_time_s), (7, 28.0));
+        assert!(matches!(
+            r.body,
+            Body::Period { tier: Some(0), watts: Some(w), targets: None, .. } if w == 899.5
+        ));
     }
 
     #[test]
-    fn accessors_unwind_escapes_and_hide_the_header() {
-        let r = parse_record(
-            r#"{"v":1,"period":3,"t_s":12.5,"kind":"note","msg":"a\"b\\c\n\u00e9","path":"/etc/café","n":-2,"big":9007199254740992,"none":null,"ok":true,"msg":"second","k\u0065y":1,"period":9}"#,
-            "<t>",
-            1,
-        )
-        .unwrap();
-        // Escaped bodies come back unwound (owned), plain ones borrowed.
-        assert_eq!(r.str("msg").as_deref(), Some("a\"b\\c\n\u{e9}"));
-        assert!(matches!(r.str("msg"), Some(Cow::Owned(_))));
-        assert!(matches!(r.str("path"), Some(Cow::Borrowed("/etc/café"))));
-        // A key spelled with escapes is found under its real name.
-        assert_eq!(r.u64("key"), Some(1));
-        // Typed accessors refuse the other types.
-        assert_eq!(r.f64("n"), Some(-2.0));
-        assert_eq!(r.u64("n"), None);
-        assert_eq!(r.u64("big"), Some(1 << 53));
+    fn errors_carry_their_source_and_line_and_a_seal_is_spelled_one_way() {
+        let err = parse_record(r#"{"v":1,"period":0,"kind":"period"}"#, "seg", 7).unwrap_err();
         assert_eq!(
-            (r.f64("none"), r.str("none"), r.bool("none")),
-            (None, None, None)
+            err.to_string(),
+            "corrupt journal record (seg:7): missing `t_s`"
         );
-        assert_eq!(
-            (r.bool("ok"), r.u64("ok"), r.str("ok")),
-            (Some(true), None, None)
-        );
-        assert_eq!(
-            (r.str("n"), r.bool("msg"), r.f64("msg")),
-            (None, None, None)
-        );
-        // Unknown keys, and the header keys — which live in the public
-        // fields, first occurrence winning — are not fields.
-        assert_eq!((r.u64("nope"), r.str("nope")), (None, None));
-        assert_eq!(
-            (r.u64("v"), r.u64("period"), r.f64("t_s")),
-            (None, None, None)
-        );
-        assert_eq!(r.str("kind"), None);
-        assert_eq!((r.schema_version, r.period, r.t_s), (1, 3, 12.5));
-        // A kind spelled with escapes still reads as plain text, and
-        // such a seal footer is still a seal footer.
-        let r = parse_record(
-            r#"{"v":1,"kind":"segment\u005fseal","records":2}"#,
-            "<t>",
-            1,
-        )
-        .unwrap();
-        assert_eq!(r.kind(), "segment_seal");
-        assert_eq!((r.period, r.u64("records")), (0, Some(2)));
-        // Equality is about content, not spelling.
-        let a = parse_record(
-            r#"{"v":1,"period":1,"t_s":4,"kind":"k","x":10,"s":"é"}"#,
-            "a",
-            1,
-        );
-        let b = parse_record(
-            r#" {"v":1.0, "period":1, "t_s":4e0, "kind":"\u006b", "x":1e1, "s":"\u00e9"} "#,
-            "b",
-            2,
-        );
-        assert_eq!(a.unwrap(), b.unwrap());
+        // The footer is recognised by the bytes `rotate` writes, so one
+        // spelled any other way is no footer, and has no period.
+        let err =
+            parse_jsonl(r#"{"v":1,"kind":"segment\u005fseal","records":2}"#, false).unwrap_err();
+        assert!(err.to_string().contains("missing `period`"), "{err}");
     }
 
     #[test]
@@ -562,11 +348,14 @@ mod tests {
         let scan = read_dir(&dir).unwrap();
         assert!(scan.segments[0].sealed);
         assert_eq!(scan.records.len(), 3);
+        assert_eq!(scan.records[1].body.kind(), "note");
         assert_eq!(
-            scan.records[1].str("msg").as_deref(),
-            Some("café \"é\" 电源")
+            scan.records[2].body,
+            Body::Refit {
+                scale: 1.0625,
+                offset_w: 441.348_230_213_280_5
+            }
         );
-        assert_eq!(scan.records[2].f64("offset_w"), Some(441.348_230_213_280_5));
         // And the other way round: this build's writer, given the same
         // lines, seals the same bytes — so the earlier reader verifies
         // what this one writes.
@@ -696,10 +485,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // --- differential and round-trip property tests ---
+    // --- hostile input ---
 
     /// splitmix64: the proptest shim draws one seed per case, the
-    /// structured generators below draw everything else from this.
+    /// generators below draw everything else from this.
     struct Rng(u64);
 
     impl Rng {
@@ -720,65 +509,16 @@ mod tests {
         }
     }
 
-    const KEYS: [&str; 16] = [
-        "watts", "setpoint", "targets", "reason", "device", "on", "msg", "tier", "stale", "a",
-        "to_w", "wall_ms", "v", "period", "t_s", "kind",
-    ];
-    const CHARS: [char; 24] = [
-        'a', 'Z', '0', ' ', '"', '\\', '/', ',', ':', '{', '}', '[', 'u', 'n', '\n', '\t', '\r',
-        '\u{0}', '\u{8}', '\u{1f}', '\u{7f}', 'é', '电', '😀',
-    ];
-    const FLOATS: [f64; 12] = [
-        0.0,
-        -0.0,
-        1.0,
-        -1.5e-300,
-        9_007_199_254_740_992.0,
-        999_999_999_999_999.0,
-        1e15,
-        441.348_230_213_280_5,
-        f64::MIN_POSITIVE,
-        f64::MAX,
-        f64::NAN,
-        f64::NEG_INFINITY,
-    ];
-
-    fn arbitrary_text(rng: &mut Rng) -> String {
-        (0..rng.below(12)).map(|_| rng.pick(&CHARS)).collect()
-    }
-
-    fn arbitrary_f64(rng: &mut Rng) -> f64 {
-        if rng.below(3) == 0 {
-            rng.pick(&FLOATS)
-        } else {
-            f64::from_bits(rng.next())
+    /// A record line: one of the earlier build's, or a `period` one.
+    fn valid_line(rng: &mut Rng) -> String {
+        match rng.below(4) {
+            0 => line(rng.next() >> 11),
+            i => SEALED_BY_AN_EARLIER_BUILD
+                .lines()
+                .nth(i - 1)
+                .unwrap()
+                .to_string(),
         }
-    }
-
-    /// All five `Value` arms, header-colliding and duplicate keys, up to
-    /// 20 fields (past the index's inline buffer), `wall_ms` or not.
-    fn arbitrary_event(rng: &mut Rng) -> Event {
-        let t_s = loop {
-            let t = arbitrary_f64(rng).abs();
-            if t.is_finite() {
-                break t;
-            }
-        };
-        let kind = rng.pick(&["period", "tier_change", "note", "segment_seal"]);
-        let mut e = Event::new(rng.next() >> rng.below(64), t_s, kind);
-        if rng.below(2) == 0 {
-            e = e.wall_ms(Some(rng.next() >> 11));
-        }
-        for _ in 0..rng.below(21) {
-            let key = rng.pick(&KEYS);
-            e = match rng.below(4) {
-                0 => e.u64(key, rng.next() >> rng.below(64)),
-                1 => e.f64(key, arbitrary_f64(rng)),
-                2 => e.bool(key, rng.below(2) == 0),
-                _ => e.str(key, &arbitrary_text(rng)),
-            };
-        }
-        e
     }
 
     /// One byte replaced, inserted or removed, or the line cut short.
@@ -825,203 +565,6 @@ mod tests {
         (0..rng.below(30)).map(|_| rng.pick(&PIECES)).collect()
     }
 
-    /// What `parse_record` returns, in the oracle's vocabulary: header,
-    /// fields as a DOM; or the error's text.
-    type Parsed = std::result::Result<(u64, u64, u64, String, Vec<(String, JsonValue)>), String>;
-
-    fn error_text(e: ObsError) -> String {
-        match e {
-            ObsError::Corrupt { message, .. } => message,
-            other => other.to_string(),
-        }
-    }
-
-    fn parsed(line: &str) -> Parsed {
-        parse_record(line, "<t>", 1)
-            .map(|r| {
-                let fields = r
-                    .fields
-                    .iter()
-                    .map(|f| {
-                        (
-                            f.key.text(&r.text).into_owned(),
-                            dom_value(f.value, &r.text),
-                        )
-                    })
-                    .collect();
-                (
-                    r.schema_version,
-                    r.period,
-                    r.t_s.to_bits(),
-                    r.kind().to_string(),
-                    fields,
-                )
-            })
-            .map_err(error_text)
-    }
-
-    /// `parse_record` as it was on top of the DOM parser.
-    fn parsed_by_the_oracle(line: &str) -> Parsed {
-        let fields = parse_object(line)?;
-        let lookup = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let as_u64 = |v: &JsonValue| match v {
-            JsonValue::Num(x) => Scalar::Num(*x).as_u64(),
-            _ => None,
-        };
-        let v = lookup("v")
-            .and_then(as_u64)
-            .ok_or("missing schema version field `v`")?;
-        if v != u64::from(SCHEMA_VERSION) {
-            return Err(error_text(ObsError::SchemaVersion {
-                found: v,
-                supported: u64::from(SCHEMA_VERSION),
-            }));
-        }
-        let kind = match lookup("kind") {
-            Some(JsonValue::Str(s)) => s.clone(),
-            _ => return Err("missing `kind`".into()),
-        };
-        let (period, t_s) = if kind == "segment_seal" {
-            (0, 0.0)
-        } else {
-            (
-                lookup("period")
-                    .and_then(as_u64)
-                    .ok_or("missing `period`")?,
-                match lookup("t_s") {
-                    Some(JsonValue::Num(x)) => *x,
-                    _ => return Err("missing `t_s`".into()),
-                },
-            )
-        };
-        let fields = fields
-            .into_iter()
-            .filter(|(k, _)| !matches!(k.as_str(), "v" | "period" | "t_s" | "kind"))
-            .collect();
-        Ok((v, period, t_s.to_bits(), kind, fields))
-    }
-
-    /// The walker against the DOM parser, and `parse_record` against
-    /// what it was on top of the DOM parser: same verdict, same error
-    /// text, every key and value equal (numbers bit for bit).
-    fn agrees_with_the_oracle(line: &str) -> std::result::Result<(), String> {
-        let (got, want) = (walk_to_dom(line), parse_object(line));
-        if !same(&got, &want) {
-            return Err(format!("{line:?}: walker {got:?}, oracle {want:?}"));
-        }
-        let (got, want) = (parsed(line), parsed_by_the_oracle(line));
-        let agree = match (&got, &want) {
-            (Ok(g), Ok(w)) => {
-                (g.0, g.1, g.2, &g.3) == (w.0, w.1, w.2, &w.3)
-                    && same(&Ok(g.4.clone()), &Ok(w.4.clone()))
-            }
-            (Err(g), Err(w)) => g == w,
-            _ => false,
-        };
-        if agree {
-            Ok(())
-        } else {
-            Err(format!("{line:?}: parse_record {got:?}, oracle {want:?}"))
-        }
-    }
-
-    #[test]
-    fn pinned_lines_agree_with_the_oracle() {
-        for line in [
-            r#"{"v":1,"period":0,"t_s":0,"kind":"k","x":null,"y":-1.5e-300,"z":9007199254740992}"#,
-            r#"{"v":1,"period":0,"t_s":0,"kind":"k","s":"\u00e9\u0000é电😀\"\\\/"}"#,
-            r#"{"v":1,"v":2,"period":1,"period":"x","t_s":2,"t_s":null,"kind":"a","kind":7,"x":1,"x":2}"#,
-            r#"{"v":2,"period":0,"t_s":0,"kind":"k"}"#,
-            r#"{"v":"1","period":0,"t_s":0,"kind":"k"}"#,
-            r#"{"v":1,"period":0.5,"t_s":0,"kind":"k"}"#,
-            r#"{"v":1,"period":0,"t_s":"0","kind":"k"}"#,
-            r#"{"v":1,"period":0,"t_s":0,"kind":null}"#,
-            r#"{"\u0076":1,"perio\u0064":4,"t_s":0,"k\u0069nd":"segment\u005fseal","\u0078":1}"#,
-            r#"{"v":1,"kind":"segment_seal","segment":0,"records":3,"crc32":6088044473}"#,
-            r#"{"v":1,"period":18446744073709551616,"t_s":0,"kind":"k"}"#,
-            r#"{"v":1,"period":0,"t_s":1e999,"kind":"k"}"#,
-            "{\"v\":1,\"period\":0,\"t_s\":0,\"kind\":\"k\"}\u{e9}",
-            "{\"v\":1\u{e9}",
-            r#"{"v":1,"period":0,"t_s":0,"kind":"k","s":"\u+041"}"#,
-            "{\"v\":1,\"period\":0,\"t_s\":0,\"kind\":\"k\",\"s\":\"a\u{1f}b\"}",
-            "{\"v\":1,\"period\":0,\"t_s\":0,\"kind\":\"k\",\"s\":\"a\u{7f}b\"}",
-            "{}",
-            "",
-        ] {
-            agrees_with_the_oracle(line).unwrap();
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        #[test]
-        fn walker_and_parse_record_agree_with_the_dom_oracle(seed in 0u64..u64::MAX) {
-            let mut rng = Rng(seed);
-            let valid = arbitrary_event(&mut rng).to_json();
-            let checked = agrees_with_the_oracle(&valid);
-            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
-            prop_assert!(parse_object(&valid).is_ok(), "{valid}");
-            for _ in 0..16 {
-                let checked = agrees_with_the_oracle(&mutate(&valid, &mut rng));
-                prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
-            }
-            let checked = agrees_with_the_oracle(&arbitrary_line(&mut rng));
-            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
-        }
-
-        /// The codec round trip: whatever `Event::to_json` renders,
-        /// `parse_record` reads back — integers up to 2^53 and every
-        /// finite float exactly, non-finite floats as null, strings
-        /// with their control characters and quotes.
-        #[test]
-        fn events_round_trip_through_the_journal_line(seed in 0u64..u64::MAX) {
-            let mut rng = Rng(seed);
-            let mut e = arbitrary_event(&mut rng);
-            e.kind = rng.pick(&["period", "tier_change", "note"]);
-            e.period >>= 11;
-            let line = e.to_json();
-            prop_assert!(!line.contains('\n'), "{line:?}");
-            let r = parse_record(&line, "<t>", 1).unwrap();
-            prop_assert_eq!(r.kind(), e.kind);
-            prop_assert_eq!((r.schema_version, r.period), (1, e.period));
-            prop_assert_eq!(r.t_s.to_bits(), e.sim_time_s.to_bits());
-            let mut written: Vec<(&str, Value)> = Vec::new();
-            written.extend(e.wall_unix_ms.map(|ms| ("wall_ms", Value::U64(ms))));
-            written.extend(e.fields.iter().cloned());
-            for (i, (key, value)) in written.iter().enumerate() {
-                if written[..i].iter().any(|(k, _)| k == key) {
-                    continue; // first wins
-                }
-                let got = (r.u64(key), r.f64(key), r.bool(key), r.str(key).map(Cow::into_owned));
-                let want = if matches!(*key, "v" | "period" | "t_s" | "kind") {
-                    (None, None, None, None)
-                } else {
-                    match value {
-                        Value::U64(x) => {
-                            let f = *x as f64;
-                            ((f <= 9_007_199_254_740_992.0).then_some(f as u64), Some(f), None, None)
-                        }
-                        Value::F64(x) if x.is_finite() => (
-                            Scalar::Num(*x).as_u64(),
-                            // `-0.0` is rendered as the integer `0`.
-                            Some(if *x == 0.0 { 0.0 } else { *x }),
-                            None,
-                            None,
-                        ),
-                        Value::F64(_) => (None, None, None, None),
-                        Value::Bool(b) => (None, None, Some(*b), None),
-                        Value::Str(s) => (None, None, None, Some(s.clone())),
-                    }
-                };
-                prop_assert_eq!(got.1.map(f64::to_bits), want.1.map(f64::to_bits));
-                prop_assert!(got == want, "{key} in {line}: {got:?} vs {want:?}");
-            }
-        }
-    }
-
-    // --- hostile input ---
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1036,8 +579,8 @@ mod tests {
                 for _ in 0..rng.below(6) {
                     let piece = match rng.below(4) {
                         0 => arbitrary_line(&mut rng),
-                        1 => mutate(&arbitrary_event(&mut rng).to_json(), &mut rng),
-                        _ => arbitrary_event(&mut rng).to_json(),
+                        1 => mutate(&valid_line(&mut rng), &mut rng),
+                        _ => valid_line(&mut rng),
                     };
                     bytes.extend_from_slice(piece.as_bytes());
                     if rng.below(8) != 0 {

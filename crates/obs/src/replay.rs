@@ -7,14 +7,11 @@
 //! at each refit push (`refit`), supervisor tier transitions
 //! (`tier_change`), device quarantine edges (`quarantine`), setpoint
 //! changes (`setpoint_change`), and per-period commanded targets
-//! (`period`, as a comma-joined shortest-roundtrip float string).
-//! Floats round-trip exactly through the JSONL rendering (see the
-//! crate's `json` module), so the recovered model equals the pushed one
-//! bit-for-bit.
+//! (`period`, as [`Targets`](capgpu_telemetry::journal::Targets)).
+//! Floats round-trip exactly through the JSONL rendering, so the
+//! recovered model equals the pushed one bit-for-bit.
 
-use std::fmt::Write as _;
-
-use capgpu_telemetry::journal::push_json_f64;
+use capgpu_telemetry::journal::Body;
 
 use crate::reader::Record;
 
@@ -43,9 +40,6 @@ pub struct ReplayState {
     /// events; `None` means the config-file setpoint was never changed
     /// at runtime, so the restarted daemon's own config is authoritative.
     pub cap_w: Option<f64>,
-    /// Last *effective* (possibly PSU-clamped) setpoint a period acted
-    /// on (W) — diagnostics, not restored.
-    pub last_effective_setpoint_w: Option<f64>,
     /// Last period index seen.
     pub last_period: Option<u64>,
     /// Record clock of the last record seen.
@@ -64,75 +58,68 @@ impl ReplayState {
         s
     }
 
-    /// Applies one record.
+    /// Applies one record. Every kind is named: a kind added to the
+    /// schema does not compile here until replay folds or ignores it.
     pub fn apply(&mut self, r: &Record) {
         self.last_period = Some(r.period);
-        self.last_t_s = Some(r.t_s);
-        let kind = r.kind();
+        self.last_t_s = Some(r.sim_time_s);
+        let kind = r.body.kind();
         match self.kind_counts.iter_mut().find(|(k, _)| k == kind) {
             Some((_, n)) => *n += 1,
             None => self.kind_counts.push((kind.to_string(), 1)),
         }
-        match kind {
-            "model_gain" => {
-                if let (Some(device), Some(gain)) = (r.u64("device"), r.f64("w_per_mhz")) {
-                    let device = device as usize;
-                    if self.base_gains_w_per_mhz.len() <= device {
-                        self.base_gains_w_per_mhz.resize(device + 1, 0.0);
-                    }
-                    self.base_gains_w_per_mhz[device] = gain;
+        match &r.body {
+            Body::ModelGain { device, w_per_mhz } => {
+                let device = *device as usize;
+                if self.base_gains_w_per_mhz.len() <= device {
+                    self.base_gains_w_per_mhz.resize(device + 1, 0.0);
+                }
+                self.base_gains_w_per_mhz[device] = *w_per_mhz;
+            }
+            Body::Identified { offset_w, .. } => self.base_offset_w = Some(*offset_w),
+            Body::Refit { scale, offset_w } => {
+                self.scale = Some(*scale);
+                self.offset_w = Some(*offset_w);
+            }
+            Body::TierChange { to, .. } => self.tier = Some(*to),
+            Body::Quarantine { device, on } => {
+                let device = *device as usize;
+                if !on {
+                    self.quarantined.retain(|&d| d != device);
+                } else if !self.quarantined.contains(&device) {
+                    self.quarantined.push(device);
+                    self.quarantined.sort_unstable();
                 }
             }
-            "identified" => {
-                if let Some(off) = r.f64("offset_w") {
-                    self.base_offset_w = Some(off);
+            Body::SetpointChange { to_w, .. } => self.cap_w = Some(*to_w),
+            Body::Period {
+                targets: Some(targets),
+                ..
+            } => {
+                // Decoded behind the targets in force, which are dropped
+                // only once every element parsed.
+                let stale = self.last_targets_mhz.len();
+                if targets.decode_into(&mut self.last_targets_mhz) {
+                    self.last_targets_mhz.drain(..stale);
                 }
             }
-            "refit" => {
-                if let Some(scale) = r.f64("scale") {
-                    self.scale = Some(scale);
-                }
-                if let Some(off) = r.f64("offset_w") {
-                    self.offset_w = Some(off);
-                }
-            }
-            "tier_change" => {
-                if let Some(to) = r.u64("to") {
-                    self.tier = Some(to);
-                }
-            }
-            "quarantine" => {
-                if let (Some(device), Some(on)) = (r.u64("device"), r.bool("on")) {
-                    let device = device as usize;
-                    if on {
-                        if !self.quarantined.contains(&device) {
-                            self.quarantined.push(device);
-                            self.quarantined.sort_unstable();
-                        }
-                    } else {
-                        self.quarantined.retain(|&d| d != device);
-                    }
-                }
-            }
-            "setpoint_change" => {
-                if let Some(cap) = r.f64("to_w") {
-                    self.cap_w = Some(cap);
-                }
-            }
-            "period" => {
-                if let Some(targets) = r.str("targets") {
-                    // Parsed behind the targets in force, which are
-                    // dropped only once every element parsed.
-                    let stale = self.last_targets_mhz.len();
-                    if push_targets(&targets, &mut self.last_targets_mhz) {
-                        self.last_targets_mhz.drain(..stale);
-                    }
-                }
-                if let Some(eff) = r.f64("setpoint") {
-                    self.last_effective_setpoint_w = Some(eff);
-                }
-            }
-            _ => {}
+            // Diagnostics, the runner's kinds, and kinds this build does
+            // not know: counted above, nothing to restore.
+            Body::Period { targets: None, .. }
+            | Body::Health { .. }
+            | Body::Recovered { .. }
+            | Body::RunStart { .. }
+            | Body::RunEnd { .. }
+            | Body::FaultOnset { .. }
+            | Body::FaultClear { .. }
+            | Body::PhaseTransition { .. }
+            | Body::KvPressure { .. }
+            | Body::RlsRefit { .. }
+            | Body::MeterStale { .. }
+            | Body::SloFloorBinding { .. }
+            | Body::MemEscape { .. }
+            | Body::DsCarryWraps { .. }
+            | Body::Unknown { .. } => {}
         }
     }
 
@@ -161,59 +148,14 @@ impl ReplayState {
     }
 }
 
-/// Parses a comma-joined float list (the `targets` period field).
-/// Returns `None` on any unparseable element, leaving prior state
-/// untouched — a half-applied target vector is worse than a stale one.
-pub fn parse_targets(s: &str) -> Option<Vec<f64>> {
-    let mut out = Vec::new();
-    push_targets(s, &mut out).then_some(out)
-}
-
-/// Appends the elements of a comma-joined float list to `out`; on any
-/// unparseable element `out` is left as it was and `false` returned.
-fn push_targets(s: &str, out: &mut Vec<f64>) -> bool {
-    let before = out.len();
-    if s.is_empty() {
-        return true;
-    }
-    for t in s.split(',') {
-        match t.parse::<f64>() {
-            Ok(x) => out.push(x),
-            Err(_) => {
-                out.truncate(before);
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Renders targets in the journal's comma-joined format: each finite
-/// element as `Event::to_json` renders a float (shortest round trip,
-/// [`push_json_f64`]); a non-finite one, which no valid target is, as
-/// `NaN`/`inf`/`-inf`.
-pub fn format_targets(targets: &[f64]) -> String {
-    let mut out = String::new();
-    for (i, t) in targets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        if t.is_finite() {
-            push_json_f64(&mut out, *t);
-        } else {
-            let _ = write!(out, "{t}");
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::parse_jsonl;
+    use crate::reader::parse_segment;
 
     fn replay_text(text: &str) -> ReplayState {
-        let (records, _) = parse_jsonl(text, true).unwrap();
+        let mut records = Vec::new();
+        parse_segment(text.as_bytes(), "<t>", true, &mut records).unwrap();
         ReplayState::replay(&records)
     }
 
@@ -278,15 +220,5 @@ mod tests {
         let s = replay_text("{\"v\":1,\"period\":0,\"t_s\":0,\"kind\":\"period\"}\n");
         assert_eq!(s.model(), None);
         assert_eq!(s.tier_or_primary(), 0);
-    }
-
-    #[test]
-    fn targets_round_trip_exactly() {
-        let targets = [1350.0, 1_425.517_230_981_2, 990.25];
-        let text = format_targets(&targets);
-        assert_eq!(parse_targets(&text).unwrap(), targets.to_vec());
-        assert_eq!(parse_targets(""), Some(Vec::new()));
-        assert_eq!(parse_targets("1,x"), None);
-        assert_eq!(format_targets(&[]), "");
     }
 }

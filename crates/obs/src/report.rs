@@ -6,8 +6,10 @@
 
 use std::fmt::Write as _;
 
+use capgpu_telemetry::journal::{Body, Targets};
+
 use crate::analyzer::{HealthAnalyzer, PeriodSample, Verdict, DETECTORS};
-use crate::reader::{JournalScan, Record};
+use crate::reader::JournalScan;
 use crate::replay::ReplayState;
 
 /// A rendered post-mortem.
@@ -36,22 +38,9 @@ fn tier_name(t: u64) -> &'static str {
     }
 }
 
-/// Reconstructs a [`PeriodSample`] from a `period` record. Missing
-/// fields degrade to benign defaults so partial journals still render.
-fn period_sample(r: &Record) -> PeriodSample {
-    PeriodSample {
-        power_w: r.f64("watts").unwrap_or(0.0),
-        cap_w: r.f64("setpoint").unwrap_or(f64::INFINITY),
-        delta_f_mhz: r.f64("delta_f_mhz").unwrap_or(0.0),
-        // `stale` is the consecutive-silent-period count the supervisor
-        // acted on; any nonzero count means the meter was silent.
-        meter_stale: r.u64("stale").is_some_and(|n| n > 0),
-        saturated: r.bool("saturated").unwrap_or(false),
-        slo_miss_frac: r.f64("slo_miss").unwrap_or(0.0),
-    }
-}
-
-/// Renders the post-mortem for a scanned journal.
+/// Renders the post-mortem for a scanned journal. One pass over the
+/// records matches every kind: a kind added to the schema does not
+/// compile here until the report shows or ignores it.
 pub fn render(scan: &JournalScan) -> PostMortem {
     let mut analyzer = HealthAnalyzer::default();
     let state = ReplayState::replay(&scan.records);
@@ -85,7 +74,7 @@ pub fn render(scan: &JournalScan) -> PostMortem {
         let _ = writeln!(
             out,
             "  span: period {}..{} t_s {}..{}",
-            first.period, last.period, first.t_s, last.t_s
+            first.period, last.period, first.sim_time_s, last.sim_time_s
         );
     }
     let _ = writeln!(out);
@@ -136,68 +125,105 @@ pub fn render(scan: &JournalScan) -> PostMortem {
         let _ = writeln!(
             out,
             "  last_targets_mhz=[{}]",
-            crate::replay::format_targets(&state.last_targets_mhz)
+            Targets::new(&state.last_targets_mhz)
         );
     }
     let _ = writeln!(out);
 
-    // --- tier timeline ---
-    let _ = writeln!(out, "tier timeline");
-    let mut any = false;
-    for r in scan.records.iter().filter(|r| r.kind() == "tier_change") {
-        any = true;
-        let from = r.u64("from").unwrap_or(0);
-        let to = r.u64("to").unwrap_or(0);
-        let reason = r.str("reason");
-        let _ = writeln!(
-            out,
-            "  period={} t_s={} {} -> {} ({})",
-            r.period,
-            r.t_s,
-            tier_name(from),
-            tier_name(to),
-            reason.as_deref().unwrap_or("?")
-        );
-    }
-    if !any {
-        let _ = writeln!(out, "  (no transitions: primary throughout)");
-    }
-    let _ = writeln!(out);
-
-    // --- detector firings: re-run the analyzer over period records ---
-    let _ = writeln!(out, "detector firings");
+    // --- one pass: the tier timeline, and the analyzer re-run over
+    // the period records ---
+    let (mut timeline, mut firings) = (String::new(), String::new());
     let mut n_periods = 0u64;
     let mut over_periods = 0u64;
     let mut max_over = 0.0f64;
     let mut sum_over = 0.0f64;
-    let mut sum_slo = 0.0f64;
-    let mut fired = false;
-    for r in scan.records.iter().filter(|r| r.kind() == "period") {
-        let s = period_sample(r);
-        n_periods += 1;
-        let over = (s.power_w - s.cap_w).max(0.0);
-        if over > 0.0 {
-            over_periods += 1;
-            sum_over += over;
-            max_over = max_over.max(over);
-        }
-        sum_slo += s.slo_miss_frac;
-        for e in analyzer.observe(&s) {
-            fired = true;
-            let _ = writeln!(
-                out,
-                "  period={} t_s={} {} {} -> {}",
-                r.period,
-                r.t_s,
-                e.detector,
-                e.from.label(),
-                e.to.label()
-            );
+    for r in &scan.records {
+        match &r.body {
+            Body::TierChange {
+                from, to, reason, ..
+            } => {
+                let _ = writeln!(
+                    timeline,
+                    "  period={} t_s={} {} -> {} ({reason})",
+                    r.period,
+                    r.sim_time_s,
+                    tier_name(*from),
+                    tier_name(*to),
+                );
+            }
+            Body::Period {
+                watts,
+                setpoint,
+                stale,
+                delta_f_mhz,
+                saturated,
+                ..
+            } => {
+                // Missing fields degrade to benign defaults.
+                let s = PeriodSample {
+                    power_w: watts.unwrap_or(0.0),
+                    cap_w: setpoint.unwrap_or(f64::INFINITY),
+                    delta_f_mhz: delta_f_mhz.unwrap_or(0.0),
+                    // `stale` is the consecutive-silent-period count the
+                    // supervisor acted on; any nonzero count means the
+                    // meter was silent.
+                    meter_stale: stale.is_some_and(|n| n > 0),
+                    saturated: saturated.unwrap_or(false),
+                    // No record carries an SLO observation: the daemon has
+                    // no SLO floors and feeds its analyzer 0 (ROADMAP 4).
+                    slo_miss_frac: 0.0,
+                };
+                n_periods += 1;
+                let over = (s.power_w - s.cap_w).max(0.0);
+                if over > 0.0 {
+                    over_periods += 1;
+                    sum_over += over;
+                    max_over = max_over.max(over);
+                }
+                for e in analyzer.observe(&s) {
+                    let _ = writeln!(
+                        firings,
+                        "  period={} t_s={} {} {} -> {}",
+                        r.period,
+                        r.sim_time_s,
+                        e.detector,
+                        e.from.label(),
+                        e.to.label()
+                    );
+                }
+            }
+            // Folded by replay above, or not part of the report.
+            Body::ModelGain { .. }
+            | Body::Identified { .. }
+            | Body::Quarantine { .. }
+            | Body::Refit { .. }
+            | Body::Health { .. }
+            | Body::SetpointChange { .. }
+            | Body::Recovered { .. }
+            | Body::RunStart { .. }
+            | Body::RunEnd { .. }
+            | Body::FaultOnset { .. }
+            | Body::FaultClear { .. }
+            | Body::PhaseTransition { .. }
+            | Body::KvPressure { .. }
+            | Body::RlsRefit { .. }
+            | Body::MeterStale { .. }
+            | Body::SloFloorBinding { .. }
+            | Body::MemEscape { .. }
+            | Body::DsCarryWraps { .. }
+            | Body::Unknown { .. } => {}
         }
     }
-    if !fired {
-        let _ = writeln!(out, "  (none)");
+    let _ = writeln!(out, "tier timeline");
+    if timeline.is_empty() {
+        timeline.push_str("  (no transitions: primary throughout)\n");
     }
+    let _ = writeln!(out, "{timeline}");
+    let _ = writeln!(out, "detector firings");
+    if firings.is_empty() {
+        firings.push_str("  (none)\n");
+    }
+    out.push_str(&firings);
     let verdicts = analyzer.verdicts();
     let finals = verdicts
         .iter()
@@ -231,15 +257,8 @@ pub fn render(scan: &JournalScan) -> PostMortem {
             0.0
         })
     );
-    let _ = writeln!(
-        out,
-        "  slo_miss: mean={:.4}",
-        if n_periods > 0 {
-            sum_slo / n_periods as f64
-        } else {
-            0.0
-        }
-    );
+    // No record carries an SLO observation: see the `period` arm.
+    let _ = writeln!(out, "  slo_miss: mean={:.4}", 0.0);
 
     PostMortem {
         text: out,
@@ -252,10 +271,13 @@ pub fn render(scan: &JournalScan) -> PostMortem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::parse_jsonl;
+    use crate::reader::parse_segment;
 
     fn scan_of(text: &str) -> JournalScan {
-        let (records, torn_tail) = parse_jsonl(text, true).unwrap();
+        let mut records = Vec::new();
+        let torn_tail = parse_segment(text.as_bytes(), "<t>", true, &mut records)
+            .unwrap()
+            .torn_tail;
         JournalScan {
             records,
             segments: Vec::new(),

@@ -95,6 +95,28 @@ impl RotationConfig {
     }
 }
 
+/// How every seal footer starts; the reader knows a footer by it.
+const SEAL_HEAD: &str = "{\"v\":1,\"kind\":\"segment_seal\",\"segment\":";
+const _: () = assert!(
+    capgpu_telemetry::journal::SCHEMA_VERSION == 1,
+    "SEAL_HEAD spells it"
+);
+
+/// `(records, crc32)` of a seal footer as [`JournalWriter::seal`]
+/// writes it; `None` when `line` is not one.
+pub(crate) fn parse_seal(line: &str) -> Option<std::result::Result<(u64, u32), &'static str>> {
+    let (segment, rest) = line.strip_prefix(SEAL_HEAD)?.split_once(",\"records\":")?;
+    let (records, crc) = rest.strip_suffix('}')?.split_once(",\"crc32\":")?;
+    Some(
+        match (segment.parse::<u64>(), records.parse(), crc.parse::<u64>()) {
+            (Ok(_), Ok(records), Ok(crc)) => u32::try_from(crc)
+                .map(|crc| (records, crc))
+                .map_err(|_| "seal footer crc32 out of range"),
+            _ => Err("seal footer fields are not integers"),
+        },
+    )
+}
+
 /// Renders the segment file name for `index`.
 pub fn segment_file_name(index: u64) -> String {
     format!("{SEGMENT_PREFIX}{index:06}{SEGMENT_SUFFIX}")
@@ -275,11 +297,8 @@ impl JournalWriter {
         let crc = self.seg_crc ^ 0xFFFF_FFFF;
         writeln!(
             self.staged,
-            "{{\"v\":{},\"kind\":\"segment_seal\",\"segment\":{},\"records\":{},\"crc32\":{}}}",
-            capgpu_telemetry::journal::SCHEMA_VERSION,
-            self.index,
-            self.seg_records,
-            crc
+            "{SEAL_HEAD}{},\"records\":{},\"crc32\":{crc}}}",
+            self.index, self.seg_records
         )?;
         self.commit()?;
         self.next_segment();

@@ -7,8 +7,8 @@
 
 use std::path::{Path, PathBuf};
 
-use capgpu_obs::reader::{parse_jsonl, parse_segment, read_dir};
-use capgpu_obs::replay::{format_targets, parse_targets, ReplayState};
+use capgpu_obs::reader::{parse_segment, read_dir};
+use capgpu_obs::replay::ReplayState;
 use capgpu_obs::rotate::{list_segments, segment_file_name, JournalWriter, RotationConfig};
 use proptest::prelude::*;
 
@@ -183,9 +183,10 @@ proptest! {
         let cut = (((full.len() as f64) * frac) as usize).min(full.len());
         let truncated = &full.as_bytes()[..cut];
 
-        let (all, none_torn) = parse_jsonl(&full, true).unwrap();
+        let mut all = Vec::new();
+        let whole = parse_segment(full.as_bytes(), "<memory>", true, &mut all).unwrap();
         prop_assert_eq!(all.len(), n);
-        prop_assert!(none_torn.is_none());
+        prop_assert!(whole.torn_tail.is_none());
 
         let mut records = Vec::new();
         let seg = parse_segment(truncated, "<memory>", true, &mut records).unwrap();
@@ -204,20 +205,5 @@ proptest! {
         let via_truncated = ReplayState::replay(&records);
         let via_prefix = ReplayState::replay(&all[..complete]);
         prop_assert_eq!(via_truncated, via_prefix);
-    }
-
-    /// Target vectors survive the comma-joined string encoding exactly,
-    /// bit for bit — what lets recovery resume the dead daemon's last
-    /// commanded frequencies.
-    #[test]
-    fn targets_round_trip_bit_exactly(
-        targets in prop::collection::vec(0.0f64..3000.0, 0..9),
-    ) {
-        let text = format_targets(&targets);
-        let back = parse_targets(&text).unwrap();
-        prop_assert_eq!(back.len(), targets.len());
-        for (a, b) in back.iter().zip(targets.iter()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

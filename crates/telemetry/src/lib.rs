@@ -17,7 +17,7 @@
 //! - [`journal`] — a structured event journal for discrete control-plane
 //!   events (tier changes, quarantines, fault onsets, SLO-bound
 //!   activations, RLS refits, delta-sigma carry wraps), keyed on the
-//!   deterministic sim clock and rendered as JSONL.
+//!   sim clock; one typed schema renders it as JSONL and reads it back.
 //!
 //! The determinism contract: everything a [`Snapshot`](registry::Snapshot)
 //! or [`Journal`](journal::Journal) contains is derived from the seeded
