@@ -68,14 +68,21 @@ fn best_ns_per_call(repeats: usize, calls: usize, mut f: impl FnMut()) -> f64 {
     best * 1e9 / calls as f64
 }
 
-/// One full `control()` call of the paper testbed's CapGPU controller
-/// (weight assignment + MPC solve + modulation), ns: the yardstick the
-/// supervisor's cost is held against, since the two run in series on
-/// every period. Driven as the runner drives it — measured throughput,
-/// and with it the weight vector, differs from one period to the next —
-/// here from a mid-range operating point with no bound active.
-fn control_step_ns() -> f64 {
+/// Per-call times `(supervisor step, control step)` in ns.
+///
+/// The control step is one full `control()` call of the paper testbed's
+/// CapGPU controller (weight assignment + MPC solve + modulation): the
+/// yardstick the supervisor's cost is held against, since the two run in
+/// series on every period. It is driven as the runner drives it —
+/// measured throughput, and with it the weight vector, differs from one
+/// period to the next — here from a mid-range operating point with no
+/// bound active. The supervisor step is one `step()`, ingesting a fresh,
+/// healthy period's evidence and returning the failover directive. The
+/// two sides take turns, so that a host that changes speed partway
+/// through shows both minima the same fast stretches.
+fn supervisor_and_control_ns() -> (f64, f64) {
     const CALLS: usize = 100;
+    const STEPS: usize = 10_000;
     let mut runner = ExperimentRunner::new(Scenario::paper_testbed(42), 900.0).expect("runner");
     let mut controller = runner.build_capgpu_controller().expect("controller");
     let layout = runner.layout();
@@ -85,7 +92,7 @@ fn control_step_ns() -> f64 {
     let targets: Vec<f64> = (layout.f_min.iter().zip(&layout.f_max))
         .map(|(lo, hi)| 0.5 * (lo + hi))
         .collect();
-    best_ns_per_call(3, CALLS, || {
+    let mut control = || {
         for call in 0..CALLS {
             let input = ControlInput {
                 measured_power: 950.0,
@@ -98,22 +105,15 @@ fn control_step_ns() -> f64 {
             };
             std::hint::black_box(controller.control(&input).expect("control"));
         }
-    })
-}
-
-/// Supervisor hot path: one `step()` per control period, ingesting the
-/// period's health evidence and returning the failover directive.
-fn supervisor_overhead_ns() -> f64 {
-    const STEPS: usize = 10_000;
+    };
     let gains = vec![0.035, 0.095, 0.095, 0.095];
     let mut sup = Supervisor::new(SupervisorConfig::default(), gains, 4).expect("supervisor");
     let applied = [2000.0, 900.0, 910.0, 920.0];
     let ejected = [false; 4];
     let mut round = 0usize;
-    best_ns_per_call(3, STEPS, || {
+    let mut supervise = || {
         for i in 0..STEPS {
-            // Alternate applied vectors so the residual window stays hot
-            // (the realistic steady state) without tripping authority.
+            // Clocks and power vary as a regulating loop's do.
             let shift = ((round * STEPS + i) % 3) as f64;
             let obs = HealthSample {
                 fresh_samples: 4,
@@ -132,7 +132,13 @@ fn supervisor_overhead_ns() -> f64 {
             std::hint::black_box(sup.step(&obs));
         }
         round += 1;
-    })
+    };
+    let (mut supervisor_ns, mut control_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..5 {
+        supervisor_ns = supervisor_ns.min(best_ns_per_call(3, STEPS, &mut supervise));
+        control_ns = control_ns.min(best_ns_per_call(3, CALLS, &mut control));
+    }
+    (supervisor_ns, control_ns)
 }
 
 /// Telemetry record hot path: one fully labeled metric record (counter
@@ -218,11 +224,11 @@ fn float_render_ns() -> (f64, f64) {
 
 fn main() -> ExitCode {
     let (render_journal, render_std) = float_render_ns();
-    let control_ns = control_step_ns();
+    let (supervisor_ns, control_ns) = supervisor_and_control_ns();
     let checks = [
         (
             "supervisor vs 5% of control step",
-            supervisor_overhead_ns(),
+            supervisor_ns,
             0.05 * control_ns,
         ),
         (

@@ -14,7 +14,6 @@
 //! dwell one control period at a point.
 
 use capgpu_linalg::lstsq::LstsqFit;
-use capgpu_linalg::rls::RlsFactor;
 use capgpu_linalg::{lstsq, stats, svd, LinalgError, Matrix, Qr};
 
 use crate::model::LinearPowerModel;
@@ -240,8 +239,7 @@ pub struct SweepFit {
     /// The least-squares fit over the points that answered.
     pub fitted: IdentifiedModel,
     /// `(applied frequencies, mean power)` of every point that answered,
-    /// in plan order — the samples a [`ScaledModelTracker`] is seeded
-    /// with.
+    /// in plan order — the samples a [`ScaledModelTracker`] starts from.
     pub rows: Vec<(Vec<f64>, f64)>,
     /// Points in the excitation plan, answered or not.
     pub points: usize,
@@ -288,173 +286,232 @@ pub fn identify_sweep<E: From<ControlError>>(
     })
 }
 
-/// Streaming *restricted* re-identification: one common gain scale plus
-/// the power offset, anchored to a previously identified model.
+/// Streaming *restricted* re-identification — one common gain scale plus
+/// the power offset, anchored to a previously identified model — and the
+/// loop's one record of how the plant answered its clock moves.
 ///
-/// Closed-loop operation cannot support a full per-device refit: the loop
-/// visits a one-dimensional manifold of operating points (all clocks move
-/// together to follow the cap), utilization shifts along it confound the
-/// per-device slopes, and small excitation probes cannot separate
-/// `n + 1` parameters from 2 W of period-averaged meter noise. What the
-/// closed-loop data *does* identify crisply is the overall loop gain and
-/// the power level, so this tracker fits exactly those two and preserves
-/// the anchor's gain *ratios* — the part the closed loop cannot
-/// re-measure.
+/// Closed-loop data cannot separate `n + 1` parameters (the loop moves
+/// every clock together along one manifold, and utilization shifts along
+/// it confound the per-device slopes; DESIGN §10), but it identifies the
+/// overall loop gain and the power level crisply. So the tracker fits
+/// those two and keeps the anchor's gain *ratios*.
 ///
-/// The two parameters deliberately live on **separate estimators with
-/// separate timescales**:
+/// Each fresh period gives `x = ĝ·F`, the anchor's predicted dynamic
+/// power of the devices in service, and the measured `p`. Consecutive
+/// fresh periods under one ejection pattern form a pair `(Δx, Δp)`, read
+/// twice:
 ///
-/// * The **scale** `s` (model `p ≈ s·x + b` with `x = ĝ·F` the anchor's
-///   predicted dynamic power) is scalar RLS over *consecutive-sample
-///   differences* `Δp ≈ s·Δx`. Differencing cancels the offset exactly,
-///   so an offset step — a power jump at constant clocks, the signature
-///   of load or platform drift — produces one residual with `Δx ≈ 0`,
-///   i.e. **no leverage on the slope**. (A joint 2-parameter fit fails
-///   here: the step pivots the regression line and the scale estimate
-///   collapses long before the forgetting factor recovers.)
-/// * The **offset** `b` is an exponentially weighted mean of the slope
-///   residual `p − s·x`, which tracks level steps within a few periods.
+/// * the **scale** `s` (model `p ≈ s·x + b`) is a scalar square-root RLS
+///   on the pairs the caller lets in, `Δp ≈ s·Δx`. Differencing cancels
+///   the offset exactly, so an offset step (load or platform drift at
+///   constant clocks) has `Δx ≈ 0` and **no leverage on the slope**,
+///   where it would pivot a joint 2-parameter fit;
+/// * the **authority verdict** ([`authority_lost`](Self::authority_lost))
+///   folds the last [`AUTHORITY_PAIRS`] raw pairs, all of them.
 ///
-/// `O(1)` per sample.
+/// The **offset** `b` is an exponentially weighted mean of the slope
+/// residual `p − s·x`, which tracks level steps within a few periods.
+/// `O(1)` per period.
 #[derive(Debug, Clone)]
 pub struct ScaledModelTracker {
     anchor: LinearPowerModel,
-    /// Scalar RLS on `(Δx, Δp)` difference pairs.
-    slope: RlsFactor,
+    /// Forgetting factor `λ ∈ (0, 1]` of the slope fold.
+    forgetting: f64,
+    /// The fold in square-root form, `r² = ΣλᵏΔx²` and `r·d = ΣλᵏΔxΔp`,
+    /// with its weighted RSS, weight `Σλᵏ`, `ΣΔp` and `ΣΔp²` (for R² and
+    /// RMSE).
+    r: f64,
+    d: f64,
+    weighted_rss: f64,
+    weight_sum: f64,
+    dp_sum: f64,
+    dp2_sum: f64,
     /// EWMA offset level and its smoothing weight `α = 1 − λ`.
     offset: f64,
     alpha: f64,
-    /// Previous recorded sample `(x, p)`. Differences are formed between
-    /// *successive usable* samples even across gated gaps — both
-    /// endpoints are quasi-steady, so the pair measures the true slope
-    /// unless the plant changed inside the gap, and influence clipping
-    /// bounds the damage of that one straddling pair.
+    /// Last fresh period's `(x, p)` and the ejection pattern it was
+    /// measured under; `None` at the start of a chain.
     prev: Option<(f64, f64)>,
-    /// Telemetry: samples folded in via [`record`](Self::record).
-    samples_recorded: u64,
-    /// Telemetry: difference pairs accepted into the slope RLS.
-    pairs_accepted: u64,
-    /// Telemetry: difference pairs dropped by the plausibility gate.
-    pairs_rejected: u64,
+    ejected: Vec<bool>,
+    /// The latest raw pairs, oldest first; the last `window_len` live.
+    window: [(f64, f64); AUTHORITY_PAIRS],
+    window_len: usize,
+    /// Telemetry: see [`stats`](Self::stats).
+    stats: (u64, u64, u64),
 }
 
-/// Influence cap for one difference pair, in anchor-dynamic-power units
-/// (W). A pair's least-squares weight grows with `Δx²`, so one
-/// large-swing pair — e.g. the pair straddling an actual plant change —
-/// could outweigh dozens of probe-sized pairs. Pairs beyond the cap are
-/// rescaled onto it (both `Δx` and `Δp`, preserving their slope), the
-/// scalar analogue of Huber influence clipping.
+/// Influence cap for one difference pair (W of `Δx`). A pair's weight
+/// grows with `Δx²`, so one large swing — e.g. the pair straddling a
+/// plant change — could outweigh dozens of probe-sized pairs. Pairs
+/// beyond the cap are rescaled onto it, slope preserved: the scalar
+/// analogue of Huber influence clipping.
 const DIFF_INFLUENCE_CAP: f64 = 10.0;
+
+/// Pairs the authority verdict looks back over.
+pub const AUTHORITY_PAIRS: usize = 6;
+/// Summed `|Δx|` (W) the window needs before its verdict counts: a
+/// converged loop barely moves its clocks, and a ratio of noise is noise.
+pub const AUTHORITY_MIN_EXCITATION_W: f64 = 25.0;
+/// `ΣΔxΔp / ΣΔx²` below which authority is lost (1 = the plant follows
+/// the anchor, 0 = no response).
+pub const AUTHORITY_MIN_RATIO: f64 = 0.3;
 
 impl ScaledModelTracker {
     /// Creates a tracker anchored to `model` with forgetting `λ ∈ (0, 1]`.
-    ///
     /// The scale starts at the anchor's own (`s = 1`) with the weight of
-    /// roughly one strong excitation step, so early refits stay near the
-    /// anchor until real difference evidence accumulates.
+    /// one synthetic ~30 W difference, plus the identification sweep's
+    /// `(frequencies, mean power)` `rows`, so the first closed-loop refits
+    /// do not overweight a few near-steady-state samples. The authority
+    /// window starts empty: it judges the running loop.
     ///
     /// # Errors
     /// [`ControlError::BadConfig`] for `λ` outside `(0, 1]`.
-    pub fn new(model: LinearPowerModel, forgetting: f64) -> Result<Self> {
-        let mut slope = RlsFactor::new(1, forgetting)
-            .map_err(|_| ControlError::BadConfig("RLS forgetting factor must be in (0, 1]"))?;
-        // Prior: one synthetic difference of ~30 W dynamic swing asserting
-        // the anchor's slope.
-        slope.update(&[30.0], 30.0);
-        let offset = model.offset();
-        Ok(ScaledModelTracker {
+    pub fn new(model: LinearPowerModel, forgetting: f64, rows: &[(Vec<f64>, f64)]) -> Result<Self> {
+        if !(forgetting > 0.0 && forgetting <= 1.0) {
+            return Err(ControlError::BadConfig(
+                "RLS forgetting factor must be in (0, 1]",
+            ));
+        }
+        let (offset, devices) = (model.offset(), model.gains().len());
+        let mut tracker = ScaledModelTracker {
             anchor: model,
-            slope,
+            forgetting,
+            r: 0.0,
+            d: 0.0,
+            weighted_rss: 0.0,
+            weight_sum: 0.0,
+            dp_sum: 0.0,
+            dp2_sum: 0.0,
             offset,
             alpha: 1.0 - forgetting,
             prev: None,
-            samples_recorded: 0,
-            pairs_accepted: 0,
-            pairs_rejected: 0,
-        })
-    }
-
-    /// [`ScaledModelTracker::new`] with the identification sweep's
-    /// `(frequencies, mean power)` rows replayed into it, so the first
-    /// closed-loop refits do not overweight a handful of
-    /// near-steady-state samples.
-    ///
-    /// # Errors
-    /// [`ControlError::BadConfig`] for `λ` outside `(0, 1]`.
-    pub fn seeded(
-        model: LinearPowerModel,
-        forgetting: f64,
-        rows: &[(Vec<f64>, f64)],
-    ) -> Result<Self> {
-        let mut tracker = Self::new(model, forgetting)?;
+            ejected: vec![false; devices],
+            window: [(0.0, 0.0); AUTHORITY_PAIRS],
+            window_len: 0,
+            stats: (0, 0, 0),
+        };
+        tracker.fold(30.0, 30.0);
+        let in_service = vec![false; devices];
         for (freqs, p_mean) in rows {
-            tracker.record(freqs, *p_mean);
+            tracker.record(freqs, &in_service, *p_mean, true);
         }
+        tracker.clear_authority();
         Ok(tracker)
     }
 
-    /// Folds in one sample (frequency vector applied over a control
-    /// period, average power measured over it).
+    /// Folds in one fresh period: the frequencies applied, the devices
+    /// ejected and the average power. Its pair with the previous fresh
+    /// period (none across an ejection change: that cliff is topology)
+    /// enters the authority window, and the slope fold only when `fold`,
+    /// the caller's judgement that both periods were quasi-steady;
+    /// otherwise the offset is left alone and one step is forgotten.
     ///
     /// # Panics
-    /// Panics if `freqs.len()` differs from the anchor's device count.
-    pub fn record(&mut self, freqs: &[f64], power_watts: f64) {
-        let x = self.anchor.predict(freqs) - self.anchor.offset();
-        if let Some((x_prev, p_prev)) = self.prev {
-            let (mut dx, mut dp) = (x - x_prev, power_watts - p_prev);
+    /// Panics if `freqs.len()` or `ejected.len()` differs from the
+    /// anchor's device count.
+    pub fn record(&mut self, freqs: &[f64], ejected: &[bool], power_watts: f64, fold: bool) {
+        assert_eq!(ejected.len(), self.ejected.len(), "ejected flag length");
+        let out_of_service: f64 = (self.anchor.gains().iter().zip(freqs).zip(ejected))
+            .filter(|(_, e)| **e)
+            .map(|((g, f), _)| g * f)
+            .sum();
+        let x = self.anchor.predict(freqs) - self.anchor.offset() - out_of_service;
+        if ejected != self.ejected.as_slice() {
+            self.ejected.copy_from_slice(ejected);
+            self.prev = None;
+            self.window_len = 0;
+        }
+        let pair = self.prev.map(|(x0, p0)| (x - x0, power_watts - p0));
+        self.prev = Some((x, power_watts));
+        if let Some(raw) = pair {
+            self.window.copy_within(1.., 0);
+            self.window[AUTHORITY_PAIRS - 1] = raw;
+            self.window_len = (self.window_len + 1).min(AUTHORITY_PAIRS);
+        }
+        if !fold {
+            self.forget();
+            return;
+        }
+        if let Some((mut dx, mut dp)) = pair {
             if dx.abs() > DIFF_INFLUENCE_CAP {
                 let r = DIFF_INFLUENCE_CAP / dx.abs();
                 dx *= r;
                 dp *= r;
             }
-            // Plausibility gate: a pair whose ΔP is far outside anything a
-            // sane slope could produce from its Δx is an *offset step*
-            // (plant drift, workload shift) caught mid-pair, not slope
-            // evidence — e.g. a probe-sized Δx paired with a +250 W gain
-            // jump implies slope ≈ −25 and would pivot the scalar fit.
-            // Such pairs carry no usable slope information; drop them and
-            // let the offset EWMA absorb the level change instead.
+            // Plausibility gate: a Δp no sane slope could produce from its
+            // Δx is an *offset step* caught mid-pair (a probe-sized Δx with
+            // a +250 W jump implies slope ≈ −25), not slope evidence: drop
+            // it and let the offset EWMA absorb the level change.
             let s = self.scale();
-            let tol = 3.0 * dx.abs() * s.max(1.0) + 15.0;
-            if (dp - s * dx).abs() <= tol {
-                self.slope.update(&[dx], dp);
-                self.pairs_accepted += 1;
+            if (dp - s * dx).abs() <= 3.0 * dx.abs() * s.max(1.0) + 15.0 {
+                self.fold(dx, dp);
+                self.stats.1 += 1;
             } else {
-                self.pairs_rejected += 1;
+                self.stats.2 += 1;
             }
         }
-        let s = self.scale();
-        self.offset += self.alpha * (power_watts - s * x - self.offset);
-        self.prev = Some((x, power_watts));
-        self.samples_recorded += 1;
+        self.offset += self.alpha * (power_watts - self.scale() * x - self.offset);
+        self.stats.0 += 1;
     }
 
-    /// One period of forgetting without a sample (meter dropout or
-    /// transient gating) — [`RlsFactor::decay`] on the slope estimator.
-    /// Forgetting tracks plant variation over *time*: skipping it across
-    /// observation gaps would leave stale data at full weight no matter
-    /// how long ago it was collected. The difference chain is left
-    /// intact: the next usable sample pairs with the last usable one
-    /// across the gap.
+    /// A stale period (no fresh meter sample): breaks the pair chain and
+    /// applies one step of forgetting, which tracks plant variation over
+    /// *time*, gaps included.
     pub fn decay(&mut self) {
-        self.slope.decay();
+        self.prev = None;
+        self.forget();
+    }
+
+    /// One step of exponential forgetting: the information scales by `λ`.
+    fn forget(&mut self) {
+        if self.forgetting < 1.0 {
+            let sqrt_lambda = self.forgetting.sqrt();
+            self.r *= sqrt_lambda;
+            self.d *= sqrt_lambda;
+            self.weighted_rss *= self.forgetting;
+            self.weight_sum *= self.forgetting;
+            self.dp_sum *= self.forgetting;
+            self.dp2_sum *= self.forgetting;
+        }
+    }
+
+    /// Forgets, then rotates `(Δx, Δp)` into `(r, d)` with one Givens
+    /// rotation; the rotated-out residual is the pair's exact share of
+    /// the weighted RSS.
+    fn fold(&mut self, dx: f64, dp: f64) {
+        self.forget();
+        let mut residual = dp;
+        if dx != 0.0 {
+            let rad = self.r.hypot(dx);
+            let (c, s, d) = (self.r / rad, dx / rad, self.d);
+            self.r = rad;
+            self.d = c * d + s * dp;
+            residual = c * dp - s * d;
+        }
+        self.weighted_rss += residual * residual;
+        self.weight_sum += 1.0;
+        self.dp_sum += dp;
+        self.dp2_sum += dp * dp;
     }
 
     /// Number of difference pairs folded in (including the anchor prior).
     pub fn len(&self) -> usize {
-        self.slope.len()
+        self.stats.1 as usize + 1
     }
 
     /// True before the first sample.
     pub fn is_empty(&self) -> bool {
-        self.prev.is_none() && self.slope.len() <= 1
+        self.stats.0 == 0
     }
 
-    /// Current scale estimate (`1.0` until evidence says otherwise).
+    /// Current scale estimate: `1.0` until evidence says otherwise (a
+    /// numerically zero `r` carries none).
     pub fn scale(&self) -> f64 {
-        match self.slope.solve() {
-            Ok(c) if c[0].is_finite() && c[0] > 0.0 => c[0],
-            _ => 1.0,
+        let s = self.d / self.r;
+        if self.r.abs() > 1e-12 * self.r.abs().max(1.0) && s.is_finite() && s > 0.0 {
+            s
+        } else {
+            1.0
         }
     }
 
@@ -463,33 +520,56 @@ impl ScaledModelTracker {
         self.offset
     }
 
-    /// Condition number of the restricted (difference) design — `1.0`
-    /// once any difference evidence exists, infinite before. Kept so the
-    /// scenario-level condition guard applies uniformly to whichever
-    /// tracker feeds the controller.
-    pub fn design_condition(&self) -> f64 {
-        self.slope.condition()
-    }
-
     /// Exponentially weighted R² of the difference fit.
     pub fn r_squared(&self) -> f64 {
-        self.slope.r_squared()
+        if self.weight_sum == 0.0 {
+            return 0.0;
+        }
+        let tss = self.dp2_sum - self.dp_sum * self.dp_sum / self.weight_sum;
+        if tss > 0.0 {
+            1.0 - self.weighted_rss / tss
+        } else if self.weighted_rss <= f64::EPSILON {
+            1.0
+        } else {
+            0.0
+        }
     }
 
     /// Exponentially weighted RMSE (W) of the difference fit.
     pub fn rmse(&self) -> f64 {
-        self.slope.rmse()
+        if self.weight_sum == 0.0 {
+            return 0.0;
+        }
+        (self.weighted_rss / self.weight_sum).sqrt()
+    }
+
+    /// Whether the plant has stopped answering its clocks: over the last
+    /// [`AUTHORITY_PAIRS`] pairs, `Σ|Δx|` reaches
+    /// [`AUTHORITY_MIN_EXCITATION_W`] but `ΣΔxΔp / ΣΔx²` stays under
+    /// [`AUTHORITY_MIN_RATIO`]. False until the window is full.
+    pub fn authority_lost(&self) -> bool {
+        let (mut excitation, mut num, mut den) = (0.0, 0.0, 0.0);
+        for &(dx, dp) in &self.window {
+            excitation += dx.abs();
+            num += dx * dp;
+            den += dx * dx;
+        }
+        self.window_len == AUTHORITY_PAIRS
+            && excitation >= AUTHORITY_MIN_EXCITATION_W
+            && num / den < AUTHORITY_MIN_RATIO
+    }
+
+    /// Empties the authority window, so the verdict is re-earned from
+    /// the pairs that follow (the chain itself is kept).
+    pub fn clear_authority(&mut self) {
+        self.window_len = 0;
     }
 
     /// Telemetry counters since construction: `(samples recorded,
     /// difference pairs accepted, pairs dropped by the plausibility
     /// gate)`. Deterministic — derived purely from the sample stream.
     pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.samples_recorded,
-            self.pairs_accepted,
-            self.pairs_rejected,
-        )
+        self.stats
     }
 
     /// The rescaled model (`scale · ĝ`, tracked offset) plus the scale.
@@ -680,10 +760,10 @@ mod tests {
                 (f, p)
             })
             .collect();
-        let seeded = ScaledModelTracker::seeded(truth.clone(), 0.98, &rows).unwrap();
-        let mut looped = ScaledModelTracker::new(truth, 0.98).unwrap();
+        let seeded = ScaledModelTracker::new(truth.clone(), 0.98, &rows).unwrap();
+        let mut looped = ScaledModelTracker::new(truth, 0.98, &[]).unwrap();
         for (f, p) in &rows {
-            looped.record(f, *p);
+            looped.record(f, &[false; 2], *p, true);
         }
         assert_eq!(seeded.scale().to_bits(), looped.scale().to_bits());
         assert_eq!(seeded.offset().to_bits(), looped.offset().to_bits());
@@ -693,6 +773,6 @@ mod tests {
         let (b, sb) = looped.fit().unwrap();
         assert_eq!(a, b);
         assert_eq!(sa.to_bits(), sb.to_bits());
-        assert!(ScaledModelTracker::seeded(a, 0.0, &rows).is_err());
+        assert!(ScaledModelTracker::new(a, 0.0, &rows).is_err());
     }
 }

@@ -148,11 +148,10 @@ pub struct Scenario {
     pub sysid_steps_per_device: usize,
     /// Continuous (streaming) model tracking, the §6.4 online
     /// re-identification generalized to every control period: the runner
-    /// feeds each period's `(applied F, p̄)` sample into a
-    /// recursive-least-squares identifier seeded with the startup
-    /// excitation sweep, and pushes the refreshed model into the
-    /// controller at the end of the period — `O(n²)` per period instead
-    /// of an `O(m·n²)` batch refit. Its tuning is fixed (the `RLS_*`
+    /// feeds each period's `(applied F, p̄)` sample into the streaming
+    /// gain-scale tracker seeded with the startup excitation sweep, and
+    /// pushes the refreshed model into the controller at the end of the
+    /// period — `O(n)` per period instead of an `O(m·n²)` batch refit. Its tuning is fixed (the `RLS_*`
     /// constants in [`crate::runner`]). `false` (the default everywhere)
     /// keeps the paper's one-shot identification and leaves every
     /// published trace byte-identical.

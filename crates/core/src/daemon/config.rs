@@ -42,8 +42,9 @@ pub struct DaemonConfig {
     /// Excitation steps per device during identification: 2 to 256
     /// (`MAX_SYSID_STEPS` says why).
     pub sysid_steps_per_device: usize,
-    /// RLS forgetting factor for streaming refits; `None` disables
-    /// continuous tracking.
+    /// RLS forgetting factor for streaming refits; `None` disables the
+    /// refits (the model tracker still runs, at the default 0.98, for
+    /// the supervisor's authority verdict).
     pub rls_forgetting: Option<f64>,
     /// Simulated-testbed seed (sim backend only).
     pub sim_seed: u64,
@@ -55,6 +56,9 @@ pub struct DaemonConfig {
     /// Supervisor failover thresholds.
     pub supervisor: SupervisorConfig,
 }
+
+/// `identify.rls_forgetting` when the config does not set it.
+pub(crate) const DEFAULT_RLS_FORGETTING: f64 = 0.98;
 
 /// The most excitation steps per device `identify.steps_per_device`
 /// takes. Identification dwells one control period per step, device after
@@ -100,9 +104,6 @@ const KNOWN_KEYS: &[&str] = &[
     "sim.utilization",
     "supervisor.stale_fallback_periods",
     "supervisor.stale_park_periods",
-    "supervisor.authority_window",
-    "supervisor.authority_min_ratio",
-    "supervisor.authority_min_excitation_w",
     "supervisor.recovery_periods",
     "supervisor.psu_margin_watts",
 ];
@@ -127,7 +128,7 @@ impl DaemonConfig {
             journal_max_segment_age_s: 3600.0,
             journal_retain_segments: 8,
             sysid_steps_per_device: 6,
-            rls_forgetting: Some(0.98),
+            rls_forgetting: Some(DEFAULT_RLS_FORGETTING),
             sim_seed: 42,
             sim_gpus: 2,
             sim_utilization: 0.85,
@@ -204,18 +205,6 @@ impl DaemonConfig {
         }
         if let Some(v) = doc.u64_opt("supervisor.stale_park_periods").map_err(e)? {
             sup.stale_park_periods = v as usize;
-        }
-        if let Some(v) = doc.u64_opt("supervisor.authority_window").map_err(e)? {
-            sup.authority_window = v as usize;
-        }
-        if let Some(v) = doc.f64_opt("supervisor.authority_min_ratio").map_err(e)? {
-            sup.authority_min_ratio = v;
-        }
-        if let Some(v) = doc
-            .f64_opt("supervisor.authority_min_excitation_w")
-            .map_err(e)?
-        {
-            sup.authority_min_excitation_w = v;
         }
         if let Some(v) = doc.u64_opt("supervisor.recovery_periods").map_err(e)? {
             sup.recovery_periods = v as usize;
@@ -362,6 +351,26 @@ stale_park_periods = 3
         assert!(DaemonConfig::from_toml_str("[daemon]\nsetpoint_watts = -5\n").is_err());
         assert!(DaemonConfig::from_toml_str("[daemon]\nbackend = \"nvml\"\n").is_err());
         assert!(DaemonConfig::from_toml_str("[identify]\nsteps_per_device = 1\n").is_err());
+    }
+
+    /// The authority verdict's window, ratio and excitation floor are
+    /// constants of the model tracker, not settings: a config that still
+    /// names one is refused like any typo, and the error says which key.
+    #[test]
+    fn removed_authority_keys_are_unknown() {
+        for (key, value) in [
+            ("authority_window", "6"),
+            ("authority_min_ratio", "0.3"),
+            ("authority_min_excitation_w", "25.0"),
+        ] {
+            let src = format!("[supervisor]\n{key} = {value}\n");
+            let err = DaemonConfig::from_toml_str(&src).unwrap_err().to_string();
+            assert!(err.contains("unknown key"), "{src:?}: {err}");
+            assert!(
+                err.contains(&format!("`supervisor.{key}`")),
+                "{src:?}: {err}"
+            );
+        }
     }
 
     /// A sweep of 10¹² steps per device would reserve 96 TB of rows,

@@ -39,6 +39,7 @@ mod reload;
 mod toml;
 
 pub use config::DaemonConfig;
+use config::DEFAULT_RLS_FORGETTING;
 pub use http::MetricsServer;
 pub use reload::{ConfigWatcher, ReloadSignal};
 
@@ -100,17 +101,17 @@ struct Metrics {
 struct ControlStack {
     primary: CapGpuController,
     ladder: Ladder,
-    /// Streaming refits, when `identify.rls` is on.
-    tracker: Option<ScaledModelTracker>,
+    /// The model tracker: streaming refits when `identify.rls` is on,
+    /// and the ladder's authority verdict always.
+    tracker: ScaledModelTracker,
     /// Gain scale last pushed to the primary controller, relative to the
     /// model the stack was built from.
     pushed_scale: f64,
 }
 
 impl ControlStack {
-    /// MPC primary, failover ladder and — when `daemon` is configured
-    /// for it — the RLS tracker warm-started with `seed_rows`, all
-    /// anchored at `model`.
+    /// MPC primary, failover ladder and the model tracker warm-started
+    /// with `seed_rows`, all anchored at `model`.
     fn from_model(
         daemon: &Daemon,
         model: LinearPowerModel,
@@ -121,10 +122,11 @@ impl ControlStack {
         Ok(Box::new(ControlStack {
             primary: CapGpuController::new(layout, model.clone(), WeightAssigner::default())?,
             ladder: Ladder::new(cfg.supervisor, layout, &model, noise)?,
-            tracker: match cfg.rls_forgetting {
-                Some(forgetting) => Some(ScaledModelTracker::seeded(model, forgetting, seed_rows)?),
-                None => None,
-            },
+            tracker: ScaledModelTracker::new(
+                model,
+                cfg.rls_forgetting.unwrap_or(DEFAULT_RLS_FORGETTING),
+                seed_rows,
+            )?,
             pushed_scale: 1.0,
         }))
     }
@@ -404,11 +406,14 @@ impl Daemon {
             fresh,
             &mut self.last_avg_watts,
         );
-        if fresh > 0 {
-            if let Some(tracker) = stack.tracker.as_mut() {
-                tracker.record(&self.applied, avg);
-            }
-        }
+        self.decider.track(
+            self.backend.as_ref(),
+            &mut stack.tracker,
+            fresh,
+            &self.applied,
+            avg,
+            true,
+        );
         // -- supervise + control --------------------------------------
         let inputs = PeriodInputs {
             fresh_samples: fresh,
@@ -422,7 +427,7 @@ impl Daemon {
         };
         let decision = self.decider.step(
             self.backend.as_mut(),
-            Some(&mut stack.ladder),
+            Some((&mut stack.ladder, &mut stack.tracker)),
             &mut stack.primary,
             &inputs,
         )?;
@@ -471,20 +476,21 @@ impl Daemon {
         self.targets = targets;
         // -- streaming refit (primary only: the fallback and park are
         //    model-free by design) ------------------------------------
-        if fresh > 0 && directive.tier == SupervisorTier::Primary {
-            if let Some(tracker) = stack.tracker.as_ref() {
-                let pushed =
-                    period::push_refit(tracker, &mut stack.pushed_scale, &mut stack.primary)?;
-                if let Some((model, scale)) = pushed {
-                    self.registry.inc(self.metrics.refits, 1);
-                    // scale + offset pin the pushed model exactly
-                    // (gains = journaled base gains × scale), which
-                    // is what makes crash-recovery replay bit-exact.
-                    self.record(Body::Refit {
-                        scale,
-                        offset_w: model.offset(),
-                    });
-                }
+        if fresh > 0
+            && directive.tier == SupervisorTier::Primary
+            && self.cfg.rls_forgetting.is_some()
+        {
+            let pushed =
+                period::push_refit(&stack.tracker, &mut stack.pushed_scale, &mut stack.primary)?;
+            if let Some((model, scale)) = pushed {
+                self.registry.inc(self.metrics.refits, 1);
+                // scale + offset pin the pushed model exactly (gains =
+                // journaled base gains × scale), which is what makes
+                // crash-recovery replay bit-exact.
+                self.record(Body::Refit {
+                    scale,
+                    offset_w: model.offset(),
+                });
             }
         }
         // -- journal + metrics ----------------------------------------
@@ -933,6 +939,40 @@ mod tests {
         }
         derate.clear(server(&mut d)).unwrap();
         assert_eq!(d.step_period().unwrap().effective_setpoint, 900.0);
+    }
+
+    /// With streaming refits off the model tracker still runs, for the
+    /// authority verdict: a plant whose GPUs stop answering their clocks
+    /// demotes the loop, and no refit is journaled.
+    #[test]
+    fn unresponsive_plant_demotes_with_refits_off() {
+        let mut cfg = small_cfg();
+        cfg.rls_forgetting = None;
+        cfg.setpoint_watts = 700.0;
+        let backend = cfg.build_backend().unwrap();
+        let mut d = Daemon::new(cfg, backend).unwrap();
+        d.identify().unwrap();
+        let healthy = d.run_periods(10).unwrap();
+        assert!(healthy.iter().all(|r| r.tier == SupervisorTier::Primary));
+        for gpu in server(&mut d).gpu_indices().to_vec() {
+            server(&mut d).scale_power_gain(gpu, 0.05).unwrap();
+        }
+        let after = d.run_periods(10).unwrap();
+        let tiers: Vec<SupervisorTier> = after.iter().map(|r| r.tier).collect();
+        assert!(
+            tiers.contains(&SupervisorTier::SafeFallback),
+            "expected a demotion in {tiers:?}"
+        );
+        let reasons: Vec<String> =
+            events_where(d.journal(), |b| matches!(b, Body::TierChange { .. }))
+                .into_iter()
+                .map(|e| e.to_json())
+                .collect();
+        assert!(
+            reasons[0].contains("\"reason\":\"authority_lost\""),
+            "{reasons:?}"
+        );
+        assert!(events_where(d.journal(), |b| matches!(b, Body::Refit { .. })).is_empty());
     }
 
     #[test]

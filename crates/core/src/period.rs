@@ -1,7 +1,8 @@
 //! The steps of a control period that the experiment runner and the
 //! daemon share: the identification dwell, the period's power reading,
-//! the health-and-decide step and the refit push. What the two loops
-//! still do differently (DESIGN §18) stays at their call sites.
+//! the model tracker's record, the health-and-decide step and the refit
+//! push. What the two loops still do differently (DESIGN §18) stays at
+//! their call sites.
 
 use capgpu_backend::PowerBackend;
 use capgpu_control::model::LinearPowerModel;
@@ -84,7 +85,7 @@ pub(crate) struct PeriodInputs<'a> {
     pub phase_mix: Option<&'a [PhaseMix]>,
 }
 
-/// The health-and-decide step and its per-device scratch.
+/// The tracking and health-and-decide steps and their scratch.
 pub(crate) struct Decider {
     ejected: Vec<bool>,
     /// Per-device power as of the last step (W; zeros without meters).
@@ -99,13 +100,34 @@ impl Decider {
         }
     }
 
-    /// One period's decision. A `ladder` sees the period's health first,
-    /// so a demotion acts in the period its fault is observed; without
-    /// one, `controller` acts alone at the operator's set-point.
+    /// Feeds one period to the model tracker, before the decision: a
+    /// fresh one is recorded (its pair folded only when `fold`), a stale
+    /// one decays.
+    pub(crate) fn track<B: PowerBackend + ?Sized>(
+        &mut self,
+        backend: &B,
+        tracker: &mut ScaledModelTracker,
+        fresh_samples: usize,
+        applied_mean: &[f64],
+        avg_power: f64,
+        fold: bool,
+    ) {
+        if fresh_samples == 0 {
+            tracker.decay();
+            return;
+        }
+        read_ejected(backend, &mut self.ejected);
+        tracker.record(applied_mean, &self.ejected, avg_power, fold);
+    }
+
+    /// One period's decision. A `ladder` sees the period's health and
+    /// its `tracker`'s authority verdict first, so a demotion acts in the
+    /// period its fault is observed; without one, `controller` acts alone
+    /// at the operator's set-point.
     pub(crate) fn step<B: PowerBackend + ?Sized>(
         &mut self,
         backend: &mut B,
-        ladder: Option<&mut Ladder>,
+        supervised: Option<(&mut Ladder, &mut ScaledModelTracker)>,
         controller: &mut dyn PowerController,
         period: &PeriodInputs<'_>,
     ) -> Result<Decision> {
@@ -123,7 +145,7 @@ impl Decider {
             floors: period.floors,
             phase_mix: period.phase_mix,
         };
-        let Some(ladder) = ladder else {
+        let Some((ladder, tracker)) = supervised else {
             let targets = check_arity(controller.control(&input)?, self.ejected.len())?;
             let directive = Directive {
                 tier: SupervisorTier::Primary,
@@ -133,9 +155,7 @@ impl Decider {
             };
             return Ok(Decision { targets, directive });
         };
-        for (d, flag) in self.ejected.iter_mut().enumerate() {
-            *flag = backend.is_ejected(d);
-        }
+        read_ejected(backend, &mut self.ejected);
         let health = HealthSample {
             fresh_samples: period.fresh_samples,
             meter_age_s: backend.seconds_since_sample(),
@@ -145,7 +165,13 @@ impl Decider {
             applied_mean: period.applied_mean,
             ejected: &self.ejected,
         };
-        ladder.decide(controller, &health, &input)
+        ladder.decide(controller, tracker, &health, &input)
+    }
+}
+
+fn read_ejected<B: PowerBackend + ?Sized>(backend: &B, ejected: &mut [bool]) {
+    for (d, flag) in ejected.iter_mut().enumerate() {
+        *flag = backend.is_ejected(d);
     }
 }
 

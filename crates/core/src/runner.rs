@@ -201,10 +201,10 @@ pub struct ExperimentRunner {
     slos: Vec<Option<f64>>,
     targets: Vec<f64>,
     identified: Option<IdentifiedModel>,
-    /// Streaming restricted re-identifier (gain scale + offset) for
-    /// continuous model tracking; populated only when the scenario
-    /// enables `rls_tracking` (anchored to the startup identification by
-    /// [`ExperimentRunner::identify`]).
+    /// Streaming restricted re-identifier (gain scale + offset) and the
+    /// supervisor's authority evidence, anchored to the startup
+    /// identification by [`ExperimentRunner::identify`]; populated when
+    /// the scenario enables `rls_tracking` or a supervisor.
     tracker: Option<ScaledModelTracker>,
     /// Whether the §4.4 memory-throttle escape is currently engaged.
     mem_escape_active: bool,
@@ -368,9 +368,9 @@ impl ExperimentRunner {
                     .advance_second(backend, applied, self.telemetry.as_mut(), None)
             },
         )?;
-        if self.scenario.rls_tracking {
+        if self.tracks() {
             let anchor = sweep.fitted.model.clone();
-            self.tracker = Some(ScaledModelTracker::seeded(
+            self.tracker = Some(ScaledModelTracker::new(
                 anchor,
                 RLS_FORGETTING,
                 &sweep.rows,
@@ -378,6 +378,12 @@ impl ExperimentRunner {
         }
         self.identified = Some(sweep.fitted.clone());
         Ok(sweep.fitted)
+    }
+
+    /// Whether runs keep a [`ScaledModelTracker`]: for refits, or for the
+    /// supervisor's authority verdict.
+    fn tracks(&self) -> bool {
+        self.scenario.rls_tracking || self.scenario.supervisor.is_some()
     }
 
     /// The cached identified model, identifying first if needed.
@@ -536,9 +542,9 @@ impl ExperimentRunner {
             None => None,
         };
         let mut decider = Decider::new(n);
-        // Continuous tracking needs an anchor model; identify if the
-        // caller has not already done so.
-        if self.scenario.rls_tracking && self.tracker.is_none() {
+        // Tracking needs an anchor model; identify if the caller has not
+        // already done so.
+        if self.tracks() && self.tracker.is_none() {
             self.identify()?;
         }
         // Latencies recorded during calibration (identification) must not
@@ -697,15 +703,10 @@ impl ExperimentRunner {
                 tm.span_exit();
             }
 
-            // Continuous model tracking (§6.4, generalized to every
-            // period): fold this period's (F̄, p̄) sample into the
-            // streaming identifier and refit — O(n²) total instead of an
-            // O(m·n²) batch refit. Meter-dropout periods are skipped (a
-            // held-over reading says nothing about this period's plant),
-            // quasi-steady gating skips periods whose frequencies slewed
-            // too far for the average to reflect a steady-state operating
-            // point, and refits are withheld while the factor's
-            // excitation is too collinear for the gains to be trustworthy.
+            // Model tracking (§6.4, every period): (F̄, p̄) extends the
+            // tracker's pair chain, which the authority verdict reads and,
+            // under `rls_tracking`, refits the scale. A pair whose clocks
+            // slewed too far to be steady-state stays out of the fold.
             if self.tracker.is_some() {
                 if let Some(tm) = self.telemetry.as_mut() {
                     tm.span_enter(Phase::Identify);
@@ -718,29 +719,30 @@ impl ExperimentRunner {
                         .zip(prev.iter())
                         .all(|(now, was)| (now - was).abs() <= RLS_SETTLE_GATE_MHZ)
                 });
-                if fresh_meter_samples > 0 && quasi_steady {
-                    tracker.record(&applied_mean, avg_power);
-                    if tracker.design_condition() < RLS_CONDITION_GUARD {
-                        let pushed =
-                            period::push_refit(tracker, &mut pushed_scale, &mut controller)?;
-                        if let Some((model, scale)) = pushed {
-                            self.identified = Some(IdentifiedModel {
-                                model,
-                                r_squared: tracker.r_squared(),
-                                rmse_watts: tracker.rmse(),
-                                n_samples: tracker.len(),
-                                design_condition: tracker.design_condition(),
-                            });
-                            if let Some(tm) = self.telemetry.as_mut() {
-                                tm.on_refit(period, t_end_s, scale, tracker.r_squared());
-                            }
+                decider.track(
+                    &self.backend,
+                    tracker,
+                    fresh_meter_samples,
+                    &applied_mean,
+                    avg_power,
+                    quasi_steady,
+                );
+                if self.scenario.rls_tracking && fresh_meter_samples > 0 && quasi_steady {
+                    let pushed = period::push_refit(tracker, &mut pushed_scale, &mut controller)?;
+                    if let Some((model, scale)) = pushed {
+                        self.identified = Some(IdentifiedModel {
+                            model,
+                            r_squared: tracker.r_squared(),
+                            rmse_watts: tracker.rmse(),
+                            n_samples: tracker.len(),
+                            // A one-parameter fit whose prior is in is
+                            // always perfectly conditioned.
+                            design_condition: 1.0,
+                        });
+                        if let Some(tm) = self.telemetry.as_mut() {
+                            tm.on_refit(period, t_end_s, scale, tracker.r_squared());
                         }
                     }
-                } else {
-                    // Unusable period (dropout or transient): no sample,
-                    // but time still passed — decay so stale data does
-                    // not keep full weight across the gap.
-                    tracker.decay();
                 }
                 prev_applied_mean = Some(applied_mean.clone());
             }
@@ -788,8 +790,8 @@ impl ExperimentRunner {
                 floors: &floors,
                 phase_mix: self.plant.phase_mix(),
             };
-            let decision =
-                decider.step(&mut self.backend, ladder.as_mut(), &mut controller, &inputs)?;
+            let supervised = ladder.as_mut().zip(self.tracker.as_mut());
+            let decision = decider.step(&mut self.backend, supervised, &mut controller, &inputs)?;
             let directive = decision.directive;
             self.targets = decision.targets;
             if let Some(tm) = self.telemetry.as_mut() {
@@ -892,7 +894,9 @@ impl ExperimentRunner {
             }
         }
         let trace = self.plant.finish(controller.name().to_string(), records);
-        let tracker_stats = self.tracker.as_ref().map(|tr| tr.stats());
+        let tracker_stats = (self.tracker.as_ref())
+            .filter(|_| self.scenario.rls_tracking)
+            .map(|tr| tr.stats());
         if let Some(tm) = self.telemetry.as_mut() {
             tm.end_run(
                 num_periods,
@@ -963,12 +967,6 @@ impl ExperimentRunner {
 /// `identify.rls_forgetting`, 0.98 by default.)
 const RLS_FORGETTING: f64 = 0.95;
 
-/// Refreshed models are pushed to the controller only while the RLS
-/// identifier's design condition number stays below this guard:
-/// closed-loop operation near steady state barely excites the system,
-/// and an ill-conditioned refit would replace good gains with noise.
-const RLS_CONDITION_GUARD: f64 = 1e8;
-
 /// Persistent-excitation probe amplitude under RLS tracking (MHz). A
 /// converged power loop holds frequencies still, so the closed-loop data
 /// contain no information about the gains; each period the runner
@@ -987,9 +985,9 @@ const RLS_PROBE_MHZ: f64 = 10.0;
 /// model is a *steady-state* power map, but a period whose applied
 /// frequencies slewed hundreds of MHz mixes pre- and post-move power (and
 /// queue / utilization transients) in one average — fitting those rows
-/// is what corrupts naive closed-loop identification. A period is fed to
-/// the identifier only when no device's mean applied frequency moved more
-/// than this since the previous period: probes and normal regulation
+/// is what corrupts naive closed-loop identification. A pair of periods
+/// enters the slope fold only when no device's mean applied frequency
+/// moved more than this between them: probes and normal regulation
 /// jitter pass, transient slews are skipped.
 const RLS_SETTLE_GATE_MHZ: f64 = 120.0;
 

@@ -14,12 +14,11 @@
 //!   fixed-step fallback (which needs no model, only the sign of the
 //!   error); long outages park every clock at its floor, the only state
 //!   that is safe without *any* feedback.
-//! * **Actuation-authority detector** — regresses the observed power
-//!   change `Δp` on the model-predicted change `Σ gᵢ·ΔFᵢ` over a sliding
-//!   window. When the applied clocks really move (excitation above a
-//!   floor) but power does not follow (slope below a ratio), the plant
-//!   has stopped obeying and the MPC's model is actively harmful. The
-//!   unit tests drive it with such a plant directly; no injected fault
+//! * **Actuation-authority verdict** — from the loop's
+//!   [`ScaledModelTracker`], which forms each period's residual pair
+//!   once for the gain estimate and the verdict alike. When the clocks
+//!   really move but power does not follow, the plant has stopped
+//!   obeying and the MPC's model is actively harmful. No injected fault
 //!   kind is shown to trip it.
 //! * **Per-device quarantine** — a device seen ejected is pinned to its
 //!   frequency floor after re-admission until it proves healthy, so a
@@ -34,9 +33,8 @@
 //! periods before each single step back up the ladder, so an
 //! intermittent fault cannot chatter the loop between controllers.
 
-use std::collections::VecDeque;
-
 use capgpu_control::model::LinearPowerModel;
+use capgpu_control::sysid::ScaledModelTracker;
 use serde::{Deserialize, Serialize};
 
 use crate::controllers::{ControlInput, DeviceLayout, PowerController, SafeFixedStepController};
@@ -90,15 +88,6 @@ pub struct SupervisorConfig {
     /// Consecutive meter-silent periods before parking at the floors
     /// (must be ≥ `stale_fallback_periods`).
     pub stale_park_periods: usize,
-    /// Sliding-window length (periods) for the authority regression.
-    pub authority_window: usize,
-    /// Authority is lost when the observed-vs-predicted slope falls
-    /// below this ratio (1.0 = perfect tracking, 0 = no response).
-    pub authority_min_ratio: f64,
-    /// Minimum summed |predicted Δp| (W) over the window before the
-    /// authority verdict is trusted — a converged loop barely moves its
-    /// clocks, and a regression on zero excitation is noise.
-    pub authority_min_excitation_w: f64,
     /// Consecutive healthy periods required per single recovery step
     /// back up the ladder (and to release a quarantined device).
     pub recovery_periods: usize,
@@ -109,16 +98,11 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     /// Defaults tuned for the paper's 4 s control period: fallback after
     /// 2 silent periods (8 s), park after 5 (20 s, ≈ the thermal time
-    /// constant), a 6-period authority window, slope < 0.3 with ≥ 25 W
-    /// of windowed excitation, 5-period recovery hysteresis, 10 W PSU
-    /// margin.
+    /// constant), 5-period recovery hysteresis, 10 W PSU margin.
     fn default() -> Self {
         SupervisorConfig {
             stale_fallback_periods: 2,
             stale_park_periods: 5,
-            authority_window: 6,
-            authority_min_ratio: 0.3,
-            authority_min_excitation_w: 25.0,
             recovery_periods: 5,
             psu_margin_watts: 10.0,
         }
@@ -139,21 +123,6 @@ impl SupervisorConfig {
         if self.stale_park_periods < self.stale_fallback_periods {
             return Err(CapGpuError::BadConfig(
                 "supervisor.stale_park_periods must be >= stale_fallback_periods".into(),
-            ));
-        }
-        if self.authority_window < 2 {
-            return Err(CapGpuError::BadConfig(
-                "supervisor.authority_window must be >= 2".into(),
-            ));
-        }
-        if !(0.0..1.0).contains(&self.authority_min_ratio) {
-            return Err(CapGpuError::BadConfig(
-                "supervisor.authority_min_ratio must be in [0, 1)".into(),
-            ));
-        }
-        if self.authority_min_excitation_w <= 0.0 || !self.authority_min_excitation_w.is_finite() {
-            return Err(CapGpuError::BadConfig(
-                "supervisor.authority_min_excitation_w must be finite and > 0".into(),
             ));
         }
         if self.recovery_periods == 0 {
@@ -184,7 +153,8 @@ pub struct HealthSample<'a> {
     pub setpoint: f64,
     /// BMC-advertised PSU limit, if a derate is active (W).
     pub psu_limit: Option<f64>,
-    /// Per-device mean applied frequency over the period (MHz).
+    /// Per-device mean applied frequency over the period (MHz); unread,
+    /// the loop's model tracker records the clocks.
     pub applied_mean: &'a [f64],
     /// Per-device ejected flags.
     pub ejected: &'a [bool],
@@ -198,8 +168,8 @@ pub struct Directive {
     /// The set-point the acting controller should regulate to — the
     /// operator's request, clamped under any advertised PSU limit.
     pub effective_setpoint: f64,
-    /// Whether the authority detector currently declares the plant
-    /// unresponsive (exposed for traces and diagnostics).
+    /// Whether the model tracker's authority verdict declared the plant
+    /// unresponsive this period (exposed for traces and diagnostics).
     pub authority_lost: bool,
     /// Consecutive meter-silent periods at this decision (0 when the
     /// meter is fresh). Telemetry: how deep into the staleness ladder
@@ -214,56 +184,33 @@ pub struct Directive {
 #[derive(Debug, Clone)]
 pub struct Supervisor {
     cfg: SupervisorConfig,
-    /// Identified per-device power gains (W/MHz) for predicted Δp.
-    gains: Vec<f64>,
     tier: SupervisorTier,
     /// Consecutive meter-silent periods.
     stale_run: usize,
     /// Consecutive fully-healthy periods (drives recovery).
     healthy_run: usize,
-    /// Last fresh period's (applied frequencies, measured power), the
-    /// reference point for the next residual pair.
-    prev: Option<(Vec<f64>, f64)>,
-    /// Sliding (predicted Δp, observed Δp) window.
-    window: VecDeque<(f64, f64)>,
-    /// Latest authority verdict.
-    authority_lost: bool,
     /// Per-device quarantine flags (set on ejection, released after
     /// `recovery_periods` healthy periods post re-admission).
     quarantined: Vec<bool>,
     /// Healthy streak per quarantined device since re-admission.
     readmit_ok: Vec<usize>,
-    /// Previous period's ejected flags (residuals reset on change).
-    prev_ejected: Vec<bool>,
 }
 
 impl Supervisor {
-    /// Creates a supervisor for `n_devices` devices with the identified
-    /// per-device gains (W/MHz) used by the authority detector.
+    /// Creates a supervisor for `n_devices` devices. `_gains` is unread
+    /// (the authority verdict comes from [`Ladder::decide`]'s tracker).
     ///
     /// # Errors
-    /// [`CapGpuError::BadConfig`] on invalid thresholds or a gains/device
-    /// count mismatch.
-    pub fn new(cfg: SupervisorConfig, gains: Vec<f64>, n_devices: usize) -> Result<Self> {
+    /// [`CapGpuError::BadConfig`] on invalid thresholds.
+    pub fn new(cfg: SupervisorConfig, _gains: Vec<f64>, n_devices: usize) -> Result<Self> {
         cfg.validate()?;
-        if gains.len() != n_devices {
-            return Err(CapGpuError::BadConfig(format!(
-                "{} supervisor gains for {n_devices} devices",
-                gains.len()
-            )));
-        }
         Ok(Supervisor {
             cfg,
-            gains,
             tier: SupervisorTier::Primary,
             stale_run: 0,
             healthy_run: 0,
-            prev: None,
-            window: VecDeque::with_capacity(cfg.authority_window),
-            authority_lost: false,
             quarantined: vec![false; n_devices],
             readmit_ok: vec![0; n_devices],
-            prev_ejected: vec![false; n_devices],
         })
     }
 
@@ -273,25 +220,15 @@ impl Supervisor {
     }
 
     /// Restores journaled state after a crash-recovery replay: the
-    /// ladder tier and the quarantine set (device indices). The
-    /// authority window and residual chain start empty — they are
-    /// evidence about the *running* plant and must be re-earned, not
-    /// replayed — and the healthy streak resets, so a restored degraded
-    /// tier still needs `recovery_periods` fresh healthy periods per
-    /// step back up.
+    /// ladder tier and the quarantine set (device indices). The healthy
+    /// streak resets, so a restored degraded tier still needs
+    /// `recovery_periods` fresh healthy periods per step back up.
     pub fn restore(&mut self, tier: SupervisorTier, quarantined: &[usize]) {
         self.tier = tier;
         self.stale_run = 0;
         self.healthy_run = 0;
-        self.prev = None;
-        self.window.clear();
-        self.authority_lost = false;
-        for q in self.quarantined.iter_mut() {
-            *q = false;
-        }
-        for r in self.readmit_ok.iter_mut() {
-            *r = 0;
-        }
+        self.quarantined.fill(false);
+        self.readmit_ok.fill(0);
         for &d in quarantined {
             if let Some(q) = self.quarantined.get_mut(d) {
                 *q = true;
@@ -304,10 +241,14 @@ impl Supervisor {
         &self.quarantined
     }
 
-    /// Ingests one period's health evidence and returns the directive
-    /// for the imminent control decision. Allocation-free after the
-    /// first few calls — this sits on the control hot path.
+    /// Ingests one period's health evidence, with no authority verdict,
+    /// and returns the directive for the imminent control decision.
     pub fn step(&mut self, obs: &HealthSample<'_>) -> Directive {
+        self.judge(obs, false)
+    }
+
+    /// [`Supervisor::step`] with the period's authority verdict.
+    fn judge(&mut self, obs: &HealthSample<'_>, authority_lost: bool) -> Directive {
         // --- staleness watchdog -------------------------------------
         let stale = obs.fresh_samples == 0;
         if stale {
@@ -315,59 +256,6 @@ impl Supervisor {
         } else {
             self.stale_run = 0;
         }
-
-        // --- actuation-authority residuals --------------------------
-        // Residual pairs only span consecutive *fresh* periods with an
-        // unchanged ejection pattern: a stale gap breaks the chain, and
-        // an ejection/re-admission step change in power is topology, not
-        // lost authority.
-        if obs.ejected != self.prev_ejected.as_slice() {
-            self.prev_ejected.copy_from_slice(obs.ejected);
-            self.prev = None;
-            self.window.clear();
-        }
-        if stale {
-            self.prev = None;
-        } else {
-            if let Some((pf, pp)) = &self.prev {
-                let mut predicted = 0.0;
-                for (((g, &ej), &now), &was) in self
-                    .gains
-                    .iter()
-                    .zip(obs.ejected)
-                    .zip(obs.applied_mean)
-                    .zip(pf.iter())
-                {
-                    if !ej {
-                        predicted += g * (now - was);
-                    }
-                }
-                let observed = obs.avg_power - pp;
-                if self.window.len() == self.cfg.authority_window {
-                    self.window.pop_front();
-                }
-                self.window.push_back((predicted, observed));
-            }
-            match &mut self.prev {
-                Some((pf, pp)) => {
-                    pf.copy_from_slice(obs.applied_mean);
-                    *pp = obs.avg_power;
-                }
-                None => self.prev = Some((obs.applied_mean.to_vec(), obs.avg_power)),
-            }
-        }
-        self.authority_lost = if self.window.len() == self.cfg.authority_window {
-            let excitation: f64 = self.window.iter().map(|(p, _)| p.abs()).sum();
-            if excitation >= self.cfg.authority_min_excitation_w {
-                let num: f64 = self.window.iter().map(|(p, o)| p * o).sum();
-                let den: f64 = self.window.iter().map(|(p, _)| p * p).sum();
-                num / den < self.cfg.authority_min_ratio
-            } else {
-                false
-            }
-        } else {
-            false
-        };
 
         // --- per-device quarantine ----------------------------------
         for d in 0..self.quarantined.len() {
@@ -385,7 +273,7 @@ impl Supervisor {
         // --- ladder: immediate escalation, hysteretic recovery ------
         let desired = if self.stale_run >= self.cfg.stale_park_periods {
             SupervisorTier::Park
-        } else if self.stale_run >= self.cfg.stale_fallback_periods || self.authority_lost {
+        } else if self.stale_run >= self.cfg.stale_fallback_periods || authority_lost {
             SupervisorTier::SafeFallback
         } else {
             SupervisorTier::Primary
@@ -403,8 +291,6 @@ impl Supervisor {
             {
                 self.tier = self.tier.step_down();
                 self.healthy_run = 0;
-                // A recovered tier must re-earn authority evidence.
-                self.window.clear();
             }
         } else {
             self.healthy_run = 0;
@@ -419,7 +305,7 @@ impl Supervisor {
         Directive {
             tier: self.tier,
             effective_setpoint,
-            authority_lost: self.authority_lost,
+            authority_lost,
             stale_periods: self.stale_run,
         }
     }
@@ -458,10 +344,9 @@ pub struct Ladder {
 }
 
 impl Ladder {
-    /// Builds the ladder for an identified `model`: the supervisor's
-    /// authority detector predicts Δp from the model's gains, and the
-    /// fallback (step ×1) takes the safety margin those gains and the
-    /// meter's noise imply.
+    /// Builds the ladder for an identified `model`: the fallback (step
+    /// ×1) takes the safety margin the model's gains and the meter's
+    /// noise imply.
     ///
     /// # Errors
     /// [`CapGpuError::BadConfig`] on invalid thresholds or a model whose
@@ -473,7 +358,7 @@ impl Ladder {
         meter_noise_std: f64,
     ) -> Result<Self> {
         Ok(Ladder {
-            supervisor: Supervisor::new(cfg, model.gains().to_vec(), layout.len())?,
+            supervisor: Supervisor::new(cfg, Vec::new(), layout.len())?,
             fallback: SafeFixedStepController::with_model_margin(
                 layout.clone(),
                 model.gains(),
@@ -494,13 +379,15 @@ impl Ladder {
         self.supervisor.restore(tier, quarantined);
     }
 
-    /// One period's decision: ingest `health`, then let the rung the
-    /// supervisor chose compute the targets — `primary`, the fallback,
-    /// or (parked) `input.floors`, the SLO floors where set and the
-    /// hardware minima otherwise. The acting controller regulates to the
-    /// directive's effective set-point, not `input.setpoint`, and
+    /// One period's decision: ingest `health` and the authority verdict
+    /// of `tracker` (which has recorded this period), then let the rung
+    /// the supervisor chose compute the targets — `primary`, the
+    /// fallback, or (parked) `input.floors`, the SLO floors where set and
+    /// the hardware minima otherwise. The acting controller regulates to
+    /// the directive's effective set-point, not `input.setpoint`, and
     /// quarantined devices are pinned at their hardware floor whichever
-    /// rung acted.
+    /// rung acted. A step back up the ladder clears the tracker's
+    /// authority window: the recovered tier must re-earn its evidence.
     ///
     /// # Errors
     /// The acting controller's error, or [`CapGpuError::BadConfig`] when
@@ -508,10 +395,15 @@ impl Ladder {
     pub fn decide(
         &mut self,
         primary: &mut dyn PowerController,
+        tracker: &mut ScaledModelTracker,
         health: &HealthSample<'_>,
         input: &ControlInput<'_>,
     ) -> Result<Decision> {
-        let directive = self.supervisor.step(health);
+        let before = self.supervisor.tier;
+        let directive = self.supervisor.judge(health, tracker.authority_lost());
+        if directive.tier < before {
+            tracker.clear_authority();
+        }
         let input = ControlInput {
             setpoint: directive.effective_setpoint,
             ..input.clone()
@@ -595,49 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn authority_loss_demotes() {
-        let mut s = sup();
-        let ejected = [false; 4];
-        // Commanded swings of ±100 MHz on every GPU (predicted ±90 W)
-        // with zero observed response: a stuck plant.
-        let hi = [2000.0, 1000.0, 1000.0, 1000.0];
-        let lo = [2000.0, 900.0, 900.0, 900.0];
-        let mut tier = SupervisorTier::Primary;
-        for i in 0..10 {
-            let applied = if i % 2 == 0 { &hi } else { &lo };
-            tier = s.step(&healthy(applied, &ejected, 950.0)).tier;
-        }
-        assert_eq!(tier, SupervisorTier::SafeFallback);
-        // A responsive plant keeps authority.
-        let mut s = sup();
-        let mut power = 950.0;
-        for i in 0..10 {
-            let applied: &[f64] = if i % 2 == 0 { &hi } else { &lo };
-            power = 950.0 + if i % 2 == 0 { 45.0 } else { -45.0 };
-            assert_eq!(
-                s.step(&healthy(applied, &ejected, power)).tier,
-                SupervisorTier::Primary
-            );
-        }
-        let _ = power;
-    }
-
-    #[test]
-    fn converged_loop_never_trips_authority() {
-        // Near-zero excitation must not produce a verdict, whatever the
-        // (noise-dominated) observed deltas say.
-        let mut s = sup();
-        let ejected = [false; 4];
-        let applied = [2000.0, 900.0, 900.0, 900.0];
-        for i in 0..20 {
-            let p = 900.0 + if i % 2 == 0 { 4.0 } else { -4.0 };
-            let d = s.step(&healthy(&applied, &ejected, p));
-            assert!(!d.authority_lost);
-            assert_eq!(d.tier, SupervisorTier::Primary);
-        }
-    }
-
-    #[test]
     fn psu_limit_clamps_effective_setpoint() {
         let mut s = sup();
         let applied = [2000.0, 900.0, 900.0, 900.0];
@@ -667,28 +516,6 @@ mod tests {
         }
         s.step(&healthy(&applied, &ejected, 900.0));
         assert!(!s.quarantined()[2]);
-    }
-
-    #[test]
-    fn ejection_change_resets_residual_chain() {
-        // The power cliff from an ejection must not read as lost
-        // authority.
-        let mut s = sup();
-        let hi = [2000.0, 1000.0, 1000.0, 1000.0];
-        let lo = [2000.0, 900.0, 900.0, 900.0];
-        let healthy_flags = [false; 4];
-        let mut power = 950.0;
-        for i in 0..3 {
-            let applied: &[f64] = if i % 2 == 0 { &hi } else { &lo };
-            power = 950.0 + if i % 2 == 0 { 45.0 } else { -45.0 };
-            s.step(&healthy(applied, &healthy_flags, power));
-        }
-        let mut flags = [false; 4];
-        flags[1] = true;
-        // 250 W cliff with an ejection: chain must reset, no demotion.
-        let d = s.step(&healthy(&lo, &flags, power - 250.0));
-        assert!(!d.authority_lost);
-        assert_eq!(d.tier, SupervisorTier::Primary);
     }
 
     // -- Ladder ---------------------------------------------------------
@@ -728,6 +555,10 @@ mod tests {
         }
     }
 
+    fn model() -> LinearPowerModel {
+        LinearPowerModel::new(vec![0.1, 0.3, 0.3, 0.3], 300.0).unwrap()
+    }
+
     fn ladder() -> Ladder {
         use capgpu_sim::DeviceKind::{Cpu, Gpu};
         let layout = DeviceLayout::new(
@@ -736,8 +567,12 @@ mod tests {
             vec![2400.0, 1350.0, 1350.0, 1350.0],
         )
         .unwrap();
-        let model = LinearPowerModel::new(vec![0.1, 0.3, 0.3, 0.3], 300.0).unwrap();
-        Ladder::new(SupervisorConfig::default(), &layout, &model, 2.0).unwrap()
+        Ladder::new(SupervisorConfig::default(), &layout, &model(), 2.0).unwrap()
+    }
+
+    /// A tracker anchored at the ladder's model, as the loops build it.
+    fn tracker() -> ScaledModelTracker {
+        ScaledModelTracker::new(model(), 0.95, &[]).unwrap()
     }
 
     fn input(measured_power: f64) -> ControlInput<'static> {
@@ -760,28 +595,35 @@ mod tests {
     #[test]
     fn each_tier_takes_its_targets_from_exactly_one_source() {
         let mut l = ladder();
+        let mut tr = tracker();
         let mut primary = Stub::returning(&[1111.0, 1112.0, 1113.0, 1114.0]);
         let ejected = [false; 4];
         let ok = healthy(&CURRENT, &ejected, 900.0);
-        let d = l.decide(&mut primary, &ok, &input(900.0)).unwrap();
+        let d = l.decide(&mut primary, &mut tr, &ok, &input(900.0)).unwrap();
         assert_eq!(d.directive.tier, SupervisorTier::Primary);
         assert_eq!(d.targets, primary.out);
         assert_eq!(primary.calls, 1);
 
         let mut stale = ok;
         stale.fresh_samples = 0;
-        l.decide(&mut primary, &stale, &input(900.0)).unwrap();
+        l.decide(&mut primary, &mut tr, &stale, &input(900.0))
+            .unwrap();
         assert_eq!(primary.calls, 2, "one silent period is still primary");
-        let d = l.decide(&mut primary, &stale, &input(900.0)).unwrap();
+        let d = l
+            .decide(&mut primary, &mut tr, &stale, &input(900.0))
+            .unwrap();
         assert_eq!(d.directive.tier, SupervisorTier::SafeFallback);
         assert_eq!(d.directive.stale_periods, 2);
         assert_eq!(moved(&d.targets).len(), 1, "fixed-step moves one device");
         assert_eq!(primary.calls, 2, "the primary sat the fallback period out");
 
         for _ in 0..2 {
-            l.decide(&mut primary, &stale, &input(900.0)).unwrap();
+            l.decide(&mut primary, &mut tr, &stale, &input(900.0))
+                .unwrap();
         }
-        let d = l.decide(&mut primary, &stale, &input(900.0)).unwrap();
+        let d = l
+            .decide(&mut primary, &mut tr, &stale, &input(900.0))
+            .unwrap();
         assert_eq!(d.directive.tier, SupervisorTier::Park);
         assert_eq!(d.targets, FLOORS, "park holds the SLO floors, not f_min");
         assert_eq!(primary.calls, 2);
@@ -790,23 +632,30 @@ mod tests {
     #[test]
     fn acting_controller_regulates_to_the_clamped_setpoint() {
         let mut l = ladder();
+        let mut tr = tracker();
         let mut primary = Stub::returning(&CURRENT);
         let ejected = [false; 4];
         let mut derated = healthy(&CURRENT, &ejected, 800.0);
         derated.psu_limit = Some(700.0);
-        let d = l.decide(&mut primary, &derated, &input(800.0)).unwrap();
+        let d = l
+            .decide(&mut primary, &mut tr, &derated, &input(800.0))
+            .unwrap();
         assert_eq!(d.directive.effective_setpoint, 690.0);
         assert_eq!(primary.seen_setpoint, 690.0);
 
         // 800 W is under the operator's 900 W but over the clamped 690 W:
         // the direction of the fallback's one step shows which it saw.
         l.restore(SupervisorTier::SafeFallback, &[]);
-        let d = l.decide(&mut primary, &derated, &input(800.0)).unwrap();
+        let d = l
+            .decide(&mut primary, &mut tr, &derated, &input(800.0))
+            .unwrap();
         assert_eq!(d.directive.tier, SupervisorTier::SafeFallback);
         let dev = moved(&d.targets)[0];
         assert!(d.targets[dev] < CURRENT[dev], "fallback stepped up: {d:?}");
         derated.psu_limit = None;
-        let d = l.decide(&mut primary, &derated, &input(800.0)).unwrap();
+        let d = l
+            .decide(&mut primary, &mut tr, &derated, &input(800.0))
+            .unwrap();
         let dev = moved(&d.targets)[0];
         assert!(
             d.targets[dev] > CURRENT[dev],
@@ -825,20 +674,22 @@ mod tests {
             SupervisorTier::Park,
         ] {
             let mut l = ladder();
+            let mut tr = tracker();
             l.restore(tier, &[2]);
-            let d = l.decide(&mut primary, &ok, &input(900.0)).unwrap();
+            let d = l.decide(&mut primary, &mut tr, &ok, &input(900.0)).unwrap();
             assert_eq!(d.directive.tier, tier);
             assert_eq!(d.targets[2], F_MIN[2], "{tier:?}: SLO floor is 600");
             assert_ne!(d.targets[3], F_MIN[3], "{tier:?}: device 3 is not pinned");
         }
         // The pin lifts with the quarantine.
         let mut l = ladder();
+        let mut tr = tracker();
         l.restore(SupervisorTier::Primary, &[2]);
         for _ in 0..4 {
-            let d = l.decide(&mut primary, &ok, &input(900.0)).unwrap();
+            let d = l.decide(&mut primary, &mut tr, &ok, &input(900.0)).unwrap();
             assert_eq!(d.targets[2], F_MIN[2]);
         }
-        let d = l.decide(&mut primary, &ok, &input(900.0)).unwrap();
+        let d = l.decide(&mut primary, &mut tr, &ok, &input(900.0)).unwrap();
         assert_eq!(d.targets[2], 1113.0);
     }
 
@@ -850,6 +701,7 @@ mod tests {
         let err = l
             .decide(
                 &mut primary,
+                &mut tracker(),
                 &healthy(&CURRENT, &ejected, 900.0),
                 &input(900.0),
             )
@@ -858,6 +710,123 @@ mod tests {
             matches!(&err, CapGpuError::BadConfig(m) if m == "controller returned 3 targets for 4 devices"),
             "{err}"
         );
+    }
+
+    // -- Authority: the tracker's pairs, read through the ladder --------
+
+    /// Commanded swings of ±100 MHz on every GPU: ±90 W predicted.
+    const HI: [f64; 4] = [2000.0, 1000.0, 1000.0, 1000.0];
+    const LO: [f64; 4] = [2000.0, 900.0, 900.0, 900.0];
+
+    /// One period as the loops run it: the tracker records the fresh
+    /// period, then the ladder decides on its verdict.
+    fn period(
+        l: &mut Ladder,
+        tr: &mut ScaledModelTracker,
+        applied: &[f64],
+        ejected: &[bool],
+        power: f64,
+    ) -> Directive {
+        tr.record(applied, ejected, power, true);
+        let mut primary = Stub::returning(&CURRENT);
+        let health = healthy(applied, ejected, power);
+        l.decide(&mut primary, tr, &health, &input(power))
+            .unwrap()
+            .directive
+    }
+
+    #[test]
+    fn authority_loss_demotes() {
+        let (mut l, mut tr) = (ladder(), tracker());
+        let ejected = [false; 4];
+        // Zero observed response to the swings: a stuck plant.
+        let mut tier = SupervisorTier::Primary;
+        for i in 0..10 {
+            let applied = if i % 2 == 0 { &HI } else { &LO };
+            tier = period(&mut l, &mut tr, applied, &ejected, 950.0).tier;
+        }
+        assert_eq!(tier, SupervisorTier::SafeFallback);
+        // A responsive plant keeps authority.
+        let (mut l, mut tr) = (ladder(), tracker());
+        for i in 0..10 {
+            let applied: &[f64] = if i % 2 == 0 { &HI } else { &LO };
+            let power = 950.0 + if i % 2 == 0 { 45.0 } else { -45.0 };
+            assert_eq!(
+                period(&mut l, &mut tr, applied, &ejected, power).tier,
+                SupervisorTier::Primary
+            );
+        }
+    }
+
+    #[test]
+    fn authority_verdict_needs_a_full_window_and_restarts_on_recovery() {
+        let (mut l, mut tr) = (ladder(), tracker());
+        let ejected = [false; 4];
+        // The first period starts the chain; the sixth pair after it
+        // fills the window and decides.
+        for i in 0..7 {
+            let applied = if i % 2 == 0 { &HI } else { &LO };
+            let d = period(&mut l, &mut tr, applied, &ejected, 950.0);
+            assert_eq!(d.authority_lost, i == 6, "period {i}");
+        }
+        // A responsive plant wins the window back; after the recovery
+        // streak the tier steps up, and the stuck pairs it replaced are
+        // gone: six fresh stuck pairs are needed to demote again.
+        let mut i = 7;
+        while l.supervisor().tier() != SupervisorTier::Primary {
+            let applied: &[f64] = if i % 2 == 0 { &HI } else { &LO };
+            let power = 950.0 + if i % 2 == 0 { 45.0 } else { -45.0 };
+            period(&mut l, &mut tr, applied, &ejected, power);
+            i += 1;
+            assert!(i < 40, "never recovered");
+        }
+        for k in 0..6 {
+            let applied = if (i + k) % 2 == 0 { &HI } else { &LO };
+            let d = period(&mut l, &mut tr, applied, &ejected, 950.0);
+            assert_eq!(d.authority_lost, k == 5, "stuck pair {}", k + 1);
+        }
+    }
+
+    #[test]
+    fn converged_loop_never_trips_authority() {
+        // Near-zero excitation must not produce a verdict, whatever the
+        // (noise-dominated) observed deltas say.
+        let (mut l, mut tr) = (ladder(), tracker());
+        let ejected = [false; 4];
+        for i in 0..20 {
+            let p = 900.0 + if i % 2 == 0 { 4.0 } else { -4.0 };
+            let d = period(&mut l, &mut tr, &LO, &ejected, p);
+            assert!(!d.authority_lost);
+            assert_eq!(d.tier, SupervisorTier::Primary);
+        }
+    }
+
+    #[test]
+    fn ejection_change_resets_residual_chain() {
+        // The power cliff from an ejection must not read as lost
+        // authority.
+        let (mut l, mut tr) = (ladder(), tracker());
+        let healthy_flags = [false; 4];
+        let mut power = 950.0;
+        for i in 0..3 {
+            let applied: &[f64] = if i % 2 == 0 { &HI } else { &LO };
+            power = 950.0 + if i % 2 == 0 { 45.0 } else { -45.0 };
+            period(&mut l, &mut tr, applied, &healthy_flags, power);
+        }
+        let mut flags = [false; 4];
+        flags[1] = true;
+        // 250 W cliff with an ejection: chain must reset, no demotion.
+        let d = period(&mut l, &mut tr, &LO, &flags, power - 250.0);
+        assert!(!d.authority_lost);
+        assert_eq!(d.tier, SupervisorTier::Primary);
+        // The reset chain leaves the ejected device out: its clock
+        // swings predict nothing, so a stuck plant under the remaining
+        // two GPUs' ±60 W swings demotes once six new pairs are in.
+        for k in 0..6 {
+            let applied = if k % 2 == 0 { &HI } else { &LO };
+            let d = period(&mut l, &mut tr, applied, &flags, power - 250.0);
+            assert_eq!(d.authority_lost, k == 5, "pair {}", k + 1);
+        }
     }
 
     #[test]
@@ -875,21 +844,6 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         let bad = SupervisorConfig {
-            authority_window: 1,
-            ..ok
-        };
-        assert!(bad.validate().is_err());
-        let bad = SupervisorConfig {
-            authority_min_ratio: 1.0,
-            ..ok
-        };
-        assert!(bad.validate().is_err());
-        let bad = SupervisorConfig {
-            authority_min_excitation_w: 0.0,
-            ..ok
-        };
-        assert!(bad.validate().is_err());
-        let bad = SupervisorConfig {
             recovery_periods: 0,
             ..ok
         };
@@ -899,7 +853,6 @@ mod tests {
             ..ok
         };
         assert!(bad.validate().is_err());
-        assert!(Supervisor::new(ok, vec![0.1; 3], 4).is_err());
     }
 
     #[test]

@@ -224,6 +224,37 @@ fn supervisor_cuts_cap_violation_under_fault_storm() {
     );
 }
 
+/// The authority verdict, now read from the model tracker's pairs,
+/// reacts as fast as the supervisor's own residual window did. At
+/// period 20 every GPU's power gain drops to a quarter; at a 700 W cap
+/// the loop keeps moving its clocks to chase it, and the plant answers a
+/// quarter of what the model predicts. The supervisor's own window
+/// first fell back at period 28 on this run; the tracker's verdict must
+/// demote no later.
+#[test]
+fn gain_drift_to_a_quarter_demotes_no_later_than_the_residual_window() {
+    let mut scenario = Scenario::paper_testbed(42).with_supervisor(SupervisorConfig::default());
+    for device in 1..=3 {
+        scenario = scenario.with_change(ScheduledChange::GainDrift {
+            at_period: 20,
+            device,
+            factor: 0.25,
+        });
+    }
+    let mut r = ExperimentRunner::new(scenario, 700.0).unwrap();
+    let c = r.build_capgpu_controller().unwrap();
+    let trace = r.run(c, 40).unwrap();
+    let first_fallback = trace
+        .records
+        .iter()
+        .find(|rec| rec.supervisor_tier == SupervisorTier::SafeFallback.as_u8())
+        .map(|rec| rec.period);
+    assert!(
+        first_fallback.is_some_and(|p| (20..=28).contains(&p)),
+        "first SafeFallback period {first_fallback:?}"
+    );
+}
+
 #[test]
 fn determinism_same_seed_same_trace() {
     let run = |seed| {

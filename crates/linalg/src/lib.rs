@@ -39,7 +39,6 @@ pub mod cholesky;
 pub mod lstsq;
 pub mod matrix;
 pub mod qr;
-pub mod rls;
 pub mod stats;
 pub mod svd;
 pub mod vector;
@@ -48,7 +47,6 @@ pub use cholesky::Cholesky;
 pub use lstsq::{solve as lstsq_solve, LstsqFit};
 pub use matrix::Matrix;
 pub use qr::Qr;
-pub use rls::RlsFactor;
 pub use svd::{condition_number, singular_values};
 
 /// Error type shared by all factorization and solve routines.
