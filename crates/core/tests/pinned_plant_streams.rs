@@ -323,6 +323,16 @@ fn serve_cases() -> Vec<ServeCase> {
             arrival: ArrivalProcess::Poisson { rate_rps: 30.0 },
             batch_timeout_s: 0.0,
         },
+        // A timeout longer than any request's latency: every batch fills
+        // before its timer fires, so each size-triggered dispatch leaves
+        // the armed timer stale and several are pending at once
+        // (`stale_timers_stack_in_the_fifo` in the engine's unit tests
+        // reads the depth).
+        ServeCase {
+            name: "stacked_stale_timers",
+            arrival: ArrivalProcess::Poisson { rate_rps: 100.0 },
+            batch_timeout_s: 0.5,
+        },
     ]
 }
 
@@ -335,16 +345,35 @@ fn serve_hash(case: &ServeCase, seed: u64) -> u64 {
         max_batch: 20,
         batch_overhead: 0.3,
     };
+    let max_batch = model.max_batch;
     let arrivals = ArrivalGen::new(case.arrival.clone(), seed).expect("arrivals");
     let mut engine = ServeEngine::new(model, case.batch_timeout_s, 200, arrivals).expect("engine");
     let mut stats = ServeWindowStats::default();
     let mut h = Fnv::new();
+    let (mut partial, mut slowest) = (0, 0.0f64);
     for k in 0..WINDOWS {
         engine.advance_into(1.0, clock_mhz(k, 500.0, 1380.0), &mut stats);
         hash_serve_window(&mut h, &stats);
+        partial += stats.batch_sizes.iter().filter(|&&b| b < max_batch).count();
+        slowest = stats
+            .request_latencies
+            .iter()
+            .fold(slowest, |a, &l| a.max(l));
     }
     if case.name == "overload_sheds" {
         assert!(engine.dropped_total() > 0, "overload never shed");
+    }
+    if case.name == "stacked_stale_timers" {
+        // A live timer either dispatches a partial batch, or fires while a
+        // batch is in flight at the deadline of the queue front left
+        // behind. That front then waits longer than the timeout, which no
+        // completed request did, so it is still queued or in flight at
+        // the end. Timer events beyond those are stale ones.
+        assert!(slowest < case.batch_timeout_s, "a request took {slowest} s");
+        let done = engine.batches_total() - u64::from(engine.in_flight_len() > 0);
+        let timers = engine.events_total() - engine.arrivals_total() - done;
+        let live = partial + engine.queue_len() + engine.in_flight_len();
+        assert!(timers > live as u64, "{timers} timer events, {live} live");
     }
     h.u64(engine.arrivals_total());
     h.u64(engine.completions_total());
@@ -367,7 +396,7 @@ fn serve_engine_streams_are_pinned() {
     check("ServeEngine", &got, &SERVE_PINS);
 }
 
-const SERVE_PINS: [(&str, [u64; 3]); 3] = [
+const SERVE_PINS: [(&str, [u64; 3]); 4] = [
     (
         "underload",
         [0xdcf13af795970500, 0xd02428d084ec921f, 0x51a8a9617bdbe497],
@@ -379,6 +408,10 @@ const SERVE_PINS: [(&str, [u64; 3]); 3] = [
     (
         "zero_timeout_trickle",
         [0x8bd23fe12c408fb9, 0x552f7ec973bf8f05, 0xe6ed048f3ef9db2e],
+    ),
+    (
+        "stacked_stale_timers",
+        [0x4cfc175447c98c9e, 0xcf87b14c00a8a70c, 0xed3c6759731b15e2],
     ),
 ];
 

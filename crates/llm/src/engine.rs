@@ -27,8 +27,9 @@
 //!
 //! Exactly two events can be pending — the next request arrival (always)
 //! and the completion of the step in flight (while there is one) — so
-//! the queue is those two slots, and the earlier by `(time, sequence)`
-//! is next; the sequence number, taken when an event is scheduled, makes
+//! the queue is those two slots, and the earlier by [`Due::before`] —
+//! the `(time, sequence)` rule `ServeEngine` schedules by too — is next;
+//! the sequence number, taken when an event is scheduled, makes
 //! simultaneous events resolve in scheduling order. Prompt/output
 //! lengths come from a second seeded stream drawn in arrival order. Same
 //! seed, same token trace, bit-identical across runs and thread counts.
@@ -42,10 +43,9 @@
 //! only *how many* requests decode: completing it finds them again by the
 //! same test, in one more pass.
 
-use std::cmp::Ordering;
 use std::collections::VecDeque;
 
-use capgpu_serve::{ArrivalGen, ServeWindowStats};
+use capgpu_serve::{ArrivalGen, Due, ServeWindowStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -94,24 +94,6 @@ enum EventKind {
     Arrival,
     /// The in-flight scheduler step completes.
     StepDone,
-}
-
-/// When a scheduled event is due: `(time, sequence)` is a strict total
-/// order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Due {
-    at: f64,
-    seq: u64,
-}
-
-impl Due {
-    fn before(self, other: Due) -> bool {
-        self.at
-            .partial_cmp(&other.at)
-            .expect("event times are finite")
-            .then_with(|| self.seq.cmp(&other.seq))
-            == Ordering::Less
-    }
 }
 
 /// The two frequency-law factors at a window's effective clock.

@@ -88,6 +88,7 @@ impl ArrivalGen {
 
     /// Draws the next arrival time strictly after `t`: an exponential
     /// gap at the scaled rate.
+    #[inline]
     pub fn next_after(&mut self, t: f64) -> f64 {
         let rate = self.process.mean_rate_rps() * self.scale;
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);

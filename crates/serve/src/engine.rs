@@ -17,13 +17,16 @@
 //! sample stream that feeds `SloTracker` for measured-p99 constraint
 //! checking.
 //!
-//! Internally a single binary heap orders three event kinds — request
-//! arrival, batcher timeout, batch completion — by `(time, sequence)`;
-//! the sequence number makes simultaneous events deterministically
-//! ordered, so the whole engine is bit-reproducible per seed.
+//! Three event kinds can be pending — the next request arrival (always),
+//! the in-flight batch's completion, and the armed batcher timers — and
+//! the next event is the earliest of the three by [`Due::before`]. Timers
+//! wait in a FIFO: every deadline armed is no earlier than the ones before
+//! it, so the FIFO's front is the earliest timer and stale ones still fire
+//! at their own time. The sequence number makes simultaneous events
+//! resolve in scheduling order, so the engine is bit-reproducible per seed.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::arrivals::ArrivalGen;
 use crate::{Result, ServeError};
@@ -128,7 +131,8 @@ pub struct ServeWindowStats {
     pub request_latencies: Vec<f64>,
     /// Queue length at window end.
     pub queue_len_end: usize,
-    /// Heap events processed during the window.
+    /// Events processed during the window, stale batcher timers
+    /// included.
     pub events: usize,
     /// Size of every batch *completed* in the window, in completion
     /// order (telemetry: batch-size histograms). `len() == batches`.
@@ -204,54 +208,45 @@ impl ServeWindowStats {
     }
 }
 
-/// Event kinds ordered by the engine's heap.
+/// When a scheduled event is due: `(time, sequence)` is a strict total
+/// order, the one both request-level engines schedule by.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Due {
+    /// Simulated time the event fires (s).
+    pub at: f64,
+    /// Scheduling sequence number, which orders simultaneous events.
+    pub seq: u64,
+}
+
+impl Due {
+    /// Whether `self` fires strictly before `other`.
+    #[inline]
+    pub fn before(self, other: Due) -> bool {
+        self.at
+            .partial_cmp(&other.at)
+            .expect("event times are finite")
+            .then_with(|| self.seq.cmp(&other.seq))
+            == Ordering::Less
+    }
+}
+
+/// The three event kinds of the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EventKind {
     /// A request arrives.
     Arrival,
-    /// The batcher's size-or-timeout timer fires; stale timers (whose
-    /// generation no longer matches) are ignored.
-    BatchTimeout {
-        /// Timer generation at arming time.
-        gen: u64,
-    },
+    /// The front batcher timer fires; all but the last one armed are
+    /// stale and do nothing.
+    BatchTimeout,
     /// The in-flight batch completes.
     BatchDone,
-}
-
-/// A heap event: `(time, sequence)` gives a strict total order, so
-/// simultaneous events resolve deterministically in scheduling order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Event {
-    at: f64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl Eq for Event {}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .at
-            .partial_cmp(&self.at)
-            .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// The batch currently executing on the GPU.
 #[derive(Debug, Clone)]
 struct InFlight {
     started_at: f64,
-    done_at: f64,
+    done: Due,
     /// Arrival timestamps of the batched requests.
     requests: Vec<f64>,
 }
@@ -264,13 +259,16 @@ pub struct ServeEngine {
     queue_capacity: usize,
     arrivals: ArrivalGen,
     now: f64,
-    heap: BinaryHeap<Event>,
+    /// The one pending arrival.
+    next_arrival: Due,
+    /// Armed batcher timers in arming order, stale ones included.
+    timers: VecDeque<Due>,
+    /// Sequence number of the most recently scheduled event.
     seq: u64,
     /// Arrival timestamps of queued requests, FIFO.
     queue: VecDeque<f64>,
     in_flight: Option<InFlight>,
-    /// Generation of the currently armed batcher timer.
-    timer_gen: u64,
+    /// Whether the last timer armed is still live.
     timer_armed: bool,
     /// Recycled batch buffer (no per-batch allocation).
     spare: Vec<f64>,
@@ -307,17 +305,17 @@ impl ServeEngine {
             return Err(ServeError::BadConfig("queue must hold one full batch"));
         }
         let first = arrivals.next_after(0.0);
-        let mut engine = ServeEngine {
+        Ok(ServeEngine {
             model,
             batch_timeout_s,
             queue_capacity,
             arrivals,
             now: 0.0,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            next_arrival: Due { at: first, seq: 1 },
+            timers: VecDeque::new(),
+            seq: 1,
             queue: VecDeque::new(),
             in_flight: None,
-            timer_gen: 0,
             timer_armed: false,
             spare: Vec::new(),
             arrivals_total: 0,
@@ -327,9 +325,7 @@ impl ServeEngine {
             events_total: 0,
             monotone: true,
             last_event_at: 0.0,
-        };
-        engine.push(first, EventKind::Arrival);
-        Ok(engine)
+        })
     }
 
     /// Simulation clock (s).
@@ -367,13 +363,13 @@ impl ServeEngine {
         self.batches_total
     }
 
-    /// Lifetime heap events processed.
+    /// Lifetime events processed, stale batcher timers included.
     pub fn events_total(&self) -> u64 {
         self.events_total
     }
 
     /// Whether every event processed so far carried a timestamp no
-    /// earlier than its predecessor's (the heap-order invariant).
+    /// earlier than its predecessor's (the event-order invariant).
     pub fn timestamps_monotone(&self) -> bool {
         self.monotone
     }
@@ -397,21 +393,37 @@ impl ServeEngine {
         self.arrivals.set_intensity_scale(scale)
     }
 
-    fn push(&mut self, at: f64, kind: EventKind) {
+    /// Stamps an event scheduled for `at` with the next sequence number.
+    fn due(&mut self, at: f64) -> Due {
         self.seq += 1;
-        self.heap.push(Event {
-            at,
-            seq: self.seq,
-            kind,
-        });
+        Due { at, seq: self.seq }
     }
 
     /// Arms the batcher timer for the current queue front.
     fn arm_timer(&mut self, deadline: f64) {
-        self.timer_gen += 1;
+        // Every deadline is the queue front's arrival plus the timeout, or
+        // the current time, and both only grow: the FIFO stays sorted by
+        // `(at, seq)`, so its front is the earliest pending timer.
+        debug_assert!(self.timers.back().is_none_or(|last| last.at <= deadline));
         self.timer_armed = true;
-        let gen = self.timer_gen;
-        self.push(deadline, EventKind::BatchTimeout { gen });
+        let due = self.due(deadline);
+        self.timers.push_back(due);
+    }
+
+    /// The earliest of the three pending-event slots.
+    fn next_event(&self) -> (f64, EventKind) {
+        let mut next = (self.next_arrival, EventKind::Arrival);
+        if let Some(batch) = &self.in_flight {
+            if batch.done.before(next.0) {
+                next = (batch.done, EventKind::BatchDone);
+            }
+        }
+        if let Some(&timer) = self.timers.front() {
+            if timer.before(next.0) {
+                next = (timer, EventKind::BatchTimeout);
+            }
+        }
+        (next.0.at, next.1)
     }
 
     /// Dispatches up to `max_batch` queued requests at time `t`, at the
@@ -428,12 +440,12 @@ impl ServeEngine {
         }
         let service = self.model.batch_service_s_scaled(b, freq_factor);
         self.batches_total += 1;
+        let done = self.due(t + service);
         self.in_flight = Some(InFlight {
             started_at: t,
-            done_at: t + service,
+            done,
             requests,
         });
-        self.push(t + service, EventKind::BatchDone);
         // A remainder left behind a full-batch dispatch starts its own
         // timeout clock from its oldest request.
         if !self.queue.is_empty() {
@@ -455,67 +467,70 @@ impl ServeEngine {
         let freq_factor = self.model.freq_factor(f_eff_mhz);
         let mut busy = 0.0;
 
-        while let Some(&Event { at, .. }) = self.heap.peek() {
+        loop {
+            let (at, kind) = self.next_event();
             if at > end {
                 break;
             }
-            let ev = self.heap.pop().expect("peeked");
             self.events_total += 1;
             stats.events += 1;
-            self.monotone &= ev.at >= self.last_event_at;
-            self.last_event_at = ev.at;
-            self.now = ev.at.max(self.now);
-            match ev.kind {
+            self.monotone &= at >= self.last_event_at;
+            self.last_event_at = at;
+            self.now = at.max(self.now);
+            match kind {
                 EventKind::Arrival => {
                     self.arrivals_total += 1;
                     stats.arrivals += 1;
-                    let next = self.arrivals.next_after(ev.at);
-                    self.push(next, EventKind::Arrival);
+                    let next = self.arrivals.next_after(at);
+                    self.next_arrival = self.due(next);
                     if self.queue.len() >= self.queue_capacity {
                         self.dropped_total += 1;
                         stats.dropped += 1;
                     } else {
-                        self.queue.push_back(ev.at);
+                        self.queue.push_back(at);
                         if self.in_flight.is_none() {
                             if self.queue.len() >= self.model.max_batch {
-                                self.dispatch(ev.at, freq_factor);
+                                self.dispatch(at, freq_factor);
                             } else if !self.timer_armed {
-                                self.arm_timer(ev.at + self.batch_timeout_s);
+                                self.arm_timer(at + self.batch_timeout_s);
                             }
                         }
                     }
                 }
-                EventKind::BatchTimeout { gen } => {
-                    // Stale timers — re-armed since, or consumed by a
-                    // size-triggered dispatch — are no-ops.
-                    if self.timer_armed && gen == self.timer_gen {
+                EventKind::BatchTimeout => {
+                    // Timers fire in arming order, so the one popped is
+                    // the last armed iff none is left behind it. Earlier
+                    // ones — re-armed since, or consumed by a
+                    // size-triggered dispatch — are stale no-ops.
+                    self.timers.pop_front();
+                    if self.timer_armed && self.timers.is_empty() {
                         self.timer_armed = false;
                         if self.in_flight.is_none() && !self.queue.is_empty() {
-                            self.dispatch(ev.at, freq_factor);
+                            self.dispatch(at, freq_factor);
                         }
                     }
                 }
                 EventKind::BatchDone => {
                     let batch = self.in_flight.take().expect("done event implies a batch");
-                    busy += batch.done_at - batch.started_at.max(start);
+                    busy += at - batch.started_at.max(start);
                     stats.batches += 1;
                     stats.batch_sizes.push(batch.requests.len());
                     stats.completions += batch.requests.len();
                     self.completions_total += batch.requests.len() as u64;
                     for &arrived in &batch.requests {
-                        stats.request_latencies.push(batch.done_at - arrived);
+                        stats.request_latencies.push(at - arrived);
                     }
                     self.spare = batch.requests;
                     if !self.queue.is_empty() {
                         if self.queue.len() >= self.model.max_batch {
-                            self.dispatch(ev.at, freq_factor);
+                            self.dispatch(at, freq_factor);
                         } else {
                             let deadline =
                                 self.queue.front().expect("non-empty") + self.batch_timeout_s;
-                            if deadline <= ev.at {
+                            if deadline <= at {
                                 // Oldest request already overdue (it
                                 // waited out a long batch): go now.
-                                self.dispatch(ev.at, freq_factor);
+                                self.dispatch(at, freq_factor);
                             } else {
                                 self.arm_timer(deadline);
                             }
@@ -527,7 +542,7 @@ impl ServeEngine {
 
         // Partial busy time of a batch still in flight at window end.
         if let Some(b) = &self.in_flight {
-            busy += end.min(b.done_at) - b.started_at.max(start);
+            busy += end.min(b.done.at) - b.started_at.max(start);
         }
         self.now = end;
         stats.busy_fraction = (busy / window_s).clamp(0.0, 1.0);
@@ -753,6 +768,23 @@ mod tests {
         assert!(e.timestamps_monotone());
         assert_eq!(events as u64, e.events_total());
         assert!(e.events_total() > 0);
+    }
+
+    #[test]
+    fn stale_timers_stack_in_the_fifo() {
+        // A 0.3 s timeout outlives every batch: a size-triggered dispatch
+        // consumes the armed timer, which stays pending behind the ones
+        // armed after it. Sampled every 10 ms, the FIFO holds several.
+        let arrivals = ArrivalGen::new(ArrivalProcess::Poisson { rate_rps: 200.0 }, 42).unwrap();
+        let mut e = ServeEngine::new(model(), 0.3, 200, arrivals).unwrap();
+        let mut stats = ServeWindowStats::default();
+        let mut deepest = 0;
+        for _ in 0..2000 {
+            e.advance_into(0.01, 1100.0, &mut stats);
+            deepest = deepest.max(e.timers.len());
+        }
+        assert!(deepest >= 3, "at most {deepest} timers pending at once");
+        assert!(e.timestamps_monotone() && e.conserved());
     }
 
     #[test]

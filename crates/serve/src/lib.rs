@@ -11,9 +11,10 @@
 //!
 //! * [`arrivals`] — Poisson request arrivals whose intensity a scheduled
 //!   burst can scale.
-//! * [`engine`] — a deterministic discrete-event engine per GPU: a
-//!   seeded, binary-heap event queue over arrivals, batching timeouts
-//!   and batch completions; a bounded FIFO request queue; and a dynamic
+//! * [`engine`] — a deterministic discrete-event engine per GPU: one
+//!   pending slot each for the next arrival and the batch completion, a
+//!   FIFO of armed batching timeouts, the earliest of them next by
+//!   [`Due::before`]; a bounded FIFO request queue; and a dynamic
 //!   batcher (max batch size + batching timeout) whose batch service
 //!   time is the γ latency law scaled by a calibrated batch-efficiency
 //!   curve at the device's *effective* (throttle-clamped) frequency.
@@ -33,7 +34,7 @@ pub mod arrivals;
 pub mod engine;
 
 pub use arrivals::{ArrivalGen, ArrivalProcess};
-pub use engine::{ServeEngine, ServeWindowStats, ServiceModel};
+pub use engine::{Due, ServeEngine, ServeWindowStats, ServiceModel};
 
 /// Errors from the serving layer.
 #[derive(Debug, Clone, PartialEq)]

@@ -25,7 +25,7 @@ proptest! {
     #[test]
     fn conservation_and_bounds_hold_at_every_window(
         rate in 20.0..600.0f64,
-        timeout in 0.0..0.2f64,
+        timeout in 0.0..0.6f64,
         max_batch in 1usize..32,
         overhead in 0.0..0.9f64,
         seed in 0u64..1000,
@@ -51,7 +51,7 @@ proptest! {
             }
             prop_assert!(s.mean_batch_size() <= max_batch as f64 + 1e-9);
         }
-        // Timestamps popped from the heap never went backwards.
+        // Event timestamps never went backwards.
         prop_assert!(engine.timestamps_monotone());
         prop_assert!(engine.events_total() > 0);
     }
