@@ -459,6 +459,12 @@ impl Scenario {
                 self.queue_capacity, m.name, m.batch_size
             )));
         }
+        // Every plant kind reads these profiles (the request-level ones
+        // take their service times and the controller its model from them).
+        for m in &self.gpu_models {
+            m.validate()
+                .map_err(|e| CapGpuError::BadConfig(format!("gpu model {}: {e}", m.name)))?;
+        }
         if self.control_period_s == 0 {
             return Err(CapGpuError::BadConfig(
                 "control period must be >= 1 s".into(),
@@ -707,6 +713,30 @@ mod tests {
         let mut s = Scenario::paper_testbed(1);
         s.rls_tracking = true;
         s.validate().unwrap();
+    }
+
+    /// A model profile a plant cannot run (here one whose pipeline clock
+    /// would never advance, and one with NaN latency) is rejected before
+    /// any plant is built, for every plant kind, naming the model.
+    #[test]
+    fn bad_model_profile_rejected_for_every_plant_kind() {
+        for make in [
+            Scenario::paper_testbed,
+            Scenario::serving_testbed,
+            Scenario::llm_testbed,
+        ] {
+            let mut s = make(1);
+            s.gpu_models[1].e_min_s = 0.0;
+            s.gpu_models[1].preprocess_s_per_image = 0.0;
+            let msg = format!("{}", s.validate().unwrap_err());
+            assert!(
+                msg.contains("gpu model Swin-T: ") && msg.contains("e_min_s"),
+                "{msg}"
+            );
+            let mut s = make(1);
+            s.gpu_models[2].e_min_s = f64::NAN;
+            assert!(s.validate().is_err());
+        }
     }
 
     /// Open-loop pipeline arrivals on a request-level scenario: rejected

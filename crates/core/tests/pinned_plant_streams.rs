@@ -438,7 +438,7 @@ struct PipelineCase {
     jitter: bool,
 }
 
-const PIPELINE_CASES: [PipelineCase; 5] = [
+const PIPELINE_CASES: [PipelineCase; 6] = [
     PipelineCase {
         name: "closed_jitter",
         shape: PipelineShape::Motivation,
@@ -463,6 +463,14 @@ const PIPELINE_CASES: [PipelineCase; 5] = [
         name: "closed_eval",
         shape: PipelineShape::ClosedEval,
         jitter: true,
+    },
+    // Without jitter, workers that the same batch start unblocks restart
+    // at the same instant and finish in ties, which the event loop must
+    // resolve in worker-index order.
+    PipelineCase {
+        name: "closed_eval_no_jitter",
+        shape: PipelineShape::ClosedEval,
+        jitter: false,
     },
 ];
 
@@ -524,7 +532,7 @@ fn pipeline_sim_streams_are_pinned() {
     check("PipelineSim", &got, &PIPELINE_PINS);
 }
 
-const PIPELINE_PINS: [(&str, [u64; 3]); 5] = [
+const PIPELINE_PINS: [(&str, [u64; 3]); 6] = [
     (
         "closed_jitter",
         [0xdc2eeada09ab9ae3, 0xaaff2a11ed441ea5, 0x788005db16dff1c8],
@@ -544,5 +552,9 @@ const PIPELINE_PINS: [(&str, [u64; 3]); 5] = [
     (
         "closed_eval",
         [0x7f6c9b8754c2eccf, 0x07c1cde3e8285e98, 0xef0a25ae532ea431],
+    ),
+    (
+        "closed_eval_no_jitter",
+        [0x63dae7c881ec9ad0, 0x63dae7c881ec9ad0, 0x63dae7c881ec9ad0],
     ),
 ];

@@ -14,6 +14,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::{Result, WorkloadError};
+
 /// Profile of one inference model (task `tᵢ` in the paper).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelProfile {
@@ -37,6 +39,43 @@ pub struct ModelProfile {
 }
 
 impl ModelProfile {
+    /// Checks the profile can drive a plant: `e_min_s`,
+    /// `preprocess_s_per_image` and `preprocess_ref_mhz` finite and
+    /// positive (with both times zero a pipeline's clock never advances),
+    /// `gamma_true` finite, `jitter` in `[0, 1)` (so a jittered time stays
+    /// positive) and `gpu_util_busy` in `[0, 1]`. The batch size is the
+    /// caller's to check against its queue.
+    ///
+    /// # Errors
+    /// [`WorkloadError::BadConfig`] naming the first rule broken.
+    pub fn validate(&self) -> Result<()> {
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let rules = [
+            (positive(self.e_min_s), "e_min_s must be finite and > 0"),
+            (
+                positive(self.preprocess_s_per_image),
+                "preprocess_s_per_image must be finite and > 0",
+            ),
+            (
+                positive(self.preprocess_ref_mhz),
+                "preprocess_ref_mhz must be finite and > 0",
+            ),
+            (self.gamma_true.is_finite(), "gamma_true must be finite"),
+            (
+                (0.0..1.0).contains(&self.jitter),
+                "jitter must be in [0, 1)",
+            ),
+            (
+                (0.0..=1.0).contains(&self.gpu_util_busy),
+                "gpu_util_busy must be in [0, 1]",
+            ),
+        ];
+        match rules.iter().find(|(ok, _)| !ok) {
+            Some(&(_, rule)) => Err(WorkloadError::BadConfig(rule)),
+            None => Ok(()),
+        }
+    }
+
     /// True batch latency at GPU frequency `f` given the model's own γ —
     /// the plant-side law the controller approximates with Eq. 8.
     pub fn true_batch_latency(&self, f_gpu_mhz: f64, f_gpu_max_mhz: f64) -> f64 {
