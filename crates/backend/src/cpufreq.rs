@@ -82,7 +82,6 @@ impl CpufreqBackend {
                 f_min_mhz: min_khz as f64 / 1000.0,
                 f_max_mhz: max_khz as f64 / 1000.0,
                 levels_mhz: p.levels_khz.iter().map(|&k| k as f64 / 1000.0).collect(),
-                power_limit_w: None,
             });
         }
         let n_rapl = rapl.len();

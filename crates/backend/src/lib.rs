@@ -107,10 +107,6 @@ pub struct BackendDevice {
     /// Supported discrete frequency levels, ascending (MHz). May be
     /// empty when the backend only knows the `[min, max]` range.
     pub levels_mhz: Vec<f64>,
-    /// Settable board power-limit range `(min, max)` in watts, when the
-    /// device supports power-limit actuation (no in-tree backend does:
-    /// the simulated testbed and cpufreq actuate frequency only).
-    pub power_limit_w: Option<(f64, f64)>,
 }
 
 /// What a backend can do. The control stack degrades gracefully: a

@@ -46,7 +46,6 @@ impl SimBackend {
                 f_min_mhz: spec.freq_table.min(),
                 f_max_mhz: spec.freq_table.max(),
                 levels_mhz: spec.freq_table.levels().to_vec(),
-                power_limit_w: None,
             })
             .collect();
         let utils = vec![0.0; server.num_devices()];
@@ -65,7 +64,7 @@ impl SimBackend {
     }
 
     /// Mutable plant-side access (fault injection hooks, scheduled
-    /// gain drift, memory-throttle engagement).
+    /// gain drift).
     pub fn server_mut(&mut self) -> &mut Server {
         &mut self.server
     }

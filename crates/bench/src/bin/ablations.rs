@@ -197,9 +197,8 @@ fn slo_margin_sweep() {
 }
 
 /// One-shot identification vs continuous RLS tracking (the tentpole's
-/// payoff study). Part A: an open-loop demand surge triples traffic
-/// mid-run, shifting every device's utilization — and with it the
-/// plant's effective W/MHz gains — away from what the identification
+/// payoff study). Part A: every GPU's true W/MHz gain drifts mid-run
+/// (a `GainDrift` of ×1.5 or ×2) away from what the identification
 /// sweep measured. Part B: thermally marginal GPUs throttle under load,
 /// clamping effective clocks so the one-shot model's gains overstate
 /// the controller's authority.

@@ -27,16 +27,6 @@ pub enum ScheduledChange {
         /// New SLO (seconds per batch).
         slo_s: f64,
     },
-    /// Change one GPU task's request arrival rate (open-loop pipelines
-    /// only) — the §6.4 demand surge.
-    ArrivalRate {
-        /// Control period index at which the change takes effect.
-        at_period: usize,
-        /// GPU task index (0-based, in GPU order).
-        task: usize,
-        /// New mean arrival rate (images/s).
-        rate_img_s: f64,
-    },
     /// Scale one device's true dynamic power gain (synthetic plant
     /// drift: aging, fan/VRM degradation, a driver power-management
     /// update). The controller's identified model is *not* told — this
@@ -70,7 +60,7 @@ pub const GAMMA_FITTED: f64 = 0.91;
 
 /// Request-level serving configuration (the `capgpu-serve` bridge).
 ///
-/// When enabled on a [`Scenario`], each GPU task's closed/open-loop
+/// When enabled on a [`Scenario`], each GPU task's closed-loop
 /// pipeline model is replaced by a deterministic discrete-event serving
 /// engine: requests arrive by the task's [`ArrivalProcess`], wait in a
 /// bounded FIFO queue, and are dispatched by a size-or-timeout dynamic
@@ -132,14 +122,6 @@ pub struct Scenario {
     /// fitted-γ model error, latency jitter, and the delta-sigma
     /// modulator's dips to the level below the target.
     pub slo_margin: f64,
-    /// Enable the §4.4 "multi-layer adaptation" escape hatch: when the
-    /// set point is unreachable with every core clock at its floor, the
-    /// runner engages the GPUs' low-memory-clock states (and releases
-    /// them with hysteresis once frequency scaling regains authority).
-    pub memory_escape: bool,
-    /// Per-task open-loop arrival rates (images/s). `None` = closed-loop
-    /// saturating streams (the paper's evaluation default).
-    pub arrival_rates: Option<Vec<f64>>,
     /// Initial per-GPU-task SLOs in seconds (`None` = no SLO constraint).
     pub slos: Vec<Option<f64>>,
     /// Scheduled mid-run changes.
@@ -208,8 +190,6 @@ impl Scenario {
             queue_capacity: 64,
             control_period_s: 4,
             slo_margin: 1.06,
-            memory_escape: false,
-            arrival_rates: None,
             slos: vec![None, None, None],
             changes: Vec::new(),
             sysid_steps_per_device: 8,
@@ -243,8 +223,6 @@ impl Scenario {
             queue_capacity: 64,
             control_period_s: 4,
             slo_margin: 1.06,
-            memory_escape: false,
-            arrival_rates: None,
             slos: vec![None; 8],
             changes: Vec::new(),
             sysid_steps_per_device: 8,
@@ -269,8 +247,6 @@ impl Scenario {
             queue_capacity: 20,
             control_period_s: 4,
             slo_margin: 1.06,
-            memory_escape: false,
-            arrival_rates: None,
             slos: vec![None],
             changes: Vec::new(),
             sysid_steps_per_device: 8,
@@ -475,37 +451,6 @@ impl Scenario {
                 "sysid_steps_per_device must be >= 2".into(),
             ));
         }
-        // Open-loop pipeline arrivals have nothing to act on once a
-        // request-level plant replaces the pipeline model.
-        let scheduled_rate =
-            (self.changes.iter()).any(|c| matches!(c, ScheduledChange::ArrivalRate { .. }));
-        let request_plant = match (&self.serving, &self.llm) {
-            (Some(_), _) => Some("serving"),
-            (None, Some(_)) => Some("llm"),
-            (None, None) => None,
-        };
-        if let Some(plant) =
-            request_plant.filter(|_| self.arrival_rates.is_some() || scheduled_rate)
-        {
-            return Err(CapGpuError::BadConfig(format!(
-                "arrival_rates and arrival-rate changes drive the pipeline plant, but this \
-                 scenario runs the {plant} plant (its arrival processes and serving bursts \
-                 set the load)"
-            )));
-        }
-        if let Some(rates) = &self.arrival_rates {
-            if rates.len() != n_gpus {
-                return Err(CapGpuError::BadConfig(format!(
-                    "{} arrival rates for {n_gpus} GPUs",
-                    rates.len()
-                )));
-            }
-            if rates.iter().any(|r| *r <= 0.0) {
-                return Err(CapGpuError::BadConfig(
-                    "arrival rates must be positive".into(),
-                ));
-            }
-        }
         if let Some(serving) = &self.serving {
             if serving.arrivals.len() != n_gpus {
                 return Err(CapGpuError::BadConfig(format!(
@@ -566,16 +511,6 @@ impl Scenario {
                     return Err(CapGpuError::BadConfig(format!(
                         "SLO change targets task {task} but there are {n_gpus} GPUs"
                     )));
-                }
-                ScheduledChange::ArrivalRate { task, .. } if *task >= n_gpus => {
-                    return Err(CapGpuError::BadConfig(format!(
-                        "arrival-rate change targets task {task} but there are {n_gpus} GPUs"
-                    )));
-                }
-                ScheduledChange::ArrivalRate { .. } if self.arrival_rates.is_none() => {
-                    return Err(CapGpuError::BadConfig(
-                        "arrival-rate change requires open-loop arrival_rates".into(),
-                    ));
                 }
                 ScheduledChange::ServingBurst { task, factor, .. } => {
                     if self.serving.is_none() && self.llm.is_none() {
@@ -739,23 +674,6 @@ mod tests {
         }
     }
 
-    /// Open-loop pipeline arrivals on a request-level scenario: rejected
-    /// with a message that names the plant actually running.
-    fn assert_rejects_pipeline_arrivals(base: Scenario, plant: &str) {
-        let mut s = base.clone();
-        s.arrival_rates = Some(vec![50.0; s.gpu_models.len()]);
-        let msg = format!("{}", s.validate().unwrap_err());
-        assert!(msg.contains(&format!("the {plant} plant")), "{msg}");
-
-        let s = base.with_change(ScheduledChange::ArrivalRate {
-            at_period: 5,
-            task: 0,
-            rate_img_s: 80.0,
-        });
-        let msg = format!("{}", s.validate().unwrap_err());
-        assert!(msg.contains(&format!("the {plant} plant")), "{msg}");
-    }
-
     #[test]
     fn serving_testbed_is_valid() {
         let s = Scenario::serving_testbed(1);
@@ -814,8 +732,6 @@ mod tests {
             factor: 2.0,
         });
         s.validate().unwrap();
-
-        assert_rejects_pipeline_arrivals(Scenario::serving_testbed(1), "serving");
     }
 
     #[test]
@@ -865,8 +781,6 @@ mod tests {
             factor: 2.0,
         });
         s.validate().unwrap();
-
-        assert_rejects_pipeline_arrivals(Scenario::llm_testbed(1), "llm");
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub(crate) struct PeriodInputs<'a> {
 pub(crate) struct Decider {
     ejected: Vec<bool>,
     /// Per-device power as of the last step (W; zeros without meters).
-    pub(crate) device_power: Vec<f64>,
+    device_power: Vec<f64>,
 }
 
 impl Decider {

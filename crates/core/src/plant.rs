@@ -196,12 +196,7 @@ impl Plant {
                         queue_capacity: scenario.queue_capacity,
                         seed: seed(1000, i),
                         f_gpu_max_mhz: f_gpu_max(i),
-                        arrivals: match &scenario.arrival_rates {
-                            Some(rates) => ArrivalMode::Open {
-                                rate_img_s: rates[i],
-                            },
-                            None => ArrivalMode::Closed,
-                        },
+                        arrivals: ArrivalMode::Closed,
                     })
                 };
                 let sims = tasks().map(sim).collect::<std::result::Result<_, _>>()?;
@@ -259,10 +254,10 @@ impl Plant {
             if backend.is_ejected(dev) {
                 continue;
             }
-            let f_eff = throttled_clock_mhz(backend, dev, applied[dev])?;
+            let f_gpu = applied[dev];
             let second = match &mut self.workload {
                 Workload::Pipeline { sims, stats } => {
-                    sims[i].advance_into(1.0, f_cpu, f_eff, stats);
+                    sims[i].advance_into(1.0, f_cpu, f_gpu, stats);
                     if let Some(qd) = queue_delays.as_deref_mut() {
                         qd[i].extend_from_slice(&stats.queue_delays);
                     }
@@ -275,7 +270,7 @@ impl Plant {
                     }
                 }
                 Workload::Serve { engines, stats } => {
-                    engines[i].advance_into(1.0, f_eff, stats);
+                    engines[i].advance_into(1.0, f_gpu, stats);
                     if let Some(tm) = telemetry.as_deref_mut() {
                         tm.on_serve_second(i, stats, engines[i].queue_len());
                     }
@@ -295,7 +290,7 @@ impl Plant {
                     itl,
                     ..
                 } => {
-                    engines[i].advance_into(1.0, f_eff, stats);
+                    engines[i].advance_into(1.0, f_gpu, stats);
                     ttft.record_all(i, &stats.ttft_s);
                     itl.record_all(i, &stats.inter_token_s);
                     let st = &mut self.second_stats[i];
@@ -443,17 +438,6 @@ impl Plant {
         self.slo.set_slo(task, slo_s);
     }
 
-    /// Changes one open-loop pipeline's arrival rate (images/s); an error
-    /// on a request-level plant, a closed loop or a non-positive rate.
-    pub(crate) fn set_arrival_rate(&mut self, task: usize, rate_img_s: f64) -> Result<()> {
-        match &mut self.workload {
-            Workload::Pipeline { sims, .. } => Ok(sims[task].set_arrival_rate(rate_img_s)?),
-            _ => Err(CapGpuError::BadConfig(
-                "arrival-rate change on a request-level plant".into(),
-            )),
-        }
-    }
-
     /// Scales one request-level task's arrival intensity relative to its
     /// nominal rate (a scheduled serving burst); an error on a pipeline
     /// plant, an unknown task or a factor that is not positive and finite.
@@ -490,16 +474,6 @@ impl Plant {
             )),
         }
     }
-}
-
-/// The core clock the latency law sees on device `dev`: an engaged memory
-/// throttle slows inference, modelled as a derating of the applied clock.
-fn throttled_clock_mhz(backend: &SimBackend, dev: usize, applied_mhz: f64) -> Result<f64> {
-    let server = backend.server();
-    Ok(match server.device(dev)?.mem_throttle {
-        Some(mt) if server.memory_throttled(dev)? => applied_mhz / mt.latency_penalty,
-        _ => applied_mhz,
-    })
 }
 
 #[cfg(test)]
@@ -552,11 +526,8 @@ mod tests {
         let mut pipeline = build(&Scenario::paper_testbed(1)).unwrap();
         assert!(pipeline.set_intensity_scale(0.5).is_err());
         assert!(pipeline.set_task_intensity(0, 2.0).is_err());
-        // Closed-loop pipelines have no arrival rate to change.
-        assert!(pipeline.set_arrival_rate(0, 50.0).is_err());
 
         let mut serve = build(&Scenario::serving_testbed(1)).unwrap();
-        assert!(serve.set_arrival_rate(0, 50.0).is_err());
         serve.set_task_intensity(0, 2.0).unwrap();
         assert!(serve.set_task_intensity(9, 2.0).is_err());
         serve.set_intensity_scale(0.5).unwrap();

@@ -58,8 +58,6 @@ pub struct PeriodRecord {
     pub batches: Vec<usize>,
     /// SLO-derived frequency floors passed to the controller (MHz).
     pub floors: Vec<f64>,
-    /// Whether the memory-throttle escape hatch was engaged this period.
-    pub memory_escape_active: bool,
     /// Supervisory ladder tier in force when the period's control
     /// decision was made (0 = primary, 1 = safe fallback, 2 = park;
     /// always 0 when the scenario has no supervisor).
@@ -206,8 +204,6 @@ pub struct ExperimentRunner {
     /// identification by [`ExperimentRunner::identify`]; populated when
     /// the scenario enables `rls_tracking` or a supervisor.
     tracker: Option<ScaledModelTracker>,
-    /// Whether the §4.4 memory-throttle escape is currently engaged.
-    mem_escape_active: bool,
     /// Index of the (single) CPU package device.
     cpu_device_index: usize,
     /// Run telemetry (registry + journal + spans); `None` — recording
@@ -264,7 +260,6 @@ impl ExperimentRunner {
         let backend = SimBackend::new(server);
         Ok(ExperimentRunner {
             telemetry,
-            mem_escape_active: false,
             cpu_device_index,
             scenario,
             backend,
@@ -606,13 +601,6 @@ impl ExperimentRunner {
                         self.slos[*task] = Some(*slo_s);
                         self.plant.set_slo(*task, *slo_s);
                     }
-                    ScheduledChange::ArrivalRate {
-                        at_period,
-                        task,
-                        rate_img_s,
-                    } if *at_period == period => {
-                        self.plant.set_arrival_rate(*task, *rate_img_s)?;
-                    }
                     ScheduledChange::GainDrift {
                         at_period,
                         device,
@@ -798,45 +786,6 @@ impl ExperimentRunner {
                 tm.span_exit();
             }
 
-            // §4.4 multi-layer adaptation: if frequency scaling alone is
-            // out of authority (cap exceeded with every knob at its
-            // floor), engage the GPUs' low-memory-clock states; release
-            // with hysteresis once frequency scaling regains headroom.
-            if self.scenario.memory_escape {
-                let noise = self.backend.meter_noise_std();
-                let saturated_low =
-                    (0..n).all(|j| self.targets[j] <= floors[j].max(self.layout.f_min[j]) + 20.0);
-                let over = avg_power > self.setpoint + 2.0 * noise.max(1.0);
-                if over && saturated_low && !self.mem_escape_active {
-                    for &dev in &self.gpu_device_indices {
-                        if self.backend.server().device(dev)?.mem_throttle.is_some() {
-                            self.backend.server_mut().set_memory_throttle(dev, true)?;
-                        }
-                    }
-                    self.mem_escape_active = true;
-                } else if self.mem_escape_active {
-                    // Estimate the power that releasing would restore; only
-                    // release if the cap still holds afterwards.
-                    let mut restore = 0.0;
-                    for &dev in &self.gpu_device_indices {
-                        if let Some(mt) = self.backend.server().device(dev)?.mem_throttle {
-                            if self.backend.server().memory_throttled(dev)? {
-                                let idle = self.backend.server().device(dev)?.power_law.idle_watts;
-                                let dynamic = (decider.device_power[dev] - idle).max(0.0);
-                                // device_power is the throttled reading.
-                                restore += dynamic * (1.0 / mt.power_scale - 1.0);
-                            }
-                        }
-                    }
-                    if avg_power + restore < self.setpoint - 2.0 * noise.max(1.0) {
-                        for &dev in &self.gpu_device_indices {
-                            self.backend.server_mut().set_memory_throttle(dev, false)?;
-                        }
-                        self.mem_escape_active = false;
-                    }
-                }
-            }
-
             records.push(PeriodRecord {
                 period,
                 setpoint: directive.effective_setpoint,
@@ -850,7 +799,6 @@ impl ExperimentRunner {
                 slo_misses: measured.slo_misses,
                 batches: measured.batches,
                 floors,
-                memory_escape_active: self.mem_escape_active,
                 supervisor_tier: directive.tier.as_u8(),
                 meter_stale,
             });
@@ -879,7 +827,6 @@ impl ExperimentRunner {
                     quarantined,
                     targets: &rec.targets,
                     diag,
-                    mem_escape_active: self.mem_escape_active,
                 };
                 if let Some(tm) = self.telemetry.as_mut() {
                     tm.on_period(&obs);

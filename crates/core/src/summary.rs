@@ -91,7 +91,6 @@ mod tests {
             slo_misses: vec![0],
             batches: vec![5],
             floors: vec![435.0],
-            memory_escape_active: false,
             supervisor_tier: 0,
             meter_stale: false,
         }

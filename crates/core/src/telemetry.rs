@@ -62,7 +62,6 @@ struct Handles {
     refits_total: CounterId,
     slo_floor_binding_periods_total: CounterId,
     floor_clamped_periods_total: CounterId,
-    mem_escape_transitions_total: CounterId,
     carry_wraps_total: Vec<CounterId>,
     power_watts: GaugeId,
     setpoint_watts: GaugeId,
@@ -120,8 +119,6 @@ pub struct PeriodObservation<'a> {
     pub targets: &'a [f64],
     /// Solver diagnostics, when the acting controller exposes them.
     pub diag: Option<ControlDiagnostics>,
-    /// Whether the §4.4 memory-throttle escape is engaged.
-    pub mem_escape_active: bool,
 }
 
 /// Per-run telemetry: registry + journal + spans, wired to the runner.
@@ -147,7 +144,6 @@ pub struct RunTelemetry {
     prev_tier: Option<u8>,
     prev_quarantine: Vec<bool>,
     prev_stale: bool,
-    prev_mem_escape: bool,
     slo_bound_active: bool,
     /// Per-task decode-dominant flags for edge-triggered
     /// `phase_transition` journal events (hysteresis: enter below a 0.3
@@ -198,8 +194,6 @@ impl RunTelemetry {
                 .counter("capgpu_slo_floor_binding_periods_total", &[]),
             floor_clamped_periods_total: registry
                 .counter("capgpu_floor_clamped_periods_total", &[]),
-            mem_escape_transitions_total: registry
-                .counter("capgpu_mem_escape_transitions_total", &[]),
             carry_wraps_total: dev_labels
                 .iter()
                 .map(|d| registry.counter("capgpu_carry_wraps_total", &[("device", d)]))
@@ -289,7 +283,6 @@ impl RunTelemetry {
             prev_tier: None,
             prev_quarantine: vec![false; kinds.len()],
             prev_stale: false,
-            prev_mem_escape: false,
             slo_bound_active: false,
             llm_decode_dominant: vec![false; n_tasks],
             llm_kv_pressured: vec![false; n_tasks],
@@ -596,12 +589,6 @@ impl RunTelemetry {
                 self.slo_bound_active = diag.slo_floor_binding;
             }
         }
-        if obs.mem_escape_active != self.prev_mem_escape {
-            self.registry.inc(self.h.mem_escape_transitions_total, 1);
-            let engaged = obs.mem_escape_active;
-            self.record(period, t_s, Body::MemEscape { engaged });
-            self.prev_mem_escape = obs.mem_escape_active;
-        }
         if self.carry_pending > 0 {
             let wraps = self.carry_pending;
             self.record(period, t_s, Body::DsCarryWraps { wraps });
@@ -716,7 +703,6 @@ mod tests {
             quarantined: None,
             targets,
             diag: None,
-            mem_escape_active: false,
         }
     }
 

@@ -117,7 +117,6 @@ impl ReplayState {
             | Body::RlsRefit { .. }
             | Body::MeterStale { .. }
             | Body::SloFloorBinding { .. }
-            | Body::MemEscape { .. }
             | Body::DsCarryWraps { .. }
             | Body::Unknown { .. } => {}
         }

@@ -209,7 +209,6 @@ pub fn render(scan: &JournalScan) -> PostMortem {
             | Body::RlsRefit { .. }
             | Body::MeterStale { .. }
             | Body::SloFloorBinding { .. }
-            | Body::MemEscape { .. }
             | Body::DsCarryWraps { .. }
             | Body::Unknown { .. } => {}
         }

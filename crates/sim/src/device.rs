@@ -73,35 +73,6 @@ impl PowerLaw {
     }
 }
 
-/// An optional low-memory-clock P-state: engaging it scales the device's
-/// clock-proportional power down and slows memory-bound work. This is the
-/// "additional system mechanism (e.g., memory throttling)" the paper's
-/// §4.4 proposes for set points unreachable by core-clock scaling alone.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MemThrottle {
-    /// Multiplier (< 1) on the clock-proportional power while engaged.
-    pub power_scale: f64,
-    /// Multiplier (> 1) on inference latency while engaged (the workload
-    /// layer models it as an effective core-clock derating).
-    pub latency_penalty: f64,
-}
-
-impl MemThrottle {
-    fn validate(&self) -> Result<()> {
-        if !(0.0 < self.power_scale && self.power_scale < 1.0) {
-            return Err(SimError::BadConfig(
-                "mem throttle power_scale must be in (0,1)",
-            ));
-        }
-        if self.latency_penalty <= 1.0 {
-            return Err(SimError::BadConfig(
-                "mem throttle latency_penalty must exceed 1",
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Full specification of one device in the server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeviceSpec {
@@ -113,8 +84,6 @@ pub struct DeviceSpec {
     pub freq_table: FrequencyTable,
     /// Ground-truth power law.
     pub power_law: PowerLaw,
-    /// Optional low-memory-clock state (None = unsupported).
-    pub mem_throttle: Option<MemThrottle>,
     /// Optional thermal model (None = ideal cooling, never throttles).
     pub thermal: Option<crate::thermal::ThermalSpec>,
 }
@@ -127,9 +96,6 @@ impl DeviceSpec {
     pub fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
             return Err(SimError::BadConfig("device needs a name"));
-        }
-        if let Some(mt) = &self.mem_throttle {
-            mt.validate()?;
         }
         if let Some(th) = &self.thermal {
             th.validate()?;
@@ -155,8 +121,6 @@ pub struct DeviceState {
     pub applied_mhz: f64,
     /// The last requested target in MHz (before quantization).
     pub target_mhz: f64,
-    /// Whether the low-memory-clock state is engaged.
-    pub mem_throttled: bool,
 }
 
 #[cfg(test)]
@@ -213,7 +177,6 @@ mod tests {
             kind: DeviceKind::Gpu,
             freq_table: FrequencyTable::uniform(435.0, 1350.0, 15.0).unwrap(),
             power_law: v100_law(),
-            mem_throttle: None,
             thermal: None,
         };
         assert!(spec.validate().is_ok());

@@ -6,7 +6,7 @@
 //! the controllable range, the CPU contributes a small slice, and a fixed
 //! platform floor (fans pinned per §5, RAM, VRM losses) sits underneath.
 
-use crate::device::{DeviceKind, DeviceSpec, MemThrottle, PowerLaw};
+use crate::device::{DeviceKind, DeviceSpec, PowerLaw};
 use crate::freq::FrequencyTable;
 
 /// Intel Xeon Gold 5215 package (the paper's host CPU): DVFS 1.0–2.4 GHz
@@ -23,7 +23,6 @@ pub fn xeon_gold_5215() -> DeviceSpec {
             quad_w_per_mhz2: 2.0e-6,
             quad_ref_mhz: 1500.0,
         },
-        mem_throttle: None,
         thermal: None,
     }
 }
@@ -43,12 +42,6 @@ pub fn tesla_v100() -> DeviceSpec {
             quad_w_per_mhz2: 5.0e-6,
             quad_ref_mhz: 800.0,
         },
-        // HBM2 low-clock state (877 → 810 MHz class): ~12% dynamic power
-        // saved, ~20% slower memory-bound inference.
-        mem_throttle: Some(MemThrottle {
-            power_scale: 0.88,
-            latency_penalty: 1.2,
-        }),
         // Disabled for paper reproduction: at the evaluated caps the V100s
         // stay far below their 83 °C throttle point. Enable with
         // `thermal::v100_thermal()` for robustness studies.
@@ -75,12 +68,6 @@ pub fn a100() -> DeviceSpec {
             quad_w_per_mhz2: 6.0e-6,
             quad_ref_mhz: 900.0,
         },
-        // HBM2e low-clock state: slightly better power trade than the
-        // V100's HBM2, similar latency penalty for memory-bound batches.
-        mem_throttle: Some(MemThrottle {
-            power_scale: 0.87,
-            latency_penalty: 1.18,
-        }),
         thermal: None,
     }
 }
@@ -102,10 +89,6 @@ pub fn h100() -> DeviceSpec {
             quad_w_per_mhz2: 4.0e-6,
             quad_ref_mhz: 1000.0,
         },
-        mem_throttle: Some(MemThrottle {
-            power_scale: 0.86,
-            latency_penalty: 1.15,
-        }),
         thermal: None,
     }
 }
@@ -124,10 +107,6 @@ pub fn rtx_3090() -> DeviceSpec {
             quad_w_per_mhz2: 3.0e-6,
             quad_ref_mhz: 1200.0,
         },
-        mem_throttle: Some(MemThrottle {
-            power_scale: 0.85,
-            latency_penalty: 1.25,
-        }),
         thermal: None,
     }
 }

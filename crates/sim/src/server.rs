@@ -101,7 +101,6 @@ impl ServerBuilder {
             .map(|d| DeviceState {
                 applied_mhz: d.freq_table.min(),
                 target_mhz: d.freq_table.min(),
-                mem_throttled: false,
             })
             .collect();
         let meter = PowerMeter::new(self.meter_noise_std, METER_HISTORY_SAMPLES)?;
@@ -187,21 +186,6 @@ pub struct Server {
 /// long so it reads as unmodeled low-frequency disturbance, not noise.
 const DRIFT_PERIOD_S: f64 = 240.0;
 
-/// Electrical power of one device at effective frequency `f_eff`,
-/// honoring an engaged memory-throttle state (which scales the
-/// clock-proportional power only — leakage and the quadratic V/F term are
-/// core-rail effects and stay).
-fn device_power_at(spec: &DeviceSpec, state: &DeviceState, f_eff: f64, util: f64) -> f64 {
-    let base = spec.power_law.power(f_eff, util);
-    match (&spec.mem_throttle, state.mem_throttled) {
-        (Some(mt), true) => {
-            let dynamic = base - spec.power_law.idle_watts;
-            spec.power_law.idle_watts + dynamic * mt.power_scale
-        }
-        _ => base,
-    }
-}
-
 /// The clock the device actually runs: the commanded (quantized) clock,
 /// clamped to the thermal P-state while thermal throttling is active.
 fn effective_mhz(spec: &DeviceSpec, state: &DeviceState, thermal: &Option<ThermalState>) -> f64 {
@@ -280,21 +264,6 @@ impl Server {
         Ok(applied)
     }
 
-    /// Engages or releases a device's low-memory-clock state.
-    ///
-    /// # Errors
-    /// * [`SimError::NoSuchDevice`] for an out-of-range index.
-    /// * [`SimError::BadConfig`] if the device has no memory-throttle
-    ///   state and `engaged` is `true`.
-    pub fn set_memory_throttle(&mut self, idx: usize, engaged: bool) -> Result<()> {
-        let spec = self.devices.get(idx).ok_or(SimError::NoSuchDevice(idx))?;
-        if engaged && spec.mem_throttle.is_none() {
-            return Err(SimError::BadConfig("device has no memory-throttle state"));
-        }
-        self.states[idx].mem_throttled = engaged;
-        Ok(())
-    }
-
     /// The clock a device actually runs at this instant (commanded clock
     /// clamped by any active thermal throttle).
     ///
@@ -345,17 +314,6 @@ impl Server {
             .unwrap_or(false))
     }
 
-    /// Whether a device's memory throttle is currently engaged.
-    ///
-    /// # Errors
-    /// [`SimError::NoSuchDevice`] for an out-of-range index.
-    pub fn memory_throttled(&self, idx: usize) -> Result<bool> {
-        self.states
-            .get(idx)
-            .map(|s| s.mem_throttled)
-            .ok_or(SimError::NoSuchDevice(idx))
-    }
-
     /// Writes per-device power readings at the given utilizations into
     /// `out` (resized to the device count) — what RAPL / `nvidia-smi`
     /// would report per package/board. Used by the split-budget baseline
@@ -385,7 +343,7 @@ impl Server {
                     if matches!(fault, Some(ActuatorFault::Ejected)) {
                         0.0
                     } else {
-                        device_power_at(spec, state, effective_mhz(spec, state, th), u)
+                        spec.power_law.power(effective_mhz(spec, state, th), u)
                     }
                 }),
         );
@@ -447,8 +405,8 @@ impl Server {
     /// Injects (or clears, with `None`) an actuator fault on a device.
     ///
     /// Clearing an [`ActuatorFault::Ejected`] fault models re-admission:
-    /// the device re-enters at its minimum clock with memory-throttle and
-    /// thermal state reset, as after a hot-plug or driver reload.
+    /// the device re-enters at its minimum clock with its thermal state
+    /// reset, as after a hot-plug or driver reload.
     ///
     /// # Errors
     /// [`SimError::NoSuchDevice`] for an out-of-range index.
@@ -463,7 +421,6 @@ impl Server {
             let state = &mut self.states[idx];
             state.applied_mhz = self.f_min[idx];
             state.target_mhz = self.f_min[idx];
-            state.mem_throttled = false;
             self.thermal_states[idx] = self.devices[idx].thermal.as_ref().map(ThermalState::new);
         }
         self.actuator_faults[idx] = fault;
@@ -748,7 +705,6 @@ mod actuator_fault_tests {
     fn ejection_zeroes_power_and_readmission_resets() {
         let mut s = one_gpu();
         s.set_target_frequency(0, 1350.0).unwrap();
-        s.set_memory_throttle(0, true).unwrap();
         let p_healthy = s.true_power(&[1.0]).unwrap();
         s.set_actuator_fault(0, Some(ActuatorFault::Ejected))
             .unwrap();
@@ -764,11 +720,10 @@ mod actuator_fault_tests {
         assert_eq!(per[0], 0.0);
         // Commands are ignored while off the bus.
         assert_eq!(s.set_target_frequency(0, 900.0).unwrap(), 1350.0);
-        // Re-admission: floor clock, throttle cleared.
+        // Re-admission: floor clock.
         s.set_actuator_fault(0, None).unwrap();
         assert!(!s.is_ejected(0));
         assert_eq!(s.applied_frequency(0).unwrap(), 435.0);
-        assert!(!s.memory_throttled(0).unwrap());
     }
 
     #[test]
@@ -798,62 +753,6 @@ mod actuator_fault_tests {
         assert_eq!(s.psu_limit(), None);
         assert!(s.set_psu_limit(Some(0.0)).is_err());
         assert!(s.set_psu_limit(Some(f64::NAN)).is_err());
-    }
-}
-
-#[cfg(test)]
-mod mem_throttle_tests {
-    use super::*;
-    use crate::presets;
-
-    #[test]
-    fn throttle_cuts_power_and_is_reversible() {
-        let mut s = ServerBuilder::new(1)
-            .meter_noise_std(0.0)
-            .platform_drift_watts(0.0)
-            .add_device(presets::tesla_v100())
-            .build()
-            .unwrap();
-        s.set_target_frequency(0, 900.0).unwrap();
-        let p_hi = s.true_power(&[1.0]).unwrap();
-        s.set_memory_throttle(0, true).unwrap();
-        assert!(s.memory_throttled(0).unwrap());
-        let p_lo = s.true_power(&[1.0]).unwrap();
-        assert!(p_lo < p_hi - 5.0, "throttle saved only {} W", p_hi - p_lo);
-        s.set_memory_throttle(0, false).unwrap();
-        assert_eq!(s.true_power(&[1.0]).unwrap(), p_hi);
-    }
-
-    #[test]
-    fn cpu_without_mem_state_rejects_engage() {
-        let mut s = ServerBuilder::new(1)
-            .add_device(presets::xeon_gold_5215())
-            .build()
-            .unwrap();
-        assert!(s.set_memory_throttle(0, true).is_err());
-        // Releasing is always allowed (idempotent).
-        assert!(s.set_memory_throttle(0, false).is_ok());
-        assert!(s.set_memory_throttle(9, true).is_err());
-    }
-
-    #[test]
-    fn throttle_savings_scale_with_dynamic_power() {
-        let mut s = ServerBuilder::new(1)
-            .meter_noise_std(0.0)
-            .platform_drift_watts(0.0)
-            .add_device(presets::tesla_v100())
-            .build()
-            .unwrap();
-        let savings_at = |s: &mut Server, f: f64| {
-            s.set_target_frequency(0, f).unwrap();
-            s.set_memory_throttle(0, false).unwrap();
-            let hi = s.true_power(&[1.0]).unwrap();
-            s.set_memory_throttle(0, true).unwrap();
-            hi - s.true_power(&[1.0]).unwrap()
-        };
-        let low = savings_at(&mut s, 435.0);
-        let high = savings_at(&mut s, 1350.0);
-        assert!(high > low, "savings must grow with clock: {low} vs {high}");
     }
 }
 

@@ -306,10 +306,6 @@ schema! {
     SloFloorBinding = "slo_floor_binding" {
         #[doc = "Binding now."] active: bool,
     }
-    /// The memory-clock escape engaged or released (runner).
-    MemEscape = "mem_escape" {
-        #[doc = "Engaged now."] engaged: bool,
-    }
     /// Delta-sigma carry wraps over the period (runner).
     DsCarryWraps = "ds_carry_wraps" {
         #[doc = "Wraps counted."] wraps: u64,

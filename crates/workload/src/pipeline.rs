@@ -12,23 +12,22 @@
 //!
 //! # Event model
 //!
-//! The state is one deadline per worker (∞ while it is blocked or idle),
-//! the queue's ready timestamps, the in-flight batch's deadline (∞ while
-//! the GPU is idle) and, in open loop, the next arrival. Whenever the GPU
-//! is idle and a batch is queued, the batch starts: blocked workers push
-//! their images into the freed room and restart, in index order, and then
-//! the batch's own latency is drawn. Otherwise the earliest deadline is
-//! the next event, and everything due at that instant is handled in a
-//! fixed order: a finished batch first (the next batch starts at the same
-//! instant, before anything else due), then arrivals, then every worker
-//! due, in index order, each pushing its image and restarting, or blocking
-//! on a full queue. The time integrals behind the window's utilizations
-//! advance between events.
+//! The state is one deadline per worker (∞ while it is blocked), the
+//! queue's ready timestamps and the in-flight batch's deadline (∞ while
+//! the GPU is idle). Whenever the GPU is idle and a batch is queued, the
+//! batch starts: blocked workers push their images into the freed room
+//! and restart, in index order, and then the batch's own latency is
+//! drawn. Otherwise the earliest deadline is the next event, and
+//! everything due at that instant is handled in a fixed order: a finished
+//! batch first (the next batch starts at the same instant, before anything
+//! else due), then every worker due, in index order, each pushing its
+//! image and restarting, or blocking on a full queue. The time integrals
+//! behind the window's utilizations advance between events.
 //!
 //! Nearly every event is the fill phase: one worker finishing while the
 //! GPU is busy, the queue has room and nothing else is due. An inner loop
-//! runs only those, with the GPU, arrival and window-end deadlines folded
-//! into one bound (none of them moves inside it), and leaves for the
+//! runs only those, with the GPU and window-end deadlines folded into one
+//! bound (neither moves inside it), and leaves for the
 //! general step on anything else. It takes events in the order the general
 //! step would: the argmin keeps the lowest index on a tie, and a restarted
 //! worker's deadline lies after the instant it restarts at, so tied
@@ -36,28 +35,22 @@
 //! order, every RNG draw and every statistic is bit-identical to a loop
 //! that takes each event the general way (`oracle`, in the tests).
 
-use std::collections::VecDeque;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::models::ModelProfile;
 use crate::{Result, WorkloadError};
 
-/// How images enter the pipeline.
+/// How images enter the pipeline: always a closed loop. Open-loop
+/// traffic (§6.4's demand surge) is the request-level serving engine's
+/// job (`capgpu-serve`). The enum and [`PipelineConfig::arrivals`] stay
+/// only because the repository benchmark builds a `PipelineConfig` by
+/// name; both go with the next change to the benchmark (ROADMAP 1-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalMode {
     /// Closed loop: every worker always has a next image (a saturating
     /// benchmark stream, the paper's evaluation default).
     Closed,
-    /// Open loop: images arrive by a Poisson process at `rate_img_s`;
-    /// workers idle when no request is waiting. Models interactive
-    /// serving traffic and lets experiments replay demand surges
-    /// (§6.4's "sudden surge in GPU inference requests").
-    Open {
-        /// Mean arrival rate (images/s).
-        rate_img_s: f64,
-    },
 }
 
 /// Pipeline configuration.
@@ -74,7 +67,7 @@ pub struct PipelineConfig {
     pub seed: u64,
     /// Maximum GPU frequency (MHz) used in the latency law.
     pub f_gpu_max_mhz: f64,
-    /// Arrival process (closed-loop saturation or open-loop Poisson).
+    /// Arrival process; [`ArrivalMode::Closed`] is the only one.
     pub arrivals: ArrivalMode,
 }
 
@@ -100,10 +93,6 @@ pub struct WindowStats {
     pub queue_delays: Vec<f64>,
     /// Time-averaged queue length over the window.
     pub mean_queue_len: f64,
-    /// Requests that arrived during the window (open-loop mode).
-    pub arrivals: usize,
-    /// Requests waiting for a free worker at window end (open-loop mode).
-    pub ingress_backlog: usize,
 }
 
 /// The pipeline simulator.
@@ -126,12 +115,6 @@ pub struct PipelineSim {
     /// Enqueue timestamps of the images in the in-flight batch.
     batch: Vec<f64>,
     rng: StdRng,
-    /// Open-loop mode: current arrival rate (img/s).
-    arrival_rate: Option<f64>,
-    /// Open-loop mode: time of the next Poisson arrival (∞ in closed loop).
-    next_arrival: f64,
-    /// Open-loop mode: arrival timestamps waiting for a free worker.
-    ingress: VecDeque<f64>,
 }
 
 /// A window's time integrals: GPU busy time, worker busy time and queue
@@ -180,8 +163,9 @@ impl PipelineSim {
     ///
     /// # Errors
     /// [`WorkloadError::BadConfig`] when there are no workers, the model
-    /// fails [`ModelProfile::validate`], the queue cannot hold a batch, or
-    /// the model's batch size is zero.
+    /// fails [`ModelProfile::validate`], the queue cannot hold a batch,
+    /// the model's batch size is zero, or the maximum GPU clock is not
+    /// finite and positive.
     pub fn new(cfg: PipelineConfig) -> Result<Self> {
         if cfg.num_workers == 0 {
             return Err(WorkloadError::BadConfig("pipeline needs >= 1 worker"));
@@ -195,29 +179,19 @@ impl PipelineSim {
                 "queue must hold at least one batch",
             ));
         }
-        if cfg.f_gpu_max_mhz <= 0.0 {
-            return Err(WorkloadError::BadConfig("f_gpu_max must be positive"));
+        // NaN fails every comparison, so test for the good range.
+        if !(cfg.f_gpu_max_mhz.is_finite() && cfg.f_gpu_max_mhz > 0.0) {
+            return Err(WorkloadError::BadConfig(
+                "f_gpu_max must be finite and positive",
+            ));
         }
-        let arrival_rate = match cfg.arrivals {
-            ArrivalMode::Closed => None,
-            ArrivalMode::Open { rate_img_s } => {
-                if rate_img_s <= 0.0 {
-                    return Err(WorkloadError::BadConfig("arrival rate must be positive"));
-                }
-                Some(rate_img_s)
-            }
-        };
         let n = cfg.num_workers;
-        let done = match arrival_rate {
-            // Closed loop: workers start preprocessing immediately, with
-            // staggered completions so they don't fire in lockstep.
-            None => (0..n)
-                .map(|i| cfg.model.preprocess_s_per_image * (i as f64 + 1.0) / n as f64)
-                .collect(),
-            // Open loop: workers idle until the first arrival.
-            Some(_) => vec![f64::INFINITY; n],
-        };
-        let mut sim = PipelineSim {
+        // Workers start preprocessing immediately, with staggered
+        // completions so they don't fire in lockstep.
+        let done = (0..n)
+            .map(|i| cfg.model.preprocess_s_per_image * (i as f64 + 1.0) / n as f64)
+            .collect();
+        Ok(PipelineSim {
             now: 0.0,
             done,
             held: vec![None; n],
@@ -226,13 +200,8 @@ impl PipelineSim {
             gpu_started: 0.0,
             batch: Vec::new(),
             rng: StdRng::seed_from_u64(cfg.seed),
-            arrival_rate,
-            next_arrival: f64::INFINITY,
-            ingress: VecDeque::new(),
             cfg,
-        };
-        sim.next_arrival = sim.draw_arrival(0.0);
-        Ok(sim)
+        })
     }
 
     /// Simulation clock (seconds).
@@ -243,51 +212,6 @@ impl PipelineSim {
     /// Current queue length in images.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Changes the open-loop arrival rate mid-run (demand surge/ebb).
-    ///
-    /// # Errors
-    /// [`WorkloadError::BadConfig`] when called on a closed-loop pipeline
-    /// or with a non-positive rate.
-    pub fn set_arrival_rate(&mut self, rate_img_s: f64) -> Result<()> {
-        if self.arrival_rate.is_none() {
-            return Err(WorkloadError::BadConfig(
-                "closed-loop pipeline has no arrival rate",
-            ));
-        }
-        if rate_img_s <= 0.0 {
-            return Err(WorkloadError::BadConfig("arrival rate must be positive"));
-        }
-        self.arrival_rate = Some(rate_img_s);
-        // Next arrival re-drawn at the new rate from now.
-        self.next_arrival = self.draw_arrival(self.now);
-        Ok(())
-    }
-
-    /// Draws the next Poisson arrival time after `t` (∞ in closed loop).
-    fn draw_arrival(&mut self, t: f64) -> f64 {
-        match self.arrival_rate {
-            Some(rate) => {
-                let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-                t - u.ln() / rate
-            }
-            None => f64::INFINITY,
-        }
-    }
-
-    /// Starts worker `i` on its next image at `now` (`preprocess_s` at the
-    /// window's CPU clock, before jitter), honoring the arrival mode:
-    /// closed-loop always has work; open-loop takes from the ingress
-    /// backlog or idles. Returns whether the worker went busy.
-    fn start_next_image(&mut self, i: usize, now: f64, preprocess_s: f64) -> bool {
-        let has_work = self.arrival_rate.is_none() || self.ingress.pop_front().is_some();
-        self.done[i] = if has_work {
-            now + preprocess_s * jitter_factor(&mut self.rng, self.cfg.model.jitter)
-        } else {
-            f64::INFINITY
-        };
-        has_work
     }
 
     /// Advances the pipeline by `window_s` seconds with the given CPU and
@@ -328,13 +252,11 @@ impl PipelineSim {
         let batch_s = model.true_batch_latency(f_gpu_mhz, self.cfg.f_gpu_max_mhz);
         let (batch_size, jitter) = (model.batch_size, model.jitter);
         let capacity = self.cfg.queue_capacity;
-        let closed = self.arrival_rate.is_none();
         stats.images_completed = 0;
         stats.batches_completed = 0;
         stats.window_s = window_s;
         stats.batch_latencies.clear();
         stats.queue_delays.clear();
-        stats.arrivals = 0;
         let mut area = Integrals::default();
         // Busy-worker count, kept at each transition.
         let mut busy = self.done.iter().filter(|d| d.is_finite()).count();
@@ -351,7 +273,8 @@ impl PipelineSim {
                     }
                     if let Some(ready) = self.held[i].take() {
                         self.queue.push(ready);
-                        busy += usize::from(self.start_next_image(i, now, preprocess_s));
+                        self.done[i] = now + preprocess_s * jitter_factor(&mut self.rng, jitter);
+                        busy += 1;
                     }
                 }
                 self.gpu_done = now + batch_s * jitter_factor(&mut self.rng, jitter);
@@ -361,7 +284,7 @@ impl PipelineSim {
             // The fill phase (module doc), until its first other event.
             let gpu_done = self.gpu_done;
             if gpu_done < f64::INFINITY {
-                let bound = gpu_done.min(self.next_arrival).min(end);
+                let bound = gpu_done.min(end);
                 let done = &mut self.done[..];
                 loop {
                     let (mut i, mut t) = (0, done[0]);
@@ -374,18 +297,13 @@ impl PipelineSim {
                     area.add(now, t, gpu_done, busy, self.queue.len());
                     now = t;
                     self.queue.push(t);
-                    if closed || self.ingress.pop_front().is_some() {
-                        done[i] = now + preprocess_s * jitter_factor(&mut self.rng, jitter);
-                    } else {
-                        done[i] = f64::INFINITY;
-                        busy -= 1;
-                    }
+                    done[i] = now + preprocess_s * jitter_factor(&mut self.rng, jitter);
                 }
             }
 
             // The general step: the next deadline, or the window's end.
             let worker_min = self.done.iter().fold(f64::INFINITY, |m, &d| m.min(d));
-            let t_next = worker_min.min(self.gpu_done).min(self.next_arrival);
+            let t_next = worker_min.min(self.gpu_done);
             let to = t_next.min(end);
             area.add(now, to, self.gpu_done, busy, self.queue.len());
             now = to;
@@ -406,20 +324,6 @@ impl PipelineSim {
                 continue;
             }
 
-            while self.next_arrival <= now {
-                stats.arrivals += 1;
-                let idle = (0..self.done.len())
-                    .find(|&i| self.done[i] == f64::INFINITY && self.held[i].is_none());
-                match idle {
-                    Some(i) => {
-                        self.done[i] = now + preprocess_s * jitter_factor(&mut self.rng, jitter);
-                        busy += 1;
-                    }
-                    None => self.ingress.push_back(now),
-                }
-                self.next_arrival = self.draw_arrival(self.next_arrival);
-            }
-
             // Every worker due now, in index order: each pushes its image
             // and restarts, or blocks on a full queue.
             if worker_min <= now {
@@ -430,9 +334,7 @@ impl PipelineSim {
                     }
                     if self.queue.len() < capacity {
                         self.queue.push(ready);
-                        if !self.start_next_image(i, now, preprocess_s) {
-                            busy -= 1;
-                        }
+                        self.done[i] = now + preprocess_s * jitter_factor(&mut self.rng, jitter);
                     } else {
                         self.held[i] = Some(ready);
                         self.done[i] = f64::INFINITY;
@@ -448,7 +350,6 @@ impl PipelineSim {
         stats.cpu_worker_util =
             (area.workers / (window_s * self.done.len() as f64)).clamp(0.0, 1.0);
         stats.mean_queue_len = area.queue / window_s;
-        stats.ingress_backlog = self.ingress.len();
     }
 }
 
@@ -505,6 +406,15 @@ mod tests {
     #[test]
     fn new_rejects_nan_batch_latency() {
         assert!(new_with(|m| m.e_min_s = f64::NAN).is_err());
+    }
+
+    /// NaN passes a `<= 0.0` test, and every batch latency is then NaN:
+    /// 0 images.
+    #[test]
+    fn new_rejects_nan_gpu_clock() {
+        let mut cfg = motivation_cfg(1);
+        cfg.f_gpu_max_mhz = f64::NAN;
+        assert!(PipelineSim::new(cfg).is_err());
     }
 
     #[test]
@@ -671,128 +581,6 @@ mod tests {
     }
 }
 
-#[cfg(test)]
-mod open_loop_tests {
-    use super::*;
-    use crate::models;
-
-    fn open_cfg(rate: f64, seed: u64) -> PipelineConfig {
-        PipelineConfig {
-            model: models::resnet50(),
-            num_workers: 2,
-            queue_capacity: 64,
-            seed,
-            f_gpu_max_mhz: 1350.0,
-            arrivals: ArrivalMode::Open { rate_img_s: rate },
-        }
-    }
-
-    #[test]
-    fn validation_rejects_bad_rate() {
-        assert!(PipelineSim::new(open_cfg(0.0, 1)).is_err());
-        assert!(PipelineSim::new(open_cfg(-5.0, 1)).is_err());
-    }
-
-    #[test]
-    fn throughput_tracks_arrival_rate_when_underloaded() {
-        // 50 img/s offered against ~300 img/s of GPU capacity: completed
-        // throughput must track the offered rate, not capacity.
-        let mut sim = PipelineSim::new(open_cfg(50.0, 3)).unwrap();
-        let mut arrivals = 0usize;
-        let mut completed = 0usize;
-        for _ in 0..120 {
-            let s = sim.advance(1.0, 2200.0, 1200.0);
-            arrivals += s.arrivals;
-            completed += s.images_completed;
-        }
-        let rate = completed as f64 / 120.0;
-        assert!((rate - 50.0).abs() < 6.0, "completed rate {rate}");
-        // Conservation: completed can't exceed arrivals.
-        assert!(completed <= arrivals);
-    }
-
-    #[test]
-    fn utilization_scales_with_offered_load() {
-        let busy_frac = |rate: f64| {
-            let mut sim = PipelineSim::new(open_cfg(rate, 5)).unwrap();
-            let mut f = 0.0;
-            for _ in 0..60 {
-                f += sim.advance(1.0, 2200.0, 1200.0).gpu_busy_fraction;
-            }
-            f / 60.0
-        };
-        let low = busy_frac(30.0);
-        let high = busy_frac(200.0);
-        assert!(high > 2.0 * low, "low {low} vs high {high}");
-    }
-
-    #[test]
-    fn overload_saturates_and_backlogs() {
-        // Offered 500 img/s >> capacity at 435 MHz (~130 img/s): the GPU
-        // saturates and the ingress backlog grows.
-        let mut sim = PipelineSim::new(open_cfg(500.0, 7)).unwrap();
-        let mut last = WindowStats::default();
-        for _ in 0..60 {
-            last = sim.advance(1.0, 2200.0, 435.0);
-        }
-        assert!(last.gpu_busy_fraction > 0.95);
-        assert!(
-            last.ingress_backlog > 100,
-            "backlog {}",
-            last.ingress_backlog
-        );
-    }
-
-    #[test]
-    fn rate_change_mid_run_shifts_throughput() {
-        let mut sim = PipelineSim::new(open_cfg(40.0, 9)).unwrap();
-        let mut before = 0usize;
-        for _ in 0..60 {
-            before += sim.advance(1.0, 2200.0, 1200.0).images_completed;
-        }
-        sim.set_arrival_rate(160.0).unwrap();
-        let mut after = 0usize;
-        for _ in 0..60 {
-            after += sim.advance(1.0, 2200.0, 1200.0).images_completed;
-        }
-        assert!(
-            after as f64 > 2.5 * before as f64,
-            "before {before} after {after}"
-        );
-    }
-
-    #[test]
-    fn closed_loop_rejects_rate_change() {
-        let mut sim = PipelineSim::new(PipelineConfig {
-            model: models::resnet50(),
-            num_workers: 2,
-            queue_capacity: 64,
-            seed: 1,
-            f_gpu_max_mhz: 1350.0,
-            arrivals: ArrivalMode::Closed,
-        })
-        .unwrap();
-        assert!(sim.set_arrival_rate(100.0).is_err());
-    }
-
-    #[test]
-    fn closed_mode_reports_no_arrivals() {
-        let mut sim = PipelineSim::new(PipelineConfig {
-            model: models::resnet50(),
-            num_workers: 2,
-            queue_capacity: 64,
-            seed: 1,
-            f_gpu_max_mhz: 1350.0,
-            arrivals: ArrivalMode::Closed,
-        })
-        .unwrap();
-        let s = sim.advance(5.0, 2200.0, 900.0);
-        assert_eq!(s.arrivals, 0);
-        assert_eq!(s.ingress_backlog, 0);
-        assert!(s.images_completed > 0);
-    }
-}
-
 /// The reference the shipped loop is held to: the same pipeline with
 /// every event taken by one general step, its workers and GPU as enums and
 /// the next deadline found by a scan. `oracle_tests` compares the two bit
@@ -804,19 +592,16 @@ mod oracle {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    use super::{ArrivalMode, PipelineConfig, WindowStats};
+    use super::{PipelineConfig, WindowStats};
     use crate::{Result, WorkloadError};
 
-    /// Worker state: preprocessing an image, blocked on a full queue, or (in
-    /// open-loop mode) idle awaiting an arrival.
+    /// Worker state: preprocessing an image, or blocked on a full queue.
     #[derive(Debug, Clone, Copy)]
     enum Worker {
         /// Preprocessing; image ready at `done_at`.
         Busy { done_at: f64 },
         /// Finished an image at `ready_at` but the queue was full.
         Blocked { ready_at: f64 },
-        /// No request waiting (open-loop mode only).
-        Idle,
     }
 
     /// GPU state: idle or executing a batch.
@@ -842,12 +627,6 @@ mod oracle {
         queue: VecDeque<f64>,
         gpu: Gpu,
         rng: StdRng,
-        /// Open-loop mode: current arrival rate (img/s).
-        arrival_rate: Option<f64>,
-        /// Open-loop mode: time of the next Poisson arrival.
-        next_arrival: f64,
-        /// Open-loop mode: arrival timestamps waiting for a free worker.
-        ingress: VecDeque<f64>,
         /// Recycled batch buffer: avoids one heap allocation per batch start.
         spare_batch: Vec<f64>,
     }
@@ -873,15 +652,6 @@ mod oracle {
             if cfg.f_gpu_max_mhz <= 0.0 {
                 return Err(WorkloadError::BadConfig("f_gpu_max must be positive"));
             }
-            let arrival_rate = match cfg.arrivals {
-                ArrivalMode::Closed => None,
-                ArrivalMode::Open { rate_img_s } => {
-                    if rate_img_s <= 0.0 {
-                        return Err(WorkloadError::BadConfig("arrival rate must be positive"));
-                    }
-                    Some(rate_img_s)
-                }
-            };
             let workers = vec![Worker::Busy { done_at: 0.0 }; cfg.num_workers];
             let mut sim = Oracle {
                 cfg,
@@ -890,28 +660,16 @@ mod oracle {
                 queue: VecDeque::new(),
                 gpu: Gpu::Idle,
                 rng: StdRng::seed_from_u64(0),
-                arrival_rate,
-                next_arrival: f64::INFINITY,
-                ingress: VecDeque::new(),
                 spare_batch: Vec::new(),
             };
             sim.rng = StdRng::seed_from_u64(sim.cfg.seed);
-            match sim.arrival_rate {
-                // Closed loop: workers start preprocessing immediately, with
-                // staggered completions so they don't fire in lockstep.
-                None => {
-                    for i in 0..sim.workers.len() {
-                        let jitterless = sim.cfg.model.preprocess_s_per_image;
-                        sim.workers[i] = Worker::Busy {
-                            done_at: jitterless * (i as f64 + 1.0) / sim.workers.len() as f64,
-                        };
-                    }
-                }
-                // Open loop: workers idle until the first arrival.
-                Some(_) => {
-                    sim.workers.iter_mut().for_each(|w| *w = Worker::Idle);
-                    sim.next_arrival = sim.draw_arrival(0.0);
-                }
+            // Workers start preprocessing immediately, with staggered
+            // completions so they don't fire in lockstep.
+            for i in 0..sim.workers.len() {
+                let jitterless = sim.cfg.model.preprocess_s_per_image;
+                sim.workers[i] = Worker::Busy {
+                    done_at: jitterless * (i as f64 + 1.0) / sim.workers.len() as f64,
+                };
             }
             Ok(sim)
         }
@@ -926,52 +684,13 @@ mod oracle {
             self.queue.len()
         }
 
-        /// Changes the open-loop arrival rate mid-run (demand surge/ebb).
-        ///
-        /// # Errors
-        /// [`WorkloadError::BadConfig`] when called on a closed-loop pipeline
-        /// or with a non-positive rate.
-        pub fn set_arrival_rate(&mut self, rate_img_s: f64) -> Result<()> {
-            if self.arrival_rate.is_none() {
-                return Err(WorkloadError::BadConfig(
-                    "closed-loop pipeline has no arrival rate",
-                ));
-            }
-            if rate_img_s <= 0.0 {
-                return Err(WorkloadError::BadConfig("arrival rate must be positive"));
-            }
-            self.arrival_rate = Some(rate_img_s);
-            // Next arrival re-drawn at the new rate from now.
-            self.next_arrival = self.draw_arrival(self.now);
-            Ok(())
-        }
-
-        /// Draws the next Poisson arrival time after `t`.
-        fn draw_arrival(&mut self, t: f64) -> f64 {
-            match self.arrival_rate {
-                Some(rate) => {
-                    let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-                    t - u.ln() / rate
-                }
-                None => f64::INFINITY,
-            }
-        }
-
         /// Starts a worker on its next image (`preprocess_s` at the window's
-        /// CPU clock, before jitter), honoring the arrival mode: closed-loop
-        /// always has work; open-loop takes from the ingress backlog or
-        /// idles. Returns whether the worker went busy.
-        fn start_next_image(&mut self, i: usize, preprocess_s: f64) -> bool {
-            let has_work = self.arrival_rate.is_none() || self.ingress.pop_front().is_some();
-            if has_work {
-                let pre = preprocess_s * self.jitter();
-                self.workers[i] = Worker::Busy {
-                    done_at: self.now + pre,
-                };
-            } else {
-                self.workers[i] = Worker::Idle;
-            }
-            has_work
+        /// CPU clock, before jitter).
+        fn start_next_image(&mut self, i: usize, preprocess_s: f64) {
+            let pre = preprocess_s * self.jitter();
+            self.workers[i] = Worker::Busy {
+                done_at: self.now + pre,
+            };
         }
 
         /// Multiplicative jitter factor drawn from `[1−j, 1+j]`.
@@ -1014,8 +733,6 @@ mod oracle {
             stats.batch_latencies.clear();
             stats.queue_delays.clear();
             stats.mean_queue_len = 0.0;
-            stats.arrivals = 0;
-            stats.ingress_backlog = 0;
             let mut gpu_busy_time = 0.0;
             let mut worker_busy_time = 0.0;
             let mut queue_len_integral = 0.0;
@@ -1059,9 +776,6 @@ mod oracle {
                 let mut t_next = worker_min;
                 if let Gpu::Busy { done_at, .. } = &self.gpu {
                     t_next = t_next.min(*done_at);
-                }
-                if self.arrival_rate.is_some() {
-                    t_next = t_next.min(self.next_arrival);
                 }
 
                 if t_next > end {
@@ -1111,34 +825,15 @@ mod oracle {
                     continue;
                 }
 
-                // Arrivals at this instant (open-loop mode).
-                while self.arrival_rate.is_some() && self.next_arrival <= self.now {
-                    stats.arrivals += 1;
-                    let idle = self.workers.iter().position(|w| matches!(w, Worker::Idle));
-                    match idle {
-                        Some(i) => {
-                            let pre = preprocess_s * self.jitter();
-                            self.workers[i] = Worker::Busy {
-                                done_at: self.now + pre,
-                            };
-                            busy_count += 1;
-                        }
-                        None => self.ingress.push_back(self.now),
-                    }
-                    self.next_arrival = self.draw_arrival(self.next_arrival);
-                }
-
                 // Worker completions at this instant (skipped when no worker
-                // deadline has been reached — e.g. on GPU/arrival-only events).
+                // deadline has been reached — e.g. on GPU-only events).
                 if worker_min <= self.now {
                     for i in 0..self.workers.len() {
                         if let Worker::Busy { done_at } = self.workers[i] {
                             if done_at <= self.now {
                                 if self.queue.len() < self.cfg.queue_capacity {
                                     self.queue.push_back(done_at);
-                                    if !self.start_next_image(i, preprocess_s) {
-                                        busy_count -= 1;
-                                    }
+                                    self.start_next_image(i, preprocess_s);
                                 } else {
                                     self.workers[i] = Worker::Blocked { ready_at: done_at };
                                     busy_count -= 1;
@@ -1154,7 +849,6 @@ mod oracle {
             stats.cpu_worker_util =
                 (worker_busy_time / (window_s * self.workers.len() as f64)).clamp(0.0, 1.0);
             stats.mean_queue_len = queue_len_integral / window_s;
-            stats.ingress_backlog = self.ingress.len();
         }
 
         /// Moves blocked workers' images into freed queue space and restarts
@@ -1166,9 +860,8 @@ mod oracle {
                 }
                 if let Worker::Blocked { ready_at } = self.workers[i] {
                     self.queue.push_back(ready_at);
-                    if self.start_next_image(i, preprocess_s) {
-                        *busy_count += 1;
-                    }
+                    self.start_next_image(i, preprocess_s);
+                    *busy_count += 1;
                 }
             }
         }
@@ -1223,15 +916,8 @@ mod oracle_tests {
             batch_latencies,
             queue_delays,
             mean_queue_len,
-            arrivals,
-            ingress_backlog,
         } = s;
-        let counts = [
-            images_completed,
-            batches_completed,
-            arrivals,
-            ingress_backlog,
-        ];
+        let counts = [images_completed, batches_completed];
         let mut v: Vec<u64> = counts.iter().map(|&&c| c as u64).collect();
         let floats = [
             window_s,
@@ -1289,8 +975,6 @@ mod oracle_tests {
             batches in 1usize..5,
             jitter in prop::sample::select(vec![0.0, 0.03, 0.3]),
             dyadic_times in prop::sample::select(vec![false, true]),
-            rate in prop::sample::select(vec![None, Some(30.0), Some(300.0), Some(3000.0)]),
-            surge in 10.0..3000.0f64,
             plan in prop::collection::vec(0u64..1 << 32, 1..24),
             seed in 0u64..1000,
         ) {
@@ -1303,19 +987,12 @@ mod oracle_tests {
                 queue_capacity: batch_size * batches,
                 seed,
                 f_gpu_max_mhz: 1350.0,
-                arrivals: match rate {
-                    Some(rate_img_s) => ArrivalMode::Open { rate_img_s },
-                    None => ArrivalMode::Closed,
-                },
+                arrivals: ArrivalMode::Closed,
             };
             let mut sim = PipelineSim::new(cfg.clone()).unwrap();
             let mut oracle = Oracle::new(cfg).unwrap();
             let (mut got, mut want) = (WindowStats::default(), WindowStats::default());
-            for (k, &w) in plan.iter().enumerate() {
-                if rate.is_some() && k == plan.len() / 2 {
-                    sim.set_arrival_rate(surge).unwrap();
-                    oracle.set_arrival_rate(surge).unwrap();
-                }
+            for &w in &plan {
                 let window_s = [0.01, 0.25, 1.0, 4.0][(w % 4) as usize];
                 let (f_cpu, f_gpu) = clocks(w, dyadic_times);
                 sim.advance_into(window_s, f_cpu, f_gpu, &mut got);
