@@ -53,7 +53,7 @@ use capgpu_telemetry::journal::{Body, Event, Journal, Targets};
 use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
 
 use crate::controllers::{CapGpuController, DeviceLayout};
-use crate::period::{self, period_power, Decider, PeriodInputs};
+use crate::period::{self, period_power, Decider, PeriodInputs, Transitions};
 use crate::supervisor::{Ladder, SupervisorTier};
 use crate::weights::WeightAssigner;
 use crate::{CapGpuError, Result};
@@ -107,6 +107,8 @@ struct ControlStack {
     /// Gain scale last pushed to the primary controller, relative to the
     /// model the stack was built from.
     pushed_scale: f64,
+    /// The ladder's tier and quarantine flags as last journaled.
+    transitions: Transitions,
 }
 
 impl ControlStack {
@@ -122,6 +124,7 @@ impl ControlStack {
         Ok(Box::new(ControlStack {
             primary: CapGpuController::new(layout, model.clone(), WeightAssigner::default())?,
             ladder: Ladder::new(cfg.supervisor, layout, &model, noise)?,
+            transitions: Transitions::default(),
             tracker: ScaledModelTracker::new(
                 model,
                 cfg.rls_forgetting.unwrap_or(DEFAULT_RLS_FORGETTING),
@@ -155,8 +158,6 @@ pub struct Daemon {
     line_buf: String,
     /// Streaming control-loop health detectors.
     analyzer: HealthAnalyzer,
-    /// Last published quarantine flags (for edge-triggered journaling).
-    prev_quarantined: Vec<bool>,
     registry: Registry,
     metrics: Metrics,
     period: u64,
@@ -166,7 +167,6 @@ pub struct Daemon {
     /// Effective frequencies after the last actuation (MHz).
     applied: Vec<f64>,
     last_avg_watts: f64,
-    last_tier: SupervisorTier,
     setpoint_watts: f64,
     /// Per-device throughput weights: no backend reports throughput, so
     /// every device is equally expensive to slow down.
@@ -180,7 +180,7 @@ impl std::fmt::Debug for Daemon {
             .field("backend", &self.backend.name())
             .field("period", &self.period)
             .field("setpoint_watts", &self.setpoint_watts)
-            .field("tier", &self.last_tier)
+            .field("tier", &self.tier())
             .finish_non_exhaustive()
     }
 }
@@ -286,7 +286,6 @@ impl Daemon {
             writer,
             line_buf: String::new(),
             analyzer: HealthAnalyzer::default(),
-            prev_quarantined: vec![false; n],
             registry,
             metrics,
             period: 0,
@@ -294,7 +293,6 @@ impl Daemon {
             targets,
             applied: Vec::with_capacity(n),
             last_avg_watts: 0.0,
-            last_tier: SupervisorTier::Primary,
             setpoint_watts,
             neutral_throughput: vec![1.0; n],
             decider: Decider::new(n),
@@ -400,7 +398,7 @@ impl Daemon {
                 fresh += 1;
             }
         }
-        let (avg, stale) = period_power(
+        let avg = period_power(
             self.backend.as_ref(),
             self.cfg.control_period_s as usize,
             fresh,
@@ -432,33 +430,14 @@ impl Daemon {
             &inputs,
         )?;
         let (targets, directive) = (decision.targets, decision.directive);
-        if directive.tier != self.last_tier {
-            let reason = if directive.stale_periods > 0 {
-                "stale_meter"
-            } else if directive.authority_lost {
-                "authority_lost"
-            } else {
-                "recovered"
-            };
-            self.record(Body::TierChange {
-                from: self.last_tier.as_u8() as u64,
-                to: directive.tier.as_u8() as u64,
-                stale_periods: Some(directive.stale_periods as u64),
-                reason: reason.into(),
-            });
+        // Tier and quarantine edges, journaled so replay can re-derive
+        // the ladder's state.
+        let quarantined = stack.ladder.supervisor().quarantined();
+        let (tier_changed, _) = stack
+            .transitions
+            .observe(&directive, quarantined, |body| self.record(body));
+        if tier_changed {
             self.registry.inc(self.metrics.tier_changes, 1);
-            self.last_tier = directive.tier;
-        }
-        // Quarantine edges (enter/leave), journaled so replay can
-        // re-derive the quarantine set.
-        for (d, &on) in stack.ladder.supervisor().quarantined().iter().enumerate() {
-            if on != self.prev_quarantined[d] {
-                self.prev_quarantined[d] = on;
-                self.record(Body::Quarantine {
-                    device: d as u64,
-                    on,
-                });
-            }
         }
         // Summed commanded move and bound saturation, for the journal
         // and the oscillation/saturation detectors.
@@ -493,8 +472,9 @@ impl Daemon {
                 });
             }
         }
-        // -- journal + metrics ----------------------------------------
-        self.record(Body::Period {
+        // -- journal + metrics; the online health analyzer reads the
+        //    period record, as the post-mortem does -------------------
+        let body = Body::Period {
             tier: Some(directive.tier.as_u8() as u64),
             watts: Some(avg),
             setpoint: Some(directive.effective_setpoint),
@@ -502,17 +482,12 @@ impl Daemon {
             delta_f_mhz: Some(delta_f_mhz),
             saturated: Some(saturated),
             targets: Some(Targets::new(&self.targets)),
-        });
-        // -- online health analyzer -----------------------------------
-        let sample = PeriodSample {
-            power_w: avg,
-            cap_w: directive.effective_setpoint,
-            delta_f_mhz,
-            meter_stale: stale,
-            saturated,
-            slo_miss_frac: 0.0,
         };
-        let edges = self.analyzer.observe(&sample);
+        let sample = PeriodSample::from_period(&body);
+        self.record(body);
+        let edges = sample
+            .map(|s| self.analyzer.observe(&s))
+            .unwrap_or_default();
         for e in &edges {
             self.record(Body::Health {
                 detector: e.detector.into(),
@@ -620,9 +595,9 @@ impl Daemon {
         self.backend.as_mut()
     }
 
-    /// Current supervisor tier.
+    /// Current supervisor tier (primary before identification).
     pub fn tier(&self) -> SupervisorTier {
-        self.last_tier
+        (self.stack.as_ref()).map_or(SupervisorTier::Primary, |s| s.ladder.supervisor().tier())
     }
 
     /// JSON body for the `/healthz` endpoint: supervisor tier, worst
@@ -630,7 +605,7 @@ impl Daemon {
     pub fn health_json(&self) -> String {
         let mut out = format!(
             "{{\"tier\":{},\"overall\":\"{}\",\"periods\":{},\"detectors\":{{",
-            self.last_tier.as_u8(),
+            self.tier().as_u8(),
             self.analyzer.overall().label(),
             self.analyzer.periods()
         );
@@ -675,10 +650,8 @@ impl Daemon {
         let mut stack = ControlStack::from_model(self, model, &[])?;
         let tier = SupervisorTier::from_u8(state.tier_or_primary() as u8);
         stack.ladder.restore(tier, &state.quarantined);
-        self.prev_quarantined
-            .copy_from_slice(stack.ladder.supervisor().quarantined());
+        stack.transitions = Transitions::restored(tier, stack.ladder.supervisor().quarantined());
         self.stack = Some(stack);
-        self.last_tier = tier;
         if let Some(cap) = state.cap_w {
             self.setpoint_watts = cap;
         }

@@ -1,13 +1,14 @@
 //! The steps of a control period that the experiment runner and the
 //! daemon share: the identification dwell, the period's power reading,
-//! the model tracker's record, the health-and-decide step and the refit
-//! push. What the two loops still do differently (DESIGN §18) stays at
-//! their call sites.
+//! the model tracker's record, the health-and-decide step, the refit
+//! push and the journaled transitions. What the two loops still do
+//! differently (DESIGN §18) stays at their call sites.
 
 use capgpu_backend::PowerBackend;
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::sysid::{identify_sweep, ScaledModelTracker, SweepFit};
 use capgpu_control::ControlError;
+use capgpu_telemetry::journal::Body;
 
 use crate::controllers::{ControlInput, DeviceLayout, PowerController};
 use crate::supervisor::{check_arity, Decision, Directive, HealthSample, Ladder, SupervisorTier};
@@ -51,23 +52,21 @@ pub(crate) fn identify<B: PowerBackend + ?Sized>(
     )
 }
 
-/// The period's power reading and whether it is stale, kept in `last`.
-/// It averages only the `fresh` samples the meter produced this period:
-/// the last `period_s` samples could blend pre-dropout readings into a
-/// "fresh" one. A silent period holds `last`, flagged stale for the
-/// supervisor's staleness watchdog.
+/// The period's power reading, kept in `last`. It averages only the
+/// `fresh` samples the meter produced this period: the last `period_s`
+/// samples could blend pre-dropout readings into a "fresh" one. A silent
+/// period (`fresh == 0`, the one staleness test every step applies)
+/// holds `last`.
 pub(crate) fn period_power<B: PowerBackend + ?Sized>(
     backend: &B,
     period_s: usize,
     fresh: usize,
     last: &mut f64,
-) -> (f64, bool) {
-    if fresh == 0 {
-        return (*last, true);
+) -> f64 {
+    if fresh > 0 {
+        *last = backend.average_power(fresh.min(period_s)).unwrap_or(*last);
     }
-    let avg = backend.average_power(fresh.min(period_s));
-    *last = avg.unwrap_or(*last);
-    (*last, false)
+    *last
 }
 
 /// What a loop measured and chose itself by the time it decides; the
@@ -200,5 +199,167 @@ pub(crate) fn push_refit(
         }
         Ok(_) | Err(ControlError::InsufficientData(_)) => Ok(None),
         Err(e) => Err(e.into()),
+    }
+}
+
+/// The ladder state a loop last journaled, diffed against each period's
+/// decision into its `tier_change` and `quarantine` records: the one
+/// transition rule of the runner's telemetry and the daemon's journal.
+/// The default is where a freshly built [`Ladder`] starts: primary,
+/// nothing quarantined.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Transitions {
+    /// The tier as journaled (0 primary, 1 safe fallback, 2 park).
+    tier: u64,
+    /// Per-device quarantine flags; a device past the end is not.
+    quarantined: Vec<bool>,
+}
+
+impl Transitions {
+    /// Where a restored ladder stands.
+    pub(crate) fn restored(tier: SupervisorTier, quarantined: &[bool]) -> Self {
+        Transitions {
+            tier: u64::from(tier.as_u8()),
+            quarantined: quarantined.to_vec(),
+        }
+    }
+
+    /// Hands `emit` a `tier_change` when `directive` moved the ladder,
+    /// then a `quarantine` per flag of `quarantined` that flipped (an
+    /// unsupervised loop passes none); returns whether the tier changed
+    /// and how many flags flipped. Beyond sizing its flags once, it
+    /// allocates only on a tier edge.
+    pub(crate) fn observe(
+        &mut self,
+        directive: &Directive,
+        quarantined: &[bool],
+        mut emit: impl FnMut(Body),
+    ) -> (bool, u64) {
+        let to = u64::from(directive.tier.as_u8());
+        let tier_changed = to != self.tier;
+        if tier_changed {
+            let reason = if directive.stale_periods > 0 {
+                "stale_meter"
+            } else if directive.authority_lost {
+                "authority_lost"
+            } else {
+                "recovered"
+            };
+            emit(Body::TierChange {
+                from: self.tier,
+                to,
+                stale_periods: Some(directive.stale_periods as u64),
+                reason: reason.into(),
+            });
+            self.tier = to;
+        }
+        self.quarantined.resize(quarantined.len(), false);
+        let mut flips = 0;
+        for (d, (was, &on)) in self.quarantined.iter_mut().zip(quarantined).enumerate() {
+            if *was != on {
+                *was = on;
+                flips += 1;
+                emit(Body::Quarantine {
+                    device: d as u64,
+                    on,
+                });
+            }
+        }
+        (tier_changed, flips)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn directive(tier: SupervisorTier, stale_periods: usize, authority_lost: bool) -> Directive {
+        Directive {
+            tier,
+            effective_setpoint: 900.0,
+            authority_lost,
+            stale_periods,
+        }
+    }
+
+    fn tier_change(from: u64, to: u64, stale: u64, reason: &str) -> Body {
+        Body::TierChange {
+            from,
+            to,
+            stale_periods: Some(stale),
+            reason: reason.into(),
+        }
+    }
+
+    #[test]
+    fn transitions_journal_each_edge_once_with_its_reason() {
+        use SupervisorTier::{Park, Primary, SafeFallback};
+        let (none, second) = ([false, false], [false, true]);
+        // (directive, quarantine flags, bodies expected, counts expected)
+        let script = [
+            (directive(Primary, 1, false), none, vec![], (false, 0)),
+            (
+                directive(SafeFallback, 2, false),
+                none,
+                vec![tier_change(0, 1, 2, "stale_meter")],
+                (true, 0),
+            ),
+            (directive(SafeFallback, 3, false), none, vec![], (false, 0)),
+            (
+                directive(Park, 5, false),
+                none,
+                vec![tier_change(1, 2, 5, "stale_meter")],
+                (true, 0),
+            ),
+            (directive(Park, 0, false), none, vec![], (false, 0)),
+            (
+                directive(SafeFallback, 0, false),
+                none,
+                vec![tier_change(2, 1, 0, "recovered")],
+                (true, 0),
+            ),
+            (
+                directive(Primary, 0, false),
+                none,
+                vec![tier_change(1, 0, 0, "recovered")],
+                (true, 0),
+            ),
+            (
+                directive(SafeFallback, 0, true),
+                second,
+                vec![
+                    tier_change(0, 1, 0, "authority_lost"),
+                    Body::Quarantine {
+                        device: 1,
+                        on: true,
+                    },
+                ],
+                (true, 1),
+            ),
+            (directive(SafeFallback, 0, true), second, vec![], (false, 0)),
+            (
+                directive(Primary, 0, false),
+                none,
+                vec![
+                    tier_change(1, 0, 0, "recovered"),
+                    Body::Quarantine {
+                        device: 1,
+                        on: false,
+                    },
+                ],
+                (true, 1),
+            ),
+        ];
+        let mut t = Transitions::default();
+        for (i, (d, flags, want, counts)) in script.into_iter().enumerate() {
+            let mut got = Vec::new();
+            assert_eq!(t.observe(&d, &flags, |b| got.push(b)), counts, "step {i}");
+            assert_eq!(got, want, "step {i}");
+        }
+        // An unsupervised loop passes no flags and stays primary: silent.
+        let mut got = Vec::new();
+        let mut fresh = Transitions::default();
+        fresh.observe(&directive(Primary, 0, false), &[], |b| got.push(b));
+        assert!(got.is_empty());
     }
 }

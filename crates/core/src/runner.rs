@@ -685,8 +685,7 @@ impl ExperimentRunner {
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_enter(Phase::Sense);
             }
-            let (avg_power, meter_stale) =
-                period_power(&self.backend, t, fresh_meter_samples, &mut last_power);
+            let avg_power = period_power(&self.backend, t, fresh_meter_samples, &mut last_power);
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_exit();
             }
@@ -718,6 +717,9 @@ impl ExperimentRunner {
                 if self.scenario.rls_tracking && fresh_meter_samples > 0 && quasi_steady {
                     let pushed = period::push_refit(tracker, &mut pushed_scale, &mut controller)?;
                     if let Some((model, scale)) = pushed {
+                        if let Some(tm) = self.telemetry.as_mut() {
+                            tm.on_refit(period, t_end_s, scale, model.offset());
+                        }
                         self.identified = Some(IdentifiedModel {
                             model,
                             r_squared: tracker.r_squared(),
@@ -727,9 +729,6 @@ impl ExperimentRunner {
                             // always perfectly conditioned.
                             design_condition: 1.0,
                         });
-                        if let Some(tm) = self.telemetry.as_mut() {
-                            tm.on_refit(period, t_end_s, scale, tracker.r_squared());
-                        }
                     }
                 }
                 prev_applied_mean = Some(applied_mean.clone());
@@ -800,7 +799,7 @@ impl ExperimentRunner {
                 batches: measured.batches,
                 floors,
                 supervisor_tier: directive.tier.as_u8(),
-                meter_stale,
+                meter_stale: fresh_meter_samples == 0,
             });
 
             // Fold the completed period into the telemetry registry and
@@ -820,10 +819,7 @@ impl ExperimentRunner {
                     seconds: t,
                     fresh_meter_samples,
                     avg_power,
-                    setpoint: directive.effective_setpoint,
-                    meter_stale,
-                    tier: directive.tier.as_u8(),
-                    stale_periods: directive.stale_periods,
+                    directive,
                     quarantined,
                     targets: &rec.targets,
                     diag,

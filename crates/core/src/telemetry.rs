@@ -21,6 +21,8 @@ use capgpu_telemetry::spans::{SpanId, SpanStack, SpanSummary};
 use capgpu_telemetry::TelemetryConfig;
 
 use crate::controllers::ControlDiagnostics;
+use crate::period::Transitions;
+use crate::supervisor::Directive;
 
 /// Control-loop phases timed by the span stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,18 +103,15 @@ pub struct PeriodObservation<'a> {
     pub t_s: f64,
     /// Seconds simulated this period.
     pub seconds: usize,
-    /// Fresh meter samples the period produced.
+    /// Fresh meter samples the period produced; with none, `avg_power`
+    /// is a held-over stale reading.
     pub fresh_meter_samples: usize,
     /// Measured (or held-over) average power (W).
     pub avg_power: f64,
-    /// Effective set point in force (W).
-    pub setpoint: f64,
-    /// Whether `avg_power` is a held-over stale reading.
-    pub meter_stale: bool,
-    /// Supervisory tier that acted (0 when unsupervised).
-    pub tier: u8,
-    /// Consecutive meter-silent periods at the supervisor's decision.
-    pub stale_periods: usize,
+    /// The period's decision: the tier that acted (primary when
+    /// unsupervised), the effective set point (W) and the consecutive
+    /// meter-silent periods.
+    pub directive: Directive,
     /// Per-device quarantine flags, when supervised.
     pub quarantined: Option<&'a [bool]>,
     /// Fractional frequency targets commanded at the period's end (MHz).
@@ -141,8 +140,8 @@ pub struct RunTelemetry {
     h: Handles,
     /// Delta-sigma wraps accumulated within the current period.
     carry_pending: u64,
-    prev_tier: Option<u8>,
-    prev_quarantine: Vec<bool>,
+    /// The run's ladder state as last journaled.
+    transitions: Transitions,
     prev_stale: bool,
     slo_bound_active: bool,
     /// Per-task decode-dominant flags for edge-triggered
@@ -280,8 +279,7 @@ impl RunTelemetry {
             sp_serve,
             h,
             carry_pending: 0,
-            prev_tier: None,
-            prev_quarantine: vec![false; kinds.len()],
+            transitions: Transitions::default(),
             prev_stale: false,
             slo_bound_active: false,
             llm_decode_dominant: vec![false; n_tasks],
@@ -323,16 +321,12 @@ impl RunTelemetry {
 
     /// Journals `body` at `period` and sim time `t_s`.
     fn record(&mut self, period: usize, t_s: f64, body: Body) {
-        self.journal.push(Event {
-            period: period as u64,
-            sim_time_s: t_s,
-            wall_unix_ms: None,
-            body,
-        });
+        self.journal.push(stamped(period, t_s, body));
     }
 
-    /// Journal the start of a closed-loop run.
+    /// Journal the start of a closed-loop run, whose ladder starts fresh.
     pub fn begin_run(&mut self, controller: &str, setpoint: f64, num_periods: usize) {
+        self.transitions = Transitions::default();
         let body = Body::RunStart {
             controller: controller.into(),
             setpoint_w: setpoint,
@@ -493,82 +487,63 @@ impl RunTelemetry {
         }
     }
 
-    /// Record a streaming-RLS refit pushed to the controller.
-    pub fn on_refit(&mut self, period: usize, t_s: f64, scale: f64, r_squared: f64) {
+    /// Record a streaming-RLS refit pushed to the controller: its gain
+    /// scale and idle offset pin the pushed model, as the daemon's
+    /// `refit` does.
+    pub fn on_refit(&mut self, period: usize, t_s: f64, scale: f64, offset_w: f64) {
         self.registry.inc(self.h.refits_total, 1);
         self.registry.set(self.h.model_scale, scale);
-        self.record(period, t_s, Body::RlsRefit { scale, r_squared });
+        self.record(period, t_s, Body::Refit { scale, offset_w });
     }
 
     /// Fold one completed control period into the registry and journal.
-    /// Edge-triggered events (tier changes, quarantine transitions,
-    /// SLO-bound activations, meter staleness, memory-escape flips,
-    /// aggregated carry wraps) are derived here by diffing against the
-    /// previous period's state.
+    /// Edge-triggered events (tier changes and quarantine transitions,
+    /// by the rule the daemon journals them with; SLO-bound activations,
+    /// meter staleness, aggregated carry wraps) are derived here by
+    /// diffing against the previous period's state.
     pub fn on_period(&mut self, obs: &PeriodObservation<'_>) {
         let (period, t_s) = (obs.period, obs.t_s);
+        let (setpoint, meter_stale) = (
+            obs.directive.effective_setpoint,
+            obs.fresh_meter_samples == 0,
+        );
         self.registry.inc(self.h.periods_total, 1);
         self.registry.inc(self.h.seconds_total, obs.seconds as u64);
         self.registry
             .inc(self.h.meter_samples_total, obs.fresh_meter_samples as u64);
         self.registry.set(self.h.power_watts, obs.avg_power);
-        self.registry.set(self.h.setpoint_watts, obs.setpoint);
-        self.registry.observe(
-            self.h.power_error_watts,
-            (obs.avg_power - obs.setpoint).abs(),
-        );
-        if obs.avg_power > obs.setpoint {
+        self.registry.set(self.h.setpoint_watts, setpoint);
+        self.registry
+            .observe(self.h.power_error_watts, (obs.avg_power - setpoint).abs());
+        if obs.avg_power > setpoint {
             self.registry.inc(self.h.cap_overshoot_periods_total, 1);
         }
-        if obs.meter_stale {
+        if meter_stale {
             self.registry.inc(self.h.meter_stale_periods_total, 1);
         }
-        if obs.meter_stale != self.prev_stale {
+        if meter_stale != self.prev_stale {
             let body = Body::MeterStale {
-                stale: obs.meter_stale,
-                stale_periods: obs.stale_periods as u64,
+                stale: meter_stale,
+                stale_periods: obs.directive.stale_periods as u64,
             };
             self.record(period, t_s, body);
-            self.prev_stale = obs.meter_stale;
+            self.prev_stale = meter_stale;
         }
-        if let Some(id) = self.h.tier_periods_total.get(obs.tier as usize) {
+        let tier = obs.directive.tier.as_u8() as usize;
+        if let Some(id) = self.h.tier_periods_total.get(tier) {
             self.registry.inc(*id, 1);
         }
-        if let Some(prev) = self.prev_tier {
-            if prev != obs.tier {
-                self.registry.inc(self.h.tier_changes_total, 1);
-                let reason = if obs.tier > prev {
-                    if obs.stale_periods > 0 {
-                        "stale_meter"
-                    } else {
-                        "health"
-                    }
-                } else {
-                    "recovered"
-                };
-                let body = Body::TierChange {
-                    from: prev as u64,
-                    to: obs.tier as u64,
-                    stale_periods: Some(obs.stale_periods as u64),
-                    reason: reason.into(),
-                };
-                self.record(period, t_s, body);
-            }
+        let journal = &mut self.journal;
+        let (tier_changed, flips) =
+            self.transitions
+                .observe(&obs.directive, obs.quarantined.unwrap_or(&[]), |body| {
+                    journal.push(stamped(period, t_s, body))
+                });
+        if tier_changed {
+            self.registry.inc(self.h.tier_changes_total, 1);
         }
-        self.prev_tier = Some(obs.tier);
-        if let Some(quarantined) = obs.quarantined {
-            for (d, &q) in quarantined.iter().enumerate() {
-                if q != self.prev_quarantine[d] {
-                    self.registry.inc(self.h.quarantine_transitions_total, 1);
-                    let body = Body::Quarantine {
-                        device: d as u64,
-                        on: q,
-                    };
-                    self.record(period, t_s, body);
-                    self.prev_quarantine[d] = q;
-                }
-            }
-        }
+        self.registry
+            .inc(self.h.quarantine_transitions_total, flips);
         for (d, &f) in obs.targets.iter().enumerate() {
             if let Some(id) = self.h.target_mhz.get(d) {
                 self.registry.set(*id, f);
@@ -619,6 +594,17 @@ impl RunTelemetry {
             journal: self.journal.clone(),
             spans: self.span_summary(),
         }
+    }
+}
+
+/// `body` as the runner journals it: at `period` and sim time `t_s`,
+/// with no wall clock.
+fn stamped(period: usize, t_s: f64, body: Body) -> Event {
+    Event {
+        period: period as u64,
+        sim_time_s: t_s,
+        wall_unix_ms: None,
+        body,
     }
 }
 
@@ -674,6 +660,7 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::supervisor::SupervisorTier;
 
     /// The events of `journal` whose body `keep` selects.
     fn events_where(journal: &Journal, keep: impl Fn(&Body) -> bool) -> Vec<&Event> {
@@ -689,17 +676,21 @@ mod tests {
         )
     }
 
-    fn obs<'a>(period: usize, targets: &'a [f64], tier: u8) -> PeriodObservation<'a> {
+    /// A fresh-meter period at `tier`, off primary only by a lost
+    /// authority verdict.
+    fn obs(period: usize, targets: &[f64], tier: SupervisorTier) -> PeriodObservation<'_> {
         PeriodObservation {
             period,
             t_s: 4.0 * (period + 1) as f64,
             seconds: 4,
             fresh_meter_samples: 4,
             avg_power: 905.0,
-            setpoint: 900.0,
-            meter_stale: false,
-            tier,
-            stale_periods: 0,
+            directive: Directive {
+                tier,
+                effective_setpoint: 900.0,
+                authority_lost: tier != SupervisorTier::Primary,
+                stale_periods: 0,
+            },
             quarantined: None,
             targets,
             diag: None,
@@ -711,8 +702,8 @@ mod tests {
         let mut tm = telemetry();
         tm.begin_run("CapGPU", 900.0, 2);
         let targets = [2000.0, 1000.0, 1000.0];
-        tm.on_period(&obs(0, &targets, 0));
-        tm.on_period(&obs(1, &targets, 0));
+        tm.on_period(&obs(0, &targets, SupervisorTier::Primary));
+        tm.on_period(&obs(1, &targets, SupervisorTier::Primary));
         tm.end_run(2, 8.0, &[0.1, 0.2], None);
         let snap = tm.snapshot();
         assert_eq!(snap.counter_value("capgpu_periods_total", &[]), Some(2));
@@ -743,7 +734,8 @@ mod tests {
     fn tier_changes_are_edge_triggered() {
         let mut tm = telemetry();
         let targets = [2000.0, 1000.0, 1000.0];
-        for (p, tier) in [(0, 0u8), (1, 1), (2, 1), (3, 0)] {
+        let (primary, fallback) = (SupervisorTier::Primary, SupervisorTier::SafeFallback);
+        for (p, tier) in [(0, primary), (1, fallback), (2, fallback), (3, primary)] {
             tm.on_period(&obs(p, &targets, tier));
         }
         let snap = tm.snapshot();
@@ -762,6 +754,7 @@ mod tests {
                 .collect();
         assert_eq!(changes.len(), 2);
         assert!(changes[0].contains("\"from\":0,\"to\":1"));
+        assert!(changes[0].contains("\"reason\":\"authority_lost\""));
         assert!(changes[1].contains("\"reason\":\"recovered\""));
     }
 
@@ -793,8 +786,8 @@ mod tests {
         tm.on_carry_wrap(1);
         tm.on_carry_wrap(2);
         let targets = [2000.0, 1000.0, 1000.0];
-        tm.on_period(&obs(0, &targets, 0));
-        tm.on_period(&obs(1, &targets, 0));
+        tm.on_period(&obs(0, &targets, SupervisorTier::Primary));
+        tm.on_period(&obs(1, &targets, SupervisorTier::Primary));
         let snap = tm.snapshot();
         assert_eq!(
             snap.counter_value("capgpu_carry_wraps_total", &[("device", "gpu1")]),
@@ -866,7 +859,7 @@ mod tests {
     fn report_texts_are_deterministic_and_separated() {
         let mut tm = telemetry();
         let targets = [2000.0, 1000.0, 1000.0];
-        tm.on_period(&obs(0, &targets, 0));
+        tm.on_period(&obs(0, &targets, SupervisorTier::Primary));
         let report = tm.report();
         let text = report.deterministic_text();
         assert!(text.contains("capgpu_periods_total"));

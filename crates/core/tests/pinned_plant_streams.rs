@@ -127,10 +127,6 @@ fn hash_pipeline_window(h: &mut Fnv, s: &WindowStats) {
     h.f64s(batch_latencies);
     h.f64s(queue_delays);
     h.f64(*mean_queue_len);
-    // Two words the stats' open-loop arrival counts used to add, 0 in
-    // every closed-loop window: kept, so the pins did not move with them.
-    h.usize(0);
-    h.usize(0);
 }
 
 /// Compares every `(case, seed)` hash with its pin and reports all the
@@ -516,18 +512,18 @@ fn pipeline_sim_streams_are_pinned() {
 const PIPELINE_PINS: [(&str, [u64; 3]); 4] = [
     (
         "closed_jitter",
-        [0xdc2eeada09ab9ae3, 0xaaff2a11ed441ea5, 0x788005db16dff1c8],
+        [0x362f07308a817ae3, 0x9080a6ce45b5a265, 0x7b1b9e7833a5e908],
     ),
     (
         "closed_no_jitter",
-        [0x66ff9421cd6726c3, 0x66ff9421cd6726c3, 0x66ff9421cd6726c3],
+        [0xbac58a19fc855b83, 0xbac58a19fc855b83, 0xbac58a19fc855b83],
     ),
     (
         "closed_eval",
-        [0x7f6c9b8754c2eccf, 0x07c1cde3e8285e98, 0xef0a25ae532ea431],
+        [0x1785a0cd37accc0f, 0x4b128ea61626d798, 0x7756f5e295bec531],
     ),
     (
         "closed_eval_no_jitter",
-        [0x63dae7c881ec9ad0, 0x63dae7c881ec9ad0, 0x63dae7c881ec9ad0],
+        [0x24074d94fe17abd0, 0x24074d94fe17abd0, 0x24074d94fe17abd0],
     ),
 ];

@@ -391,6 +391,100 @@ fn journal_captures_scripted_escalation_in_order() {
     assert_eq!(snap.counter_value("capgpu_periods_total", &[]), Some(45));
 }
 
+/// The runner's telemetry starts its transitions where the run's fresh
+/// ladder does, at primary: a meter dark from period 0 under a
+/// one-period fallback threshold demotes in period 0, and that first
+/// edge is journaled, as the daemon journals it.
+#[test]
+fn a_demotion_in_the_first_period_is_journaled() {
+    use capgpu_telemetry::journal::Body;
+
+    let supervisor = SupervisorConfig {
+        stale_fallback_periods: 1,
+        ..Default::default()
+    };
+    let scenario = Scenario::paper_testbed(15)
+        .with_supervisor(supervisor)
+        .with_telemetry(TelemetryConfig::deterministic())
+        .with_faults(FaultSchedule {
+            specs: vec![FaultSpec {
+                kind: FaultKind::MeterDropout,
+                onset_period: 0,
+                duration: None,
+                intermittency: None,
+            }],
+        });
+    let mut r = ExperimentRunner::new(scenario, 900.0).unwrap();
+    let c = r.build_capgpu_controller().unwrap();
+    let trace = r.run(c, 3).unwrap();
+    assert_eq!(trace.records[0].supervisor_tier, 1);
+
+    let first_change = r
+        .telemetry()
+        .expect("telemetry enabled")
+        .journal()
+        .events()
+        .iter()
+        .find(|e| matches!(e.body, Body::TierChange { .. }))
+        .cloned();
+    let first_change = first_change.expect("no tier_change journaled");
+    assert_eq!(first_change.period, 0);
+    assert_eq!(
+        first_change.body,
+        Body::TierChange {
+            from: 0,
+            to: 1,
+            stale_periods: Some(1),
+            reason: "stale_meter".into(),
+        }
+    );
+}
+
+/// Under RLS tracking the runner journals each refit it pushes as the
+/// daemon does, `refit {scale, offset_w}`, and the last one pins the
+/// model the controller ended on bit for bit: the identified gains
+/// times `scale`, and `offset_w`, read back from the rendered line.
+#[test]
+fn the_last_refit_record_pins_the_final_model() {
+    use capgpu_telemetry::journal::{Body, Event};
+
+    let mut scenario = Scenario::paper_testbed(42).with_telemetry(TelemetryConfig::deterministic());
+    scenario.rls_tracking = true;
+    for device in 1..=3 {
+        scenario = scenario.with_change(ScheduledChange::GainDrift {
+            at_period: 10,
+            device,
+            factor: 1.5,
+        });
+    }
+    let mut r = ExperimentRunner::new(scenario, 900.0).unwrap();
+    let identified = r.identify().unwrap().model;
+    let c = r.build_capgpu_controller().unwrap();
+    r.run(c, 60).unwrap();
+
+    let journal = r.telemetry().expect("telemetry enabled").journal();
+    let refits: Vec<(f64, f64)> = journal
+        .events()
+        .iter()
+        .filter_map(|e| match Event::parse(&e.to_json()).unwrap().body {
+            Body::Refit { scale, offset_w } => Some((scale, offset_w)),
+            _ => None,
+        })
+        .collect();
+    let &(scale, offset_w) = refits.last().expect("the drift pushed no refit");
+    assert!((scale - 1.0).abs() > 0.05, "scale {scale}");
+    let pinned: Vec<f64> = identified.gains().iter().map(|g| g * scale).collect();
+    let last = r.identified_model().unwrap();
+    assert_eq!(pinned, last.gains());
+    assert_eq!(offset_w.to_bits(), last.offset().to_bits());
+    let refit_counter = r
+        .telemetry()
+        .unwrap()
+        .snapshot()
+        .counter_value("capgpu_refits_total", &[]);
+    assert_eq!(refit_counter, Some(refits.len() as u64));
+}
+
 /// The one per-second loop freezes an ejected GPU's engine whichever of
 /// the three workload kinds the scenario runs: no work, no batches and no
 /// new SLO misses for that task while it is out, the other tasks keep

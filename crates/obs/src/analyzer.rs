@@ -1,6 +1,6 @@
 //! Online control-loop health analyzer: streaming detectors over the
-//! per-period telemetry a running `capgpud` (or an offline post-mortem)
-//! already produces.
+//! `period` records a running `capgpud` journals, read through
+//! [`PeriodSample::from_period`] live and post-mortem alike.
 //!
 //! Detectors follow the SRE multi-window burn-rate pattern where it
 //! applies: a *fast* window catches acute breaches, a *slow* window
@@ -11,13 +11,15 @@
 //! so verdicts are deterministic under the sim clock and identical when
 //! recomputed offline from the journal.
 
+use capgpu_telemetry::journal::Body;
+
 /// Alert tier for one detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Verdict {
     /// Healthy.
     Ok,
-    /// One window breached, or a soft condition (e.g. meter silent for
-    /// a short stretch).
+    /// One window breached, or a soft condition (e.g. saturated half
+    /// the slow window).
     Warn,
     /// Fast and slow windows both breached, or a hard condition.
     Critical,
@@ -43,13 +45,12 @@ impl Verdict {
     }
 }
 
-/// Detector identifiers, in report order.
-pub const DETECTORS: [&str; 5] = [
+/// Detector identifiers, in report order. A silent meter is the staleness
+/// watchdog's to catch, and no record carries an SLO observation.
+pub const DETECTORS: [&str; 3] = [
     "cap_violation_burn",
     "actuation_oscillation",
-    "meter_silence",
     "saturation_dwell",
-    "slo_miss_burn",
 ];
 
 /// Fast burn window (control periods).
@@ -67,15 +68,9 @@ const FLIP_RATE_CRITICAL: f64 = 0.6;
 /// Hysteresis floor (MHz): |Δf| below this does not count as a
 /// direction, suppressing dither-driven false flips.
 const FLIP_HYSTERESIS_MHZ: f64 = 1.0;
-/// Consecutive stale-meter periods before meter-silence Warn; 2× this
-/// is Critical.
-const SILENCE_WARN_PERIODS: usize = 3;
 /// Fraction of the slow window spent with actuation saturated (targets
 /// pinned at a bound) before Warn; Critical at 2× capped to 1.0.
 const SATURATION_WARN_FRAC: f64 = 0.5;
-/// SLO-miss burn threshold: miss fraction per period that counts as
-/// burning in a window.
-const SLO_BURN_FRAC: f64 = 0.05;
 
 /// The analyzer's former tuning record. Every threshold and window is
 /// now a constant of this module; the empty type remains only as the
@@ -93,13 +88,42 @@ pub struct PeriodSample {
     /// Sum of commanded frequency deltas across devices (MHz); sign
     /// flips feed the oscillation detector.
     pub delta_f_mhz: f64,
-    /// Whether the power meter reading was stale this period.
+    /// Whether the power meter reading was stale this period (unread).
     pub meter_stale: bool,
     /// Whether actuation was saturated (some target pinned at a
     /// frequency bound).
     pub saturated: bool,
-    /// Fraction of requests missing their SLO this period (0..=1).
+    /// Fraction of requests missing their SLO this period (0..=1;
+    /// unread, and 0 from every `period` record).
     pub slo_miss_frac: f64,
+}
+
+impl PeriodSample {
+    /// The sample a `period` record carries; `None` for any other kind.
+    /// Missing fields degrade to benign defaults: no overage against an
+    /// absent set-point, no move, not saturated.
+    pub fn from_period(body: &Body) -> Option<Self> {
+        let Body::Period {
+            watts,
+            setpoint,
+            stale,
+            delta_f_mhz,
+            saturated,
+            ..
+        } = body
+        else {
+            return None;
+        };
+        Some(PeriodSample {
+            power_w: watts.unwrap_or(0.0),
+            cap_w: setpoint.unwrap_or(f64::INFINITY),
+            delta_f_mhz: delta_f_mhz.unwrap_or(0.0),
+            // Any consecutive-silent-period count means a silent meter.
+            meter_stale: stale.is_some_and(|n| n > 0),
+            saturated: saturated.unwrap_or(false),
+            slo_miss_frac: 0.0,
+        })
+    }
 }
 
 /// An edge-triggered verdict change, for journaling.
@@ -136,18 +160,21 @@ impl Ring {
         self.len = (self.len + 1).min(self.buf.len());
     }
 
+    /// Sum of the most recent `n` values, or of all seen when fewer.
+    fn sum_last(&self, n: usize) -> f64 {
+        let cap = self.buf.len();
+        (0..n.min(self.len)).fold(0.0, |sum, i| {
+            sum + self.buf[(self.head + cap - 1 - i) % cap]
+        })
+    }
+
     /// Mean of the most recent `n` values (fewer while warming up).
     fn mean_last(&self, n: usize) -> f64 {
-        let n = n.min(self.len);
-        if n == 0 {
+        let m = n.min(self.len);
+        if m == 0 {
             return 0.0;
         }
-        let cap = self.buf.len();
-        let mut sum = 0.0;
-        for i in 0..n {
-            sum += self.buf[(self.head + cap - 1 - i) % cap];
-        }
-        sum / n as f64
+        self.sum_last(m) / m as f64
     }
 
     /// Sum of the most recent `n` values divided by `n` itself —
@@ -158,13 +185,7 @@ impl Ring {
         if n == 0 {
             return 0.0;
         }
-        let m = n.min(self.len);
-        let cap = self.buf.len();
-        let mut sum = 0.0;
-        for i in 0..m {
-            sum += self.buf[(self.head + cap - 1 - i) % cap];
-        }
-        sum / n as f64
+        self.sum_last(n) / n as f64
     }
 
     fn observed(&self) -> usize {
@@ -181,10 +202,7 @@ pub struct HealthAnalyzer {
     flips: Ring,
     /// Per-period saturation indicator.
     sat: Ring,
-    /// Per-period SLO miss fraction.
-    slo: Ring,
     last_dir: i8,
-    stale_run: usize,
     verdicts: [Verdict; DETECTORS.len()],
     periods: u64,
 }
@@ -196,9 +214,7 @@ impl Default for HealthAnalyzer {
             over_w: Ring::new(SLOW_WINDOW),
             flips: Ring::new(SLOW_WINDOW),
             sat: Ring::new(SLOW_WINDOW),
-            slo: Ring::new(SLOW_WINDOW),
             last_dir: 0,
-            stale_run: 0,
             verdicts: [Verdict::Ok; DETECTORS.len()],
             periods: 0,
         }
@@ -234,15 +250,11 @@ impl HealthAnalyzer {
             self.last_dir = dir;
         }
         self.sat.push(if s.saturated { 1.0 } else { 0.0 });
-        self.slo.push(s.slo_miss_frac.clamp(0.0, 1.0));
-        self.stale_run = if s.meter_stale { self.stale_run + 1 } else { 0 };
 
         let next = [
-            self.burn_verdict(&self.over_w, CAP_BURN_W),
+            self.cap_burn_verdict(),
             self.oscillation_verdict(),
-            self.silence_verdict(),
             self.saturation_verdict(),
-            self.burn_verdict(&self.slo, SLO_BURN_FRAC),
         ];
         let mut edges = Vec::new();
         for (i, (&from, &to)) in self.verdicts.iter().zip(next.iter()).enumerate() {
@@ -258,15 +270,16 @@ impl HealthAnalyzer {
         edges
     }
 
-    /// Multi-window burn rate: fast window over threshold alone is
-    /// Warn; fast *and* slow both over is Critical (the SRE two-window
-    /// AND — sustained burn, not a blip).
-    fn burn_verdict(&self, ring: &Ring, threshold: f64) -> Verdict {
+    /// Multi-window burn rate of the cap overage: fast window over the
+    /// threshold alone is Warn; fast *and* slow both over is Critical
+    /// (the SRE two-window AND — sustained burn, not a blip).
+    fn cap_burn_verdict(&self) -> Verdict {
+        let ring = &self.over_w;
         let fast = ring.mean_last(FAST_WINDOW);
         let slow = ring.mean_last(SLOW_WINDOW);
-        if fast > threshold && slow > threshold && ring.observed() >= FAST_WINDOW {
+        if fast > CAP_BURN_W && slow > CAP_BURN_W && ring.observed() >= FAST_WINDOW {
             Verdict::Critical
-        } else if fast > threshold && ring.observed() >= FAST_WINDOW {
+        } else if fast > CAP_BURN_W && ring.observed() >= FAST_WINDOW {
             Verdict::Warn
         } else {
             Verdict::Ok
@@ -281,16 +294,6 @@ impl HealthAnalyzer {
         if rate >= FLIP_RATE_CRITICAL {
             Verdict::Critical
         } else if rate >= FLIP_RATE_WARN {
-            Verdict::Warn
-        } else {
-            Verdict::Ok
-        }
-    }
-
-    fn silence_verdict(&self) -> Verdict {
-        if self.stale_run >= 2 * SILENCE_WARN_PERIODS {
-            Verdict::Critical
-        } else if self.stale_run >= SILENCE_WARN_PERIODS {
             Verdict::Warn
         } else {
             Verdict::Ok
@@ -316,11 +319,7 @@ impl HealthAnalyzer {
 
     /// Current verdicts, in [`DETECTORS`] order.
     pub fn verdicts(&self) -> [(&'static str, Verdict); DETECTORS.len()] {
-        let mut out = [("", Verdict::Ok); DETECTORS.len()];
-        for (i, name) in DETECTORS.iter().enumerate() {
-            out[i] = (name, self.verdicts[i]);
-        }
-        out
+        std::array::from_fn(|i| (DETECTORS[i], self.verdicts[i]))
     }
 
     /// Worst verdict across all detectors.
@@ -411,27 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn meter_silence_tracks_consecutive_stale_periods() {
-        let mut a = analyzer();
-        let mut s = quiet(900.0);
-        s.meter_stale = true;
-        for _ in 0..2 {
-            a.observe(&s);
-        }
-        assert_eq!(a.verdicts()[2].1, Verdict::Ok);
-        a.observe(&s);
-        assert_eq!(a.verdicts()[2].1, Verdict::Warn);
-        for _ in 0..3 {
-            a.observe(&s);
-        }
-        assert_eq!(a.verdicts()[2].1, Verdict::Critical);
-        // One fresh reading clears the run entirely.
-        s.meter_stale = false;
-        a.observe(&s);
-        assert_eq!(a.verdicts()[2].1, Verdict::Ok);
-    }
-
-    #[test]
     fn saturation_dwell_uses_the_slow_window() {
         let mut a = analyzer();
         let mut s = quiet(900.0);
@@ -440,41 +418,70 @@ mod tests {
             a.observe(&s);
         }
         // 16/30 of the slow window saturated: past the 0.5 Warn line.
-        assert_eq!(a.verdicts()[3].1, Verdict::Warn);
+        assert_eq!(a.verdicts()[2].1, Verdict::Warn);
         for _ in 0..14 {
             a.observe(&s);
         }
-        assert_eq!(a.verdicts()[3].1, Verdict::Critical);
-    }
-
-    #[test]
-    fn slo_burn_fires_on_sustained_miss_rate() {
-        let mut a = analyzer();
-        let mut s = quiet(900.0);
-        s.slo_miss_frac = 0.2;
-        let mut critical = false;
-        for _ in 0..30 {
-            for e in a.observe(&s) {
-                critical |= e.detector == "slo_miss_burn" && e.to == Verdict::Critical;
-            }
-        }
-        assert!(critical);
+        assert_eq!(a.verdicts()[2].1, Verdict::Critical);
     }
 
     #[test]
     fn edges_are_edge_triggered() {
         let mut a = analyzer();
         let mut s = quiet(900.0);
-        s.meter_stale = true;
+        s.saturated = true;
         let mut edges = 0;
-        for _ in 0..20 {
+        for _ in 0..60 {
             edges += a
                 .observe(&s)
                 .iter()
-                .filter(|e| e.detector == "meter_silence")
+                .filter(|e| e.detector == "saturation_dwell")
                 .count();
         }
         // Ok->Warn and Warn->Critical: exactly two edges, no repeats.
         assert_eq!(edges, 2);
+    }
+
+    #[test]
+    fn a_period_record_is_the_sample_it_carries() {
+        let body = Body::Period {
+            tier: Some(0),
+            watts: Some(905.5),
+            setpoint: Some(900.0),
+            stale: Some(2),
+            delta_f_mhz: Some(-12.5),
+            saturated: Some(true),
+            targets: None,
+        };
+        let want = PeriodSample {
+            power_w: 905.5,
+            cap_w: 900.0,
+            delta_f_mhz: -12.5,
+            meter_stale: true,
+            saturated: true,
+            slo_miss_frac: 0.0,
+        };
+        assert_eq!(PeriodSample::from_period(&body), Some(want));
+        // Missing fields: no overage, no move, not saturated.
+        let bare = Body::Period {
+            tier: None,
+            watts: Some(905.5),
+            setpoint: None,
+            stale: None,
+            delta_f_mhz: None,
+            saturated: None,
+            targets: None,
+        };
+        let s = PeriodSample::from_period(&bare).unwrap();
+        assert_eq!((s.power_w - s.cap_w).max(0.0), 0.0);
+        assert_eq!(
+            (s.delta_f_mhz, s.saturated, s.meter_stale),
+            (0.0, false, false)
+        );
+        let other = Body::Quarantine {
+            device: 0,
+            on: true,
+        };
+        assert_eq!(PeriodSample::from_period(&other), None);
     }
 }

@@ -24,9 +24,9 @@
 //! - [`analyzer`] — streaming health detectors over the period record
 //!   stream: multi-window cap-violation burn rate (SRE-style fast/slow
 //!   alerting on W·s over cap), actuation-oscillation sign-flip rate
-//!   with hysteresis, meter-silence dwell, actuator-saturation dwell,
-//!   and SLO-miss burn rate. Verdicts are edge-triggered so they can be
-//!   journaled and exported as gauges without flooding either.
+//!   with hysteresis, and actuator-saturation dwell. Verdicts are
+//!   edge-triggered so they can be journaled and exported as gauges
+//!   without flooding either.
 //! - [`report`] — a deterministic offline post-mortem: ingest a journal
 //!   directory, replay it, re-run the detectors, and render a timeline
 //!   + burn summary suitable for a committed golden.

@@ -1,8 +1,9 @@
 //! Offline post-mortem: turn a scanned journal directory into a
 //! deterministic human-readable report — tier-transition timeline,
-//! detector firings (the online analyzer recomputed offline, which
-//! yields the *same* verdicts because everything runs on the record
-//! clock), and a power/SLO burn summary.
+//! detector firings (the online analyzer recomputed offline from the
+//! same `period` records the live daemon fed it, which yields the
+//! *same* verdicts because everything runs on the record clock), and a
+//! power burn summary.
 
 use std::fmt::Write as _;
 
@@ -138,6 +139,26 @@ pub fn render(scan: &JournalScan) -> PostMortem {
     let mut max_over = 0.0f64;
     let mut sum_over = 0.0f64;
     for r in &scan.records {
+        if let Some(s) = PeriodSample::from_period(&r.body) {
+            n_periods += 1;
+            let over = (s.power_w - s.cap_w).max(0.0);
+            if over > 0.0 {
+                over_periods += 1;
+                sum_over += over;
+                max_over = max_over.max(over);
+            }
+            for e in analyzer.observe(&s) {
+                let _ = writeln!(
+                    firings,
+                    "  period={} t_s={} {} {} -> {}",
+                    r.period,
+                    r.sim_time_s,
+                    e.detector,
+                    e.from.label(),
+                    e.to.label()
+                );
+            }
+        }
         match &r.body {
             Body::TierChange {
                 from, to, reason, ..
@@ -151,49 +172,9 @@ pub fn render(scan: &JournalScan) -> PostMortem {
                     tier_name(*to),
                 );
             }
-            Body::Period {
-                watts,
-                setpoint,
-                stale,
-                delta_f_mhz,
-                saturated,
-                ..
-            } => {
-                // Missing fields degrade to benign defaults.
-                let s = PeriodSample {
-                    power_w: watts.unwrap_or(0.0),
-                    cap_w: setpoint.unwrap_or(f64::INFINITY),
-                    delta_f_mhz: delta_f_mhz.unwrap_or(0.0),
-                    // `stale` is the consecutive-silent-period count the
-                    // supervisor acted on; any nonzero count means the
-                    // meter was silent.
-                    meter_stale: stale.is_some_and(|n| n > 0),
-                    saturated: saturated.unwrap_or(false),
-                    // No record carries an SLO observation: the daemon has
-                    // no SLO floors and feeds its analyzer 0 (ROADMAP 4).
-                    slo_miss_frac: 0.0,
-                };
-                n_periods += 1;
-                let over = (s.power_w - s.cap_w).max(0.0);
-                if over > 0.0 {
-                    over_periods += 1;
-                    sum_over += over;
-                    max_over = max_over.max(over);
-                }
-                for e in analyzer.observe(&s) {
-                    let _ = writeln!(
-                        firings,
-                        "  period={} t_s={} {} {} -> {}",
-                        r.period,
-                        r.sim_time_s,
-                        e.detector,
-                        e.from.label(),
-                        e.to.label()
-                    );
-                }
-            }
-            // Folded by replay above, or not part of the report.
-            Body::ModelGain { .. }
+            // Sampled above, folded by replay, or not part of the report.
+            Body::Period { .. }
+            | Body::ModelGain { .. }
             | Body::Identified { .. }
             | Body::Quarantine { .. }
             | Body::Refit { .. }
@@ -206,7 +187,6 @@ pub fn render(scan: &JournalScan) -> PostMortem {
             | Body::FaultClear { .. }
             | Body::PhaseTransition { .. }
             | Body::KvPressure { .. }
-            | Body::RlsRefit { .. }
             | Body::MeterStale { .. }
             | Body::SloFloorBinding { .. }
             | Body::DsCarryWraps { .. }
@@ -256,7 +236,7 @@ pub fn render(scan: &JournalScan) -> PostMortem {
             0.0
         })
     );
-    // No record carries an SLO observation: see the `period` arm.
+    // No record carries an SLO observation (ROADMAP 4).
     let _ = writeln!(out, "  slo_miss: mean={:.4}", 0.0);
 
     PostMortem {

@@ -218,14 +218,14 @@ schema! {
         #[doc = "Tier left (0 primary, 1 safe fallback, 2 park)."] from: u64,
         #[doc = "Tier entered."] to: u64,
         #[doc = "Meter-silent periods; older daemons omit it."] stale_periods: Option<u64>,
-        #[doc = "Why: `stale_meter`, `authority_lost`, `health` or `recovered`."] reason: String,
+        #[doc = "Why: `stale_meter`, `authority_lost` or `recovered`."] reason: String,
     }
     /// A device entered or left quarantine (daemon and runner).
     Quarantine = "quarantine" {
         #[doc = "Device index."] device: u64,
         #[doc = "Entered (`true`) or left."] on: bool,
     }
-    /// A refit pushed to the controller, pinning its model exactly (daemon).
+    /// A refit pushed to the controller, pinning its model exactly (daemon and runner).
     Refit = "refit" {
         #[doc = "Gain scale relative to the identified gains."] scale: f64,
         #[doc = "Idle offset (W)."] offset_w: f64,
@@ -291,11 +291,6 @@ schema! {
         #[doc = "Task index."] task: u64,
         #[doc = "Entered (`true`) or left."] on: bool,
         #[doc = "KV-cache occupancy."] kv_occupancy: f64,
-    }
-    /// A streaming-RLS refit pushed to the controller (runner).
-    RlsRefit = "rls_refit" {
-        #[doc = "Gain scale."] scale: f64,
-        #[doc = "Fit quality."] r_squared: f64,
     }
     /// The meter went silent or came back (runner).
     MeterStale = "meter_stale" {
