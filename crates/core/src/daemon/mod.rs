@@ -489,11 +489,7 @@ impl Daemon {
             .map(|s| self.analyzer.observe(&s))
             .unwrap_or_default();
         for e in &edges {
-            self.record(Body::Health {
-                detector: e.detector.into(),
-                from: e.from.label().into(),
-                to: e.to.label().into(),
-            });
+            self.record(Body::from(e));
         }
         for (i, (_, v)) in self.analyzer.verdicts().iter().enumerate() {
             self.registry.set(self.metrics.health[i], v.gauge());
@@ -568,7 +564,13 @@ impl Daemon {
     }
 
     /// The event journal (JSONL-renderable; byte-stable against
-    /// deterministic backends).
+    /// deterministic backends): every record journaled since
+    /// construction, held in memory beside the durable `journal.dir`.
+    ///
+    /// This copy is unbounded. Each record costs about 250 B on an
+    /// 8-GPU daemon (its 136 B `Event` plus a `period` record's targets
+    /// text), at about 1.6 records per period. It goes away with
+    /// ROADMAP 3(b), which reads the transcript back from disk.
     pub fn journal(&self) -> &Journal {
         &self.journal
     }

@@ -282,7 +282,7 @@ mod tests {
         }
     }
 
-    fn tier_change(from: u64, to: u64, stale: u64, reason: &str) -> Body {
+    fn tier_change(from: u64, to: u64, stale: u64, reason: &'static str) -> Body {
         Body::TierChange {
             from,
             to,

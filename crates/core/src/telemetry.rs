@@ -328,7 +328,7 @@ impl RunTelemetry {
     pub fn begin_run(&mut self, controller: &str, setpoint: f64, num_periods: usize) {
         self.transitions = Transitions::default();
         let body = Body::RunStart {
-            controller: controller.into(),
+            controller: controller.to_owned().into(),
             setpoint_w: setpoint,
             periods: num_periods as u64,
         };
@@ -368,7 +368,8 @@ impl RunTelemetry {
         device: Option<usize>,
         onset: bool,
     ) {
-        let (spec, fault, device) = (spec_index as u64, label.into(), device.map(|d| d as u64));
+        let (spec, device) = (spec_index as u64, device.map(|d| d as u64));
+        let fault = label.to_owned().into();
         let body = if onset {
             Body::FaultOnset {
                 spec,

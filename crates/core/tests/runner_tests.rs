@@ -361,23 +361,23 @@ fn journal_captures_scripted_escalation_in_order() {
 
     // Full ladder, in order: 0→1 and 1→2 driven by the stale meter,
     // then single-step recoveries 2→1 and 1→0.
-    let ladder: Vec<(u64, u64, String)> = journal
+    let ladder: Vec<(u64, u64, &str)> = journal
         .events()
         .iter()
         .filter_map(|e| match &e.body {
             Body::TierChange {
                 from, to, reason, ..
-            } => Some((*from, *to, reason.clone())),
+            } => Some((*from, *to, &**reason)),
             _ => None,
         })
         .collect();
     assert_eq!(
         ladder,
         vec![
-            (0, 1, "stale_meter".to_string()),
-            (1, 2, "stale_meter".to_string()),
-            (2, 1, "recovered".to_string()),
-            (1, 0, "recovered".to_string()),
+            (0, 1, "stale_meter"),
+            (1, 2, "stale_meter"),
+            (2, 1, "recovered"),
+            (1, 0, "recovered"),
         ],
         "escalation ladder out of order: {ladder:?}"
     );

@@ -137,6 +137,18 @@ pub struct HealthEdge {
     pub to: Verdict,
 }
 
+/// The `health` record of an edge. Every name is a `&'static str`, so
+/// the record borrows all three and allocates nothing.
+impl From<&HealthEdge> for Body {
+    fn from(e: &HealthEdge) -> Body {
+        Body::Health {
+            detector: e.detector.into(),
+            from: e.from.label().into(),
+            to: e.to.label().into(),
+        }
+    }
+}
+
 /// Fixed-capacity ring of per-period scalars with O(1) windowed sums.
 #[derive(Debug, Clone)]
 struct Ring {

@@ -17,6 +17,8 @@ mod json;
 
 pub use json::push_json_f64;
 use json::{push_json_escaped, push_u64, walk_object, Scalar, Span};
+use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// Journal schema version, rendered as the leading `"v"` field of every
 /// JSONL record. Bump the value on any change a version-1 reader would
@@ -66,16 +68,24 @@ scalar_fields! {
         |s| match s { Scalar::Bool(b) => Some(b), _ => None };
 }
 
-impl Field for String {
+/// Appends `key` and `s` as a JSON string.
+fn write_str(key: &str, s: &str, out: &mut String) {
+    out.push_str(key);
+    out.push('"');
+    push_json_escaped(out, s);
+    out.push('"');
+}
+
+/// The schema's one string type: a writer holding a `&'static str` (a
+/// detector, verdict, reason or phase name) passes it borrowed, and
+/// allocates nothing for it; the decoder returns it owned.
+impl Field for Cow<'static, str> {
     fn write(&self, key: &str, out: &mut String) {
-        out.push_str(key);
-        out.push('"');
-        push_json_escaped(out, self);
-        out.push('"');
+        write_str(key, self, out);
     }
     fn read(value: Option<Scalar>, line: &str) -> Option<Self> {
         match value? {
-            Scalar::Str(s) => Some(s.text(line).into_owned()),
+            Scalar::Str(s) => Some(Cow::Owned(s.text(line).into_owned())),
             _ => None,
         }
     }
@@ -95,21 +105,30 @@ impl<T: Field> Field for Option<T> {
 /// Per-device frequency targets (MHz) as a `period` record carries them:
 /// a comma-joined list of [`push_json_f64`] floats in a JSON string,
 /// rendered once when the record is built, decoded by [`Targets::decode_into`].
+/// The text is held at its exact length: a daemon keeps one per period.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Targets(String);
+pub struct Targets(Box<str>);
+
+thread_local! {
+    /// What [`Targets::new`] renders into before copying the text out,
+    /// so that a warm call allocates only the record's own bytes.
+    static TARGETS_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+}
 
 impl Targets {
     /// Renders `mhz`. A non-finite element, which no valid target is, is
     /// spelled `null`, and the list then decodes as malformed.
     pub fn new(mhz: &[f64]) -> Self {
-        let mut out = String::new();
-        for (i, t) in mhz.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        TARGETS_SCRATCH.with_borrow_mut(|out| {
+            out.clear();
+            for (i, t) in mhz.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_json_f64(out, *t);
             }
-            push_json_f64(&mut out, *t);
-        }
-        Targets(out)
+            Targets(Box::from(out.as_str()))
+        })
     }
 
     /// Appends the list's elements to `out`. On any element that is not
@@ -134,10 +153,10 @@ impl std::fmt::Display for Targets {
 
 impl Field for Targets {
     fn write(&self, key: &str, out: &mut String) {
-        self.0.write(key, out);
+        write_str(key, &self.0, out);
     }
     fn read(value: Option<Scalar>, line: &str) -> Option<Self> {
-        String::read(value, line).map(Targets)
+        Cow::read(value, line).map(|s| Targets(s.into()))
     }
 }
 
@@ -218,7 +237,7 @@ schema! {
         #[doc = "Tier left (0 primary, 1 safe fallback, 2 park)."] from: u64,
         #[doc = "Tier entered."] to: u64,
         #[doc = "Meter-silent periods; older daemons omit it."] stale_periods: Option<u64>,
-        #[doc = "Why: `stale_meter`, `authority_lost` or `recovered`."] reason: String,
+        #[doc = "Why: `stale_meter`, `authority_lost` or `recovered`."] reason: Cow<'static, str>,
     }
     /// A device entered or left quarantine (daemon and runner).
     Quarantine = "quarantine" {
@@ -242,9 +261,9 @@ schema! {
     }
     /// A health-detector verdict edge (daemon).
     Health = "health" {
-        #[doc = "Detector name."] detector: String,
-        #[doc = "Verdict left."] from: String,
-        #[doc = "Verdict entered."] to: String,
+        #[doc = "Detector name."] detector: Cow<'static, str>,
+        #[doc = "Verdict left."] from: Cow<'static, str>,
+        #[doc = "Verdict entered."] to: Cow<'static, str>,
     }
     /// An operator set-point change (daemon and runner).
     SetpointChange = "setpoint_change" {
@@ -258,7 +277,7 @@ schema! {
     }
     /// A closed-loop run started (runner).
     RunStart = "run_start" {
-        #[doc = "Controller name."] controller: String,
+        #[doc = "Controller name."] controller: Cow<'static, str>,
         #[doc = "Initial set-point (W)."] setpoint_w: f64,
         #[doc = "Periods scheduled."] periods: u64,
     }
@@ -271,19 +290,19 @@ schema! {
     /// A scheduled fault became active (runner).
     FaultOnset = "fault_onset" {
         #[doc = "Index in the fault schedule."] spec: u64,
-        #[doc = "Fault label."] fault: String,
+        #[doc = "Fault label."] fault: Cow<'static, str>,
         #[doc = "Device it targets, if one."] device: Option<u64>,
     }
     /// A scheduled fault cleared (runner).
     FaultClear = "fault_clear" {
         #[doc = "Index in the fault schedule."] spec: u64,
-        #[doc = "Fault label."] fault: String,
+        #[doc = "Fault label."] fault: Cow<'static, str>,
         #[doc = "Device it targets, if one."] device: Option<u64>,
     }
     /// An LLM task's regime flipped (runner).
     PhaseTransition = "phase_transition" {
         #[doc = "Task index."] task: u64,
-        #[doc = "`prefill` or `decode`."] to: String,
+        #[doc = "`prefill` or `decode`."] to: Cow<'static, str>,
         #[doc = "Prefill share of the period."] prefill_share: f64,
     }
     /// An LLM task's KV cache entered or left the eviction-risk band (runner).
@@ -547,6 +566,21 @@ mod tests {
         }
     }
 
+    /// Strings a writer could hold as `&'static str`, escapes included.
+    const STATIC_STRS: [&str; 5] = ["", "stale_meter", "ok", "电 \"q\"\n\\", "\u{0}\u{1f}😀"];
+
+    /// Borrowed half the time, as a writer holding a name passes it, and
+    /// owned otherwise, as the decoder returns it.
+    impl Arbitrary for Cow<'static, str> {
+        fn arbitrary(rng: &mut Rng) -> Self {
+            if rng.below(2) == 0 {
+                Cow::Borrowed(rng.pick(&STATIC_STRS))
+            } else {
+                Cow::Owned(String::arbitrary(rng))
+            }
+        }
+    }
+
     impl Arbitrary for Targets {
         fn arbitrary(rng: &mut Rng) -> Self {
             let mhz: Vec<f64> = (0..rng.below(9)).map(|_| f64::arbitrary(rng)).collect();
@@ -771,6 +805,11 @@ mod tests {
                 ..
             }
         ));
+        // Strings decode owned, whatever the writer held.
+        let Body::TierChange { reason, .. } = e.body else {
+            unreachable!()
+        };
+        assert!(matches!(reason, Cow::Owned(r) if r == "stale_meter"));
         // Header faults are refused, the version first.
         for (line, want) in [
             (r#"{"v":2,"kind":"x"}"#, DecodeError::Version(2)),
