@@ -488,7 +488,7 @@ impl Daemon {
         let edges = sample
             .map(|s| self.analyzer.observe(&s))
             .unwrap_or_default();
-        for e in &edges {
+        for e in edges.iter().flatten() {
             self.record(Body::from(e));
         }
         for (i, (_, v)) in self.analyzer.verdicts().iter().enumerate() {

@@ -242,9 +242,10 @@ impl HealthAnalyzer {
         Ok(HealthAnalyzer::default())
     }
 
-    /// Feeds one period and returns the verdict edges it triggered
-    /// (empty when nothing changed tier).
-    pub fn observe(&mut self, s: &PeriodSample) -> Vec<HealthEdge> {
+    /// Feeds one period and returns, in [`DETECTORS`] order, the verdict
+    /// edge each detector took: `None` where its verdict held. The slots
+    /// are inline, so a period allocates nothing.
+    pub fn observe(&mut self, s: &PeriodSample) -> [Option<HealthEdge>; DETECTORS.len()] {
         self.periods += 1;
         self.over_w.push((s.power_w - s.cap_w).max(0.0));
         // Oscillation: a flip is a sign change of Δf between periods,
@@ -268,16 +269,14 @@ impl HealthAnalyzer {
             self.oscillation_verdict(),
             self.saturation_verdict(),
         ];
-        let mut edges = Vec::new();
-        for (i, (&from, &to)) in self.verdicts.iter().zip(next.iter()).enumerate() {
-            if from != to {
-                edges.push(HealthEdge {
-                    detector: DETECTORS[i],
-                    from,
-                    to,
-                });
-            }
-        }
+        let edges = std::array::from_fn(|i| {
+            let (from, to) = (self.verdicts[i], next[i]);
+            (from != to).then_some(HealthEdge {
+                detector: DETECTORS[i],
+                from,
+                to,
+            })
+        });
         self.verdicts = next;
         edges
     }
@@ -368,7 +367,7 @@ mod tests {
     fn quiet_loop_stays_ok() {
         let mut a = analyzer();
         for _ in 0..100 {
-            assert!(a.observe(&quiet(900.0)).is_empty());
+            assert_eq!(a.observe(&quiet(900.0)), [None, None, None]);
         }
         assert_eq!(a.overall(), Verdict::Ok);
     }
@@ -384,7 +383,7 @@ mod tests {
         let mut saw_warn = false;
         let mut saw_critical = false;
         for _ in 0..40 {
-            for e in a.observe(&hot) {
+            for e in a.observe(&hot).into_iter().flatten() {
                 if e.detector == "cap_violation_burn" {
                     saw_warn |= e.to == Verdict::Warn;
                     saw_critical |= e.to == Verdict::Critical;
@@ -447,6 +446,7 @@ mod tests {
             edges += a
                 .observe(&s)
                 .iter()
+                .flatten()
                 .filter(|e| e.detector == "saturation_dwell")
                 .count();
         }

@@ -106,7 +106,7 @@ pub fn parse_segment(
     let mut lineno = 0usize;
     while !rest.is_empty() {
         lineno += 1;
-        let (raw, complete, next) = match rest.iter().position(|&b| b == b'\n') {
+        let (raw, complete, next) = match find_newline(rest) {
             Some(i) => (&rest[..i], true, &rest[i + 1..]),
             None => (rest, false, &[][..]),
         };
@@ -147,6 +147,31 @@ pub fn parse_segment(
         seal,
         torn_tail,
     })
+}
+
+/// Index of the first `\n` in `bytes`, eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const NEWLINES: u64 = u64::from_le_bytes([b'\n'; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, w) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]) ^ NEWLINES;
+        // Marks every zero byte of `x`, which is a `\n` of `w`. A borrow
+        // can also mark a byte above a true zero, never one below it, so
+        // the lowest mark (the earliest byte, read little-endian) is the
+        // first newline.
+        let zeros = x.wrapping_sub(ONES) & !x & HIGHS;
+        if zeros != 0 {
+            return Some(8 * i + zeros.trailing_zeros() as usize / 8);
+        }
+    }
+    let done = bytes.len() - words.remainder().len();
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == b'\n')
+        .map(|j| done + j)
 }
 
 /// Scans a journal directory: every segment in index order, seals
@@ -311,6 +336,54 @@ mod tests {
         // Mid-file garbage is always a hard error.
         let bad = format!("{}\ngarbage\n{}\n", line(0), line(1));
         assert!(parse_jsonl(&bad, true).is_err());
+
+        // The line split, where a word-at-a-time newline search can go
+        // wrong. Sixteen records, each one byte longer than the last, so
+        // that a newline falls at every offset mod 8, each right after a
+        // tab (0x09, one bit from 0x0A).
+        let mut text = String::new();
+        for k in 0..16 {
+            text += &format!("{{\"v\":1,\"period\":{k},\"t_s\":0,\"kind\":\"period\"}}");
+            text += &"\t".repeat(k);
+            text.push('\n');
+        }
+        let (records, torn) = parse_jsonl(&text, false).unwrap();
+        let periods: Vec<u64> = records.iter().map(|r| r.period).collect();
+        assert_eq!((periods, torn), ((0..16).collect(), None));
+        // Bytes a zero-byte test can mistake for a newline: 0x0B (one
+        // bit from it), 0x8A (it with the high bit set), a newline right
+        // after each, and 0x0B right after a newline. In a torn final
+        // line they are dropped; on a line followed by another, that line
+        // is corrupt, and located.
+        let next = line(16);
+        for (tail, want) in [
+            (b"\x0b\x8a\x09\x0b".to_vec(), Ok(16)),
+            (
+                [&b"\x0b\x8a\x09\x0b\n"[..], next.as_bytes(), b"\n"].concat(),
+                Err(17),
+            ),
+            ([&b"\x8a\n\x0b\n"[..], next.as_bytes()].concat(), Err(17)),
+        ] {
+            let bytes = [text.as_bytes(), &tail].concat();
+            let got = match parse_segment(&bytes, "<t>", true, &mut Vec::new()) {
+                Ok(seg) if seg.torn_tail.is_some() => Ok(seg.records),
+                Err(ObsError::Corrupt { line, .. }) => Err(line),
+                other => panic!("{tail:?}: {other:?}"),
+            };
+            assert_eq!(got, want, "{tail:?}");
+        }
+        // No newline at all; nothing but one.
+        assert_eq!(
+            parse_jsonl(&line(0), true).unwrap(),
+            (vec![], Some(line(0)))
+        );
+        assert_eq!(parse_jsonl(&line(0), false).unwrap().0.len(), 1);
+        assert_eq!(
+            parse_jsonl("\n", true).unwrap(),
+            (vec![], Some(String::new()))
+        );
+        let err = parse_jsonl("\n", false).unwrap_err();
+        assert!(matches!(err, ObsError::Corrupt { line: 1, .. }), "{err}");
     }
 
     #[test]
@@ -452,6 +525,22 @@ mod tests {
         let mut records = Vec::new();
         let seg = parse_segment(&torn, "<t>", true, &mut records).unwrap();
         assert_eq!((seg.records, seg.torn_tail.is_some()), (1, true));
+        // And with the character's first byte at every offset mod 8, so
+        // that the cut falls just before and just after a word boundary.
+        for pad in 0..8 {
+            let mut shifted = torn[..torn.len() - 2].to_vec();
+            shifted.splice(shifted.len() - 3..shifted.len() - 3, vec![b'x'; pad]);
+            shifted.push(0xc3);
+            for newline in [false, true] {
+                shifted.extend(newline.then_some(b'\n'));
+                let seg = parse_segment(&shifted, "<t>", true, &mut Vec::new()).unwrap();
+                assert_eq!(
+                    (seg.records, seg.torn_tail.is_some()),
+                    (1, true),
+                    "pad {pad}"
+                );
+            }
+        }
         // Followed by a record, or by a seal footer: corruption, located.
         let tail = torn.len();
         let footer = "{\"v\":1,\"kind\":\"segment_seal\",\"segment\":0,\"records\":1,\"crc32\":0}";

@@ -147,7 +147,7 @@ pub fn render(scan: &JournalScan) -> PostMortem {
                 sum_over += over;
                 max_over = max_over.max(over);
             }
-            for e in analyzer.observe(&s) {
+            for e in analyzer.observe(&s).into_iter().flatten() {
                 let _ = writeln!(
                     firings,
                     "  period={} t_s={} {} {} -> {}",

@@ -3,7 +3,7 @@
 //! runs under it). A daemon keeps every record it journals, so what a
 //! record allocates is what a long-running daemon's memory grows by.
 
-use capgpu_obs::analyzer::{HealthEdge, Verdict, DETECTORS};
+use capgpu_obs::analyzer::{HealthAnalyzer, HealthEdge, PeriodSample, Verdict, DETECTORS};
 use capgpu_telemetry::journal::{Body, Event, Targets};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,6 +87,54 @@ fn a_health_record_borrows_its_names() {
     let (body, calls) = heap_calls(|| Body::from(&edge));
     assert_eq!(calls, (0, 0), "(allocations, reallocations)");
     assert_eq!(body.kind(), "health");
+}
+
+#[test]
+fn an_event_renders_in_one_exact_allocation_once_warm() {
+    let event = Event {
+        period: 1_234_567,
+        sim_time_s: 4_938_268.0,
+        wall_unix_ms: None,
+        body: Body::Period {
+            tier: Some(0),
+            watts: Some(1_799.366_024_506_2),
+            setpoint: Some(1800.0),
+            stale: Some(0),
+            delta_f_mhz: Some(-12.345_678_901_234_5),
+            saturated: Some(false),
+            targets: Some(Targets::new(&MHZ[..8])),
+        },
+    };
+    let _warm = event.to_json();
+    let (json, calls) = heap_calls(|| event.to_json());
+    assert_eq!(calls, (1, 0), "(allocations, reallocations)");
+    assert_eq!(json.len(), json.capacity());
+    assert_eq!(Event::parse(&json).unwrap(), event);
+}
+
+#[test]
+fn a_period_whose_verdict_moves_allocates_nothing() {
+    let mut analyzer = HealthAnalyzer::default();
+    let saturated = PeriodSample {
+        power_w: 1795.0,
+        cap_w: 1800.0,
+        saturated: true,
+        ..PeriodSample::default()
+    };
+    // Saturated throughout: the dwell reaches Warn inside one slow window.
+    let (edges, calls) = (0..30)
+        .map(|_| heap_calls(|| analyzer.observe(&saturated)))
+        .find(|(edges, _)| edges.iter().any(Option::is_some))
+        .expect("an edge inside one slow window");
+    assert_eq!(
+        edges[2],
+        Some(HealthEdge {
+            detector: "saturation_dwell",
+            from: Verdict::Ok,
+            to: Verdict::Warn
+        })
+    );
+    assert_eq!(calls, (0, 0), "(allocations, reallocations)");
 }
 
 #[cfg(target_pointer_width = "64")]

@@ -110,16 +110,17 @@ impl<T: Field> Field for Option<T> {
 pub struct Targets(Box<str>);
 
 thread_local! {
-    /// What [`Targets::new`] renders into before copying the text out,
-    /// so that a warm call allocates only the record's own bytes.
-    static TARGETS_SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
+    /// What [`Targets::new`] and [`Event::to_json`] render into before
+    /// copying the text out, so that a warm call allocates only its
+    /// result, once, at its exact size.
+    static SCRATCH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
 impl Targets {
     /// Renders `mhz`. A non-finite element, which no valid target is, is
     /// spelled `null`, and the list then decodes as malformed.
     pub fn new(mhz: &[f64]) -> Self {
-        TARGETS_SCRATCH.with_borrow_mut(|out| {
+        SCRATCH.with_borrow_mut(|out| {
             out.clear();
             for (i, t) in mhz.iter().enumerate() {
                 if i > 0 {
@@ -357,9 +358,11 @@ impl Event {
     /// ones as `null`), so [`Event::parse`] reads every finite one back
     /// bit for bit.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
+        SCRATCH.with_borrow_mut(|out| {
+            out.clear();
+            self.write_json(out);
+            out.as_str().to_owned()
+        })
     }
 
     /// Appends what [`Event::to_json`] returns to `out`, allocating
