@@ -58,13 +58,17 @@ fn corrupt_at(source: &str, line: usize, message: &str) -> ObsError {
 /// [`ObsError::Corrupt`] on malformed JSON or missing header fields,
 /// [`ObsError::SchemaVersion`] on a version this reader does not speak.
 pub fn parse_record(line: &str, source: &str, lineno: usize) -> Result<Record> {
-    Event::parse(line).map_err(|e| match e {
+    Event::parse(line).map_err(|e| decode_error(e, source, lineno))
+}
+
+fn decode_error(e: DecodeError, source: &str, lineno: usize) -> ObsError {
+    match e {
         DecodeError::Malformed(message) => corrupt_at(source, lineno, &message),
         DecodeError::Version(found) => ObsError::SchemaVersion {
             found,
             supported: u64::from(SCHEMA_VERSION),
         },
-    })
+    }
 }
 
 /// Outcome of parsing one segment's bytes.
@@ -101,16 +105,24 @@ pub fn parse_segment(
     let before = records.len();
     let mut seal = None;
     let mut torn_tail = None;
+    // One UTF-8 check for the whole segment: a newline is ASCII, so no
+    // line of a valid segment cuts a character. Only a segment that fails
+    // it (a tail torn inside a character, or corruption) is checked line
+    // by line, which locates the bad line.
+    let text = std::str::from_utf8(bytes).unwrap_or_default();
     // `lines()` would hide a missing trailing newline; split manually.
-    let mut rest = bytes;
+    let mut at = 0;
     let mut lineno = 0usize;
-    while !rest.is_empty() {
+    while at < bytes.len() {
         lineno += 1;
-        let (raw, complete, next) = match find_newline(rest) {
-            Some(i) => (&rest[..i], true, &rest[i + 1..]),
-            None => (rest, false, &[][..]),
+        let rest = &bytes[at..];
+        let (len, complete) = match find_newline(rest) {
+            Some(i) => (i, true),
+            None => (rest.len(), false),
         };
-        let is_last = next.is_empty();
+        let raw = &rest[..len];
+        let next = at + len + usize::from(complete);
+        let is_last = next == bytes.len();
         if seal.is_some() {
             return Err(corrupt(lineno, "records after the seal footer"));
         }
@@ -118,29 +130,40 @@ pub fn parse_segment(
             torn_tail = Some(String::from_utf8_lossy(raw).into_owned());
             break;
         }
-        let parsed = match std::str::from_utf8(raw) {
+        let line = text
+            .get(at..at + len)
+            .map_or_else(|| std::str::from_utf8(raw), Ok);
+        let error = match line {
             Ok(line) => match parse_seal(line) {
                 Some(footer) => {
                     seal = Some(footer.map_err(|m| corrupt(lineno, m))?);
-                    rest = next;
+                    at = next;
                     continue;
                 }
-                None => parse_record(line, source, lineno),
+                // `parse_record` without its `Result`: a record moved
+                // into that on its way to `records` is one more copy.
+                None => match Event::parse(line) {
+                    Ok(record) => {
+                        records.push(record);
+                        at = next;
+                        continue;
+                    }
+                    Err(e) => decode_error(e, source, lineno),
+                },
             },
-            Err(e) => Err(corrupt(lineno, &format!("not UTF-8: {e}"))),
+            Err(e) => corrupt(lineno, &format!("not UTF-8: {e}")),
         };
-        match parsed {
-            Ok(r) => records.push(r),
+        match error {
             // A torn final *complete-looking* line (the crash landed
             // mid-flush and the tail bytes happen to include a newline)
             // is not distinguishable; only tolerate parse failures on
             // the very last line of an unsealed segment.
-            Err(ObsError::Corrupt { .. }) if is_last && tolerate_torn_tail => {
+            ObsError::Corrupt { .. } if is_last && tolerate_torn_tail => {
                 torn_tail = Some(String::from_utf8_lossy(raw).into_owned());
             }
-            Err(e) => return Err(e),
+            e => return Err(e),
         }
-        rest = next;
+        at = next;
     }
     Ok(SegmentScan {
         records: records.len() - before,

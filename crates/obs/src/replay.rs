@@ -197,8 +197,18 @@ mod tests {
         };
         let good = period("1350,1425.5");
         assert_eq!(replay_text(&good).last_targets_mhz, vec![1350.0, 1425.5]);
-        // Unparseable anywhere in the list: nothing of it is applied.
-        for bad in ["x,900", "900,x", "900,,875", "900,"] {
+        // Unparseable anywhere in the list, or not finite (which
+        // `str::parse` alone would take): nothing of it is applied.
+        for bad in [
+            "x,900",
+            "900,x",
+            "900,,875",
+            "900,",
+            "inf,1350",
+            "NaN,1350",
+            "1e999,1350",
+            "infinity,-inf",
+        ] {
             let s = replay_text(&format!("{good}{}", period(bad)));
             assert_eq!(s.last_targets_mhz, vec![1350.0, 1425.5], "{bad}");
         }

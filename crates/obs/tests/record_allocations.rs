@@ -1,7 +1,9 @@
-//! Heap calls on a journal record's write path, counted per thread by a
-//! counting global allocator (its own test binary, so that no other test
-//! runs under it). A daemon keeps every record it journals, so what a
-//! record allocates is what a long-running daemon's memory grows by.
+//! Heap calls on a journal record's write and read paths, counted per
+//! thread by a counting global allocator (its own test binary, so that no
+//! other test runs under it). A daemon keeps every record it journals, so
+//! what a record allocates is what a long-running daemon's memory grows
+//! by; a recovering daemon decodes every record it replays, so what a
+//! decode allocates beyond what the record owns is recovery time.
 
 use capgpu_obs::analyzer::{HealthAnalyzer, HealthEdge, PeriodSample, Verdict, DETECTORS};
 use capgpu_telemetry::journal::{Body, Event, Targets};
@@ -110,6 +112,58 @@ fn an_event_renders_in_one_exact_allocation_once_warm() {
     assert_eq!(calls, (1, 0), "(allocations, reallocations)");
     assert_eq!(json.len(), json.capacity());
     assert_eq!(Event::parse(&json).unwrap(), event);
+}
+
+/// The heap calls `Event::parse` makes on `event`'s line, once warm,
+/// after checking that the line decodes back to `event`.
+fn parse_calls(event: &Event) -> (u64, u64) {
+    let line = event.to_json();
+    let _warm = Event::parse(&line);
+    let (back, calls) = heap_calls(|| Event::parse(&line));
+    assert_eq!(back.as_ref(), Ok(event), "{line}");
+    calls
+}
+
+fn stamped(body: Body) -> Event {
+    Event {
+        period: 1_234_567,
+        sim_time_s: 4_938_268.0,
+        wall_unix_ms: None,
+        body,
+    }
+}
+
+#[test]
+fn a_period_record_decodes_into_its_targets_box_alone() {
+    let period = stamped(Body::Period {
+        tier: Some(0),
+        watts: Some(1_799.366_024_506_2),
+        setpoint: Some(1800.0),
+        stale: Some(0),
+        delta_f_mhz: Some(-12.345_678_901_234_5),
+        saturated: Some(false),
+        targets: Some(Targets::new(&MHZ[..8])),
+    });
+    assert_eq!(parse_calls(&period), (1, 0), "(allocations, reallocations)");
+}
+
+#[test]
+fn a_health_record_decodes_into_its_three_names_alone() {
+    let health = stamped(Body::from(&HealthEdge {
+        detector: DETECTORS[0],
+        from: Verdict::Ok,
+        to: Verdict::Critical,
+    }));
+    assert_eq!(parse_calls(&health), (3, 0), "(allocations, reallocations)");
+}
+
+#[test]
+fn a_record_of_numbers_decodes_with_no_heap_call() {
+    let gain = stamped(Body::ModelGain {
+        device: 7,
+        w_per_mhz: 0.136_939_453_488_139_7,
+    });
+    assert_eq!(parse_calls(&gain), (0, 0), "(allocations, reallocations)");
 }
 
 #[test]

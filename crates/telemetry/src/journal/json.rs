@@ -4,11 +4,18 @@
 //! A record is one flat JSON object of numbers, booleans, strings and
 //! `null`; [`walk_object`] accepts exactly that (a nested container is
 //! corruption, or a future schema the reader must not guess at), in one
-//! pass that allocates nothing. Numbers round-trip exactly:
+//! pass. The walker itself allocates nothing but an error's text: it
+//! hands each field over as a key [`Span`] and a [`Scalar`] that point
+//! into the line, skips string bodies eight bytes at a time, and takes a
+//! number's charset run before converting it. What a decoded record
+//! allocates is `Event::parse`'s affair (the record's own text, never a
+//! field table; see `journal::Fields`). Numbers round-trip exactly:
 //! [`push_json_f64`] spells a float as its shortest round trip and
 //! `str::parse::<f64>` is correctly rounded, which is what lets recovery
 //! rebuild the *identical* model the dead daemon ran. (Runs of at most
-//! 15 digits skip `str::parse`: below 2^53 the conversion is exact.)
+//! 15 digits skip `str::parse`: below 2^53 the conversion is exact.) A
+//! `period` record's target list is read by the same number rule
+//! ([`number_list`]).
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -229,30 +236,65 @@ pub(crate) fn push_json_escaped(out: &mut String, s: &str) {
 
 /// A string body (between the quotes) in the line [`walk_object`]
 /// validated, and whether it has escapes. Meaningful only with that line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Two words: the escape flag is the top bit of `end`, which a byte
+/// offset into a `str` (shorter than `isize::MAX`) never sets. A `bool`
+/// field would give the enums that hold a `Span` a spare byte to keep
+/// their tag in, written a byte at a time and then read back a word at a
+/// time, which stalls the read until the byte's store retires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Span {
     start: usize,
     end: usize,
-    escaped: bool,
 }
 
 impl Span {
+    const ESCAPED: usize = 1 << (usize::BITS - 1);
+
+    fn escaped(self) -> bool {
+        self.end & Self::ESCAPED != 0
+    }
+
+    /// The body as it sits in `line`, escapes and all.
+    fn raw(self, line: &str) -> &str {
+        &line[self.start..self.end & !Self::ESCAPED]
+    }
+
     /// The string's text: borrowed from `line` unless the body has
     /// escapes to unwind.
     pub(crate) fn text(self, line: &str) -> Cow<'_, str> {
-        let body = &line[self.start..self.end];
-        if self.escaped {
-            Cow::Owned(unescape(body))
+        if self.escaped() {
+            Cow::Owned(unescape(self.raw(line)))
         } else {
-            Cow::Borrowed(body)
+            Cow::Borrowed(self.raw(line))
         }
+    }
+
+    /// The string's text as bytes to match on: the body as it sits in
+    /// `line` when it has no escapes, which is every key this build's
+    /// writer spells. Inlined for [`Span::is`].
+    #[inline(always)]
+    pub(crate) fn bytes(self, line: &str) -> Cow<'_, [u8]> {
+        if self.escaped() {
+            Cow::Owned(unescape(self.raw(line)).into_bytes())
+        } else {
+            Cow::Borrowed(&line.as_bytes()[self.start..self.end])
+        }
+    }
+
+    /// Whether the string's text is `want`. Inlined, so that a constant
+    /// `want` is compared in place rather than by a call to `bcmp`.
+    #[inline(always)]
+    pub(crate) fn is(self, want: &str, line: &str) -> bool {
+        *self.bytes(line) == *want.as_bytes()
     }
 }
 
 /// One field value as it sits in the line; a number is held as `f64`,
 /// exact for integers up to 2^53.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub(crate) enum Scalar {
+    #[default]
     Null,
     Bool(bool),
     Num(f64),
@@ -277,7 +319,20 @@ pub(crate) fn walk_object(line: &str, mut field: impl FnMut(Span, Scalar)) -> Re
             w.skip_ws();
             w.expect(b':')?;
             w.skip_ws();
-            let value = w.value()?;
+            // Each arm builds its value where it is known: a `Result` of
+            // one passed up from a helper goes through memory, and is read
+            // back as the note on `Span` describes.
+            let value = match w.peek() {
+                Some(b'"') => Scalar::Str(w.string()?),
+                Some(b't') => w.literal("true", Scalar::Bool(true))?,
+                Some(b'f') => w.literal("false", Scalar::Bool(false))?,
+                Some(b'n') => w.literal("null", Scalar::Null)?,
+                Some(b'{' | b'[') => {
+                    return Err("nested containers are not valid journal values".into())
+                }
+                Some(_) => Scalar::Num(w.number()?),
+                None => return Err("expected a value, found end of input".into()),
+            };
             field(key, value);
             w.skip_ws();
             match w.next() {
@@ -295,11 +350,100 @@ pub(crate) fn walk_object(line: &str, mut field: impl FnMut(Span, Scalar)) -> Re
     Ok(())
 }
 
+/// The journal's number rule, for `text` a run of the number charset
+/// (`0-9 + - . e E`): a run of 1 to 15 digits is below 2^53 and converts
+/// exactly, which is what the correctly rounded parse of the same digits
+/// returns; anything else is `str::parse::<f64>`, and must be finite.
+/// Inlined into both callers, which read its `Result` at once.
+#[inline(always)]
+fn number_value(text: &str) -> Result<f64, String> {
+    let digits = text.as_bytes();
+    if (1..=15).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+        let int = digits
+            .iter()
+            .fold(0u64, |int, b| 10 * int + u64::from(b - b'0'));
+        return Ok(int as f64);
+    }
+    let v: f64 = text
+        .parse()
+        .map_err(|_| format!("unparseable number `{text}`"))?;
+    if !v.is_finite() {
+        return Err(format!("non-finite number `{text}`"));
+    }
+    Ok(v)
+}
+
+/// The length of the number-charset run `bytes` starts with.
+fn number_len(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+        .unwrap_or(bytes.len())
+}
+
+/// Reads `text` as a comma-joined list of numbers, each by the rule
+/// [`walk_object`] reads a number value with (the charset run, then
+/// [`number_value`]), and hands them to `each` in order. `false` at the
+/// first element that is not one (`each` has then had the elements
+/// before it): an empty element, a byte outside the number charset, a
+/// spelling `str::parse` refuses, or a value that is not finite.
+pub(crate) fn number_list(text: &str, mut each: impl FnMut(f64)) -> bool {
+    let mut at = 0;
+    loop {
+        let len = number_len(&text.as_bytes()[at..]);
+        match number_value(&text[at..at + len]) {
+            Ok(v) => each(v),
+            Err(_) => return false,
+        }
+        at += len;
+        match text.as_bytes().get(at) {
+            None => return true,
+            Some(b',') => at += 1,
+            Some(_) => return false,
+        }
+    }
+}
+
+/// Index of the first byte of `bytes` that ends a plain run of string
+/// body — `"`, `\` or a control character (below 0x20) — or its length,
+/// eight bytes at a time.
+fn string_stop(bytes: &[u8]) -> usize {
+    const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+    const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+    const QUOTES: u64 = u64::from_le_bytes([b'"'; 8]);
+    const BACKSLASHES: u64 = u64::from_le_bytes([b'\\'; 8]);
+    const SPACES: u64 = u64::from_le_bytes([0x20; 8]);
+    let mut words = bytes.chunks_exact(8);
+    for (i, w) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]);
+        let (q, s) = (x ^ QUOTES, x ^ BACKSLASHES);
+        // Each term marks the bytes of `x` that are a `"`, a `\` or below
+        // 0x20 (none at or above 0x80: `!` clears those). A borrow can
+        // also mark a byte above a true mark of its own term, never one
+        // below it, so the lowest mark of the three is the first stop.
+        let marks =
+            (q.wrapping_sub(ONES) & !q | s.wrapping_sub(ONES) & !s | x.wrapping_sub(SPACES) & !x)
+                & HIGHS;
+        if marks != 0 {
+            return 8 * i + marks.trailing_zeros() as usize / 8;
+        }
+    }
+    let done = bytes.len() - words.remainder().len();
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .map_or(bytes.len(), |j| done + j)
+}
+
 struct Walker<'a> {
     line: &'a str,
     pos: usize,
 }
 
+// `number` and `string` are inlined into `walk_object`: a call passes
+// the `Result` back through memory a word at a time, and the caller's
+// wider read of it then waits for those stores to retire.
 impl Walker<'_> {
     fn peek(&self) -> Option<u8> {
         self.line.as_bytes().get(self.pos).copied()
@@ -328,18 +472,6 @@ impl Walker<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Scalar, String> {
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b't') => self.literal("true", Scalar::Bool(true)),
-            Some(b'f') => self.literal("false", Scalar::Bool(false)),
-            Some(b'n') => self.literal("null", Scalar::Null),
-            Some(b'{' | b'[') => Err("nested containers are not valid journal values".into()),
-            Some(_) => self.number(),
-            None => Err("expected a value, found end of input".into()),
-        }
-    }
-
     fn literal(&mut self, lit: &str, v: Scalar) -> Result<Scalar, String> {
         if self.line.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
@@ -349,51 +481,32 @@ impl Walker<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Scalar, String> {
+    #[inline(always)]
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
-        let mut digits_only = true;
-        let mut int = 0u64;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => int = int.wrapping_mul(10).wrapping_add(u64::from(b - b'0')),
-                b'-' | b'+' | b'.' | b'e' | b'E' => digits_only = false,
-                _ => break,
-            }
-            self.pos += 1;
-        }
-        // Up to 15 digits is below 2^53: `int` did not wrap and
-        // converts exactly, which is what the correctly rounded parse
-        // of the same digits returns.
-        if digits_only && (1..=15).contains(&(self.pos - start)) {
-            return Ok(Scalar::Num(int as f64));
-        }
-        // The charset above is ASCII, so both ends are char boundaries.
-        let text = &self.line[start..self.pos];
-        let v: f64 = text
-            .parse()
-            .map_err(|_| format!("unparseable number `{text}`"))?;
-        if !v.is_finite() {
-            return Err(format!("non-finite number `{text}`"));
-        }
-        Ok(Scalar::Num(v))
+        self.pos += number_len(&self.line.as_bytes()[start..]);
+        // The charset is ASCII, so both ends are char boundaries.
+        number_value(&self.line[start..self.pos])
     }
 
     /// Validates one string in place: every escape well-formed, no raw
     /// control character. (`line` is a `str`, so multi-byte sequences
-    /// are whole already and none of their bytes is below 0x80.)
+    /// are whole already and none of their bytes is below 0x80.) Runs of
+    /// plain bytes are skipped a word at a time.
+    #[inline(always)]
     fn string(&mut self) -> Result<Span, String> {
         self.expect(b'"')?;
         let start = self.pos;
         let mut escaped = false;
         loop {
+            self.pos += string_stop(&self.line.as_bytes()[self.pos..]);
             match self.next() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     let end = self.pos - 1;
                     return Ok(Span {
                         start,
-                        end,
-                        escaped,
+                        end: if escaped { end | Span::ESCAPED } else { end },
                     });
                 }
                 Some(b'\\') => {
@@ -413,8 +526,8 @@ impl Walker<'_> {
                         None => return Err("unterminated escape".into()),
                     }
                 }
-                Some(b) if b < 0x20 => return Err("raw control character in string".into()),
-                Some(_) => {}
+                // `string_stop` stops at nothing else.
+                Some(_) => return Err("raw control character in string".into()),
             }
         }
     }
@@ -812,6 +925,44 @@ mod tests {
         // Keys unwind too.
         let fields = parse(r#"{"k\"":1}"#).unwrap();
         assert_eq!(fields[0].0, "k\"");
+    }
+
+    /// The walker skips string bodies and number runs a word at a time:
+    /// every byte that ends one, at every offset of the first two words
+    /// and the first byte past them, followed by nothing or by more than
+    /// a word, gets the oracle's verdict, error text and numbers.
+    #[test]
+    fn special_bytes_at_every_offset_agree_with_the_oracle() {
+        // Whole characters only (a line is a `str`): a multi-byte one
+        // placed with its first byte, and then its last, at the offset.
+        let specials = [
+            "\"", "\\", "\u{0}", "\u{1f}", " ", "\u{7f}", "é", "电", "😀", ".", "e", "E", "+", "-",
+            "x",
+        ];
+        let mut lines = 0;
+        for special in specials {
+            let starts = [0, special.len() - 1];
+            for (k, back) in (0..=16usize).flat_map(|k| starts.map(|b| (k, b))) {
+                let Some(pad) = k.checked_sub(back) else {
+                    continue;
+                };
+                for tail in ["", "bbbbbbbbb"] {
+                    // In mid-object a word of line follows the body;
+                    // last, two bytes do, which the word-wide scan leaves
+                    // to its byte loop.
+                    let body = format!("{}{special}{tail}", "a".repeat(pad));
+                    parse(&format!("{{\"k\":\"{body}\",\"n\":1}}")).ok();
+                    parse(&format!("{{\"n\":1,\"k\":\"{body}\"}}")).ok();
+                    // Nines: a run of 16 or more is past 2^53.
+                    let digits =
+                        format!("{}{special}{}", "9".repeat(pad), &"234567890"[..tail.len()]);
+                    parse(&format!("{{\"k\":{digits}}}")).ok();
+                    parse(&format!("{{\"k\":{digits},\"n\":1}}")).ok();
+                    lines += 4;
+                }
+            }
+        }
+        assert!(lines > 1000, "{lines}");
     }
 
     /// One byte replaced, inserted or removed, or the line cut short.

@@ -57,8 +57,10 @@ macro_rules! scalar_fields {
 
 scalar_fields! {
     // Exact integers only, up to 2^53, where every integer is an f64.
+    // (In that range `v as u64` truncates, so the round trip is exact
+    // iff `v` is whole; `fract` would call out to libm's `trunc`.)
     u64: push_u64, |s| match s {
-        Scalar::Num(v) if v >= 0.0 && v.fract() == 0.0 && v <= 9.007_199_254_740_992e15 => {
+        Scalar::Num(v) if (0.0..=9.007_199_254_740_992e15).contains(&v) && (v as u64) as f64 == v => {
             Some(v as u64)
         }
         _ => None,
@@ -137,8 +139,7 @@ impl Targets {
     /// half-applied target vector is worse than a stale one.
     pub fn decode_into(&self, out: &mut Vec<f64>) -> bool {
         let before = out.len();
-        let mut push = |t: &str| t.parse().map(|x| out.push(x)).is_ok();
-        let whole = self.0.is_empty() || self.0.split(',').all(&mut push);
+        let whole = self.0.is_empty() || json::number_list(&self.0, |x| out.push(x));
         if !whole {
             out.truncate(before);
         }
@@ -201,15 +202,20 @@ macro_rules! schema {
                 }
             }
 
-            /// The variant `kind` names, its fields read through `get`;
-            /// `None` for an unknown kind or a missing required field.
-            fn decode(kind: &str, mut get: impl FnMut(&str) -> Option<Scalar>, line: &str) -> Option<Body> {
-                Some(match kind {
-                    $($kind => Body::$variant {
-                        $($field: <$ty as Field>::read(get(stringify!($field)), line)?,)*
-                    },)*
-                    _ => return None,
-                })
+            /// The variant `kind` names, its fields taken from `fields`;
+            /// [`Body::Unknown`] for an unknown kind or a missing
+            /// required field.
+            fn decode(kind: Cow<'_, str>, fields: &mut Fields, line: &str) -> Body {
+                match &*kind {
+                    $($kind => {
+                        $(let $field = <$ty as Field>::read(fields.take(stringify!($field), line), line);)*
+                        if let ($(Some($field),)*) = ($($field,)*) {
+                            return Body::$variant { $($field,)* };
+                        }
+                    })*
+                    _ => {}
+                }
+                Body::Unknown { kind: kind.into_owned() }
             }
 
             /// One value of every variant, its fields drawn from `rng`.
@@ -384,6 +390,10 @@ impl Event {
     }
 
     /// Decodes one record line under the module's compatibility rules.
+    /// It allocates only what the record owns: a string field's text, a
+    /// `period` record's targets, an unknown kind's name (and an escaped
+    /// string's unwound text on the way), so a record of numbers decodes
+    /// with no heap call at all.
     ///
     /// # Errors
     /// [`DecodeError::Version`] on a `"v"` other than
@@ -393,15 +403,15 @@ impl Event {
         let malformed = |m: &str| DecodeError::Malformed(m.to_string());
         // First occurrence of each header key; the rest are body fields.
         let (mut v, mut period, mut t_s, mut kind, mut wall_ms) = (None, None, None, None, None);
-        // A `period` record has seven body fields.
-        let mut fields = Vec::with_capacity(8);
+        let mut fields = Fields::default();
         walk_object(line, |key, value| {
-            let slot = match &*key.text(line) {
-                "v" => &mut v,
-                "period" => &mut period,
-                "t_s" => &mut t_s,
-                "kind" => &mut kind,
-                "wall_ms" => &mut wall_ms,
+            // One match on the key's bytes, unwound first only if escaped.
+            let slot = match &*key.bytes(line) {
+                b"v" => &mut v,
+                b"period" => &mut period,
+                b"t_s" => &mut t_s,
+                b"kind" => &mut kind,
+                b"wall_ms" => &mut wall_ms,
                 _ => return fields.push((key, value)),
             };
             slot.get_or_insert(value);
@@ -418,24 +428,74 @@ impl Event {
         let kind = kind.text(line);
         let period = u64::read(period, line).ok_or_else(|| malformed("missing `period`"))?;
         let sim_time_s = f64::read(t_s, line).ok_or_else(|| malformed("missing `t_s`"))?;
-        // This build's writer renders a kind's keys in schema order: the
-        // field at the cursor is tried first, and once a line departs
-        // from that order each key is searched from the start.
-        let mut at = Some(0);
-        let get = |key: &str| {
-            let is_key = |f: &&(Span, Scalar)| f.0.text(line) == key;
-            let hit = at.and_then(|i| fields.get(i)).filter(is_key);
-            at = at.filter(|_| hit.is_some()).map(|i| i + 1);
-            hit.or_else(|| fields.iter().find(is_key)).map(|f| f.1)
-        };
         Ok(Event {
             period,
             sim_time_s,
             wall_unix_ms: u64::read(wall_ms, line),
-            body: Body::decode(&kind, get, line).unwrap_or_else(|| Body::Unknown {
-                kind: kind.into_owned(),
-            }),
+            body: Body::decode(kind, &mut fields, line),
         })
+    }
+}
+
+/// A line's body fields in document order: the first eight in a table on
+/// the stack, so that decoding a record this build wrote allocates
+/// nothing for them (the widest kind, `period`, declares seven), and any
+/// further ones, which only a hand-made line has, in a `Vec`.
+#[derive(Default)]
+struct Fields {
+    table: [(Span, Scalar); 8],
+    len: usize,
+    spill: Vec<(Span, Scalar)>,
+    /// Where [`Fields::take`] looks first; `usize::MAX` once a line has
+    /// departed from schema order.
+    cursor: usize,
+}
+
+impl Fields {
+    /// Inlined into the walk: called, it takes the field by reference and
+    /// reads it back wider than the walker wrote it (the note on
+    /// `json::Span` says what that costs).
+    #[inline(always)]
+    fn push(&mut self, field: (Span, Scalar)) {
+        match self.table.get_mut(self.len) {
+            Some(slot) => {
+                *slot = field;
+                self.len += 1;
+            }
+            None => self.spill.push(field),
+        }
+    }
+
+    /// The first value under `key`. This build's writer renders a kind's
+    /// keys in schema order, and a decoder takes them in that order: the
+    /// field after the last one taken is tried first, and once a line
+    /// departs from that order each key is searched from the start.
+    /// Inlined, so that each call compares against a constant key.
+    #[inline(always)]
+    fn take(&mut self, key: &str, line: &str) -> Option<Scalar> {
+        let at = self.cursor;
+        let next = match at.checked_sub(self.len) {
+            None => Some(&self.table[at]),
+            Some(j) => self.spill.get(j),
+        };
+        match next {
+            Some(f) if f.0.is(key, line) => {
+                self.cursor += 1;
+                Some(f.1)
+            }
+            _ => self.search(key, line),
+        }
+    }
+
+    /// [`Fields::take`] once a line has departed from schema order.
+    #[inline(never)]
+    fn search(&mut self, key: &str, line: &str) -> Option<Scalar> {
+        self.cursor = usize::MAX;
+        self.table[..self.len]
+            .iter()
+            .chain(&self.spill)
+            .find(|f| f.0.is(key, line))
+            .map(|f| f.1)
     }
 }
 
@@ -853,13 +913,34 @@ mod tests {
         let mut out = vec![7.0];
         assert!(Targets::new(&[1350.0, 1_425.517_230_981_2]).decode_into(&mut out));
         assert_eq!(out, [7.0, 1350.0, 1_425.517_230_981_2]);
-        for bad in ["x,900", "900,x", "900,,875", "900,"] {
+        for bad in [
+            "x,900",
+            "900,x",
+            "900,,875",
+            "900,",
+            " 900",
+            "inf,1350",
+            "NaN,1350",
+            "1e999,1350",
+            "infinity,-inf",
+        ] {
             let mut out = vec![7.0];
             assert!(!Targets(bad.into()).decode_into(&mut out), "{bad}");
             assert_eq!(out, [7.0], "{bad}");
         }
         assert!(Targets::new(&[]).decode_into(&mut out));
         assert_eq!(Targets::new(&[]).to_string(), "");
+        // An element reads as the walker reads the same spelling as a
+        // value, bit for bit.
+        for text in ["007", "+7", "1.", ".5", "-0", "1e3", "9007199254740993"] {
+            let mut got = Vec::new();
+            assert!(Targets(text.into()).decode_into(&mut got), "{text}");
+            let line = format!("{{\"x\":{text}}}");
+            let mut want = None;
+            walk_object(&line, |_, v| want = Some(v)).unwrap();
+            assert_eq!(want, Some(Scalar::Num(got[0])), "{text}");
+            assert_eq!(got[0].to_bits(), text.parse::<f64>().unwrap().to_bits());
+        }
     }
 
     /// Runs of random flat objects over `keys`, each value a scalar of a
