@@ -14,7 +14,7 @@
 //! dwell one control period at a point.
 
 use capgpu_linalg::lstsq::LstsqFit;
-use capgpu_linalg::{lstsq, stats, svd, LinalgError, Matrix, Qr};
+use capgpu_linalg::{lstsq, stats, LinalgError, Matrix, Qr};
 
 use crate::model::LinearPowerModel;
 use crate::{ControlError, Result};
@@ -131,10 +131,6 @@ pub struct IdentifiedModel {
     pub rmse_watts: f64,
     /// Number of samples used.
     pub n_samples: usize,
-    /// 2-norm condition number of the excitation design matrix — large
-    /// values flag a sweep that barely moved some device (its identified
-    /// gain is then untrustworthy).
-    pub design_condition: f64,
 }
 
 impl SystemIdentifier {
@@ -198,11 +194,6 @@ impl SystemIdentifier {
         let row_refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
         let x = Matrix::from_rows(&row_refs);
         let qr = Qr::new(&x).map_err(ControlError::Linalg)?;
-        // Orthogonal transforms preserve singular values, so σ(X) = σ(R):
-        // the condition number comes from the already-factored
-        // (n+1)×(n+1) triangle instead of a second O(m·n²) SVD pass over
-        // the full design.
-        let design_condition = svd::condition_number(&qr.r()).unwrap_or(f64::INFINITY);
         let fit = match qr.solve_lstsq(&self.powers) {
             Ok(coefficients) => {
                 let rss = qr.residual_sq(&self.powers).map_err(ControlError::Linalg)?;
@@ -228,7 +219,6 @@ impl SystemIdentifier {
             r_squared: fit.r_squared,
             rmse_watts: fit.rmse(),
             n_samples: self.len(),
-            design_condition,
         })
     }
 }

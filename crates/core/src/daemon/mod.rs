@@ -49,7 +49,7 @@ use capgpu_control::sysid::ScaledModelTracker;
 use capgpu_obs::analyzer::{HealthAnalyzer, PeriodSample, DETECTORS};
 use capgpu_obs::replay::ReplayState;
 use capgpu_obs::rotate::JournalWriter;
-use capgpu_telemetry::journal::{Body, Event, Journal, Targets};
+use capgpu_telemetry::journal::{Body, Event, Journal};
 use capgpu_telemetry::registry::{CounterId, GaugeId, Registry, Snapshot};
 
 use crate::controllers::{CapGpuController, DeviceLayout};
@@ -439,17 +439,8 @@ impl Daemon {
         if tier_changed {
             self.registry.inc(self.metrics.tier_changes, 1);
         }
-        // Summed commanded move and bound saturation, for the journal
-        // and the oscillation/saturation detectors.
-        let delta_f_mhz: f64 = targets
-            .iter()
-            .zip(self.targets.iter())
-            .map(|(n, o)| n - o)
-            .sum();
-        let saturated = targets
-            .iter()
-            .zip(self.layout.f_min.iter().zip(self.layout.f_max.iter()))
-            .any(|(t, (lo, hi))| (t - lo).abs() < 1e-9 || (t - hi).abs() < 1e-9);
+        // The period's record, built while the targets moved from are at hand.
+        let body = period::record(&directive, avg, &self.targets, &targets, &self.layout);
         self.backend.set_frequencies(&targets)?;
         self.backend.effective_frequencies_into(&mut self.applied)?;
         self.targets = targets;
@@ -474,15 +465,6 @@ impl Daemon {
         }
         // -- journal + metrics; the online health analyzer reads the
         //    period record, as the post-mortem does -------------------
-        let body = Body::Period {
-            tier: Some(directive.tier.as_u8() as u64),
-            watts: Some(avg),
-            setpoint: Some(directive.effective_setpoint),
-            stale: Some(directive.stale_periods as u64),
-            delta_f_mhz: Some(delta_f_mhz),
-            saturated: Some(saturated),
-            targets: Some(Targets::new(&self.targets)),
-        };
         let sample = PeriodSample::from_period(&body);
         self.record(body);
         let edges = sample

@@ -1,14 +1,14 @@
 //! The steps of a control period that the experiment runner and the
 //! daemon share: the identification dwell, the period's power reading,
 //! the model tracker's record, the health-and-decide step, the refit
-//! push and the journaled transitions. What the two loops still do
-//! differently (DESIGN §18) stays at their call sites.
+//! push, the journaled transitions and the `period` record. What the
+//! two loops still do differently (DESIGN §18) stays at their call sites.
 
 use capgpu_backend::PowerBackend;
 use capgpu_control::model::LinearPowerModel;
 use capgpu_control::sysid::{identify_sweep, ScaledModelTracker, SweepFit};
 use capgpu_control::ControlError;
-use capgpu_telemetry::journal::Body;
+use capgpu_telemetry::journal::{Body, Targets};
 
 use crate::controllers::{ControlInput, DeviceLayout, PowerController};
 use crate::supervisor::{check_arity, Decision, Directive, HealthSample, Ladder, SupervisorTier};
@@ -89,6 +89,9 @@ pub(crate) struct Decider {
     ejected: Vec<bool>,
     /// Per-device power as of the last step (W; zeros without meters).
     device_power: Vec<f64>,
+    /// Consecutive meter-silent periods, as an unsupervised step reports
+    /// them (a ladder counts its own).
+    stale_run: usize,
 }
 
 impl Decider {
@@ -96,6 +99,7 @@ impl Decider {
         Decider {
             ejected: vec![false; devices],
             device_power: vec![0.0; devices],
+            stale_run: 0,
         }
     }
 
@@ -122,7 +126,8 @@ impl Decider {
     /// One period's decision. A `ladder` sees the period's health and
     /// its `tracker`'s authority verdict first, so a demotion acts in the
     /// period its fault is observed; without one, `controller` acts alone
-    /// at the operator's set-point.
+    /// at the operator's set-point. Either way the directive counts the
+    /// consecutive meter-silent periods by the same rule.
     pub(crate) fn step<B: PowerBackend + ?Sized>(
         &mut self,
         backend: &mut B,
@@ -145,12 +150,17 @@ impl Decider {
             phase_mix: period.phase_mix,
         };
         let Some((ladder, tracker)) = supervised else {
+            self.stale_run = if period.fresh_samples == 0 {
+                self.stale_run + 1
+            } else {
+                0
+            };
             let targets = check_arity(controller.control(&input)?, self.ejected.len())?;
             let directive = Directive {
                 tier: SupervisorTier::Primary,
                 effective_setpoint: period.setpoint,
                 authority_lost: false,
-                stale_periods: 0,
+                stale_periods: self.stale_run,
             };
             return Ok(Decision { targets, directive });
         };
@@ -199,6 +209,33 @@ pub(crate) fn push_refit(
         }
         Ok(_) | Err(ControlError::InsufficientData(_)) => Ok(None),
         Err(e) => Err(e.into()),
+    }
+}
+
+/// The `period` record both loops journal: the decision's tier,
+/// effective set-point and stale count, the `watts` it acted on, the
+/// summed commanded move from `before` to `after` and whether a target
+/// of `after` sits on a clock bound of `layout`, and `after` itself.
+pub(crate) fn record(
+    directive: &Directive,
+    watts: f64,
+    before: &[f64],
+    after: &[f64],
+    layout: &DeviceLayout,
+) -> Body {
+    let delta_f_mhz: f64 = after.iter().zip(before).map(|(n, o)| n - o).sum();
+    let saturated = after
+        .iter()
+        .zip(layout.f_min.iter().zip(&layout.f_max))
+        .any(|(t, (lo, hi))| (t - lo).abs() < 1e-9 || (t - hi).abs() < 1e-9);
+    Body::Period {
+        tier: Some(u64::from(directive.tier.as_u8())),
+        watts: Some(watts),
+        setpoint: Some(directive.effective_setpoint),
+        stale: Some(directive.stale_periods as u64),
+        delta_f_mhz: Some(delta_f_mhz),
+        saturated: Some(saturated),
+        targets: Some(Targets::new(after)),
     }
 }
 

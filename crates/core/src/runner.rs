@@ -725,9 +725,6 @@ impl ExperimentRunner {
                             r_squared: tracker.r_squared(),
                             rmse_watts: tracker.rmse(),
                             n_samples: tracker.len(),
-                            // A one-parameter fit whose prior is in is
-                            // always perfectly conditioned.
-                            design_condition: 1.0,
                         });
                     }
                 }
@@ -780,7 +777,7 @@ impl ExperimentRunner {
             let supervised = ladder.as_mut().zip(self.tracker.as_mut());
             let decision = decider.step(&mut self.backend, supervised, &mut controller, &inputs)?;
             let directive = decision.directive;
-            self.targets = decision.targets;
+            let before = std::mem::replace(&mut self.targets, decision.targets);
             if let Some(tm) = self.telemetry.as_mut() {
                 tm.span_exit();
             }
@@ -823,9 +820,16 @@ impl ExperimentRunner {
                     quarantined,
                     targets: &rec.targets,
                     diag,
+                    record: period::record(
+                        &directive,
+                        avg_power,
+                        &before,
+                        &rec.targets,
+                        &self.layout,
+                    ),
                 };
                 if let Some(tm) = self.telemetry.as_mut() {
-                    tm.on_period(&obs);
+                    tm.on_period(obs);
                     if let Some(mix) = self.plant.phase_mix() {
                         for (i, &dev) in self.gpu_device_indices.iter().enumerate() {
                             let m = &mix[dev];

@@ -118,6 +118,8 @@ pub struct PeriodObservation<'a> {
     pub targets: &'a [f64],
     /// Solver diagnostics, when the acting controller exposes them.
     pub diag: Option<ControlDiagnostics>,
+    /// The period's `period` record, as the daemon journals its own.
+    pub record: Body,
 }
 
 /// Per-run telemetry: registry + journal + spans, wired to the runner.
@@ -142,7 +144,6 @@ pub struct RunTelemetry {
     carry_pending: u64,
     /// The run's ladder state as last journaled.
     transitions: Transitions,
-    prev_stale: bool,
     slo_bound_active: bool,
     /// Per-task decode-dominant flags for edge-triggered
     /// `phase_transition` journal events (hysteresis: enter below a 0.3
@@ -259,6 +260,8 @@ impl RunTelemetry {
                     .collect(),
             }),
         };
+        // The identified gains are the model until a refit scales them.
+        registry.set(h.model_scale, 1.0);
         let mut spans = SpanStack::new();
         let sp_period = spans.span("period");
         let sp_sense = spans.span("sense");
@@ -280,7 +283,6 @@ impl RunTelemetry {
             h,
             carry_pending: 0,
             transitions: Transitions::default(),
-            prev_stale: false,
             slo_bound_active: false,
             llm_decode_dominant: vec![false; n_tasks],
             llm_kv_pressured: vec![false; n_tasks],
@@ -497,17 +499,13 @@ impl RunTelemetry {
         self.record(period, t_s, Body::Refit { scale, offset_w });
     }
 
-    /// Fold one completed control period into the registry and journal.
-    /// Edge-triggered events (tier changes and quarantine transitions,
-    /// by the rule the daemon journals them with; SLO-bound activations,
-    /// meter staleness, aggregated carry wraps) are derived here by
-    /// diffing against the previous period's state.
-    pub fn on_period(&mut self, obs: &PeriodObservation<'_>) {
+    /// Fold one completed control period into the registry and journal:
+    /// its edges (tier changes and quarantine transitions, by the rule
+    /// the daemon journals them with), then its `period` record, then
+    /// SLO-bound activations and the period's aggregated carry wraps.
+    pub fn on_period(&mut self, obs: PeriodObservation<'_>) {
         let (period, t_s) = (obs.period, obs.t_s);
-        let (setpoint, meter_stale) = (
-            obs.directive.effective_setpoint,
-            obs.fresh_meter_samples == 0,
-        );
+        let setpoint = obs.directive.effective_setpoint;
         self.registry.inc(self.h.periods_total, 1);
         self.registry.inc(self.h.seconds_total, obs.seconds as u64);
         self.registry
@@ -519,16 +517,8 @@ impl RunTelemetry {
         if obs.avg_power > setpoint {
             self.registry.inc(self.h.cap_overshoot_periods_total, 1);
         }
-        if meter_stale {
+        if obs.fresh_meter_samples == 0 {
             self.registry.inc(self.h.meter_stale_periods_total, 1);
-        }
-        if meter_stale != self.prev_stale {
-            let body = Body::MeterStale {
-                stale: meter_stale,
-                stale_periods: obs.directive.stale_periods as u64,
-            };
-            self.record(period, t_s, body);
-            self.prev_stale = meter_stale;
         }
         let tier = obs.directive.tier.as_u8() as usize;
         if let Some(id) = self.h.tier_periods_total.get(tier) {
@@ -545,6 +535,7 @@ impl RunTelemetry {
         }
         self.registry
             .inc(self.h.quarantine_transitions_total, flips);
+        self.record(period, t_s, obs.record);
         for (d, &f) in obs.targets.iter().enumerate() {
             if let Some(id) = self.h.target_mhz.get(d) {
                 self.registry.set(*id, f);
@@ -661,6 +652,7 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controllers::DeviceLayout;
     use crate::supervisor::SupervisorTier;
 
     /// The events of `journal` whose body `keep` selects.
@@ -678,23 +670,30 @@ mod tests {
     }
 
     /// A fresh-meter period at `tier`, off primary only by a lost
-    /// authority verdict.
+    /// authority verdict, that held `targets`.
     fn obs(period: usize, targets: &[f64], tier: SupervisorTier) -> PeriodObservation<'_> {
+        let directive = Directive {
+            tier,
+            effective_setpoint: 900.0,
+            authority_lost: tier != SupervisorTier::Primary,
+            stale_periods: 0,
+        };
+        let layout = DeviceLayout {
+            kinds: vec![DeviceKind::Cpu, DeviceKind::Gpu, DeviceKind::Gpu],
+            f_min: vec![1000.0; 3],
+            f_max: vec![2000.0; 3],
+        };
         PeriodObservation {
             period,
             t_s: 4.0 * (period + 1) as f64,
             seconds: 4,
             fresh_meter_samples: 4,
             avg_power: 905.0,
-            directive: Directive {
-                tier,
-                effective_setpoint: 900.0,
-                authority_lost: tier != SupervisorTier::Primary,
-                stale_periods: 0,
-            },
+            directive,
             quarantined: None,
             targets,
             diag: None,
+            record: crate::period::record(&directive, 905.0, targets, targets, &layout),
         }
     }
 
@@ -703,8 +702,8 @@ mod tests {
         let mut tm = telemetry();
         tm.begin_run("CapGPU", 900.0, 2);
         let targets = [2000.0, 1000.0, 1000.0];
-        tm.on_period(&obs(0, &targets, SupervisorTier::Primary));
-        tm.on_period(&obs(1, &targets, SupervisorTier::Primary));
+        tm.on_period(obs(0, &targets, SupervisorTier::Primary));
+        tm.on_period(obs(1, &targets, SupervisorTier::Primary));
         tm.end_run(2, 8.0, &[0.1, 0.2], None);
         let snap = tm.snapshot();
         assert_eq!(snap.counter_value("capgpu_periods_total", &[]), Some(2));
@@ -729,6 +728,22 @@ mod tests {
             events_where(tm.journal(), |b| matches!(b, Body::RunEnd { .. })).len(),
             1
         );
+        // One `period` record per period, at the period's end stamp.
+        let stamps: Vec<(u64, f64)> =
+            events_where(tm.journal(), |b| matches!(b, Body::Period { .. }))
+                .into_iter()
+                .map(|e| (e.period, e.sim_time_s))
+                .collect();
+        assert_eq!(stamps, vec![(0, 4.0), (1, 8.0)]);
+    }
+
+    #[test]
+    fn model_scale_reads_one_before_any_refit() {
+        let mut tm = telemetry();
+        let scale = |tm: &RunTelemetry| tm.snapshot().gauge_value("capgpu_model_scale", &[]);
+        assert_eq!(scale(&tm), Some(1.0));
+        tm.on_refit(3, 16.0, 1.25, 210.0);
+        assert_eq!(scale(&tm), Some(1.25));
     }
 
     #[test]
@@ -737,7 +752,7 @@ mod tests {
         let targets = [2000.0, 1000.0, 1000.0];
         let (primary, fallback) = (SupervisorTier::Primary, SupervisorTier::SafeFallback);
         for (p, tier) in [(0, primary), (1, fallback), (2, fallback), (3, primary)] {
-            tm.on_period(&obs(p, &targets, tier));
+            tm.on_period(obs(p, &targets, tier));
         }
         let snap = tm.snapshot();
         assert_eq!(
@@ -787,8 +802,8 @@ mod tests {
         tm.on_carry_wrap(1);
         tm.on_carry_wrap(2);
         let targets = [2000.0, 1000.0, 1000.0];
-        tm.on_period(&obs(0, &targets, SupervisorTier::Primary));
-        tm.on_period(&obs(1, &targets, SupervisorTier::Primary));
+        tm.on_period(obs(0, &targets, SupervisorTier::Primary));
+        tm.on_period(obs(1, &targets, SupervisorTier::Primary));
         let snap = tm.snapshot();
         assert_eq!(
             snap.counter_value("capgpu_carry_wraps_total", &[("device", "gpu1")]),
@@ -860,7 +875,7 @@ mod tests {
     fn report_texts_are_deterministic_and_separated() {
         let mut tm = telemetry();
         let targets = [2000.0, 1000.0, 1000.0];
-        tm.on_period(&obs(0, &targets, SupervisorTier::Primary));
+        tm.on_period(obs(0, &targets, SupervisorTier::Primary));
         let report = tm.report();
         let text = report.deterministic_text();
         assert!(text.contains("capgpu_periods_total"));

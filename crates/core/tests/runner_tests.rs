@@ -3,6 +3,7 @@
 
 use capgpu::config::ScheduledChange;
 use capgpu::prelude::*;
+use capgpu_telemetry::journal::Journal;
 
 fn runner(seed: u64, setpoint: f64) -> ExperimentRunner {
     ExperimentRunner::new(Scenario::paper_testbed(seed), setpoint).unwrap()
@@ -347,17 +348,22 @@ fn journal_captures_scripted_escalation_in_order() {
     let periods: Vec<u64> = journal.events().iter().map(|e| e.period).collect();
     assert!(periods.windows(2).all(|w| w[0] <= w[1]), "{periods:?}");
 
-    // The stale flag toggles exactly twice: on at the dropout, off after
-    // the meter recovers.
+    // Read from the period records, the stale flag toggles exactly
+    // twice: on at the dropout, off after the meter recovers.
     let stale: Vec<bool> = journal
         .events()
         .iter()
         .filter_map(|e| match e.body {
-            Body::MeterStale { stale, .. } => Some(stale),
+            Body::Period { stale: Some(n), .. } => Some(n > 0),
             _ => None,
         })
         .collect();
-    assert_eq!(stale, vec![true, false]);
+    let edges: Vec<bool> = stale
+        .windows(2)
+        .filter(|w| w[0] != w[1])
+        .map(|w| w[1])
+        .collect();
+    assert_eq!(edges, vec![true, false]);
 
     // Full ladder, in order: 0→1 and 1→2 driven by the stale meter,
     // then single-step recoveries 2→1 and 1→0.
@@ -389,6 +395,97 @@ fn journal_captures_scripted_escalation_in_order() {
         Some(4)
     );
     assert_eq!(snap.counter_value("capgpu_periods_total", &[]), Some(45));
+}
+
+/// Runs `scenario` traced for `periods` and checks that its journal
+/// holds one `period` record per period, stamped at the period's end,
+/// that agrees with the trace: tier, watts, set-point and targets, and a
+/// nonzero stale count exactly on the meter-stale periods. Returns the
+/// journal and each period's stale count.
+fn journaled_periods(scenario: Scenario, setpoint: f64, periods: usize) -> (Journal, Vec<u64>) {
+    use capgpu_telemetry::journal::Body;
+
+    let t = scenario.control_period_s;
+    let scenario = scenario.with_telemetry(TelemetryConfig::deterministic());
+    let mut r = ExperimentRunner::new(scenario, setpoint).unwrap();
+    let c = r.build_capgpu_controller().unwrap();
+    let trace = r.run(c, periods).unwrap();
+    let journal = r.telemetry().expect("telemetry enabled").journal().clone();
+    let bodies: Vec<_> = journal
+        .events()
+        .iter()
+        .filter(|e| matches!(e.body, Body::Period { .. }))
+        .collect();
+    assert_eq!(bodies.len(), periods);
+    let mut stale = Vec::new();
+    for (rec, e) in trace.records.iter().zip(bodies) {
+        let Body::Period {
+            tier: Some(tier),
+            watts: Some(watts),
+            setpoint: Some(setpoint),
+            stale: Some(n),
+            delta_f_mhz: Some(_),
+            saturated: Some(_),
+            targets: Some(targets),
+        } = &e.body
+        else {
+            panic!("partial period record {e:?}");
+        };
+        let p = rec.period;
+        assert_eq!((e.period, e.sim_time_s), (p as u64, ((p + 1) * t) as f64));
+        assert_eq!(*tier, u64::from(rec.supervisor_tier), "period {p}");
+        assert_eq!(*watts, rec.avg_power, "period {p}");
+        assert_eq!(*setpoint, rec.setpoint, "period {p}");
+        let mut decoded = Vec::new();
+        assert!(targets.decode_into(&mut decoded), "period {p}");
+        assert_eq!(decoded, rec.targets, "period {p}");
+        assert_eq!(*n > 0, rec.meter_stale, "period {p}");
+        stale.push(*n);
+    }
+    (journal, stale)
+}
+
+/// Under the supervised fault storm the runner journals the daemon's
+/// `period` record once a period.
+#[test]
+fn the_runner_journals_one_period_record_per_period_under_the_storm() {
+    let scenario = Scenario::fault_testbed(42).with_supervisor(SupervisorConfig::default());
+    let (_, stale) = journaled_periods(scenario, 1000.0, 60);
+    assert!(stale.iter().any(|&n| n > 0), "{stale:?}");
+}
+
+/// Without a ladder the stale count is the consecutive meter-silent
+/// count a ladder would report: 1..=10 over a ten-period dropout.
+#[test]
+fn an_unsupervised_dropout_counts_its_stale_periods() {
+    let scenario = Scenario::paper_testbed(15).with_faults(meter_dropout(10..20));
+    let (_, stale) = journaled_periods(scenario, 900.0, 30);
+    let want: Vec<u64> = (0..30)
+        .map(|p| if (10..20).contains(&p) { p - 9 } else { 0 })
+        .collect();
+    assert_eq!(stale, want);
+}
+
+/// A runner journal is what the post-mortem reads: wrapped in a scan
+/// with no segments it renders a burn summary over every period.
+#[test]
+fn a_runner_journal_renders_as_a_post_mortem() {
+    use capgpu_obs::reader::JournalScan;
+
+    let scenario = Scenario::paper_testbed(15)
+        .with_supervisor(SupervisorConfig::default())
+        .with_faults(meter_dropout(10..20));
+    let (journal, _) = journaled_periods(scenario, 900.0, 45);
+    let scan = JournalScan {
+        records: journal.events().to_vec(),
+        segments: Vec::new(),
+        torn_tail: None,
+    };
+    let pm = capgpu_obs::report::render(&scan);
+    assert!(pm.text.contains("segments=0 "), "{}", pm.text);
+    assert!(pm.text.contains("\n  periods=45 over_cap="), "{}", pm.text);
+    assert!(pm.text.contains("(stale_meter)"), "{}", pm.text);
+    assert!(!pm.state.last_targets_mhz.is_empty());
 }
 
 /// The runner's telemetry starts its transitions where the run's fresh

@@ -40,14 +40,12 @@ pub mod lstsq;
 pub mod matrix;
 pub mod qr;
 pub mod stats;
-pub mod svd;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use lstsq::{solve as lstsq_solve, LstsqFit};
 pub use matrix::Matrix;
 pub use qr::Qr;
-pub use svd::{condition_number, singular_values};
 
 /// Error type shared by all factorization and solve routines.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -114,18 +114,6 @@ impl Qr {
         }
     }
 
-    /// The upper-triangular factor `R` (`n × n`).
-    pub fn r(&self) -> Matrix {
-        let n = self.cols;
-        let mut r = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in i..n {
-                r[(i, j)] = self.qr[(i, j)];
-            }
-        }
-        r
-    }
-
     /// Numerical rank estimated from diagonal entries of `R`.
     pub fn rank(&self) -> usize {
         let scale = (0..self.cols)
@@ -188,19 +176,6 @@ impl Qr {
 mod tests {
     use super::*;
     use crate::vector::approx_eq;
-
-    #[test]
-    fn r_is_upper_triangular_and_reconstructs_norms() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let qr = Qr::new(&a).unwrap();
-        let r = qr.r();
-        assert_eq!(r[(1, 0)], 0.0);
-        // Column norms are preserved by orthogonal transforms:
-        // ‖R e1‖ = ‖A e1‖.
-        let a_col0: f64 = a.col_vec(0).iter().map(|v| v * v).sum::<f64>();
-        let r_col0: f64 = r.col_vec(0).iter().map(|v| v * v).sum::<f64>();
-        assert!((a_col0 - r_col0).abs() < 1e-10);
-    }
 
     #[test]
     fn exact_solve_square() {

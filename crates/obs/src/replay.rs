@@ -114,7 +114,6 @@ impl ReplayState {
             | Body::FaultClear { .. }
             | Body::PhaseTransition { .. }
             | Body::KvPressure { .. }
-            | Body::MeterStale { .. }
             | Body::SloFloorBinding { .. }
             | Body::DsCarryWraps { .. }
             | Body::Unknown { .. } => {}

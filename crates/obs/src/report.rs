@@ -187,7 +187,6 @@ pub fn render(scan: &JournalScan) -> PostMortem {
             | Body::FaultClear { .. }
             | Body::PhaseTransition { .. }
             | Body::KvPressure { .. }
-            | Body::MeterStale { .. }
             | Body::SloFloorBinding { .. }
             | Body::DsCarryWraps { .. }
             | Body::Unknown { .. } => {}

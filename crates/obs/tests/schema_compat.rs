@@ -13,6 +13,7 @@ use capgpu_obs::replay::ReplayState;
 use capgpu_obs::report::render;
 use capgpu_obs::rotate::segment_file_name;
 use capgpu_obs::ObsError;
+use capgpu_telemetry::journal::{Body, Event};
 
 /// A journal a daemon could have written: identification, a tier step,
 /// a set-point step and three periods.
@@ -84,6 +85,27 @@ fn an_unknown_kind_is_counted_and_otherwise_inert() {
         differ[0].0.contains("records=8 (checkpoint=1 "),
         "{differ:?}"
     );
+}
+
+/// Runners wrote a meter dropout as `meter_stale` toggles before their
+/// `period` record carried the stale count; such a line now reads as an
+/// unknown kind, counted and otherwise inert.
+#[test]
+fn a_retired_meter_stale_line_reads_as_unknown() {
+    let line = r#"{"v":1,"period":2,"t_s":8,"kind":"meter_stale","stale":true,"stale_periods":1}"#;
+    assert_eq!(
+        Event::parse(line).unwrap().body,
+        Body::Unknown {
+            kind: "meter_stale".into()
+        }
+    );
+    let want = ReplayState::replay(&scan("plain", &base()).unwrap().records);
+    let mut lines = base();
+    lines.insert(3, line.into());
+    let got = ReplayState::replay(&scan("meter-stale", &lines).unwrap().records);
+    let mut counted = want.clone();
+    counted.kind_counts.insert(3, ("meter_stale".into(), 1));
+    assert_eq!(got, counted);
 }
 
 #[test]

@@ -256,7 +256,7 @@ schema! {
         #[doc = "Gain scale relative to the identified gains."] scale: f64,
         #[doc = "Idle offset (W)."] offset_w: f64,
     }
-    /// One control period (daemon); optional fields keep partial records readable.
+    /// One control period (daemon and runner); optional fields keep partial records readable.
     Period = "period" {
         #[doc = "Supervisor tier that acted."] tier: Option<u64>,
         #[doc = "Average power the controller acted on (W)."] watts: Option<f64>,
@@ -317,11 +317,6 @@ schema! {
         #[doc = "Task index."] task: u64,
         #[doc = "Entered (`true`) or left."] on: bool,
         #[doc = "KV-cache occupancy."] kv_occupancy: f64,
-    }
-    /// The meter went silent or came back (runner).
-    MeterStale = "meter_stale" {
-        #[doc = "Silent now."] stale: bool,
-        #[doc = "Consecutive meter-silent periods."] stale_periods: u64,
     }
     /// An SLO frequency floor started or stopped binding (runner).
     SloFloorBinding = "slo_floor_binding" {

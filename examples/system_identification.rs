@@ -51,10 +51,6 @@ fn main() {
         "  R² = {:.4}, RMSE = {:.2} W (paper Fig. 2a: R² = 0.96)",
         fitted.r_squared, fitted.rmse_watts
     );
-    println!(
-        "  excitation design condition number: {:.1} (≫ 10⁶ would flag a stuck sweep)",
-        fitted.design_condition
-    );
 
     let (lo, hi) = fitted
         .model
